@@ -63,53 +63,22 @@
 //! [`Memory::persist_batch`]: dss_pmem::Memory::persist_batch
 
 use std::fmt;
-use std::sync::atomic::{
-    AtomicU64,
-    Ordering::{Acquire, Relaxed, Release},
-};
 use std::sync::{Arc, Mutex};
 
 use dss_pmem::{
-    tag, AppKind, AttachError, Backoff, FlushGranularity, Memory, PAddr, PmemPool, Registry,
-    SlotError, SlotState, ThreadHandle, WORDS_PER_LINE,
+    tag, AppKind, AttachError, FlushGranularity, Memory, PAddr, PmemPool, Registry, SlotError,
+    ThreadHandle, WORDS_PER_LINE,
 };
 use dss_spec::types::QueueResp;
 
 use super::{DssQueue, QueueFull, QueueLayout, Resolved, F_DEQ_TID, F_NEXT, F_VALUE, NO_DEQUEUER};
+use crate::detect::Lease;
 
 /// The structure-kind tag a [`CombiningQueue`] records in its pool file's
 /// superblock: a combining pool is *not* attachable by the CAS-racing
 /// [`DssQueue::attach`] (and vice versa) because the two execution layers
 /// make different persist-ordering promises per word.
 pub const KIND_DSS_QUEUE_COMBINING: u64 = AppKind::DssQueueCombining.word();
-
-/// Volatile per-slot announce states (DRAM only — the persistent truth
-/// lives in `X[tid]`; these flags exist so waiters can park on their own
-/// cache line and combiners can scan without touching the pool).
-const IDLE: u64 = 0;
-const ANNOUNCED: u64 = 1;
-const DONE: u64 = 2;
-
-/// Consecutive stable observations of a foreign lease before a waiter
-/// pays for a registry staleness probe.
-const STALE_PROBE: u32 = 64;
-
-/// Parked-waiter iterations before escalating from tuned spinning to
-/// unconditional yields (combining batches are long compared to a CAS
-/// retry, and on few-core hosts a spinning waiter starves the combiner).
-const YIELD_AFTER: u32 = 8;
-
-/// Yield iterations before escalating further to short sleeps. On an
-/// oversubscribed host many yielding waiters accrue almost no vruntime
-/// and keep getting rescheduled — a yield storm that starves the
-/// combiner of exactly the CPU it needs to set them free. Sleeping takes
-/// a waiter off the run queue entirely.
-const SLEEP_AFTER: u32 = YIELD_AFTER + 64;
-
-/// Parked-waiter sleep, long enough to drain a yield storm and short
-/// enough that a woken waiter's operation latency stays small next to a
-/// combining batch under flush penalties.
-const PARK_SLEEP: std::time::Duration = std::time::Duration::from_micros(50);
 
 /// One staged durable effect of a batch, applied in the phase that its
 /// persist-order dependencies have already drained by.
@@ -153,11 +122,9 @@ struct Scratch {
 /// [`persist_batch`]: dss_pmem::Memory::persist_batch
 pub struct CombiningQueue<M: Memory = PmemPool> {
     q: DssQueue<M>,
-    /// The combiner lease word (its own cache line after the registry
-    /// region): 0 = free, else the holder's registry nonce.
-    lease: PAddr,
-    /// Volatile per-slot announce flags (IDLE/ANNOUNCED/DONE).
-    pending: Box<[AtomicU64]>,
+    /// The combiner lease (its word on its own cache line after the
+    /// registry region) and the volatile publication flags.
+    pub(super) lease: Lease,
     /// Combiner scratch, reused across tenures so a batch allocates
     /// nothing. Uncontended by construction: only the lease holder takes
     /// the lock.
@@ -303,17 +270,12 @@ impl<M: Memory> CombiningQueue<M> {
     }
 
     fn wrap(q: DssQueue<M>, lease: PAddr) -> Self {
-        let pending = (0..q.nthreads()).map(|_| AtomicU64::new(IDLE)).collect();
-        CombiningQueue { q, lease, pending, scratch: Mutex::new(Scratch::default()) }
+        let lease = Lease::new(lease, q.nthreads());
+        CombiningQueue { q, lease, scratch: Mutex::new(Scratch::default()) }
     }
 
-    /// Stores, flushes and orders a free lease word. Safe whenever no live
-    /// thread can hold the lease (construction, attach, post-crash
-    /// recovery); idempotent.
     fn clear_lease(&self) {
-        self.q.pool().store(self.lease, 0);
-        self.q.pool().flush(self.lease);
-        self.q.pool().drain_line(self.lease);
+        self.lease.clear(self.q.pool().as_ref());
     }
 
     /// The queue's memory backend.
@@ -409,7 +371,7 @@ impl<M: Memory> CombiningQueue<M> {
     /// [`QueueFull`] when the node pool is exhausted.
     pub fn prep_enqueue(&self, h: ThreadHandle, val: u64) -> Result<(), QueueFull> {
         self.q.prep_enqueue(h, val)?;
-        self.pending[h.slot()].store(ANNOUNCED, Release);
+        self.lease.announce(h.slot());
         Ok(())
     }
 
@@ -417,7 +379,7 @@ impl<M: Memory> CombiningQueue<M> {
     /// [`prep_enqueue`](Self::prep_enqueue)).
     pub fn prep_dequeue(&self, h: ThreadHandle) {
         self.q.prep_dequeue(h);
-        self.pending[h.slot()].store(ANNOUNCED, Release);
+        self.lease.announce(h.slot());
     }
 
     /// **exec-enqueue**: combine or wait until the announced enqueue has
@@ -428,9 +390,7 @@ impl<M: Memory> CombiningQueue<M> {
     /// `exec` re-run after a crash already resolved the slot) it returns
     /// immediately instead of parking on a batch that will never form.
     pub fn exec_enqueue(&self, h: ThreadHandle) {
-        if self.pending[h.slot()].load(Acquire) != IDLE {
-            self.await_applied(h);
-        }
+        self.lease.exec(&self.q.core, h, |me| self.combine(me));
     }
 
     /// **exec-dequeue**: combine or wait, then read the response the
@@ -438,9 +398,7 @@ impl<M: Memory> CombiningQueue<M> {
     /// like [`exec_enqueue`](Self::exec_enqueue) — re-running it just
     /// re-reads the recorded response.
     pub fn exec_dequeue(&self, h: ThreadHandle) -> QueueResp {
-        if self.pending[h.slot()].load(Acquire) != IDLE {
-            self.await_applied(h);
-        }
+        self.lease.exec(&self.q.core, h, |me| self.combine(me));
         let tid = h.slot();
         let x = self.q.pool().load(self.q.x_addr(tid));
         if tag::has(x, tag::EMPTY) {
@@ -474,83 +432,6 @@ impl<M: Memory> CombiningQueue<M> {
         self.exec_dequeue(h)
     }
 
-    /// Parks until this slot's announced operation is applied, combining
-    /// on this thread whenever the lease is (or goes) free, and stealing
-    /// the lease if its holder provably died.
-    fn await_applied(&self, h: ThreadHandle) {
-        let slot = h.slot();
-        let pool = self.q.pool().as_ref();
-        let mut bo = Backoff::attached(true, self.q.tuner());
-        let mut observed = 0u64;
-        let mut stable = 0u32;
-        let mut waits = 0u32;
-        loop {
-            if self.pending[slot].load(Acquire) == DONE {
-                self.pending[slot].store(IDLE, Relaxed);
-                return;
-            }
-            // The lease probe is an *instrumented* pool load, so armed
-            // crash countdowns progress even while a waiter only parks.
-            let lease = pool.load(self.lease);
-            if lease == 0 {
-                // No flush: the lease is volatile coordination (module
-                // docs) — a crash reverting it to 0 or to a dead nonce is
-                // handled by recovery / the staleness probe.
-                if pool.cas(self.lease, 0, h.nonce()).is_ok() {
-                    self.combine(h);
-                    self.release_lease(h);
-                    continue; // the batch set our DONE flag
-                }
-            } else if lease != observed {
-                observed = lease;
-                stable = 0;
-            } else {
-                stable += 1;
-                if stable >= STALE_PROBE && self.lease_is_stale(lease) {
-                    // The holder's nonce is carried by no LIVE slot: it
-                    // crashed (and recovery orphaned it) or released its
-                    // slot mid-lease. Steal and combine in its place.
-                    if pool.cas(self.lease, lease, h.nonce()).is_ok() {
-                        self.combine(h);
-                        self.release_lease(h);
-                        continue;
-                    }
-                    observed = 0;
-                    stable = 0;
-                }
-            }
-            waits = waits.saturating_add(1);
-            if waits > SLEEP_AFTER {
-                std::thread::sleep(PARK_SLEEP);
-            } else if waits > YIELD_AFTER {
-                std::thread::yield_now();
-            } else {
-                bo.spin();
-            }
-        }
-    }
-
-    fn release_lease(&self, h: ThreadHandle) {
-        // Failure is benign: only a post-crash steal can move the lease
-        // from under a holder, and then the thief owns the cleanup. Not
-        // flushed — the lease is volatile coordination (module docs).
-        let _ = self.q.pool().cas(self.lease, h.nonce(), 0);
-    }
-
-    /// Whether a lease nonce belongs to no LIVE registry slot. Uses
-    /// uninstrumented peeks: a staleness probe is diagnosis, not protocol
-    /// progress, so it must not perturb operation-indexed crash sweeps
-    /// relative to the number of probing waiters.
-    fn lease_is_stale(&self, lease: u64) -> bool {
-        let reg = self.q.registry();
-        for s in 0..self.q.nthreads() {
-            if reg.slot_state(s) == Ok(SlotState::Live) && reg.slot_nonce(s) == Ok(lease) {
-                return false;
-            }
-        }
-        true
-    }
-
     /// The combiner: applies every announced-but-unapplied operation in
     /// one sequential pass with three persist phases (see module docs).
     /// Caller must hold the lease.
@@ -568,7 +449,7 @@ impl<M: Memory> CombiningQueue<M> {
         // Gather the batch in slot order — the order the batch's
         // operations are applied (and hence linearized) in.
         for s in 0..self.q.nthreads() {
-            if self.pending[s].load(Acquire) == ANNOUNCED {
+            if self.lease.is_announced(s) {
                 batch.push((s, pool.load(self.q.x_addr(s))));
             }
         }
@@ -716,7 +597,7 @@ impl<M: Memory> CombiningQueue<M> {
         // waiter that returns holds a persisted result.
         for &(s, _) in batch.iter() {
             self.q.bump_ops(s);
-            self.pending[s].store(DONE, Release);
+            self.lease.done(s);
         }
     }
 
@@ -726,9 +607,7 @@ impl<M: Memory> CombiningQueue<M> {
     /// guarantees the standard reachable-or-marked repair resolves any
     /// half-applied batch; no combining-specific repair pass exists.
     pub fn recover(&self) -> Vec<ThreadHandle> {
-        for p in self.pending.iter() {
-            p.store(IDLE, Relaxed);
-        }
+        self.lease.reset_all();
         self.clear_lease();
         self.q.recover()
     }
@@ -738,7 +617,7 @@ impl<M: Memory> CombiningQueue<M> {
     /// live again and combining, and a dead holder's lease is reclaimed by
     /// the waiters' staleness steal instead.
     pub fn recover_one(&self, h: ThreadHandle) {
-        self.pending[h.slot()].store(IDLE, Relaxed);
+        self.lease.reset(h.slot());
         self.q.recover_one(h);
     }
 
@@ -753,7 +632,7 @@ impl<M: Memory> fmt::Debug for CombiningQueue<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CombiningQueue")
             .field("queue", &self.q)
-            .field("lease", &self.lease)
+            .field("lease", &self.lease.word())
             .finish_non_exhaustive()
     }
 }
@@ -765,7 +644,7 @@ mod tests {
     use dss_pmem::WritebackAdversary;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::path::PathBuf;
-    use std::sync::atomic::Ordering;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn fifo_order_single_thread() {
@@ -889,53 +768,6 @@ mod tests {
                 }
                 other => panic!("k={k}: unexpected resolution {other:?}"),
             }
-        }
-    }
-
-    #[test]
-    fn stale_lease_from_a_dead_combiner_is_stolen() {
-        let q = CombiningQueue::new(2, 8);
-        let h0 = q.register_thread().unwrap();
-        let h1 = q.register_thread().unwrap();
-        // A combiner that died mid-tenure: h1's nonce sits durably in the
-        // lease word, and h1's thread never comes back after the crash.
-        q.q.pool().store(q.lease, h1.nonce());
-        q.q.pool().flush(q.lease);
-        q.q.pool().drain_line(q.lease);
-        q.pool().crash(&WritebackAdversary::None);
-        q.begin_recovery();
-        let mine = q.adopt(h0.slot()).unwrap();
-        q.recover_one(mine);
-        q.rebuild_allocator();
-        // h1's slot is orphaned, so its nonce is LIVE nowhere: the waiter
-        // must detect staleness, steal the lease, and combine.
-        q.enqueue(mine, 5).unwrap();
-        q.prep_dequeue(mine);
-        assert_eq!(q.exec_dequeue(mine), QueueResp::Value(5));
-    }
-
-    #[test]
-    fn racing_exec_calls_have_one_combiner_and_all_complete() {
-        // All threads announce, then exec simultaneously: exactly one
-        // takes the lease per tenure and the others' results appear.
-        const THREADS: usize = 4;
-        let q = CombiningQueue::new(THREADS, 16);
-        let hs: Vec<ThreadHandle> = (0..THREADS).map(|_| q.register_thread().unwrap()).collect();
-        for (tid, &h) in hs.iter().enumerate() {
-            q.prep_enqueue(h, tid as u64 + 1).unwrap();
-        }
-        std::thread::scope(|scope| {
-            for &h in &hs {
-                let q = &q;
-                scope.spawn(move || q.exec_enqueue(h));
-            }
-        });
-        let mut values = q.snapshot_values();
-        values.sort_unstable();
-        assert_eq!(values, [1, 2, 3, 4]);
-        assert_eq!(q.q.pool().peek(q.lease), 0, "lease released after the batches");
-        for p in q.pending.iter() {
-            assert_eq!(p.load(Ordering::Relaxed), IDLE);
         }
     }
 

@@ -344,11 +344,6 @@ impl<M: Memory> DssQueue<M> {
         self.core.new_backoff()
     }
 
-    /// The queue's contention tuner (shared with the combining layer).
-    pub(crate) fn tuner(&self) -> &dss_pmem::BackoffTuner {
-        self.core.tuner()
-    }
-
     /// The queue's memory backend (on [`PmemPool`]: crash it, inspect it,
     /// count its operations).
     pub fn pool(&self) -> &Arc<M> {

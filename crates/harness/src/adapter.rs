@@ -215,7 +215,7 @@ impl QueueKind {
     }
 
     /// Builds the queue with an explicit volatile replica count — the
-    /// E15 `--replicas` axis. Only
+    /// E15 replica axis of `benches/replication.rs`. Only
     /// [`DssReplicated`](Self::DssReplicated) has replicas (built sharded,
     /// on pmem); every other kind ignores the count and builds as
     /// [`build`](Self::build) would.

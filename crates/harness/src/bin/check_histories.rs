@@ -17,6 +17,7 @@
 
 use dss_checker::{CheckOptions, Condition, Violation};
 use dss_harness::cli::{self, CheckMode};
+use dss_harness::crashsim::Layer;
 use dss_harness::record::{
     check_plain, check_recorded, check_recorded_full, record_crash_execution, record_execution,
     record_phased_execution, record_plain_execution,
@@ -40,13 +41,13 @@ fn main() {
         CheckMode::Monolithic => {
             println!("# mode: monolithic (ground-truth oracle, histories sized to its cap)");
             for seed in args.seed..args.seed + runs {
-                let h = record_execution(3, 5, seed);
+                let h = record_execution(Layer::Cas, 3, 5, seed);
                 ops += h.events().len() / 2;
                 check_recorded(&h, Condition::Linearizability)
                     .unwrap_or_else(|e| bail(&format!("crash-free seed {seed}"), &e));
                 checked += 1;
 
-                let h = record_crash_execution(2, 8, seed);
+                let h = record_crash_execution(Layer::Cas, 2, 8, seed);
                 ops += h.events().len() / 2;
                 check_recorded(&h, Condition::StrictLinearizability)
                     .unwrap_or_else(|e| bail(&format!("crash seed {seed}"), &e));
@@ -67,7 +68,7 @@ fn main() {
                 checked += 1;
 
                 // Crash run, checked in full under both conditions.
-                let h = record_crash_execution(2, 8, seed);
+                let h = record_crash_execution(Layer::Cas, 2, 8, seed);
                 let stats = check_recorded_full(&h, Condition::StrictLinearizability, &options)
                     .unwrap_or_else(|e| bail(&format!("crash seed {seed}"), &e));
                 check_recorded_full(&h, Condition::PersistentAtomicity, &options)
@@ -77,7 +78,7 @@ fn main() {
             }
             // One large plain-operation run through the FIFO fast path —
             // the regime the monolithic checker could only sample.
-            let h = record_plain_execution(4, 2500, 8, args.seed);
+            let h = record_plain_execution(Layer::Cas, 4, 2500, 8, args.seed);
             let stats = check_plain(&h, Condition::Linearizability, &options)
                 .unwrap_or_else(|e| bail("plain 20k-op run", &e));
             println!(

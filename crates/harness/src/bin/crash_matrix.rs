@@ -22,11 +22,11 @@
 //! The matrix runs on any of the queue's three execution layers —
 //! CAS-racing (default), flat-combining, or log-fed replicated — or on
 //! the detectable hash map, selected with `--layer
-//! cas|combining|replicated|map` (the old `--combining on` /
-//! `--replicated on` spellings still work as deprecated aliases). The map
-//! sweeps interrupt insert / update / remove / remove-absent victims and
-//! validate `resolve` against the persisted bindings; its checked
-//! histories are verified per key through `check_partitioned`.
+//! cas|combining|replicated|map`; every table comes from the same
+//! `Layer`-parameterised driver. The map sweeps interrupt insert / update
+//! / remove / remove-absent victims and validate `resolve` against the
+//! persisted bindings; its checked histories are verified per key through
+//! `check_partitioned`.
 //!
 //! ```text
 //! cargo run -p dss-harness --release --bin crash_matrix -- \
@@ -35,12 +35,10 @@
 //!     [--layer cas|combining|replicated|map]
 //! ```
 
-use dss_harness::cli::{self, Layer};
+use dss_harness::cli;
 use dss_harness::crashsim::{
-    map_sweep, multi_process_child, multi_process_map_sweep, multi_process_sweep,
-    partial_recovery_crash_run, partial_recovery_crash_run_combining,
-    partial_recovery_crash_run_replicated, partial_recovery_map_crash_run, sweep, MapVictimOp,
-    SweepConfig, SweepOutcome, VictimOp, MP_CHILD_FLAG,
+    multi_process_child, multi_process_sweep, partial_recovery_crash_run, sweep, Layer,
+    SweepConfig, SweepOutcome, MP_CHILD_FLAG,
 };
 
 fn main() {
@@ -58,8 +56,7 @@ fn main() {
             independent_recovery: independent,
             coalesce: args.coalesce,
             per_address: args.per_address,
-            combining: args.layer == Layer::Combining,
-            replicated: args.layer == Layer::Replicated,
+            layer: args.layer,
         };
         println!(
             "# E4 crash matrix: adversary={:?} granularity={:?} recovery={}{}{}{}",
@@ -88,18 +85,9 @@ fn main() {
                 op, out.crash_points, out.not_prepared, out.no_effect, out.effect, out.violations
             );
         };
-        if args.layer == Layer::Map {
-            for op in MapVictimOp::all() {
-                let out = map_sweep(op, &config);
-                print_row(op.to_string(), &out);
-                total_violations += out.violations;
-            }
-        } else {
-            for op in VictimOp::all() {
-                let out = sweep(op, &config);
-                print_row(op.to_string(), &out);
-                total_violations += out.violations;
-            }
+        for (op, out) in sweep(&config) {
+            print_row(op, &out);
+            total_violations += out.violations;
         }
         println!();
         assert_eq!(total_violations, 0, "detectability violations found!");
@@ -113,19 +101,7 @@ fn main() {
             const SEEDS: u64 = 8;
             let mut queued = 0usize;
             for seed in 0..SEEDS {
-                let run = match args.layer {
-                    Layer::Replicated => {
-                        partial_recovery_crash_run_replicated(THREADS, survivors, args.seed + seed)
-                    }
-                    Layer::Combining => {
-                        partial_recovery_crash_run_combining(THREADS, survivors, args.seed + seed)
-                    }
-                    Layer::Map => {
-                        partial_recovery_map_crash_run(THREADS, survivors, args.seed + seed)
-                    }
-                    Layer::Cas => partial_recovery_crash_run(THREADS, survivors, args.seed + seed),
-                };
-                match run {
+                match partial_recovery_crash_run(args.layer, THREADS, survivors, args.seed + seed) {
                     Ok(n) => queued += n,
                     Err(e) => panic!("survivors={survivors} seed={seed}: {e}"),
                 }
@@ -161,8 +137,7 @@ fn main() {
                 granularity: args.flush_granularity(),
                 coalesce,
                 per_address,
-                combining: args.layer == Layer::Combining,
-                replicated: args.layer == Layer::Replicated,
+                layer: args.layer,
                 ..Default::default()
             };
             let mut print_row = |op: String, out: &SweepOutcome| {
@@ -179,16 +154,8 @@ fn main() {
                 );
                 total_violations += out.violations;
             };
-            if args.layer == Layer::Map {
-                for op in MapVictimOp::all() {
-                    let out = multi_process_map_sweep(op, &config, &exe);
-                    print_row(op.to_string(), &out);
-                }
-            } else {
-                for op in VictimOp::all() {
-                    let out = multi_process_sweep(op, &config, &exe);
-                    print_row(op.to_string(), &out);
-                }
+            for (op, out) in multi_process_sweep(&config, &exe) {
+                print_row(op, &out);
             }
         }
         println!();
@@ -211,12 +178,9 @@ fn main() {
 fn checked_histories_epilogue(args: &cli::Args) {
     use dss_checker::{CheckOptions, Condition};
     use dss_harness::record::{
-        check_map_history, check_plain, check_recorded_full, record_combining_crash_execution,
-        record_combining_partial_recovery_execution, record_crash_execution,
+        check_map_history, check_plain, check_recorded_full, record_crash_execution,
         record_map_crash_execution, record_map_execution, record_map_partial_recovery_execution,
-        record_partial_recovery_execution, record_plain_combining_execution,
-        record_plain_replicated_execution, record_replicated_crash_execution,
-        record_replicated_partial_recovery_execution,
+        record_partial_recovery_execution, record_plain_execution,
     };
 
     const SEEDS: u64 = 6;
@@ -284,11 +248,7 @@ fn checked_histories_epilogue(args: &cli::Args) {
     }
     let (mut ops, mut windows, mut max_window) = (0usize, 0usize, 0usize);
     for seed in 0..SEEDS {
-        let h = match args.layer {
-            Layer::Replicated => record_replicated_crash_execution(3, 30, args.seed + seed),
-            Layer::Combining => record_combining_crash_execution(3, 30, args.seed + seed),
-            _ => record_crash_execution(3, 30, args.seed + seed),
-        };
+        let h = record_crash_execution(args.layer, 3, 30, args.seed + seed);
         let stats = check_recorded_full(&h, Condition::StrictLinearizability, &options)
             .unwrap_or_else(|e| panic!("crash run seed {seed}: {e}"));
         ops += stats.ops;
@@ -296,59 +256,35 @@ fn checked_histories_epilogue(args: &cli::Args) {
         max_window = max_window.max(stats.max_window);
     }
     println!("{:<22} {:>6} {:>8} {:>9} {:>12}", "system-crash", SEEDS, ops, windows, max_window);
-    if args.layer == Layer::Replicated {
-        // Appended batches serialize many operations per lease tenure;
-        // verify a long crash-free log-fed history in full — every
+    if args.layer.is_leased() {
+        // Leased batches serialize many operations per lease tenure;
+        // verify a long crash-free batched history in full — every
         // operation, no sampling — against the sequential FIFO spec.
-        let h = record_plain_replicated_execution(3, 400, 4, args.seed);
+        let h = record_plain_execution(args.layer, 3, 400, 4, args.seed);
         let stats = check_plain(&h, Condition::Linearizability, &options)
-            .unwrap_or_else(|e| panic!("plain replicated run: {e}"));
+            .unwrap_or_else(|e| panic!("plain {} run: {e}", args.layer));
         println!(
             "{:<22} {:>6} {:>8} {:>9} {:>12}",
-            "replicated-plain", 1, stats.ops, stats.windows, stats.max_window
-        );
-    } else if args.layer == Layer::Combining {
-        // Combined batches serialize many operations per lease tenure;
-        // verify a long crash-free combined history in full — every
-        // operation, no sampling — against the sequential FIFO spec.
-        let h = record_plain_combining_execution(3, 400, 4, args.seed);
-        let stats = check_plain(&h, Condition::Linearizability, &options)
-            .unwrap_or_else(|e| panic!("plain combining run: {e}"));
-        println!(
-            "{:<22} {:>6} {:>8} {:>9} {:>12}",
-            "combining-plain", 1, stats.ops, stats.windows, stats.max_window
+            format!("{}-plain", args.layer),
+            1,
+            stats.ops,
+            stats.windows,
+            stats.max_window
         );
     }
     if args.partial_recovery {
         for survivors in 1..=3usize {
             let (mut ops, mut windows, mut max_window) = (0usize, 0usize, 0usize);
             for seed in 0..SEEDS {
-                let h = match args.layer {
-                    Layer::Replicated => record_replicated_partial_recovery_execution(
-                        3,
-                        survivors,
-                        20,
-                        args.seed + seed,
-                        args.coalesce,
-                        args.per_address,
-                    ),
-                    Layer::Combining => record_combining_partial_recovery_execution(
-                        3,
-                        survivors,
-                        20,
-                        args.seed + seed,
-                        args.coalesce,
-                        args.per_address,
-                    ),
-                    _ => record_partial_recovery_execution(
-                        3,
-                        survivors,
-                        20,
-                        args.seed + seed,
-                        args.coalesce,
-                        args.per_address,
-                    ),
-                };
+                let h = record_partial_recovery_execution(
+                    args.layer,
+                    3,
+                    survivors,
+                    20,
+                    args.seed + seed,
+                    args.coalesce,
+                    args.per_address,
+                );
                 let stats = check_recorded_full(&h, Condition::StrictLinearizability, &options)
                     .unwrap_or_else(|e| {
                         panic!("partial recovery survivors={survivors} seed={seed}: {e}")

@@ -31,6 +31,7 @@ use dss_checker::{
     check_partitioned, records_for, CheckOptions, Condition, History, StreamingRecorder,
 };
 use dss_core::DssQueue;
+use dss_harness::crashsim::Layer;
 use dss_harness::json;
 use dss_harness::record::{
     check_plain, check_recorded, check_recorded_full, record_execution, record_phased_execution,
@@ -57,7 +58,8 @@ fn main() {
 
     // Monolithic oracle: many small histories (3 threads x 5 steps each).
     {
-        let histories: Vec<_> = (0..60).map(|s| record_execution(3, 5, args.seed + s)).collect();
+        let histories: Vec<_> =
+            (0..60).map(|s| record_execution(Layer::Cas, 3, 5, args.seed + s)).collect();
         let ops: usize = histories.iter().map(|h| h.events().len() / 2).sum();
         let t = Instant::now();
         for h in &histories {
@@ -85,7 +87,7 @@ fn main() {
 
     // FIFO fast path: a >=100k-op plain execution of the real queue.
     {
-        let h = record_plain_execution(4, 15_000, 8, args.seed);
+        let h = record_plain_execution(Layer::Cas, 4, 15_000, 8, args.seed);
         let t = Instant::now();
         let stats = check_plain(&h, Condition::Linearizability, &options)
             .unwrap_or_else(|e| panic!("fifo fast path: {e}"));

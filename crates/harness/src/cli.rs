@@ -1,6 +1,8 @@
 //! Minimal flag parsing shared by the experiment binaries (keeps the
 //! workspace inside the sanctioned dependency set — no clap).
 
+use crate::crashsim::Layer;
+
 /// Common knobs of the experiment binaries.
 #[derive(Clone, Debug)]
 pub struct Args {
@@ -41,14 +43,9 @@ pub struct Args {
     /// resolve every pre-crash operation. Default off.
     pub multi_process: bool,
     /// Execution layer / object family under test (`--layer
-    /// cas|combining|replicated|map`, `crash_matrix` only). The legacy
-    /// boolean spellings `--combining on|off` and `--replicated on|off`
-    /// are still accepted as deprecated aliases (with `--replicated`
-    /// taking precedence, as before). Default [`Layer::Cas`].
+    /// cas|combining|replicated|map`, `crash_matrix` only). Default
+    /// [`Layer::Cas`].
     pub layer: Layer,
-    /// Volatile replica count for the replicated layer
-    /// (`--replicas <n>`, experiment E15). Default 2.
-    pub replicas: usize,
     /// Checker pipeline (`--mode monolithic|partitioned`,
     /// `check_histories` only): `monolithic` is the classic bounded
     /// Wing–Gong search (the ground-truth oracle, histories capped at
@@ -58,31 +55,6 @@ pub struct Args {
     /// Override of the per-window operation bound (`--max-ops <n>`,
     /// `check_histories` only); `None` keeps the checker's default.
     pub max_ops: Option<usize>,
-}
-
-/// Which execution layer (or object family) `crash_matrix` sweeps.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Layer {
-    /// The CAS-racing queue (the paper's baseline).
-    Cas,
-    /// The flat-combining queue (experiment E14).
-    Combining,
-    /// The log-fed replicated queue (experiment E15).
-    Replicated,
-    /// The detectable hash map (experiment E16's structure).
-    Map,
-}
-
-impl Layer {
-    fn parse(s: &str) -> Layer {
-        match s {
-            "cas" => Layer::Cas,
-            "combining" => Layer::Combining,
-            "replicated" => Layer::Replicated,
-            "map" => Layer::Map,
-            l => panic!("--layer {l}: expected cas|combining|replicated|map"),
-        }
-    }
 }
 
 /// Which checking pipeline `check_histories` runs.
@@ -112,7 +84,6 @@ impl Default for Args {
             partial_recovery: false,
             multi_process: false,
             layer: Layer::Cas,
-            replicas: 2,
             mode: CheckMode::Partitioned,
             max_ops: None,
         }
@@ -154,26 +125,6 @@ pub fn parse() -> Args {
             }
             "--multi-process" => args.multi_process = parse_switch("--multi-process", &val()),
             "--layer" => args.layer = Layer::parse(&val()),
-            // Deprecated boolean aliases, kept so recorded invocations
-            // keep working; `--replicated on` beats `--combining on`
-            // whatever the flag order, matching the old precedence.
-            "--combining" => {
-                if parse_switch("--combining", &val()) {
-                    if args.layer != Layer::Replicated {
-                        args.layer = Layer::Combining;
-                    }
-                } else if args.layer == Layer::Combining {
-                    args.layer = Layer::Cas;
-                }
-            }
-            "--replicated" => {
-                if parse_switch("--replicated", &val()) {
-                    args.layer = Layer::Replicated;
-                } else if args.layer == Layer::Replicated {
-                    args.layer = Layer::Cas;
-                }
-            }
-            "--replicas" => args.replicas = val().parse().expect("--replicas <usize>"),
             "--mode" => {
                 args.mode = match val().as_str() {
                     "monolithic" => CheckMode::Monolithic,
@@ -185,8 +136,7 @@ pub fn parse() -> Args {
             other => panic!(
                 "unknown flag {other}; known: --threads --ms --repeats --penalty \
                  --granularity --adversary --seed --backend --coalesce --per-address --backoff \
-                 --partial-recovery --multi-process --layer --replicas \
-                 --mode --max-ops (deprecated: --combining --replicated)"
+                 --partial-recovery --multi-process --layer --mode --max-ops"
             ),
         }
     }
@@ -237,7 +187,6 @@ mod tests {
         assert!(!a.partial_recovery, "partial-recovery mode defaults off");
         assert!(!a.multi_process, "multi-process mode defaults off");
         assert_eq!(a.layer, Layer::Cas, "the CAS-racing layer is the default");
-        assert_eq!(a.replicas, 2, "replica count defaults to 2");
         assert_eq!(a.mode, CheckMode::Partitioned, "full-length checking is the default");
         assert_eq!(a.max_ops, None);
     }
@@ -246,20 +195,6 @@ mod tests {
     fn switch_values_parse() {
         assert!(parse_switch("--coalesce", "on"));
         assert!(!parse_switch("--backoff", "off"));
-    }
-
-    #[test]
-    fn layer_names_parse() {
-        assert_eq!(Layer::parse("cas"), Layer::Cas);
-        assert_eq!(Layer::parse("combining"), Layer::Combining);
-        assert_eq!(Layer::parse("replicated"), Layer::Replicated);
-        assert_eq!(Layer::parse("map"), Layer::Map);
-    }
-
-    #[test]
-    #[should_panic(expected = "expected cas|combining|replicated|map")]
-    fn bad_layer_panics() {
-        Layer::parse("quantum");
     }
 
     #[test]

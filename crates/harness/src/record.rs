@@ -1,30 +1,66 @@
-//! Recording real DSS-queue executions as `D⟨queue⟩` histories and
-//! machine-checking them (experiment E6 — empirical evidence for
-//! Theorem 1: "the DSS queue is lock-free and strictly linearizable with
-//! respect to D⟨queue⟩").
+//! Recording real executions as `D⟨T⟩` histories and machine-checking
+//! them (experiment E6 — empirical evidence for Theorem 1: "the DSS queue
+//! is lock-free and strictly linearizable with respect to D⟨queue⟩").
 //!
-//! Worker threads drive a [`DssQueue`] through its detectable and plain
+//! Worker threads drive a structure through its detectable and plain
 //! operations while a [`Recorder`] captures the invocations and responses
-//! as operations of the *specification* `D⟨queue⟩` (`Prep`, `Exec`,
-//! `Resolve`, `Plain`). The resulting history is checked against
-//! [`Detectable<QueueSpec>`](dss_spec::Detectable) under strict
-//! linearizability — with and without injected crashes.
-
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+//! as operations of its *specification*; the resulting history is checked
+//! under strict linearizability — with and without injected crashes. Each
+//! recording driver exists once, generic over the structure, and takes a
+//! [`Layer`]:
+//!
+//! * the queue layers record `D⟨queue⟩` histories (`Prep`, `Exec`,
+//!   `Resolve`, `Plain`) checked against
+//!   [`Detectable<QueueSpec>`](dss_spec::Detectable);
+//! * the map records `Keyed<KvSpec>` histories — each detectable pair is
+//!   one `(key, op)` operation whose invocation brackets prep and whose
+//!   return follows exec, so a crash mid-pair leaves a pending operation
+//!   the strict checker must place before the crash or drop, exactly
+//!   `D⟨map⟩`'s Figure-2 alternatives — checked per key by
+//!   P-compositionality ([`check_map_history`]).
 
 use dss_checker::{
     check_fifo, check_history, check_partitioned, check_records, records_for, CheckOptions,
     CheckStats, Condition, History, Recorder, Violation,
 };
-use dss_core::{CombiningQueue, DetectableMap, DssQueue, ReplicatedQueue, Resolved, ResolvedOp};
-use dss_pmem::{CrashSignal, FlushGranularity, ThreadHandle, WritebackAdversary};
+use dss_core::{DetectableMap, DssQueue, Resolved, ResolvedOp};
+use dss_pmem::{FlushGranularity, ThreadHandle, WritebackAdversary};
 use dss_spec::types::{KvOp, KvResp, KvSpec, QueueOp, QueueResp, QueueSpec};
 use dss_spec::{DetOp, DetResp, Detectable, Keyed};
 
-use crate::crashsim::CrashTarget;
+use crate::crashsim::{
+    crashes_within, dispatch, restart_survivors, rng, CrashTarget, Layer, QueueLayer,
+};
 
-/// The specification ops/responses a recorded history is made of.
+/// The specification ops/responses a recorded queue history is made of.
 pub type RecordedHistory = History<DetOp<QueueOp>, DetResp<QueueOp, QueueResp>>;
+
+/// A recorded history of map operations, in the [`Keyed`]`<`[`KvSpec`]`>`
+/// shape the per-key partitioned checker splits and verifies in full.
+pub type MapHistory = History<(u64, KvOp), KvResp>;
+
+/// A structure whose executions can be recorded: its history alphabet,
+/// its pseudo-random workload, and how a recovered state is pinned into
+/// the history.
+pub(crate) trait RecordTarget: CrashTarget {
+    type Op: Clone + Send;
+    type Resp: Clone + Send;
+    type Step: Copy + Send;
+    /// Worker `tid`'s pseudo-random step plan.
+    fn plan(tid: usize, ops: usize, seed: u64) -> Vec<Self::Step>;
+    /// Runs and records one step; `seq` is the step's 1-based index (the
+    /// §2.1 tag of a detectable map write).
+    fn run_step(
+        &self,
+        rec: &Recorder<Self::Op, Self::Resp>,
+        h: ThreadHandle,
+        step: Self::Step,
+        seq: u64,
+    );
+    /// Records the post-crash observations the checker must reconcile
+    /// with the history before the crash.
+    fn record_recovered(&self, rec: &Recorder<Self::Op, Self::Resp>, hs: &[ThreadHandle]);
+}
 
 fn resolved_to_resp(r: Resolved) -> DetResp<QueueOp, QueueResp> {
     let op = r.op.map(|o| match o {
@@ -34,9 +70,9 @@ fn resolved_to_resp(r: Resolved) -> DetResp<QueueOp, QueueResp> {
     DetResp::Resolved(op, r.resp)
 }
 
-/// One pseudo-random step plan for a worker.
+/// One pseudo-random step of a queue worker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Step {
+pub(crate) enum Step {
     DetEnqueue(u64),
     DetDequeue,
     PlainEnqueue(u64),
@@ -44,127 +80,206 @@ enum Step {
     Resolve,
 }
 
-fn plan(tid: usize, ops: usize, seed: u64) -> Vec<Step> {
-    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(tid as u64 + 1);
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    (0..ops)
-        .map(|i| {
-            let v = ((tid as u64) << 32) | (i as u64 + 1);
-            match next() % 5 {
-                0 => Step::DetEnqueue(v),
-                1 => Step::DetDequeue,
-                2 => Step::PlainEnqueue(v),
-                3 => Step::PlainDequeue,
-                _ => Step::Resolve,
-            }
-        })
-        .collect()
-}
+impl<Q: QueueLayer> RecordTarget for Q {
+    type Op = DetOp<QueueOp>;
+    type Resp = DetResp<QueueOp, QueueResp>;
+    type Step = Step;
 
-fn run_step<Q: CrashTarget>(
-    q: &Q,
-    rec: &Recorder<DetOp<QueueOp>, DetResp<QueueOp, QueueResp>>,
-    h: ThreadHandle,
-    step: Step,
-) {
-    // Registration happens in slot order on the main thread, so the slot
-    // doubles as the recorder's process id.
-    let tid = h.slot();
-    match step {
-        Step::DetEnqueue(v) => {
-            let id = rec.invoke(tid, DetOp::Prep { op: QueueOp::Enqueue(v), seq: 0 });
-            q.prep_enqueue(h, v).unwrap();
-            rec.ret(id, DetResp::Ack);
-            let id = rec.invoke(tid, DetOp::Exec);
-            q.exec_enqueue(h);
-            rec.ret(id, DetResp::Ret(QueueResp::Ok));
+    fn plan(tid: usize, ops: usize, seed: u64) -> Vec<Step> {
+        let mut next = rng(tid, seed);
+        (0..ops)
+            .map(|i| {
+                let v = ((tid as u64) << 32) | (i as u64 + 1);
+                match next() % 5 {
+                    0 => Step::DetEnqueue(v),
+                    1 => Step::DetDequeue,
+                    2 => Step::PlainEnqueue(v),
+                    3 => Step::PlainDequeue,
+                    _ => Step::Resolve,
+                }
+            })
+            .collect()
+    }
+
+    fn run_step(
+        &self,
+        rec: &Recorder<Self::Op, Self::Resp>,
+        h: ThreadHandle,
+        step: Step,
+        _seq: u64,
+    ) {
+        // Registration happens in slot order on the main thread, so the
+        // slot doubles as the recorder's process id.
+        let tid = h.slot();
+        match step {
+            Step::DetEnqueue(v) => {
+                let id = rec.invoke(tid, DetOp::Prep { op: QueueOp::Enqueue(v), seq: 0 });
+                self.prep_enqueue(h, v).unwrap();
+                rec.ret(id, DetResp::Ack);
+                let id = rec.invoke(tid, DetOp::Exec);
+                self.exec_enqueue(h);
+                rec.ret(id, DetResp::Ret(QueueResp::Ok));
+            }
+            Step::DetDequeue => {
+                let id = rec.invoke(tid, DetOp::Prep { op: QueueOp::Dequeue, seq: 0 });
+                self.prep_dequeue(h);
+                rec.ret(id, DetResp::Ack);
+                let id = rec.invoke(tid, DetOp::Exec);
+                let resp = self.exec_dequeue(h);
+                rec.ret(id, DetResp::Ret(resp));
+            }
+            // On a layer without a true plain path (the leased layers:
+            // every op announces and a later resolve reports it), the
+            // plan's plain steps are honestly recorded as the prep/exec
+            // pairs they are — recording them as `Plain` would claim
+            // Axiom 4 isolation the layer does not provide, and the
+            // checker would rightly reject the history at the next
+            // resolve.
+            Step::PlainEnqueue(v) if Q::PLAIN_IS_DETECTABLE => {
+                self.run_step(rec, h, Step::DetEnqueue(v), 0);
+            }
+            Step::PlainDequeue if Q::PLAIN_IS_DETECTABLE => {
+                self.run_step(rec, h, Step::DetDequeue, 0);
+            }
+            Step::PlainEnqueue(v) => {
+                let id = rec.invoke(tid, DetOp::Plain(QueueOp::Enqueue(v)));
+                self.enqueue(h, v).unwrap();
+                rec.ret(id, DetResp::Ret(QueueResp::Ok));
+            }
+            Step::PlainDequeue => {
+                let id = rec.invoke(tid, DetOp::Plain(QueueOp::Dequeue));
+                let resp = self.dequeue(h);
+                rec.ret(id, DetResp::Ret(resp));
+            }
+            Step::Resolve => {
+                let id = rec.invoke(tid, DetOp::Resolve);
+                let resp = resolved_to_resp(QueueLayer::resolve(self, h));
+                rec.ret(id, resp);
+            }
         }
-        Step::DetDequeue => {
-            let id = rec.invoke(tid, DetOp::Prep { op: QueueOp::Dequeue, seq: 0 });
-            q.prep_dequeue(h);
-            rec.ret(id, DetResp::Ack);
-            let id = rec.invoke(tid, DetOp::Exec);
-            let resp = q.exec_dequeue(h);
-            rec.ret(id, DetResp::Ret(resp));
-        }
-        // On a layer without a true plain path (combining: every op
-        // announces and a later resolve reports it), the plan's plain
-        // steps are honestly recorded as the prep/exec pairs they are —
-        // recording them as `Plain` would claim Axiom 4 isolation the
-        // layer does not provide, and the checker would rightly reject
-        // the history at the next resolve.
-        Step::PlainEnqueue(v) if q.plain_is_detectable() => {
-            run_step(q, rec, h, Step::DetEnqueue(v));
-        }
-        Step::PlainDequeue if q.plain_is_detectable() => {
-            run_step(q, rec, h, Step::DetDequeue);
-        }
-        Step::PlainEnqueue(v) => {
-            let id = rec.invoke(tid, DetOp::Plain(QueueOp::Enqueue(v)));
-            q.enqueue(h, v).unwrap();
-            rec.ret(id, DetResp::Ret(QueueResp::Ok));
-        }
-        Step::PlainDequeue => {
-            let id = rec.invoke(tid, DetOp::Plain(QueueOp::Dequeue));
-            let resp = q.dequeue(h);
-            rec.ret(id, DetResp::Ret(resp));
-        }
-        Step::Resolve => {
+    }
+
+    /// Every thread resolves its interrupted operation.
+    fn record_recovered(&self, rec: &Recorder<Self::Op, Self::Resp>, hs: &[ThreadHandle]) {
+        for (tid, &h) in hs.iter().enumerate() {
             let id = rec.invoke(tid, DetOp::Resolve);
-            let resp = resolved_to_resp(q.resolve(h));
+            let resp = resolved_to_resp(QueueLayer::resolve(self, h));
             rec.ret(id, resp);
         }
     }
 }
 
-/// Records a crash-free concurrent execution.
-pub fn record_execution(threads: usize, ops_per_thread: usize, seed: u64) -> RecordedHistory {
-    record_execution_on(&DssQueue::new(threads, 64), threads, ops_per_thread, seed)
+/// Keys every recorded map execution draws from — deliberately few and
+/// *shared* across threads, so per-key histories carry real cross-thread
+/// interleavings.
+const MAP_HISTORY_KEYS: u64 = 8;
+
+/// One pseudo-random step of a map worker.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum MapStep {
+    DetPut(u64, u64),
+    DetRemove(u64),
+    Get(u64),
 }
 
-/// [`record_execution`] on the flat-combining execution layer — same step
-/// plans, same `D⟨queue⟩` recording, so a checker run over both histories
-/// validates that combining preserves the specification, not just the
-/// queue's internal invariants.
-pub fn record_combining_execution(
+impl RecordTarget for DetectableMap {
+    type Op = (u64, KvOp);
+    type Resp = KvResp;
+    type Step = MapStep;
+
+    fn plan(tid: usize, ops: usize, seed: u64) -> Vec<MapStep> {
+        let mut next = rng(tid, seed);
+        (0..ops)
+            .map(|i| {
+                let key = next() % MAP_HISTORY_KEYS;
+                let v = ((tid as u64) << 32) | (i as u64 + 1);
+                match next() % 4 {
+                    0 | 1 => MapStep::DetPut(key, v),
+                    2 => MapStep::DetRemove(key),
+                    _ => MapStep::Get(key),
+                }
+            })
+            .collect()
+    }
+
+    fn run_step(
+        &self,
+        rec: &Recorder<(u64, KvOp), KvResp>,
+        h: ThreadHandle,
+        step: MapStep,
+        seq: u64,
+    ) {
+        let tid = h.slot();
+        match step {
+            MapStep::DetPut(key, v) => {
+                let id = rec.invoke(tid, (key, KvOp::Put(v)));
+                self.prep_put(h, key, v, seq);
+                let resp = self.exec_put(h);
+                rec.ret(id, resp);
+            }
+            MapStep::DetRemove(key) => {
+                let id = rec.invoke(tid, (key, KvOp::Remove));
+                self.prep_remove(h, key, seq);
+                let resp = self.exec_remove(h);
+                rec.ret(id, resp);
+            }
+            MapStep::Get(key) => {
+                let id = rec.invoke(tid, (key, KvOp::Get));
+                let resp = self.get(h, key);
+                rec.ret(id, resp);
+            }
+        }
+    }
+
+    /// Post-crash audit: an observer (a process id past the workers')
+    /// reads every key, so the checker must find a linearization whose
+    /// surviving effects are exactly these bindings.
+    fn record_recovered(&self, rec: &Recorder<(u64, KvOp), KvResp>, hs: &[ThreadHandle]) {
+        for key in 0..MAP_HISTORY_KEYS {
+            let id = rec.invoke(hs.len(), (key, KvOp::Get));
+            rec.ret(id, self.get(hs[0], key));
+        }
+    }
+}
+
+/// Records a crash-free concurrent execution on a queue `layer`.
+///
+/// # Panics
+///
+/// Panics on [`Layer::Map`], whose histories have another alphabet (see
+/// [`record_map_execution`]).
+pub fn record_execution(
+    layer: Layer,
     threads: usize,
     ops_per_thread: usize,
     seed: u64,
 ) -> RecordedHistory {
-    record_execution_on(&CombiningQueue::new(threads, 64), threads, ops_per_thread, seed)
+    dispatch!(layer, T => record_execution_on::<T>(threads, ops_per_thread, seed),
+        map: panic!("{MAP_PANIC}"))
 }
 
-/// [`record_execution`] on the replicated execution layer: every
-/// operation flows through the durable op log and the leased appender,
-/// and the checker validates that log-fed replication preserves
-/// `D⟨queue⟩` — not just the queue's internal invariants.
-pub fn record_replicated_execution(
+/// Records a crash-free concurrent map execution: detectable puts and
+/// removes plus plain gets over a small shared key set.
+pub fn record_map_execution(threads: usize, ops_per_thread: usize, seed: u64) -> MapHistory {
+    record_execution_on::<DetectableMap>(threads, ops_per_thread, seed)
+}
+
+const MAP_PANIC: &str = "the map records Keyed<KvSpec> histories: use the record_map_* drivers";
+
+fn record_execution_on<T: RecordTarget>(
     threads: usize,
     ops_per_thread: usize,
     seed: u64,
-) -> RecordedHistory {
-    record_execution_on(&ReplicatedQueue::new(threads, 64), threads, ops_per_thread, seed)
-}
-
-fn record_execution_on<Q: CrashTarget>(
-    q: &Q,
-    threads: usize,
-    ops_per_thread: usize,
-    seed: u64,
-) -> RecordedHistory {
+) -> History<T::Op, T::Resp> {
+    let q = &T::build(threads, 64, 8, FlushGranularity::Line);
     let hs: Vec<ThreadHandle> = (0..threads).map(|_| q.register_thread().unwrap()).collect();
     let rec = Recorder::new();
     std::thread::scope(|scope| {
         for (tid, &h) in hs.iter().enumerate() {
             let rec = &rec;
             scope.spawn(move || {
-                for step in plan(tid, ops_per_thread, seed) {
-                    run_step(q, rec, h, step);
+                for (i, step) in T::plan(tid, ops_per_thread, seed).into_iter().enumerate() {
+                    q.run_step(rec, h, step, i as u64 + 1);
                 }
             });
         }
@@ -172,144 +287,48 @@ fn record_execution_on<Q: CrashTarget>(
     rec.into_history()
 }
 
-/// Records an execution in which every thread is interrupted by a
-/// system-wide crash mid-run; after recovery, each thread resolves.
-pub fn record_crash_execution(threads: usize, ops_per_thread: usize, seed: u64) -> RecordedHistory {
-    record_crash_execution_on(&DssQueue::new(threads, 64), threads, ops_per_thread, seed)
-}
-
-/// [`record_crash_execution`] on the flat-combining execution layer: the
-/// seed-derived crashes now land inside combiner batches and waiter park
-/// loops, and the recorded resolves read results a dead combiner wrote
-/// into the crashed threads' detectability words.
-pub fn record_combining_crash_execution(
+/// Records an execution on a queue `layer` in which every thread is
+/// interrupted by a system-wide crash mid-run; after centralized
+/// recovery, each thread resolves. On the leased layers the seed-derived
+/// crashes land inside batches and waiter park loops, and the recorded
+/// resolves read results a dead lease holder wrote (or the committed log,
+/// with the volatile replicas rebuilt by replay).
+///
+/// # Panics
+///
+/// Panics on [`Layer::Map`] (see [`record_map_crash_execution`]).
+pub fn record_crash_execution(
+    layer: Layer,
     threads: usize,
     ops_per_thread: usize,
     seed: u64,
 ) -> RecordedHistory {
-    record_crash_execution_on(&CombiningQueue::new(threads, 64), threads, ops_per_thread, seed)
+    dispatch!(layer, T => record_crash_execution_on::<T>(threads, None, ops_per_thread, seed,
+        false, false), map: panic!("{MAP_PANIC}"))
 }
 
-/// [`record_crash_execution`] on the replicated execution layer: the
-/// seed-derived crashes land inside appender batches, and the recorded
-/// post-recovery resolves answer from the committed log alone — the
-/// volatile replicas were discarded and rebuilt by replay.
-pub fn record_replicated_crash_execution(
-    threads: usize,
-    ops_per_thread: usize,
-    seed: u64,
-) -> RecordedHistory {
-    record_crash_execution_on(&ReplicatedQueue::new(threads, 64), threads, ops_per_thread, seed)
+/// Records a map execution in which every thread is interrupted by a
+/// system-wide crash mid-run; after the restart protocol, an observer
+/// reads every key, pinning the recovered bindings into the history the
+/// strict checker must certify.
+pub fn record_map_crash_execution(threads: usize, ops_per_thread: usize, seed: u64) -> MapHistory {
+    record_crash_execution_on::<DetectableMap>(threads, None, ops_per_thread, seed, false, false)
 }
 
-fn record_crash_execution_on<Q: CrashTarget>(
-    q: &Q,
-    threads: usize,
-    ops_per_thread: usize,
-    seed: u64,
-) -> RecordedHistory {
-    let hs: Vec<ThreadHandle> = (0..threads).map(|_| q.register_thread().unwrap()).collect();
-    let rec = Recorder::new();
-    run_crashing_workers(q, &hs, &rec, ops_per_thread, seed);
-    // System-wide crash: volatile state reverts, recovery runs, and every
-    // thread resolves its interrupted operation.
-    rec.crash();
-    q.pool().crash(&WritebackAdversary::Random { seed, prob: 0.5 });
-    q.recover();
-    q.rebuild_allocator();
-    for (tid, &h) in hs.iter().enumerate() {
-        let id = rec.invoke(tid, DetOp::Resolve);
-        let resp = resolved_to_resp(q.resolve(h));
-        rec.ret(id, resp);
-    }
-    rec.into_history()
-}
-
-/// Records an execution in which every thread crashes mid-run but only
-/// `survivors` of them restart: each survivor recovers its own slot
-/// independently ([`DssQueue::recover_one`], §3.3), then survivor 0 adopts
-/// every remaining orphaned slot and resolves the dead threads' pending
+/// Records an execution on a queue `layer` in which every thread crashes
+/// mid-run but only `survivors` of them restart: each survivor recovers
+/// its own slot independently (§3.3), then survivor 0 adopts every
+/// remaining orphaned slot and resolves the dead threads' pending
 /// operations on their behalf. The resolves for adopted slots are recorded
 /// under the *original* process ids, matching the spec's view that the
 /// adopter completes the dead thread's `D⟨queue⟩` session.
 ///
 /// # Panics
 ///
-/// Panics if `survivors` is zero or exceeds `threads`.
+/// Panics if `survivors` is zero or exceeds `threads`, and on
+/// [`Layer::Map`] (see [`record_map_partial_recovery_execution`]).
 pub fn record_partial_recovery_execution(
-    threads: usize,
-    survivors: usize,
-    ops_per_thread: usize,
-    seed: u64,
-    coalesce: bool,
-    per_address: bool,
-) -> RecordedHistory {
-    record_partial_recovery_execution_on(
-        &DssQueue::new(threads, 64),
-        threads,
-        survivors,
-        ops_per_thread,
-        seed,
-        coalesce,
-        per_address,
-    )
-}
-
-/// [`record_partial_recovery_execution`] on the flat-combining execution
-/// layer (a dead combiner's slot may be adopted and resolved by survivor
-/// 0 rather than its own thread).
-///
-/// # Panics
-///
-/// Panics if `survivors` is zero or exceeds `threads`.
-pub fn record_combining_partial_recovery_execution(
-    threads: usize,
-    survivors: usize,
-    ops_per_thread: usize,
-    seed: u64,
-    coalesce: bool,
-    per_address: bool,
-) -> RecordedHistory {
-    record_partial_recovery_execution_on(
-        &CombiningQueue::new(threads, 64),
-        threads,
-        survivors,
-        ops_per_thread,
-        seed,
-        coalesce,
-        per_address,
-    )
-}
-
-/// [`record_partial_recovery_execution`] on the replicated execution
-/// layer (a dead appender's slot may be adopted and resolved by survivor
-/// 0; the resolve reads the committed log, never the dead thread's
-/// replica).
-///
-/// # Panics
-///
-/// Panics if `survivors` is zero or exceeds `threads`.
-pub fn record_replicated_partial_recovery_execution(
-    threads: usize,
-    survivors: usize,
-    ops_per_thread: usize,
-    seed: u64,
-    coalesce: bool,
-    per_address: bool,
-) -> RecordedHistory {
-    record_partial_recovery_execution_on(
-        &ReplicatedQueue::new(threads, 64),
-        threads,
-        survivors,
-        ops_per_thread,
-        seed,
-        coalesce,
-        per_address,
-    )
-}
-
-fn record_partial_recovery_execution_on<Q: CrashTarget>(
-    q: &Q,
+    layer: Layer,
     threads: usize,
     survivors: usize,
     ops_per_thread: usize,
@@ -318,61 +337,79 @@ fn record_partial_recovery_execution_on<Q: CrashTarget>(
     per_address: bool,
 ) -> RecordedHistory {
     assert!(survivors >= 1 && survivors <= threads, "need 1..=threads survivors");
+    dispatch!(layer, T => record_crash_execution_on::<T>(threads, Some(survivors), ops_per_thread,
+        seed, coalesce, per_address), map: panic!("{MAP_PANIC}"))
+}
+
+/// [`record_map_crash_execution`] with only `survivors` of the `threads`
+/// workers restarting (§3.3): each survivor re-adopts its own registry
+/// slot, then the first adopts every slot nobody came back for, and the
+/// observer audit reads through the recovered state.
+///
+/// # Panics
+///
+/// Panics if `survivors` is zero or exceeds `threads`.
+pub fn record_map_partial_recovery_execution(
+    threads: usize,
+    survivors: usize,
+    ops_per_thread: usize,
+    seed: u64,
+    coalesce: bool,
+    per_address: bool,
+) -> MapHistory {
+    assert!(survivors >= 1 && survivors <= threads, "need 1..=threads survivors");
+    record_crash_execution_on::<DetectableMap>(
+        threads,
+        Some(survivors),
+        ops_per_thread,
+        seed,
+        coalesce,
+        per_address,
+    )
+}
+
+/// The shared crash recorder: recorded workers crash at seed-derived
+/// points, the pool crashes, recovery runs — centralized, or the §3.3
+/// partial restart of `survivors` — and the recovered state is recorded.
+fn record_crash_execution_on<T: RecordTarget>(
+    threads: usize,
+    survivors: Option<usize>,
+    ops_per_thread: usize,
+    seed: u64,
+    coalesce: bool,
+    per_address: bool,
+) -> History<T::Op, T::Resp> {
+    let q = &T::build(threads, 64, 8, FlushGranularity::Line);
     q.pool().set_coalescing(coalesce);
     q.pool().set_per_address_drains(per_address);
     let hs: Vec<ThreadHandle> = (0..threads).map(|_| q.register_thread().unwrap()).collect();
     let rec = Recorder::new();
-    run_crashing_workers(q, &hs, &rec, ops_per_thread, seed);
-    rec.crash();
-    q.pool().crash(&WritebackAdversary::Random { seed, prob: 0.5 });
-    // Survivors restart one by one and recover independently.
-    for h in hs.iter().take(survivors) {
-        q.begin_recovery();
-        let mine = q.adopt(h.slot()).expect("own slot is orphaned after begin_recovery");
-        q.recover_one(mine);
-    }
-    // Survivor 0 adopts the slots nobody came back for.
-    let adopted = q.adopt_orphans();
-    for h in &adopted {
-        q.recover_one(*h);
-    }
-    q.rebuild_allocator();
-    for (tid, &h) in hs.iter().enumerate() {
-        let id = rec.invoke(tid, DetOp::Resolve);
-        let resp = resolved_to_resp(q.resolve(h));
-        rec.ret(id, resp);
-    }
-    rec.into_history()
-}
-
-/// Spawns one recorded worker per handle; each crashes at a seed-derived
-/// point and the [`CrashSignal`] is swallowed.
-fn run_crashing_workers<Q: CrashTarget>(
-    q: &Q,
-    hs: &[ThreadHandle],
-    rec: &Recorder<DetOp<QueueOp>, DetResp<QueueOp, QueueResp>>,
-    ops_per_thread: usize,
-    seed: u64,
-) {
     std::thread::scope(|scope| {
         for (tid, &h) in hs.iter().enumerate() {
+            let rec = &rec;
             scope.spawn(move || {
                 let crash_after = 5 + (seed.wrapping_add(tid as u64 * 31)) % 60;
-                q.pool().arm_crash_after(crash_after);
-                let r = catch_unwind(AssertUnwindSafe(|| {
-                    for step in plan(tid, ops_per_thread, seed) {
-                        run_step(q, rec, h, step);
+                crashes_within(q.pool(), crash_after, || {
+                    for (i, step) in T::plan(tid, ops_per_thread, seed).into_iter().enumerate() {
+                        q.run_step(rec, h, step, i as u64 + 1);
                     }
-                }));
-                q.pool().disarm_crash();
-                if let Err(p) = r {
-                    if p.downcast_ref::<CrashSignal>().is_none() {
-                        resume_unwind(p);
-                    }
-                }
+                });
             });
         }
     });
+    rec.crash();
+    q.pool().crash(&WritebackAdversary::Random { seed, prob: 0.5 });
+    match survivors {
+        None => {
+            q.recover();
+        }
+        Some(s) => {
+            restart_survivors(q, &hs, s).expect("own slot is orphaned after begin_recovery");
+        }
+    }
+    q.rebuild_allocator();
+    q.record_recovered(&rec, &hs);
+    rec.into_history()
 }
 
 /// Checks a recorded history under `condition`.
@@ -406,6 +443,24 @@ pub fn check_recorded_full(
     check_records(&spec, &records, options)
 }
 
+/// Checks a map history of any length by P-compositionality
+/// ([`check_partitioned`]): split per key, project onto [`KvSpec`], and
+/// run the segmented full-length check per partition — no sampling, no
+/// truncation.
+///
+/// # Errors
+///
+/// The first failing partition's [`Violation`] (carrying the partition
+/// key).
+pub fn check_map_history(
+    history: &MapHistory,
+    condition: Condition,
+    options: &CheckOptions,
+) -> Result<CheckStats, Violation> {
+    let records = records_for(history, condition)?;
+    check_partitioned(&Keyed::new(KvSpec), &records, options)
+}
+
 /// A recorded history of the queue's *plain* operations only — the shape
 /// the near-linear FIFO fast path understands.
 pub type PlainHistory = History<QueueOp, QueueResp>;
@@ -426,73 +481,38 @@ pub fn check_plain(
     check_fifo(&QueueSpec, &records).unwrap_or_else(|| check_records(&QueueSpec, &records, options))
 }
 
-/// Records a crash-free execution of the queue's plain operations at any
-/// scale. Each thread alternates enqueue/dequeue so with `prefill`
+/// Records a crash-free execution of a queue `layer`'s plain operations
+/// at any scale. Each thread alternates enqueue/dequeue so with `prefill`
 /// initial values the queue never empties (every dequeue observes a
 /// value), and values are globally unique — exactly the regime the FIFO
-/// fast path verifies in near-linear time.
-pub fn record_plain_execution(
-    threads: usize,
-    pairs_per_thread: usize,
-    prefill: usize,
-    seed: u64,
-) -> PlainHistory {
-    record_plain_execution_on(
-        &DssQueue::new(threads + 1, 64),
-        threads,
-        pairs_per_thread,
-        prefill,
-        seed,
-    )
-}
-
-/// [`record_plain_execution`] on the flat-combining execution layer: the
-/// same distinct-value no-empty regime, but every operation goes through
-/// the combiner's batches — the history the FIFO fast path (and, for
-/// small runs, the Wing–Gong oracle) certifies to show combining
-/// preserves `queue`'s sequential specification at full length.
-pub fn record_plain_combining_execution(
-    threads: usize,
-    pairs_per_thread: usize,
-    prefill: usize,
-    seed: u64,
-) -> PlainHistory {
-    record_plain_execution_on(
-        &CombiningQueue::new(threads + 1, 64),
-        threads,
-        pairs_per_thread,
-        prefill,
-        seed,
-    )
-}
-
-/// [`record_plain_execution`] on the replicated execution layer: the same
-/// distinct-value no-empty regime through the log-fed path, certifying at
-/// full length that batched log append preserves `queue`'s sequential
+/// fast path verifies in near-linear time. On the leased layers every
+/// operation goes through a lease holder's batch, so the check certifies
+/// at full length that batching preserves `queue`'s sequential
 /// specification.
-pub fn record_plain_replicated_execution(
+///
+/// # Panics
+///
+/// Panics on [`Layer::Map`], which has no queue operations.
+pub fn record_plain_execution(
+    layer: Layer,
     threads: usize,
     pairs_per_thread: usize,
     prefill: usize,
     seed: u64,
 ) -> PlainHistory {
-    record_plain_execution_on(
-        &ReplicatedQueue::new(threads + 1, 64),
-        threads,
-        pairs_per_thread,
-        prefill,
-        seed,
-    )
+    dispatch!(layer, T => record_plain_execution_on::<T>(threads, pairs_per_thread, prefill, seed),
+        map: panic!("{MAP_PANIC}"))
 }
 
-fn record_plain_execution_on<Q: CrashTarget>(
-    q: &Q,
+fn record_plain_execution_on<Q: QueueLayer>(
     threads: usize,
     pairs_per_thread: usize,
     prefill: usize,
     seed: u64,
 ) -> PlainHistory {
-    let hs: Vec<ThreadHandle> = (0..=threads).map(|_| q.register_thread().unwrap()).collect();
+    let q = &Q::build(threads + 1, 64, FlushGranularity::Line);
+    let hs: Vec<ThreadHandle> =
+        (0..=threads).map(|_| QueueLayer::register_thread(q).unwrap()).collect();
     let rec = Recorder::new();
     for i in 0..prefill {
         let v = u64::MAX - i as u64; // distinct from worker values
@@ -542,8 +562,8 @@ pub fn record_phased_execution(
             let rec = &rec;
             let barrier = &barrier;
             scope.spawn(move || {
-                for (i, step) in plan(tid, ops_per_thread, seed).into_iter().enumerate() {
-                    run_step(q, rec, h, step);
+                for (i, step) in DssQueue::plan(tid, ops_per_thread, seed).into_iter().enumerate() {
+                    q.run_step(rec, h, step, i as u64 + 1);
                     if (i + 1) % phase_len == 0 {
                         barrier.wait();
                     }
@@ -554,204 +574,6 @@ pub fn record_phased_execution(
     rec.into_history()
 }
 
-// ---------------------------------------------------------------------------
-// Map histories: recorded executions of the detectable hash map, checked
-// per key by P-compositionality. A map operation is recorded as the
-// `Keyed<KvSpec>` op `(key, op)` spanning the whole detectable pair (the
-// invocation brackets prep, the return follows exec), so a crash mid-pair
-// leaves a pending operation the strict checker must place before the
-// crash or drop — exactly `D⟨map⟩`'s Figure-2 alternatives.
-// ---------------------------------------------------------------------------
-
-/// A recorded history of map operations, in the [`Keyed`]`<`[`KvSpec`]`>`
-/// shape the per-key partitioned checker splits and verifies in full.
-pub type MapHistory = History<(u64, KvOp), KvResp>;
-
-/// Keys every recorded map execution draws from — deliberately few and
-/// *shared* across threads, so per-key histories carry real cross-thread
-/// interleavings.
-const MAP_HISTORY_KEYS: u64 = 8;
-
-/// Checks a map history of any length by P-compositionality
-/// ([`check_partitioned`]): split per key, project onto [`KvSpec`], and
-/// run the segmented full-length check per partition — no sampling, no
-/// truncation.
-///
-/// # Errors
-///
-/// The first failing partition's [`Violation`] (carrying the partition
-/// key).
-pub fn check_map_history(
-    history: &MapHistory,
-    condition: Condition,
-    options: &CheckOptions,
-) -> Result<CheckStats, Violation> {
-    let records = records_for(history, condition)?;
-    check_partitioned(&Keyed::new(KvSpec), &records, options)
-}
-
-/// One pseudo-random step plan for a map worker.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum MapStep {
-    DetPut(u64, u64),
-    DetRemove(u64),
-    Get(u64),
-}
-
-fn map_plan(tid: usize, ops: usize, seed: u64) -> Vec<MapStep> {
-    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(tid as u64 + 1);
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    (0..ops)
-        .map(|i| {
-            let key = next() % MAP_HISTORY_KEYS;
-            let v = ((tid as u64) << 32) | (i as u64 + 1);
-            match next() % 4 {
-                0 | 1 => MapStep::DetPut(key, v),
-                2 => MapStep::DetRemove(key),
-                _ => MapStep::Get(key),
-            }
-        })
-        .collect()
-}
-
-fn run_map_step(
-    m: &DetectableMap,
-    rec: &Recorder<(u64, KvOp), KvResp>,
-    h: ThreadHandle,
-    step: MapStep,
-    seq: u64,
-) {
-    let tid = h.slot();
-    match step {
-        MapStep::DetPut(key, v) => {
-            let id = rec.invoke(tid, (key, KvOp::Put(v)));
-            m.prep_put(h, key, v, seq);
-            let resp = m.exec_put(h);
-            rec.ret(id, resp);
-        }
-        MapStep::DetRemove(key) => {
-            let id = rec.invoke(tid, (key, KvOp::Remove));
-            m.prep_remove(h, key, seq);
-            let resp = m.exec_remove(h);
-            rec.ret(id, resp);
-        }
-        MapStep::Get(key) => {
-            let id = rec.invoke(tid, (key, KvOp::Get));
-            let resp = m.get(h, key);
-            rec.ret(id, resp);
-        }
-    }
-}
-
-/// Records a crash-free concurrent map execution: detectable puts and
-/// removes plus plain gets over a small shared key set.
-pub fn record_map_execution(threads: usize, ops_per_thread: usize, seed: u64) -> MapHistory {
-    let m: DetectableMap = DetectableMap::new_in(threads, 64, 8, FlushGranularity::Line);
-    let hs: Vec<ThreadHandle> = (0..threads).map(|_| m.register_thread().unwrap()).collect();
-    let rec = Recorder::new();
-    std::thread::scope(|scope| {
-        for (tid, &h) in hs.iter().enumerate() {
-            let m = &m;
-            let rec = &rec;
-            scope.spawn(move || {
-                for (i, step) in map_plan(tid, ops_per_thread, seed).into_iter().enumerate() {
-                    run_map_step(m, rec, h, step, i as u64 + 1);
-                }
-            });
-        }
-    });
-    rec.into_history()
-}
-
-/// Records a map execution in which every thread is interrupted by a
-/// system-wide crash mid-run; after the restart protocol, an observer
-/// reads every key, pinning the recovered bindings into the history the
-/// strict checker must certify.
-pub fn record_map_crash_execution(threads: usize, ops_per_thread: usize, seed: u64) -> MapHistory {
-    record_map_crash_execution_on(threads, threads, ops_per_thread, seed, false, false)
-}
-
-/// [`record_map_crash_execution`] with only `survivors` of the `threads`
-/// workers restarting (§3.3): each survivor re-adopts its own registry
-/// slot, then the first adopts every slot nobody came back for, and the
-/// observer audit reads through the recovered state.
-///
-/// # Panics
-///
-/// Panics if `survivors` is zero or exceeds `threads`.
-pub fn record_map_partial_recovery_execution(
-    threads: usize,
-    survivors: usize,
-    ops_per_thread: usize,
-    seed: u64,
-    coalesce: bool,
-    per_address: bool,
-) -> MapHistory {
-    assert!(survivors >= 1 && survivors <= threads, "need 1..=threads survivors");
-    record_map_crash_execution_on(threads, survivors, ops_per_thread, seed, coalesce, per_address)
-}
-
-fn record_map_crash_execution_on(
-    threads: usize,
-    survivors: usize,
-    ops_per_thread: usize,
-    seed: u64,
-    coalesce: bool,
-    per_address: bool,
-) -> MapHistory {
-    let m: DetectableMap = DetectableMap::new_in(threads + 1, 64, 8, FlushGranularity::Line);
-    m.pool().set_coalescing(coalesce);
-    m.pool().set_per_address_drains(per_address);
-    let hs: Vec<ThreadHandle> = (0..threads).map(|_| m.register_thread().unwrap()).collect();
-    let observer = m.register_thread().unwrap();
-    let rec = Recorder::new();
-    std::thread::scope(|scope| {
-        for (tid, &h) in hs.iter().enumerate() {
-            let m = &m;
-            let rec = &rec;
-            scope.spawn(move || {
-                let crash_after = 5 + (seed.wrapping_add(tid as u64 * 31)) % 60;
-                m.pool().arm_crash_after(crash_after);
-                let r = catch_unwind(AssertUnwindSafe(|| {
-                    for (i, step) in map_plan(tid, ops_per_thread, seed).into_iter().enumerate() {
-                        run_map_step(m, rec, h, step, i as u64 + 1);
-                    }
-                }));
-                m.pool().disarm_crash();
-                if let Err(p) = r {
-                    if p.downcast_ref::<CrashSignal>().is_none() {
-                        resume_unwind(p);
-                    }
-                }
-            });
-        }
-    });
-    rec.crash();
-    m.pool().crash(&WritebackAdversary::Random { seed, prob: 0.5 });
-    // Survivors restart one by one; the restart protocol then adopts the
-    // rest (the observer's slot included). No repair phase exists.
-    for h in hs.iter().take(survivors) {
-        m.begin_recovery();
-        let _ = m.adopt(h.slot()).expect("own slot is orphaned after begin_recovery");
-    }
-    m.begin_recovery();
-    let _ = m.adopt_orphans();
-    m.rebuild_allocator();
-    // Post-crash audit: read every key under the observer's id, so the
-    // checker must find a linearization whose surviving effects are
-    // exactly these bindings.
-    for key in 0..MAP_HISTORY_KEYS {
-        let id = rec.invoke(threads, (key, KvOp::Get));
-        rec.ret(id, m.get(observer, key));
-    }
-    rec.into_history()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -759,7 +581,7 @@ mod tests {
     #[test]
     fn crash_free_executions_are_linearizable() {
         for seed in 0..10 {
-            let h = record_execution(2, 5, seed);
+            let h = record_execution(Layer::Cas, 2, 5, seed);
             assert!(h.validate().is_ok());
             check_recorded(&h, Condition::Linearizability)
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
@@ -769,7 +591,7 @@ mod tests {
     #[test]
     fn crash_executions_are_strictly_linearizable() {
         for seed in 0..10 {
-            let h = record_crash_execution(2, 8, seed);
+            let h = record_crash_execution(Layer::Cas, 2, 8, seed);
             assert!(h.validate().is_ok());
             check_recorded(&h, Condition::StrictLinearizability)
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
@@ -780,7 +602,15 @@ mod tests {
     fn partial_recovery_executions_are_strictly_linearizable() {
         for seed in 0..6 {
             for survivors in [1, 2] {
-                let h = record_partial_recovery_execution(2, survivors, 8, seed, false, false);
+                let h = record_partial_recovery_execution(
+                    Layer::Cas,
+                    2,
+                    survivors,
+                    8,
+                    seed,
+                    false,
+                    false,
+                );
                 assert!(h.validate().is_ok());
                 check_recorded(&h, Condition::StrictLinearizability)
                     .unwrap_or_else(|e| panic!("seed {seed} survivors {survivors}: {e}"));
@@ -792,7 +622,7 @@ mod tests {
     fn plain_executions_check_fully_at_scale() {
         // 2 threads * 2000 pairs = 8000 ops: far beyond the monolithic cap,
         // checked in full (no sampling) via the FIFO fast path.
-        let h = record_plain_execution(2, 2000, 4, 7);
+        let h = record_plain_execution(Layer::Cas, 2, 2000, 4, 7);
         assert!(h.validate().is_ok());
         let stats = check_plain(&h, Condition::Linearizability, &CheckOptions::default())
             .unwrap_or_else(|e| panic!("{e}"));
@@ -813,7 +643,7 @@ mod tests {
     #[test]
     fn full_check_agrees_with_monolithic_on_small_histories() {
         for seed in 0..10 {
-            let h = record_execution(2, 5, seed);
+            let h = record_execution(Layer::Cas, 2, 5, seed);
             let mono = check_recorded(&h, Condition::Linearizability).is_ok();
             let seg = check_recorded_full(&h, Condition::Linearizability, &CheckOptions::default())
                 .is_ok();
@@ -823,7 +653,7 @@ mod tests {
 
     #[test]
     fn strict_implies_weaker_conditions_hold_too() {
-        let h = record_crash_execution(2, 6, 3);
+        let h = record_crash_execution(Layer::Cas, 2, 6, 3);
         assert!(check_recorded(&h, Condition::PersistentAtomicity).is_ok());
         assert!(check_recorded(&h, Condition::RecoverableLinearizability).is_ok());
     }
@@ -833,7 +663,7 @@ mod tests {
         // Sanity-check that the checker has teeth: tamper with a recorded
         // response and expect a violation.
         use dss_checker::Event;
-        let h = record_execution(2, 5, 1);
+        let h = record_execution(Layer::Cas, 2, 5, 1);
         let mut events: Vec<_> = h.events().to_vec();
         let tampered = events.iter_mut().rev().find_map(|e| match e {
             Event::Return { resp: DetResp::Ret(QueueResp::Value(v)), .. } => {

@@ -10,9 +10,9 @@
 //! oracle's 63-operation cap then ride the fast path alone.
 
 use dss_checker::{check, check_fifo, records_for, CheckOptions, Condition, Event};
+use dss_harness::crashsim::Layer;
 use dss_harness::record::{
-    check_plain, check_recorded, check_recorded_full, record_combining_execution,
-    record_plain_combining_execution,
+    check_plain, check_recorded, check_recorded_full, record_execution, record_plain_execution,
 };
 use dss_spec::types::{QueueResp, QueueSpec};
 
@@ -25,7 +25,7 @@ fn small_combined_histories_agree_with_the_monolithic_oracle() {
     for seed in 0..8 {
         // 3 workers × 4 pairs + 4 prefill = 28 operations: within the
         // monolithic checker's capacity.
-        let h = record_plain_combining_execution(3, 4, 4, seed);
+        let h = record_plain_execution(Layer::Combining, 3, 4, 4, seed);
         let records = records_for(&h, Condition::Linearizability)
             .unwrap_or_else(|e| panic!("seed {seed}: recording ill-formed: {e}"));
         assert!(records.len() <= 63, "history outgrew the oracle");
@@ -45,7 +45,7 @@ fn small_combined_histories_agree_with_the_monolithic_oracle() {
 #[test]
 fn tampered_combined_histories_are_rejected_by_both_checkers() {
     for seed in 0..4 {
-        let good = record_plain_combining_execution(3, 4, 4, seed);
+        let good = record_plain_execution(Layer::Combining, 3, 4, 4, seed);
         let mut events: Vec<_> = good.events().to_vec();
         let victim = events
             .iter()
@@ -83,7 +83,7 @@ fn full_length_combined_histories_pass_the_fast_path() {
     // Far beyond the monolithic cap: the fast path (with segmented
     // fallback) certifies the whole run, no sampling.
     for seed in 0..3 {
-        let h = record_plain_combining_execution(3, 400, 8, seed);
+        let h = record_plain_execution(Layer::Combining, 3, 400, 8, seed);
         check_plain(&h, Condition::Linearizability, &CheckOptions::default())
             .unwrap_or_else(|e| panic!("seed {seed}: full-length combined history rejected: {e}"));
     }
@@ -94,12 +94,12 @@ fn detectable_combined_histories_satisfy_the_dss_spec() {
     // The D⟨queue⟩ recording (prep/exec/resolve responses included) on the
     // combining layer, checked small (sampled pipeline) and full-length.
     for seed in 0..4 {
-        let h = record_combining_execution(2, 5, seed);
+        let h = record_execution(Layer::Combining, 2, 5, seed);
         h.validate().unwrap_or_else(|e| panic!("seed {seed}: ill-formed: {e}"));
         check_recorded(&h, Condition::Linearizability)
             .unwrap_or_else(|e| panic!("seed {seed}: combined D⟨queue⟩ history rejected: {e}"));
     }
-    let h = record_combining_execution(3, 40, 9);
+    let h = record_execution(Layer::Combining, 3, 40, 9);
     check_recorded_full(&h, Condition::Linearizability, &CheckOptions::default())
         .unwrap_or_else(|e| panic!("full-length combined D⟨queue⟩ history rejected: {e}"));
 }

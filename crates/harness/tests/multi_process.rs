@@ -6,14 +6,13 @@
 
 use std::path::Path;
 
-use dss_harness::crashsim::{multi_process_sweep, SweepConfig, VictimOp};
+use dss_harness::crashsim::{multi_process_sweep, SweepConfig};
 
 #[test]
 fn multi_process_sweep_has_no_violations() {
     let exe = Path::new(env!("CARGO_BIN_EXE_crash_matrix"));
     let config = SweepConfig { coalesce: true, per_address: true, ..Default::default() };
-    for op in VictimOp::all() {
-        let out = multi_process_sweep(op, &config, exe);
+    for (op, out) in multi_process_sweep(&config, exe) {
         assert!(out.crash_points > 0, "{op}: no crash points?");
         assert_eq!(out.violations, 0, "{op}: {out:?}");
     }

@@ -6,6 +6,7 @@
 //! checking never could.
 
 use dss_checker::{check_history, CheckOptions, Condition, Event, Violation};
+use dss_harness::crashsim::Layer;
 use dss_harness::record::{
     check_map_history, check_plain, check_recorded_full, record_map_execution,
     record_map_partial_recovery_execution, record_phased_execution, record_plain_execution,
@@ -143,7 +144,7 @@ fn swapped_dequeue_values_are_rejected_no_later_than_the_second_window() {
 fn poisoned_plain_history_is_rejected_by_the_fast_path_with_named_ops() {
     // Plain-op recording: distinct values, never-empty — the FIFO fast
     // path's home turf.
-    let good = record_plain_execution(3, 400, 8, 5);
+    let good = record_plain_execution(Layer::Cas, 3, 400, 8, 5);
     assert!(
         check_plain(&good, Condition::Linearizability, &CheckOptions::default()).is_ok(),
         "corpus base history must be violation-free"

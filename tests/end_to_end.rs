@@ -5,7 +5,7 @@
 use dss::checker::Condition;
 use dss::core::DssQueue;
 use dss::harness::adapter::QueueKind;
-use dss::harness::crashsim::{concurrent_crash_run, sweep, SweepConfig, VictimOp};
+use dss::harness::crashsim::{concurrent_crash_run, sweep, Layer, SweepConfig};
 use dss::harness::record::{check_recorded, record_crash_execution, record_execution};
 use dss::harness::throughput::{measure, ThroughputConfig};
 use dss::pmem::{FlushGranularity, WritebackAdversary};
@@ -58,14 +58,12 @@ fn crash_matrix_is_clean_under_every_configuration() {
                     independent_recovery: false,
                     coalesce,
                     per_address: coalesce,
-                    // The combining and replicated layers' own exhaustive
-                    // sweeps live in the harness crashsim tests and the
-                    // `--combining` / `--replicated` crash matrices.
-                    combining: false,
-                    replicated: false,
+                    // The other layers' own exhaustive sweeps live in the
+                    // harness crashsim tests and the `--layer` crash
+                    // matrices.
+                    layer: Layer::Cas,
                 };
-                for op in VictimOp::all() {
-                    let out = sweep(op, &config);
+                for (op, out) in sweep(&config) {
                     assert_eq!(out.violations, 0, "{op} {config:?}: {out:?}");
                 }
             }
@@ -76,17 +74,17 @@ fn crash_matrix_is_clean_under_every_configuration() {
 #[test]
 fn multithreaded_crashes_conserve_values() {
     for seed in 100..110 {
-        concurrent_crash_run(4, seed).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        concurrent_crash_run(Layer::Cas, 4, seed).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
 }
 
 #[test]
 fn recorded_histories_machine_check_as_theorem_1_claims() {
     for seed in 50..60 {
-        let h = record_execution(3, 4, seed);
+        let h = record_execution(Layer::Cas, 3, 4, seed);
         check_recorded(&h, Condition::Linearizability)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        let h = record_crash_execution(2, 6, seed);
+        let h = record_crash_execution(Layer::Cas, 2, 6, seed);
         check_recorded(&h, Condition::StrictLinearizability)
             .unwrap_or_else(|e| panic!("seed {seed} (crash): {e}"));
     }

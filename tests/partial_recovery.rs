@@ -22,7 +22,7 @@ use proptest::prelude::*;
 
 use dss::checker::Condition;
 use dss::core::{DssQueue, Resolved};
-use dss::harness::crashsim::partial_recovery_crash_run;
+use dss::harness::crashsim::{partial_recovery_crash_run, Layer};
 use dss::harness::record::{check_recorded, record_partial_recovery_execution};
 use dss::pmem::{CrashSignal, SlotState, WritebackAdversary};
 
@@ -73,7 +73,7 @@ fn thread_zero_adopts_everyone_and_history_checks() {
 
         // History-level view: the same shape through the recorder must be
         // strictly linearizable.
-        let h = record_partial_recovery_execution(THREADS, 1, 10, seed, false, false);
+        let h = record_partial_recovery_execution(Layer::Cas, THREADS, 1, 10, seed, false, false);
         assert!(h.validate().is_ok());
         check_recorded(&h, Condition::StrictLinearizability)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
@@ -210,13 +210,13 @@ proptest! {
         seed in 0u64..500,
     ) {
         let survivors = 1 + survivor_pick % threads;
-        partial_recovery_crash_run(threads, survivors, seed)
+        partial_recovery_crash_run(Layer::Cas, threads, survivors, seed)
             .map_err(TestCaseError::Fail)?;
         for (coalesce, per_address) in
             [(false, false), (false, true), (true, false), (true, true)]
         {
             let h = record_partial_recovery_execution(
-                threads, survivors, 8, seed, coalesce, per_address,
+                Layer::Cas, threads, survivors, 8, seed, coalesce, per_address,
             );
             prop_assert!(h.validate().is_ok());
             if let Err(e) = check_recorded(&h, Condition::StrictLinearizability) {
