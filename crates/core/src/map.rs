@@ -457,21 +457,78 @@ impl<M: Memory> DetectableMap<M> {
 
     // --- chain walks ----------------------------------------------------
 
-    /// The entry node bound to `key`, if the key ever appeared. Entries
-    /// are unique per key across levels: an insert checks every level
-    /// before creating one, and creation races re-walk on CAS failure.
-    fn find_entry(&self, key: u64) -> Option<PAddr> {
+    /// The entry node bound to `key`, if the key ever appeared; otherwise
+    /// the newest level's bucket head word the walk read, which a fresh
+    /// entry may only be prepended against (see
+    /// [`link_entry`](Self::link_entry)). Entries are unique per key across
+    /// levels: an insert checks every level before creating one.
+    fn find_entry(&self, key: u64) -> Result<PAddr, u64> {
         let n = self.nlevels();
+        let mut head = 0;
         for k in 0..n {
-            let mut e = tag::addr_of(self.core.pool.load(self.bucket_addr(k, key)));
+            head = self.core.pool.load(self.bucket_addr(k, key));
+            let mut e = tag::addr_of(head);
             while !e.is_null() {
                 if self.core.pool.load(e.offset(E_KEY)) == key {
-                    return Some(e);
+                    return Ok(e);
                 }
                 e = tag::addr_of(self.core.pool.load(e.offset(E_NEXT)));
             }
         }
-        None
+        Err(head)
+    }
+
+    /// Prepends a fresh entry for `key`, seeded with `vn`, to the newest
+    /// level's bucket chain — but only over `walked_head`, the head word
+    /// the caller's [`find_entry`](Self::find_entry) walk proved free of
+    /// `key`. A head that moved since may hold a racing prepend of the
+    /// same key, so the entry is freed and `false` returned for the caller
+    /// to re-walk. Entries are immortal, so a head word never repeats and
+    /// an unchanged head proves the chain unchanged (no ABA).
+    ///
+    /// The entry must be fully persistent before its link can take effect
+    /// — a chain must never pass through an unwritten node. A detectable
+    /// install passes its announce word as `announce`, which must be
+    /// persistent by then too. On `true` the link is flushed; the caller
+    /// orders it.
+    fn link_entry(
+        &self,
+        tid: usize,
+        key: u64,
+        vn: PAddr,
+        walked_head: u64,
+        announce: Option<PAddr>,
+    ) -> bool {
+        let level = self.nlevels() - 1;
+        let ba = self.bucket_addr(level, key);
+        let en = self.alloc(tid);
+        self.core.pool.store(en.offset(E_KEY), key);
+        self.core.pool.store(en.offset(E_VPTR), vn.to_word());
+        let head_w = self.core.pool.load(ba);
+        if head_w == walked_head {
+            self.core.pool.store(en.offset(E_NEXT), head_w);
+            let fields = [en.offset(E_KEY), en.offset(E_VPTR), en.offset(E_NEXT)];
+            match announce {
+                // Every field word (they are separate units under
+                // word-granular flushing), ordered together with the
+                // announce.
+                Some(xa) => {
+                    for f in fields {
+                        self.core.pool.flush(f);
+                    }
+                    self.core.pool.drain_lines(&[fields[0], fields[1], fields[2], xa]);
+                }
+                None => self.core.pool.persist_batch(&fields),
+            }
+            if self.core.pool.cas(ba, head_w, en.to_word()).is_ok() {
+                self.core.pool.flush(ba);
+                return true;
+            }
+        }
+        // Lost the race (possibly to this very key's first writer): the
+        // entry was never exposed, so free it directly.
+        self.nodes.free(tid, en);
+        false
     }
 
     /// Uninstrumented twin of [`find_entry`](Self::find_entry) for sweeps
@@ -644,7 +701,7 @@ impl<M: Memory> DetectableMap<M> {
         let mut bo = self.new_backoff();
         loop {
             match self.find_entry(key) {
-                Some(en) => {
+                Ok(en) => {
                     let eva = en.offset(E_VPTR);
                     let old_w = self.core.pool.load(eva);
                     let old = tag::addr_of(old_w);
@@ -668,51 +725,24 @@ impl<M: Memory> DetectableMap<M> {
                         return;
                     }
                 }
-                None if !create_entry => {
+                Err(_) if !create_entry => {
                     // Removing an absent key: effect is trivial, nothing
                     // to persist but the completion mark.
                     self.core.complete(tid, tag::set(x, M_COMPL));
                     self.core.pool.drain();
                     return;
                 }
-                None => {
-                    // First write to this key: prepend an entry (seeded
-                    // with vn) to the newest level's bucket chain. The
-                    // entry must be fully persistent before its link can
-                    // take effect — a chain must never pass through an
-                    // unwritten node.
-                    let level = self.nlevels() - 1;
-                    let ba = self.bucket_addr(level, key);
-                    let en = self.alloc(tid);
-                    self.core.pool.store(en.offset(E_KEY), key);
-                    self.core.pool.store(en.offset(E_VPTR), vn.to_word());
-                    let head_w = self.core.pool.load(ba);
-                    self.core.pool.store(en.offset(E_NEXT), head_w);
-                    // Every field word (they are separate units under
-                    // word-granular flushing); the entry and the announce
-                    // must be persistent before the prepend can take
-                    // effect.
-                    self.core.pool.flush(en.offset(E_KEY));
-                    self.core.pool.flush(en.offset(E_VPTR));
-                    self.core.pool.flush(en.offset(E_NEXT));
-                    self.core.pool.drain_lines(&[
-                        en.offset(E_KEY),
-                        en.offset(E_VPTR),
-                        en.offset(E_NEXT),
-                        xa,
-                    ]);
-                    if self.core.pool.cas(ba, head_w, en.to_word()).is_ok() {
-                        self.core.pool.flush(ba);
+                Err(head) => {
+                    // First write to this key: prepend an entry seeded
+                    // with vn.
+                    if self.link_entry(tid, key, vn, head, Some(xa)) {
                         // Ordering point: completion behind the prepend.
+                        let ba = self.bucket_addr(self.nlevels() - 1, key);
                         self.core.pool.drain_line(ba);
                         self.core.complete(tid, tag::set(x, M_COMPL));
                         self.core.pool.drain();
                         return;
                     }
-                    // Lost the prepend race (possibly to this very key's
-                    // first writer): the entry was never exposed, so free
-                    // it directly and re-walk.
-                    self.nodes.free(tid, en);
                 }
             }
             bo.spin();
@@ -748,7 +778,7 @@ impl<M: Memory> DetectableMap<M> {
         let mut bo = self.new_backoff();
         loop {
             match self.find_entry(key) {
-                Some(en) => {
+                Ok(en) => {
                     let eva = en.offset(E_VPTR);
                     let old_w = self.core.pool.load(eva);
                     let old = tag::addr_of(old_w);
@@ -765,32 +795,18 @@ impl<M: Memory> DetectableMap<M> {
                         return KvResp::Ok;
                     }
                 }
-                None if flags & FLAG_TOMBSTONE != 0 => {
+                Err(_) if flags & FLAG_TOMBSTONE != 0 => {
                     // Removing an absent key: trivial effect; the node was
                     // never exposed.
                     self.nodes.free(tid, vn);
                     return KvResp::Ok;
                 }
-                None => {
-                    let level = self.nlevels() - 1;
-                    let ba = self.bucket_addr(level, key);
-                    let en = self.alloc(tid);
-                    self.core.pool.store(en.offset(E_KEY), key);
-                    self.core.pool.store(en.offset(E_VPTR), vn.to_word());
-                    let head_w = self.core.pool.load(ba);
-                    self.core.pool.store(en.offset(E_NEXT), head_w);
-                    self.core.pool.persist_batch(&[
-                        en.offset(E_KEY),
-                        en.offset(E_VPTR),
-                        en.offset(E_NEXT),
-                    ]);
-                    if self.core.pool.cas(ba, head_w, en.to_word()).is_ok() {
-                        self.core.pool.flush(ba);
+                Err(head) => {
+                    if self.link_entry(tid, key, vn, head, None) {
                         self.core.pool.drain();
                         self.push_pending(tid, vn);
                         return KvResp::Ok;
                     }
-                    self.nodes.free(tid, en);
                 }
             }
             bo.spin();
@@ -801,8 +817,8 @@ impl<M: Memory> DetectableMap<M> {
     pub fn get(&self, h: ThreadHandle, key: u64) -> KvResp {
         let _g = self.core.pin(h.slot());
         match self.find_entry(key) {
-            None => KvResp::Absent,
-            Some(en) => {
+            Err(_) => KvResp::Absent,
+            Ok(en) => {
                 let vn = tag::addr_of(self.core.pool.load(en.offset(E_VPTR)));
                 if self.core.pool.load(vn.offset(V_FLAGS)) & FLAG_TOMBSTONE != 0 {
                     KvResp::Absent
@@ -840,7 +856,7 @@ impl<M: Memory> DetectableMap<M> {
             || flags & FLAG_SUPERSEDED != 0
             || self
                 .find_entry(key)
-                .is_some_and(|en| self.core.pool.load(en.offset(E_VPTR)) == vn.to_word());
+                .is_ok_and(|en| self.core.pool.load(en.offset(E_VPTR)) == vn.to_word());
         ResolvedMap {
             op: Some((key, op, seq)),
             resp: if effective { Some(KvResp::Ok) } else { None },
@@ -954,6 +970,34 @@ mod tests {
         assert_eq!(m.remove(h0, 1), KvResp::Ok);
         assert_eq!(m.get(h1, 1), KvResp::Absent);
         assert_eq!(m.remove(h1, 2), KvResp::Ok, "removing an absent key is legal");
+    }
+
+    #[test]
+    fn a_prepend_over_a_stale_head_rewalks_instead_of_duplicating() {
+        // The interleaving that used to duplicate an entry: h0 walks and
+        // finds key 7 absent, h1 then inserts 7, and only then does h0's
+        // prepend run — still holding the head word its walk read.
+        let m = DetectableMap::new(2, 8, 4);
+        let h0 = m.register_thread().unwrap();
+        let h1 = m.register_thread().unwrap();
+        let walked = m.find_entry(7).expect_err("key 7 is absent");
+        assert_eq!(m.put(h1, 7, 70), KvResp::Ok);
+        let vn = m.init_value_node(h0.slot(), 7, 71, u64::MAX, 0);
+        assert!(!m.link_entry(h0.slot(), 7, vn, walked, None), "the stale head must be refused");
+        let entries = (0..m.nlevels())
+            .flat_map(|k| {
+                let mut chain = Vec::new();
+                let mut e = tag::addr_of(m.core.pool.peek(m.bucket_addr(k, 7)));
+                while !e.is_null() {
+                    chain.push(m.core.pool.peek(e.offset(E_KEY)));
+                    e = tag::addr_of(m.core.pool.peek(e.offset(E_NEXT)));
+                }
+                chain
+            })
+            .filter(|&key| key == 7)
+            .count();
+        assert_eq!(entries, 1, "exactly one entry for key 7");
+        assert_eq!(m.get(h0, 7), KvResp::Value(70));
     }
 
     #[test]
