@@ -13,9 +13,15 @@
 //! paper's recovery procedure is "extended straightforwardly to prevent
 //! memory leaks" (§4).
 
+use std::time::{Duration, Instant};
+
 use crate::sync::Mutex;
 
 use crate::{Ebr, PAddr};
+
+/// The longest an allocator waits, in total, for threads pinned behind the
+/// epoch before it counts its reclamation rounds again.
+const STALL_BUDGET: Duration = Duration::from_secs(1);
 
 /// A region of persistent memory carved into fixed-size nodes, with
 /// per-thread free lists.
@@ -125,8 +131,11 @@ impl NodePool {
     /// reclamation when the free lists run dry: collect every node `ebr`
     /// has quiesced, return it to the free lists, and try again, yielding
     /// between rounds (another thread may hold the missing nodes pinned
-    /// until it passes through an unpinned state). Returns `None` after the
-    /// retry budget is exhausted — the region is genuinely over-committed.
+    /// until it passes through an unpinned state). While another thread is
+    /// pinned behind the epoch — on a loaded host, usually descheduled
+    /// mid-operation — the allocator sleeps instead of spending rounds, for
+    /// up to a second in all. Returns `None` after the retry budget
+    /// is exhausted — the region is genuinely over-committed.
     ///
     /// This is the one retry-through-EBR dance every structure in the
     /// workspace shares; callers map `None` onto their own full-pool error.
@@ -166,7 +175,9 @@ impl NodePool {
         if let Some(a) = self.alloc(tid) {
             return Some(a);
         }
-        for _ in 0..64 {
+        let deadline = Instant::now() + STALL_BUDGET;
+        let mut rounds = 0;
+        while rounds < 64 {
             let collected = ebr.collect_all(tid);
             if !collected.is_empty() {
                 let guard: std::collections::HashSet<PAddr> = protected().into_iter().collect();
@@ -181,7 +192,12 @@ impl NodePool {
             if let Some(a) = self.alloc(tid) {
                 return Some(a);
             }
-            std::thread::yield_now();
+            if ebr.held_back_by_other(tid) && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_micros(50));
+            } else {
+                rounds += 1;
+                std::thread::yield_now();
+            }
         }
         None
     }
@@ -292,6 +308,27 @@ mod tests {
         }
         assert!(!handed.contains(&live));
         assert_eq!(handed.len(), 3);
+    }
+
+    #[test]
+    fn reclaiming_alloc_waits_for_a_thread_pinned_behind_the_epoch() {
+        // Both nodes retired while slot 1 is pinned: the epoch can advance
+        // once but not twice until that thread unpins, as a descheduled
+        // thread would 20 ms later.
+        let p = NodePool::new(PAddr::from_index(8), 3, 1, 2);
+        let ebr = Ebr::new(2);
+        let held = ebr.pin(1);
+        for _ in 0..2 {
+            let n = p.alloc(0).unwrap();
+            ebr.retire(0, n);
+        }
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                drop(held);
+            });
+            assert!(p.alloc_with_reclaim(0, &ebr).is_some(), "the retirees come back");
+        });
     }
 
     #[test]

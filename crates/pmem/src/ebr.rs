@@ -183,6 +183,18 @@ impl Ebr {
         out
     }
 
+    /// Whether a thread other than `tid` is pinned in an epoch older than
+    /// the current one — the only thing that keeps the epoch, and with it
+    /// every retiree, from moving on. That thread is typically descheduled
+    /// mid-operation and will unpin once it runs again.
+    pub fn held_back_by_other(&self, tid: usize) -> bool {
+        let e = self.global.load(SeqCst);
+        self.slots.iter().enumerate().any(|(s, slot)| {
+            let a = slot.announced.load(SeqCst);
+            s != tid && a != INACTIVE && a != e + 1
+        })
+    }
+
     /// Number of nodes awaiting reclamation across all threads.
     pub fn limbo_len(&self) -> usize {
         self.slots.iter().map(|s| s.limbo.lock().len()).sum()
