@@ -204,9 +204,24 @@ impl<M: Memory> PmwcasArena<M> {
                         // Re-validate: without RDCSS a helper can install
                         // into a descriptor that was *just* decided and
                         // finalized — nobody would ever clean that pointer
-                        // up. Undo the late install and stop.
-                        if self.pool.load(desc.offset(D_STATUS)) != ST_UNDECIDED {
-                            let _ = self.pool.cas(addr, desc_ptr, expected);
+                        // up. Settle it as finalize would and stop. A
+                        // SUCCEEDED verdict counted this very reservation
+                        // (every entry was reserved, and this word held
+                        // `expected` until now), so it rolls forward:
+                        // rolling it back would undo one word of a
+                        // committed operation, e.g. unlink a node the
+                        // operation's tail swing already published.
+                        let status = self.pool.load(desc.offset(D_STATUS));
+                        if status != ST_UNDECIDED {
+                            let target = if status == ST_SUCCEEDED {
+                                self.pool.load(base.offset(2))
+                            } else {
+                                expected
+                            };
+                            if self.pool.cas(addr, desc_ptr, target).is_ok() {
+                                self.pool.flush(addr);
+                                self.pool.drain_line(addr);
+                            }
                             break 'entries;
                         }
                         self.pool.flush(addr);
