@@ -43,6 +43,10 @@ use crate::PAddr;
 
 const INACTIVE: u64 = 0;
 
+/// One thread's reclamation state, padded to its own cache line (two, for
+/// adjacent-line prefetch): every pin and unpin stores `announced`, and
+/// threads pinning on every operation must not contend for one line.
+#[repr(align(128))]
 struct Slot {
     /// `INACTIVE`, or `epoch + 1` while the thread is pinned in `epoch`.
     announced: AtomicU64,
