@@ -15,7 +15,7 @@
 
 use std::time::{Duration, Instant};
 
-use crate::sync::Mutex;
+use crate::sync::{CachePadded, Mutex};
 
 use crate::{Ebr, PAddr};
 
@@ -43,7 +43,8 @@ pub struct NodePool {
     base: u64,
     node_words: u64,
     total_nodes: u64,
-    free: Box<[Mutex<Vec<PAddr>>]>,
+    /// One list per thread, padded: every allocation locks its own.
+    free: Box<[CachePadded<Mutex<Vec<PAddr>>>]>,
 }
 
 impl NodePool {
@@ -60,14 +61,14 @@ impl NodePool {
         assert!(nthreads > 0, "need at least one thread");
         assert!(!base.is_null(), "node region cannot start at NULL");
         let total_nodes = nodes_per_thread * nthreads as u64;
-        let free: Box<[Mutex<Vec<PAddr>>]> = (0..nthreads)
+        let free: Box<[CachePadded<Mutex<Vec<PAddr>>>]> = (0..nthreads)
             .map(|t| {
                 let t = t as u64;
-                Mutex::new(
+                CachePadded(Mutex::new(
                     (t * nodes_per_thread..(t + 1) * nodes_per_thread)
                         .map(|i| PAddr::from_index(base.index() + i * node_words))
                         .collect(),
-                )
+                ))
             })
             .collect();
         NodePool { base: base.index(), node_words, total_nodes, free }

@@ -108,3 +108,4 @@ pub use pool::{FlushGranularity, PmemPool, PoolMode, WritebackAdversary, WORDS_P
 pub use registry::{Registry, SlotError, SlotState, ThreadHandle};
 pub use seg::{plan_regions, region_segments, AppKind, AttachError, PlacementPolicy};
 pub use stats::{Stats, StatsSnapshot};
+pub use sync::CachePadded;

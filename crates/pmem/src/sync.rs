@@ -28,6 +28,22 @@ impl<T> Mutex<T> {
     }
 }
 
+/// `T` alone on its cache lines: aligned (and so sized) to 128 bytes, two
+/// 64-byte lines, because x86 prefetches lines in adjacent pairs. Per-thread
+/// state that its owner writes on every operation goes in one of these, so
+/// two threads' writes never contend for a line.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub struct CachePadded<T>(pub T);
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
