@@ -98,9 +98,9 @@ timeout 300 cargo bench -q -p dss-bench --bench kv -- \
     --threads 4 --ms 30 --repeats 2 --keys 256 --assert-kv-mix >/dev/null
 rm -f crates/bench/BENCH_kv.json
 
-echo "==> perfbench map smoke (both kv workloads, timed run + verified history)"
+echo "==> perfbench smoke (every workload, timed run + verified history)"
 # perfbench exits non-zero when any output of the run was incorrect.
-for workload in kv-update-heavy kv-read-heavy; do
+for workload in queue-pair queue-replicated-read kv-update-heavy kv-read-heavy recover; do
     cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 2 --trace 0 >/dev/null
 done

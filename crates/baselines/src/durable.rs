@@ -473,17 +473,17 @@ impl<M: Memory> DurableQueue<M> {
 
     /// Rebuilds the volatile allocator after a crash.
     pub fn rebuild_allocator(&self) {
-        let mut live = Vec::new();
+        let mut live = self.nodes.node_set();
         let mut cur = tag::addr_of(self.pool.load(self.head()));
         loop {
-            live.push(cur);
+            live.insert(cur);
             let next = tag::addr_of(self.pool.load(cur.offset(F_NEXT)));
             if next.is_null() {
                 break;
             }
             cur = next;
         }
-        self.nodes.rebuild(live);
+        self.nodes.rebuild(&live);
         self.ebr.reset();
     }
 

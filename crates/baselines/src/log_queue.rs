@@ -660,7 +660,8 @@ impl<M: Memory> LogQueue<M> {
         self.pool.store(self.head(), new_head.to_word());
         self.pool.flush(self.head());
         // Complete enqueue logs whose node persisted in (or through) the list.
-        let in_chain: std::collections::HashSet<PAddr> = chain.iter().copied().collect();
+        let mut in_chain = self.nodes.node_set();
+        in_chain.extend(chain.iter().copied());
         for tid in 0..self.nthreads {
             let log = tag::addr_of(self.pool.load(self.log_ptr(tid)));
             if log.is_null() || self.pool.load(log.offset(L_KIND)) != KIND_ENQ {
@@ -670,7 +671,7 @@ impl<M: Memory> LogQueue<M> {
                 continue;
             }
             let node = tag::addr_of(self.pool.load(log.offset(L_NODE)));
-            let effective = in_chain.contains(&node)
+            let effective = in_chain.contains(node)
                 || !tag::addr_of(self.pool.load(node.offset(N_DEQ_LOG))).is_null();
             if effective {
                 self.pool.store(log.offset(L_STATUS), STATUS_DONE);
@@ -682,19 +683,13 @@ impl<M: Memory> LogQueue<M> {
 
     /// Rebuilds the volatile allocators after a crash.
     pub fn rebuild_allocator(&self) {
-        let mut live_nodes = Vec::new();
-        let mut live_logs = Vec::new();
+        let mut live_nodes = self.nodes.node_set();
+        let mut live_logs = self.logs.node_set();
         let mut cur = tag::addr_of(self.pool.load(self.head()));
         loop {
-            live_nodes.push(cur);
-            let el = tag::addr_of(self.pool.load(cur.offset(N_ENQ_LOG)));
-            if !el.is_null() {
-                live_logs.push(el);
-            }
-            let dl = tag::addr_of(self.pool.load(cur.offset(N_DEQ_LOG)));
-            if !dl.is_null() {
-                live_logs.push(dl);
-            }
+            live_nodes.insert(cur);
+            live_logs.insert(tag::addr_of(self.pool.load(cur.offset(N_ENQ_LOG))));
+            live_logs.insert(tag::addr_of(self.pool.load(cur.offset(N_DEQ_LOG))));
             let next = tag::addr_of(self.pool.load(cur.offset(N_NEXT)));
             if next.is_null() {
                 break;
@@ -704,15 +699,12 @@ impl<M: Memory> LogQueue<M> {
         for tid in 0..self.nthreads {
             let log = tag::addr_of(self.pool.load(self.log_ptr(tid)));
             if !log.is_null() {
-                live_logs.push(log);
-                let node = tag::addr_of(self.pool.load(log.offset(L_NODE)));
-                if !node.is_null() {
-                    live_nodes.push(node);
-                }
+                live_logs.insert(log);
+                live_nodes.insert(tag::addr_of(self.pool.load(log.offset(L_NODE))));
             }
         }
-        self.nodes.rebuild(live_nodes);
-        self.logs.rebuild(live_logs);
+        self.nodes.rebuild(&live_nodes);
+        self.logs.rebuild(&live_logs);
         self.ebr.reset();
         self.ebr_logs.reset();
     }

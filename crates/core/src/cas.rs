@@ -481,14 +481,12 @@ impl<M: Memory> DetectableCas<M> {
 
     /// Rebuilds the volatile allocator after a crash.
     pub fn rebuild_allocator(&self) {
-        let mut live = vec![tag::addr_of(self.core.pool.load(self.cur_addr()))];
+        let mut live = self.nodes.node_set();
+        live.insert(tag::addr_of(self.core.pool.load(self.cur_addr())));
         for i in 0..self.core.nthreads {
-            let d = tag::addr_of(self.core.pool.load(self.x_addr(i)));
-            if !d.is_null() {
-                live.push(d);
-            }
+            live.insert(tag::addr_of(self.core.pool.load(self.x_addr(i))));
         }
-        self.nodes.rebuild(live);
+        self.nodes.rebuild(&live);
         self.core.ebr.reset();
         for p in self.pending.iter() {
             p.lock().unwrap_or_else(|e| e.into_inner()).clear();

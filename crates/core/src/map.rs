@@ -44,7 +44,7 @@
 //! (§3.3): no recovery phase exists — [`resolve`](DetectableMap::resolve)
 //! answers from persisted state alone.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -904,7 +904,7 @@ impl<M: Memory> DetectableMap<M> {
     /// and superseded is parked with its slot again — its superseder's
     /// obligation to retire it did not survive the crash.
     pub fn rebuild_allocator(&self) {
-        let mut live: HashSet<PAddr> = HashSet::new();
+        let mut live = self.nodes.node_set();
         let n = self.nlevels();
         for k in 0..n {
             for b in 0..self.level_buckets(k) {
@@ -931,7 +931,7 @@ impl<M: Memory> DetectableMap<M> {
                 held.push(d);
             }
         }
-        self.nodes.rebuild(live);
+        self.nodes.rebuild(&live);
         self.core.ebr.reset();
     }
 

@@ -4,23 +4,42 @@
 
 use std::collections::HashSet;
 
-use dss_pmem::{tag, Memory, PAddr, ThreadHandle};
+use dss_pmem::{tag, Memory, NodeSet, PAddr, ThreadHandle};
 
 use super::{DssQueue, F_DEQ_TID, F_NEXT, NO_DEQUEUER};
 
 impl<M: Memory> DssQueue<M> {
-    /// Walks the linked list from `start`, returning every reachable node.
-    fn reachable_from(&self, start: PAddr) -> Vec<PAddr> {
-        let mut out = Vec::new();
+    /// Walks the linked list from `start`, visiting every reachable node
+    /// in list order.
+    fn walk_from(&self, start: PAddr, mut visit: impl FnMut(PAddr)) {
         let mut cur = start;
         loop {
-            out.push(cur);
+            visit(cur);
             let next = tag::addr_of(self.core.pool.load(cur.offset(F_NEXT)));
             if next.is_null() {
-                return out;
+                return;
             }
             cur = next;
         }
+    }
+
+    /// Every node reachable from `start`, in list order.
+    fn reachable_from(&self, start: PAddr) -> Vec<PAddr> {
+        let mut out = Vec::new();
+        self.walk_from(start, |n| out.push(n));
+        out
+    }
+
+    /// The region nodes reachable from the head (the static initial
+    /// sentinel is not one, and no detectability word names it as an
+    /// enqueued node).
+    fn reachable_set(&self) -> NodeSet {
+        let mut set = self.nodes.node_set();
+        let head = tag::addr_of(self.core.pool.load(self.head_addr()));
+        self.walk_from(head, |n| {
+            set.insert(n);
+        });
+        set
     }
 
     /// **recovery()** (Figure 6, restructured through the registry): run
@@ -61,7 +80,8 @@ impl<M: Memory> DssQueue<M> {
                 // line 64: AllNodes := nodes reachable from head
                 let old_head = tag::addr_of(self.core.pool.load(self.head_addr()));
                 let chain = self.reachable_from(old_head);
-                let all_nodes: HashSet<PAddr> = chain.iter().copied().collect();
+                let mut all_nodes = self.nodes.node_set();
+                all_nodes.extend(chain.iter().copied());
 
                 // lines 65–66: tail := last reachable node
                 let last = *chain.last().expect("chain contains at least head");
@@ -80,7 +100,7 @@ impl<M: Memory> DssQueue<M> {
                 self.core.pool.flush(self.head_addr());
                 all_nodes
             },
-            |slot, all_nodes| self.recover_x_entry(slot, all_nodes),
+            |slot, all_nodes| self.recover_x_entry(slot, |d| all_nodes.contains(d)),
         )
     }
 
@@ -88,7 +108,9 @@ impl<M: Memory> DssQueue<M> {
     /// tail, head, and **every** `X[i]` by index, with no registry
     /// transitions. Kept only as the reference implementation for the
     /// parity test that shows the registry-driven [`recover`](Self::recover)
-    /// produces byte-identical resolved responses.
+    /// produces byte-identical resolved responses; it keeps Figure 6's
+    /// `AllNodes` as a hash set, so that test also checks `recover`'s
+    /// bitmap [`NodeSet`] against it.
     #[doc(hidden)]
     pub fn recover_centralized(&self) {
         // line 64: AllNodes := nodes reachable from head
@@ -114,7 +136,7 @@ impl<M: Memory> DssQueue<M> {
 
         // lines 70–76: complete detectability state of effective enqueues.
         for i in 0..self.nthreads() {
-            self.recover_x_entry(i, &all_nodes);
+            self.recover_x_entry(i, |d| all_nodes.contains(&d));
         }
         self.core.pool.drain();
     }
@@ -135,15 +157,14 @@ impl<M: Memory> DssQueue<M> {
     pub fn recover_one(&self, h: ThreadHandle) {
         self.core.recover_one_with(
             h,
-            || {
-                let old_head = tag::addr_of(self.core.pool.load(self.head_addr()));
-                self.reachable_from(old_head).into_iter().collect::<HashSet<PAddr>>()
-            },
-            |slot, all_nodes| self.recover_x_entry(slot, all_nodes),
+            || self.reachable_set(),
+            |slot, all_nodes| self.recover_x_entry(slot, |d| all_nodes.contains(d)),
         );
     }
 
-    fn recover_x_entry(&self, i: usize, all_nodes: &HashSet<PAddr>) {
+    /// Repairs `X[i]` (lines 70–76); `in_list` tells whether a node is
+    /// among `AllNodes`, the nodes reachable from the pre-recovery head.
+    fn recover_x_entry(&self, i: usize, in_list: impl Fn(PAddr) -> bool) {
         let xa = self.x_addr(i);
         let x = self.core.pool.load(xa);
         if !tag::has(x, tag::ENQ_PREP) || tag::has(x, tag::ENQ_COMPL) {
@@ -153,7 +174,7 @@ impl<M: Memory> DssQueue<M> {
         if d.is_null() {
             return;
         }
-        let effective = if all_nodes.contains(&d) {
+        let effective = if in_list(d) {
             // lines 71–74: enqueued and still in the linked list
             true
         } else {
@@ -179,11 +200,9 @@ impl<M: Memory> DssQueue<M> {
     /// [`recover_one`](Self::recover_one)); threads may resolve
     /// before or after, since `X`-referenced nodes are preserved.
     pub fn rebuild_allocator(&self) {
-        let mut live: Vec<PAddr> = Vec::new();
-        let head = tag::addr_of(self.core.pool.load(self.head_addr()));
-        live.extend(self.reachable_from(head));
+        let mut live = self.reachable_set();
         live.extend(self.x_referenced_nodes());
-        self.nodes.rebuild(live);
+        self.nodes.rebuild(&live);
         // The EBR limbo lists are volatile and reference pre-crash nodes
         // that rebuild() has already re-classified; drop them wholesale.
         self.core.ebr.reset();

@@ -4,7 +4,7 @@
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use dss_pmem::{CrashSignal, WritebackAdversary};
+use dss_pmem::{CrashSignal, StatsSnapshot, WritebackAdversary};
 use dss_spec::types::QueueResp;
 
 use super::{CombiningQueue, DssQueue, QueueFull, ReplicatedQueue, Resolved, ResolvedOp};
@@ -612,3 +612,37 @@ lease_protocol_test!(
     replicated_lease_is_held_once_and_stolen_from_departed_holders,
     ReplicatedQueue
 );
+
+#[test]
+fn recovery_pool_operations_are_pinned() {
+    // A 1024-value queue crashed with one completed detectable dequeue and
+    // one prepared enqueue. The counts were measured while recovery still
+    // kept its node sets in hash sets: its volatile bookkeeping may change,
+    // its pool operations may not.
+    let q = DssQueue::new(2, 1024);
+    let h0 = q.register_thread().unwrap();
+    let h1 = q.register_thread().unwrap();
+    for v in 0..1024 {
+        q.enqueue(h0, v).unwrap();
+    }
+    q.prep_dequeue(h1);
+    assert_eq!(q.exec_dequeue(h1), QueueResp::Value(0));
+    q.prep_enqueue(h0, 1024).unwrap();
+    q.pool().crash(&WritebackAdversary::None);
+
+    let before = q.pool().stats();
+    let hs = q.recover();
+    let recovered = q.pool().stats();
+    q.rebuild_allocator();
+    let rebuilt = q.pool().stats();
+    assert_eq!(hs.len(), 2);
+    let counts = |loads, stores, cas_ok, flushes| StatsSnapshot {
+        loads,
+        stores,
+        cas_ok,
+        flushes,
+        ..StatsSnapshot::default()
+    };
+    assert_eq!(recovered.since(&before), counts(2063, 9, 2, 7), "recover");
+    assert_eq!(rebuilt.since(&recovered), counts(1029, 0, 0, 0), "rebuild_allocator");
+}

@@ -20,8 +20,8 @@ use std::fmt;
 use std::sync::Arc;
 
 use dss_pmem::{
-    tag, AppKind, AttachError, Backoff, FlushGranularity, Memory, NodePool, PAddr, PmemPool,
-    Registry, SlotError, ThreadHandle, WORDS_PER_LINE,
+    tag, AppKind, AttachError, Backoff, FlushGranularity, Memory, NodePool, NodeSet, PAddr,
+    PmemPool, Registry, SlotError, ThreadHandle, WORDS_PER_LINE,
 };
 use dss_spec::types::StackResp;
 
@@ -606,8 +606,8 @@ impl<M: Memory> DssStack<M> {
         self.core.pool.flush(self.top_addr());
     }
 
-    fn reachable_set(&self) -> std::collections::HashSet<PAddr> {
-        let mut set = std::collections::HashSet::new();
+    fn reachable_set(&self) -> NodeSet {
+        let mut set = self.nodes.node_set();
         let mut cur = tag::addr_of(self.core.pool.load(self.top_addr()));
         while !cur.is_null() {
             set.insert(cur);
@@ -618,7 +618,7 @@ impl<M: Memory> DssStack<M> {
 
     /// Completes slot `i`'s `PUSH_COMPL` tag if its prepared push took
     /// effect (node reachable, or already claimed off the stack).
-    fn recover_x_entry(&self, i: usize, reachable: &std::collections::HashSet<PAddr>) {
+    fn recover_x_entry(&self, i: usize, reachable: &NodeSet) {
         let xa = self.x_addr(i);
         let x = self.core.pool.load(xa);
         if !tag::has(x, PUSH_PREP) || tag::has(x, PUSH_COMPL) {
@@ -629,7 +629,7 @@ impl<M: Memory> DssStack<M> {
             return;
         }
         let effective =
-            reachable.contains(&d) || self.core.pool.load(d.offset(F_POPPER)) != NO_POPPER;
+            reachable.contains(d) || self.core.pool.load(d.offset(F_POPPER)) != NO_POPPER;
         if effective {
             self.core.complete(i, tag::set(x, PUSH_COMPL));
         }
@@ -650,19 +650,6 @@ impl<M: Memory> DssStack<M> {
         )
     }
 
-    /// The pre-registry centralized recovery (every `X[i]` by index, no
-    /// registry transitions); reference implementation for the parity
-    /// test against the registry-driven [`recover`](Self::recover).
-    #[doc(hidden)]
-    pub fn recover_centralized(&self) {
-        self.repair_top();
-        let reachable = self.reachable_set();
-        for i in 0..self.nthreads() {
-            self.recover_x_entry(i, &reachable);
-        }
-        self.core.pool.drain();
-    }
-
     /// Independent per-slot recovery (§3.3): repairs only this handle's
     /// `X` entry; `top` is repaired lazily by `find_top`'s helping path.
     pub fn recover_one(&self, h: ThreadHandle) {
@@ -676,14 +663,9 @@ impl<M: Memory> DssStack<M> {
     /// Rebuilds the volatile allocator after a crash (`X`-referenced
     /// nodes stay allocated for `resolve`).
     pub fn rebuild_allocator(&self) {
-        let mut live = Vec::new();
-        let mut cur = tag::addr_of(self.core.pool.load(self.top_addr()));
-        while !cur.is_null() {
-            live.push(cur);
-            cur = tag::addr_of(self.core.pool.load(cur.offset(F_NEXT)));
-        }
+        let mut live = self.reachable_set();
         live.extend(self.x_referenced_nodes());
-        self.nodes.rebuild(live);
+        self.nodes.rebuild(&live);
         self.core.ebr.reset();
     }
 

@@ -1,5 +1,6 @@
 //! Experiment E5 — recovery latency vs queue length: centralized
-//! (Figure 6) vs independent per-thread (§3.3) recovery.
+//! (Figure 6) vs independent per-thread (§3.3) recovery, plus the
+//! allocator rebuild (§4) that follows either.
 //!
 //! ```text
 //! cargo run -p dss-harness --release --bin recovery_time
@@ -12,11 +13,15 @@ use dss_pmem::WritebackAdversary;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("# E5: recovery latency vs queue length (microseconds, mean of 5)");
-    println!("{:>10} {:>18} {:>18}", "length", "centralized-us", "independent-us");
+    println!(
+        "{:>10} {:>18} {:>18} {:>18}",
+        "length", "centralized-us", "independent-us", "rebuild-us"
+    );
     for exp in 4..=14 {
         let len = 1u64 << exp;
         let mut central = 0.0;
         let mut indep = 0.0;
+        let mut rebuild = 0.0;
         const REPS: u32 = 5;
         for _ in 0..REPS {
             let q = DssQueue::new(4, len + 64);
@@ -28,6 +33,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let t = Instant::now();
             q.recover();
             central += t.elapsed().as_secs_f64() * 1e6;
+            let t = Instant::now();
+            q.rebuild_allocator();
+            rebuild += t.elapsed().as_secs_f64() * 1e6;
 
             let q = DssQueue::new(4, len + 64);
             let hs = (0..4).map(|_| q.register_thread()).collect::<Result<Vec<_>, _>>()?;
@@ -41,10 +49,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
             indep += t.elapsed().as_secs_f64() * 1e6;
         }
-        println!("{:>10} {:>18.1} {:>18.1}", len, central / REPS as f64, indep / REPS as f64);
+        let reps = f64::from(REPS);
+        println!(
+            "{:>10} {:>18.1} {:>18.1} {:>18.1}",
+            len,
+            central / reps,
+            indep / reps,
+            rebuild / reps
+        );
     }
     println!();
     println!("# Centralized recovery walks the list once and repairs head/tail;");
     println!("# independent recovery is run per thread (4x here) and repairs only X.");
+    println!("# rebuild-us is rebuild_allocator after the centralized recovery: one");
+    println!("# more walk from head, then the free lists rebuilt around the live set.");
     Ok(())
 }

@@ -7,12 +7,13 @@
 //!
 //! The allocator's metadata (the free lists) is deliberately **volatile** —
 //! it lives in ordinary Rust memory and is lost at a crash, just like a real
-//! in-DRAM allocator. After a crash, recovery code determines the set of
-//! *live* nodes (reachable from the data structure or referenced by
-//! detectability state) and calls [`NodePool::rebuild`], which is how the
-//! paper's recovery procedure is "extended straightforwardly to prevent
-//! memory leaks" (§4).
+//! in-DRAM allocator. After a crash, recovery code collects the *live*
+//! nodes (reachable from the data structure or referenced by detectability
+//! state) into a [`NodeSet`] — one bit per node of the region — and calls
+//! [`NodePool::rebuild`], which is how the paper's recovery procedure is
+//! "extended straightforwardly to prevent memory leaks" (§4).
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use crate::sync::{CachePadded, Mutex};
@@ -40,11 +41,95 @@ const STALL_BUDGET: Duration = Duration::from_secs(1);
 /// ```
 #[derive(Debug)]
 pub struct NodePool {
+    region: Region,
+    /// One list per thread, padded: every allocation locks its own.
+    free: Box<[CachePadded<Mutex<Vec<PAddr>>>]>,
+}
+
+/// The geometry of a node region: `total_nodes` nodes of `node_words`
+/// words each, the first at word `base`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Region {
     base: u64,
     node_words: u64,
     total_nodes: u64,
-    /// One list per thread, padded: every allocation locks its own.
-    free: Box<[CachePadded<Mutex<Vec<PAddr>>>]>,
+}
+
+impl Region {
+    /// The index of the node whose base address is `addr`, or `None` if
+    /// `addr` is not a node base address of this region.
+    fn node_index(&self, addr: PAddr) -> Option<u64> {
+        let off = addr.index().checked_sub(self.base)?;
+        let i = off / self.node_words;
+        (off % self.node_words == 0 && i < self.total_nodes).then_some(i)
+    }
+
+    /// The base address of node `i`.
+    fn node_addr(&self, i: u64) -> PAddr {
+        PAddr::from_index(self.base + i * self.node_words)
+    }
+}
+
+/// A set of nodes of one [`NodePool`] region, one bit per node: the live
+/// set recovery hands to [`NodePool::rebuild`], and the reachable set it
+/// tests detectability words against. Build one with
+/// [`NodePool::node_set`].
+///
+/// Addresses that are not node base addresses of the region — NULL,
+/// sentinels outside the region, mid-node addresses — are never members:
+/// [`insert`](Self::insert) ignores them, so callers can pass
+/// detectability words' pointers through unfiltered.
+///
+/// # Examples
+///
+/// ```
+/// use dss_pmem::{NodePool, PAddr};
+///
+/// let pool = NodePool::new(PAddr::from_index(10), 3, 4, 2);
+/// let mut live = pool.node_set();
+/// assert!(live.insert(PAddr::from_index(13)));
+/// assert!(!live.insert(PAddr::from_index(13)), "already a member");
+/// assert!(!live.insert(PAddr::from_index(11)), "mid-node: ignored");
+/// pool.rebuild(&live);
+/// assert_eq!(pool.free_count(), 7);
+/// ```
+#[derive(Debug)]
+pub struct NodeSet {
+    region: Region,
+    bits: Vec<u64>,
+}
+
+impl NodeSet {
+    /// Adds `addr`. Returns `true` if it was a node of the region not yet
+    /// in the set, `false` if it was already a member or is not a node
+    /// base address of the region (and so is ignored).
+    pub fn insert(&mut self, addr: PAddr) -> bool {
+        let Some(i) = self.region.node_index(addr) else {
+            return false;
+        };
+        let (word, bit) = (&mut self.bits[(i / 64) as usize], 1 << (i % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
+
+    /// Returns `true` if `addr` is a node of the region in the set.
+    pub fn contains(&self, addr: PAddr) -> bool {
+        self.region.node_index(addr).is_some_and(|i| self.has(i))
+    }
+
+    /// Whether node `i` of the region is in the set.
+    fn has(&self, i: u64) -> bool {
+        self.bits[(i / 64) as usize] & (1 << (i % 64)) != 0
+    }
+}
+
+impl Extend<PAddr> for NodeSet {
+    fn extend<I: IntoIterator<Item = PAddr>>(&mut self, addrs: I) {
+        for a in addrs {
+            self.insert(a);
+        }
+    }
 }
 
 impl NodePool {
@@ -61,46 +146,52 @@ impl NodePool {
         assert!(nthreads > 0, "need at least one thread");
         assert!(!base.is_null(), "node region cannot start at NULL");
         let total_nodes = nodes_per_thread * nthreads as u64;
+        let region = Region { base: base.index(), node_words, total_nodes };
         let free: Box<[CachePadded<Mutex<Vec<PAddr>>>]> = (0..nthreads)
             .map(|t| {
                 let t = t as u64;
                 CachePadded(Mutex::new(
                     (t * nodes_per_thread..(t + 1) * nodes_per_thread)
-                        .map(|i| PAddr::from_index(base.index() + i * node_words))
+                        .map(|i| region.node_addr(i))
                         .collect(),
                 ))
             })
             .collect();
-        NodePool { base: base.index(), node_words, total_nodes, free }
+        NodePool { region, free }
     }
 
     /// Total words spanned by the node region (for pool sizing).
     pub fn region_words(&self) -> u64 {
-        self.total_nodes * self.node_words
+        self.region.total_nodes * self.region.node_words
     }
 
     /// First word of the region.
     pub fn base(&self) -> PAddr {
-        PAddr::from_index(self.base)
+        PAddr::from_index(self.region.base)
     }
 
     /// Words per node.
     pub fn node_words(&self) -> u64 {
-        self.node_words
+        self.region.node_words
     }
 
     /// Total number of nodes (free and allocated).
     pub fn total_nodes(&self) -> u64 {
-        self.total_nodes
+        self.region.total_nodes
     }
 
     /// Returns `true` if `addr` is the base address of a node in this
     /// region.
     pub fn contains(&self, addr: PAddr) -> bool {
-        let i = addr.index();
-        i >= self.base
-            && i < self.base + self.region_words()
-            && (i - self.base).is_multiple_of(self.node_words)
+        self.region.node_index(addr).is_some()
+    }
+
+    /// An empty [`NodeSet`] over this region.
+    pub fn node_set(&self) -> NodeSet {
+        NodeSet {
+            region: self.region,
+            bits: vec![0; self.region.total_nodes.div_ceil(64) as usize],
+        }
     }
 
     /// Allocates a node for thread `tid`, stealing from other threads'
@@ -162,7 +253,10 @@ impl NodePool {
     /// still publish a reference to a candidate was pinned when the
     /// candidate was retired, so its announcement store precedes the epoch
     /// advance that released the candidate, and a post-collect read
-    /// observes it.
+    /// observes it. If `protected` unwinds — a simulated crash of the
+    /// calling thread while it reads detectability words — the candidates
+    /// go back to `ebr`'s limbo before the unwind resumes, so the threads
+    /// that live on can still reclaim them.
     ///
     /// # Panics
     ///
@@ -181,7 +275,16 @@ impl NodePool {
         while rounds < 64 {
             let collected = ebr.collect_all(tid);
             if !collected.is_empty() {
-                let guard: std::collections::HashSet<PAddr> = protected().into_iter().collect();
+                let guard = match catch_unwind(AssertUnwindSafe(&mut protected)) {
+                    Ok(guard) => guard,
+                    Err(crash) => {
+                        for a in collected {
+                            ebr.retire(tid, a);
+                        }
+                        resume_unwind(crash);
+                    }
+                };
+                // A handful of nodes per thread: a linear scan beats hashing.
                 for a in collected {
                     if guard.contains(&a) {
                         ebr.retire(tid, a);
@@ -221,20 +324,27 @@ impl NodePool {
     }
 
     /// Rebuilds the free lists after a crash: every node *not* in `live`
-    /// becomes free, distributed round-robin over the per-thread lists.
+    /// becomes free, distributed round-robin over the per-thread lists in
+    /// ascending node order (node `i` goes to thread `i % nthreads`).
     ///
-    /// `live` entries that are not node base addresses of this region are
-    /// ignored (detectability words often hold tagged pointers to nodes
-    /// plus sentinel values; callers can pass them through unfiltered).
-    pub fn rebuild<I: IntoIterator<Item = PAddr>>(&self, live: I) {
-        let live: std::collections::HashSet<PAddr> =
-            live.into_iter().filter(|a| self.contains(*a)).collect();
+    /// `live` is a [`NodeSet`] from this pool's
+    /// [`node_set`](Self::node_set), which has already dropped every
+    /// address that is not a node of this region (detectability words often
+    /// hold tagged pointers to nodes plus sentinel values; callers insert
+    /// them unfiltered).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `live` was built over a different region.
+    pub fn rebuild(&self, live: &NodeSet) {
+        assert_eq!(live.region, self.region, "live set built over another node region");
         let nthreads = self.free.len();
-        let mut lists: Vec<Vec<PAddr>> = vec![Vec::new(); nthreads];
-        for i in 0..self.total_nodes {
-            let a = PAddr::from_index(self.base + i * self.node_words);
-            if !live.contains(&a) {
-                lists[(i as usize) % nthreads].push(a);
+        let per_thread = self.region.total_nodes.div_ceil(nthreads as u64) as usize;
+        let mut lists: Vec<Vec<PAddr>> =
+            (0..nthreads).map(|_| Vec::with_capacity(per_thread)).collect();
+        for (i, t) in (0..self.region.total_nodes).zip((0..nthreads).cycle()) {
+            if !live.has(i) {
+                lists[t].push(self.region.node_addr(i));
             }
         }
         for (slot, list) in self.free.iter().zip(lists) {
@@ -297,10 +407,73 @@ mod tests {
     }
 
     #[test]
+    fn node_set_holds_only_node_bases_of_its_region() {
+        // Nodes at words 8, 11, 14, 17.
+        let p = pool();
+        let mut set = p.node_set();
+        let (first, last) = (PAddr::from_index(8), PAddr::from_index(17));
+        for a in [first, last] {
+            assert!(!set.contains(a));
+            assert!(set.insert(a), "a fresh node is inserted");
+            assert!(set.contains(a));
+            assert!(!set.insert(a), "a duplicate insert reports no change");
+        }
+        for ignored in [
+            PAddr::from_index(20), // one node past the region
+            PAddr::from_index(9),  // mid-node
+            PAddr::from_index(7),  // base - 1
+            PAddr::NULL,
+        ] {
+            assert!(!set.insert(ignored), "{ignored:?} is not a node of the region");
+            assert!(!set.contains(ignored));
+        }
+        assert!(!set.contains(PAddr::from_index(11)) && !set.contains(PAddr::from_index(14)));
+    }
+
+    #[test]
+    fn rebuild_matches_a_hash_set_reference() {
+        // 3 threads, 70 nodes each: the region spans several bitmap words.
+        let p = NodePool::new(PAddr::from_index(40), 4, 70, 3);
+        let mut live = p.node_set();
+        let mut reference = std::collections::HashSet::new();
+        let mut x = 0x9e37_79b9_u64;
+        for _ in 0..240 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Scattered node bases, plus mid-node and out-of-region words.
+            let a = PAddr::from_index(38 + x % (4 * 212));
+            live.insert(a);
+            if p.contains(a) {
+                reference.insert(a);
+            }
+        }
+        assert!(reference.len() > 30, "enough scattered live nodes");
+        let mut expected = vec![Vec::new(); 3];
+        for i in 0..p.total_nodes() {
+            let a = PAddr::from_index(40 + i * 4);
+            if !reference.contains(&a) {
+                expected[i as usize % 3].push(a);
+            }
+        }
+        p.rebuild(&live);
+        let lists: Vec<Vec<PAddr>> = p.free.iter().map(|l| l.lock().clone()).collect();
+        assert_eq!(lists, expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "another node region")]
+    fn rebuild_rejects_a_foreign_set() {
+        pool().rebuild(&NodePool::new(PAddr::from_index(8), 3, 3, 2).node_set());
+    }
+
+    #[test]
     fn rebuild_frees_exactly_the_dead_nodes() {
         let p = pool();
         let live = PAddr::from_index(11);
-        p.rebuild([live, PAddr::from_index(9) /* ignored: not a base */]);
+        let mut set = p.node_set();
+        set.extend([live, PAddr::from_index(9) /* ignored: not a base */]);
+        p.rebuild(&set);
         assert_eq!(p.free_count(), 3);
         // The live node is never handed out again.
         let mut handed = Vec::new();
@@ -330,6 +503,25 @@ mod tests {
             });
             assert!(p.alloc_with_reclaim(0, &ebr).is_some(), "the retirees come back");
         });
+    }
+
+    #[test]
+    fn a_crash_while_reading_the_guard_hands_the_candidates_back() {
+        // Both nodes retired; the allocator unwinds inside `protected`, as
+        // a thread does whose guard read hits a simulated crash. Losing the
+        // nodes it had collected would starve every thread that lives on.
+        let p = NodePool::new(PAddr::from_index(8), 3, 1, 2);
+        let ebr = Ebr::new(2);
+        for _ in 0..2 {
+            let n = p.alloc(0).unwrap();
+            ebr.retire(0, n);
+        }
+        let crashed = catch_unwind(AssertUnwindSafe(|| {
+            p.alloc_with_reclaim_guarded(0, &ebr, || resume_unwind(Box::new("crash")))
+        }));
+        assert!(crashed.is_err());
+        assert_eq!(ebr.limbo_len(), 2, "the candidates are back in limbo");
+        assert!(p.alloc_with_reclaim(1, &ebr).is_some(), "a surviving thread reclaims them");
     }
 
     #[test]

@@ -53,6 +53,11 @@
 //!   evaluation setup ("each thread pre-allocates a fixed size pool of
 //!   queue nodes … dequeued nodes are returned to the free pool using
 //!   epoch-based reclamation").
+//! * [`NodeSet`] — a bitmap with one bit per node of a [`NodePool`]
+//!   region. Crash recovery collects the nodes it finds reachable or
+//!   referenced by detectability words into one, tests membership against
+//!   it, and hands it to [`NodePool::rebuild`], which frees every node
+//!   outside it (the paper's §4 leak prevention).
 //!
 //! # Quick example
 //!
@@ -98,7 +103,7 @@ mod sync;
 pub mod tag;
 
 pub use addr::PAddr;
-pub use alloc::NodePool;
+pub use alloc::{NodePool, NodeSet};
 pub use backoff::{Backoff, BackoffTuner};
 pub use dram::DramPool;
 pub use ebr::{Ebr, EbrGuard};

@@ -353,7 +353,7 @@ impl<M: Memory> PmwcasArena<M> {
         }
         // Volatile allocator state is gone; all descriptors are now free.
         self.ebr.reset();
-        self.descs.rebuild([]);
+        self.descs.rebuild(&self.descs.node_set());
     }
 }
 

@@ -634,10 +634,10 @@ impl<M: Memory> CasWithEffectQueue<M> {
 
     /// Rebuilds the volatile allocator after a crash.
     pub fn rebuild_allocator(&self) {
-        let mut live = Vec::new();
+        let mut live = self.nodes.node_set();
         let mut cur = tag::addr_of(self.pool.load(self.head()));
         loop {
-            live.push(cur);
+            live.insert(cur);
             let next = tag::addr_of(self.pool.load(cur.offset(F_NEXT)));
             if next.is_null() {
                 break;
@@ -647,14 +647,11 @@ impl<M: Memory> CasWithEffectQueue<M> {
         for i in 0..self.nthreads {
             let d = tag::addr_of(self.pool.load(self.x(i)));
             if !d.is_null() {
-                live.push(d);
-                let next = tag::addr_of(self.pool.load(d.offset(F_NEXT)));
-                if !next.is_null() {
-                    live.push(next);
-                }
+                live.insert(d);
+                live.insert(tag::addr_of(self.pool.load(d.offset(F_NEXT))));
             }
         }
-        self.nodes.rebuild(live);
+        self.nodes.rebuild(&live);
         self.ebr.reset();
     }
 

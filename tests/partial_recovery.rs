@@ -111,7 +111,9 @@ fn crash_then(k: u64, seed: u64, f: impl FnOnce(&DssQueue)) -> (Resolved, Vec<u6
 /// Full-restart parity: for every crash point the script can reach, the
 /// registry-driven `recover()` (adopt orphans, then repair each) must
 /// produce byte-identical resolved responses and queue contents to the
-/// pre-refactor centralized Figure-6 reference path.
+/// pre-refactor centralized Figure-6 reference path. The reference keeps
+/// Figure 6's `AllNodes` as a `HashSet`, so this also checks `recover`'s
+/// bitmap `NodeSet` against a hash set.
 #[test]
 fn registry_recovery_matches_centralized_reference() {
     for seed in [3u64, 17] {
