@@ -17,6 +17,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> rustdoc gate (no broken or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> fig5a smoke (both backends, minimal sizes)"
 cargo run -q -p dss-harness --release --bin fig5a -- \
     --threads 1 --ms 20 --repeats 1 \

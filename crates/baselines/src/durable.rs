@@ -2,12 +2,12 @@
 //! detectable.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
-use std::sync::Arc;
+use std::ops::Deref;
 
+use dss_pmem::object::{checked_words, thread_count};
 use dss_pmem::{
-    tag, AppKind, AttachError, Backoff, BackoffTuner, Ebr, FlushGranularity, Memory, NodePool,
-    PAddr, PmemPool, Registry, SlotError, ThreadHandle, WORDS_PER_LINE,
+    tag, AppKind, AttachError, FlushGranularity, Memory, NodePool, ObjectCore, ObjectLayout, PAddr,
+    PmemPool, ThreadHandle, WORDS_PER_LINE,
 };
 use dss_spec::types::QueueResp;
 
@@ -37,22 +37,32 @@ pub const KIND_DURABLE_QUEUE: u64 = AppKind::DurableQueue.word();
 /// The durable queue's pool layout, derived from `(nthreads,
 /// nodes_per_thread)` alone (cf. dss-core's layout structs).
 struct DurableLayout {
+    nthreads: usize,
+    nodes_per_thread: u64,
     sentinel: u64,
     region: u64,
     reg_base: u64,
-    words: u64,
 }
 
-impl DurableLayout {
-    fn new(nthreads: usize, nodes_per_thread: u64) -> Self {
-        assert!(nthreads > 0 && nodes_per_thread > 0);
+impl ObjectLayout for DurableLayout {
+    const KIND: AppKind = AppKind::DurableQueue;
+
+    fn params(&self) -> Vec<u64> {
+        vec![self.nthreads as u64, self.nodes_per_thread]
+    }
+
+    fn from_params(p: &[u64]) -> Result<Self, &'static str> {
+        let (nthreads, nodes_per_thread) = (thread_count(p[0])?, p[1]);
+        let nodes = checked_words(&[nthreads as u64, nodes_per_thread, NODE_WORDS])?;
         let rv_end = A_RV_BASE + nthreads as u64 * WORDS_PER_LINE;
         let sentinel = rv_end.next_multiple_of(NODE_WORDS);
         let region = sentinel + NODE_WORDS;
-        let node_end = region + nodes_per_thread * nthreads as u64 * NODE_WORDS;
-        let reg_base = node_end.next_multiple_of(WORDS_PER_LINE);
-        let words = reg_base + Registry::<PmemPool>::region_words(nthreads);
-        DurableLayout { sentinel, region, reg_base, words }
+        let reg_base = (region + nodes).next_multiple_of(WORDS_PER_LINE);
+        Ok(DurableLayout { nthreads, nodes_per_thread, sentinel, region, reg_base })
+    }
+
+    fn registry_base(&self) -> u64 {
+        self.reg_base
     }
 }
 
@@ -83,13 +93,8 @@ impl DurableLayout {
 /// assert_eq!(q.last_returned(h0), Some(QueueResp::Value(7)));
 /// ```
 pub struct DurableQueue<M: Memory = PmemPool> {
-    pool: Arc<M>,
+    core: ObjectCore<M>,
     nodes: NodePool,
-    ebr: Ebr,
-    nthreads: usize,
-    backoff: AtomicBool,
-    tuner: BackoffTuner,
-    registry: Registry<M>,
 }
 
 impl DurableQueue {
@@ -119,12 +124,9 @@ impl DurableQueue {
         nthreads: usize,
         nodes_per_thread: u64,
     ) -> Result<Self, AttachError> {
-        let layout = DurableLayout::new(nthreads, nodes_per_thread);
-        let pool =
-            Arc::new(PmemPool::create(path, layout.words as usize, FlushGranularity::default())?);
-        pool.set_app_config(KIND_DURABLE_QUEUE, &[nthreads as u64, nodes_per_thread]);
-        let registry = Registry::create(Arc::clone(&pool), layout.reg_base, nthreads);
-        let q = Self::assemble(pool, registry, &layout, nthreads, nodes_per_thread);
+        let layout = DurableLayout::from_args(&[nthreads as u64, nodes_per_thread]);
+        let object = ObjectCore::create(path, &layout, FlushGranularity::default())?;
+        let q = Self::assemble(object, &layout);
         q.format(layout.sentinel);
         Ok(q)
     }
@@ -138,24 +140,8 @@ impl DurableQueue {
     /// Any [`AttachError`], including [`AttachError::AppMismatch`] if the
     /// file holds a different structure.
     pub fn attach<P: AsRef<std::path::Path>>(path: P) -> Result<Self, AttachError> {
-        let pool = Arc::new(PmemPool::attach(path)?);
-        let found = pool.app_kind();
-        if found != KIND_DURABLE_QUEUE {
-            return Err(AttachError::AppMismatch { expected: KIND_DURABLE_QUEUE, found });
-        }
-        let [nthreads, nodes_per_thread, ..] = pool.app_config();
-        if nthreads == 0 || nodes_per_thread == 0 {
-            return Err(AttachError::Corrupt("durable queue parameter words are zero"));
-        }
-        let nthreads = nthreads as usize;
-        let layout = DurableLayout::new(nthreads, nodes_per_thread);
-        if (pool.capacity() as u64) < layout.words {
-            return Err(AttachError::Corrupt(
-                "pool smaller than the durable queue layout requires",
-            ));
-        }
-        let registry = Registry::attach(Arc::clone(&pool), layout.reg_base)?;
-        let q = Self::assemble(pool, registry, &layout, nthreads, nodes_per_thread);
+        let (object, layout) = ObjectCore::attach(path)?;
+        let q = Self::assemble(object, &layout);
         q.rebuild_allocator();
         Ok(q)
     }
@@ -170,63 +156,37 @@ impl<M: Memory> DurableQueue<M> {
     ///
     /// Panics if `nthreads` or `nodes_per_thread` is zero.
     pub fn new_in(nthreads: usize, nodes_per_thread: u64) -> Self {
-        let layout = DurableLayout::new(nthreads, nodes_per_thread);
-        let pool = Arc::new(M::create(layout.words as usize, FlushGranularity::default()));
-        let registry = Registry::create(Arc::clone(&pool), layout.reg_base, nthreads);
-        let q = Self::assemble(pool, registry, &layout, nthreads, nodes_per_thread);
+        let layout = DurableLayout::from_args(&[nthreads as u64, nodes_per_thread]);
+        let q = Self::assemble(ObjectCore::fresh(&layout, FlushGranularity::default()), &layout);
         q.format(layout.sentinel);
         q
     }
 
-    /// The shared constructor tail: in-DRAM side tables over an existing
-    /// pool + registry — everything `attach` must rebuild rather than map.
-    fn assemble(
-        pool: Arc<M>,
-        registry: Registry<M>,
-        layout: &DurableLayout,
-        nthreads: usize,
-        nodes_per_thread: u64,
-    ) -> Self {
-        let nodes =
-            NodePool::new(PAddr::from_index(layout.region), NODE_WORDS, nodes_per_thread, nthreads);
-        DurableQueue {
-            pool,
-            nodes,
-            ebr: Ebr::new(nthreads),
-            nthreads,
-            backoff: AtomicBool::new(false),
-            tuner: BackoffTuner::new(),
-            registry,
-        }
+    /// The shared constructor tail: the node allocator over an object
+    /// skeleton — everything `attach` must rebuild rather than map.
+    fn assemble(object: ObjectCore<M>, layout: &DurableLayout) -> Self {
+        let region = PAddr::from_index(layout.region);
+        let nodes = NodePool::new(region, NODE_WORDS, layout.nodes_per_thread, layout.nthreads);
+        DurableQueue { core: object, nodes }
     }
 
     /// Writes and persists the initial queue state (fresh pools only —
     /// never run on attach).
     fn format(&self, sentinel: u64) {
         let s = PAddr::from_index(sentinel);
-        self.pool.store(s.offset(F_VALUE), 0);
-        self.pool.store(s.offset(F_NEXT), 0);
-        self.pool.store(s.offset(F_DEQ_TID), NO_DEQUEUER);
-        self.pool.flush(s);
-        self.pool.store(self.head(), s.to_word());
-        self.pool.flush(self.head());
-        self.pool.store(self.tail(), s.to_word());
-        self.pool.flush(self.tail());
-        for i in 0..self.nthreads {
-            self.pool.store(self.rv(i), 0);
-            self.pool.flush(self.rv(i));
+        self.pool().store(s.offset(F_VALUE), 0);
+        self.pool().store(s.offset(F_NEXT), 0);
+        self.pool().store(s.offset(F_DEQ_TID), NO_DEQUEUER);
+        self.pool().flush(s);
+        self.pool().store(self.head(), s.to_word());
+        self.pool().flush(self.head());
+        self.pool().store(self.tail(), s.to_word());
+        self.pool().flush(self.tail());
+        for i in 0..self.nthreads() {
+            self.pool().store(self.rv(i), 0);
+            self.pool().flush(self.rv(i));
         }
-        self.pool.drain();
-    }
-
-    /// Enables or disables bounded exponential backoff after failed CAS.
-    /// Default off.
-    pub fn set_backoff(&self, on: bool) {
-        self.backoff.store(on, Relaxed);
-    }
-
-    fn new_backoff(&self) -> Backoff<'_> {
-        Backoff::attached(self.backoff.load(Relaxed), &self.tuner)
+        self.pool().drain();
     }
 
     fn head(&self) -> PAddr {
@@ -243,63 +203,8 @@ impl<M: Memory> DurableQueue<M> {
         PAddr::from_index(A_RV_BASE + tid as u64 * WORDS_PER_LINE)
     }
 
-    /// The queue's pool.
-    pub fn pool(&self) -> &Arc<M> {
-        &self.pool
-    }
-
-    /// Number of threads the queue was built for.
-    pub fn nthreads(&self) -> usize {
-        self.nthreads
-    }
-
-    /// The persistent slot registry governing thread identity.
-    pub fn registry(&self) -> &Registry<M> {
-        &self.registry
-    }
-
-    /// Claims a free slot and returns the [`ThreadHandle`] every operation
-    /// requires. Fails with [`SlotError::Exhausted`] once all `nthreads`
-    /// slots are taken.
-    pub fn register_thread(&self) -> Result<ThreadHandle, SlotError> {
-        let h = self.registry.acquire()?;
-        self.ebr.adopt_slot(h.slot());
-        Ok(h)
-    }
-
-    /// Returns a handle's slot to the free pool for reuse.
-    pub fn release_thread(&self, h: ThreadHandle) -> Result<(), SlotError> {
-        self.registry.release(h)
-    }
-
-    /// Marks the crash boundary in the registry: every slot LIVE at the
-    /// crash becomes ORPHANED. The durable queue's [`recover`](Self::recover)
-    /// is deliberately kept centralized (it predates detectability and has
-    /// no per-thread recovery story), so this exists to let harnesses
-    /// reclaim dead threads' slots via [`adopt`](Self::adopt) /
-    /// [`adopt_orphans`](Self::adopt_orphans).
-    pub fn begin_recovery(&self) {
-        self.registry.begin_recovery();
-    }
-
-    /// Adopts one orphaned slot, inheriting its EBR state.
-    pub fn adopt(&self, slot: usize) -> Result<ThreadHandle, SlotError> {
-        let h = self.registry.adopt(slot)?;
-        self.ebr.adopt_slot(slot);
-        Ok(h)
-    }
-
-    /// Adopts every orphaned slot in ascending order.
-    pub fn adopt_orphans(&self) -> Vec<ThreadHandle> {
-        let hs = self.registry.adopt_orphans();
-        for h in &hs {
-            self.ebr.adopt_slot(h.slot());
-        }
-        hs
-    }
-
     fn alloc(&self, tid: usize) -> Result<PAddr, QueueFull> {
-        self.nodes.alloc_with_reclaim(tid, &self.ebr).ok_or(QueueFull)
+        self.nodes.alloc_with_reclaim(tid, self.ebr()).ok_or(QueueFull)
     }
 
     /// Appends `val` at the tail (flushing the node and the link, as the
@@ -316,34 +221,34 @@ impl<M: Memory> DurableQueue<M> {
         let tid = h.slot();
         assert!(val < RV_EMPTY, "values {RV_EMPTY} and above are reserved");
         let node = self.alloc(tid)?;
-        self.pool.store(node.offset(F_VALUE), val);
-        self.pool.store(node.offset(F_NEXT), 0);
-        self.pool.store(node.offset(F_DEQ_TID), NO_DEQUEUER);
-        self.pool.flush(node);
-        let _g = self.ebr.pin(tid);
+        self.pool().store(node.offset(F_VALUE), val);
+        self.pool().store(node.offset(F_NEXT), 0);
+        self.pool().store(node.offset(F_DEQ_TID), NO_DEQUEUER);
+        self.pool().flush(node);
+        let _g = self.ebr().pin(tid);
         let mut bo = self.new_backoff();
         loop {
-            let last_w = self.pool.load(self.tail());
+            let last_w = self.pool().load(self.tail());
             let last = tag::addr_of(last_w);
-            let next_w = self.pool.load(last.offset(F_NEXT));
-            if self.pool.load(self.tail()) == last_w {
+            let next_w = self.pool().load(last.offset(F_NEXT));
+            if self.pool().load(self.tail()) == last_w {
                 if tag::addr_of(next_w).is_null() {
                     // The node must be persistent before it can be linked
                     // (recovery walks persisted links from head).
-                    self.pool.drain_lines(&[
+                    self.pool().drain_lines(&[
                         node.offset(F_VALUE),
                         node.offset(F_NEXT),
                         node.offset(F_DEQ_TID),
                     ]);
-                    if self.pool.cas(last.offset(F_NEXT), 0, node.to_word()).is_ok() {
-                        self.pool.flush(last.offset(F_NEXT));
-                        let _ = self.pool.cas(self.tail(), last_w, node.to_word());
-                        self.pool.drain();
+                    if self.pool().cas(last.offset(F_NEXT), 0, node.to_word()).is_ok() {
+                        self.pool().flush(last.offset(F_NEXT));
+                        let _ = self.pool().cas(self.tail(), last_w, node.to_word());
+                        self.pool().drain();
                         return Ok(());
                     }
                 } else {
-                    self.pool.flush(last.offset(F_NEXT));
-                    let _ = self.pool.cas(self.tail(), last_w, next_w);
+                    self.pool().flush(last.offset(F_NEXT));
+                    let _ = self.pool().cas(self.tail(), last_w, next_w);
                 }
             }
             bo.spin();
@@ -354,66 +259,68 @@ impl<M: Memory> DurableQueue<M> {
     /// (persisted before the head advances, so recovery can re-deliver it).
     pub fn dequeue(&self, h: ThreadHandle) -> QueueResp {
         let tid = h.slot();
-        let _g = self.ebr.pin(tid);
+        let _g = self.ebr().pin(tid);
         // Announce a pending dequeue in the returnedValues slot.
-        self.pool.store(self.rv(tid), RV_PENDING);
-        self.pool.flush(self.rv(tid));
+        self.pool().store(self.rv(tid), RV_PENDING);
+        self.pool().flush(self.rv(tid));
         let mut bo = self.new_backoff();
         loop {
-            let first_w = self.pool.load(self.head());
-            let last_w = self.pool.load(self.tail());
+            let first_w = self.pool().load(self.head());
+            let last_w = self.pool().load(self.tail());
             let first = tag::addr_of(first_w);
-            let next_w = self.pool.load(first.offset(F_NEXT));
+            let next_w = self.pool().load(first.offset(F_NEXT));
             let next = tag::addr_of(next_w);
-            if self.pool.load(self.head()) != first_w {
+            if self.pool().load(self.head()) != first_w {
                 bo.spin();
                 continue;
             }
             if first_w == last_w {
                 if next.is_null() {
-                    self.pool.store(self.rv(tid), RV_EMPTY);
-                    self.pool.flush(self.rv(tid));
-                    self.pool.drain();
+                    self.pool().store(self.rv(tid), RV_EMPTY);
+                    self.pool().flush(self.rv(tid));
+                    self.pool().drain();
                     return QueueResp::Empty;
                 }
-                self.pool.flush(first.offset(F_NEXT));
-                let _ = self.pool.cas(self.tail(), last_w, next_w);
-            } else if self.pool.cas(next.offset(F_DEQ_TID), NO_DEQUEUER, tid as u64).is_ok() {
-                self.pool.flush(next.offset(F_DEQ_TID));
+                self.pool().flush(first.offset(F_NEXT));
+                let _ = self.pool().cas(self.tail(), last_w, next_w);
+            } else if self.pool().cas(next.offset(F_DEQ_TID), NO_DEQUEUER, tid as u64).is_ok() {
+                self.pool().flush(next.offset(F_DEQ_TID));
                 // Ordering point: the published result must not persist
                 // ahead of the claim it reports (a surviving result over a
                 // lost claim would let the value be delivered twice).
-                self.pool.drain_line(next.offset(F_DEQ_TID));
-                let val = self.pool.load(next.offset(F_VALUE));
-                self.pool.store(self.rv(tid), val);
-                self.pool.flush(self.rv(tid));
+                self.pool().drain_line(next.offset(F_DEQ_TID));
+                let val = self.pool().load(next.offset(F_VALUE));
+                self.pool().store(self.rv(tid), val);
+                self.pool().flush(self.rv(tid));
                 // The result must be persistent before head advances past
                 // the node: recovery re-publishes only the claimed prefix
                 // still behind the persisted head.
-                self.pool.drain_line(self.rv(tid));
-                if self.pool.cas(self.head(), first_w, next_w).is_ok() && self.nodes.contains(first)
+                self.pool().drain_line(self.rv(tid));
+                if self.pool().cas(self.head(), first_w, next_w).is_ok()
+                    && self.nodes.contains(first)
                 {
-                    self.ebr.retire(tid, first);
+                    self.ebr().retire(tid, first);
                 }
-                self.pool.drain();
+                self.pool().drain();
                 return QueueResp::Value(val);
-            } else if self.pool.load(self.head()) == first_w {
+            } else if self.pool().load(self.head()) == first_w {
                 // Helping: persist the claim, publish the claimer's result,
                 // then advance head — one flush more than the DSS queue's
                 // helper, as §3.2 notes.
-                self.pool.flush(next.offset(F_DEQ_TID));
+                self.pool().flush(next.offset(F_DEQ_TID));
                 // Ordering point: see the claiming branch above.
-                self.pool.drain_line(next.offset(F_DEQ_TID));
-                let claimer = self.pool.load(next.offset(F_DEQ_TID)) as usize;
-                if claimer < self.nthreads {
-                    let val = self.pool.load(next.offset(F_VALUE));
-                    self.pool.store(self.rv(claimer), val);
-                    self.pool.flush(self.rv(claimer));
-                    self.pool.drain_line(self.rv(claimer));
+                self.pool().drain_line(next.offset(F_DEQ_TID));
+                let claimer = self.pool().load(next.offset(F_DEQ_TID)) as usize;
+                if claimer < self.nthreads() {
+                    let val = self.pool().load(next.offset(F_VALUE));
+                    self.pool().store(self.rv(claimer), val);
+                    self.pool().flush(self.rv(claimer));
+                    self.pool().drain_line(self.rv(claimer));
                 }
-                if self.pool.cas(self.head(), first_w, next_w).is_ok() && self.nodes.contains(first)
+                if self.pool().cas(self.head(), first_w, next_w).is_ok()
+                    && self.nodes.contains(first)
                 {
-                    self.ebr.retire(tid, first);
+                    self.ebr().retire(tid, first);
                 }
                 bo.spin();
             }
@@ -424,7 +331,7 @@ impl<M: Memory> DurableQueue<M> {
     /// `None` — no dequeue recorded (or one is pending and unrecovered);
     /// `Some(Empty)` / `Some(Value(v))` otherwise.
     pub fn last_returned(&self, h: ThreadHandle) -> Option<QueueResp> {
-        match self.pool.load(self.rv(h.slot())) {
+        match self.pool().load(self.rv(h.slot())) {
             0 | RV_PENDING => None,
             RV_EMPTY => Some(QueueResp::Empty),
             v => Some(QueueResp::Value(v)),
@@ -434,79 +341,87 @@ impl<M: Memory> DurableQueue<M> {
     /// Centralized recovery: repairs tail and head and publishes the
     /// results of claimed-but-unfinished dequeues into `returnedValues`.
     pub fn recover(&self) {
-        let old_head = tag::addr_of(self.pool.load(self.head()));
+        let old_head = tag::addr_of(self.pool().load(self.head()));
         // Repair tail.
         let mut last = old_head;
         loop {
-            let next = tag::addr_of(self.pool.load(last.offset(F_NEXT)));
+            let next = tag::addr_of(self.pool().load(last.offset(F_NEXT)));
             if next.is_null() {
                 break;
             }
             last = next;
         }
-        self.pool.store(self.tail(), last.to_word());
-        self.pool.flush(self.tail());
+        self.pool().store(self.tail(), last.to_word());
+        self.pool().flush(self.tail());
         // Publish results of marked nodes and advance head past them.
         let mut new_head = old_head;
         let mut cur = old_head;
         loop {
-            let next = tag::addr_of(self.pool.load(cur.offset(F_NEXT)));
+            let next = tag::addr_of(self.pool().load(cur.offset(F_NEXT)));
             if next.is_null() {
                 break;
             }
-            let claimer = self.pool.load(next.offset(F_DEQ_TID));
+            let claimer = self.pool().load(next.offset(F_DEQ_TID));
             if claimer == NO_DEQUEUER {
                 break; // unmarked: the dequeued prefix has ended
             }
-            let val = self.pool.load(next.offset(F_VALUE));
-            if (claimer as usize) < self.nthreads {
-                self.pool.store(self.rv(claimer as usize), val);
-                self.pool.flush(self.rv(claimer as usize));
+            let val = self.pool().load(next.offset(F_VALUE));
+            if (claimer as usize) < self.nthreads() {
+                self.pool().store(self.rv(claimer as usize), val);
+                self.pool().flush(self.rv(claimer as usize));
             }
             new_head = next;
             cur = next;
         }
-        self.pool.store(self.head(), new_head.to_word());
-        self.pool.flush(self.head());
-        self.pool.drain();
+        self.pool().store(self.head(), new_head.to_word());
+        self.pool().flush(self.head());
+        self.pool().drain();
     }
 
     /// Rebuilds the volatile allocator after a crash.
     pub fn rebuild_allocator(&self) {
         let mut live = self.nodes.node_set();
-        let mut cur = tag::addr_of(self.pool.load(self.head()));
+        let mut cur = tag::addr_of(self.pool().load(self.head()));
         loop {
             live.insert(cur);
-            let next = tag::addr_of(self.pool.load(cur.offset(F_NEXT)));
+            let next = tag::addr_of(self.pool().load(cur.offset(F_NEXT)));
             if next.is_null() {
                 break;
             }
             cur = next;
         }
         self.nodes.rebuild(&live);
-        self.ebr.reset();
+        self.ebr().reset();
     }
 
     /// Volatile snapshot of queued (unmarked) values (test helper).
     pub fn snapshot_values(&self) -> Vec<u64> {
         let mut out = Vec::new();
-        let mut cur = tag::addr_of(self.pool.peek(self.head()));
+        let mut cur = tag::addr_of(self.pool().peek(self.head()));
         loop {
-            let next = tag::addr_of(self.pool.peek(cur.offset(F_NEXT)));
+            let next = tag::addr_of(self.pool().peek(cur.offset(F_NEXT)));
             if next.is_null() {
                 return out;
             }
-            if self.pool.peek(next.offset(F_DEQ_TID)) == NO_DEQUEUER {
-                out.push(self.pool.peek(next.offset(F_VALUE)));
+            if self.pool().peek(next.offset(F_DEQ_TID)) == NO_DEQUEUER {
+                out.push(self.pool().peek(next.offset(F_VALUE)));
             }
             cur = next;
         }
     }
 }
 
+impl<M: Memory> Deref for DurableQueue<M> {
+    type Target = ObjectCore<M>;
+
+    fn deref(&self) -> &ObjectCore<M> {
+        &self.core
+    }
+}
+
 impl<M: Memory> fmt::Debug for DurableQueue<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DurableQueue").field("nthreads", &self.nthreads).finish_non_exhaustive()
+        f.debug_struct("DurableQueue").field("nthreads", &self.nthreads()).finish_non_exhaustive()
     }
 }
 

@@ -15,12 +15,12 @@
 //! entry before advancing the head.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
-use std::sync::Arc;
+use std::ops::Deref;
 
+use dss_pmem::object::{checked_words, thread_count};
 use dss_pmem::{
-    tag, AppKind, AttachError, Backoff, BackoffTuner, Ebr, FlushGranularity, Memory, NodePool,
-    PAddr, PmemPool, Registry, SlotError, ThreadHandle, WORDS_PER_LINE,
+    tag, AppKind, AttachError, Ebr, FlushGranularity, Memory, NodePool, ObjectCore, ObjectLayout,
+    PAddr, PmemPool, SlotError, ThreadHandle, WORDS_PER_LINE,
 };
 use dss_spec::types::QueueResp;
 
@@ -62,26 +62,35 @@ pub const KIND_LOG_QUEUE: u64 = AppKind::LogQueue.word();
 /// nodes_per_thread)` alone. Two node regions: queue nodes, then log
 /// entries.
 struct LogLayout {
+    nthreads: usize,
+    nodes_per_thread: u64,
     sentinel: u64,
     node_region: u64,
     log_region: u64,
     reg_base: u64,
-    words: u64,
 }
 
-impl LogLayout {
-    fn new(nthreads: usize, nodes_per_thread: u64) -> Self {
-        assert!(nthreads > 0 && nodes_per_thread > 0);
+impl ObjectLayout for LogLayout {
+    const KIND: AppKind = AppKind::LogQueue;
+
+    fn params(&self) -> Vec<u64> {
+        vec![self.nthreads as u64, self.nodes_per_thread]
+    }
+
+    fn from_params(p: &[u64]) -> Result<Self, &'static str> {
+        let (nthreads, nodes_per_thread) = (thread_count(p[0])?, p[1]);
+        let nodes = checked_words(&[nthreads as u64, nodes_per_thread, NODE_WORDS])?;
+        let logs = checked_words(&[nthreads as u64, nodes_per_thread, LOG_WORDS])?;
         let lp_end = A_LOG_BASE + nthreads as u64 * WORDS_PER_LINE;
         let sentinel = lp_end.next_multiple_of(NODE_WORDS);
         let node_region = sentinel + NODE_WORDS;
-        let node_words = nodes_per_thread * nthreads as u64 * NODE_WORDS;
-        let log_region = node_region + node_words;
-        let log_words = nodes_per_thread * nthreads as u64 * LOG_WORDS;
-        let log_end = log_region + log_words;
-        let reg_base = log_end.next_multiple_of(WORDS_PER_LINE);
-        let words = reg_base + Registry::<PmemPool>::region_words(nthreads);
-        LogLayout { sentinel, node_region, log_region, reg_base, words }
+        let log_region = node_region + nodes;
+        let reg_base = (log_region + logs).next_multiple_of(WORDS_PER_LINE);
+        Ok(LogLayout { nthreads, nodes_per_thread, sentinel, node_region, log_region, reg_base })
+    }
+
+    fn registry_base(&self) -> u64 {
+        self.reg_base
     }
 }
 
@@ -112,16 +121,20 @@ pub struct LogResolved {
 /// let r = q.resolve(h0);
 /// assert_eq!(r.resp, Some(QueueResp::Value(5)));
 /// ```
+///
+/// The slot API (`register_thread`, `adopt`, …), the pool and the backoff
+/// knob are the shared [`ObjectCore`]'s, which the queue dereferences to;
+/// the core's EBR domain reclaims queue nodes. Log entries retire through
+/// a second domain, so the queue shadows the three calls that adopt a
+/// slot's EBR state ([`register_thread`](ObjectCore::register_thread),
+/// [`adopt`](Self::adopt), [`adopt_orphans`](ObjectCore::adopt_orphans)) to
+/// adopt it in both.
 pub struct LogQueue<M: Memory = PmemPool> {
-    pool: Arc<M>,
+    core: ObjectCore<M>,
     nodes: NodePool,
     logs: NodePool,
-    ebr: Ebr,      // queue nodes
-    ebr_logs: Ebr, // log entries
-    nthreads: usize,
-    backoff: AtomicBool,
-    tuner: BackoffTuner,
-    registry: Registry<M>,
+    /// Reclamation of log entries (queue nodes use the core's domain).
+    ebr_logs: Ebr,
 }
 
 impl LogQueue {
@@ -152,19 +165,16 @@ impl LogQueue {
         nthreads: usize,
         nodes_per_thread: u64,
     ) -> Result<Self, AttachError> {
-        let layout = LogLayout::new(nthreads, nodes_per_thread);
-        let pool =
-            Arc::new(PmemPool::create(path, layout.words as usize, FlushGranularity::default())?);
-        pool.set_app_config(KIND_LOG_QUEUE, &[nthreads as u64, nodes_per_thread]);
-        let registry = Registry::create(Arc::clone(&pool), layout.reg_base, nthreads);
-        let q = Self::assemble(pool, registry, &layout, nthreads, nodes_per_thread);
+        let layout = LogLayout::from_args(&[nthreads as u64, nodes_per_thread]);
+        let object = ObjectCore::create(path, &layout, FlushGranularity::default())?;
+        let q = Self::assemble(object, &layout);
         q.format(layout.sentinel);
         Ok(q)
     }
 
     /// The number of **committed** enqueue entries currently observable
-    /// from the persisted head — the upper bound [`iter_from`]
-    /// (Self::iter_from) enumerates up to.
+    /// from the persisted head — the upper bound
+    /// [`iter_from`](Self::iter_from) enumerates up to.
     ///
     /// An entry is committed once both its link into the chain *and* its
     /// log entry's `STATUS_DONE` word have persisted; a linked node whose
@@ -193,7 +203,7 @@ impl LogQueue {
     /// so a tailer can replay the returned prefix knowing a crash cannot
     /// revoke any of it.
     pub fn iter_from(&self, seq: u64) -> LogCursor<'_> {
-        let head = tag::addr_of(self.pool.persisted_value(self.head()));
+        let head = tag::addr_of(self.pool().persisted_value(self.head()));
         let mut cursor = LogCursor { queue: self, cur: head, seq: 0 };
         // Skipping via the iterator keeps one committed-prefix rule.
         for _ in 0..seq {
@@ -248,22 +258,8 @@ impl LogQueue {
     /// Any [`AttachError`], including [`AttachError::AppMismatch`] if the
     /// file holds a different structure.
     pub fn attach<P: AsRef<std::path::Path>>(path: P) -> Result<Self, AttachError> {
-        let pool = Arc::new(PmemPool::attach(path)?);
-        let found = pool.app_kind();
-        if found != KIND_LOG_QUEUE {
-            return Err(AttachError::AppMismatch { expected: KIND_LOG_QUEUE, found });
-        }
-        let [nthreads, nodes_per_thread, ..] = pool.app_config();
-        if nthreads == 0 || nodes_per_thread == 0 {
-            return Err(AttachError::Corrupt("log queue parameter words are zero"));
-        }
-        let nthreads = nthreads as usize;
-        let layout = LogLayout::new(nthreads, nodes_per_thread);
-        if (pool.capacity() as u64) < layout.words {
-            return Err(AttachError::Corrupt("pool smaller than the log queue layout requires"));
-        }
-        let registry = Registry::attach(Arc::clone(&pool), layout.reg_base)?;
-        let q = Self::assemble(pool, registry, &layout, nthreads, nodes_per_thread);
+        let (object, layout) = ObjectCore::attach(path)?;
+        let q = Self::assemble(object, &layout);
         q.rebuild_allocator();
         Ok(q)
     }
@@ -278,46 +274,24 @@ impl<M: Memory> LogQueue<M> {
     ///
     /// Panics if `nthreads` or `nodes_per_thread` is zero.
     pub fn new_in(nthreads: usize, nodes_per_thread: u64) -> Self {
-        let layout = LogLayout::new(nthreads, nodes_per_thread);
-        let pool = Arc::new(M::create(layout.words as usize, FlushGranularity::default()));
-        let registry = Registry::create(Arc::clone(&pool), layout.reg_base, nthreads);
-        let q = Self::assemble(pool, registry, &layout, nthreads, nodes_per_thread);
+        let layout = LogLayout::from_args(&[nthreads as u64, nodes_per_thread]);
+        let q = Self::assemble(ObjectCore::fresh(&layout, FlushGranularity::default()), &layout);
         q.format(layout.sentinel);
         q
     }
 
-    /// The shared constructor tail: in-DRAM side tables (both node pools,
-    /// both EBR domains) over an existing pool + registry — everything
-    /// `attach` must rebuild rather than map.
-    fn assemble(
-        pool: Arc<M>,
-        registry: Registry<M>,
-        layout: &LogLayout,
-        nthreads: usize,
-        nodes_per_thread: u64,
-    ) -> Self {
-        let nodes = NodePool::new(
-            PAddr::from_index(layout.node_region),
-            NODE_WORDS,
-            nodes_per_thread,
-            nthreads,
-        );
-        let logs = NodePool::new(
-            PAddr::from_index(layout.log_region),
-            LOG_WORDS,
-            nodes_per_thread,
-            nthreads,
-        );
+    /// The shared constructor tail: both node pools and the log-entry
+    /// EBR domain over an object skeleton — everything `attach` must
+    /// rebuild rather than map.
+    fn assemble(object: ObjectCore<M>, layout: &LogLayout) -> Self {
+        let (n, per_thread) = (layout.nthreads, layout.nodes_per_thread);
+        let node_region = PAddr::from_index(layout.node_region);
+        let log_region = PAddr::from_index(layout.log_region);
         LogQueue {
-            pool,
-            nodes,
-            logs,
-            ebr: Ebr::new(nthreads),
-            ebr_logs: Ebr::new(nthreads),
-            nthreads,
-            backoff: AtomicBool::new(false),
-            tuner: BackoffTuner::new(),
-            registry,
+            core: object,
+            nodes: NodePool::new(node_region, NODE_WORDS, per_thread, n),
+            logs: NodePool::new(log_region, LOG_WORDS, per_thread, n),
+            ebr_logs: Ebr::new(n),
         }
     }
 
@@ -325,30 +299,20 @@ impl<M: Memory> LogQueue<M> {
     /// never run on attach).
     fn format(&self, sentinel: u64) {
         let s = PAddr::from_index(sentinel);
-        self.pool.store(s.offset(N_VALUE), 0);
-        self.pool.store(s.offset(N_NEXT), 0);
-        self.pool.store(s.offset(N_DEQ_LOG), 0);
-        self.pool.store(s.offset(N_ENQ_LOG), 0);
-        self.pool.flush(s);
-        self.pool.store(self.head(), s.to_word());
-        self.pool.flush(self.head());
-        self.pool.store(self.tail(), s.to_word());
-        self.pool.flush(self.tail());
-        for i in 0..self.nthreads {
-            self.pool.store(self.log_ptr(i), 0);
-            self.pool.flush(self.log_ptr(i));
+        self.pool().store(s.offset(N_VALUE), 0);
+        self.pool().store(s.offset(N_NEXT), 0);
+        self.pool().store(s.offset(N_DEQ_LOG), 0);
+        self.pool().store(s.offset(N_ENQ_LOG), 0);
+        self.pool().flush(s);
+        self.pool().store(self.head(), s.to_word());
+        self.pool().flush(self.head());
+        self.pool().store(self.tail(), s.to_word());
+        self.pool().flush(self.tail());
+        for i in 0..self.nthreads() {
+            self.pool().store(self.log_ptr(i), 0);
+            self.pool().flush(self.log_ptr(i));
         }
-        self.pool.drain();
-    }
-
-    /// Enables or disables bounded exponential backoff after failed CAS.
-    /// Default off.
-    pub fn set_backoff(&self, on: bool) {
-        self.backoff.store(on, Relaxed);
-    }
-
-    fn new_backoff(&self) -> Backoff<'_> {
-        Backoff::attached(self.backoff.load(Relaxed), &self.tuner)
+        self.pool().drain();
     }
 
     fn head(&self) -> PAddr {
@@ -365,67 +329,38 @@ impl<M: Memory> LogQueue<M> {
         PAddr::from_index(A_LOG_BASE + tid as u64 * WORDS_PER_LINE)
     }
 
-    /// The queue's pool.
-    pub fn pool(&self) -> &Arc<M> {
-        &self.pool
-    }
-
-    /// Number of threads the queue was built for.
-    pub fn nthreads(&self) -> usize {
-        self.nthreads
-    }
-
-    /// The persistent slot registry governing thread identity.
-    pub fn registry(&self) -> &Registry<M> {
-        &self.registry
-    }
-
-    /// Claims a free slot and returns the [`ThreadHandle`] every operation
-    /// requires. Fails with [`SlotError::Exhausted`] once all `nthreads`
-    /// slots are taken.
+    /// [`ObjectCore::register_thread`], adopting the slot's EBR state in
+    /// both reclamation domains (queue nodes and log entries).
+    ///
+    /// # Errors
+    ///
+    /// [`SlotError::Exhausted`] when all `nthreads` slots are taken.
     pub fn register_thread(&self) -> Result<ThreadHandle, SlotError> {
-        let h = self.registry.acquire()?;
-        self.ebr.adopt_slot(h.slot());
+        let h = self.core.register_thread()?;
         self.ebr_logs.adopt_slot(h.slot());
         Ok(h)
     }
 
-    /// Returns a handle's slot to the free pool for reuse.
-    pub fn release_thread(&self, h: ThreadHandle) -> Result<(), SlotError> {
-        self.registry.release(h)
-    }
-
-    /// Marks the crash boundary in the registry: every slot LIVE at the
-    /// crash becomes ORPHANED. The log queue's [`recover`](Self::recover)
-    /// is deliberately kept centralized (it is the baseline the paper
-    /// compares against), so this exists to let harnesses reclaim dead
-    /// threads' slots via [`adopt`](Self::adopt) /
-    /// [`adopt_orphans`](Self::adopt_orphans).
-    pub fn begin_recovery(&self) {
-        self.registry.begin_recovery();
-    }
-
-    /// Adopts one orphaned slot, inheriting its EBR state in both
-    /// reclamation domains (nodes and log entries).
+    /// [`ObjectCore::adopt`], inheriting the slot's EBR state in both
+    /// reclamation domains (queue nodes and log entries).
+    ///
+    /// # Errors
+    ///
+    /// [`SlotError::OutOfRange`] / [`SlotError::NotOrphaned`] per
+    /// [`Registry::adopt`](dss_pmem::Registry::adopt).
     pub fn adopt(&self, slot: usize) -> Result<ThreadHandle, SlotError> {
-        let h = self.registry.adopt(slot)?;
-        self.ebr.adopt_slot(slot);
+        let h = self.core.adopt(slot)?;
         self.ebr_logs.adopt_slot(slot);
         Ok(h)
     }
 
-    /// Adopts every orphaned slot in ascending order.
+    /// [`adopt`](Self::adopt) over every orphaned slot, ascending.
     pub fn adopt_orphans(&self) -> Vec<ThreadHandle> {
-        let hs = self.registry.adopt_orphans();
-        for h in &hs {
-            self.ebr.adopt_slot(h.slot());
-            self.ebr_logs.adopt_slot(h.slot());
-        }
-        hs
+        (0..self.nthreads()).filter_map(|slot| self.adopt(slot).ok()).collect()
     }
 
     fn alloc_node(&self, tid: usize) -> Result<PAddr, QueueFull> {
-        self.nodes.alloc_with_reclaim(tid, &self.ebr).ok_or(QueueFull)
+        self.nodes.alloc_with_reclaim(tid, self.ebr()).ok_or(QueueFull)
     }
 
     fn alloc_log(&self, tid: usize) -> Result<PAddr, QueueFull> {
@@ -440,19 +375,19 @@ impl<M: Memory> LogQueue<M> {
         payload: u64,
         node: PAddr,
     ) -> Result<PAddr, QueueFull> {
-        let old = tag::addr_of(self.pool.load(self.log_ptr(tid)));
+        let old = tag::addr_of(self.pool().load(self.log_ptr(tid)));
         let log = self.alloc_log(tid)?;
-        self.pool.store(log.offset(L_KIND), kind);
-        self.pool.store(log.offset(L_PAYLOAD), payload);
-        self.pool.store(log.offset(L_NODE), node.to_word());
-        self.pool.store(log.offset(L_STATUS), STATUS_PENDING);
-        self.pool.flush(log);
+        self.pool().store(log.offset(L_KIND), kind);
+        self.pool().store(log.offset(L_PAYLOAD), payload);
+        self.pool().store(log.offset(L_NODE), node.to_word());
+        self.pool().store(log.offset(L_STATUS), STATUS_PENDING);
+        self.pool().flush(log);
         // Ordering point: the per-thread log pointer must not persist
         // ahead of the entry it names (the pointer word is dirty from the
         // store below, so the entry must already be persistent).
-        self.pool.drain_line(log);
-        self.pool.store(self.log_ptr(tid), log.to_word());
-        self.pool.flush(self.log_ptr(tid));
+        self.pool().drain_line(log);
+        self.pool().store(self.log_ptr(tid), log.to_word());
+        self.pool().flush(self.log_ptr(tid));
         if !old.is_null() {
             self.ebr_logs.retire(tid, old);
         }
@@ -468,40 +403,40 @@ impl<M: Memory> LogQueue<M> {
         let tid = h.slot();
         let node = self.alloc_node(tid)?;
         let log = self.publish_log(tid, KIND_ENQ, val, node)?;
-        self.pool.store(node.offset(N_VALUE), val);
-        self.pool.store(node.offset(N_NEXT), 0);
-        self.pool.store(node.offset(N_DEQ_LOG), 0);
-        self.pool.store(node.offset(N_ENQ_LOG), log.to_word());
-        self.pool.flush(node);
-        let _g = self.ebr.pin(tid);
+        self.pool().store(node.offset(N_VALUE), val);
+        self.pool().store(node.offset(N_NEXT), 0);
+        self.pool().store(node.offset(N_DEQ_LOG), 0);
+        self.pool().store(node.offset(N_ENQ_LOG), log.to_word());
+        self.pool().flush(node);
+        let _g = self.ebr().pin(tid);
         let mut bo = self.new_backoff();
         loop {
-            let last_w = self.pool.load(self.tail());
+            let last_w = self.pool().load(self.tail());
             let last = tag::addr_of(last_w);
-            let next_w = self.pool.load(last.offset(N_NEXT));
-            if self.pool.load(self.tail()) == last_w {
+            let next_w = self.pool().load(last.offset(N_NEXT));
+            if self.pool().load(self.tail()) == last_w {
                 if tag::addr_of(next_w).is_null() {
                     // The node and the announced log pointer must be
                     // persistent before the link can take effect: recovery
                     // walks persisted links and resolves through the
                     // pointer.
-                    self.pool.drain_lines(&[self.log_ptr(tid), node]);
-                    if self.pool.cas(last.offset(N_NEXT), 0, node.to_word()).is_ok() {
-                        self.pool.flush(last.offset(N_NEXT));
+                    self.pool().drain_lines(&[self.log_ptr(tid), node]);
+                    if self.pool().cas(last.offset(N_NEXT), 0, node.to_word()).is_ok() {
+                        self.pool().flush(last.offset(N_NEXT));
                         // Ordering point: the DONE mark must not persist
                         // ahead of the link it certifies.
-                        self.pool.drain_line(last.offset(N_NEXT));
-                        self.pool.store(log.offset(L_STATUS), STATUS_DONE);
-                        self.pool.flush(log.offset(L_STATUS));
-                        let _ = self.pool.cas(self.tail(), last_w, node.to_word());
+                        self.pool().drain_line(last.offset(N_NEXT));
+                        self.pool().store(log.offset(L_STATUS), STATUS_DONE);
+                        self.pool().flush(log.offset(L_STATUS));
+                        let _ = self.pool().cas(self.tail(), last_w, node.to_word());
                         // The DONE flush may stay pending past the op:
                         // recovery re-derives it from the persisted link.
-                        self.pool.drain_lines(&[]);
+                        self.pool().drain_lines(&[]);
                         return Ok(());
                     }
                 } else {
-                    self.pool.flush(last.offset(N_NEXT));
-                    let _ = self.pool.cas(self.tail(), last_w, next_w);
+                    self.pool().flush(last.offset(N_NEXT));
+                    let _ = self.pool().cas(self.tail(), last_w, next_w);
                 }
             }
             bo.spin();
@@ -511,14 +446,14 @@ impl<M: Memory> LogQueue<M> {
     /// Completes a claimed dequeue by writing the value and done flag into
     /// the claimer's (shared) log entry.
     fn complete_dequeue(&self, node: PAddr, log: PAddr) {
-        let val = self.pool.load(node.offset(N_VALUE));
-        self.pool.store(log.offset(L_PAYLOAD), val);
-        self.pool.flush(log.offset(L_PAYLOAD));
+        let val = self.pool().load(node.offset(N_VALUE));
+        self.pool().store(log.offset(L_PAYLOAD), val);
+        self.pool().flush(log.offset(L_PAYLOAD));
         // Ordering point: DONE must not persist ahead of the payload it
         // validates — or of the (still-pending) claim that justifies it.
-        self.pool.drain_lines(&[log.offset(L_PAYLOAD), node.offset(N_DEQ_LOG)]);
-        self.pool.store(log.offset(L_STATUS), STATUS_DONE);
-        self.pool.flush(log.offset(L_STATUS));
+        self.pool().drain_lines(&[log.offset(L_PAYLOAD), node.offset(N_DEQ_LOG)]);
+        self.pool().store(log.offset(L_STATUS), STATUS_DONE);
+        self.pool().flush(log.offset(L_STATUS));
     }
 
     /// Detectable dequeue through a fresh log entry.
@@ -529,68 +464,68 @@ impl<M: Memory> LogQueue<M> {
     pub fn dequeue(&self, h: ThreadHandle) -> Result<QueueResp, QueueFull> {
         let tid = h.slot();
         let log = self.publish_log(tid, KIND_DEQ, 0, PAddr::NULL)?;
-        let _g = self.ebr.pin(tid);
+        let _g = self.ebr().pin(tid);
         let _gl = self.ebr_logs.pin(tid);
         let mut bo = self.new_backoff();
         loop {
-            let first_w = self.pool.load(self.head());
-            let last_w = self.pool.load(self.tail());
+            let first_w = self.pool().load(self.head());
+            let last_w = self.pool().load(self.tail());
             let first = tag::addr_of(first_w);
-            let next_w = self.pool.load(first.offset(N_NEXT));
+            let next_w = self.pool().load(first.offset(N_NEXT));
             let next = tag::addr_of(next_w);
-            if self.pool.load(self.head()) != first_w {
+            if self.pool().load(self.head()) != first_w {
                 bo.spin();
                 continue;
             }
             if first_w == last_w {
                 if next.is_null() {
-                    self.pool.store(log.offset(L_PAYLOAD), PAYLOAD_EMPTY);
-                    self.pool.flush(log.offset(L_PAYLOAD));
+                    self.pool().store(log.offset(L_PAYLOAD), PAYLOAD_EMPTY);
+                    self.pool().flush(log.offset(L_PAYLOAD));
                     // Ordering point: see complete_dequeue.
-                    self.pool.drain_line(log.offset(L_PAYLOAD));
-                    self.pool.store(log.offset(L_STATUS), STATUS_DONE);
-                    self.pool.flush(log.offset(L_STATUS));
+                    self.pool().drain_line(log.offset(L_PAYLOAD));
+                    self.pool().store(log.offset(L_STATUS), STATUS_DONE);
+                    self.pool().flush(log.offset(L_STATUS));
                     // No claim exists for recovery to rediscover: the DONE
                     // verdict must be durable before the op returns.
-                    self.pool.drain_line(log.offset(L_STATUS));
+                    self.pool().drain_line(log.offset(L_STATUS));
                     return Ok(QueueResp::Empty);
                 }
-                self.pool.flush(first.offset(N_NEXT));
-                let _ = self.pool.cas(self.tail(), last_w, next_w);
+                self.pool().flush(first.offset(N_NEXT));
+                let _ = self.pool().cas(self.tail(), last_w, next_w);
             } else {
                 // The announced log pointer must be persistent before a
                 // claim naming its entry can be — resolve interprets the
                 // claim through it.
-                self.pool.drain_line(self.log_ptr(tid));
-                if self.pool.cas(next.offset(N_DEQ_LOG), 0, log.to_word()).is_ok() {
-                    self.pool.flush(next.offset(N_DEQ_LOG));
+                self.pool().drain_line(self.log_ptr(tid));
+                if self.pool().cas(next.offset(N_DEQ_LOG), 0, log.to_word()).is_ok() {
+                    self.pool().flush(next.offset(N_DEQ_LOG));
                     self.complete_dequeue(next, log);
                     // The DONE verdict must not be lost behind an advanced
                     // head: recovery only completes the claimed prefix
                     // still behind the persisted head.
-                    self.pool.drain_line(log.offset(L_STATUS));
-                    if self.pool.cas(self.head(), first_w, next_w).is_ok()
+                    self.pool().drain_line(log.offset(L_STATUS));
+                    if self.pool().cas(self.head(), first_w, next_w).is_ok()
                         && self.nodes.contains(first)
                     {
-                        self.ebr.retire(tid, first);
+                        self.ebr().retire(tid, first);
                     }
-                    let val = self.pool.load(log.offset(L_PAYLOAD));
-                    self.pool.drain_lines(&[]);
+                    let val = self.pool().load(log.offset(L_PAYLOAD));
+                    self.pool().drain_lines(&[]);
                     return Ok(QueueResp::Value(val));
-                } else if self.pool.load(self.head()) == first_w {
+                } else if self.pool().load(self.head()) == first_w {
                     // Helping: persist the claim, complete the *claimer's*
                     // log entry, then advance head.
-                    self.pool.flush(next.offset(N_DEQ_LOG));
-                    let claim_log = tag::addr_of(self.pool.load(next.offset(N_DEQ_LOG)));
+                    self.pool().flush(next.offset(N_DEQ_LOG));
+                    let claim_log = tag::addr_of(self.pool().load(next.offset(N_DEQ_LOG)));
                     if !claim_log.is_null() {
                         self.complete_dequeue(next, claim_log);
                         // Ordering point: see the claiming branch above.
-                        self.pool.drain_line(claim_log.offset(L_STATUS));
+                        self.pool().drain_line(claim_log.offset(L_STATUS));
                     }
-                    if self.pool.cas(self.head(), first_w, next_w).is_ok()
+                    if self.pool().cas(self.head(), first_w, next_w).is_ok()
                         && self.nodes.contains(first)
                     {
-                        self.ebr.retire(tid, first);
+                        self.ebr().retire(tid, first);
                     }
                     bo.spin();
                 }
@@ -602,13 +537,13 @@ impl<M: Memory> LogQueue<M> {
     /// if it completed, its response. Run [`recover`](Self::recover)
     /// first after a crash.
     pub fn resolve(&self, h: ThreadHandle) -> LogResolved {
-        let log = tag::addr_of(self.pool.load(self.log_ptr(h.slot())));
+        let log = tag::addr_of(self.pool().load(self.log_ptr(h.slot())));
         if log.is_null() {
             return LogResolved { op: None, resp: None };
         }
-        let kind = self.pool.load(log.offset(L_KIND));
-        let status = self.pool.load(log.offset(L_STATUS));
-        let payload = self.pool.load(log.offset(L_PAYLOAD));
+        let kind = self.pool().load(log.offset(L_KIND));
+        let status = self.pool().load(log.offset(L_STATUS));
+        let payload = self.pool().load(log.offset(L_PAYLOAD));
         match kind {
             KIND_ENQ => LogResolved {
                 op: Some(Some(payload)),
@@ -633,110 +568,117 @@ impl<M: Memory> LogQueue<M> {
     /// Centralized recovery: repairs tail/head, completes claimed dequeue
     /// logs, and completes enqueue logs whose nodes persisted.
     pub fn recover(&self) {
-        let old_head = tag::addr_of(self.pool.load(self.head()));
+        let old_head = tag::addr_of(self.pool().load(self.head()));
         // Collect the chain; repair tail.
         let mut chain = vec![old_head];
         loop {
-            let next = tag::addr_of(self.pool.load(chain.last().unwrap().offset(N_NEXT)));
+            let next = tag::addr_of(self.pool().load(chain.last().unwrap().offset(N_NEXT)));
             if next.is_null() {
                 break;
             }
             chain.push(next);
         }
         let last = *chain.last().unwrap();
-        self.pool.store(self.tail(), last.to_word());
-        self.pool.flush(self.tail());
+        self.pool().store(self.tail(), last.to_word());
+        self.pool().flush(self.tail());
         // Complete claimed dequeues in the marked prefix; advance head.
         let mut new_head = old_head;
         for pair in chain.windows(2) {
             let node = pair[1];
-            let claim_log = tag::addr_of(self.pool.load(node.offset(N_DEQ_LOG)));
+            let claim_log = tag::addr_of(self.pool().load(node.offset(N_DEQ_LOG)));
             if claim_log.is_null() {
                 break;
             }
             self.complete_dequeue(node, claim_log);
             new_head = node;
         }
-        self.pool.store(self.head(), new_head.to_word());
-        self.pool.flush(self.head());
+        self.pool().store(self.head(), new_head.to_word());
+        self.pool().flush(self.head());
         // Complete enqueue logs whose node persisted in (or through) the list.
         let mut in_chain = self.nodes.node_set();
         in_chain.extend(chain.iter().copied());
-        for tid in 0..self.nthreads {
-            let log = tag::addr_of(self.pool.load(self.log_ptr(tid)));
-            if log.is_null() || self.pool.load(log.offset(L_KIND)) != KIND_ENQ {
+        for tid in 0..self.nthreads() {
+            let log = tag::addr_of(self.pool().load(self.log_ptr(tid)));
+            if log.is_null() || self.pool().load(log.offset(L_KIND)) != KIND_ENQ {
                 continue;
             }
-            if self.pool.load(log.offset(L_STATUS)) == STATUS_DONE {
+            if self.pool().load(log.offset(L_STATUS)) == STATUS_DONE {
                 continue;
             }
-            let node = tag::addr_of(self.pool.load(log.offset(L_NODE)));
+            let node = tag::addr_of(self.pool().load(log.offset(L_NODE)));
             let effective = in_chain.contains(node)
-                || !tag::addr_of(self.pool.load(node.offset(N_DEQ_LOG))).is_null();
+                || !tag::addr_of(self.pool().load(node.offset(N_DEQ_LOG))).is_null();
             if effective {
-                self.pool.store(log.offset(L_STATUS), STATUS_DONE);
-                self.pool.flush(log.offset(L_STATUS));
+                self.pool().store(log.offset(L_STATUS), STATUS_DONE);
+                self.pool().flush(log.offset(L_STATUS));
             }
         }
-        self.pool.drain();
+        self.pool().drain();
     }
 
     /// Rebuilds the volatile allocators after a crash.
     pub fn rebuild_allocator(&self) {
         let mut live_nodes = self.nodes.node_set();
         let mut live_logs = self.logs.node_set();
-        let mut cur = tag::addr_of(self.pool.load(self.head()));
+        let mut cur = tag::addr_of(self.pool().load(self.head()));
         loop {
             live_nodes.insert(cur);
-            live_logs.insert(tag::addr_of(self.pool.load(cur.offset(N_ENQ_LOG))));
-            live_logs.insert(tag::addr_of(self.pool.load(cur.offset(N_DEQ_LOG))));
-            let next = tag::addr_of(self.pool.load(cur.offset(N_NEXT)));
+            live_logs.insert(tag::addr_of(self.pool().load(cur.offset(N_ENQ_LOG))));
+            live_logs.insert(tag::addr_of(self.pool().load(cur.offset(N_DEQ_LOG))));
+            let next = tag::addr_of(self.pool().load(cur.offset(N_NEXT)));
             if next.is_null() {
                 break;
             }
             cur = next;
         }
-        for tid in 0..self.nthreads {
-            let log = tag::addr_of(self.pool.load(self.log_ptr(tid)));
+        for tid in 0..self.nthreads() {
+            let log = tag::addr_of(self.pool().load(self.log_ptr(tid)));
             if !log.is_null() {
                 live_logs.insert(log);
-                live_nodes.insert(tag::addr_of(self.pool.load(log.offset(L_NODE))));
+                live_nodes.insert(tag::addr_of(self.pool().load(log.offset(L_NODE))));
             }
         }
         self.nodes.rebuild(&live_nodes);
         self.logs.rebuild(&live_logs);
-        self.ebr.reset();
+        self.ebr().reset();
         self.ebr_logs.reset();
     }
 
     /// Volatile snapshot of queued (unclaimed) values (test helper).
     pub fn snapshot_values(&self) -> Vec<u64> {
         let mut out = Vec::new();
-        let mut cur = tag::addr_of(self.pool.peek(self.head()));
+        let mut cur = tag::addr_of(self.pool().peek(self.head()));
         loop {
-            let next = tag::addr_of(self.pool.peek(cur.offset(N_NEXT)));
+            let next = tag::addr_of(self.pool().peek(cur.offset(N_NEXT)));
             if next.is_null() {
                 return out;
             }
-            if tag::addr_of(self.pool.peek(next.offset(N_DEQ_LOG))).is_null() {
-                out.push(self.pool.peek(next.offset(N_VALUE)));
+            if tag::addr_of(self.pool().peek(next.offset(N_DEQ_LOG))).is_null() {
+                out.push(self.pool().peek(next.offset(N_VALUE)));
             }
             cur = next;
         }
     }
 }
 
+impl<M: Memory> Deref for LogQueue<M> {
+    type Target = ObjectCore<M>;
+
+    fn deref(&self) -> &ObjectCore<M> {
+        &self.core
+    }
+}
+
 impl<M: Memory> fmt::Debug for LogQueue<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LogQueue").field("nthreads", &self.nthreads).finish_non_exhaustive()
+        f.debug_struct("LogQueue").field("nthreads", &self.nthreads()).finish_non_exhaustive()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dss_pmem::{CrashSignal, WritebackAdversary};
-    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use dss_pmem::WritebackAdversary;
     use std::sync::Arc;
 
     #[test]
@@ -766,14 +708,9 @@ mod tests {
             for k in 1..60 {
                 let q = LogQueue::new(1, 8);
                 let h0 = q.register_thread().unwrap();
-                q.pool().arm_crash_after(k);
-                let r = catch_unwind(AssertUnwindSafe(|| q.enqueue(h0, 42)));
-                q.pool().disarm_crash();
-                let crashed = match r {
-                    Ok(_) => false,
-                    Err(p) if p.downcast_ref::<CrashSignal>().is_some() => true,
-                    Err(p) => std::panic::resume_unwind(p),
-                };
+                let crashed = q.pool().crashes_within(k, || {
+                    let _ = q.enqueue(h0, 42);
+                });
                 if !crashed {
                     break;
                 }
@@ -802,14 +739,9 @@ mod tests {
                 let q = LogQueue::new(1, 8);
                 let h0 = q.register_thread().unwrap();
                 q.enqueue(h0, 7).unwrap();
-                q.pool().arm_crash_after(k);
-                let r = catch_unwind(AssertUnwindSafe(|| q.dequeue(h0)));
-                q.pool().disarm_crash();
-                let crashed = match r {
-                    Ok(_) => false,
-                    Err(p) if p.downcast_ref::<CrashSignal>().is_some() => true,
-                    Err(p) => std::panic::resume_unwind(p),
-                };
+                let crashed = q.pool().crashes_within(k, || {
+                    let _ = q.dequeue(h0);
+                });
                 if !crashed {
                     break;
                 }
@@ -905,14 +837,9 @@ mod tests {
             let h0 = q.register_thread().unwrap();
             q.enqueue(h0, 1).unwrap();
             q.pool().drain();
-            q.pool().arm_crash_after(k);
-            let r = catch_unwind(AssertUnwindSafe(|| q.enqueue(h0, 2)));
-            q.pool().disarm_crash();
-            let crashed = match r {
-                Ok(_) => false,
-                Err(p) if p.downcast_ref::<CrashSignal>().is_some() => true,
-                Err(p) => std::panic::resume_unwind(p),
-            };
+            let crashed = q.pool().crashes_within(k, || {
+                let _ = q.enqueue(h0, 2);
+            });
             if !crashed {
                 break;
             }

@@ -1,12 +1,12 @@
 //! The Michael & Scott lock-free queue — the volatile baseline.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
-use std::sync::Arc;
+use std::ops::Deref;
 
+use dss_pmem::object::{checked_words, thread_count};
 use dss_pmem::{
-    tag, AppKind, AttachError, Backoff, BackoffTuner, Ebr, FlushGranularity, Memory, NodePool,
-    PAddr, PmemPool, Registry, SlotError, ThreadHandle, WORDS_PER_LINE,
+    tag, AppKind, AttachError, FlushGranularity, Memory, NodePool, ObjectCore, ObjectLayout, PAddr,
+    PmemPool, ThreadHandle, WORDS_PER_LINE,
 };
 use dss_spec::types::QueueResp;
 
@@ -25,21 +25,31 @@ pub const KIND_MS_QUEUE: u64 = AppKind::MsQueue.word();
 /// The MS queue's pool layout, derived from `(nthreads, nodes_per_thread)`
 /// alone.
 struct MsLayout {
+    nthreads: usize,
+    nodes_per_thread: u64,
     sentinel: u64,
     region: u64,
     reg_base: u64,
-    words: u64,
 }
 
-impl MsLayout {
-    fn new(nthreads: usize, nodes_per_thread: u64) -> Self {
-        assert!(nthreads > 0 && nodes_per_thread > 0);
+impl ObjectLayout for MsLayout {
+    const KIND: AppKind = AppKind::MsQueue;
+
+    fn params(&self) -> Vec<u64> {
+        vec![self.nthreads as u64, self.nodes_per_thread]
+    }
+
+    fn from_params(p: &[u64]) -> Result<Self, &'static str> {
+        let (nthreads, nodes_per_thread) = (thread_count(p[0])?, p[1]);
+        let nodes = checked_words(&[nthreads as u64, nodes_per_thread, NODE_WORDS])?;
         let sentinel = (A_TAIL + WORDS_PER_LINE).next_multiple_of(NODE_WORDS);
         let region = sentinel + NODE_WORDS;
-        let node_end = region + nodes_per_thread * nthreads as u64 * NODE_WORDS;
-        let reg_base = node_end.next_multiple_of(WORDS_PER_LINE);
-        let words = reg_base + Registry::<PmemPool>::region_words(nthreads);
-        MsLayout { sentinel, region, reg_base, words }
+        let reg_base = (region + nodes).next_multiple_of(WORDS_PER_LINE);
+        Ok(MsLayout { nthreads, nodes_per_thread, sentinel, region, reg_base })
+    }
+
+    fn registry_base(&self) -> u64 {
+        self.reg_base
     }
 }
 
@@ -63,14 +73,12 @@ impl MsLayout {
 /// assert_eq!(q.dequeue(h0), QueueResp::Value(9));
 /// assert_eq!(q.dequeue(h0), QueueResp::Empty);
 /// ```
+///
+/// Only thread registration flushes; the enqueue and dequeue paths stay
+/// flush-free.
 pub struct MsQueue<M: Memory = PmemPool> {
-    pool: Arc<M>,
+    core: ObjectCore<M>,
     nodes: NodePool,
-    ebr: Ebr,
-    nthreads: usize,
-    backoff: AtomicBool,
-    tuner: BackoffTuner,
-    registry: Registry<M>,
 }
 
 use crate::QueueFull;
@@ -102,12 +110,9 @@ impl MsQueue {
         nthreads: usize,
         nodes_per_thread: u64,
     ) -> Result<Self, AttachError> {
-        let layout = MsLayout::new(nthreads, nodes_per_thread);
-        let pool =
-            Arc::new(PmemPool::create(path, layout.words as usize, FlushGranularity::default())?);
-        pool.set_app_config(KIND_MS_QUEUE, &[nthreads as u64, nodes_per_thread]);
-        let registry = Registry::create(Arc::clone(&pool), layout.reg_base, nthreads);
-        let q = Self::assemble(pool, registry, &layout, nthreads, nodes_per_thread);
+        let layout = MsLayout::from_args(&[nthreads as u64, nodes_per_thread]);
+        let object = ObjectCore::create(path, &layout, FlushGranularity::default())?;
+        let q = Self::assemble(object, &layout);
         q.format(layout.sentinel);
         Ok(q)
     }
@@ -125,22 +130,8 @@ impl MsQueue {
     /// Any [`AttachError`], including [`AttachError::AppMismatch`] if the
     /// file holds a different structure.
     pub fn attach<P: AsRef<std::path::Path>>(path: P) -> Result<Self, AttachError> {
-        let pool = Arc::new(PmemPool::attach(path)?);
-        let found = pool.app_kind();
-        if found != KIND_MS_QUEUE {
-            return Err(AttachError::AppMismatch { expected: KIND_MS_QUEUE, found });
-        }
-        let [nthreads, nodes_per_thread, ..] = pool.app_config();
-        if nthreads == 0 || nodes_per_thread == 0 {
-            return Err(AttachError::Corrupt("MS queue parameter words are zero"));
-        }
-        let nthreads = nthreads as usize;
-        let layout = MsLayout::new(nthreads, nodes_per_thread);
-        if (pool.capacity() as u64) < layout.words {
-            return Err(AttachError::Corrupt("pool smaller than the MS queue layout requires"));
-        }
-        let registry = Registry::attach(Arc::clone(&pool), layout.reg_base)?;
-        let q = Self::assemble(pool, registry, &layout, nthreads, nodes_per_thread);
+        let (object, layout) = ObjectCore::attach(path)?;
+        let q = Self::assemble(object, &layout);
         // Volatile contents were lost with the previous process: start
         // from an empty queue again.
         q.format(layout.sentinel);
@@ -157,85 +148,28 @@ impl<M: Memory> MsQueue<M> {
     ///
     /// Panics if `nthreads` or `nodes_per_thread` is zero.
     pub fn new_in(nthreads: usize, nodes_per_thread: u64) -> Self {
-        let layout = MsLayout::new(nthreads, nodes_per_thread);
-        let pool = Arc::new(M::create(layout.words as usize, FlushGranularity::default()));
-        let registry = Registry::create(Arc::clone(&pool), layout.reg_base, nthreads);
-        let q = Self::assemble(pool, registry, &layout, nthreads, nodes_per_thread);
+        let layout = MsLayout::from_args(&[nthreads as u64, nodes_per_thread]);
+        let q = Self::assemble(ObjectCore::fresh(&layout, FlushGranularity::default()), &layout);
         q.format(layout.sentinel);
         q
     }
 
-    /// The shared constructor tail: in-DRAM side tables over an existing
-    /// pool + registry.
-    fn assemble(
-        pool: Arc<M>,
-        registry: Registry<M>,
-        layout: &MsLayout,
-        nthreads: usize,
-        nodes_per_thread: u64,
-    ) -> Self {
-        let nodes =
-            NodePool::new(PAddr::from_index(layout.region), NODE_WORDS, nodes_per_thread, nthreads);
-        MsQueue {
-            pool,
-            nodes,
-            ebr: Ebr::new(nthreads),
-            nthreads,
-            backoff: AtomicBool::new(false),
-            tuner: BackoffTuner::new(),
-            registry,
-        }
+    /// The shared constructor tail: the node allocator over an object
+    /// skeleton.
+    fn assemble(object: ObjectCore<M>, layout: &MsLayout) -> Self {
+        let region = PAddr::from_index(layout.region);
+        let nodes = NodePool::new(region, NODE_WORDS, layout.nodes_per_thread, layout.nthreads);
+        MsQueue { core: object, nodes }
     }
 
     /// Writes the initial queue state. Deliberately unflushed: the MS
     /// queue is the volatile baseline.
     fn format(&self, sentinel: u64) {
         let s = PAddr::from_index(sentinel);
-        self.pool.store(s.offset(F_VALUE), 0);
-        self.pool.store(s.offset(F_NEXT), 0);
-        self.pool.store(PAddr::from_index(A_HEAD), s.to_word());
-        self.pool.store(PAddr::from_index(A_TAIL), s.to_word());
-    }
-
-    /// The queue's pool (for op counting in experiments).
-    pub fn pool(&self) -> &Arc<M> {
-        &self.pool
-    }
-
-    /// Number of threads the queue was built for.
-    pub fn nthreads(&self) -> usize {
-        self.nthreads
-    }
-
-    /// The persistent slot registry governing thread identity. The MS
-    /// queue itself is volatile — only registration flushes; the enqueue
-    /// and dequeue paths stay flush-free.
-    pub fn registry(&self) -> &Registry<M> {
-        &self.registry
-    }
-
-    /// Claims a free slot and returns the [`ThreadHandle`] every operation
-    /// requires. Fails with [`SlotError::Exhausted`] once all `nthreads`
-    /// slots are taken.
-    pub fn register_thread(&self) -> Result<ThreadHandle, SlotError> {
-        let h = self.registry.acquire()?;
-        self.ebr.adopt_slot(h.slot());
-        Ok(h)
-    }
-
-    /// Returns a handle's slot to the free pool for reuse.
-    pub fn release_thread(&self, h: ThreadHandle) -> Result<(), SlotError> {
-        self.registry.release(h)
-    }
-
-    /// Enables or disables bounded exponential backoff after failed CAS.
-    /// Default off.
-    pub fn set_backoff(&self, on: bool) {
-        self.backoff.store(on, Relaxed);
-    }
-
-    fn new_backoff(&self) -> Backoff<'_> {
-        Backoff::attached(self.backoff.load(Relaxed), &self.tuner)
+        self.pool().store(s.offset(F_VALUE), 0);
+        self.pool().store(s.offset(F_NEXT), 0);
+        self.pool().store(PAddr::from_index(A_HEAD), s.to_word());
+        self.pool().store(PAddr::from_index(A_TAIL), s.to_word());
     }
 
     fn head(&self) -> PAddr {
@@ -247,7 +181,7 @@ impl<M: Memory> MsQueue<M> {
     }
 
     fn alloc(&self, tid: usize) -> Result<PAddr, QueueFull> {
-        self.nodes.alloc_with_reclaim(tid, &self.ebr).ok_or(QueueFull)
+        self.nodes.alloc_with_reclaim(tid, self.ebr()).ok_or(QueueFull)
     }
 
     /// Appends `val` at the tail.
@@ -258,22 +192,22 @@ impl<M: Memory> MsQueue<M> {
     pub fn enqueue(&self, h: ThreadHandle, val: u64) -> Result<(), QueueFull> {
         let tid = h.slot();
         let node = self.alloc(tid)?;
-        self.pool.store(node.offset(F_VALUE), val);
-        self.pool.store(node.offset(F_NEXT), 0);
-        let _g = self.ebr.pin(tid);
+        self.pool().store(node.offset(F_VALUE), val);
+        self.pool().store(node.offset(F_NEXT), 0);
+        let _g = self.ebr().pin(tid);
         let mut bo = self.new_backoff();
         loop {
-            let last_w = self.pool.load(self.tail());
+            let last_w = self.pool().load(self.tail());
             let last = tag::addr_of(last_w);
-            let next_w = self.pool.load(last.offset(F_NEXT));
-            if self.pool.load(self.tail()) == last_w {
+            let next_w = self.pool().load(last.offset(F_NEXT));
+            if self.pool().load(self.tail()) == last_w {
                 if tag::addr_of(next_w).is_null() {
-                    if self.pool.cas(last.offset(F_NEXT), 0, node.to_word()).is_ok() {
-                        let _ = self.pool.cas(self.tail(), last_w, node.to_word());
+                    if self.pool().cas(last.offset(F_NEXT), 0, node.to_word()).is_ok() {
+                        let _ = self.pool().cas(self.tail(), last_w, node.to_word());
                         return Ok(());
                     }
                 } else {
-                    let _ = self.pool.cas(self.tail(), last_w, next_w);
+                    let _ = self.pool().cas(self.tail(), last_w, next_w);
                 }
             }
             bo.spin();
@@ -284,15 +218,15 @@ impl<M: Memory> MsQueue<M> {
     /// [`QueueResp::Empty`].
     pub fn dequeue(&self, h: ThreadHandle) -> QueueResp {
         let tid = h.slot();
-        let _g = self.ebr.pin(tid);
+        let _g = self.ebr().pin(tid);
         let mut bo = self.new_backoff();
         loop {
-            let first_w = self.pool.load(self.head());
-            let last_w = self.pool.load(self.tail());
+            let first_w = self.pool().load(self.head());
+            let last_w = self.pool().load(self.tail());
             let first = tag::addr_of(first_w);
-            let next_w = self.pool.load(first.offset(F_NEXT));
+            let next_w = self.pool().load(first.offset(F_NEXT));
             let next = tag::addr_of(next_w);
-            if self.pool.load(self.head()) != first_w {
+            if self.pool().load(self.head()) != first_w {
                 bo.spin();
                 continue;
             }
@@ -300,14 +234,14 @@ impl<M: Memory> MsQueue<M> {
                 if next.is_null() {
                     return QueueResp::Empty;
                 }
-                let _ = self.pool.cas(self.tail(), last_w, next_w);
+                let _ = self.pool().cas(self.tail(), last_w, next_w);
             } else {
                 // Read the value *before* swinging head (the classic MS
                 // subtlety: after the CAS another thread may free `next`).
-                let val = self.pool.load(next.offset(F_VALUE));
-                if self.pool.cas(self.head(), first_w, next_w).is_ok() {
+                let val = self.pool().load(next.offset(F_VALUE));
+                if self.pool().cas(self.head(), first_w, next_w).is_ok() {
                     if self.nodes.contains(first) {
-                        self.ebr.retire(tid, first);
+                        self.ebr().retire(tid, first);
                     }
                     return QueueResp::Value(val);
                 }
@@ -319,21 +253,29 @@ impl<M: Memory> MsQueue<M> {
     /// Volatile snapshot of queued values (test helper).
     pub fn snapshot_values(&self) -> Vec<u64> {
         let mut out = Vec::new();
-        let mut cur = tag::addr_of(self.pool.peek(self.head()));
+        let mut cur = tag::addr_of(self.pool().peek(self.head()));
         loop {
-            let next = tag::addr_of(self.pool.peek(cur.offset(F_NEXT)));
+            let next = tag::addr_of(self.pool().peek(cur.offset(F_NEXT)));
             if next.is_null() {
                 return out;
             }
-            out.push(self.pool.peek(next.offset(F_VALUE)));
+            out.push(self.pool().peek(next.offset(F_VALUE)));
             cur = next;
         }
     }
 }
 
+impl<M: Memory> Deref for MsQueue<M> {
+    type Target = ObjectCore<M>;
+
+    fn deref(&self) -> &ObjectCore<M> {
+        &self.core
+    }
+}
+
 impl<M: Memory> fmt::Debug for MsQueue<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MsQueue").field("nthreads", &self.nthreads).finish_non_exhaustive()
+        f.debug_struct("MsQueue").field("nthreads", &self.nthreads()).finish_non_exhaustive()
     }
 }
 

@@ -18,7 +18,7 @@ fn main() {
             .measurement_time(std::time::Duration::from_millis(800));
         for kind in QueueKind::all() {
             let q = kind.build_on(backend, 1, 4096);
-            q.set_flush_penalty(20);
+            q.pool().set_flush_penalty(20);
             let h = q.register_thread();
             let mut i = 0u64;
             r.bench(kind.label(), || {

@@ -10,11 +10,12 @@
 //! announcement carries everything.
 
 use std::fmt;
-use std::sync::Arc;
+use std::ops::Deref;
 
+use dss_pmem::object::{checked_words, thread_count};
 use dss_pmem::{
-    tag, AppKind, AttachError, Backoff, FlushGranularity, Memory, NodePool, PAddr, PmemPool,
-    Registry, SlotError, ThreadHandle, WORDS_PER_LINE,
+    tag, AppKind, AttachError, FlushGranularity, Memory, NodePool, ObjectCore, ObjectLayout, PAddr,
+    PmemPool, ThreadHandle, WORDS_PER_LINE,
 };
 
 use crate::detect::DetectableCore;
@@ -44,22 +45,32 @@ pub const KIND_DETECTABLE_CAS: u64 = AppKind::DetectableCas.word();
 /// The CAS object's pool layout, derived from `(nthreads,
 /// nodes_per_thread)` alone (cf. the queue's `QueueLayout`).
 struct CasLayout {
+    nthreads: usize,
+    nodes_per_thread: u64,
     init_node: u64,
     region: u64,
     reg_base: u64,
-    words: u64,
 }
 
-impl CasLayout {
-    fn new(nthreads: usize, nodes_per_thread: u64) -> Self {
-        assert!(nthreads > 0 && nodes_per_thread > 0);
+impl ObjectLayout for CasLayout {
+    const KIND: AppKind = AppKind::DetectableCas;
+
+    fn params(&self) -> Vec<u64> {
+        vec![self.nthreads as u64, self.nodes_per_thread]
+    }
+
+    fn from_params(p: &[u64]) -> Result<Self, &'static str> {
+        let (nthreads, nodes_per_thread) = (thread_count(p[0])?, p[1]);
+        let nodes = checked_words(&[nthreads as u64, nodes_per_thread, NODE_WORDS])?;
         let x_end = A_X_BASE + nthreads as u64 * WORDS_PER_LINE;
         let init_node = x_end.next_multiple_of(NODE_WORDS);
         let region = init_node + NODE_WORDS;
-        let node_end = region + nodes_per_thread * nthreads as u64 * NODE_WORDS;
-        let reg_base = node_end.next_multiple_of(WORDS_PER_LINE);
-        let words = reg_base + Registry::<PmemPool>::region_words(nthreads);
-        CasLayout { init_node, region, reg_base, words }
+        let reg_base = (region + nodes).next_multiple_of(WORDS_PER_LINE);
+        Ok(CasLayout { nthreads, nodes_per_thread, init_node, region, reg_base })
+    }
+
+    fn registry_base(&self) -> u64 {
+        self.reg_base
     }
 }
 
@@ -92,8 +103,6 @@ pub struct ResolvedCas {
 /// assert_eq!(r.resp, Some(true));
 /// ```
 pub struct DetectableCas<M: Memory = PmemPool> {
-    /// The shared detectability skeleton: pool, registry, EBR, backoff,
-    /// and the per-thread `X` words (see [`DetectableCore`]).
     core: DetectableCore<M>,
     nodes: NodePool,
     pending: Box<[std::sync::Mutex<Vec<PAddr>>]>,
@@ -128,19 +137,16 @@ impl DetectableCas {
         nthreads: usize,
         nodes_per_thread: u64,
     ) -> Result<Self, AttachError> {
-        let layout = CasLayout::new(nthreads, nodes_per_thread);
-        let pool = Arc::new(PmemPool::create(path, layout.words as usize, FlushGranularity::Line)?);
-        pool.set_app_config(KIND_DETECTABLE_CAS, &[nthreads as u64, nodes_per_thread]);
-        let registry = Registry::create(Arc::clone(&pool), layout.reg_base, nthreads);
-        let c = Self::assemble(pool, registry, &layout, nthreads, nodes_per_thread);
+        let layout = CasLayout::from_args(&[nthreads as u64, nodes_per_thread]);
+        let c = Self::assemble(ObjectCore::create(path, &layout, FlushGranularity::Line)?, &layout);
         c.format(layout.init_node);
         Ok(c)
     }
 
     /// Rebuilds a CAS object from a pool file with no in-process state.
     /// Like the register, no recovery phase is needed: after
-    /// [`begin_recovery`](Self::begin_recovery) +
-    /// [`adopt_orphans`](Self::adopt_orphans), [`resolve`](Self::resolve)
+    /// [`begin_recovery`](ObjectCore::begin_recovery) +
+    /// [`adopt_orphans`](ObjectCore::adopt_orphans), [`resolve`](Self::resolve)
     /// answers from persisted state alone.
     ///
     /// # Errors
@@ -148,22 +154,8 @@ impl DetectableCas {
     /// Any [`AttachError`], including [`AttachError::AppMismatch`] if the
     /// file holds a different structure.
     pub fn attach<P: AsRef<std::path::Path>>(path: P) -> Result<Self, AttachError> {
-        let pool = Arc::new(PmemPool::attach(path)?);
-        let found = pool.app_kind();
-        if found != KIND_DETECTABLE_CAS {
-            return Err(AttachError::AppMismatch { expected: KIND_DETECTABLE_CAS, found });
-        }
-        let [nthreads, nodes_per_thread, ..] = pool.app_config();
-        if nthreads == 0 || nodes_per_thread == 0 {
-            return Err(AttachError::Corrupt("CAS parameter words are zero"));
-        }
-        let nthreads = nthreads as usize;
-        let layout = CasLayout::new(nthreads, nodes_per_thread);
-        if (pool.capacity() as u64) < layout.words {
-            return Err(AttachError::Corrupt("pool smaller than the CAS layout requires"));
-        }
-        let registry = Registry::attach(Arc::clone(&pool), layout.reg_base)?;
-        let c = Self::assemble(pool, registry, &layout, nthreads, nodes_per_thread);
+        let (object, layout) = ObjectCore::attach(path)?;
+        let c = Self::assemble(object, &layout);
         c.rebuild_allocator();
         Ok(c)
     }
@@ -178,29 +170,20 @@ impl<M: Memory> DetectableCas<M> {
     ///
     /// Panics if `nthreads` or `nodes_per_thread` is zero.
     pub fn new_in(nthreads: usize, nodes_per_thread: u64, granularity: FlushGranularity) -> Self {
-        let layout = CasLayout::new(nthreads, nodes_per_thread);
-        let pool = Arc::new(M::create(layout.words as usize, granularity));
-        let registry = Registry::create(Arc::clone(&pool), layout.reg_base, nthreads);
-        let c = Self::assemble(pool, registry, &layout, nthreads, nodes_per_thread);
+        let layout = CasLayout::from_args(&[nthreads as u64, nodes_per_thread]);
+        let c = Self::assemble(ObjectCore::fresh(&layout, granularity), &layout);
         c.format(layout.init_node);
         c
     }
 
-    /// The shared constructor tail: in-DRAM side tables over an existing
-    /// pool + registry — everything `attach` must rebuild rather than map.
-    fn assemble(
-        pool: Arc<M>,
-        registry: Registry<M>,
-        layout: &CasLayout,
-        nthreads: usize,
-        nodes_per_thread: u64,
-    ) -> Self {
-        let nodes =
-            NodePool::new(PAddr::from_index(layout.region), NODE_WORDS, nodes_per_thread, nthreads);
+    /// The shared constructor tail: in-DRAM side tables over an object
+    /// skeleton — everything `attach` must rebuild rather than map.
+    fn assemble(object: ObjectCore<M>, layout: &CasLayout) -> Self {
+        let (n, region) = (layout.nthreads, PAddr::from_index(layout.region));
         DetectableCas {
-            core: DetectableCore::new(pool, registry, nthreads, A_X_BASE, WORDS_PER_LINE),
-            nodes,
-            pending: (0..nthreads).map(|_| std::sync::Mutex::new(Vec::new())).collect(),
+            core: DetectableCore::new(object, A_X_BASE, WORDS_PER_LINE),
+            nodes: NodePool::new(region, NODE_WORDS, layout.nodes_per_thread, n),
+            pending: (0..n).map(|_| std::sync::Mutex::new(Vec::new())).collect(),
         }
     }
 
@@ -208,106 +191,34 @@ impl<M: Memory> DetectableCas<M> {
     /// never run on attach).
     fn format(&self, init_node: u64) {
         let init = PAddr::from_index(init_node);
-        self.core.pool.store(init.offset(F_NEW), 0);
-        self.core.pool.store(init.offset(F_EXPECTED), 0);
-        self.core.pool.store(init.offset(F_WRITER_SEQ), u64::MAX);
-        self.core.pool.store(init.offset(F_SUPERSEDED), 0);
-        self.core.pool.flush(init);
-        self.core.pool.store(self.cur_addr(), init.to_word());
-        self.core.pool.flush(self.cur_addr());
+        self.pool().store(init.offset(F_NEW), 0);
+        self.pool().store(init.offset(F_EXPECTED), 0);
+        self.pool().store(init.offset(F_WRITER_SEQ), u64::MAX);
+        self.pool().store(init.offset(F_SUPERSEDED), 0);
+        self.pool().flush(init);
+        self.pool().store(self.cur_addr(), init.to_word());
+        self.pool().flush(self.cur_addr());
         self.core.format_x();
-        self.core.pool.drain();
-    }
-
-    /// Enables or disables bounded exponential backoff after failed
-    /// install CAS. Default off.
-    pub fn set_backoff(&self, on: bool) {
-        self.core.set_backoff(on);
-    }
-
-    /// Whether contention management is enabled.
-    pub fn backoff_enabled(&self) -> bool {
-        self.core.backoff_enabled()
-    }
-
-    fn new_backoff(&self) -> Backoff<'_> {
-        self.core.new_backoff()
+        self.pool().drain();
     }
 
     fn cur_addr(&self) -> PAddr {
         PAddr::from_index(A_CUR)
     }
 
-    // Handle validity is the core's concern; see DetectableCore::x_addr.
-    fn x_addr(&self, slot: usize) -> PAddr {
-        self.core.x_addr(slot)
-    }
-
-    /// The object's persistent-memory pool.
-    pub fn pool(&self) -> &Arc<M> {
-        self.core.pool()
-    }
-
-    /// The object's persistent thread-slot registry.
-    pub fn registry(&self) -> &Registry<M> {
-        self.core.registry()
-    }
-
-    /// Claims a free registry slot; see
-    /// [`DssQueue::register_thread`](crate::DssQueue::register_thread).
-    ///
-    /// # Errors
-    ///
-    /// [`SlotError::Exhausted`] when all slots are taken.
-    pub fn register_thread(&self) -> Result<ThreadHandle, SlotError> {
-        self.core.register_thread()
-    }
-
-    /// Returns a handle's slot to the registry.
-    ///
-    /// # Errors
-    ///
-    /// [`SlotError::StaleHandle`] / [`SlotError::ForeignHandle`] per
-    /// [`Registry::release`].
-    pub fn release_thread(&self, h: ThreadHandle) -> Result<(), SlotError> {
-        self.core.release_thread(h)
-    }
-
-    /// Marks the crash boundary in the registry (idempotent per crash).
-    /// The CAS object needs no recovery phase; this only makes dead
-    /// threads' slots adoptable.
-    pub fn begin_recovery(&self) {
-        self.core.begin_recovery();
-    }
-
-    /// Adopts one orphaned slot (fresh lease, EBR state inherited).
-    ///
-    /// # Errors
-    ///
-    /// [`SlotError::OutOfRange`] / [`SlotError::NotOrphaned`] per
-    /// [`Registry::adopt`].
-    pub fn adopt(&self, slot: usize) -> Result<ThreadHandle, SlotError> {
-        self.core.adopt(slot)
-    }
-
-    /// [`adopt`](Self::adopt) over every orphaned slot, ascending.
-    pub fn adopt_orphans(&self) -> Vec<ThreadHandle> {
-        self.core.adopt_orphans()
-    }
-
     fn alloc(&self, tid: usize) -> PAddr {
         self.nodes
-            .alloc_with_reclaim(tid, &self.core.ebr)
+            .alloc_with_reclaim(tid, self.ebr())
             .unwrap_or_else(|| panic!("CAS node pool exhausted (size it for the workload)"))
     }
 
     fn sweep_pending(&self, tid: usize) {
         let mut pending = self.pending[tid].lock().unwrap_or_else(|e| e.into_inner());
-        let cur = self.core.pool.peek(self.cur_addr());
-        let x = tag::addr_of(self.core.pool.peek(self.x_addr(tid)));
+        let cur = self.pool().peek(self.cur_addr());
+        let x = tag::addr_of(self.pool().peek(self.x_addr(tid)));
         pending.retain(|&p| {
             if p.to_word() != cur && p != x {
-                self.core.ebr.retire(tid, p);
+                self.ebr().retire(tid, p);
                 false
             } else {
                 true
@@ -329,18 +240,16 @@ impl<M: Memory> DetectableCas<M> {
     pub fn prep_cas(&self, h: ThreadHandle, expected: u64, new: u64, seq: u64) {
         let tid = h.slot();
         self.sweep_pending(tid);
-        let old = tag::addr_of(self.core.pool.load(self.x_addr(tid)));
+        let old = tag::addr_of(self.pool().load(self.x_addr(tid)));
         let node = self.alloc(tid);
-        self.core.pool.store(node.offset(F_NEW), new);
-        self.core.pool.store(node.offset(F_EXPECTED), expected);
-        self.core
-            .pool
-            .store(node.offset(F_WRITER_SEQ), ((tid as u64) << 48) | (seq & tag::ADDR_MASK));
-        self.core.pool.store(node.offset(F_SUPERSEDED), 0);
-        self.core.pool.flush(node);
+        self.pool().store(node.offset(F_NEW), new);
+        self.pool().store(node.offset(F_EXPECTED), expected);
+        self.pool().store(node.offset(F_WRITER_SEQ), ((tid as u64) << 48) | (seq & tag::ADDR_MASK));
+        self.pool().store(node.offset(F_SUPERSEDED), 0);
+        self.pool().flush(node);
         // Ordering point: the announce must not persist ahead of the node
         // it names.
-        self.core.pool.drain_lines(&[
+        self.pool().drain_lines(&[
             node.offset(F_NEW),
             node.offset(F_EXPECTED),
             node.offset(F_WRITER_SEQ),
@@ -364,39 +273,39 @@ impl<M: Memory> DetectableCas<M> {
     /// Axiom 2's precondition `R[pᵢ] = ⊥`).
     pub fn exec_cas(&self, h: ThreadHandle) -> bool {
         let tid = h.slot();
-        let _g = self.core.pin(tid);
+        let _g = self.pin(tid);
         let xa = self.x_addr(tid);
-        let x = self.core.pool.load(xa);
+        let x = self.pool().load(xa);
         assert!(
             tag::has(x, C_PREP) && !tag::has(x, C_COMPL),
             "exec-cas without a pending prepared CAS (X[{tid}] = {x:#x})"
         );
         let node = tag::addr_of(x);
-        let expected = self.core.pool.load(node.offset(F_EXPECTED));
+        let expected = self.pool().load(node.offset(F_EXPECTED));
         let mut bo = self.new_backoff();
         loop {
-            let cur_w = self.core.pool.load(self.cur_addr());
+            let cur_w = self.pool().load(self.cur_addr());
             let cur = tag::addr_of(cur_w);
-            let cur_val = self.core.pool.load(cur.offset(F_NEW));
+            let cur_val = self.pool().load(cur.offset(F_NEW));
             if cur_val != expected {
                 // The CAS takes effect (fails) at this read.
                 self.core.complete(tid, tag::set(x, C_COMPL | C_FAILED));
-                self.core.pool.drain();
+                self.pool().drain();
                 return false;
             }
-            self.core.pool.store(cur.offset(F_SUPERSEDED), 1);
-            self.core.pool.flush(cur.offset(F_SUPERSEDED));
+            self.pool().store(cur.offset(F_SUPERSEDED), 1);
+            self.pool().flush(cur.offset(F_SUPERSEDED));
             // The announce and the incumbent's superseded mark must be
             // persistent before the install can take effect — resolve
             // proves installation through either of them.
-            self.core.pool.drain_lines(&[cur.offset(F_SUPERSEDED), xa]);
-            if self.core.pool.cas(self.cur_addr(), cur_w, node.to_word()).is_ok() {
-                self.core.pool.flush(self.cur_addr());
+            self.pool().drain_lines(&[cur.offset(F_SUPERSEDED), xa]);
+            if self.pool().cas(self.cur_addr(), cur_w, node.to_word()).is_ok() {
+                self.pool().flush(self.cur_addr());
                 // Ordering point: the completion mark must not persist
                 // ahead of the installed pointer it certifies.
-                self.core.pool.drain_line(self.cur_addr());
+                self.pool().drain_line(self.cur_addr());
                 self.core.complete(tid, tag::set(x, C_COMPL));
-                self.core.pool.drain();
+                self.pool().drain();
                 return true;
             }
             bo.spin();
@@ -410,39 +319,39 @@ impl<M: Memory> DetectableCas<M> {
     /// Panics if the node pool is exhausted.
     pub fn cas(&self, h: ThreadHandle, expected: u64, new: u64) -> bool {
         let tid = h.slot();
-        let _g = self.core.pin(tid);
+        let _g = self.pin(tid);
         self.sweep_pending(tid);
         let node = self.alloc(tid);
-        self.core.pool.store(node.offset(F_NEW), new);
-        self.core.pool.store(node.offset(F_EXPECTED), expected);
-        self.core.pool.store(node.offset(F_WRITER_SEQ), u64::MAX);
-        self.core.pool.store(node.offset(F_SUPERSEDED), 0);
-        self.core.pool.flush(node);
+        self.pool().store(node.offset(F_NEW), new);
+        self.pool().store(node.offset(F_EXPECTED), expected);
+        self.pool().store(node.offset(F_WRITER_SEQ), u64::MAX);
+        self.pool().store(node.offset(F_SUPERSEDED), 0);
+        self.pool().flush(node);
         let mut bo = self.new_backoff();
         loop {
-            let cur_w = self.core.pool.load(self.cur_addr());
+            let cur_w = self.pool().load(self.cur_addr());
             let cur = tag::addr_of(cur_w);
-            let cur_val = self.core.pool.load(cur.offset(F_NEW));
+            let cur_val = self.pool().load(cur.offset(F_NEW));
             if cur_val != expected {
                 // The node was never exposed; free it directly.
                 self.nodes.free(tid, node);
-                self.core.pool.drain();
+                self.pool().drain();
                 return false;
             }
-            self.core.pool.store(cur.offset(F_SUPERSEDED), 1);
-            self.core.pool.flush(cur.offset(F_SUPERSEDED));
+            self.pool().store(cur.offset(F_SUPERSEDED), 1);
+            self.pool().flush(cur.offset(F_SUPERSEDED));
             // The new node and the incumbent's superseded mark must be
             // persistent before the install can take effect.
-            self.core.pool.drain_lines(&[
+            self.pool().drain_lines(&[
                 cur.offset(F_SUPERSEDED),
                 node.offset(F_NEW),
                 node.offset(F_EXPECTED),
                 node.offset(F_WRITER_SEQ),
                 node.offset(F_SUPERSEDED),
             ]);
-            if self.core.pool.cas(self.cur_addr(), cur_w, node.to_word()).is_ok() {
-                self.core.pool.flush(self.cur_addr());
-                self.core.pool.drain();
+            if self.pool().cas(self.cur_addr(), cur_w, node.to_word()).is_ok() {
+                self.pool().flush(self.cur_addr());
+                self.pool().drain();
                 self.push_pending(tid, node);
                 return true;
             }
@@ -452,53 +361,59 @@ impl<M: Memory> DetectableCas<M> {
 
     /// **read()** (plain): the current value.
     pub fn read(&self, h: ThreadHandle) -> u64 {
-        let _g = self.core.pin(h.slot());
-        let cur = tag::addr_of(self.core.pool.load(self.cur_addr()));
-        self.core.pool.load(cur.offset(F_NEW))
+        let _g = self.pin(h.slot());
+        let cur = tag::addr_of(self.pool().load(self.cur_addr()));
+        self.pool().load(cur.offset(F_NEW))
     }
 
     /// **resolve()**: reports the most recently prepared CAS and whether
     /// it took effect, and with which outcome. Needs no recovery phase;
     /// idempotent.
     pub fn resolve(&self, h: ThreadHandle) -> ResolvedCas {
-        let x = self.core.pool.load(self.x_addr(h.slot()));
+        let x = self.pool().load(self.x_addr(h.slot()));
         if !tag::has(x, C_PREP) {
             return ResolvedCas { op: None, resp: None };
         }
         let node = tag::addr_of(x);
         let op = Some((
-            self.core.pool.load(node.offset(F_EXPECTED)),
-            self.core.pool.load(node.offset(F_NEW)),
-            self.core.pool.load(node.offset(F_WRITER_SEQ)) & tag::ADDR_MASK,
+            self.pool().load(node.offset(F_EXPECTED)),
+            self.pool().load(node.offset(F_NEW)),
+            self.pool().load(node.offset(F_WRITER_SEQ)) & tag::ADDR_MASK,
         ));
         if tag::has(x, C_COMPL) {
             return ResolvedCas { op, resp: Some(!tag::has(x, C_FAILED)) };
         }
-        let installed = self.core.pool.load(self.cur_addr()) == node.to_word()
-            || self.core.pool.load(node.offset(F_SUPERSEDED)) == 1;
+        let installed = self.pool().load(self.cur_addr()) == node.to_word()
+            || self.pool().load(node.offset(F_SUPERSEDED)) == 1;
         ResolvedCas { op, resp: if installed { Some(true) } else { None } }
     }
 
     /// Rebuilds the volatile allocator after a crash.
     pub fn rebuild_allocator(&self) {
         let mut live = self.nodes.node_set();
-        live.insert(tag::addr_of(self.core.pool.load(self.cur_addr())));
-        for i in 0..self.core.nthreads {
-            live.insert(tag::addr_of(self.core.pool.load(self.x_addr(i))));
+        live.insert(tag::addr_of(self.pool().load(self.cur_addr())));
+        for i in 0..self.nthreads() {
+            live.insert(tag::addr_of(self.pool().load(self.x_addr(i))));
         }
         self.nodes.rebuild(&live);
-        self.core.ebr.reset();
+        self.ebr().reset();
         for p in self.pending.iter() {
             p.lock().unwrap_or_else(|e| e.into_inner()).clear();
         }
     }
 }
 
+impl<M: Memory> Deref for DetectableCas<M> {
+    type Target = DetectableCore<M>;
+
+    fn deref(&self) -> &DetectableCore<M> {
+        &self.core
+    }
+}
+
 impl<M: Memory> fmt::Debug for DetectableCas<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DetectableCas")
-            .field("nthreads", &self.core.nthreads)
-            .finish_non_exhaustive()
+        f.debug_struct("DetectableCas").field("nthreads", &self.nthreads()).finish_non_exhaustive()
     }
 }
 
@@ -506,19 +421,7 @@ impl<M: Memory> fmt::Debug for DetectableCas<M> {
 mod tests {
     use super::*;
     use dss_pmem::WritebackAdversary;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::Arc;
-
-    fn run_crash_at<F: FnOnce()>(c: &DetectableCas, k: u64, f: F) -> bool {
-        c.pool().arm_crash_after(k);
-        let res = catch_unwind(AssertUnwindSafe(f));
-        c.pool().disarm_crash();
-        match res {
-            Ok(()) => false,
-            Err(p) if p.downcast_ref::<dss_pmem::CrashSignal>().is_some() => true,
-            Err(p) => std::panic::resume_unwind(p),
-        }
-    }
 
     #[test]
     fn cas_success_and_failure() {
@@ -584,7 +487,7 @@ mod tests {
             for k in 1..40 {
                 let c = DetectableCas::new(1, 8);
                 let h0 = c.register_thread().unwrap();
-                let crashed = run_crash_at(&c, k, || {
+                let crashed = c.pool().crashes_within(k, || {
                     c.prep_cas(h0, 0, 5, 2);
                     c.exec_cas(h0);
                 });
@@ -613,7 +516,7 @@ mod tests {
         for k in 1..40 {
             let c = DetectableCas::new(1, 8);
             let h0 = c.register_thread().unwrap();
-            let crashed = run_crash_at(&c, k, || {
+            let crashed = c.pool().crashes_within(k, || {
                 c.prep_cas(h0, 3, 5, 0); // object holds 0: must fail
                 c.exec_cas(h0);
             });

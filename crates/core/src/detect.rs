@@ -1,14 +1,16 @@
 //! The extracted `D⟨T⟩` detectability core (paper §2–§3).
 //!
 //! Every detectable structure in this crate — queue, stack, register, CAS,
-//! the universal construction, and the hash map — used to hand-roll the
-//! same skeleton: a per-thread *detectability word* `X[tid]` holding a
-//! tagged node pointer, the durable-announce idiom of the prep phase, the
-//! store-and-flush completion mark of the exec phase, registry-backed
-//! thread identity with epoch-based reclamation, and the adopt-then-repair
-//! recovery drivers (Appendix A Figure 6 centralized, §3.3 independent).
-//! [`DetectableCore`] owns exactly that skeleton, so a new object family is
-//! the structure-specific state machine plus a layout — not a fork of the
+//! the universal construction, and the hash map — instantiates the same
+//! skeleton: a per-thread *detectability word* `X[tid]` holding a tagged
+//! node pointer, the durable-announce idiom of the prep phase, the
+//! store-and-flush completion mark of the exec phase, and the
+//! adopt-then-repair recovery drivers (Appendix A Figure 6 centralized,
+//! §3.3 independent). [`DetectableCore`] owns exactly that skeleton,
+//! layered on the [`ObjectCore`] every structure in the workspace shares
+//! (pool, registry-backed thread identity, epoch-based reclamation,
+//! contention management, and the slot API). A new object family is the
+//! structure-specific state machine plus a layout — not a fork of the
 //! whole protocol.
 //!
 //! The helpers are *instruction-exact*: [`announce`](DetectableCore::announce)
@@ -22,35 +24,28 @@
 //! publication-array protocol both leased queue layers (flat combining and
 //! the replicated log appender) run on top of the core.
 
+use std::ops::Deref;
 use std::sync::atomic::{
-    AtomicBool, AtomicU64,
+    AtomicU64,
     Ordering::{Acquire, Relaxed, Release},
 };
-use std::sync::Arc;
 
-use dss_pmem::{
-    Backoff, BackoffTuner, Ebr, EbrGuard, Memory, PAddr, Registry, SlotError, SlotState,
-    ThreadHandle,
-};
+use dss_pmem::{Backoff, Memory, ObjectCore, PAddr, SlotState, ThreadHandle};
 
 /// The shared detectability skeleton a `D⟨T⟩` structure instantiates.
 ///
-/// Owns the memory backend, the persistent thread-slot [`Registry`], the
-/// volatile EBR domains, contention management, and the geometry of the
-/// per-thread detectability words (`X[tid]` at `x_base + slot * x_stride`).
+/// Layers the geometry of the per-thread detectability words (`X[tid]` at
+/// `x_base + slot * x_stride`) and the announce / complete / recovery
+/// helpers over an [`ObjectCore`], which it dereferences to: the pool,
+/// the registry, the EBR domain, contention management, and the slot API
+/// ([`register_thread`](ObjectCore::register_thread),
+/// [`adopt`](ObjectCore::adopt), …). Every structure in this crate
+/// dereferences to its `DetectableCore`, so the slot API is written once.
 /// Structure-specific state — node allocators, layout constants, the
 /// prep/exec state machines themselves — stays in the instantiating type.
+#[derive(Debug)]
 pub struct DetectableCore<M: Memory> {
-    pub(crate) pool: Arc<M>,
-    pub(crate) registry: Registry<M>,
-    pub(crate) ebr: Ebr,
-    pub(crate) nthreads: usize,
-    /// Contention management: back off after failed CAS in retry loops
-    /// (default off, which keeps the instruction sequence identical to the
-    /// paper's pseudocode).
-    backoff: AtomicBool,
-    /// Adapts the backoff cap to the structure's observed CAS-failure rate.
-    tuner: BackoffTuner,
+    object: ObjectCore<M>,
     /// First word of the detectability-word region.
     x_base: u64,
     /// Distance between consecutive `X` entries, in words. The pointer
@@ -62,50 +57,26 @@ pub struct DetectableCore<M: Memory> {
     x_stride: u64,
 }
 
+impl<M: Memory> Deref for DetectableCore<M> {
+    type Target = ObjectCore<M>;
+
+    fn deref(&self) -> &ObjectCore<M> {
+        &self.object
+    }
+}
+
 impl<M: Memory> DetectableCore<M> {
-    /// Binds the skeleton over an existing pool + registry. The EBR
-    /// domains, backoff state, and tuner are volatile and start fresh —
-    /// exactly what `attach` must rebuild rather than map.
-    pub(crate) fn new(
-        pool: Arc<M>,
-        registry: Registry<M>,
-        nthreads: usize,
-        x_base: u64,
-        x_stride: u64,
-    ) -> Self {
-        DetectableCore {
-            pool,
-            registry,
-            ebr: Ebr::new(nthreads),
-            nthreads,
-            backoff: AtomicBool::new(false),
-            tuner: BackoffTuner::new(),
-            x_base,
-            x_stride,
-        }
-    }
-
-    /// The memory backend.
-    pub fn pool(&self) -> &Arc<M> {
-        &self.pool
-    }
-
-    /// The persistent thread-slot registry.
-    pub fn registry(&self) -> &Registry<M> {
-        &self.registry
-    }
-
-    /// Number of thread slots the structure was built for.
-    pub fn nthreads(&self) -> usize {
-        self.nthreads
+    /// Places the detectability words over an object skeleton.
+    pub(crate) fn new(object: ObjectCore<M>, x_base: u64, x_stride: u64) -> Self {
+        DetectableCore { object, x_base, x_stride }
     }
 
     /// The detectability word of `slot`.
     ///
     /// Handles are valid by construction (only the registry mints them,
     /// and only with in-range slots), so no bounds assertion is needed
-    /// here; a bad raw index surfaces as [`SlotError`] at the registry
-    /// boundary instead.
+    /// here; a bad raw index surfaces as
+    /// [`SlotError`](dss_pmem::SlotError) at the registry boundary instead.
     pub(crate) fn x_addr(&self, slot: usize) -> PAddr {
         debug_assert!(self.x_stride != 0, "this structure has no strided X region");
         PAddr::from_index(self.x_base + slot as u64 * self.x_stride)
@@ -115,9 +86,9 @@ impl<M: Memory> DetectableCore<M> {
     /// all `i`, each store flushed. The caller's format routine drains
     /// once after all regions are written.
     pub(crate) fn format_x(&self) {
-        for i in 0..self.nthreads {
-            self.pool.store(self.x_addr(i), 0);
-            self.pool.flush(self.x_addr(i));
+        for i in 0..self.nthreads() {
+            self.pool().store(self.x_addr(i), 0);
+            self.pool().flush(self.x_addr(i));
         }
     }
 
@@ -131,9 +102,9 @@ impl<M: Memory> DetectableCore<M> {
     /// unwritten node).
     pub(crate) fn announce(&self, slot: usize, word: u64) {
         let xa = self.x_addr(slot);
-        self.pool.store(xa, word);
-        self.pool.flush(xa);
-        self.pool.drain_line(xa);
+        self.pool().store(xa, word);
+        self.pool().flush(xa);
+        self.pool().drain_line(xa);
     }
 
     /// The completion mark of an exec (or of recovery repairing an
@@ -142,79 +113,8 @@ impl<M: Memory> DetectableCore<M> {
     /// the trailing drain itself.
     pub(crate) fn complete(&self, slot: usize, word: u64) {
         let xa = self.x_addr(slot);
-        self.pool.store(xa, word);
-        self.pool.flush(xa);
-    }
-
-    /// Enables or disables contention management. Default off: the
-    /// instruction sequence then matches the paper's pseudocode exactly.
-    pub fn set_backoff(&self, on: bool) {
-        self.backoff.store(on, Relaxed);
-    }
-
-    /// Whether contention management is enabled.
-    pub fn backoff_enabled(&self) -> bool {
-        self.backoff.load(Relaxed)
-    }
-
-    /// A fresh per-operation backoff, enabled per the structure's setting
-    /// and capped by its contention-tuned [`BackoffTuner`].
-    pub(crate) fn new_backoff(&self) -> Backoff<'_> {
-        Backoff::attached(self.backoff.load(Relaxed), &self.tuner)
-    }
-
-    /// Pins `tid`'s EBR domain for the duration of an operation.
-    pub(crate) fn pin(&self, tid: usize) -> EbrGuard<'_> {
-        self.ebr.pin(tid)
-    }
-
-    /// Claims a free registry slot and returns the [`ThreadHandle`] every
-    /// operation takes. Any stale EBR pin a previous lease of the slot
-    /// left behind is cleared; its un-reclaimed retirees are inherited.
-    ///
-    /// # Errors
-    ///
-    /// [`SlotError::Exhausted`] when all `nthreads` slots are taken.
-    pub fn register_thread(&self) -> Result<ThreadHandle, SlotError> {
-        let h = self.registry.acquire()?;
-        self.ebr.adopt_slot(h.slot());
-        Ok(h)
-    }
-
-    /// Returns a handle's slot to the registry.
-    ///
-    /// # Errors
-    ///
-    /// [`SlotError::StaleHandle`] if the slot's lease has moved on (e.g.
-    /// it was adopted after a crash), [`SlotError::ForeignHandle`] for a
-    /// handle from another structure's registry.
-    pub fn release_thread(&self, h: ThreadHandle) -> Result<(), SlotError> {
-        self.registry.release(h)
-    }
-
-    /// Marks the crash boundary in the registry: every slot that was LIVE
-    /// at the crash becomes ORPHANED and adoptable. Idempotent per crash.
-    pub fn begin_recovery(&self) {
-        self.registry.begin_recovery();
-    }
-
-    /// Adopts one orphaned slot on behalf of a thread that never came
-    /// back: re-LIVEs the slot under a fresh lease and clears the dead
-    /// thread's stale EBR pin (its retirees are inherited, not leaked).
-    ///
-    /// # Errors
-    ///
-    /// [`SlotError::OutOfRange`] / [`SlotError::NotOrphaned`] per
-    /// [`Registry::adopt`].
-    pub fn adopt(&self, slot: usize) -> Result<ThreadHandle, SlotError> {
-        let h = self.registry.adopt(slot)?;
-        self.ebr.adopt_slot(h.slot());
-        Ok(h)
-    }
-
-    /// [`adopt`](Self::adopt) over every orphaned slot, ascending.
-    pub fn adopt_orphans(&self) -> Vec<ThreadHandle> {
-        (0..self.nthreads).filter_map(|slot| self.adopt(slot).ok()).collect()
+        self.pool().store(xa, word);
+        self.pool().flush(xa);
     }
 
     /// The centralized recovery driver (Figure 6 restructured through the
@@ -238,7 +138,7 @@ impl<M: Memory> DetectableCore<M> {
         for h in &adopted {
             fix(h.slot(), &ctx);
         }
-        self.pool.drain();
+        self.pool().drain();
         adopted
     }
 
@@ -255,17 +155,7 @@ impl<M: Memory> DetectableCore<M> {
     ) {
         let ctx = prepare();
         fix(h.slot(), &ctx);
-        self.pool.drain();
-    }
-}
-
-impl<M: Memory> std::fmt::Debug for DetectableCore<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DetectableCore")
-            .field("nthreads", &self.nthreads)
-            .field("x_base", &self.x_base)
-            .field("x_stride", &self.x_stride)
-            .finish_non_exhaustive()
+        self.pool().drain();
     }
 }
 
@@ -390,7 +280,7 @@ impl Lease {
     /// immediately instead of parking on a batch that will never form.
     pub(crate) fn exec<M: Memory>(
         &self,
-        core: &DetectableCore<M>,
+        core: &ObjectCore<M>,
         h: ThreadHandle,
         mut combine: impl FnMut(ThreadHandle),
     ) {
@@ -398,8 +288,8 @@ impl Lease {
         if self.pending[slot].load(Acquire) == IDLE {
             return;
         }
-        let pool = core.pool.as_ref();
-        let mut bo = Backoff::attached(true, &core.tuner);
+        let pool = core.pool().as_ref();
+        let mut bo = Backoff::attached(true, core.tuner());
         let mut observed = 0u64;
         let mut stable = 0u32;
         let mut waits = 0u32;
@@ -458,9 +348,9 @@ impl Lease {
     /// uninstrumented peeks: a staleness probe is diagnosis, not protocol
     /// progress, so it must not perturb operation-indexed crash sweeps
     /// relative to the number of probing waiters.
-    fn is_stale<M: Memory>(core: &DetectableCore<M>, lease: u64) -> bool {
-        let reg = &core.registry;
-        !(0..core.nthreads)
+    fn is_stale<M: Memory>(core: &ObjectCore<M>, lease: u64) -> bool {
+        let reg = core.registry();
+        !(0..core.nthreads())
             .any(|s| reg.slot_state(s) == Ok(SlotState::Live) && reg.slot_nonce(s) == Ok(lease))
     }
 }

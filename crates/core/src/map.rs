@@ -46,11 +46,12 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::ops::Deref;
 
+use dss_pmem::object::{checked_words, thread_count};
 use dss_pmem::{
-    tag, AppKind, AttachError, Backoff, CachePadded, FlushGranularity, Memory, NodePool, PAddr,
-    PmemPool, Registry, SlotError, ThreadHandle, WORDS_PER_LINE,
+    tag, AppKind, AttachError, CachePadded, FlushGranularity, Memory, NodePool, ObjectCore,
+    ObjectLayout, PAddr, PmemPool, Registry, ThreadHandle, WORDS_PER_LINE,
 };
 use dss_spec::types::{KvOp, KvResp};
 
@@ -95,29 +96,50 @@ pub const KIND_DETECTABLE_MAP: u64 = AppKind::DetectableMap.word();
 /// buckets0)` alone. Extension levels live past the registry so the
 /// initial pool stays compact and growth exercises the segment machinery.
 struct MapLayout {
+    nthreads: usize,
+    nodes_per_thread: u64,
+    buckets0: u64,
     buckets_base: u64,
     region: u64,
     reg_base: u64,
     /// First word past the registry (line-aligned): base of level 1.
     ext_base: u64,
-    /// Initial pool size — the layout through the registry.
-    words: u64,
 }
 
-impl MapLayout {
-    fn new(nthreads: usize, nodes_per_thread: u64, buckets0: u64) -> Self {
-        assert!(nthreads > 0 && nodes_per_thread > 0);
-        assert!(buckets0.is_power_of_two(), "bucket count must be a power of two");
+impl ObjectLayout for MapLayout {
+    const KIND: AppKind = AppKind::DetectableMap;
+
+    fn params(&self) -> Vec<u64> {
+        vec![self.nthreads as u64, self.nodes_per_thread, self.buckets0]
+    }
+
+    fn from_params(p: &[u64]) -> Result<Self, &'static str> {
+        let (nthreads, nodes_per_thread, buckets0) = (thread_count(p[0])?, p[1], p[2]);
+        // Two nodes per op slot: a put of a fresh key consumes an entry
+        // node and a value node.
+        let nodes = checked_words(&[2, nthreads as u64, nodes_per_thread, NODE_WORDS])?;
+        if !checked_words(&[buckets0])?.is_power_of_two() {
+            return Err("bucket count is not a power of two");
+        }
         let x_end = A_X_BASE + nthreads as u64 * WORDS_PER_LINE;
         let buckets_base = x_end.next_multiple_of(WORDS_PER_LINE);
         let region = (buckets_base + buckets0).next_multiple_of(NODE_WORDS);
-        // Two nodes per op slot: a put of a fresh key consumes an entry
-        // node and a value node.
-        let node_end = region + 2 * nodes_per_thread * nthreads as u64 * NODE_WORDS;
-        let reg_base = node_end.next_multiple_of(WORDS_PER_LINE);
-        let words = reg_base + Registry::<PmemPool>::region_words(nthreads);
-        let ext_base = words.next_multiple_of(WORDS_PER_LINE);
-        MapLayout { buckets_base, region, reg_base, ext_base, words }
+        let reg_base = (region + nodes).next_multiple_of(WORDS_PER_LINE);
+        let ext_base =
+            (reg_base + <Registry>::region_words(nthreads)).next_multiple_of(WORDS_PER_LINE);
+        Ok(MapLayout {
+            nthreads,
+            nodes_per_thread,
+            buckets0,
+            buckets_base,
+            region,
+            reg_base,
+            ext_base,
+        })
+    }
+
+    fn registry_base(&self) -> u64 {
+        self.reg_base
     }
 }
 
@@ -159,8 +181,6 @@ pub struct ResolvedMap {
 /// assert_eq!(r.resp, Some(KvResp::Ok));
 /// ```
 pub struct DetectableMap<M: Memory = PmemPool> {
-    /// The shared detectability skeleton: pool, registry, EBR, backoff,
-    /// and the per-thread `X` words (see [`DetectableCore`]).
     core: DetectableCore<M>,
     nodes: NodePool,
     buckets_base: u64,
@@ -227,19 +247,16 @@ impl DetectableMap {
         buckets0: u64,
         granularity: FlushGranularity,
     ) -> Result<Self, AttachError> {
-        let layout = MapLayout::new(nthreads, nodes_per_thread, buckets0);
-        let pool = Arc::new(PmemPool::create(path, layout.words as usize, granularity)?);
-        pool.set_app_config(KIND_DETECTABLE_MAP, &[nthreads as u64, nodes_per_thread, buckets0]);
-        let registry = Registry::create(Arc::clone(&pool), layout.reg_base, nthreads);
-        let m = Self::assemble(pool, registry, &layout, nthreads, nodes_per_thread, buckets0);
+        let layout = MapLayout::from_args(&[nthreads as u64, nodes_per_thread, buckets0]);
+        let m = Self::assemble(ObjectCore::create(path, &layout, granularity)?, &layout);
         m.format();
         Ok(m)
     }
 
     /// Rebuilds a map from a pool file with no in-process state. The map
     /// recovers independently (no recovery phase): after
-    /// [`begin_recovery`](Self::begin_recovery) +
-    /// [`adopt_orphans`](Self::adopt_orphans), [`resolve`](Self::resolve)
+    /// [`begin_recovery`](ObjectCore::begin_recovery) +
+    /// [`adopt_orphans`](ObjectCore::adopt_orphans), [`resolve`](Self::resolve)
     /// answers from persisted state alone.
     ///
     /// # Errors
@@ -247,29 +264,12 @@ impl DetectableMap {
     /// Any [`AttachError`], including [`AttachError::AppMismatch`] if the
     /// file holds a different structure.
     pub fn attach<P: AsRef<std::path::Path>>(path: P) -> Result<Self, AttachError> {
-        let pool = Arc::new(PmemPool::attach(path)?);
-        let found = pool.app_kind();
-        if found != KIND_DETECTABLE_MAP {
-            return Err(AttachError::AppMismatch { expected: KIND_DETECTABLE_MAP, found });
-        }
-        let [nthreads, nodes_per_thread, buckets0, ..] = pool.app_config();
-        if nthreads == 0 || nodes_per_thread == 0 {
-            return Err(AttachError::Corrupt("map parameter words are zero"));
-        }
-        if !buckets0.is_power_of_two() {
-            return Err(AttachError::Corrupt("map bucket count is not a power of two"));
-        }
-        let nthreads = nthreads as usize;
-        let layout = MapLayout::new(nthreads, nodes_per_thread, buckets0);
-        if (pool.capacity() as u64) < layout.words {
-            return Err(AttachError::Corrupt("pool smaller than the map layout requires"));
-        }
-        let nlevels = pool.peek(PAddr::from_index(A_NLEVELS));
+        let (object, layout) = ObjectCore::attach(path)?;
+        let nlevels = object.pool().peek(PAddr::from_index(A_NLEVELS));
         if nlevels == 0 || nlevels > MAX_LEVELS {
             return Err(AttachError::Corrupt("map level count out of range"));
         }
-        let registry = Registry::attach(Arc::clone(&pool), layout.reg_base)?;
-        let m = Self::assemble(pool, registry, &layout, nthreads, nodes_per_thread, buckets0);
+        let m = Self::assemble(object, &layout);
         m.rebuild_allocator();
         Ok(m)
     }
@@ -290,37 +290,23 @@ impl<M: Memory> DetectableMap<M> {
         buckets0: u64,
         granularity: FlushGranularity,
     ) -> Self {
-        let layout = MapLayout::new(nthreads, nodes_per_thread, buckets0);
-        let pool = Arc::new(M::create(layout.words as usize, granularity));
-        let registry = Registry::create(Arc::clone(&pool), layout.reg_base, nthreads);
-        let m = Self::assemble(pool, registry, &layout, nthreads, nodes_per_thread, buckets0);
+        let layout = MapLayout::from_args(&[nthreads as u64, nodes_per_thread, buckets0]);
+        let m = Self::assemble(ObjectCore::fresh(&layout, granularity), &layout);
         m.format();
         m
     }
 
-    /// The shared constructor tail: in-DRAM side tables over an existing
-    /// pool + registry — everything `attach` must rebuild rather than map.
-    fn assemble(
-        pool: Arc<M>,
-        registry: Registry<M>,
-        layout: &MapLayout,
-        nthreads: usize,
-        nodes_per_thread: u64,
-        buckets0: u64,
-    ) -> Self {
-        let nodes = NodePool::new(
-            PAddr::from_index(layout.region),
-            NODE_WORDS,
-            2 * nodes_per_thread,
-            nthreads,
-        );
+    /// The shared constructor tail: in-DRAM side tables over an object
+    /// skeleton — everything `attach` must rebuild rather than map.
+    fn assemble(object: ObjectCore<M>, layout: &MapLayout) -> Self {
+        let (n, region) = (layout.nthreads, PAddr::from_index(layout.region));
         DetectableMap {
-            core: DetectableCore::new(pool, registry, nthreads, A_X_BASE, WORDS_PER_LINE),
-            nodes,
+            core: DetectableCore::new(object, A_X_BASE, WORDS_PER_LINE),
+            nodes: NodePool::new(region, NODE_WORDS, 2 * layout.nodes_per_thread, n),
             buckets_base: layout.buckets_base,
             ext_base: layout.ext_base,
-            buckets0,
-            held: (0..nthreads).map(|_| CachePadded(std::sync::Mutex::new(Vec::new()))).collect(),
+            buckets0: layout.buckets0,
+            held: (0..n).map(|_| CachePadded(std::sync::Mutex::new(Vec::new()))).collect(),
         }
     }
 
@@ -328,95 +314,17 @@ impl<M: Memory> DetectableMap<M> {
     /// never run on attach). Bucket heads rely on fresh words reading 0
     /// (= empty chain), the same invariant `grow` relies on.
     fn format(&self) {
-        self.core.pool.store(PAddr::from_index(A_NLEVELS), 1);
-        self.core.pool.flush(PAddr::from_index(A_NLEVELS));
+        self.pool().store(PAddr::from_index(A_NLEVELS), 1);
+        self.pool().flush(PAddr::from_index(A_NLEVELS));
         self.core.format_x();
-        self.core.pool.drain();
-    }
-
-    /// Enables or disables bounded exponential backoff after failed
-    /// install CAS. Default off.
-    pub fn set_backoff(&self, on: bool) {
-        self.core.set_backoff(on);
-    }
-
-    /// Whether contention management is enabled.
-    pub fn backoff_enabled(&self) -> bool {
-        self.core.backoff_enabled()
-    }
-
-    fn new_backoff(&self) -> Backoff<'_> {
-        self.core.new_backoff()
-    }
-
-    // Handle validity is the core's concern; see DetectableCore::x_addr.
-    fn x_addr(&self, slot: usize) -> PAddr {
-        self.core.x_addr(slot)
-    }
-
-    /// The map's persistent-memory pool.
-    pub fn pool(&self) -> &Arc<M> {
-        self.core.pool()
-    }
-
-    /// Number of threads the map was built for.
-    pub fn nthreads(&self) -> usize {
-        self.core.nthreads()
-    }
-
-    /// The map's persistent thread-slot registry.
-    pub fn registry(&self) -> &Registry<M> {
-        self.core.registry()
-    }
-
-    /// Claims a free registry slot; see
-    /// [`DssQueue::register_thread`](crate::DssQueue::register_thread).
-    ///
-    /// # Errors
-    ///
-    /// [`SlotError::Exhausted`] when all slots are taken.
-    pub fn register_thread(&self) -> Result<ThreadHandle, SlotError> {
-        self.core.register_thread()
-    }
-
-    /// Returns a handle's slot to the registry.
-    ///
-    /// # Errors
-    ///
-    /// [`SlotError::StaleHandle`] / [`SlotError::ForeignHandle`] per
-    /// [`Registry::release`].
-    pub fn release_thread(&self, h: ThreadHandle) -> Result<(), SlotError> {
-        self.core.release_thread(h)
-    }
-
-    /// Marks the crash boundary in the registry (idempotent per crash).
-    /// The map needs no recovery phase — [`resolve`](Self::resolve) reads
-    /// persisted state only — so this exists purely to make dead threads'
-    /// slots adoptable.
-    pub fn begin_recovery(&self) {
-        self.core.begin_recovery();
-    }
-
-    /// Adopts one orphaned slot (fresh lease, EBR state inherited).
-    ///
-    /// # Errors
-    ///
-    /// [`SlotError::OutOfRange`] / [`SlotError::NotOrphaned`] per
-    /// [`Registry::adopt`].
-    pub fn adopt(&self, slot: usize) -> Result<ThreadHandle, SlotError> {
-        self.core.adopt(slot)
-    }
-
-    /// [`adopt`](Self::adopt) over every orphaned slot, ascending.
-    pub fn adopt_orphans(&self) -> Vec<ThreadHandle> {
-        self.core.adopt_orphans()
+        self.pool().drain();
     }
 
     // --- bucket-level geometry ------------------------------------------
 
     /// The number of published bucket levels (persisted).
     pub fn nlevels(&self) -> u64 {
-        self.core.pool.peek(PAddr::from_index(A_NLEVELS))
+        self.pool().peek(PAddr::from_index(A_NLEVELS))
     }
 
     fn level_buckets(&self, k: u64) -> u64 {
@@ -463,10 +371,10 @@ impl<M: Memory> DetectableMap<M> {
         let new = n + 1;
         // Segments first: a crash between reserve and publish leaves the
         // old table (the count still reads n).
-        self.core.pool.reserve(self.levels_end(new) as usize);
-        self.core.pool.store(PAddr::from_index(A_NLEVELS), new);
-        self.core.pool.flush(PAddr::from_index(A_NLEVELS));
-        self.core.pool.drain_line(PAddr::from_index(A_NLEVELS));
+        self.pool().reserve(self.levels_end(new) as usize);
+        self.pool().store(PAddr::from_index(A_NLEVELS), new);
+        self.pool().flush(PAddr::from_index(A_NLEVELS));
+        self.pool().drain_line(PAddr::from_index(A_NLEVELS));
         new
     }
 
@@ -481,13 +389,13 @@ impl<M: Memory> DetectableMap<M> {
         let n = self.nlevels();
         let mut head = 0;
         for k in 0..n {
-            head = self.core.pool.load(self.bucket_addr(k, key));
+            head = self.pool().load(self.bucket_addr(k, key));
             let mut e = tag::addr_of(head);
             while !e.is_null() {
-                if self.core.pool.load(e.offset(E_KEY)) == key {
+                if self.pool().load(e.offset(E_KEY)) == key {
                     return Ok(e);
                 }
-                e = tag::addr_of(self.core.pool.load(e.offset(E_NEXT)));
+                e = tag::addr_of(self.pool().load(e.offset(E_NEXT)));
             }
         }
         Err(head)
@@ -517,11 +425,11 @@ impl<M: Memory> DetectableMap<M> {
         let level = self.nlevels() - 1;
         let ba = self.bucket_addr(level, key);
         let en = self.alloc(tid);
-        self.core.pool.store(en.offset(E_KEY), key);
-        self.core.pool.store(en.offset(E_VPTR), vn.to_word());
-        let head_w = self.core.pool.load(ba);
+        self.pool().store(en.offset(E_KEY), key);
+        self.pool().store(en.offset(E_VPTR), vn.to_word());
+        let head_w = self.pool().load(ba);
         if head_w == walked_head {
-            self.core.pool.store(en.offset(E_NEXT), head_w);
+            self.pool().store(en.offset(E_NEXT), head_w);
             let fields = [en.offset(E_KEY), en.offset(E_VPTR), en.offset(E_NEXT)];
             match announce {
                 // Every field word (they are separate units under
@@ -529,14 +437,14 @@ impl<M: Memory> DetectableMap<M> {
                 // announce.
                 Some(xa) => {
                     for f in fields {
-                        self.core.pool.flush(f);
+                        self.pool().flush(f);
                     }
-                    self.core.pool.drain_lines(&[fields[0], fields[1], fields[2], xa]);
+                    self.pool().drain_lines(&[fields[0], fields[1], fields[2], xa]);
                 }
-                None => self.core.pool.persist_batch(&fields),
+                None => self.pool().persist_batch(&fields),
             }
-            if self.core.pool.cas(ba, head_w, en.to_word()).is_ok() {
-                self.core.pool.flush(ba);
+            if self.pool().cas(ba, head_w, en.to_word()).is_ok() {
+                self.pool().flush(ba);
                 return true;
             }
         }
@@ -551,12 +459,12 @@ impl<M: Memory> DetectableMap<M> {
     fn find_entry_peek(&self, key: u64) -> Option<PAddr> {
         let n = self.nlevels();
         for k in 0..n {
-            let mut e = tag::addr_of(self.core.pool.peek(self.bucket_addr(k, key)));
+            let mut e = tag::addr_of(self.pool().peek(self.bucket_addr(k, key)));
             while !e.is_null() {
-                if self.core.pool.peek(e.offset(E_KEY)) == key {
+                if self.pool().peek(e.offset(E_KEY)) == key {
                     return Some(e);
                 }
-                e = tag::addr_of(self.core.pool.peek(e.offset(E_NEXT)));
+                e = tag::addr_of(self.pool().peek(e.offset(E_NEXT)));
             }
         }
         None
@@ -566,7 +474,7 @@ impl<M: Memory> DetectableMap<M> {
 
     fn alloc(&self, tid: usize) -> PAddr {
         self.nodes
-            .alloc_with_reclaim(tid, &self.core.ebr)
+            .alloc_with_reclaim(tid, self.ebr())
             .unwrap_or_else(|| panic!("map node pool exhausted (size it for the workload)"))
     }
 
@@ -579,21 +487,21 @@ impl<M: Memory> DetectableMap<M> {
     /// still names it. Only that slot's next prep moves `X` off `old`, and
     /// `old` cannot reappear in any `X` before it is retired.
     fn release_superseded(&self, tid: usize, old: PAddr) {
-        let named_by = (0..self.core.nthreads)
-            .find(|&t| tag::addr_of(self.core.pool.peek(self.x_addr(t))) == old);
+        let named_by =
+            (0..self.nthreads()).find(|&t| tag::addr_of(self.pool().peek(self.x_addr(t))) == old);
         match named_by {
             Some(t) => self.held(t).push(old),
-            None => self.core.ebr.retire(tid, old),
+            None => self.ebr().retire(tid, old),
         }
     }
 
     /// Retires the nodes parked with slot `tid` that `X[tid]` no longer
     /// names; called at the top of every prep and plain write.
     fn release_held(&self, tid: usize) {
-        let x = tag::addr_of(self.core.pool.peek(self.x_addr(tid)));
+        let x = tag::addr_of(self.pool().peek(self.x_addr(tid)));
         self.held(tid).retain(|&p| {
             if p != x {
-                self.core.ebr.retire(tid, p);
+                self.ebr().retire(tid, p);
             }
             p == x
         });
@@ -605,12 +513,12 @@ impl<M: Memory> DetectableMap<M> {
     /// replacing CAS, and is read here after the binding — so no
     /// superseder will retire it.
     fn release_uninstalled(&self, tid: usize, old: PAddr) {
-        let key = self.core.pool.peek(old.offset(V_KEY));
+        let key = self.pool().peek(old.offset(V_KEY));
         let current = self
             .find_entry_peek(key)
-            .is_some_and(|en| self.core.pool.peek(en.offset(E_VPTR)) == old.to_word());
-        if !current && self.core.pool.peek(old.offset(V_FLAGS)) & FLAG_SUPERSEDED == 0 {
-            self.core.ebr.retire(tid, old);
+            .is_some_and(|en| self.pool().peek(en.offset(E_VPTR)) == old.to_word());
+        if !current && self.pool().peek(old.offset(V_FLAGS)) & FLAG_SUPERSEDED == 0 {
+            self.ebr().retire(tid, old);
         }
     }
 
@@ -618,13 +526,13 @@ impl<M: Memory> DetectableMap<M> {
     /// install) must not persist ahead of it.
     fn init_value_node(&self, tid: usize, key: u64, value: u64, seq: u64, flags: u64) -> PAddr {
         let node = self.alloc(tid);
-        self.core.pool.store(node.offset(V_KEY), key);
-        self.core.pool.store(node.offset(V_VALUE), value);
-        self.core.pool.store(node.offset(V_SEQ), seq);
-        self.core.pool.store(node.offset(V_FLAGS), flags);
+        self.pool().store(node.offset(V_KEY), key);
+        self.pool().store(node.offset(V_VALUE), value);
+        self.pool().store(node.offset(V_SEQ), seq);
+        self.pool().store(node.offset(V_FLAGS), flags);
         // Every field word, not just the node base: under word-granular
         // flushing the fields are separate flush units.
-        self.core.pool.persist_batch(&[
+        self.pool().persist_batch(&[
             node.offset(V_KEY),
             node.offset(V_VALUE),
             node.offset(V_SEQ),
@@ -659,7 +567,7 @@ impl<M: Memory> DetectableMap<M> {
     fn prep_write(&self, h: ThreadHandle, key: u64, val: u64, seq: u64, flags: u64) {
         let tid = h.slot();
         self.release_held(tid);
-        let old = tag::addr_of(self.core.pool.load(self.x_addr(tid)));
+        let old = tag::addr_of(self.pool().load(self.x_addr(tid)));
         let node = self.init_value_node(tid, key, val, pack(tid, seq), flags);
         // Pinned after the allocation, which a pin would hold back, and
         // before the announce: once X[tid] stops naming `old`, a superseder
@@ -686,14 +594,14 @@ impl<M: Memory> DetectableMap<M> {
         let tid = h.slot();
         let _g = self.core.pin(tid);
         let xa = self.x_addr(tid);
-        let x = self.core.pool.load(xa);
+        let x = self.pool().load(xa);
         assert!(
             tag::has(x, M_PREP) && !tag::has(x, M_COMPL),
             "exec-put without a pending prepared operation (X[{tid}] = {x:#x})"
         );
         let vn = tag::addr_of(x);
         assert!(
-            self.core.pool.load(vn.offset(V_FLAGS)) & FLAG_TOMBSTONE == 0,
+            self.pool().load(vn.offset(V_FLAGS)) & FLAG_TOMBSTONE == 0,
             "exec-put after prep-remove (use exec_remove)"
         );
         self.install(tid, x, vn, true);
@@ -711,14 +619,14 @@ impl<M: Memory> DetectableMap<M> {
         let tid = h.slot();
         let _g = self.core.pin(tid);
         let xa = self.x_addr(tid);
-        let x = self.core.pool.load(xa);
+        let x = self.pool().load(xa);
         assert!(
             tag::has(x, M_PREP) && !tag::has(x, M_COMPL),
             "exec-remove without a pending prepared operation (X[{tid}] = {x:#x})"
         );
         let vn = tag::addr_of(x);
         assert!(
-            self.core.pool.load(vn.offset(V_FLAGS)) & FLAG_TOMBSTONE != 0,
+            self.pool().load(vn.offset(V_FLAGS)) & FLAG_TOMBSTONE != 0,
             "exec-remove after prep-put (use exec_put)"
         );
         self.install(tid, x, vn, false);
@@ -731,31 +639,31 @@ impl<M: Memory> DetectableMap<M> {
     /// remove takes effect trivially).
     fn install(&self, tid: usize, x: u64, vn: PAddr, create_entry: bool) {
         let xa = self.x_addr(tid);
-        let key = self.core.pool.load(vn.offset(V_KEY));
+        let key = self.pool().load(vn.offset(V_KEY));
         let mut bo = self.new_backoff();
         loop {
             match self.find_entry(key) {
                 Ok(en) => {
                     let eva = en.offset(E_VPTR);
-                    let old_w = self.core.pool.load(eva);
+                    let old_w = self.pool().load(eva);
                     let old = tag::addr_of(old_w);
                     // Mark the incumbent superseded *before* replacing it:
                     // its owner must be able to prove installation even
                     // after we win. (Preserve its TOMBSTONE bit.)
-                    let fl = self.core.pool.load(old.offset(V_FLAGS));
-                    self.core.pool.store(old.offset(V_FLAGS), fl | FLAG_SUPERSEDED);
-                    self.core.pool.flush(old.offset(V_FLAGS));
+                    let fl = self.pool().load(old.offset(V_FLAGS));
+                    self.pool().store(old.offset(V_FLAGS), fl | FLAG_SUPERSEDED);
+                    self.pool().flush(old.offset(V_FLAGS));
                     // The announce and the incumbent's superseded mark
                     // must be persistent before the install can take
                     // effect — resolve proves installation through either.
-                    self.core.pool.drain_lines(&[old.offset(V_FLAGS), xa]);
-                    if self.core.pool.cas(eva, old_w, vn.to_word()).is_ok() {
-                        self.core.pool.flush(eva);
+                    self.pool().drain_lines(&[old.offset(V_FLAGS), xa]);
+                    if self.pool().cas(eva, old_w, vn.to_word()).is_ok() {
+                        self.pool().flush(eva);
                         // Ordering point: the completion mark must not
                         // persist ahead of the install it certifies.
-                        self.core.pool.drain_line(eva);
+                        self.pool().drain_line(eva);
                         self.core.complete(tid, tag::set(x, M_COMPL));
-                        self.core.pool.drain();
+                        self.pool().drain();
                         self.release_superseded(tid, old);
                         return;
                     }
@@ -764,7 +672,7 @@ impl<M: Memory> DetectableMap<M> {
                     // Removing an absent key: effect is trivial, nothing
                     // to persist but the completion mark.
                     self.core.complete(tid, tag::set(x, M_COMPL));
-                    self.core.pool.drain();
+                    self.pool().drain();
                     return;
                 }
                 Err(head) => {
@@ -773,9 +681,9 @@ impl<M: Memory> DetectableMap<M> {
                     if self.link_entry(tid, key, vn, head, Some(xa)) {
                         // Ordering point: completion behind the prepend.
                         let ba = self.bucket_addr(self.nlevels() - 1, key);
-                        self.core.pool.drain_line(ba);
+                        self.pool().drain_line(ba);
                         self.core.complete(tid, tag::set(x, M_COMPL));
-                        self.core.pool.drain();
+                        self.pool().drain();
                         return;
                     }
                 }
@@ -816,15 +724,15 @@ impl<M: Memory> DetectableMap<M> {
             match self.find_entry(key) {
                 Ok(en) => {
                     let eva = en.offset(E_VPTR);
-                    let old_w = self.core.pool.load(eva);
+                    let old_w = self.pool().load(eva);
                     let old = tag::addr_of(old_w);
-                    let fl = self.core.pool.load(old.offset(V_FLAGS));
-                    self.core.pool.store(old.offset(V_FLAGS), fl | FLAG_SUPERSEDED);
-                    self.core.pool.flush(old.offset(V_FLAGS));
-                    self.core.pool.drain_line(old.offset(V_FLAGS));
-                    if self.core.pool.cas(eva, old_w, vn.to_word()).is_ok() {
-                        self.core.pool.flush(eva);
-                        self.core.pool.drain();
+                    let fl = self.pool().load(old.offset(V_FLAGS));
+                    self.pool().store(old.offset(V_FLAGS), fl | FLAG_SUPERSEDED);
+                    self.pool().flush(old.offset(V_FLAGS));
+                    self.pool().drain_line(old.offset(V_FLAGS));
+                    if self.pool().cas(eva, old_w, vn.to_word()).is_ok() {
+                        self.pool().flush(eva);
+                        self.pool().drain();
                         self.release_superseded(tid, old);
                         return KvResp::Ok;
                     }
@@ -837,7 +745,7 @@ impl<M: Memory> DetectableMap<M> {
                 }
                 Err(head) => {
                     if self.link_entry(tid, key, vn, head, None) {
-                        self.core.pool.drain();
+                        self.pool().drain();
                         return KvResp::Ok;
                     }
                 }
@@ -852,11 +760,11 @@ impl<M: Memory> DetectableMap<M> {
         match self.find_entry(key) {
             Err(_) => KvResp::Absent,
             Ok(en) => {
-                let vn = tag::addr_of(self.core.pool.load(en.offset(E_VPTR)));
-                if self.core.pool.load(vn.offset(V_FLAGS)) & FLAG_TOMBSTONE != 0 {
+                let vn = tag::addr_of(self.pool().load(en.offset(E_VPTR)));
+                if self.pool().load(vn.offset(V_FLAGS)) & FLAG_TOMBSTONE != 0 {
                     KvResp::Absent
                 } else {
-                    KvResp::Value(self.core.pool.load(vn.offset(V_VALUE)))
+                    KvResp::Value(self.pool().load(vn.offset(V_VALUE)))
                 }
             }
         }
@@ -872,24 +780,24 @@ impl<M: Memory> DetectableMap<M> {
     /// an absent key leaves only the completion mark — a crash before it
     /// reports the remove unresolved, and re-executing is idempotent.
     pub fn resolve(&self, h: ThreadHandle) -> ResolvedMap {
-        let x = self.core.pool.load(self.x_addr(h.slot()));
+        let x = self.pool().load(self.x_addr(h.slot()));
         if !tag::has(x, M_PREP) {
             return ResolvedMap { op: None, resp: None };
         }
         let vn = tag::addr_of(x);
-        let key = self.core.pool.load(vn.offset(V_KEY));
-        let seq = self.core.pool.load(vn.offset(V_SEQ)) & tag::ADDR_MASK;
-        let flags = self.core.pool.load(vn.offset(V_FLAGS));
+        let key = self.pool().load(vn.offset(V_KEY));
+        let seq = self.pool().load(vn.offset(V_SEQ)) & tag::ADDR_MASK;
+        let flags = self.pool().load(vn.offset(V_FLAGS));
         let op = if flags & FLAG_TOMBSTONE != 0 {
             KvOp::Remove
         } else {
-            KvOp::Put(self.core.pool.load(vn.offset(V_VALUE)))
+            KvOp::Put(self.pool().load(vn.offset(V_VALUE)))
         };
         let effective = tag::has(x, M_COMPL)
             || flags & FLAG_SUPERSEDED != 0
             || self
                 .find_entry(key)
-                .is_ok_and(|en| self.core.pool.load(en.offset(E_VPTR)) == vn.to_word());
+                .is_ok_and(|en| self.pool().load(en.offset(E_VPTR)) == vn.to_word());
         ResolvedMap {
             op: Some((key, op, seq)),
             resp: if effective { Some(KvResp::Ok) } else { None },
@@ -909,30 +817,30 @@ impl<M: Memory> DetectableMap<M> {
         for k in 0..n {
             for b in 0..self.level_buckets(k) {
                 let head = PAddr::from_index(self.level_base(k) + b);
-                let mut e = tag::addr_of(self.core.pool.peek(head));
+                let mut e = tag::addr_of(self.pool().peek(head));
                 while !e.is_null() {
                     live.insert(e);
-                    let v = tag::addr_of(self.core.pool.peek(e.offset(E_VPTR)));
+                    let v = tag::addr_of(self.pool().peek(e.offset(E_VPTR)));
                     if !v.is_null() {
                         live.insert(v);
                     }
-                    e = tag::addr_of(self.core.pool.peek(e.offset(E_NEXT)));
+                    e = tag::addr_of(self.pool().peek(e.offset(E_NEXT)));
                 }
             }
         }
-        for i in 0..self.core.nthreads {
-            let d = tag::addr_of(self.core.pool.peek(self.x_addr(i)));
+        for i in 0..self.nthreads() {
+            let d = tag::addr_of(self.pool().peek(self.x_addr(i)));
             let mut held = self.held(i);
             held.clear();
             if !d.is_null()
                 && live.insert(d)
-                && self.core.pool.peek(d.offset(V_FLAGS)) & FLAG_SUPERSEDED != 0
+                && self.pool().peek(d.offset(V_FLAGS)) & FLAG_SUPERSEDED != 0
             {
                 held.push(d);
             }
         }
         self.nodes.rebuild(&live);
-        self.core.ebr.reset();
+        self.ebr().reset();
     }
 
     /// The map's current contents (uninstrumented), for conservation
@@ -943,18 +851,16 @@ impl<M: Memory> DetectableMap<M> {
         for k in 0..n {
             for b in 0..self.level_buckets(k) {
                 let head = PAddr::from_index(self.level_base(k) + b);
-                let mut e = tag::addr_of(self.core.pool.peek(head));
+                let mut e = tag::addr_of(self.pool().peek(head));
                 while !e.is_null() {
-                    let vn = tag::addr_of(self.core.pool.peek(e.offset(E_VPTR)));
-                    if !vn.is_null()
-                        && self.core.pool.peek(vn.offset(V_FLAGS)) & FLAG_TOMBSTONE == 0
-                    {
+                    let vn = tag::addr_of(self.pool().peek(e.offset(E_VPTR)));
+                    if !vn.is_null() && self.pool().peek(vn.offset(V_FLAGS)) & FLAG_TOMBSTONE == 0 {
                         out.insert(
-                            self.core.pool.peek(e.offset(E_KEY)),
-                            self.core.pool.peek(vn.offset(V_VALUE)),
+                            self.pool().peek(e.offset(E_KEY)),
+                            self.pool().peek(vn.offset(V_VALUE)),
                         );
                     }
-                    e = tag::addr_of(self.core.pool.peek(e.offset(E_NEXT)));
+                    e = tag::addr_of(self.pool().peek(e.offset(E_NEXT)));
                 }
             }
         }
@@ -966,10 +872,18 @@ fn pack(pid: usize, seq: u64) -> u64 {
     ((pid as u64) << 48) | (seq & tag::ADDR_MASK)
 }
 
+impl<M: Memory> Deref for DetectableMap<M> {
+    type Target = DetectableCore<M>;
+
+    fn deref(&self) -> &DetectableCore<M> {
+        &self.core
+    }
+}
+
 impl<M: Memory> fmt::Debug for DetectableMap<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DetectableMap")
-            .field("nthreads", &self.core.nthreads)
+            .field("nthreads", &self.nthreads())
             .field("buckets0", &self.buckets0)
             .field("nlevels", &self.nlevels())
             .finish_non_exhaustive()
@@ -980,19 +894,7 @@ impl<M: Memory> fmt::Debug for DetectableMap<M> {
 mod tests {
     use super::*;
     use dss_pmem::WritebackAdversary;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::Arc;
-
-    fn run_crash_at<F: FnOnce()>(m: &DetectableMap, k: u64, f: F) -> bool {
-        m.pool().arm_crash_after(k);
-        let res = catch_unwind(AssertUnwindSafe(f));
-        m.pool().disarm_crash();
-        match res {
-            Ok(()) => false,
-            Err(p) if p.downcast_ref::<dss_pmem::CrashSignal>().is_some() => true,
-            Err(p) => std::panic::resume_unwind(p),
-        }
-    }
 
     #[test]
     fn put_get_remove_basic() {
@@ -1024,10 +926,10 @@ mod tests {
         let entries = (0..m.nlevels())
             .flat_map(|k| {
                 let mut chain = Vec::new();
-                let mut e = tag::addr_of(m.core.pool.peek(m.bucket_addr(k, 7)));
+                let mut e = tag::addr_of(m.pool().peek(m.bucket_addr(k, 7)));
                 while !e.is_null() {
-                    chain.push(m.core.pool.peek(e.offset(E_KEY)));
-                    e = tag::addr_of(m.core.pool.peek(e.offset(E_NEXT)));
+                    chain.push(m.pool().peek(e.offset(E_KEY)));
+                    e = tag::addr_of(m.pool().peek(e.offset(E_NEXT)));
                 }
                 chain
             })
@@ -1141,7 +1043,7 @@ mod tests {
             for k in 1..80 {
                 let m = DetectableMap::new(1, 8, 8);
                 let h = m.register_thread().unwrap();
-                let crashed = run_crash_at(&m, k, || {
+                let crashed = m.pool().crashes_within(k, || {
                     m.prep_put(h, 1, 10, 9);
                     m.exec_put(h);
                 });
@@ -1174,7 +1076,7 @@ mod tests {
                 let m = DetectableMap::new(1, 8, 8);
                 let h = m.register_thread().unwrap();
                 m.put(h, 2, 20);
-                let crashed = run_crash_at(&m, k, || {
+                let crashed = m.pool().crashes_within(k, || {
                     m.prep_put(h, 2, 21, 3);
                     m.exec_put(h);
                 });
@@ -1207,7 +1109,7 @@ mod tests {
                 let m = DetectableMap::new(1, 8, 8);
                 let h = m.register_thread().unwrap();
                 m.put(h, 6, 60);
-                let crashed = run_crash_at(&m, k, || {
+                let crashed = m.pool().crashes_within(k, || {
                     m.prep_remove(h, 6, 4);
                     m.exec_remove(h);
                 });
@@ -1268,7 +1170,7 @@ mod tests {
             for key in 0..16 {
                 m.put(h, key, key * 2);
             }
-            let crashed = run_crash_at(&m, k, || {
+            let crashed = m.pool().crashes_within(k, || {
                 m.grow();
             });
             m.pool().crash(&WritebackAdversary::All);
@@ -1487,11 +1389,11 @@ mod tests {
         };
         for k in 0..m.nlevels() {
             for b in 0..m.level_buckets(k) {
-                let mut e = tag::addr_of(m.core.pool.peek(PAddr::from_index(m.level_base(k) + b)));
+                let mut e = tag::addr_of(m.pool().peek(PAddr::from_index(m.level_base(k) + b)));
                 while !e.is_null() {
                     count(&mut place, e, "entry");
-                    count(&mut place, tag::addr_of(m.core.pool.peek(e.offset(E_VPTR))), "binding");
-                    e = tag::addr_of(m.core.pool.peek(e.offset(E_NEXT)));
+                    count(&mut place, tag::addr_of(m.pool().peek(e.offset(E_VPTR))), "binding");
+                    e = tag::addr_of(m.pool().peek(e.offset(E_NEXT)));
                 }
             }
         }
@@ -1502,17 +1404,17 @@ mod tests {
         }
         // Nobody is pinned, so a few epoch advances drain every limbo list.
         for _ in 0..4 {
-            for p in m.core.ebr.collect_all(0) {
+            for p in m.ebr().collect_all(0) {
                 count(&mut place, p, "limbo");
             }
         }
-        assert_eq!(m.core.ebr.limbo_len(), 0);
+        assert_eq!(m.ebr().limbo_len(), 0);
         while let Some(p) = m.nodes.alloc(0) {
             count(&mut place, p, "free");
         }
         // An X node is a binding, held, or (never installed) its own.
         for h in hs {
-            let x = tag::addr_of(m.core.pool.peek(m.x_addr(h.slot())));
+            let x = tag::addr_of(m.pool().peek(m.x_addr(h.slot())));
             match place.get(&x) {
                 None => count(&mut place, x, "X"),
                 Some(&at) => assert!(matches!(at, "binding" | "held"), "X node {x:?} is {at}"),
@@ -1530,7 +1432,7 @@ mod tests {
         let (h0, h1) = (m.register_thread().unwrap(), m.register_thread().unwrap());
         m.prep_put(h0, 1, 10, 0);
         m.exec_put(h0);
-        let first = tag::addr_of(m.core.pool.peek(m.x_addr(h0.slot())));
+        let first = tag::addr_of(m.pool().peek(m.x_addr(h0.slot())));
         m.put(h1, 1, 11);
         m.pool().crash(&WritebackAdversary::None);
         m.rebuild_allocator();
@@ -1540,6 +1442,6 @@ mod tests {
         assert_eq!(*m.held(h0.slot()), vec![first], "X[h0] moved on only just now");
         m.put(h0, 3, 30);
         assert_eq!(held_len(&m), 0);
-        assert_eq!(m.core.ebr.limbo_len(), 1, "retired once, by its slot");
+        assert_eq!(m.ebr().limbo_len(), 1, "retired once, by its slot");
     }
 }

@@ -63,16 +63,17 @@
 //! [`Memory::persist_batch`]: dss_pmem::Memory::persist_batch
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::ops::Deref;
+use std::sync::Mutex;
 
 use dss_pmem::{
-    tag, AppKind, AttachError, FlushGranularity, Memory, PAddr, PmemPool, Registry, SlotError,
+    tag, AppKind, AttachError, FlushGranularity, Memory, ObjectCore, ObjectLayout, PAddr, PmemPool,
     ThreadHandle, WORDS_PER_LINE,
 };
 use dss_spec::types::QueueResp;
 
 use super::{DssQueue, QueueFull, QueueLayout, Resolved, F_DEQ_TID, F_NEXT, F_VALUE, NO_DEQUEUER};
-use crate::detect::Lease;
+use crate::detect::{DetectableCore, Lease};
 
 /// The structure-kind tag a [`CombiningQueue`] records in its pool file's
 /// superblock: a combining pool is *not* attachable by the CAS-racing
@@ -110,8 +111,8 @@ struct Scratch {
 /// representation (Michael–Scott list + detectability words), but `exec`
 /// is served by a single lease-holding combiner that batch-applies every
 /// announced operation with three [`persist_batch`] ordering points per
-/// batch — see the [module docs](self) for the protocol and its crash
-/// argument.
+/// batch — the module documentation of `queue/combining.rs` gives the
+/// protocol and its crash argument.
 ///
 /// Interoperability: the persisted list and `X` words are bit-compatible
 /// with [`DssQueue`]'s, so [`resolve`](Self::resolve), Figure 6 recovery
@@ -131,10 +132,34 @@ pub struct CombiningQueue<M: Memory = PmemPool> {
     scratch: Mutex<Scratch>,
 }
 
-/// The lease line sits on its own cache line directly after the
-/// [`DssQueue`] layout (which ends line-aligned at the registry region).
-fn lease_base(layout: &QueueLayout) -> u64 {
-    layout.words.next_multiple_of(WORDS_PER_LINE)
+/// The combining queue's pool layout: the [`DssQueue`] layout plus the
+/// lease word on its own cache line directly after it (the queue layout
+/// ends line-aligned at the registry region).
+struct CombiningLayout {
+    queue: QueueLayout,
+    lease: u64,
+}
+
+impl ObjectLayout for CombiningLayout {
+    const KIND: AppKind = AppKind::DssQueueCombining;
+
+    fn params(&self) -> Vec<u64> {
+        self.queue.params()
+    }
+
+    fn from_params(p: &[u64]) -> Result<Self, &'static str> {
+        let queue = QueueLayout::from_params(p)?;
+        let lease = queue.pool_words().next_multiple_of(WORDS_PER_LINE);
+        Ok(CombiningLayout { queue, lease })
+    }
+
+    fn pool_words(&self) -> u64 {
+        self.lease + WORDS_PER_LINE
+    }
+
+    fn registry_base(&self) -> u64 {
+        self.queue.registry_base()
+    }
 }
 
 impl CombiningQueue {
@@ -146,21 +171,7 @@ impl CombiningQueue {
     ///
     /// Panics if `nthreads` or `nodes_per_thread` is zero.
     pub fn new(nthreads: usize, nodes_per_thread: u64) -> Self {
-        Self::with_granularity(nthreads, nodes_per_thread, FlushGranularity::Line)
-    }
-
-    /// Creates a combining queue on a pool with the given flush
-    /// granularity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nthreads` or `nodes_per_thread` is zero.
-    pub fn with_granularity(
-        nthreads: usize,
-        nodes_per_thread: u64,
-        granularity: FlushGranularity,
-    ) -> Self {
-        Self::new_in(nthreads, nodes_per_thread, granularity)
+        Self::new_in(nthreads, nodes_per_thread, FlushGranularity::Line)
     }
 
     /// Creates a combining queue on a **file-backed** pool at `path`,
@@ -199,17 +210,10 @@ impl CombiningQueue {
         nodes_per_thread: u64,
         granularity: FlushGranularity,
     ) -> Result<Self, AttachError> {
-        let layout = QueueLayout::new(nthreads, nodes_per_thread);
-        let lease = lease_base(&layout);
-        let words = lease + WORDS_PER_LINE;
-        let pool = Arc::new(PmemPool::create(path, words as usize, granularity)?);
-        pool.set_app_config(KIND_DSS_QUEUE_COMBINING, &[nthreads as u64, nodes_per_thread]);
-        let registry = Registry::create(Arc::clone(&pool), layout.reg_base, nthreads);
-        let q = DssQueue::assemble(pool, registry, &layout, nthreads, nodes_per_thread);
-        q.format(layout.sentinel);
-        let cq = Self::wrap(q, PAddr::from_index(lease));
-        cq.clear_lease();
-        Ok(cq)
+        let layout = CombiningLayout::from_args(&[nthreads as u64, nodes_per_thread]);
+        let q = DssQueue::assemble(ObjectCore::create(path, &layout, granularity)?, &layout.queue);
+        q.format(layout.queue.sentinel);
+        Ok(Self::wrap(q, &layout))
     }
 
     /// Rebuilds a combining queue from a pool file with no in-process
@@ -220,31 +224,14 @@ impl CombiningQueue {
     ///
     /// # Errors
     ///
-    /// Any [`AttachError`]; in particular [`AttachError::AppMismatch`] if
-    /// the file holds a non-combining structure (e.g. a plain
-    /// [`DssQueue`] pool).
+    /// Any [`AttachError`] of [`ObjectCore::attach`]; in particular
+    /// [`AttachError::AppMismatch`] if the file holds a non-combining
+    /// structure (e.g. a plain [`DssQueue`] pool).
     pub fn attach<P: AsRef<std::path::Path>>(path: P) -> Result<Self, AttachError> {
-        let pool = Arc::new(PmemPool::attach(path)?);
-        let found = pool.app_kind();
-        if found != KIND_DSS_QUEUE_COMBINING {
-            return Err(AttachError::AppMismatch { expected: KIND_DSS_QUEUE_COMBINING, found });
-        }
-        let [nthreads, nodes_per_thread, ..] = pool.app_config();
-        if nthreads == 0 || nodes_per_thread == 0 {
-            return Err(AttachError::Corrupt("combining queue parameter words are zero"));
-        }
-        let nthreads = nthreads as usize;
-        let layout = QueueLayout::new(nthreads, nodes_per_thread);
-        let lease = lease_base(&layout);
-        if (pool.capacity() as u64) < lease + WORDS_PER_LINE {
-            return Err(AttachError::Corrupt("pool smaller than the combining layout requires"));
-        }
-        let registry = Registry::attach(Arc::clone(&pool), layout.reg_base)?;
-        let q = DssQueue::assemble(pool, registry, &layout, nthreads, nodes_per_thread);
+        let (object, layout) = ObjectCore::attach::<CombiningLayout, _>(path)?;
+        let q = DssQueue::assemble(object, &layout.queue);
         q.rebuild_allocator();
-        let cq = Self::wrap(q, PAddr::from_index(lease));
-        cq.clear_lease();
-        Ok(cq)
+        Ok(Self::wrap(q, &layout))
     }
 }
 
@@ -257,91 +244,22 @@ impl<M: Memory> CombiningQueue<M> {
     ///
     /// Panics if `nthreads` or `nodes_per_thread` is zero.
     pub fn new_in(nthreads: usize, nodes_per_thread: u64, granularity: FlushGranularity) -> Self {
-        let layout = QueueLayout::new(nthreads, nodes_per_thread);
-        let lease = lease_base(&layout);
-        let words = lease + WORDS_PER_LINE;
-        let pool = Arc::new(M::create(words as usize, granularity));
-        let registry = Registry::create(Arc::clone(&pool), layout.reg_base, nthreads);
-        let q = DssQueue::assemble(pool, registry, &layout, nthreads, nodes_per_thread);
-        q.format(layout.sentinel);
-        let cq = Self::wrap(q, PAddr::from_index(lease));
+        let layout = CombiningLayout::from_args(&[nthreads as u64, nodes_per_thread]);
+        let q = DssQueue::assemble(ObjectCore::fresh(&layout, granularity), &layout.queue);
+        q.format(layout.queue.sentinel);
+        Self::wrap(q, &layout)
+    }
+
+    /// Puts the lease over a formatted or attached queue and clears it.
+    fn wrap(q: DssQueue<M>, layout: &CombiningLayout) -> Self {
+        let lease = Lease::new(PAddr::from_index(layout.lease), q.nthreads());
+        let cq = CombiningQueue { q, lease, scratch: Mutex::new(Scratch::default()) };
         cq.clear_lease();
         cq
     }
 
-    fn wrap(q: DssQueue<M>, lease: PAddr) -> Self {
-        let lease = Lease::new(lease, q.nthreads());
-        CombiningQueue { q, lease, scratch: Mutex::new(Scratch::default()) }
-    }
-
     fn clear_lease(&self) {
-        self.lease.clear(self.q.pool().as_ref());
-    }
-
-    /// The queue's memory backend.
-    pub fn pool(&self) -> &Arc<M> {
-        self.q.pool()
-    }
-
-    /// Number of threads the queue was built for.
-    pub fn nthreads(&self) -> usize {
-        self.q.nthreads()
-    }
-
-    /// The queue's persistent thread-slot registry.
-    pub fn registry(&self) -> &Registry<M> {
-        self.q.registry()
-    }
-
-    /// Accepted for knob parity with [`DssQueue::set_backoff`]; waiters
-    /// always park with the adaptive tuner (there is no CAS retry loop
-    /// whose instruction sequence the flag would need to preserve).
-    pub fn set_backoff(&self, on: bool) {
-        self.q.set_backoff(on);
-    }
-
-    /// Claims a free registry slot (see [`DssQueue::register_thread`]).
-    ///
-    /// # Errors
-    ///
-    /// [`SlotError::Exhausted`] when all slots are taken.
-    pub fn register_thread(&self) -> Result<ThreadHandle, SlotError> {
-        self.q.register_thread()
-    }
-
-    /// Returns a handle's slot to the registry
-    /// (see [`DssQueue::release_thread`]).
-    ///
-    /// # Errors
-    ///
-    /// [`SlotError::StaleHandle`] / [`SlotError::ForeignHandle`] per
-    /// [`Registry::release`].
-    pub fn release_thread(&self, h: ThreadHandle) -> Result<(), SlotError> {
-        self.q.release_thread(h)
-    }
-
-    /// Marks the crash boundary in the registry
-    /// (see [`DssQueue::begin_recovery`]). **Required after every crash
-    /// before any thread resumes `exec`**: lease-staleness detection keys
-    /// off orphaned slots, so skipping the boundary would let waiters spin
-    /// on a dead combiner's lease forever.
-    pub fn begin_recovery(&self) {
-        self.q.begin_recovery();
-    }
-
-    /// Adopts one orphaned slot (see [`DssQueue::adopt`]).
-    ///
-    /// # Errors
-    ///
-    /// [`SlotError::OutOfRange`] / [`SlotError::NotOrphaned`] per
-    /// [`Registry::adopt`].
-    pub fn adopt(&self, slot: usize) -> Result<ThreadHandle, SlotError> {
-        self.q.adopt(slot)
-    }
-
-    /// [`adopt`](Self::adopt) over every orphaned slot, ascending.
-    pub fn adopt_orphans(&self) -> Vec<ThreadHandle> {
-        self.q.adopt_orphans()
+        self.lease.clear(self.pool().as_ref());
     }
 
     /// Total completed operations (volatile; for workloads and tests).
@@ -625,6 +543,22 @@ impl<M: Memory> CombiningQueue<M> {
     /// crash (see [`DssQueue::rebuild_allocator`]).
     pub fn rebuild_allocator(&self) {
         self.q.rebuild_allocator();
+    }
+}
+
+/// The slot API, the pool and the backoff knob are the inner queue's
+/// skeleton. The backoff knob is accepted for parity with
+/// [`DssQueue`]; waiters always park with the adaptive tuner (there is no
+/// CAS retry loop whose instruction sequence the flag would need to
+/// preserve). [`begin_recovery`](ObjectCore::begin_recovery) is
+/// **required after every crash before any thread resumes `exec`**:
+/// lease-staleness detection keys off orphaned slots, so skipping the
+/// boundary would let waiters spin on a dead combiner's lease forever.
+impl<M: Memory> Deref for CombiningQueue<M> {
+    type Target = DetectableCore<M>;
+
+    fn deref(&self) -> &DetectableCore<M> {
+        &self.q
     }
 }
 

@@ -13,12 +13,13 @@ pub use replicated::{
 };
 
 use std::fmt;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
 
+use dss_pmem::object::{checked_words, thread_count};
 use dss_pmem::{
-    tag, AppKind, AttachError, Backoff, FlushGranularity, Memory, NodePool, PAddr, PmemPool,
-    Registry, SlotError, ThreadHandle, WORDS_PER_LINE,
+    tag, AppKind, AttachError, FlushGranularity, Memory, NodePool, ObjectCore, ObjectLayout, PAddr,
+    PmemPool, ThreadHandle, WORDS_PER_LINE,
 };
 
 use crate::detect::DetectableCore;
@@ -96,22 +97,27 @@ pub struct Resolved {
 /// [`recover_one`](Self::recover_one) (§3.3), then ask
 /// [`resolve`](Self::resolve) what happened.
 ///
-/// Thread identity comes from a persistent slot [`Registry`] embedded in
-/// the pool: call [`register_thread`](Self::register_thread) to obtain a
+/// Thread identity comes from a persistent slot
+/// [`Registry`](dss_pmem::Registry) embedded in the pool: call
+/// [`register_thread`](ObjectCore::register_thread) to obtain a
 /// [`ThreadHandle`], thread it through every operation, and after a crash
 /// either keep using the (Copy) handle — the paper §2's
 /// recover-under-the-same-ID model — or let any surviving thread
-/// [`adopt`](Self::adopt) the orphaned slots of threads that never came
-/// back (§3.3's generalization). A bad slot index is a typed
-/// [`SlotError`], not an abort.
+/// [`adopt`](ObjectCore::adopt) the orphaned slots of threads that never
+/// came back (§3.3's generalization). A bad slot index is a typed
+/// [`SlotError`](dss_pmem::SlotError), not an abort. The slot API, like
+/// the pool and the backoff knob, is the shared skeleton's: the queue
+/// dereferences to its [`DetectableCore`]. With backoff on
+/// ([`set_backoff`](ObjectCore::set_backoff)), `exec-dequeue` also elides
+/// provably redundant announce flushes.
 ///
 /// The queue is generic over its [`Memory`] backend: the default
 /// [`PmemPool`] simulates persistence and supports crash injection, while
 /// [`DramPool`](dss_pmem::DramPool) (via [`new_in`](Self::new_in)) runs the
 /// identical instruction sequence on plain atomics.
 pub struct DssQueue<M: Memory = PmemPool> {
-    /// The shared detectability skeleton: pool, registry, EBR, backoff,
-    /// and the per-thread `X` words (see [`DetectableCore`]).
+    /// The shared detectability skeleton: the per-thread `X` words over
+    /// the object skeleton (pool, registry, EBR, backoff).
     core: DetectableCore<M>,
     pub(crate) nodes: NodePool,
     /// Monotone per-thread counters of completed operations (volatile;
@@ -130,28 +136,37 @@ pub(crate) const A_X_BASE: u64 = 3 * WORDS_PER_LINE;
 /// alone — which is exactly why those two parameters in a pool file's
 /// superblock make the file self-describing.
 struct QueueLayout {
+    nthreads: usize,
+    nodes_per_thread: u64,
     sentinel: u64,
     region: u64,
     reg_base: u64,
-    words: u64,
 }
 
-impl QueueLayout {
-    fn new(nthreads: usize, nodes_per_thread: u64) -> Self {
-        assert!(nthreads > 0, "need at least one thread");
-        assert!(nodes_per_thread > 0, "need at least one node per thread");
+impl ObjectLayout for QueueLayout {
+    const KIND: AppKind = AppKind::DssQueue;
+
+    fn params(&self) -> Vec<u64> {
+        vec![self.nthreads as u64, self.nodes_per_thread]
+    }
+
+    fn from_params(p: &[u64]) -> Result<Self, &'static str> {
+        let (nthreads, nodes_per_thread) = (thread_count(p[0])?, p[1]);
+        let nodes = checked_words(&[nthreads as u64, nodes_per_thread, NODE_WORDS])?;
         // Layout: [0:NULL][head line][tail line][n X lines][sentinel]
         // [region...], with the sentinel and region aligned to NODE_WORDS
         // so each node sits within one cache line.
         let x_end = A_X_BASE + nthreads as u64 * WORDS_PER_LINE;
         let sentinel = x_end.next_multiple_of(NODE_WORDS);
         let region = sentinel + NODE_WORDS;
-        let node_end = region + nodes_per_thread * nthreads as u64 * NODE_WORDS;
         // The registry region goes *after* every pre-registry region, so
         // persisted layouts of head/tail/X/nodes are unchanged.
-        let reg_base = node_end.next_multiple_of(WORDS_PER_LINE);
-        let words = reg_base + Registry::<PmemPool>::region_words(nthreads);
-        QueueLayout { sentinel, region, reg_base, words }
+        let reg_base = (region + nodes).next_multiple_of(WORDS_PER_LINE);
+        Ok(QueueLayout { nthreads, nodes_per_thread, sentinel, region, reg_base })
+    }
+
+    fn registry_base(&self) -> u64 {
+        self.reg_base
     }
 }
 
@@ -163,21 +178,7 @@ impl DssQueue {
     ///
     /// Panics if `nthreads` or `nodes_per_thread` is zero.
     pub fn new(nthreads: usize, nodes_per_thread: u64) -> Self {
-        Self::with_granularity(nthreads, nodes_per_thread, FlushGranularity::Line)
-    }
-
-    /// Creates a queue on a pool with the given flush granularity
-    /// (experiment E7 sweeps this).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nthreads` or `nodes_per_thread` is zero.
-    pub fn with_granularity(
-        nthreads: usize,
-        nodes_per_thread: u64,
-        granularity: FlushGranularity,
-    ) -> Self {
-        Self::new_in(nthreads, nodes_per_thread, granularity)
+        Self::new_in(nthreads, nodes_per_thread, FlushGranularity::Line)
     }
 
     /// Creates a queue on a **file-backed** pool at `path` (line-granular):
@@ -216,11 +217,8 @@ impl DssQueue {
         nodes_per_thread: u64,
         granularity: FlushGranularity,
     ) -> Result<Self, AttachError> {
-        let layout = QueueLayout::new(nthreads, nodes_per_thread);
-        let pool = Arc::new(PmemPool::create(path, layout.words as usize, granularity)?);
-        pool.set_app_config(KIND_DSS_QUEUE, &[nthreads as u64, nodes_per_thread]);
-        let registry = Registry::create(Arc::clone(&pool), layout.reg_base, nthreads);
-        let q = Self::assemble(pool, registry, &layout, nthreads, nodes_per_thread);
+        let layout = QueueLayout::from_args(&[nthreads as u64, nodes_per_thread]);
+        let q = Self::assemble(ObjectCore::create(path, &layout, granularity)?, &layout);
         q.format(layout.sentinel);
         Ok(q)
     }
@@ -234,32 +232,18 @@ impl DssQueue {
     ///
     /// Attaching is a crash boundary, so the usual post-crash workflow
     /// applies: run [`recover`](Self::recover) (Figure 6 adopt-then-
-    /// resolve) or per-slot [`adopt`](Self::adopt)/
+    /// resolve) or per-slot [`adopt`](ObjectCore::adopt)/
     /// [`recover_one`](Self::recover_one), then [`resolve`](Self::resolve)
     /// each adopted handle.
     ///
     /// # Errors
     ///
-    /// Any [`AttachError`]: I/O or superblock validation failure, or
+    /// Any [`AttachError`] of [`ObjectCore::attach`]; in particular
     /// [`AttachError::AppMismatch`] if the file holds a different
     /// structure.
     pub fn attach<P: AsRef<std::path::Path>>(path: P) -> Result<Self, AttachError> {
-        let pool = Arc::new(PmemPool::attach(path)?);
-        let found = pool.app_kind();
-        if found != KIND_DSS_QUEUE {
-            return Err(AttachError::AppMismatch { expected: KIND_DSS_QUEUE, found });
-        }
-        let [nthreads, nodes_per_thread, ..] = pool.app_config();
-        if nthreads == 0 || nodes_per_thread == 0 {
-            return Err(AttachError::Corrupt("queue parameter words are zero"));
-        }
-        let nthreads = nthreads as usize;
-        let layout = QueueLayout::new(nthreads, nodes_per_thread);
-        if (pool.capacity() as u64) < layout.words {
-            return Err(AttachError::Corrupt("pool smaller than the queue layout requires"));
-        }
-        let registry = Registry::attach(Arc::clone(&pool), layout.reg_base)?;
-        let q = Self::assemble(pool, registry, &layout, nthreads, nodes_per_thread);
+        let (object, layout) = ObjectCore::attach(path)?;
+        let q = Self::assemble(object, &layout);
         // The allocator is volatile: rebuild it from the persisted list
         // right away so an early alloc cannot hand out a node the dead
         // process left in the queue. (Reachability from the possibly-lagging
@@ -272,37 +256,29 @@ impl DssQueue {
 
 impl<M: Memory> DssQueue<M> {
     /// Creates a queue on a freshly created backend of type `M`
-    /// ([`Memory::create`]) — the backend-generic constructor behind
-    /// [`new`](DssQueue::new)/[`with_granularity`](DssQueue::with_granularity).
+    /// ([`Memory::create`]) with the given flush granularity (experiment
+    /// E7 sweeps it) — the backend-generic constructor behind
+    /// [`new`](DssQueue::new).
     ///
     /// # Panics
     ///
     /// Panics if `nthreads` or `nodes_per_thread` is zero.
     pub fn new_in(nthreads: usize, nodes_per_thread: u64, granularity: FlushGranularity) -> Self {
-        let layout = QueueLayout::new(nthreads, nodes_per_thread);
-        let pool = Arc::new(M::create(layout.words as usize, granularity));
-        let registry = Registry::create(Arc::clone(&pool), layout.reg_base, nthreads);
-        let q = Self::assemble(pool, registry, &layout, nthreads, nodes_per_thread);
+        let layout = QueueLayout::from_args(&[nthreads as u64, nodes_per_thread]);
+        let q = Self::assemble(ObjectCore::fresh(&layout, granularity), &layout);
         q.format(layout.sentinel);
         q
     }
 
     /// The shared constructor tail: in-DRAM side tables (node allocator,
-    /// EBR domains, backoff tuner, op counters) over an existing pool +
-    /// registry — everything `attach` must rebuild rather than map.
-    fn assemble(
-        pool: Arc<M>,
-        registry: Registry<M>,
-        layout: &QueueLayout,
-        nthreads: usize,
-        nodes_per_thread: u64,
-    ) -> Self {
-        let nodes =
-            NodePool::new(PAddr::from_index(layout.region), NODE_WORDS, nodes_per_thread, nthreads);
+    /// op counters) over an object skeleton — everything `attach` must
+    /// rebuild rather than map.
+    fn assemble(object: ObjectCore<M>, layout: &QueueLayout) -> Self {
+        let (n, region) = (layout.nthreads, PAddr::from_index(layout.region));
         DssQueue {
-            core: DetectableCore::new(pool, registry, nthreads, A_X_BASE, WORDS_PER_LINE),
-            nodes,
-            ops_done: (0..nthreads).map(|_| AtomicU64::new(0)).collect(),
+            core: DetectableCore::new(object, A_X_BASE, WORDS_PER_LINE),
+            nodes: NodePool::new(region, NODE_WORDS, layout.nodes_per_thread, n),
+            ops_done: (0..n).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
@@ -312,103 +288,16 @@ impl<M: Memory> DssQueue<M> {
         // Initial state: head = tail = sentinel; sentinel.next = NULL,
         // sentinel unmarked; X[i] = NULL for all i. Persist everything.
         let s = PAddr::from_index(sentinel);
-        self.core.pool.store(s.offset(F_VALUE), 0);
-        self.core.pool.store(s.offset(F_NEXT), PAddr::NULL.to_word());
-        self.core.pool.store(s.offset(F_DEQ_TID), NO_DEQUEUER);
+        self.pool().store(s.offset(F_VALUE), 0);
+        self.pool().store(s.offset(F_NEXT), PAddr::NULL.to_word());
+        self.pool().store(s.offset(F_DEQ_TID), NO_DEQUEUER);
         self.flush_node(s);
-        self.core.pool.store(self.head_addr(), s.to_word());
-        self.core.pool.flush(self.head_addr());
-        self.core.pool.store(self.tail_addr(), s.to_word());
-        self.core.pool.flush(self.tail_addr());
+        self.pool().store(self.head_addr(), s.to_word());
+        self.pool().flush(self.head_addr());
+        self.pool().store(self.tail_addr(), s.to_word());
+        self.pool().flush(self.tail_addr());
         self.core.format_x();
-        self.core.pool.drain();
-    }
-
-    /// Enables or disables contention management (bounded exponential
-    /// backoff after failed CAS, plus elision of provably redundant
-    /// announce flushes in `exec-dequeue`). Default off: the instruction
-    /// sequence then matches the paper's pseudocode exactly.
-    pub fn set_backoff(&self, on: bool) {
-        self.core.set_backoff(on);
-    }
-
-    /// Whether contention management is enabled.
-    pub fn backoff_enabled(&self) -> bool {
-        self.core.backoff_enabled()
-    }
-
-    /// A fresh per-operation backoff, enabled per the queue's setting and
-    /// capped by the queue's contention-tuned
-    /// [`BackoffTuner`](dss_pmem::BackoffTuner).
-    pub(crate) fn new_backoff(&self) -> Backoff<'_> {
-        self.core.new_backoff()
-    }
-
-    /// The queue's memory backend (on [`PmemPool`]: crash it, inspect it,
-    /// count its operations).
-    pub fn pool(&self) -> &Arc<M> {
-        self.core.pool()
-    }
-
-    /// Number of threads the queue was built for.
-    pub fn nthreads(&self) -> usize {
-        self.core.nthreads()
-    }
-
-    /// The queue's persistent thread-slot registry (inspect slot states,
-    /// run registry-level operations directly).
-    pub fn registry(&self) -> &Registry<M> {
-        self.core.registry()
-    }
-
-    /// Claims a free registry slot and returns the [`ThreadHandle`] every
-    /// operation takes. Any stale EBR pin a previous lease of the slot
-    /// left behind is cleared; its un-reclaimed retirees are inherited.
-    ///
-    /// # Errors
-    ///
-    /// [`SlotError::Exhausted`] when all `nthreads` slots are taken.
-    pub fn register_thread(&self) -> Result<ThreadHandle, SlotError> {
-        self.core.register_thread()
-    }
-
-    /// Returns a handle's slot to the registry.
-    ///
-    /// # Errors
-    ///
-    /// [`SlotError::StaleHandle`] if the slot's lease has moved on (e.g.
-    /// it was adopted after a crash), [`SlotError::ForeignHandle`] for a
-    /// handle from another queue's registry.
-    pub fn release_thread(&self, h: ThreadHandle) -> Result<(), SlotError> {
-        self.core.release_thread(h)
-    }
-
-    /// Marks the crash boundary in the registry: every slot that was LIVE
-    /// at the crash becomes ORPHANED and adoptable. Idempotent per crash;
-    /// [`recover`](Self::recover) calls this itself — call it directly
-    /// only when driving partial recovery by hand ([`adopt`](Self::adopt)
-    /// / [`recover_one`](Self::recover_one)).
-    pub fn begin_recovery(&self) {
-        self.core.begin_recovery();
-    }
-
-    /// Adopts one orphaned slot on behalf of a thread that never came
-    /// back: re-LIVEs the slot under a fresh lease and clears the dead
-    /// thread's stale EBR pin (its retirees are inherited, not leaked).
-    /// Follow with [`recover_one`](Self::recover_one) to repair the
-    /// slot's detectability word.
-    ///
-    /// # Errors
-    ///
-    /// [`SlotError::OutOfRange`] / [`SlotError::NotOrphaned`] per
-    /// [`Registry::adopt`].
-    pub fn adopt(&self, slot: usize) -> Result<ThreadHandle, SlotError> {
-        self.core.adopt(slot)
-    }
-
-    /// [`adopt`](Self::adopt) over every orphaned slot, ascending.
-    pub fn adopt_orphans(&self) -> Vec<ThreadHandle> {
-        self.core.adopt_orphans()
+        self.pool().drain();
     }
 
     pub(crate) fn head_addr(&self) -> PAddr {
@@ -419,21 +308,16 @@ impl<M: Memory> DssQueue<M> {
         PAddr::from_index(A_TAIL)
     }
 
-    // Handle validity is the core's concern; see DetectableCore::x_addr.
-    pub(crate) fn x_addr(&self, slot: usize) -> PAddr {
-        self.core.x_addr(slot)
-    }
-
     /// `FLUSH(node)`: persists a whole node. One flush under line
     /// granularity (nodes are line-aligned), one per field under word
     /// granularity.
     pub(crate) fn flush_node(&self, node: PAddr) {
-        match self.core.pool.granularity() {
-            FlushGranularity::Line => self.core.pool.flush(node),
+        match self.pool().granularity() {
+            FlushGranularity::Line => self.pool().flush(node),
             FlushGranularity::Word => {
-                self.core.pool.flush(node.offset(F_VALUE));
-                self.core.pool.flush(node.offset(F_NEXT));
-                self.core.pool.flush(node.offset(F_DEQ_TID));
+                self.pool().flush(node.offset(F_VALUE));
+                self.pool().flush(node.offset(F_NEXT));
+                self.pool().flush(node.offset(F_DEQ_TID));
             }
         }
     }
@@ -443,7 +327,7 @@ impl<M: Memory> DssQueue<M> {
     /// the node's own pending flush units (one line, or three words under
     /// word granularity) so every other pending flush stays coalescible.
     pub(crate) fn drain_node(&self, node: PAddr) {
-        self.core.pool.drain_lines(&[
+        self.pool().drain_lines(&[
             node.offset(F_VALUE),
             node.offset(F_NEXT),
             node.offset(F_DEQ_TID),
@@ -460,11 +344,11 @@ impl<M: Memory> DssQueue<M> {
     pub(crate) fn x_referenced_nodes(&self) -> Vec<PAddr> {
         let mut out = Vec::new();
         for i in 0..self.nthreads() {
-            let x = self.core.pool.load(self.x_addr(i));
+            let x = self.pool().load(self.x_addr(i));
             let d = tag::addr_of(x);
             if !d.is_null() {
                 out.push(d);
-                let next = tag::addr_of(self.core.pool.load(d.offset(F_NEXT)));
+                let next = tag::addr_of(self.pool().load(d.offset(F_NEXT)));
                 if !next.is_null() {
                     out.push(next);
                 }
@@ -479,19 +363,15 @@ impl<M: Memory> DssQueue<M> {
     /// which stay in limbo until the word moves on.
     pub(crate) fn alloc_node(&self, tid: usize) -> Result<PAddr, QueueFull> {
         self.nodes
-            .alloc_with_reclaim_guarded(tid, &self.core.ebr, || self.x_referenced_nodes())
+            .alloc_with_reclaim_guarded(tid, self.ebr(), || self.x_referenced_nodes())
             .ok_or(QueueFull)
-    }
-
-    pub(crate) fn pin(&self, tid: usize) -> dss_pmem::EbrGuard<'_> {
-        self.core.pin(tid)
     }
 
     /// Retires a dequeued predecessor node (ignored for the static initial
     /// sentinel, which is not part of the node region).
     pub(crate) fn retire_node(&self, tid: usize, node: PAddr) {
         if self.nodes.contains(node) {
-            self.core.ebr.retire(tid, node);
+            self.ebr().retire(tid, node);
         }
     }
 
@@ -511,7 +391,7 @@ impl<M: Memory> DssQueue<M> {
     /// including immediately after recovery from a crash.
     pub fn resolve(&self, h: ThreadHandle) -> Resolved {
         let tid = h.slot();
-        let x = self.core.pool.load(self.x_addr(tid)); // inspect X[TID]
+        let x = self.pool().load(self.x_addr(tid)); // inspect X[TID]
         if tag::has(x, tag::ENQ_PREP) {
             // line 21-22
             let (value, resp) = self.resolve_enqueue(x);
@@ -529,7 +409,7 @@ impl<M: Memory> DssQueue<M> {
     /// **resolve-enqueue** (Figure 3, lines 28–31).
     fn resolve_enqueue(&self, x: u64) -> (u64, Option<QueueResp>) {
         let node = tag::addr_of(x);
-        let value = self.core.pool.load(node.offset(F_VALUE));
+        let value = self.pool().load(node.offset(F_VALUE));
         if tag::has(x, tag::ENQ_COMPL) {
             // enqueue was prepared and took effect (line 29)
             (value, Some(QueueResp::Ok))
@@ -553,16 +433,16 @@ impl<M: Memory> DssQueue<M> {
         } else {
             // X holds the predecessor of the node this thread tried to
             // claim (written at lines 47-48).
-            let next = tag::addr_of(self.core.pool.load(ptr.offset(F_NEXT)));
+            let next = tag::addr_of(self.pool().load(ptr.offset(F_NEXT)));
             if next.is_null() {
                 // The claimed node's linkage never persisted, so the claim
                 // cannot have persisted either (the paper's flush order
                 // guarantees next is persisted before any claim on it).
                 return None;
             }
-            if self.core.pool.load(next.offset(F_DEQ_TID)) == tid as u64 {
+            if self.pool().load(next.offset(F_DEQ_TID)) == tid as u64 {
                 // dequeue took effect on a non-empty queue (lines 60-61)
-                Some(QueueResp::Value(self.core.pool.load(next.offset(F_VALUE))))
+                Some(QueueResp::Value(self.pool().load(next.offset(F_VALUE))))
             } else {
                 // crashed between announcing the predecessor and the claim
                 // (lines 62-63); the node may be claimed by someone else,
@@ -580,14 +460,14 @@ impl<M: Memory> DssQueue<M> {
     pub fn peek_front(&self, h: ThreadHandle) -> Option<u64> {
         let tid = h.slot();
         let _guard = self.pin(tid);
-        let mut cur = tag::addr_of(self.core.pool.load(self.head_addr()));
+        let mut cur = tag::addr_of(self.pool().load(self.head_addr()));
         loop {
-            let next = tag::addr_of(self.core.pool.load(cur.offset(F_NEXT)));
+            let next = tag::addr_of(self.pool().load(cur.offset(F_NEXT)));
             if next.is_null() {
                 return None;
             }
-            if self.core.pool.load(next.offset(F_DEQ_TID)) == NO_DEQUEUER {
-                return Some(self.core.pool.load(next.offset(F_VALUE)));
+            if self.pool().load(next.offset(F_DEQ_TID)) == NO_DEQUEUER {
+                return Some(self.pool().load(next.offset(F_VALUE)));
             }
             cur = next;
         }
@@ -598,15 +478,15 @@ impl<M: Memory> DssQueue<M> {
     /// operations).
     pub fn snapshot_values(&self) -> Vec<u64> {
         let mut out = Vec::new();
-        let mut cur = tag::addr_of(self.core.pool.peek(self.head_addr()));
+        let mut cur = tag::addr_of(self.pool().peek(self.head_addr()));
         loop {
-            let next = tag::addr_of(self.core.pool.peek(cur.offset(F_NEXT)));
+            let next = tag::addr_of(self.pool().peek(cur.offset(F_NEXT)));
             if next.is_null() {
                 break;
             }
             // A marked successor has been dequeued already.
-            if self.core.pool.peek(next.offset(F_DEQ_TID)) == NO_DEQUEUER {
-                out.push(self.core.pool.peek(next.offset(F_VALUE)));
+            if self.pool().peek(next.offset(F_DEQ_TID)) == NO_DEQUEUER {
+                out.push(self.pool().peek(next.offset(F_VALUE)));
             }
             cur = next;
         }
@@ -614,10 +494,18 @@ impl<M: Memory> DssQueue<M> {
     }
 }
 
+impl<M: Memory> Deref for DssQueue<M> {
+    type Target = DetectableCore<M>;
+
+    fn deref(&self) -> &DetectableCore<M> {
+        &self.core
+    }
+}
+
 impl<M: Memory> fmt::Debug for DssQueue<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DssQueue")
-            .field("nthreads", &self.core.nthreads)
+            .field("nthreads", &self.nthreads())
             .field("total_nodes", &self.nodes.total_nodes())
             .finish_non_exhaustive()
     }

@@ -24,9 +24,9 @@ impl<M: Memory> DssQueue<M> {
         let tid = h.slot();
         let node = self.alloc_node(tid)?;
         // line 1: new Node(val) — init next = NULL, deqThreadID = −1
-        self.core.pool.store(node.offset(F_VALUE), val);
-        self.core.pool.store(node.offset(F_NEXT), PAddr::NULL.to_word());
-        self.core.pool.store(node.offset(F_DEQ_TID), NO_DEQUEUER);
+        self.pool().store(node.offset(F_VALUE), val);
+        self.pool().store(node.offset(F_NEXT), PAddr::NULL.to_word());
+        self.pool().store(node.offset(F_DEQ_TID), NO_DEQUEUER);
         self.flush_node(node); // line 2
                                // Ordering point: the announce below must not persist ahead of the
                                // node it names (writeback is per-word, so X[tid] could otherwise
@@ -49,7 +49,7 @@ impl<M: Memory> DssQueue<M> {
         let tid = h.slot();
         let _guard = self.pin(tid);
         let xa = self.x_addr(tid);
-        let x = self.core.pool.load(xa); // line 5
+        let x = self.pool().load(xa); // line 5
         assert!(
             tag::has(x, tag::ENQ_PREP),
             "exec-enqueue without a prepared enqueue (X[{tid}] = {x:#x})"
@@ -57,40 +57,39 @@ impl<M: Memory> DssQueue<M> {
         let node = tag::addr_of(x);
         let mut bo = self.new_backoff();
         loop {
-            let last_w = self.core.pool.load(self.tail_addr()); // line 7
+            let last_w = self.pool().load(self.tail_addr()); // line 7
             let last = tag::addr_of(last_w);
-            let next_w = self.core.pool.load(last.offset(F_NEXT)); // line 8
-            if self.core.pool.load(self.tail_addr()) == last_w {
+            let next_w = self.pool().load(last.offset(F_NEXT)); // line 8
+            if self.pool().load(self.tail_addr()) == last_w {
                 // line 9
                 if tag::addr_of(next_w).is_null() {
                     // line 10: at tail
                     // Ordering point: the announce (and the node it names)
                     // must be persistent before the link can take effect.
-                    self.core.pool.drain_line(xa);
+                    self.pool().drain_line(xa);
                     if self
-                        .core
-                        .pool
+                        .pool()
                         .cas(last.offset(F_NEXT), PAddr::NULL.to_word(), node.to_word())
                         .is_ok()
                     {
                         // line 11 succeeded
-                        self.core.pool.flush(last.offset(F_NEXT)); // line 12
-                                                                   // Ordering point: the completion mark must not
-                                                                   // persist ahead of the link it certifies.
-                        self.core.pool.drain_line(last.offset(F_NEXT));
+                        self.pool().flush(last.offset(F_NEXT)); // line 12
+                                                                // Ordering point: the completion mark must not
+                                                                // persist ahead of the link it certifies.
+                        self.pool().drain_line(last.offset(F_NEXT));
                         // lines 13–14: the completion mark (DetectableCore).
                         self.core.complete(tid, tag::set(x, tag::ENQ_COMPL));
-                        let _ = self.core.pool.cas(self.tail_addr(), last_w, node.to_word()); // line 15
+                        let _ = self.pool().cas(self.tail_addr(), last_w, node.to_word()); // line 15
                         self.bump_ops(tid);
-                        self.core.pool.drain();
+                        self.pool().drain();
                         return;
                     }
                 } else {
                     // lines 17–19: help another enqueuing thread
-                    self.core.pool.flush(last.offset(F_NEXT)); // line 18
-                                                               // The tail must not persist ahead of the link it follows.
-                    self.core.pool.drain_line(last.offset(F_NEXT));
-                    let _ = self.core.pool.cas(self.tail_addr(), last_w, next_w);
+                    self.pool().flush(last.offset(F_NEXT)); // line 18
+                                                            // The tail must not persist ahead of the link it follows.
+                    self.pool().drain_line(last.offset(F_NEXT));
+                    let _ = self.pool().cas(self.tail_addr(), last_w, next_w);
                     // line 19
                 }
             }
@@ -111,37 +110,36 @@ impl<M: Memory> DssQueue<M> {
         // Allocate and initialize before pinning: a pinned thread blocks
         // epoch advancement, and allocation may need to reclaim.
         let node = self.alloc_node(tid)?;
-        self.core.pool.store(node.offset(F_VALUE), val);
-        self.core.pool.store(node.offset(F_NEXT), PAddr::NULL.to_word());
-        self.core.pool.store(node.offset(F_DEQ_TID), NO_DEQUEUER);
+        self.pool().store(node.offset(F_VALUE), val);
+        self.pool().store(node.offset(F_NEXT), PAddr::NULL.to_word());
+        self.pool().store(node.offset(F_DEQ_TID), NO_DEQUEUER);
         self.flush_node(node);
         let _guard = self.pin(tid);
         let mut bo = self.new_backoff();
         loop {
-            let last_w = self.core.pool.load(self.tail_addr());
+            let last_w = self.pool().load(self.tail_addr());
             let last = tag::addr_of(last_w);
-            let next_w = self.core.pool.load(last.offset(F_NEXT));
-            if self.core.pool.load(self.tail_addr()) == last_w {
+            let next_w = self.pool().load(last.offset(F_NEXT));
+            if self.pool().load(self.tail_addr()) == last_w {
                 if tag::addr_of(next_w).is_null() {
                     // The node must be persistent before the link can be.
                     self.drain_node(node);
                     if self
-                        .core
-                        .pool
+                        .pool()
                         .cas(last.offset(F_NEXT), PAddr::NULL.to_word(), node.to_word())
                         .is_ok()
                     {
-                        self.core.pool.flush(last.offset(F_NEXT));
-                        self.core.pool.drain_line(last.offset(F_NEXT));
-                        let _ = self.core.pool.cas(self.tail_addr(), last_w, node.to_word());
+                        self.pool().flush(last.offset(F_NEXT));
+                        self.pool().drain_line(last.offset(F_NEXT));
+                        let _ = self.pool().cas(self.tail_addr(), last_w, node.to_word());
                         self.bump_ops(tid);
-                        self.core.pool.drain();
+                        self.pool().drain();
                         return Ok(());
                     }
                 } else {
-                    self.core.pool.flush(last.offset(F_NEXT));
-                    self.core.pool.drain_line(last.offset(F_NEXT));
-                    let _ = self.core.pool.cas(self.tail_addr(), last_w, next_w);
+                    self.pool().flush(last.offset(F_NEXT));
+                    self.pool().drain_line(last.offset(F_NEXT));
+                    let _ = self.pool().cas(self.tail_addr(), last_w, next_w);
                 }
             }
             bo.spin();
@@ -172,12 +170,12 @@ impl<M: Memory> DssQueue<M> {
         // may skip re-announcing the same predecessor it already persisted.
         let mut announced = 0u64;
         loop {
-            let first_w = self.core.pool.load(self.head_addr()); // line 35
-            let last_w = self.core.pool.load(self.tail_addr()); // line 36
+            let first_w = self.pool().load(self.head_addr()); // line 35
+            let last_w = self.pool().load(self.tail_addr()); // line 36
             let first = tag::addr_of(first_w);
-            let next_w = self.core.pool.load(first.offset(F_NEXT)); // line 37
+            let next_w = self.pool().load(first.offset(F_NEXT)); // line 37
             let next = tag::addr_of(next_w);
-            if self.core.pool.load(self.head_addr()) != first_w {
+            if self.pool().load(self.head_addr()) != first_w {
                 bo.spin();
                 continue; // line 38 failed
             }
@@ -188,43 +186,43 @@ impl<M: Memory> DssQueue<M> {
                     // mark is this path's completion mark.
                     self.core.complete(tid, tag::DEQ_PREP | tag::EMPTY); // lines 41–42
                     self.bump_ops(tid);
-                    self.core.pool.drain();
+                    self.pool().drain();
                     return QueueResp::Empty; // line 43
                 }
-                self.core.pool.flush(first.offset(F_NEXT)); // line 44 (first == last)
-                self.core.pool.drain_line(first.offset(F_NEXT));
-                let _ = self.core.pool.cas(self.tail_addr(), last_w, next_w); // line 45
+                self.pool().flush(first.offset(F_NEXT)); // line 44 (first == last)
+                self.pool().drain_line(first.offset(F_NEXT));
+                let _ = self.pool().cas(self.tail_addr(), last_w, next_w); // line 45
             } else {
                 // lines 46–55: non-empty queue
                 // save predecessor of the node to be dequeued
                 let announce = tag::set(first.to_word(), tag::DEQ_PREP);
                 if !elide || announced != announce {
-                    self.core.pool.store(xa, announce); // line 47
-                    self.core.pool.flush(xa); // line 48
+                    self.pool().store(xa, announce); // line 47
+                    self.pool().flush(xa); // line 48
                     announced = announce;
                 }
                 // Ordering point: the announced predecessor must be
                 // persistent before a claim on its successor can be —
                 // resolve interprets the claim through it.
-                self.core.pool.drain_line(xa);
-                if self.core.pool.cas(next.offset(F_DEQ_TID), NO_DEQUEUER, tid as u64).is_ok() {
+                self.pool().drain_line(xa);
+                if self.pool().cas(next.offset(F_DEQ_TID), NO_DEQUEUER, tid as u64).is_ok() {
                     // line 49 succeeded
-                    self.core.pool.flush(next.offset(F_DEQ_TID)); // line 50
-                                                                  // The head must not persist past an unpersisted claim.
-                    self.core.pool.drain_line(next.offset(F_DEQ_TID));
-                    if self.core.pool.cas(self.head_addr(), first_w, next_w).is_ok() {
+                    self.pool().flush(next.offset(F_DEQ_TID)); // line 50
+                                                               // The head must not persist past an unpersisted claim.
+                    self.pool().drain_line(next.offset(F_DEQ_TID));
+                    if self.pool().cas(self.head_addr(), first_w, next_w).is_ok() {
                         // line 51
                         self.retire_node(tid, first);
                     }
-                    let val = self.core.pool.load(next.offset(F_VALUE)); // line 52
+                    let val = self.pool().load(next.offset(F_VALUE)); // line 52
                     self.bump_ops(tid);
-                    self.core.pool.drain();
+                    self.pool().drain();
                     return QueueResp::Value(val);
-                } else if self.core.pool.load(self.head_addr()) == first_w {
+                } else if self.pool().load(self.head_addr()) == first_w {
                     // lines 53–55: help another dequeuing thread
-                    self.core.pool.flush(next.offset(F_DEQ_TID)); // line 54
-                    self.core.pool.drain_line(next.offset(F_DEQ_TID));
-                    if self.core.pool.cas(self.head_addr(), first_w, next_w).is_ok() {
+                    self.pool().flush(next.offset(F_DEQ_TID)); // line 54
+                    self.pool().drain_line(next.offset(F_DEQ_TID));
+                    if self.pool().cas(self.head_addr(), first_w, next_w).is_ok() {
                         // line 55
                         self.retire_node(tid, first);
                     }
@@ -242,44 +240,43 @@ impl<M: Memory> DssQueue<M> {
         let _guard = self.pin(tid);
         let mut bo = self.new_backoff();
         loop {
-            let first_w = self.core.pool.load(self.head_addr());
-            let last_w = self.core.pool.load(self.tail_addr());
+            let first_w = self.pool().load(self.head_addr());
+            let last_w = self.pool().load(self.tail_addr());
             let first = tag::addr_of(first_w);
-            let next_w = self.core.pool.load(first.offset(F_NEXT));
+            let next_w = self.pool().load(first.offset(F_NEXT));
             let next = tag::addr_of(next_w);
-            if self.core.pool.load(self.head_addr()) != first_w {
+            if self.pool().load(self.head_addr()) != first_w {
                 bo.spin();
                 continue;
             }
             if first_w == last_w {
                 if next.is_null() {
                     self.bump_ops(tid);
-                    self.core.pool.drain();
+                    self.pool().drain();
                     return QueueResp::Empty;
                 }
-                self.core.pool.flush(first.offset(F_NEXT));
-                self.core.pool.drain_line(first.offset(F_NEXT));
-                let _ = self.core.pool.cas(self.tail_addr(), last_w, next_w);
+                self.pool().flush(first.offset(F_NEXT));
+                self.pool().drain_line(first.offset(F_NEXT));
+                let _ = self.pool().cas(self.tail_addr(), last_w, next_w);
             } else {
                 if self
-                    .core
-                    .pool
+                    .pool()
                     .cas(next.offset(F_DEQ_TID), NO_DEQUEUER, tid as u64 | tag::NONDET_DEQ)
                     .is_ok()
                 {
-                    self.core.pool.flush(next.offset(F_DEQ_TID));
-                    self.core.pool.drain_line(next.offset(F_DEQ_TID));
-                    if self.core.pool.cas(self.head_addr(), first_w, next_w).is_ok() {
+                    self.pool().flush(next.offset(F_DEQ_TID));
+                    self.pool().drain_line(next.offset(F_DEQ_TID));
+                    if self.pool().cas(self.head_addr(), first_w, next_w).is_ok() {
                         self.retire_node(tid, first);
                     }
-                    let val = self.core.pool.load(next.offset(F_VALUE));
+                    let val = self.pool().load(next.offset(F_VALUE));
                     self.bump_ops(tid);
-                    self.core.pool.drain();
+                    self.pool().drain();
                     return QueueResp::Value(val);
-                } else if self.core.pool.load(self.head_addr()) == first_w {
-                    self.core.pool.flush(next.offset(F_DEQ_TID));
-                    self.core.pool.drain_line(next.offset(F_DEQ_TID));
-                    if self.core.pool.cas(self.head_addr(), first_w, next_w).is_ok() {
+                } else if self.pool().load(self.head_addr()) == first_w {
+                    self.pool().flush(next.offset(F_DEQ_TID));
+                    self.pool().drain_line(next.offset(F_DEQ_TID));
+                    if self.pool().cas(self.head_addr(), first_w, next_w).is_ok() {
                         self.retire_node(tid, first);
                     }
                 }

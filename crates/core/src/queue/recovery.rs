@@ -15,7 +15,7 @@ impl<M: Memory> DssQueue<M> {
         let mut cur = start;
         loop {
             visit(cur);
-            let next = tag::addr_of(self.core.pool.load(cur.offset(F_NEXT)));
+            let next = tag::addr_of(self.pool().load(cur.offset(F_NEXT)));
             if next.is_null() {
                 return;
             }
@@ -35,7 +35,7 @@ impl<M: Memory> DssQueue<M> {
     /// enqueued node).
     fn reachable_set(&self) -> NodeSet {
         let mut set = self.nodes.node_set();
-        let head = tag::addr_of(self.core.pool.load(self.head_addr()));
+        let head = tag::addr_of(self.pool().load(self.head_addr()));
         self.walk_from(head, |n| {
             set.insert(n);
         });
@@ -49,7 +49,7 @@ impl<M: Memory> DssQueue<M> {
     /// then resolve each*:
     ///
     /// 1. Marks the crash boundary in the registry
-    ///    ([`begin_recovery`](Self::begin_recovery)): every slot LIVE at
+    ///    ([`begin_recovery`](dss_pmem::ObjectCore::begin_recovery)): every slot LIVE at
     ///    the crash is now ORPHANED.
     /// 2. Recomputes and persists the `tail` pointer (lines 65–66), then
     ///    advances and persists the `head` pointer to the last *marked*
@@ -78,26 +78,26 @@ impl<M: Memory> DssQueue<M> {
         self.core.recover_adopting(
             || {
                 // line 64: AllNodes := nodes reachable from head
-                let old_head = tag::addr_of(self.core.pool.load(self.head_addr()));
+                let old_head = tag::addr_of(self.pool().load(self.head_addr()));
                 let chain = self.reachable_from(old_head);
                 let mut all_nodes = self.nodes.node_set();
                 all_nodes.extend(chain.iter().copied());
 
                 // lines 65–66: tail := last reachable node
                 let last = *chain.last().expect("chain contains at least head");
-                self.core.pool.store(self.tail_addr(), last.to_word());
-                self.core.pool.flush(self.tail_addr());
+                self.pool().store(self.tail_addr(), last.to_word());
+                self.pool().flush(self.tail_addr());
 
                 // lines 67–69: head := last marked node reachable from oldHead
                 let last_marked = chain
                     .iter()
                     .copied()
-                    .filter(|n| self.core.pool.load(n.offset(F_DEQ_TID)) != NO_DEQUEUER)
+                    .filter(|n| self.pool().load(n.offset(F_DEQ_TID)) != NO_DEQUEUER)
                     .last();
                 if let Some(m) = last_marked {
-                    self.core.pool.store(self.head_addr(), m.to_word());
+                    self.pool().store(self.head_addr(), m.to_word());
                 }
-                self.core.pool.flush(self.head_addr());
+                self.pool().flush(self.head_addr());
                 all_nodes
             },
             |slot, all_nodes| self.recover_x_entry(slot, |d| all_nodes.contains(d)),
@@ -114,31 +114,31 @@ impl<M: Memory> DssQueue<M> {
     #[doc(hidden)]
     pub fn recover_centralized(&self) {
         // line 64: AllNodes := nodes reachable from head
-        let old_head = tag::addr_of(self.core.pool.load(self.head_addr()));
+        let old_head = tag::addr_of(self.pool().load(self.head_addr()));
         let chain = self.reachable_from(old_head);
         let all_nodes: HashSet<PAddr> = chain.iter().copied().collect();
 
         // lines 65–66: tail := last reachable node
         let last = *chain.last().expect("chain contains at least head");
-        self.core.pool.store(self.tail_addr(), last.to_word());
-        self.core.pool.flush(self.tail_addr());
+        self.pool().store(self.tail_addr(), last.to_word());
+        self.pool().flush(self.tail_addr());
 
         // lines 67–69: head := last marked node reachable from oldHead
         let last_marked = chain
             .iter()
             .copied()
-            .filter(|n| self.core.pool.load(n.offset(F_DEQ_TID)) != NO_DEQUEUER)
+            .filter(|n| self.pool().load(n.offset(F_DEQ_TID)) != NO_DEQUEUER)
             .last();
         if let Some(m) = last_marked {
-            self.core.pool.store(self.head_addr(), m.to_word());
+            self.pool().store(self.head_addr(), m.to_word());
         }
-        self.core.pool.flush(self.head_addr());
+        self.pool().flush(self.head_addr());
 
         // lines 70–76: complete detectability state of effective enqueues.
         for i in 0..self.nthreads() {
             self.recover_x_entry(i, |d| all_nodes.contains(&d));
         }
-        self.core.pool.drain();
+        self.pool().drain();
     }
 
     /// Independent per-slot recovery (§3.3): the handle's owner repairs
@@ -148,7 +148,7 @@ impl<M: Memory> DssQueue<M> {
     /// Two callers use this: a thread that survived the crash with its
     /// own handle (its slot never went through adoption — the cheap
     /// fully-independent path), and an adopter finishing what
-    /// [`adopt`](Self::adopt) started on a dead thread's behalf.
+    /// [`adopt`](dss_pmem::ObjectCore::adopt) started on a dead thread's behalf.
     ///
     /// The queue's head and tail pointers are *not* repaired here — the
     /// MS-queue helping paths advance a lagging tail, and the dequeue path
@@ -166,7 +166,7 @@ impl<M: Memory> DssQueue<M> {
     /// among `AllNodes`, the nodes reachable from the pre-recovery head.
     fn recover_x_entry(&self, i: usize, in_list: impl Fn(PAddr) -> bool) {
         let xa = self.x_addr(i);
-        let x = self.core.pool.load(xa);
+        let x = self.pool().load(xa);
         if !tag::has(x, tag::ENQ_PREP) || tag::has(x, tag::ENQ_COMPL) {
             return;
         }
@@ -180,7 +180,7 @@ impl<M: Memory> DssQueue<M> {
         } else {
             // lines 75–76: enqueued and no longer in the list — it must
             // have been dequeued, i.e. marked
-            self.core.pool.load(d.offset(F_DEQ_TID)) != NO_DEQUEUER
+            self.pool().load(d.offset(F_DEQ_TID)) != NO_DEQUEUER
         };
         if effective {
             self.core.complete(i, tag::set(x, tag::ENQ_COMPL));
@@ -205,6 +205,6 @@ impl<M: Memory> DssQueue<M> {
         self.nodes.rebuild(&live);
         // The EBR limbo lists are volatile and reference pre-crash nodes
         // that rebuild() has already re-classified; drop them wholesale.
-        self.core.ebr.reset();
+        self.ebr().reset();
     }
 }

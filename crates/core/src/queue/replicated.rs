@@ -62,15 +62,17 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::ops::Deref;
 use std::sync::atomic::{
     AtomicU64,
     Ordering::{Acquire, Relaxed},
 };
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
+use dss_pmem::object::{checked_words, thread_count};
 use dss_pmem::{
-    plan_regions, AppKind, AttachError, FlushGranularity, Memory, PAddr, PlacementPolicy, PmemPool,
-    Registry, SlotError, ThreadHandle, WORDS_PER_LINE,
+    plan_regions, AppKind, AttachError, FlushGranularity, Memory, ObjectCore, ObjectLayout, PAddr,
+    PlacementPolicy, PmemPool, Registry, ThreadHandle, WORDS_PER_LINE,
 };
 use dss_spec::types::QueueResp;
 
@@ -157,7 +159,9 @@ fn replica_of(s: usize, nthreads: usize, nreplicas: usize) -> usize {
 #[derive(Debug, Clone)]
 struct RepLayout {
     nthreads: usize,
+    nodes_per_thread: u64,
     nreplicas: usize,
+    policy: PlacementPolicy,
     /// Enqueue-admission bound (the analogue of the node-pool capacity).
     capacity: u64,
     /// Per-replica announce regions, one line per served slot.
@@ -168,22 +172,25 @@ struct RepLayout {
     snap: [std::ops::Range<u64>; 2],
 }
 
-impl RepLayout {
-    fn new(
-        nthreads: usize,
-        nodes_per_thread: u64,
-        nreplicas: usize,
-        policy: PlacementPolicy,
-    ) -> Self {
-        assert!(nthreads > 0, "need at least one thread slot");
-        assert!(nodes_per_thread > 0, "need capacity for at least one value per thread");
-        assert!(
-            (1..=nthreads).contains(&nreplicas),
-            "replicas must be in 1..=nthreads (got {nreplicas} for {nthreads} threads)"
-        );
-        assert!((nthreads as u64) < LOG_CAP, "one batch must fit in the ring");
-        let shared_words = REG_BASE + Registry::<PmemPool>::region_words(nthreads);
-        let capacity = nthreads as u64 * nodes_per_thread;
+impl ObjectLayout for RepLayout {
+    const KIND: AppKind = AppKind::DssQueueReplicated;
+
+    fn params(&self) -> Vec<u64> {
+        let (n, r) = (self.nthreads as u64, self.nreplicas as u64);
+        vec![n, self.nodes_per_thread, r, self.policy.code()]
+    }
+
+    fn from_params(p: &[u64]) -> Result<Self, &'static str> {
+        let (nthreads, nodes_per_thread) = (thread_count(p[0])?, p[1]);
+        if nthreads as u64 >= LOG_CAP {
+            return Err("one batch of every thread must fit in the log ring");
+        }
+        if !(1..=nthreads as u64).contains(&p[2]) {
+            return Err("replica count outside 1..=nthreads");
+        }
+        let nreplicas = p[2] as usize;
+        let policy = PlacementPolicy::from_code(p[3]).ok_or("unknown placement policy code")?;
+        let capacity = checked_words(&[nthreads as u64, nodes_per_thread])?;
         // Values + per-slot detectability words + header; `nthreads` slack
         // words absorb the admission gate's bounded over-admission (one
         // in-flight enqueue per slot past the volatile live estimate).
@@ -194,19 +201,33 @@ impl RepLayout {
         sizes.push(LOG_CAP * WORDS_PER_LINE);
         sizes.push(snap_words);
         sizes.push(snap_words);
+        let shared_words = REG_BASE + <Registry>::region_words(nthreads);
         let mut regions = plan_regions(shared_words as usize, policy, shared_words, &sizes);
         let snap_b = regions.pop().expect("plan returns all regions");
         let snap_a = regions.pop().expect("plan returns all regions");
         let ring = regions.pop().expect("plan returns all regions");
-        RepLayout { nthreads, nreplicas, capacity, ann: regions, ring, snap: [snap_a, snap_b] }
+        Ok(RepLayout {
+            nthreads,
+            nodes_per_thread,
+            nreplicas,
+            policy,
+            capacity,
+            ann: regions,
+            ring,
+            snap: [snap_a, snap_b],
+        })
     }
 
-    /// Words the pool is created with (the planned regions past it
-    /// materialise lazily as they are touched).
-    fn shared_words(&self) -> u64 {
-        REG_BASE + Registry::<PmemPool>::region_words(self.nthreads)
+    fn registry_base(&self) -> u64 {
+        REG_BASE
     }
 
+    fn placement(&self) -> PlacementPolicy {
+        self.policy
+    }
+}
+
+impl RepLayout {
     fn replica_of(&self, slot: usize) -> usize {
         replica_of(slot, self.nthreads, self.nreplicas)
     }
@@ -262,8 +283,8 @@ struct AppendCache {
 /// [`CombiningQueue`](super::CombiningQueue), plus the read-side API
 /// ([`peek_front`](Self::peek_front), [`len`](Self::len),
 /// [`advance_to`](Self::advance_to)) that the other layers serve from
-/// shared memory. See the [module docs](self) for the protocol and its
-/// crash argument.
+/// shared memory. The module documentation of `queue/replicated.rs`
+/// gives the protocol and its crash argument.
 pub struct ReplicatedQueue<M: Memory = PmemPool> {
     /// The shared detectability skeleton: pool, registry, and contention
     /// tuner. It carries no strided `X` region — each slot's announce
@@ -297,20 +318,7 @@ impl ReplicatedQueue {
     /// is smaller than [`DEFAULT_REPLICAS`] — use
     /// [`new_configured`](Self::new_configured) for full control.
     pub fn new(nthreads: usize, nodes_per_thread: u64) -> Self {
-        Self::with_granularity(nthreads, nodes_per_thread, FlushGranularity::Line)
-    }
-
-    /// [`new`](Self::new) with an explicit flush granularity.
-    ///
-    /// # Panics
-    ///
-    /// As [`new`](Self::new).
-    pub fn with_granularity(
-        nthreads: usize,
-        nodes_per_thread: u64,
-        granularity: FlushGranularity,
-    ) -> Self {
-        Self::new_in(nthreads, nodes_per_thread, granularity)
+        Self::new_in(nthreads, nodes_per_thread, FlushGranularity::Line)
     }
 
     /// Creates a replicated queue on a **file-backed** pool at `path`,
@@ -377,17 +385,13 @@ impl ReplicatedQueue {
         policy: PlacementPolicy,
         granularity: FlushGranularity,
     ) -> Result<Self, AttachError> {
-        let lay = RepLayout::new(nthreads, nodes_per_thread, nreplicas, policy);
-        let pool = Arc::new(PmemPool::create(path, lay.shared_words() as usize, granularity)?);
-        pool.set_app_config(
-            KIND_DSS_QUEUE_REPLICATED,
-            &[nthreads as u64, nodes_per_thread, nreplicas as u64, policy_code(policy)],
-        );
-        pool.set_placement(policy);
-        let registry = Registry::create(Arc::clone(&pool), REG_BASE, nthreads);
-        let q = Self::assemble(pool, registry, lay);
-        q.clear_lease();
-        Ok(q)
+        let lay = RepLayout::from_args(&[
+            nthreads as u64,
+            nodes_per_thread,
+            nreplicas as u64,
+            policy.code(),
+        ]);
+        Ok(Self::assemble(ObjectCore::create(path, &lay, granularity)?, lay))
     }
 
     /// Rebuilds a replicated queue from a pool file with no in-process
@@ -401,43 +405,8 @@ impl ReplicatedQueue {
     /// Any [`AttachError`]; in particular [`AttachError::AppMismatch`] if
     /// the file holds a different structure kind.
     pub fn attach<P: AsRef<std::path::Path>>(path: P) -> Result<Self, AttachError> {
-        let pool = Arc::new(PmemPool::attach(path)?);
-        let found = pool.app_kind();
-        if found != KIND_DSS_QUEUE_REPLICATED {
-            return Err(AttachError::AppMismatch { expected: KIND_DSS_QUEUE_REPLICATED, found });
-        }
-        let [nthreads, nodes_per_thread, nreplicas, policy, ..] = pool.app_config();
-        if nthreads == 0 || nodes_per_thread == 0 {
-            return Err(AttachError::Corrupt("replicated queue parameter words are zero"));
-        }
-        if nreplicas == 0 || nreplicas > nthreads {
-            return Err(AttachError::Corrupt("replica count outside 1..=nthreads"));
-        }
-        let policy = policy_from_code(policy);
-        let lay = RepLayout::new(nthreads as usize, nodes_per_thread, nreplicas as usize, policy);
-        if (pool.capacity() as u64) < lay.shared_words() {
-            return Err(AttachError::Corrupt("pool smaller than the replicated layout requires"));
-        }
-        pool.set_placement(policy);
-        let registry = Registry::attach(Arc::clone(&pool), REG_BASE)?;
-        let q = Self::assemble(pool, registry, lay);
-        q.clear_lease();
-        Ok(q)
-    }
-}
-
-fn policy_code(policy: PlacementPolicy) -> u64 {
-    match policy {
-        PlacementPolicy::Interleave => 0,
-        PlacementPolicy::Sharded => 1,
-    }
-}
-
-fn policy_from_code(code: u64) -> PlacementPolicy {
-    if code == 1 {
-        PlacementPolicy::Sharded
-    } else {
-        PlacementPolicy::Interleave
+        let (object, lay) = ObjectCore::attach(path)?;
+        Ok(Self::assemble(object, lay))
     }
 }
 
@@ -474,23 +443,24 @@ impl<M: Memory> ReplicatedQueue<M> {
         policy: PlacementPolicy,
         granularity: FlushGranularity,
     ) -> Self {
-        let lay = RepLayout::new(nthreads, nodes_per_thread, nreplicas, policy);
-        let pool = Arc::new(M::create(lay.shared_words() as usize, granularity));
-        pool.set_placement(policy);
-        let registry = Registry::create(Arc::clone(&pool), REG_BASE, nthreads);
-        let q = Self::assemble(pool, registry, lay);
-        q.clear_lease();
-        q
+        let lay = RepLayout::from_args(&[
+            nthreads as u64,
+            nodes_per_thread,
+            nreplicas as u64,
+            policy.code(),
+        ]);
+        Self::assemble(ObjectCore::fresh(&lay, granularity), lay)
     }
 
-    /// Builds the volatile superstructure over an existing pool +
-    /// registry: replicas seeded from the durable snapshot, announce
-    /// counters from the durable announce lines, and an append cache
-    /// stamped invalid so the first appender rebuilds it from the log.
-    fn assemble(pool: Arc<M>, registry: Registry<M>, lay: RepLayout) -> Self {
+    /// Builds the volatile superstructure over an object skeleton:
+    /// replicas seeded from the durable snapshot, announce counters from
+    /// the durable announce lines, and an append cache stamped invalid so
+    /// the first appender rebuilds it from the log. Ends by clearing the
+    /// lease: whatever thread or process held it is gone.
+    fn assemble(object: ObjectCore<M>, lay: RepLayout) -> Self {
         let n = lay.nthreads;
         let q = ReplicatedQueue {
-            core: DetectableCore::new(pool, registry, n, 0, 0),
+            core: DetectableCore::new(object, 0, 0),
             lease: Lease::new(PAddr::from_index(A_LEASE), n),
             opseq: (0..n).map(|_| AtomicU64::new(0)).collect(),
             resp_tag: (0..n).map(|_| AtomicU64::new(R_NONE)).collect(),
@@ -511,7 +481,7 @@ impl<M: Memory> ReplicatedQueue<M> {
         };
         for s in 0..n {
             let (_, rtag, rval) = q.slot_status(s);
-            q.opseq[s].store(q.core.pool.peek(q.lay.ann_commit(s)) >> 2, Relaxed);
+            q.opseq[s].store(q.pool().peek(q.lay.ann_commit(s)) >> 2, Relaxed);
             q.resp_val[s].store(rval, Relaxed);
             q.resp_tag[s].store(rtag, Relaxed);
         }
@@ -519,21 +489,12 @@ impl<M: Memory> ReplicatedQueue<M> {
             *lock(rep) = q.state_from_snapshot();
         }
         q.live_hint.store(q.snapshot_values().len() as u64, Relaxed);
+        q.clear_lease();
         q
     }
 
     fn clear_lease(&self) {
-        self.lease.clear(self.core.pool.as_ref());
-    }
-
-    /// The queue's memory backend.
-    pub fn pool(&self) -> &Arc<M> {
-        self.core.pool()
-    }
-
-    /// Number of threads the queue was built for.
-    pub fn nthreads(&self) -> usize {
-        self.lay.nthreads
+        self.lease.clear(self.pool().as_ref());
     }
 
     /// Number of volatile replicas.
@@ -546,60 +507,6 @@ impl<M: Memory> ReplicatedQueue<M> {
         self.lay.replica_of(slot)
     }
 
-    /// The queue's persistent thread-slot registry.
-    pub fn registry(&self) -> &Registry<M> {
-        self.core.registry()
-    }
-
-    /// Accepted for knob parity with
-    /// [`DssQueue::set_backoff`](super::DssQueue::set_backoff); waiters
-    /// park with the adaptive tuner either way.
-    pub fn set_backoff(&self, on: bool) {
-        self.core.set_backoff(on);
-    }
-
-    /// Claims a free registry slot (see
-    /// [`DssQueue::register_thread`](super::DssQueue::register_thread)).
-    ///
-    /// # Errors
-    ///
-    /// [`SlotError::Exhausted`] when all slots are taken.
-    pub fn register_thread(&self) -> Result<ThreadHandle, SlotError> {
-        self.core.register_thread()
-    }
-
-    /// Returns a handle's slot to the registry.
-    ///
-    /// # Errors
-    ///
-    /// [`SlotError::StaleHandle`] / [`SlotError::ForeignHandle`] per
-    /// [`Registry::release`].
-    pub fn release_thread(&self, h: ThreadHandle) -> Result<(), SlotError> {
-        self.core.release_thread(h)
-    }
-
-    /// Marks the crash boundary in the registry. **Required after every
-    /// crash before any thread resumes `exec`**: lease-staleness detection
-    /// keys off orphaned slots.
-    pub fn begin_recovery(&self) {
-        self.core.begin_recovery();
-    }
-
-    /// Adopts one orphaned slot.
-    ///
-    /// # Errors
-    ///
-    /// [`SlotError::OutOfRange`] / [`SlotError::NotOrphaned`] per
-    /// [`Registry::adopt`].
-    pub fn adopt(&self, slot: usize) -> Result<ThreadHandle, SlotError> {
-        self.core.adopt(slot)
-    }
-
-    /// [`adopt`](Self::adopt) over every orphaned slot, ascending.
-    pub fn adopt_orphans(&self) -> Vec<ThreadHandle> {
-        self.core.adopt_orphans()
-    }
-
     /// Total completed operations (volatile; for workloads and tests).
     pub fn ops_completed(&self) -> u64 {
         self.ops_done.iter().map(|c| c.load(Relaxed)).sum()
@@ -608,7 +515,7 @@ impl<M: Memory> ReplicatedQueue<M> {
     /// The durable committed sequence number: the log prefix `[0, seq)`
     /// is applied and persisted.
     pub fn committed_seq(&self) -> u64 {
-        self.core.pool.load(PAddr::from_index(A_CSEQ))
+        self.pool().load(PAddr::from_index(A_CSEQ))
     }
 
     /// **prep-enqueue**: durably announce `(enqueue, val)` in this slot's
@@ -628,13 +535,13 @@ impl<M: Memory> ReplicatedQueue<M> {
         let o = self.opseq[s].load(Relaxed) + 1;
         self.opseq[s].store(o, Relaxed);
         let arg = self.lay.ann_arg(s, o);
-        self.core.pool.store(arg, val);
-        self.core.pool.flush(arg);
-        self.core.pool.drain_line(arg);
+        self.pool().store(arg, val);
+        self.pool().flush(arg);
+        self.pool().drain_line(arg);
         let commit = self.lay.ann_commit(s);
-        self.core.pool.store(commit, (o << 2) | ANN_ENQ);
-        self.core.pool.flush(commit);
-        self.core.pool.drain_line(commit);
+        self.pool().store(commit, (o << 2) | ANN_ENQ);
+        self.pool().flush(commit);
+        self.pool().drain_line(commit);
         self.lease.announce(s);
         Ok(())
     }
@@ -646,9 +553,9 @@ impl<M: Memory> ReplicatedQueue<M> {
         let o = self.opseq[s].load(Relaxed) + 1;
         self.opseq[s].store(o, Relaxed);
         let commit = self.lay.ann_commit(s);
-        self.core.pool.store(commit, (o << 2) | ANN_DEQ);
-        self.core.pool.flush(commit);
-        self.core.pool.drain_line(commit);
+        self.pool().store(commit, (o << 2) | ANN_DEQ);
+        self.pool().flush(commit);
+        self.pool().drain_line(commit);
         self.lease.announce(s);
     }
 
@@ -752,7 +659,7 @@ impl<M: Memory> ReplicatedQueue<M> {
     /// one record at a time so a crash unwind leaves the state consistent
     /// at a record boundary.
     fn advance_locked(&self, st: &mut ReplicaState, target: u64) {
-        let pool = self.core.pool.as_ref();
+        let pool = self.pool().as_ref();
         while st.applied < target {
             let e = self.lay.entry(st.applied);
             if pool.load(e.offset(E_KIND)) == ANN_ENQ {
@@ -769,7 +676,7 @@ impl<M: Memory> ReplicatedQueue<M> {
     /// operation into the durable log (see module docs). Caller must hold
     /// the lease.
     fn combine(&self, me: ThreadHandle) {
-        let pool = self.core.pool.as_ref();
+        let pool = self.pool().as_ref();
         let mut cache = lock(&self.append);
         if cache.gen != pool.crash_generation() {
             self.rebuild_cache(&mut cache);
@@ -893,7 +800,7 @@ impl<M: Memory> ReplicatedQueue<M> {
     /// `committed` so none lags behind the new replay floor. Caller is the
     /// lease holder and has `my`'s replica (already advanced) locked.
     fn checkpoint(&self, my: usize, my_st: &mut ReplicaState, cache: &AppendCache, committed: u64) {
-        let pool = self.core.pool.as_ref();
+        let pool = self.pool().as_ref();
         for (r, rep) in self.replicas.iter().enumerate() {
             if r != my {
                 let mut st = lock(rep);
@@ -936,7 +843,7 @@ impl<M: Memory> ReplicatedQueue<M> {
     /// Called under the append lock by the first appender of each crash
     /// generation (and by [`recover`](Self::recover)).
     fn rebuild_cache(&self, cache: &mut AppendCache) {
-        let pool = self.core.pool.as_ref();
+        let pool = self.pool().as_ref();
         let g = pool.load(PAddr::from_index(A_SNAP));
         let base = self.lay.snap_base(g);
         let snap_seq = pool.load(PAddr::from_index(base + S_SEQ));
@@ -971,7 +878,7 @@ impl<M: Memory> ReplicatedQueue<M> {
     /// `(applied opseq, resp tag, resp value)` from snapshot + ring,
     /// retried if a checkpoint flips the snapshot mid-scan.
     fn slot_status(&self, slot: usize) -> (u64, u64, u64) {
-        let pool = self.core.pool.as_ref();
+        let pool = self.pool().as_ref();
         loop {
             let g = pool.load(PAddr::from_index(A_SNAP));
             let base = self.lay.snap_base(g);
@@ -998,7 +905,7 @@ impl<M: Memory> ReplicatedQueue<M> {
     /// A fresh replica state: the durable snapshot's values at its seq
     /// (retried across a racing checkpoint flip).
     fn state_from_snapshot(&self) -> ReplicaState {
-        let pool = self.core.pool.as_ref();
+        let pool = self.pool().as_ref();
         loop {
             let g = pool.load(PAddr::from_index(A_SNAP));
             let base = self.lay.snap_base(g);
@@ -1018,13 +925,13 @@ impl<M: Memory> ReplicatedQueue<M> {
     /// process, with no reliance on any volatile cache.
     pub fn resolve(&self, h: ThreadHandle) -> Resolved {
         let s = h.slot();
-        let commit = self.core.pool.load(self.lay.ann_commit(s));
+        let commit = self.pool().load(self.lay.ann_commit(s));
         if commit == 0 {
             return Resolved { op: None, resp: None };
         }
         let o = commit >> 2;
         let op = match commit & ANN_KIND_MASK {
-            ANN_ENQ => ResolvedOp::Enqueue(self.core.pool.load(self.lay.ann_arg(s, o))),
+            ANN_ENQ => ResolvedOp::Enqueue(self.pool().load(self.lay.ann_arg(s, o))),
             _ => ResolvedOp::Dequeue,
         };
         let (applied_o, rtag, rval) = self.slot_status(s);
@@ -1044,7 +951,7 @@ impl<M: Memory> ReplicatedQueue<M> {
     /// snapshot + ring with uninstrumented peeks (valid live and after a
     /// crash; recovery and the crash harness classify against it).
     pub fn snapshot_values(&self) -> Vec<u64> {
-        let pool = self.core.pool.as_ref();
+        let pool = self.pool().as_ref();
         loop {
             let g = pool.peek(PAddr::from_index(A_SNAP));
             let base = self.lay.snap_base(g);
@@ -1080,7 +987,7 @@ impl<M: Memory> ReplicatedQueue<M> {
         let mut cache = lock(&self.append);
         self.rebuild_cache(&mut cache);
         for s in 0..self.lay.nthreads {
-            self.opseq[s].store(self.core.pool.load(self.lay.ann_commit(s)) >> 2, Relaxed);
+            self.opseq[s].store(self.pool().load(self.lay.ann_commit(s)) >> 2, Relaxed);
             self.resp_val[s].store(cache.rval[s], Relaxed);
             self.resp_tag[s].store(cache.rtag[s], Relaxed);
             self.lease.reset(s);
@@ -1103,7 +1010,7 @@ impl<M: Memory> ReplicatedQueue<M> {
         let (_, rtag, rval) = self.slot_status(s);
         self.resp_val[s].store(rval, Relaxed);
         self.resp_tag[s].store(rtag, Relaxed);
-        self.opseq[s].store(self.core.pool.load(self.lay.ann_commit(s)) >> 2, Relaxed);
+        self.opseq[s].store(self.pool().load(self.lay.ann_commit(s)) >> 2, Relaxed);
         self.lease.reset(s);
         *lock(&self.replicas[self.lay.replica_of(s)]) = self.state_from_snapshot();
     }
@@ -1114,12 +1021,26 @@ impl<M: Memory> ReplicatedQueue<M> {
     pub fn rebuild_allocator(&self) {}
 }
 
+/// The slot API, the pool and the backoff knob are the shared skeleton's.
+/// The backoff knob is accepted for parity with
+/// [`DssQueue`](super::DssQueue); waiters park with the adaptive tuner
+/// either way. [`begin_recovery`](ObjectCore::begin_recovery) is
+/// **required after every crash before any thread resumes `exec`**:
+/// lease-staleness detection keys off orphaned slots.
+impl<M: Memory> Deref for ReplicatedQueue<M> {
+    type Target = DetectableCore<M>;
+
+    fn deref(&self) -> &DetectableCore<M> {
+        &self.core
+    }
+}
+
 impl<M: Memory> fmt::Debug for ReplicatedQueue<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ReplicatedQueue")
             .field("nthreads", &self.lay.nthreads)
             .field("nreplicas", &self.lay.nreplicas)
-            .field("committed_seq", &self.core.pool.peek(PAddr::from_index(A_CSEQ)))
+            .field("committed_seq", &self.pool().peek(PAddr::from_index(A_CSEQ)))
             .finish_non_exhaustive()
     }
 }
@@ -1320,7 +1241,7 @@ mod tests {
     fn sharded_placement_gives_each_region_its_own_segments() {
         let q = ReplicatedQueue::new(4, 8);
         assert_eq!(q.pool().placement(), PlacementPolicy::Sharded);
-        let initial = q.lay.shared_words() as usize;
+        let initial = q.lay.pool_words() as usize;
         let mut regions: Vec<&std::ops::Range<u64>> = q.lay.ann.iter().collect();
         regions.push(&q.lay.ring);
         regions.push(&q.lay.snap[0]);

@@ -1,26 +1,12 @@
 //! Unit tests for the DSS queue, including crash-point sweeps that check
 //! the Figure 2 detectability semantics against the persisted queue state.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use dss_pmem::{CrashSignal, StatsSnapshot, WritebackAdversary};
+use dss_pmem::{StatsSnapshot, WritebackAdversary};
 use dss_spec::types::QueueResp;
 
 use super::{CombiningQueue, DssQueue, QueueFull, ReplicatedQueue, Resolved, ResolvedOp};
-
-/// Runs `f` with a crash armed after `k` pmem operations. Returns `true`
-/// if the crash fired (and was caught), `false` if `f` completed first.
-fn run_crash_at<F: FnOnce()>(q: &DssQueue, k: u64, f: F) -> bool {
-    q.pool().arm_crash_after(k);
-    let r = catch_unwind(AssertUnwindSafe(f));
-    q.pool().disarm_crash();
-    match r {
-        Ok(()) => false,
-        Err(p) if p.downcast_ref::<CrashSignal>().is_some() => true,
-        Err(p) => resume_unwind(p),
-    }
-}
 
 #[test]
 fn fifo_order_non_detectable() {
@@ -138,7 +124,7 @@ fn nondetectable_dequeue_claim_never_resolves_as_detectable() {
     // Interrupt exec-dequeue right after it announces the predecessor in X
     // (store X, flush X = the 6th and 7th pmem ops: head, tail, next, head
     // again, store X, flush X — crash on the claim CAS, op #8).
-    let crashed = run_crash_at(&q, 8, || {
+    let crashed = q.pool().crashes_within(8, || {
         let _ = q.exec_dequeue(h0);
     });
     assert!(crashed, "expected to interrupt the claim CAS");
@@ -247,7 +233,7 @@ fn enqueue_crash_sweep_resolves_consistently() {
         for k in 1..60 {
             let q = DssQueue::new(1, 8);
             let h0 = q.register_thread().unwrap();
-            let crashed = run_crash_at(&q, k, || {
+            let crashed = q.pool().crashes_within(k, || {
                 q.prep_enqueue(h0, 42).unwrap();
                 q.exec_enqueue(h0);
             });
@@ -284,7 +270,7 @@ fn dequeue_crash_sweep_resolves_consistently() {
             q.enqueue(h0, 7).unwrap();
             let pre_ops = q.pool().stats().total(); // skip init + enqueue ops
             let _ = pre_ops;
-            let crashed = run_crash_at(&q, k, || {
+            let crashed = q.pool().crashes_within(k, || {
                 q.prep_dequeue(h0);
                 let _ = q.exec_dequeue(h0);
             });
@@ -318,7 +304,7 @@ fn empty_dequeue_crash_sweep() {
         for k in 1..30 {
             let q = DssQueue::new(1, 4);
             let h0 = q.register_thread().unwrap();
-            let crashed = run_crash_at(&q, k, || {
+            let crashed = q.pool().crashes_within(k, || {
                 q.prep_dequeue(h0);
                 let _ = q.exec_dequeue(h0);
             });
@@ -349,7 +335,7 @@ fn recovery_completes_interrupted_enqueue_detectability() {
     q.prep_enqueue(h0, 11).unwrap();
     // exec-enqueue ops: load X, load tail, load last.next, load tail,
     // CAS link, flush link, [crash here].
-    let crashed = run_crash_at(&q, 7, || q.exec_enqueue(h0));
+    let crashed = q.pool().crashes_within(7, || q.exec_enqueue(h0));
     assert!(crashed);
     q.pool().crash(&WritebackAdversary::None);
     q.recover();
@@ -385,7 +371,7 @@ fn recovery_is_idempotent() {
     let q = DssQueue::new(1, 8);
     let h0 = q.register_thread().unwrap();
     q.prep_enqueue(h0, 5).unwrap();
-    let crashed = run_crash_at(&q, 7, || q.exec_enqueue(h0));
+    let crashed = q.pool().crashes_within(7, || q.exec_enqueue(h0));
     assert!(crashed);
     q.pool().crash(&WritebackAdversary::None);
     q.recover();
@@ -404,7 +390,7 @@ fn independent_recovery_matches_centralized_for_x_state() {
         let run = |central: bool| {
             let q = DssQueue::new(1, 8);
             let h0 = q.register_thread().unwrap();
-            let crashed = run_crash_at(&q, k, || {
+            let crashed = q.pool().crashes_within(k, || {
                 q.prep_enqueue(h0, 13).unwrap();
                 q.exec_enqueue(h0);
             });
@@ -453,7 +439,7 @@ fn rebuild_allocator_reclaims_dead_nodes_and_keeps_live_ones() {
     let h0 = q.register_thread().unwrap();
     // Crash during prep-enqueue, after the X announcement store (op 5) but
     // before its flush (op 6): the fresh node is referenced only by X.
-    let crashed = run_crash_at(&q, 6, || {
+    let crashed = q.pool().crashes_within(6, || {
         q.prep_enqueue(h0, 50).unwrap();
     });
     assert!(crashed);
@@ -471,13 +457,13 @@ fn crash_during_recovery_then_recovery_again() {
     let q = DssQueue::new(1, 8);
     let h0 = q.register_thread().unwrap();
     q.prep_enqueue(h0, 21).unwrap();
-    let crashed = run_crash_at(&q, 7, || q.exec_enqueue(h0));
+    let crashed = q.pool().crashes_within(7, || q.exec_enqueue(h0));
     assert!(crashed);
     q.pool().crash(&WritebackAdversary::None);
     // Recovery itself crashes at every possible point; a second, complete
     // recovery must still land in a correct state.
     for k in 1..40 {
-        let crashed = run_crash_at(&q, k, || {
+        let crashed = q.pool().crashes_within(k, || {
             q.recover();
         });
         if !crashed {

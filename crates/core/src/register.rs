@@ -16,11 +16,12 @@
 //! queue's base objects (registers and CAS) can themselves be detectable.
 
 use std::fmt;
-use std::sync::Arc;
+use std::ops::Deref;
 
+use dss_pmem::object::{checked_words, thread_count};
 use dss_pmem::{
-    tag, AppKind, AttachError, Backoff, FlushGranularity, Memory, NodePool, PAddr, PmemPool,
-    Registry, SlotError, ThreadHandle, WORDS_PER_LINE,
+    tag, AppKind, AttachError, FlushGranularity, Memory, NodePool, ObjectCore, ObjectLayout, PAddr,
+    PmemPool, ThreadHandle, WORDS_PER_LINE,
 };
 use dss_spec::types::RegisterResp;
 
@@ -50,22 +51,32 @@ pub const KIND_DETECTABLE_REGISTER: u64 = AppKind::DetectableRegister.word();
 /// The register's pool layout, derived from `(nthreads, nodes_per_thread)`
 /// alone (cf. the queue's `QueueLayout`).
 struct RegisterLayout {
+    nthreads: usize,
+    nodes_per_thread: u64,
     init_node: u64,
     region: u64,
     reg_base: u64,
-    words: u64,
 }
 
-impl RegisterLayout {
-    fn new(nthreads: usize, nodes_per_thread: u64) -> Self {
-        assert!(nthreads > 0 && nodes_per_thread > 0);
+impl ObjectLayout for RegisterLayout {
+    const KIND: AppKind = AppKind::DetectableRegister;
+
+    fn params(&self) -> Vec<u64> {
+        vec![self.nthreads as u64, self.nodes_per_thread]
+    }
+
+    fn from_params(p: &[u64]) -> Result<Self, &'static str> {
+        let (nthreads, nodes_per_thread) = (thread_count(p[0])?, p[1]);
+        let nodes = checked_words(&[nthreads as u64, nodes_per_thread, NODE_WORDS])?;
         let x_end = A_X_BASE + nthreads as u64 * WORDS_PER_LINE;
         let init_node = x_end.next_multiple_of(NODE_WORDS);
         let region = init_node + NODE_WORDS;
-        let node_end = region + nodes_per_thread * nthreads as u64 * NODE_WORDS;
-        let reg_base = node_end.next_multiple_of(WORDS_PER_LINE);
-        let words = reg_base + Registry::<PmemPool>::region_words(nthreads);
-        RegisterLayout { init_node, region, reg_base, words }
+        let reg_base = (region + nodes).next_multiple_of(WORDS_PER_LINE);
+        Ok(RegisterLayout { nthreads, nodes_per_thread, init_node, region, reg_base })
+    }
+
+    fn registry_base(&self) -> u64 {
+        self.reg_base
     }
 }
 
@@ -109,8 +120,6 @@ pub struct ResolvedWrite {
 /// assert_eq!(res.resp, Some(RegisterResp::Ok));
 /// ```
 pub struct DetectableRegister<M: Memory = PmemPool> {
-    /// The shared detectability skeleton: pool, registry, EBR, backoff,
-    /// and the per-thread `X` words (see [`DetectableCore`]).
     core: DetectableCore<M>,
     nodes: NodePool,
     /// Per-thread nodes this thread created that are awaiting retirement.
@@ -149,19 +158,16 @@ impl DetectableRegister {
         nthreads: usize,
         nodes_per_thread: u64,
     ) -> Result<Self, AttachError> {
-        let layout = RegisterLayout::new(nthreads, nodes_per_thread);
-        let pool = Arc::new(PmemPool::create(path, layout.words as usize, FlushGranularity::Line)?);
-        pool.set_app_config(KIND_DETECTABLE_REGISTER, &[nthreads as u64, nodes_per_thread]);
-        let registry = Registry::create(Arc::clone(&pool), layout.reg_base, nthreads);
-        let r = Self::assemble(pool, registry, &layout, nthreads, nodes_per_thread);
+        let layout = RegisterLayout::from_args(&[nthreads as u64, nodes_per_thread]);
+        let r = Self::assemble(ObjectCore::create(path, &layout, FlushGranularity::Line)?, &layout);
         r.format(layout.init_node);
         Ok(r)
     }
 
     /// Rebuilds a register from a pool file with no in-process state. The
     /// register recovers independently (no recovery phase): after
-    /// [`begin_recovery`](Self::begin_recovery) +
-    /// [`adopt_orphans`](Self::adopt_orphans), [`resolve`](Self::resolve)
+    /// [`begin_recovery`](ObjectCore::begin_recovery) +
+    /// [`adopt_orphans`](ObjectCore::adopt_orphans), [`resolve`](Self::resolve)
     /// answers from persisted state alone.
     ///
     /// # Errors
@@ -169,22 +175,8 @@ impl DetectableRegister {
     /// Any [`AttachError`], including [`AttachError::AppMismatch`] if the
     /// file holds a different structure.
     pub fn attach<P: AsRef<std::path::Path>>(path: P) -> Result<Self, AttachError> {
-        let pool = Arc::new(PmemPool::attach(path)?);
-        let found = pool.app_kind();
-        if found != KIND_DETECTABLE_REGISTER {
-            return Err(AttachError::AppMismatch { expected: KIND_DETECTABLE_REGISTER, found });
-        }
-        let [nthreads, nodes_per_thread, ..] = pool.app_config();
-        if nthreads == 0 || nodes_per_thread == 0 {
-            return Err(AttachError::Corrupt("register parameter words are zero"));
-        }
-        let nthreads = nthreads as usize;
-        let layout = RegisterLayout::new(nthreads, nodes_per_thread);
-        if (pool.capacity() as u64) < layout.words {
-            return Err(AttachError::Corrupt("pool smaller than the register layout requires"));
-        }
-        let registry = Registry::attach(Arc::clone(&pool), layout.reg_base)?;
-        let r = Self::assemble(pool, registry, &layout, nthreads, nodes_per_thread);
+        let (object, layout) = ObjectCore::attach(path)?;
+        let r = Self::assemble(object, &layout);
         r.rebuild_allocator();
         Ok(r)
     }
@@ -199,29 +191,20 @@ impl<M: Memory> DetectableRegister<M> {
     ///
     /// Panics if `nthreads` or `nodes_per_thread` is zero.
     pub fn new_in(nthreads: usize, nodes_per_thread: u64, granularity: FlushGranularity) -> Self {
-        let layout = RegisterLayout::new(nthreads, nodes_per_thread);
-        let pool = Arc::new(M::create(layout.words as usize, granularity));
-        let registry = Registry::create(Arc::clone(&pool), layout.reg_base, nthreads);
-        let r = Self::assemble(pool, registry, &layout, nthreads, nodes_per_thread);
+        let layout = RegisterLayout::from_args(&[nthreads as u64, nodes_per_thread]);
+        let r = Self::assemble(ObjectCore::fresh(&layout, granularity), &layout);
         r.format(layout.init_node);
         r
     }
 
-    /// The shared constructor tail: in-DRAM side tables over an existing
-    /// pool + registry — everything `attach` must rebuild rather than map.
-    fn assemble(
-        pool: Arc<M>,
-        registry: Registry<M>,
-        layout: &RegisterLayout,
-        nthreads: usize,
-        nodes_per_thread: u64,
-    ) -> Self {
-        let nodes =
-            NodePool::new(PAddr::from_index(layout.region), NODE_WORDS, nodes_per_thread, nthreads);
+    /// The shared constructor tail: in-DRAM side tables over an object
+    /// skeleton — everything `attach` must rebuild rather than map.
+    fn assemble(object: ObjectCore<M>, layout: &RegisterLayout) -> Self {
+        let (n, region) = (layout.nthreads, PAddr::from_index(layout.region));
         DetectableRegister {
-            core: DetectableCore::new(pool, registry, nthreads, A_X_BASE, WORDS_PER_LINE),
-            nodes,
-            pending: (0..nthreads).map(|_| std::sync::Mutex::new(Vec::new())).collect(),
+            core: DetectableCore::new(object, A_X_BASE, WORDS_PER_LINE),
+            nodes: NodePool::new(region, NODE_WORDS, layout.nodes_per_thread, n),
+            pending: (0..n).map(|_| std::sync::Mutex::new(Vec::new())).collect(),
         }
     }
 
@@ -229,96 +212,23 @@ impl<M: Memory> DetectableRegister<M> {
     /// never run on attach).
     fn format(&self, init_node: u64) {
         let init = PAddr::from_index(init_node);
-        self.core.pool.store(init.offset(F_VALUE), 0);
-        self.core.pool.store(init.offset(F_WRITER_SEQ), u64::MAX); // no writer
-        self.core.pool.store(init.offset(F_SUPERSEDED), 0);
-        self.core.pool.flush(init);
-        self.core.pool.store(self.cur_addr(), init.to_word());
-        self.core.pool.flush(self.cur_addr());
+        self.pool().store(init.offset(F_VALUE), 0);
+        self.pool().store(init.offset(F_WRITER_SEQ), u64::MAX); // no writer
+        self.pool().store(init.offset(F_SUPERSEDED), 0);
+        self.pool().flush(init);
+        self.pool().store(self.cur_addr(), init.to_word());
+        self.pool().flush(self.cur_addr());
         self.core.format_x();
-        self.core.pool.drain();
-    }
-
-    /// Enables or disables bounded exponential backoff after failed
-    /// install CAS. Default off.
-    pub fn set_backoff(&self, on: bool) {
-        self.core.set_backoff(on);
-    }
-
-    /// Whether contention management is enabled.
-    pub fn backoff_enabled(&self) -> bool {
-        self.core.backoff_enabled()
-    }
-
-    fn new_backoff(&self) -> Backoff<'_> {
-        self.core.new_backoff()
+        self.pool().drain();
     }
 
     fn cur_addr(&self) -> PAddr {
         PAddr::from_index(A_CUR)
     }
 
-    // Handle validity is the core's concern; see DetectableCore::x_addr.
-    fn x_addr(&self, slot: usize) -> PAddr {
-        self.core.x_addr(slot)
-    }
-
-    /// The register's persistent-memory pool.
-    pub fn pool(&self) -> &Arc<M> {
-        self.core.pool()
-    }
-
-    /// The register's persistent thread-slot registry.
-    pub fn registry(&self) -> &Registry<M> {
-        self.core.registry()
-    }
-
-    /// Claims a free registry slot; see
-    /// [`DssQueue::register_thread`](crate::DssQueue::register_thread).
-    ///
-    /// # Errors
-    ///
-    /// [`SlotError::Exhausted`] when all slots are taken.
-    pub fn register_thread(&self) -> Result<ThreadHandle, SlotError> {
-        self.core.register_thread()
-    }
-
-    /// Returns a handle's slot to the registry.
-    ///
-    /// # Errors
-    ///
-    /// [`SlotError::StaleHandle`] / [`SlotError::ForeignHandle`] per
-    /// [`Registry::release`].
-    pub fn release_thread(&self, h: ThreadHandle) -> Result<(), SlotError> {
-        self.core.release_thread(h)
-    }
-
-    /// Marks the crash boundary in the registry (idempotent per crash).
-    /// The register itself needs no recovery phase — [`resolve`]
-    /// (Self::resolve) reads persisted state only — so this exists purely
-    /// to make dead threads' slots adoptable.
-    pub fn begin_recovery(&self) {
-        self.core.begin_recovery();
-    }
-
-    /// Adopts one orphaned slot (fresh lease, EBR state inherited).
-    ///
-    /// # Errors
-    ///
-    /// [`SlotError::OutOfRange`] / [`SlotError::NotOrphaned`] per
-    /// [`Registry::adopt`].
-    pub fn adopt(&self, slot: usize) -> Result<ThreadHandle, SlotError> {
-        self.core.adopt(slot)
-    }
-
-    /// [`adopt`](Self::adopt) over every orphaned slot, ascending.
-    pub fn adopt_orphans(&self) -> Vec<ThreadHandle> {
-        self.core.adopt_orphans()
-    }
-
     fn alloc(&self, tid: usize) -> PAddr {
         self.nodes
-            .alloc_with_reclaim(tid, &self.core.ebr)
+            .alloc_with_reclaim(tid, self.ebr())
             .unwrap_or_else(|| panic!("register node pool exhausted (size it for the workload)"))
     }
 
@@ -327,11 +237,11 @@ impl<M: Memory> DetectableRegister<M> {
     /// from `prep_write`/`write` so retirement needs no extra API.
     fn sweep_pending(&self, tid: usize) {
         let mut pending = self.pending[tid].lock().unwrap_or_else(|e| e.into_inner());
-        let cur = self.core.pool.peek(self.cur_addr());
-        let x = tag::addr_of(self.core.pool.peek(self.x_addr(tid)));
+        let cur = self.pool().peek(self.cur_addr());
+        let x = tag::addr_of(self.pool().peek(self.x_addr(tid)));
         pending.retain(|&p| {
             if p.to_word() != cur && p != x {
-                self.core.ebr.retire(tid, p);
+                self.ebr().retire(tid, p);
                 false
             } else {
                 true
@@ -354,15 +264,15 @@ impl<M: Memory> DetectableRegister<M> {
         let tid = h.slot();
         assert!(val <= tag::ADDR_MASK, "register values are limited to 48 bits");
         self.sweep_pending(tid);
-        let old = tag::addr_of(self.core.pool.load(self.x_addr(tid)));
+        let old = tag::addr_of(self.pool().load(self.x_addr(tid)));
         let node = self.alloc(tid);
-        self.core.pool.store(node.offset(F_VALUE), val);
-        self.core.pool.store(node.offset(F_WRITER_SEQ), pack(tid, seq));
-        self.core.pool.store(node.offset(F_SUPERSEDED), 0);
-        self.core.pool.flush(node);
+        self.pool().store(node.offset(F_VALUE), val);
+        self.pool().store(node.offset(F_WRITER_SEQ), pack(tid, seq));
+        self.pool().store(node.offset(F_SUPERSEDED), 0);
+        self.pool().flush(node);
         // Ordering point: the announce must not persist ahead of the node
         // it names.
-        self.core.pool.drain_lines(&[
+        self.pool().drain_lines(&[
             node.offset(F_VALUE),
             node.offset(F_WRITER_SEQ),
             node.offset(F_SUPERSEDED),
@@ -385,30 +295,30 @@ impl<M: Memory> DetectableRegister<M> {
     /// Panics if no write is prepared for `tid`.
     pub fn exec_write(&self, h: ThreadHandle) {
         let tid = h.slot();
-        let _g = self.core.pin(tid);
+        let _g = self.pin(tid);
         let xa = self.x_addr(tid);
-        let x = self.core.pool.load(xa);
+        let x = self.pool().load(xa);
         assert!(tag::has(x, W_PREP), "exec-write without a prepared write");
         let node = tag::addr_of(x);
         let mut bo = self.new_backoff();
         loop {
-            let cur_w = self.core.pool.load(self.cur_addr());
+            let cur_w = self.pool().load(self.cur_addr());
             let cur = tag::addr_of(cur_w);
             // Mark the incumbent superseded *before* replacing it: its
             // owner must be able to prove installation even after we win.
-            self.core.pool.store(cur.offset(F_SUPERSEDED), 1);
-            self.core.pool.flush(cur.offset(F_SUPERSEDED));
+            self.pool().store(cur.offset(F_SUPERSEDED), 1);
+            self.pool().flush(cur.offset(F_SUPERSEDED));
             // The announce and the incumbent's superseded mark must be
             // persistent before the install can take effect — resolve
             // proves installation through either of them.
-            self.core.pool.drain_lines(&[cur.offset(F_SUPERSEDED), xa]);
-            if self.core.pool.cas(self.cur_addr(), cur_w, node.to_word()).is_ok() {
-                self.core.pool.flush(self.cur_addr());
+            self.pool().drain_lines(&[cur.offset(F_SUPERSEDED), xa]);
+            if self.pool().cas(self.cur_addr(), cur_w, node.to_word()).is_ok() {
+                self.pool().flush(self.cur_addr());
                 // Ordering point: the completion mark must not persist
                 // ahead of the installed pointer it certifies.
-                self.core.pool.drain_line(self.cur_addr());
+                self.pool().drain_line(self.cur_addr());
                 self.core.complete(tid, tag::set(x, W_COMPL));
-                self.core.pool.drain();
+                self.pool().drain();
                 return;
             }
             bo.spin();
@@ -424,30 +334,30 @@ impl<M: Memory> DetectableRegister<M> {
     pub fn write(&self, h: ThreadHandle, val: u64) {
         let tid = h.slot();
         assert!(val <= tag::ADDR_MASK, "register values are limited to 48 bits");
-        let _g = self.core.pin(tid);
+        let _g = self.pin(tid);
         self.sweep_pending(tid);
         let node = self.alloc(tid);
-        self.core.pool.store(node.offset(F_VALUE), val);
-        self.core.pool.store(node.offset(F_WRITER_SEQ), u64::MAX);
-        self.core.pool.store(node.offset(F_SUPERSEDED), 0);
-        self.core.pool.flush(node);
+        self.pool().store(node.offset(F_VALUE), val);
+        self.pool().store(node.offset(F_WRITER_SEQ), u64::MAX);
+        self.pool().store(node.offset(F_SUPERSEDED), 0);
+        self.pool().flush(node);
         let mut bo = self.new_backoff();
         loop {
-            let cur_w = self.core.pool.load(self.cur_addr());
+            let cur_w = self.pool().load(self.cur_addr());
             let cur = tag::addr_of(cur_w);
-            self.core.pool.store(cur.offset(F_SUPERSEDED), 1);
-            self.core.pool.flush(cur.offset(F_SUPERSEDED));
+            self.pool().store(cur.offset(F_SUPERSEDED), 1);
+            self.pool().flush(cur.offset(F_SUPERSEDED));
             // The new node and the incumbent's superseded mark must be
             // persistent before the install can take effect.
-            self.core.pool.drain_lines(&[
+            self.pool().drain_lines(&[
                 cur.offset(F_SUPERSEDED),
                 node.offset(F_VALUE),
                 node.offset(F_WRITER_SEQ),
                 node.offset(F_SUPERSEDED),
             ]);
-            if self.core.pool.cas(self.cur_addr(), cur_w, node.to_word()).is_ok() {
-                self.core.pool.flush(self.cur_addr());
-                self.core.pool.drain();
+            if self.pool().cas(self.cur_addr(), cur_w, node.to_word()).is_ok() {
+                self.pool().flush(self.cur_addr());
+                self.pool().drain();
                 // X never references a plain write's node, so it joins the
                 // owner's pending list right away; it is retired by a later
                 // sweep once it stops being the current node.
@@ -460,25 +370,25 @@ impl<M: Memory> DetectableRegister<M> {
 
     /// **read()** (plain): the current value.
     pub fn read(&self, h: ThreadHandle) -> u64 {
-        let _g = self.core.pin(h.slot());
-        let cur = tag::addr_of(self.core.pool.load(self.cur_addr()));
-        self.core.pool.load(cur.offset(F_VALUE))
+        let _g = self.pin(h.slot());
+        let cur = tag::addr_of(self.pool().load(self.cur_addr()));
+        self.pool().load(cur.offset(F_VALUE))
     }
 
     /// **resolve()**: reports the most recently prepared write and whether
     /// it took effect. Needs no prior recovery phase; callable any time,
     /// idempotent.
     pub fn resolve(&self, h: ThreadHandle) -> ResolvedWrite {
-        let x = self.core.pool.load(self.x_addr(h.slot()));
+        let x = self.pool().load(self.x_addr(h.slot()));
         if !tag::has(x, W_PREP) {
             return ResolvedWrite { op: None, resp: None };
         }
         let node = tag::addr_of(x);
-        let (_, seq) = unpack(self.core.pool.load(node.offset(F_WRITER_SEQ)));
-        let val = self.core.pool.load(node.offset(F_VALUE));
+        let (_, seq) = unpack(self.pool().load(node.offset(F_WRITER_SEQ)));
+        let val = self.pool().load(node.offset(F_VALUE));
         let effective = tag::has(x, W_COMPL)
-            || self.core.pool.load(self.cur_addr()) == node.to_word()
-            || self.core.pool.load(node.offset(F_SUPERSEDED)) == 1;
+            || self.pool().load(self.cur_addr()) == node.to_word()
+            || self.pool().load(node.offset(F_SUPERSEDED)) == 1;
         ResolvedWrite {
             op: Some((val, seq)),
             resp: if effective { Some(RegisterResp::Ok) } else { None },
@@ -489,12 +399,12 @@ impl<M: Memory> DetectableRegister<M> {
     /// every `X`-referenced node stay allocated.
     pub fn rebuild_allocator(&self) {
         let mut live = self.nodes.node_set();
-        live.insert(tag::addr_of(self.core.pool.load(self.cur_addr())));
-        for i in 0..self.core.nthreads {
-            live.insert(tag::addr_of(self.core.pool.load(self.x_addr(i))));
+        live.insert(tag::addr_of(self.pool().load(self.cur_addr())));
+        for i in 0..self.nthreads() {
+            live.insert(tag::addr_of(self.pool().load(self.x_addr(i))));
         }
         self.nodes.rebuild(&live);
-        self.core.ebr.reset();
+        self.ebr().reset();
         for p in self.pending.iter() {
             p.lock().unwrap_or_else(|e| e.into_inner()).clear();
         }
@@ -509,10 +419,18 @@ fn unpack(w: u64) -> (usize, u64) {
     ((w >> 48) as usize, w & tag::ADDR_MASK)
 }
 
+impl<M: Memory> Deref for DetectableRegister<M> {
+    type Target = DetectableCore<M>;
+
+    fn deref(&self) -> &DetectableCore<M> {
+        &self.core
+    }
+}
+
 impl<M: Memory> fmt::Debug for DetectableRegister<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DetectableRegister")
-            .field("nthreads", &self.core.nthreads)
+            .field("nthreads", &self.nthreads())
             .finish_non_exhaustive()
     }
 }
@@ -521,18 +439,6 @@ impl<M: Memory> fmt::Debug for DetectableRegister<M> {
 mod tests {
     use super::*;
     use dss_pmem::WritebackAdversary;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-
-    fn run_crash_at<F: FnOnce()>(r: &DetectableRegister, k: u64, f: F) -> bool {
-        r.pool().arm_crash_after(k);
-        let res = catch_unwind(AssertUnwindSafe(f));
-        r.pool().disarm_crash();
-        match res {
-            Ok(()) => false,
-            Err(p) if p.downcast_ref::<dss_pmem::CrashSignal>().is_some() => true,
-            Err(p) => std::panic::resume_unwind(p),
-        }
-    }
 
     #[test]
     fn read_write_basic() {
@@ -582,7 +488,7 @@ mod tests {
             for k in 1..40 {
                 let r = DetectableRegister::new(1, 8);
                 let h0 = r.register_thread().unwrap();
-                let crashed = run_crash_at(&r, k, || {
+                let crashed = r.pool().crashes_within(k, || {
                     r.prep_write(h0, 1, 9);
                     r.exec_write(h0);
                 });

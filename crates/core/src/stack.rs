@@ -17,11 +17,12 @@
 //! other thread's operation completed.
 
 use std::fmt;
-use std::sync::Arc;
+use std::ops::Deref;
 
+use dss_pmem::object::{checked_words, thread_count};
 use dss_pmem::{
-    tag, AppKind, AttachError, Backoff, FlushGranularity, Memory, NodePool, NodeSet, PAddr,
-    PmemPool, Registry, SlotError, ThreadHandle, WORDS_PER_LINE,
+    tag, AppKind, AttachError, FlushGranularity, Memory, NodePool, NodeSet, ObjectCore,
+    ObjectLayout, PAddr, PmemPool, ThreadHandle, WORDS_PER_LINE,
 };
 use dss_spec::types::StackResp;
 
@@ -54,20 +55,30 @@ pub const KIND_DSS_STACK: u64 = AppKind::DssStack.word();
 /// The stack's pool layout, derived from `(nthreads, nodes_per_thread)`
 /// alone (cf. the queue's `QueueLayout`).
 struct StackLayout {
+    nthreads: usize,
+    nodes_per_thread: u64,
     region: u64,
     reg_base: u64,
-    words: u64,
 }
 
-impl StackLayout {
-    fn new(nthreads: usize, nodes_per_thread: u64) -> Self {
-        assert!(nthreads > 0 && nodes_per_thread > 0);
+impl ObjectLayout for StackLayout {
+    const KIND: AppKind = AppKind::DssStack;
+
+    fn params(&self) -> Vec<u64> {
+        vec![self.nthreads as u64, self.nodes_per_thread]
+    }
+
+    fn from_params(p: &[u64]) -> Result<Self, &'static str> {
+        let (nthreads, nodes_per_thread) = (thread_count(p[0])?, p[1]);
+        let nodes = checked_words(&[nthreads as u64, nodes_per_thread, NODE_WORDS])?;
         let x_end = A_X_BASE + nthreads as u64 * WORDS_PER_LINE;
         let region = x_end.next_multiple_of(NODE_WORDS);
-        let node_end = region + nodes_per_thread * nthreads as u64 * NODE_WORDS;
-        let reg_base = node_end.next_multiple_of(WORDS_PER_LINE);
-        let words = reg_base + Registry::<PmemPool>::region_words(nthreads);
-        StackLayout { region, reg_base, words }
+        let reg_base = (region + nodes).next_multiple_of(WORDS_PER_LINE);
+        Ok(StackLayout { nthreads, nodes_per_thread, region, reg_base })
+    }
+
+    fn registry_base(&self) -> u64 {
+        self.reg_base
     }
 }
 
@@ -121,9 +132,10 @@ pub struct StackResolved {
 /// s.prep_pop(h1);
 /// assert_eq!(s.exec_pop(h1), StackResp::Value(7));
 /// ```
+///
+/// With backoff on ([`set_backoff`](ObjectCore::set_backoff)), `exec-pop`
+/// also elides redundant announce flushes.
 pub struct DssStack<M: Memory = PmemPool> {
-    /// The shared detectability skeleton: pool, registry, EBR, backoff,
-    /// and the per-thread `X` words (see [`DetectableCore`]).
     core: DetectableCore<M>,
     nodes: NodePool,
 }
@@ -155,11 +167,8 @@ impl DssStack {
         nthreads: usize,
         nodes_per_thread: u64,
     ) -> Result<Self, AttachError> {
-        let layout = StackLayout::new(nthreads, nodes_per_thread);
-        let pool = Arc::new(PmemPool::create(path, layout.words as usize, FlushGranularity::Line)?);
-        pool.set_app_config(KIND_DSS_STACK, &[nthreads as u64, nodes_per_thread]);
-        let registry = Registry::create(Arc::clone(&pool), layout.reg_base, nthreads);
-        let s = Self::assemble(pool, registry, &layout, nthreads, nodes_per_thread);
+        let layout = StackLayout::from_args(&[nthreads as u64, nodes_per_thread]);
+        let s = Self::assemble(ObjectCore::create(path, &layout, FlushGranularity::Line)?, &layout);
         s.format();
         Ok(s)
     }
@@ -171,25 +180,12 @@ impl DssStack {
     ///
     /// # Errors
     ///
-    /// Any [`AttachError`], including [`AttachError::AppMismatch`] if the
-    /// file holds a different structure.
+    /// Any [`AttachError`] of [`ObjectCore::attach`], including
+    /// [`AttachError::AppMismatch`] if the file holds a different
+    /// structure.
     pub fn attach<P: AsRef<std::path::Path>>(path: P) -> Result<Self, AttachError> {
-        let pool = Arc::new(PmemPool::attach(path)?);
-        let found = pool.app_kind();
-        if found != KIND_DSS_STACK {
-            return Err(AttachError::AppMismatch { expected: KIND_DSS_STACK, found });
-        }
-        let [nthreads, nodes_per_thread, ..] = pool.app_config();
-        if nthreads == 0 || nodes_per_thread == 0 {
-            return Err(AttachError::Corrupt("stack parameter words are zero"));
-        }
-        let nthreads = nthreads as usize;
-        let layout = StackLayout::new(nthreads, nodes_per_thread);
-        if (pool.capacity() as u64) < layout.words {
-            return Err(AttachError::Corrupt("pool smaller than the stack layout requires"));
-        }
-        let registry = Registry::attach(Arc::clone(&pool), layout.reg_base)?;
-        let s = Self::assemble(pool, registry, &layout, nthreads, nodes_per_thread);
+        let (object, layout) = ObjectCore::attach(path)?;
+        let s = Self::assemble(object, &layout);
         // Reachability from the possibly-lagging persisted top is a
         // superset of the true live set, so rebuilding before `recover`
         // repairs `top` is safe (cf. the queue's attach).
@@ -207,120 +203,33 @@ impl<M: Memory> DssStack<M> {
     ///
     /// Panics if `nthreads` or `nodes_per_thread` is zero.
     pub fn new_in(nthreads: usize, nodes_per_thread: u64, granularity: FlushGranularity) -> Self {
-        let layout = StackLayout::new(nthreads, nodes_per_thread);
-        let pool = Arc::new(M::create(layout.words as usize, granularity));
-        let registry = Registry::create(Arc::clone(&pool), layout.reg_base, nthreads);
-        let s = Self::assemble(pool, registry, &layout, nthreads, nodes_per_thread);
+        let layout = StackLayout::from_args(&[nthreads as u64, nodes_per_thread]);
+        let s = Self::assemble(ObjectCore::fresh(&layout, granularity), &layout);
         s.format();
         s
     }
 
-    /// The shared constructor tail: in-DRAM side tables over an existing
-    /// pool + registry — everything `attach` must rebuild rather than map.
-    fn assemble(
-        pool: Arc<M>,
-        registry: Registry<M>,
-        layout: &StackLayout,
-        nthreads: usize,
-        nodes_per_thread: u64,
-    ) -> Self {
-        let nodes =
-            NodePool::new(PAddr::from_index(layout.region), NODE_WORDS, nodes_per_thread, nthreads);
+    /// The shared constructor tail: in-DRAM side tables over an object
+    /// skeleton — everything `attach` must rebuild rather than map.
+    fn assemble(object: ObjectCore<M>, layout: &StackLayout) -> Self {
+        let region = PAddr::from_index(layout.region);
         DssStack {
-            core: DetectableCore::new(pool, registry, nthreads, A_X_BASE, WORDS_PER_LINE),
-            nodes,
+            core: DetectableCore::new(object, A_X_BASE, WORDS_PER_LINE),
+            nodes: NodePool::new(region, NODE_WORDS, layout.nodes_per_thread, layout.nthreads),
         }
     }
 
     /// Writes and persists the initial stack state (fresh pools only —
     /// never run on attach).
     fn format(&self) {
-        self.core.pool.store(self.top_addr(), PAddr::NULL.to_word());
-        self.core.pool.flush(self.top_addr());
+        self.pool().store(self.top_addr(), PAddr::NULL.to_word());
+        self.pool().flush(self.top_addr());
         self.core.format_x();
-        self.core.pool.drain();
-    }
-
-    /// Enables or disables contention management (backoff after failed CAS
-    /// and elision of redundant announce flushes in `exec-pop`). Default
-    /// off.
-    pub fn set_backoff(&self, on: bool) {
-        self.core.set_backoff(on);
-    }
-
-    /// Whether contention management is enabled.
-    pub fn backoff_enabled(&self) -> bool {
-        self.core.backoff_enabled()
-    }
-
-    fn new_backoff(&self) -> Backoff<'_> {
-        self.core.new_backoff()
+        self.pool().drain();
     }
 
     fn top_addr(&self) -> PAddr {
         PAddr::from_index(A_TOP)
-    }
-
-    // Handle validity is the core's concern; see DetectableCore::x_addr.
-    fn x_addr(&self, slot: usize) -> PAddr {
-        self.core.x_addr(slot)
-    }
-
-    /// The stack's persistent-memory pool.
-    pub fn pool(&self) -> &Arc<M> {
-        self.core.pool()
-    }
-
-    /// Number of threads the stack was built for.
-    pub fn nthreads(&self) -> usize {
-        self.core.nthreads()
-    }
-
-    /// The stack's persistent thread-slot registry.
-    pub fn registry(&self) -> &Registry<M> {
-        self.core.registry()
-    }
-
-    /// Claims a free registry slot; see
-    /// [`DssQueue::register_thread`](crate::DssQueue::register_thread).
-    ///
-    /// # Errors
-    ///
-    /// [`SlotError::Exhausted`] when all slots are taken.
-    pub fn register_thread(&self) -> Result<ThreadHandle, SlotError> {
-        self.core.register_thread()
-    }
-
-    /// Returns a handle's slot to the registry.
-    ///
-    /// # Errors
-    ///
-    /// [`SlotError::StaleHandle`] / [`SlotError::ForeignHandle`] per
-    /// [`Registry::release`].
-    pub fn release_thread(&self, h: ThreadHandle) -> Result<(), SlotError> {
-        self.core.release_thread(h)
-    }
-
-    /// Marks the crash boundary in the registry (idempotent per crash);
-    /// called by [`recover`](Self::recover), or directly when driving
-    /// partial recovery by hand.
-    pub fn begin_recovery(&self) {
-        self.core.begin_recovery();
-    }
-
-    /// Adopts one orphaned slot (fresh lease, EBR state inherited).
-    ///
-    /// # Errors
-    ///
-    /// [`SlotError::OutOfRange`] / [`SlotError::NotOrphaned`] per
-    /// [`Registry::adopt`].
-    pub fn adopt(&self, slot: usize) -> Result<ThreadHandle, SlotError> {
-        self.core.adopt(slot)
-    }
-
-    /// [`adopt`](Self::adopt) over every orphaned slot, ascending.
-    pub fn adopt_orphans(&self) -> Vec<ThreadHandle> {
-        self.core.adopt_orphans()
     }
 
     /// The nodes the detectability words still name — a prepared push's
@@ -330,14 +239,14 @@ impl<M: Memory> DssStack<M> {
     /// [`rebuild_allocator`](Self::rebuild_allocator)'s liveness rule).
     fn x_referenced_nodes(&self) -> Vec<PAddr> {
         (0..self.nthreads())
-            .map(|i| tag::addr_of(self.core.pool.load(self.x_addr(i))))
+            .map(|i| tag::addr_of(self.pool().load(self.x_addr(i))))
             .filter(|d| !d.is_null())
             .collect()
     }
 
     fn alloc(&self, tid: usize) -> Result<PAddr, StackFull> {
         self.nodes
-            .alloc_with_reclaim_guarded(tid, &self.core.ebr, || self.x_referenced_nodes())
+            .alloc_with_reclaim_guarded(tid, self.ebr(), || self.x_referenced_nodes())
             .ok_or(StackFull)
     }
 
@@ -345,20 +254,20 @@ impl<M: Memory> DssStack<M> {
     /// (persist the claim, advance `top`).
     fn find_top(&self, _tid: usize) -> PAddr {
         loop {
-            let top_w = self.core.pool.load(self.top_addr());
+            let top_w = self.pool().load(self.top_addr());
             let top = tag::addr_of(top_w);
             if top.is_null() {
                 return top;
             }
-            if self.core.pool.load(top.offset(F_POPPER)) == NO_POPPER {
+            if self.pool().load(top.offset(F_POPPER)) == NO_POPPER {
                 return top;
             }
             // Claimed node at the top: help complete the pop.
-            self.core.pool.flush(top.offset(F_POPPER));
-            let next = self.core.pool.load(top.offset(F_NEXT));
+            self.pool().flush(top.offset(F_POPPER));
+            let next = self.pool().load(top.offset(F_NEXT));
             // The top must not persist past an unpersisted claim.
-            self.core.pool.drain_line(top.offset(F_POPPER));
-            let _ = self.core.pool.cas(self.top_addr(), top_w, next);
+            self.pool().drain_line(top.offset(F_POPPER));
+            let _ = self.pool().cas(self.top_addr(), top_w, next);
         }
     }
 
@@ -371,9 +280,9 @@ impl<M: Memory> DssStack<M> {
     pub fn prep_push(&self, h: ThreadHandle, val: u64) -> Result<(), StackFull> {
         let tid = h.slot();
         let node = self.alloc(tid)?;
-        self.core.pool.store(node.offset(F_VALUE), val);
-        self.core.pool.store(node.offset(F_NEXT), PAddr::NULL.to_word());
-        self.core.pool.store(node.offset(F_POPPER), NO_POPPER);
+        self.pool().store(node.offset(F_VALUE), val);
+        self.pool().store(node.offset(F_NEXT), PAddr::NULL.to_word());
+        self.pool().store(node.offset(F_POPPER), NO_POPPER);
         self.flush_node(node);
         // Ordering point: the announce must not persist ahead of the node
         // it names — a targeted drain of the node's own lines.
@@ -384,12 +293,12 @@ impl<M: Memory> DssStack<M> {
     }
 
     fn flush_node(&self, node: PAddr) {
-        match self.core.pool.granularity() {
-            FlushGranularity::Line => self.core.pool.flush(node),
+        match self.pool().granularity() {
+            FlushGranularity::Line => self.pool().flush(node),
             FlushGranularity::Word => {
-                self.core.pool.flush(node.offset(F_VALUE));
-                self.core.pool.flush(node.offset(F_NEXT));
-                self.core.pool.flush(node.offset(F_POPPER));
+                self.pool().flush(node.offset(F_VALUE));
+                self.pool().flush(node.offset(F_NEXT));
+                self.pool().flush(node.offset(F_POPPER));
             }
         }
     }
@@ -397,7 +306,7 @@ impl<M: Memory> DssStack<M> {
     /// Targeted drain of a node's own flush units (cf. the queue's
     /// `drain_node`): everything else stays pended.
     fn drain_node(&self, node: PAddr) {
-        self.core.pool.drain_lines(&[
+        self.pool().drain_lines(&[
             node.offset(F_VALUE),
             node.offset(F_NEXT),
             node.offset(F_POPPER),
@@ -412,26 +321,26 @@ impl<M: Memory> DssStack<M> {
     /// Panics if no push is prepared for `tid`.
     pub fn exec_push(&self, h: ThreadHandle) {
         let tid = h.slot();
-        let _g = self.core.pin(tid);
+        let _g = self.pin(tid);
         let xa = self.x_addr(tid);
-        let x = self.core.pool.load(xa);
+        let x = self.pool().load(xa);
         assert!(tag::has(x, PUSH_PREP), "exec-push without a prepared push");
         let node = tag::addr_of(x);
         let mut bo = self.new_backoff();
         loop {
             let top = self.find_top(tid);
-            self.core.pool.store(node.offset(F_NEXT), top.to_word());
-            self.core.pool.flush(node.offset(F_NEXT));
+            self.pool().store(node.offset(F_NEXT), top.to_word());
+            self.pool().flush(node.offset(F_NEXT));
             // Ordering point: the announce and the node's linkage must be
             // persistent before the push can take effect.
-            self.core.pool.drain_lines(&[xa, node.offset(F_NEXT)]);
-            if self.core.pool.cas(self.top_addr(), top.to_word(), node.to_word()).is_ok() {
-                self.core.pool.flush(self.top_addr());
+            self.pool().drain_lines(&[xa, node.offset(F_NEXT)]);
+            if self.pool().cas(self.top_addr(), top.to_word(), node.to_word()).is_ok() {
+                self.pool().flush(self.top_addr());
                 // Ordering point: the completion mark must not persist
                 // ahead of the top pointer it certifies.
-                self.core.pool.drain_line(self.top_addr());
+                self.pool().drain_line(self.top_addr());
                 self.core.complete(tid, tag::set(x, PUSH_COMPL));
-                self.core.pool.drain();
+                self.pool().drain();
                 return;
             }
             bo.spin();
@@ -447,21 +356,21 @@ impl<M: Memory> DssStack<M> {
     pub fn push(&self, h: ThreadHandle, val: u64) -> Result<(), StackFull> {
         let tid = h.slot();
         let node = self.alloc(tid)?;
-        self.core.pool.store(node.offset(F_VALUE), val);
-        self.core.pool.store(node.offset(F_NEXT), PAddr::NULL.to_word());
-        self.core.pool.store(node.offset(F_POPPER), NO_POPPER);
+        self.pool().store(node.offset(F_VALUE), val);
+        self.pool().store(node.offset(F_NEXT), PAddr::NULL.to_word());
+        self.pool().store(node.offset(F_POPPER), NO_POPPER);
         self.flush_node(node);
-        let _g = self.core.pin(tid);
+        let _g = self.pin(tid);
         let mut bo = self.new_backoff();
         loop {
             let top = self.find_top(tid);
-            self.core.pool.store(node.offset(F_NEXT), top.to_word());
-            self.core.pool.flush(node.offset(F_NEXT));
+            self.pool().store(node.offset(F_NEXT), top.to_word());
+            self.pool().flush(node.offset(F_NEXT));
             // The node must be persistent before its linkage can be.
             self.drain_node(node);
-            if self.core.pool.cas(self.top_addr(), top.to_word(), node.to_word()).is_ok() {
-                self.core.pool.flush(self.top_addr());
-                self.core.pool.drain();
+            if self.pool().cas(self.top_addr(), top.to_word(), node.to_word()).is_ok() {
+                self.pool().flush(self.top_addr());
+                self.pool().drain();
                 return Ok(());
             }
             bo.spin();
@@ -483,7 +392,7 @@ impl<M: Memory> DssStack<M> {
     /// Panics if no pop is prepared for `tid`.
     pub fn exec_pop(&self, h: ThreadHandle) -> StackResp {
         let tid = h.slot();
-        let _g = self.core.pin(tid);
+        let _g = self.pin(tid);
         let xa = self.x_addr(tid);
         let elide = self.backoff_enabled();
         let mut bo = self.new_backoff();
@@ -496,29 +405,29 @@ impl<M: Memory> DssStack<M> {
             if top.is_null() {
                 // The EMPTY mark is this path's completion mark.
                 self.core.complete(tid, POP_PREP | EMPTY);
-                self.core.pool.drain();
+                self.pool().drain();
                 return StackResp::Empty;
             }
             // Announce the node we are about to claim (cf. queue line 47).
             let announce = tag::set(top.to_word(), POP_PREP);
             if !elide || announced != announce {
-                self.core.pool.store(xa, announce);
-                self.core.pool.flush(xa);
+                self.pool().store(xa, announce);
+                self.pool().flush(xa);
                 announced = announce;
             }
             // Ordering point: the announced node must be persistent before
             // a claim on it can be — resolve interprets the claim through it.
-            self.core.pool.drain_line(xa);
-            if self.core.pool.cas(top.offset(F_POPPER), NO_POPPER, tid as u64).is_ok() {
-                self.core.pool.flush(top.offset(F_POPPER));
-                let next = self.core.pool.load(top.offset(F_NEXT));
+            self.pool().drain_line(xa);
+            if self.pool().cas(top.offset(F_POPPER), NO_POPPER, tid as u64).is_ok() {
+                self.pool().flush(top.offset(F_POPPER));
+                let next = self.pool().load(top.offset(F_NEXT));
                 // The top must not persist past an unpersisted claim.
-                self.core.pool.drain_line(top.offset(F_POPPER));
-                if self.core.pool.cas(self.top_addr(), top.to_word(), next).is_ok() {
+                self.pool().drain_line(top.offset(F_POPPER));
+                if self.pool().cas(self.top_addr(), top.to_word(), next).is_ok() {
                     self.retire(tid, top);
                 }
-                let val = self.core.pool.load(top.offset(F_VALUE));
-                self.core.pool.drain();
+                let val = self.pool().load(top.offset(F_VALUE));
+                self.pool().drain();
                 return StackResp::Value(val);
             }
             // Lost the claim race; find_top will help the winner.
@@ -531,28 +440,27 @@ impl<M: Memory> DssStack<M> {
     /// claim by the same thread (cf. queue §3.2).
     pub fn pop(&self, h: ThreadHandle) -> StackResp {
         let tid = h.slot();
-        let _g = self.core.pin(tid);
+        let _g = self.pin(tid);
         let mut bo = self.new_backoff();
         loop {
             let top = self.find_top(tid);
             if top.is_null() {
-                self.core.pool.drain();
+                self.pool().drain();
                 return StackResp::Empty;
             }
             if self
-                .core
-                .pool
+                .pool()
                 .cas(top.offset(F_POPPER), NO_POPPER, tid as u64 | tag::NONDET_DEQ)
                 .is_ok()
             {
-                self.core.pool.flush(top.offset(F_POPPER));
-                let next = self.core.pool.load(top.offset(F_NEXT));
-                self.core.pool.drain_line(top.offset(F_POPPER));
-                if self.core.pool.cas(self.top_addr(), top.to_word(), next).is_ok() {
+                self.pool().flush(top.offset(F_POPPER));
+                let next = self.pool().load(top.offset(F_NEXT));
+                self.pool().drain_line(top.offset(F_POPPER));
+                if self.pool().cas(self.top_addr(), top.to_word(), next).is_ok() {
                     self.retire(tid, top);
                 }
-                let val = self.core.pool.load(top.offset(F_VALUE));
-                self.core.pool.drain();
+                let val = self.pool().load(top.offset(F_VALUE));
+                self.pool().drain();
                 return StackResp::Value(val);
             }
             bo.spin();
@@ -561,17 +469,17 @@ impl<M: Memory> DssStack<M> {
 
     fn retire(&self, tid: usize, node: PAddr) {
         if self.nodes.contains(node) {
-            self.core.ebr.retire(tid, node);
+            self.ebr().retire(tid, node);
         }
     }
 
     /// **resolve()**: the `(A[pᵢ], R[pᵢ])` pair for the stack.
     pub fn resolve(&self, h: ThreadHandle) -> StackResolved {
         let tid = h.slot();
-        let x = self.core.pool.load(self.x_addr(tid));
+        let x = self.pool().load(self.x_addr(tid));
         if tag::has(x, PUSH_PREP) {
             let node = tag::addr_of(x);
-            let value = self.core.pool.load(node.offset(F_VALUE));
+            let value = self.pool().load(node.offset(F_VALUE));
             StackResolved {
                 op: Some(StackResolvedOp::Push(value)),
                 resp: tag::has(x, PUSH_COMPL).then_some(StackResp::Ok),
@@ -580,8 +488,8 @@ impl<M: Memory> DssStack<M> {
             let node = tag::addr_of(x);
             let resp = if node.is_null() {
                 tag::has(x, EMPTY).then_some(StackResp::Empty)
-            } else if self.core.pool.load(node.offset(F_POPPER)) == tid as u64 {
-                Some(StackResp::Value(self.core.pool.load(node.offset(F_VALUE))))
+            } else if self.pool().load(node.offset(F_POPPER)) == tid as u64 {
+                Some(StackResp::Value(self.pool().load(node.offset(F_VALUE))))
             } else {
                 None
             };
@@ -595,23 +503,23 @@ impl<M: Memory> DssStack<M> {
     /// structural half of the stack's Figure 6).
     fn repair_top(&self) {
         loop {
-            let top_w = self.core.pool.load(self.top_addr());
+            let top_w = self.pool().load(self.top_addr());
             let top = tag::addr_of(top_w);
-            if top.is_null() || self.core.pool.load(top.offset(F_POPPER)) == NO_POPPER {
+            if top.is_null() || self.pool().load(top.offset(F_POPPER)) == NO_POPPER {
                 break;
             }
-            let next = self.core.pool.load(top.offset(F_NEXT));
-            self.core.pool.store(self.top_addr(), next);
+            let next = self.pool().load(top.offset(F_NEXT));
+            self.pool().store(self.top_addr(), next);
         }
-        self.core.pool.flush(self.top_addr());
+        self.pool().flush(self.top_addr());
     }
 
     fn reachable_set(&self) -> NodeSet {
         let mut set = self.nodes.node_set();
-        let mut cur = tag::addr_of(self.core.pool.load(self.top_addr()));
+        let mut cur = tag::addr_of(self.pool().load(self.top_addr()));
         while !cur.is_null() {
             set.insert(cur);
-            cur = tag::addr_of(self.core.pool.load(cur.offset(F_NEXT)));
+            cur = tag::addr_of(self.pool().load(cur.offset(F_NEXT)));
         }
         set
     }
@@ -620,7 +528,7 @@ impl<M: Memory> DssStack<M> {
     /// effect (node reachable, or already claimed off the stack).
     fn recover_x_entry(&self, i: usize, reachable: &NodeSet) {
         let xa = self.x_addr(i);
-        let x = self.core.pool.load(xa);
+        let x = self.pool().load(xa);
         if !tag::has(x, PUSH_PREP) || tag::has(x, PUSH_COMPL) {
             return;
         }
@@ -628,8 +536,7 @@ impl<M: Memory> DssStack<M> {
         if d.is_null() {
             return;
         }
-        let effective =
-            reachable.contains(d) || self.core.pool.load(d.offset(F_POPPER)) != NO_POPPER;
+        let effective = reachable.contains(d) || self.pool().load(d.offset(F_POPPER)) != NO_POPPER;
         if effective {
             self.core.complete(i, tag::set(x, PUSH_COMPL));
         }
@@ -666,46 +573,42 @@ impl<M: Memory> DssStack<M> {
         let mut live = self.reachable_set();
         live.extend(self.x_referenced_nodes());
         self.nodes.rebuild(&live);
-        self.core.ebr.reset();
+        self.ebr().reset();
     }
 
     /// Volatile snapshot, top first (test helper; skips claimed nodes).
     pub fn snapshot_values(&self) -> Vec<u64> {
         let mut out = Vec::new();
-        let mut cur = tag::addr_of(self.core.pool.peek(self.top_addr()));
+        let mut cur = tag::addr_of(self.pool().peek(self.top_addr()));
         while !cur.is_null() {
-            if self.core.pool.peek(cur.offset(F_POPPER)) == NO_POPPER {
-                out.push(self.core.pool.peek(cur.offset(F_VALUE)));
+            if self.pool().peek(cur.offset(F_POPPER)) == NO_POPPER {
+                out.push(self.pool().peek(cur.offset(F_VALUE)));
             }
-            cur = tag::addr_of(self.core.pool.peek(cur.offset(F_NEXT)));
+            cur = tag::addr_of(self.pool().peek(cur.offset(F_NEXT)));
         }
         out
     }
 }
 
+impl<M: Memory> Deref for DssStack<M> {
+    type Target = DetectableCore<M>;
+
+    fn deref(&self) -> &DetectableCore<M> {
+        &self.core
+    }
+}
+
 impl<M: Memory> fmt::Debug for DssStack<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DssStack").field("nthreads", &self.core.nthreads).finish_non_exhaustive()
+        f.debug_struct("DssStack").field("nthreads", &self.nthreads()).finish_non_exhaustive()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dss_pmem::{CrashSignal, WritebackAdversary};
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use dss_pmem::WritebackAdversary;
     use std::sync::Arc;
-
-    fn run_crash_at<F: FnOnce()>(s: &DssStack, k: u64, f: F) -> bool {
-        s.pool().arm_crash_after(k);
-        let r = catch_unwind(AssertUnwindSafe(f));
-        s.pool().disarm_crash();
-        match r {
-            Ok(()) => false,
-            Err(p) if p.downcast_ref::<CrashSignal>().is_some() => true,
-            Err(p) => resume_unwind(p),
-        }
-    }
 
     #[test]
     fn lifo_order_detectable_and_plain() {
@@ -753,7 +656,7 @@ mod tests {
             for k in 1..50 {
                 let s = DssStack::new(1, 8);
                 let h0 = s.register_thread().unwrap();
-                let crashed = run_crash_at(&s, k, || {
+                let crashed = s.pool().crashes_within(k, || {
                     s.prep_push(h0, 42).unwrap();
                     s.exec_push(h0);
                 });
@@ -788,7 +691,7 @@ mod tests {
                 let s = DssStack::new(1, 8);
                 let h0 = s.register_thread().unwrap();
                 s.push(h0, 7).unwrap();
-                let crashed = run_crash_at(&s, k, || {
+                let crashed = s.pool().crashes_within(k, || {
                     s.prep_pop(h0);
                     let _ = s.exec_pop(h0);
                 });
@@ -863,7 +766,7 @@ mod tests {
         // prep (store X, flush X) = 2; find_top (load top, load popper)
         // = 4; announce (store X, flush X) = 6; claim CAS = 7 — crash on
         // op 8 (the claim's flush; the All adversary persists the claim).
-        let crashed = run_crash_at(&s, 8, || {
+        let crashed = s.pool().crashes_within(8, || {
             s.prep_pop(h1);
             let _ = s.exec_pop(h1);
         });

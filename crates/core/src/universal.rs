@@ -30,10 +30,11 @@
 //! [`OpWords`]; implementations are provided for all the canonical types.
 
 use std::fmt;
-use std::sync::Arc;
+use std::ops::Deref;
 
+use dss_pmem::object::{checked_words, thread_count};
 use dss_pmem::{
-    tag, AppKind, AttachError, FlushGranularity, Memory, PAddr, PmemPool, Registry, SlotError,
+    tag, AppKind, AttachError, FlushGranularity, Memory, ObjectCore, ObjectLayout, PAddr, PmemPool,
     ThreadHandle, WORDS_PER_LINE,
 };
 
@@ -82,30 +83,40 @@ const A_TAIL_HINT: u64 = 1;
 const A_X_BASE: u64 = 2;
 
 /// Structure-kind word a file-backed universal object records in its pool
-/// superblock. The spec type `T` itself is not persisted — [`attach`]
-/// (Universal::attach) takes the spec value from the caller and trusts the
-/// caller to supply the same type the file was created with.
+/// superblock. The spec type `T` itself is not persisted —
+/// [`attach`](Universal::attach) takes the spec value from the caller and
+/// trusts the caller to supply the same type the file was created with.
 pub const KIND_UNIVERSAL: u64 = AppKind::Universal.word();
 
 /// The universal object's pool layout, derived from `(nthreads, max_ops)`
 /// alone (cf. the queue's `QueueLayout`).
 struct UniversalLayout {
+    nthreads: usize,
+    max_ops: u64,
     origin: u64,
     slots_base: u64,
     reg_base: u64,
-    words: u64,
 }
 
-impl UniversalLayout {
-    fn new(nthreads: usize, max_ops: u64) -> Self {
-        assert!(nthreads > 0 && max_ops > 0);
+impl ObjectLayout for UniversalLayout {
+    const KIND: AppKind = AppKind::Universal;
+
+    fn params(&self) -> Vec<u64> {
+        vec![self.nthreads as u64, self.max_ops]
+    }
+
+    fn from_params(p: &[u64]) -> Result<Self, &'static str> {
+        let (nthreads, max_ops) = (thread_count(p[0])?, p[1]);
+        let nodes = checked_words(&[max_ops, NODE_WORDS])?;
         let x_end = A_X_BASE + nthreads as u64;
         let origin = x_end.next_multiple_of(NODE_WORDS);
         let slots_base = origin + NODE_WORDS;
-        let node_end = slots_base + max_ops * NODE_WORDS;
-        let reg_base = node_end.next_multiple_of(WORDS_PER_LINE);
-        let words = reg_base + Registry::<PmemPool>::region_words(nthreads);
-        UniversalLayout { origin, slots_base, reg_base, words }
+        let reg_base = (slots_base + nodes).next_multiple_of(WORDS_PER_LINE);
+        Ok(UniversalLayout { nthreads, max_ops, origin, slots_base, reg_base })
+    }
+
+    fn registry_base(&self) -> u64 {
+        self.reg_base
     }
 }
 
@@ -131,10 +142,10 @@ impl UniversalLayout {
 /// ```
 pub struct Universal<T: SequentialSpec, M: Memory = PmemPool> {
     spec: T,
-    /// The shared detectability skeleton (see [`DetectableCore`]). The
-    /// universal construction packs its `X` words at stride 1 — the
-    /// history list dominates the footprint, so false sharing on `X` is
-    /// not worth a line per thread here.
+    /// The shared detectability skeleton, which the object dereferences
+    /// to for the slot API. The universal construction packs its `X`
+    /// words at stride 1 — the history list dominates the footprint, so
+    /// false sharing on `X` is not worth a line per thread here.
     core: DetectableCore<M>,
     origin: PAddr,
     slots_base: u64,
@@ -172,11 +183,9 @@ impl<T: OpWords> Universal<T> {
         nthreads: usize,
         max_ops: u64,
     ) -> Result<Self, AttachError> {
-        let layout = UniversalLayout::new(nthreads, max_ops);
-        let pool = Arc::new(PmemPool::create(path, layout.words as usize, FlushGranularity::Line)?);
-        pool.set_app_config(KIND_UNIVERSAL, &[nthreads as u64, max_ops]);
-        let registry = Registry::create(Arc::clone(&pool), layout.reg_base, nthreads);
-        let u = Self::assemble(spec, pool, registry, &layout, nthreads, max_ops);
+        let layout = UniversalLayout::from_args(&[nthreads as u64, max_ops]);
+        let object = ObjectCore::create(path, &layout, FlushGranularity::Line)?;
+        let u = Self::assemble(spec, object, &layout);
         u.format();
         Ok(u)
     }
@@ -185,30 +194,16 @@ impl<T: OpWords> Universal<T> {
     /// caller supplies the spec value (the history replays through it, so
     /// it must be the type the file was created with). No recovery phase
     /// exists: [`resolve`](Self::resolve) replays the persisted history
-    /// directly after [`begin_recovery`](Self::begin_recovery) +
-    /// [`adopt_orphans`](Self::adopt_orphans).
+    /// directly after [`begin_recovery`](ObjectCore::begin_recovery) +
+    /// [`adopt_orphans`](ObjectCore::adopt_orphans).
     ///
     /// # Errors
     ///
     /// Any [`AttachError`], including [`AttachError::AppMismatch`] if the
     /// file holds a different structure.
     pub fn attach<P: AsRef<std::path::Path>>(spec: T, path: P) -> Result<Self, AttachError> {
-        let pool = Arc::new(PmemPool::attach(path)?);
-        let found = pool.app_kind();
-        if found != KIND_UNIVERSAL {
-            return Err(AttachError::AppMismatch { expected: KIND_UNIVERSAL, found });
-        }
-        let [nthreads, max_ops, ..] = pool.app_config();
-        if nthreads == 0 || max_ops == 0 {
-            return Err(AttachError::Corrupt("universal parameter words are zero"));
-        }
-        let nthreads = nthreads as usize;
-        let layout = UniversalLayout::new(nthreads, max_ops);
-        if (pool.capacity() as u64) < layout.words {
-            return Err(AttachError::Corrupt("pool smaller than the universal layout requires"));
-        }
-        let registry = Registry::attach(Arc::clone(&pool), layout.reg_base)?;
-        let u = Self::assemble(spec, pool, registry, &layout, nthreads, max_ops);
+        let (object, layout) = ObjectCore::attach(path)?;
+        let u = Self::assemble(spec, object, &layout);
         u.rebuild_allocator();
         Ok(u)
     }
@@ -223,30 +218,21 @@ impl<T: OpWords, M: Memory> Universal<T, M> {
     ///
     /// Panics if `nthreads` or `max_ops` is zero.
     pub fn new_in(spec: T, nthreads: usize, max_ops: u64, granularity: FlushGranularity) -> Self {
-        let layout = UniversalLayout::new(nthreads, max_ops);
-        let pool = Arc::new(M::create(layout.words as usize, granularity));
-        let registry = Registry::create(Arc::clone(&pool), layout.reg_base, nthreads);
-        let u = Self::assemble(spec, pool, registry, &layout, nthreads, max_ops);
+        let layout = UniversalLayout::from_args(&[nthreads as u64, max_ops]);
+        let u = Self::assemble(spec, ObjectCore::fresh(&layout, granularity), &layout);
         u.format();
         u
     }
 
-    /// The shared constructor tail: in-DRAM side tables over an existing
-    /// pool + registry — everything `attach` must rebuild rather than map.
-    fn assemble(
-        spec: T,
-        pool: Arc<M>,
-        registry: Registry<M>,
-        layout: &UniversalLayout,
-        nthreads: usize,
-        max_ops: u64,
-    ) -> Self {
+    /// The shared constructor tail: in-DRAM side tables over an object
+    /// skeleton — everything `attach` must rebuild rather than map.
+    fn assemble(spec: T, object: ObjectCore<M>, layout: &UniversalLayout) -> Self {
         Universal {
             spec,
-            core: DetectableCore::new(pool, registry, nthreads, A_X_BASE, 1),
+            core: DetectableCore::new(object, A_X_BASE, 1),
             origin: PAddr::from_index(layout.origin),
             slots_base: layout.slots_base,
-            slots: max_ops,
+            slots: layout.max_ops,
             next_slot: std::sync::atomic::AtomicU64::new(0),
         }
     }
@@ -254,59 +240,12 @@ impl<T: OpWords, M: Memory> Universal<T, M> {
     /// Writes and persists the initial object state (fresh pools only —
     /// never run on attach).
     fn format(&self) {
-        self.core.pool.store(self.origin.offset(F_NEXT), 0);
-        self.core.pool.flush(self.origin.offset(F_NEXT));
-        self.core.pool.store(PAddr::from_index(A_TAIL_HINT), self.origin.to_word());
-        self.core.pool.flush(PAddr::from_index(A_TAIL_HINT));
+        self.pool().store(self.origin.offset(F_NEXT), 0);
+        self.pool().flush(self.origin.offset(F_NEXT));
+        self.pool().store(PAddr::from_index(A_TAIL_HINT), self.origin.to_word());
+        self.pool().flush(PAddr::from_index(A_TAIL_HINT));
         self.core.format_x();
-        self.core.pool.drain();
-    }
-
-    // Handle validity is the core's concern; see DetectableCore::x_addr.
-    fn x_addr(&self, tid: usize) -> PAddr {
-        self.core.x_addr(tid)
-    }
-
-    /// The object's persistent-memory pool.
-    pub fn pool(&self) -> &Arc<M> {
-        self.core.pool()
-    }
-
-    /// The persistent slot registry governing thread identity.
-    pub fn registry(&self) -> &Registry<M> {
-        self.core.registry()
-    }
-
-    /// Claims a free slot and returns the [`ThreadHandle`] every operation
-    /// requires. Fails with [`SlotError::Exhausted`] once all `nthreads`
-    /// slots are taken.
-    pub fn register_thread(&self) -> Result<ThreadHandle, SlotError> {
-        self.core.register_thread()
-    }
-
-    /// Returns a handle's slot to the free pool for reuse.
-    pub fn release_thread(&self, h: ThreadHandle) -> Result<(), SlotError> {
-        self.core.release_thread(h)
-    }
-
-    /// Marks the crash boundary in the registry: every slot LIVE at the
-    /// crash becomes ORPHANED. The universal construction has no recovery
-    /// phase of its own — [`resolve`](Self::resolve) replays the persisted
-    /// history directly — so this exists purely so that dead threads'
-    /// slots can be reclaimed via [`adopt`](Self::adopt) /
-    /// [`adopt_orphans`](Self::adopt_orphans).
-    pub fn begin_recovery(&self) {
-        self.core.begin_recovery();
-    }
-
-    /// Adopts one orphaned slot, re-LIVE-ing it under a fresh handle.
-    pub fn adopt(&self, slot: usize) -> Result<ThreadHandle, SlotError> {
-        self.core.adopt(slot)
-    }
-
-    /// Adopts every orphaned slot in ascending order.
-    pub fn adopt_orphans(&self) -> Vec<ThreadHandle> {
-        self.core.adopt_orphans()
+        self.pool().drain();
     }
 
     fn alloc(&self) -> PAddr {
@@ -329,15 +268,15 @@ impl<T: OpWords, M: Memory> Universal<T, M> {
         };
         let mut cur = self.origin;
         loop {
-            let next = tag::addr_of(self.core.pool.load(cur.offset(F_NEXT)));
+            let next = tag::addr_of(self.pool().load(cur.offset(F_NEXT)));
             if next.is_null() {
                 break;
             }
             mark(next);
             cur = next;
         }
-        for i in 0..self.core.nthreads() {
-            let d = tag::addr_of(self.core.pool.load(self.x_addr(i)));
+        for i in 0..self.nthreads() {
+            let d = tag::addr_of(self.pool().load(self.x_addr(i)));
             if !d.is_null() {
                 mark(d);
             }
@@ -347,13 +286,13 @@ impl<T: OpWords, M: Memory> Universal<T, M> {
 
     fn init_node(&self, node: PAddr, pid: ProcId, seq: u64, op: &T::Op) {
         let w = T::encode(op);
-        self.core.pool.store(node.offset(F_NEXT), 0);
-        self.core.pool.store(node.offset(F_PID), pid as u64);
-        self.core.pool.store(node.offset(F_SEQ), seq);
-        self.core.pool.store(node.offset(F_OP0), w[0]);
-        self.core.pool.store(node.offset(F_OP1), w[1]);
-        self.core.pool.store(node.offset(F_OP2), w[2]);
-        self.core.pool.flush(node); // one line
+        self.pool().store(node.offset(F_NEXT), 0);
+        self.pool().store(node.offset(F_PID), pid as u64);
+        self.pool().store(node.offset(F_SEQ), seq);
+        self.pool().store(node.offset(F_OP0), w[0]);
+        self.pool().store(node.offset(F_OP1), w[1]);
+        self.pool().store(node.offset(F_OP2), w[2]);
+        self.pool().flush(node); // one line
     }
 
     /// Appends `node` to the history list (lock-free consensus per link),
@@ -361,26 +300,26 @@ impl<T: OpWords, M: Memory> Universal<T, M> {
     fn append(&self, node: PAddr) {
         let hint = PAddr::from_index(A_TAIL_HINT);
         loop {
-            let last_w = self.core.pool.load(hint);
+            let last_w = self.pool().load(hint);
             let last = tag::addr_of(last_w);
-            let next_w = self.core.pool.load(last.offset(F_NEXT));
+            let next_w = self.pool().load(last.offset(F_NEXT));
             let next = tag::addr_of(next_w);
             if !next.is_null() {
                 // Help: persist the link before advancing the hint — the
                 // hint must never point past an unpersisted link, or a
                 // post-crash append could build on an unreachable node.
-                self.core.pool.flush(last.offset(F_NEXT));
-                self.core.pool.drain_line(last.offset(F_NEXT));
-                let _ = self.core.pool.cas(hint, last_w, next.to_word());
+                self.pool().flush(last.offset(F_NEXT));
+                self.pool().drain_line(last.offset(F_NEXT));
+                let _ = self.pool().cas(hint, last_w, next.to_word());
                 continue;
             }
             // The node's contents must be persistent before its link can
             // take effect — replay decodes whatever the line holds.
-            self.core.pool.drain_line(node.offset(F_NEXT));
-            if self.core.pool.cas(last.offset(F_NEXT), 0, node.to_word()).is_ok() {
-                self.core.pool.flush(last.offset(F_NEXT));
-                self.core.pool.drain_line(last.offset(F_NEXT));
-                let _ = self.core.pool.cas(hint, last_w, node.to_word());
+            self.pool().drain_line(node.offset(F_NEXT));
+            if self.pool().cas(last.offset(F_NEXT), 0, node.to_word()).is_ok() {
+                self.pool().flush(last.offset(F_NEXT));
+                self.pool().drain_line(last.offset(F_NEXT));
+                let _ = self.pool().cas(hint, last_w, node.to_word());
                 return;
             }
         }
@@ -393,15 +332,15 @@ impl<T: OpWords, M: Memory> Universal<T, M> {
         let mut wanted = None;
         let mut cur = self.origin;
         loop {
-            let next = tag::addr_of(self.core.pool.load(cur.offset(F_NEXT)));
+            let next = tag::addr_of(self.pool().load(cur.offset(F_NEXT)));
             if next.is_null() {
                 return (state, wanted);
             }
-            let pid = self.core.pool.load(next.offset(F_PID)) as usize;
+            let pid = self.pool().load(next.offset(F_PID)) as usize;
             let op = T::decode([
-                self.core.pool.load(next.offset(F_OP0)),
-                self.core.pool.load(next.offset(F_OP1)),
-                self.core.pool.load(next.offset(F_OP2)),
+                self.pool().load(next.offset(F_OP0)),
+                self.pool().load(next.offset(F_OP1)),
+                self.pool().load(next.offset(F_OP2)),
             ]);
             let (s, r) = self
                 .spec
@@ -422,7 +361,7 @@ impl<T: OpWords, M: Memory> Universal<T, M> {
         self.init_node(node, tid, seq, &op);
         // Ordering point: the announce must not persist ahead of the node
         // it names.
-        self.core.pool.drain_line(node.offset(F_NEXT));
+        self.pool().drain_line(node.offset(F_NEXT));
         // Announce + the durable-before-return drain (DetectableCore).
         self.core.announce(tid, tag::set(node.to_word(), U_PREP));
     }
@@ -435,7 +374,7 @@ impl<T: OpWords, M: Memory> Universal<T, M> {
     /// Panics if no operation is prepared (or it already executed).
     pub fn exec(&self, h: ThreadHandle) -> T::Resp {
         let xa = self.x_addr(h.slot());
-        let x = self.core.pool.load(xa);
+        let x = self.pool().load(xa);
         assert!(
             tag::has(x, U_PREP) && !tag::has(x, U_COMPL),
             "exec without a pending prepared operation"
@@ -443,7 +382,7 @@ impl<T: OpWords, M: Memory> Universal<T, M> {
         let node = tag::addr_of(x);
         // The announce must be persistent before the link can take effect:
         // resolve reports the op's effect only through the announced node.
-        self.core.pool.drain_line(xa);
+        self.pool().drain_line(xa);
         self.append(node);
         self.core.complete(h.slot(), tag::set(x, U_COMPL));
         self.replay(Some(node)).1.expect("appended node is reachable")
@@ -460,17 +399,17 @@ impl<T: OpWords, M: Memory> Universal<T, M> {
     /// **resolve()**: reports the announced operation and, if its link
     /// persisted (it is reachable in the history), its recomputed response.
     pub fn resolve(&self, h: ThreadHandle) -> UniResolved<T> {
-        let x = self.core.pool.load(self.x_addr(h.slot()));
+        let x = self.pool().load(self.x_addr(h.slot()));
         if !tag::has(x, U_PREP) {
             return (None, None);
         }
         let node = tag::addr_of(x);
         let op = T::decode([
-            self.core.pool.load(node.offset(F_OP0)),
-            self.core.pool.load(node.offset(F_OP1)),
-            self.core.pool.load(node.offset(F_OP2)),
+            self.pool().load(node.offset(F_OP0)),
+            self.pool().load(node.offset(F_OP1)),
+            self.pool().load(node.offset(F_OP2)),
         ]);
-        let seq = self.core.pool.load(node.offset(F_SEQ));
+        let seq = self.pool().load(node.offset(F_SEQ));
         let resp = self.replay(Some(node)).1;
         (Some((op, seq)), resp)
     }
@@ -481,10 +420,18 @@ impl<T: OpWords, M: Memory> Universal<T, M> {
     }
 }
 
+impl<T: SequentialSpec, M: Memory> Deref for Universal<T, M> {
+    type Target = DetectableCore<M>;
+
+    fn deref(&self) -> &DetectableCore<M> {
+        &self.core
+    }
+}
+
 impl<T: SequentialSpec, M: Memory> fmt::Debug for Universal<T, M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Universal")
-            .field("nthreads", &self.core.nthreads())
+            .field("nthreads", &self.nthreads())
             .field("slots", &self.slots)
             .finish_non_exhaustive()
     }
@@ -618,17 +565,10 @@ mod tests {
             for k in 1..60 {
                 let c = Universal::new(CounterSpec, 1, 16);
                 let h0 = c.register_thread().unwrap();
-                c.pool().arm_crash_after(k);
-                let r = catch_unwind(AssertUnwindSafe(|| {
+                let crashed = c.pool().crashes_within(k, || {
                     c.prep(h0, CounterOp::FetchAdd(1), 7);
                     c.exec(h0);
-                }));
-                c.pool().disarm_crash();
-                let crashed = match r {
-                    Ok(_) => false,
-                    Err(p) if p.downcast_ref::<dss_pmem::CrashSignal>().is_some() => true,
-                    Err(p) => std::panic::resume_unwind(p),
-                };
+                });
                 if !crashed {
                     break;
                 }

@@ -14,7 +14,7 @@ use std::fmt::Debug;
 use dss_baselines::{DurableQueue, LogQueue, MsQueue};
 use dss_core::{CombiningQueue, DssQueue, ReplicatedQueue};
 use dss_pmem::{
-    DramPool, FlushGranularity, Memory, PlacementPolicy, PmemPool, StatsSnapshot, ThreadHandle,
+    DramPool, FlushGranularity, Memory, ObjectCore, PlacementPolicy, PmemPool, ThreadHandle,
 };
 use dss_pmwcas::CasWithEffectQueue;
 use dss_spec::types::QueueResp;
@@ -241,9 +241,9 @@ impl QueueKind {
 }
 
 /// A queue as the workload driver sees it: registration plus enqueue and
-/// dequeue by [`ThreadHandle`], plus the backend knobs the experiments use
-/// (flush penalty and operation statistics), exposed backend-agnostically
-/// so a driver never needs the concrete pool type.
+/// dequeue by [`ThreadHandle`], plus its memory backend as a `dyn`
+/// [`Memory`] (flush penalty, coalescing, operation statistics) so a
+/// driver never needs the concrete pool type.
 ///
 /// Detectable implementations run their full prep/exec protocol inside
 /// `enqueue`/`dequeue`, exactly as the paper's "detectable" series do.
@@ -283,35 +283,21 @@ pub trait QueueUnderTest: Send + Sync + Debug {
         panic!("this queue kind has no read probe (peek)")
     }
 
-    /// Sets the backend's artificial flush latency (no-op on backends
-    /// without a persistence domain).
-    fn set_flush_penalty(&self, spins: u64);
-
-    /// Enables or disables flush coalescing on the backend (no-op on
-    /// backends without a persistence domain). The `--coalesce` axis.
-    fn set_coalescing(&self, on: bool);
-
-    /// Selects per-address dependency drains over whole-set drains at the
-    /// backend's ordering points (no-op on backends without a persistence
-    /// domain; meaningful only under coalescing). The `--per-address`
-    /// axis.
-    fn set_per_address_drains(&self, on: bool);
+    /// The queue's memory backend, backend-agnostically: the experiment
+    /// knobs (flush penalty, the `--coalesce` and `--per-address` axes)
+    /// and the operation counters (all-zero on uninstrumented backends)
+    /// are [`Memory`] methods, no-ops on backends without a persistence
+    /// domain.
+    fn pool(&self) -> &dyn Memory;
 
     /// Enables or disables bounded exponential backoff in the queue's
     /// retry loops. The `--backoff` axis.
     fn set_backoff(&self, on: bool);
-
-    /// The backend's operation counters (all-zero on uninstrumented
-    /// backends).
-    fn stats(&self) -> StatsSnapshot;
-
-    /// Resets the backend's operation counters, if any.
-    fn reset_stats(&self);
 }
 
 impl<M: Memory> QueueUnderTest for MsQueue<M> {
     fn register_thread(&self) -> ThreadHandle {
-        MsQueue::register_thread(self).expect("thread slots exhausted")
+        ObjectCore::register_thread(self).expect("thread slots exhausted")
     }
     fn enqueue(&self, h: ThreadHandle, val: u64) {
         MsQueue::enqueue(self, h, val).expect("node pool exhausted");
@@ -319,29 +305,17 @@ impl<M: Memory> QueueUnderTest for MsQueue<M> {
     fn dequeue(&self, h: ThreadHandle) -> QueueResp {
         MsQueue::dequeue(self, h)
     }
-    fn set_flush_penalty(&self, spins: u64) {
-        self.pool().set_flush_penalty(spins);
-    }
-    fn set_coalescing(&self, on: bool) {
-        self.pool().set_coalescing(on);
-    }
-    fn set_per_address_drains(&self, on: bool) {
-        self.pool().set_per_address_drains(on);
-    }
     fn set_backoff(&self, on: bool) {
-        MsQueue::set_backoff(self, on);
+        ObjectCore::set_backoff(self, on);
     }
-    fn stats(&self) -> StatsSnapshot {
-        self.pool().stats()
-    }
-    fn reset_stats(&self) {
-        self.pool().reset_stats();
+    fn pool(&self) -> &dyn Memory {
+        ObjectCore::pool(self).as_ref()
     }
 }
 
 impl<M: Memory> QueueUnderTest for DurableQueue<M> {
     fn register_thread(&self) -> ThreadHandle {
-        DurableQueue::register_thread(self).expect("thread slots exhausted")
+        ObjectCore::register_thread(self).expect("thread slots exhausted")
     }
     fn enqueue(&self, h: ThreadHandle, val: u64) {
         DurableQueue::enqueue(self, h, val).expect("node pool exhausted");
@@ -349,23 +323,11 @@ impl<M: Memory> QueueUnderTest for DurableQueue<M> {
     fn dequeue(&self, h: ThreadHandle) -> QueueResp {
         DurableQueue::dequeue(self, h)
     }
-    fn set_flush_penalty(&self, spins: u64) {
-        self.pool().set_flush_penalty(spins);
-    }
-    fn set_coalescing(&self, on: bool) {
-        self.pool().set_coalescing(on);
-    }
-    fn set_per_address_drains(&self, on: bool) {
-        self.pool().set_per_address_drains(on);
-    }
     fn set_backoff(&self, on: bool) {
-        DurableQueue::set_backoff(self, on);
+        ObjectCore::set_backoff(self, on);
     }
-    fn stats(&self) -> StatsSnapshot {
-        self.pool().stats()
-    }
-    fn reset_stats(&self) {
-        self.pool().reset_stats();
+    fn pool(&self) -> &dyn Memory {
+        ObjectCore::pool(self).as_ref()
     }
 }
 
@@ -379,23 +341,11 @@ impl<M: Memory> QueueUnderTest for LogQueue<M> {
     fn dequeue(&self, h: ThreadHandle) -> QueueResp {
         LogQueue::dequeue(self, h).expect("log pool exhausted")
     }
-    fn set_flush_penalty(&self, spins: u64) {
-        self.pool().set_flush_penalty(spins);
-    }
-    fn set_coalescing(&self, on: bool) {
-        self.pool().set_coalescing(on);
-    }
-    fn set_per_address_drains(&self, on: bool) {
-        self.pool().set_per_address_drains(on);
-    }
     fn set_backoff(&self, on: bool) {
-        LogQueue::set_backoff(self, on);
+        ObjectCore::set_backoff(self, on);
     }
-    fn stats(&self) -> StatsSnapshot {
-        self.pool().stats()
-    }
-    fn reset_stats(&self) {
-        self.pool().reset_stats();
+    fn pool(&self) -> &dyn Memory {
+        ObjectCore::pool(self).as_ref()
     }
 }
 
@@ -413,23 +363,11 @@ impl<M: Memory> QueueUnderTest for DssPlain<M> {
     fn dequeue(&self, h: ThreadHandle) -> QueueResp {
         self.0.dequeue(h)
     }
-    fn set_flush_penalty(&self, spins: u64) {
-        self.0.pool().set_flush_penalty(spins);
-    }
-    fn set_coalescing(&self, on: bool) {
-        self.0.pool().set_coalescing(on);
-    }
-    fn set_per_address_drains(&self, on: bool) {
-        self.0.pool().set_per_address_drains(on);
-    }
     fn set_backoff(&self, on: bool) {
         self.0.set_backoff(on);
     }
-    fn stats(&self) -> StatsSnapshot {
-        self.0.pool().stats()
-    }
-    fn reset_stats(&self) {
-        self.0.pool().reset_stats();
+    fn pool(&self) -> &dyn Memory {
+        self.0.pool().as_ref()
     }
 }
 
@@ -452,23 +390,11 @@ impl<M: Memory> QueueUnderTest for DssDet<M> {
     fn peek(&self, h: ThreadHandle) -> Option<u64> {
         self.0.peek_front(h)
     }
-    fn set_flush_penalty(&self, spins: u64) {
-        self.0.pool().set_flush_penalty(spins);
-    }
-    fn set_coalescing(&self, on: bool) {
-        self.0.pool().set_coalescing(on);
-    }
-    fn set_per_address_drains(&self, on: bool) {
-        self.0.pool().set_per_address_drains(on);
-    }
     fn set_backoff(&self, on: bool) {
         self.0.set_backoff(on);
     }
-    fn stats(&self) -> StatsSnapshot {
-        self.0.pool().stats()
-    }
-    fn reset_stats(&self) {
-        self.0.pool().reset_stats();
+    fn pool(&self) -> &dyn Memory {
+        self.0.pool().as_ref()
     }
 }
 
@@ -490,23 +416,11 @@ impl<M: Memory> QueueUnderTest for DssComb<M> {
         self.0.prep_dequeue(h);
         self.0.exec_dequeue(h)
     }
-    fn set_flush_penalty(&self, spins: u64) {
-        self.0.pool().set_flush_penalty(spins);
-    }
-    fn set_coalescing(&self, on: bool) {
-        self.0.pool().set_coalescing(on);
-    }
-    fn set_per_address_drains(&self, on: bool) {
-        self.0.pool().set_per_address_drains(on);
-    }
     fn set_backoff(&self, on: bool) {
         self.0.set_backoff(on);
     }
-    fn stats(&self) -> StatsSnapshot {
-        self.0.pool().stats()
-    }
-    fn reset_stats(&self) {
-        self.0.pool().reset_stats();
+    fn pool(&self) -> &dyn Memory {
+        self.0.pool().as_ref()
     }
 }
 
@@ -531,23 +445,11 @@ impl<M: Memory> QueueUnderTest for DssRepl<M> {
     fn peek(&self, h: ThreadHandle) -> Option<u64> {
         self.0.peek_front(h)
     }
-    fn set_flush_penalty(&self, spins: u64) {
-        self.0.pool().set_flush_penalty(spins);
-    }
-    fn set_coalescing(&self, on: bool) {
-        self.0.pool().set_coalescing(on);
-    }
-    fn set_per_address_drains(&self, on: bool) {
-        self.0.pool().set_per_address_drains(on);
-    }
     fn set_backoff(&self, on: bool) {
         self.0.set_backoff(on);
     }
-    fn stats(&self) -> StatsSnapshot {
-        self.0.pool().stats()
-    }
-    fn reset_stats(&self) {
-        self.0.pool().reset_stats();
+    fn pool(&self) -> &dyn Memory {
+        self.0.pool().as_ref()
     }
 }
 
@@ -567,23 +469,11 @@ impl<M: Memory> QueueUnderTest for Cwe<M> {
         self.0.prep_dequeue(h);
         self.0.exec_dequeue(h)
     }
-    fn set_flush_penalty(&self, spins: u64) {
-        self.0.pool().set_flush_penalty(spins);
-    }
-    fn set_coalescing(&self, on: bool) {
-        self.0.pool().set_coalescing(on);
-    }
-    fn set_per_address_drains(&self, on: bool) {
-        self.0.pool().set_per_address_drains(on);
-    }
     fn set_backoff(&self, on: bool) {
         self.0.set_backoff(on);
     }
-    fn stats(&self) -> StatsSnapshot {
-        self.0.pool().stats()
-    }
-    fn reset_stats(&self) {
-        self.0.pool().reset_stats();
+    fn pool(&self) -> &dyn Memory {
+        self.0.pool().as_ref()
     }
 }
 
@@ -616,7 +506,7 @@ mod tests {
             assert_eq!(q.dequeue(h0), QueueResp::Value(5), "{}", kind.label());
             assert_eq!(q.dequeue(h1), QueueResp::Value(6), "{}", kind.label());
             assert_eq!(q.dequeue(h0), QueueResp::Empty, "{}", kind.label());
-            assert_eq!(q.stats().total(), 0, "dram counts nothing: {}", kind.label());
+            assert_eq!(q.pool().stats().total(), 0, "dram counts nothing: {}", kind.label());
         }
     }
 
@@ -627,11 +517,11 @@ mod tests {
                 let q = kind.build_on(backend, 2, 32);
                 let h0 = q.register_thread();
                 let h1 = q.register_thread();
-                q.set_coalescing(true);
+                q.pool().set_coalescing(true);
                 q.set_backoff(true);
                 q.enqueue(h0, 5);
                 assert_eq!(q.dequeue(h1), QueueResp::Value(5), "{}", kind.label());
-                q.set_coalescing(false);
+                q.pool().set_coalescing(false);
                 q.set_backoff(false);
             }
         }
@@ -642,14 +532,14 @@ mod tests {
         let measure = |kind: QueueKind, coalesce: bool, per_address: bool| {
             let q = kind.build(1, 32);
             let h0 = q.register_thread();
-            q.set_coalescing(coalesce);
-            q.set_per_address_drains(per_address);
-            q.reset_stats();
+            q.pool().set_coalescing(coalesce);
+            q.pool().set_per_address_drains(per_address);
+            q.pool().reset_stats();
             for i in 0..32 {
                 q.enqueue(h0, i);
                 q.dequeue(h0);
             }
-            let s = q.stats();
+            let s = q.pool().stats();
             (s.flushes, s.flushes_coalesced)
         };
         // The durable queue's claim-word flush legitimately survives to

@@ -42,18 +42,18 @@ fn main() {
     for kind in QueueKind::all() {
         let per_pair = |per_address: bool| {
             let q = kind.build_on(Backend::Pmem, 1, 64);
-            q.set_coalescing(true);
-            q.set_per_address_drains(per_address);
+            q.pool().set_coalescing(true);
+            q.pool().set_per_address_drains(per_address);
             let h = q.register_thread();
             q.enqueue(h, 1); // warm up the sentinel path
             let _ = q.dequeue(h);
-            q.reset_stats();
+            q.pool().reset_stats();
             const PAIRS: u64 = 100;
             for i in 0..PAIRS {
                 q.enqueue(h, i + 2);
                 let _ = q.dequeue(h);
             }
-            let s = q.stats();
+            let s = q.pool().stats();
             (s.flushes as f64 / PAIRS as f64, s.flushes_coalesced as f64 / PAIRS as f64)
         };
         let (issued_ws, coalesced_ws) = per_pair(false);

@@ -34,17 +34,17 @@ fn main() {
     for kind in QueueKind::all() {
         let per_pair = |coalesce: bool| {
             let q = kind.build_on(Backend::Pmem, 1, 64);
-            q.set_coalescing(coalesce);
+            q.pool().set_coalescing(coalesce);
             let h = q.register_thread();
             q.enqueue(h, 1); // warm up the sentinel path
             let _ = q.dequeue(h);
-            q.reset_stats();
+            q.pool().reset_stats();
             const PAIRS: u64 = 100;
             for i in 0..PAIRS {
                 q.enqueue(h, i + 2);
                 let _ = q.dequeue(h);
             }
-            let s = q.stats();
+            let s = q.pool().stats();
             (s.flushes as f64 / PAIRS as f64, s.flushes_coalesced as f64 / PAIRS as f64)
         };
         let (issued_off, coalesced_off) = per_pair(false);

@@ -42,13 +42,13 @@ fn run(backend: Backend) {
         // Warm up (first ops touch the sentinel path differently).
         q.enqueue(h, 1);
         let _ = q.dequeue(h);
-        q.reset_stats();
+        q.pool().reset_stats();
         const PAIRS: u64 = 100;
         for i in 0..PAIRS {
             q.enqueue(h, i + 2);
             let _ = q.dequeue(h);
         }
-        let s = q.stats();
+        let s = q.pool().stats();
         println!(
             "{:<30} {:>7.1} {:>7.1} {:>7.1} {:>9.1} {:>8.1} {:>7.1}",
             kind.label(),

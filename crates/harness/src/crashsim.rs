@@ -33,18 +33,15 @@
 
 use std::fmt;
 use std::io::{BufRead, BufReader, Write};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
-use std::sync::Arc;
 
 use dss_core::{
-    CombiningQueue, DetectableMap, DssQueue, QueueFull, ReplicatedQueue, Resolved, ResolvedMap,
-    ResolvedOp,
+    CombiningQueue, DetectableCore, DetectableMap, DssQueue, QueueFull, ReplicatedQueue, Resolved,
+    ResolvedMap, ResolvedOp,
 };
-use dss_pmem::{
-    CrashSignal, FlushGranularity, PmemPool, SlotError, ThreadHandle, WritebackAdversary,
-};
+use dss_pmem::{FlushGranularity, PmemPool, ThreadHandle, WritebackAdversary};
 use dss_spec::types::{KvOp, KvResp, QueueResp};
 
 /// Which execution layer (or object family) a driver runs on.
@@ -237,8 +234,11 @@ impl Default for SweepConfig {
 }
 
 /// The queue surface of the three execution layers, forwarded to each
-/// type's inherent methods.
-pub(crate) trait QueueLayer: Sync + Sized {
+/// type's inherent methods. The slot API and the pool come from the
+/// shared skeleton every layer dereferences to.
+pub(crate) trait QueueLayer:
+    Sync + Sized + Deref<Target = DetectableCore<PmemPool>>
+{
     /// Whether this layer's `enqueue`/`dequeue` conveniences are really
     /// detectable prep/exec pairs. The CAS layer has a true plain path
     /// that leaves detection state alone (Axiom 4); the leased layers
@@ -249,8 +249,6 @@ pub(crate) trait QueueLayer: Sync + Sized {
     fn build(threads: usize, nodes_per_thread: u64, granularity: FlushGranularity) -> Self;
     fn create_file(path: &Path, granularity: FlushGranularity) -> Self;
     fn attach_file(path: &Path) -> Self;
-    fn pool(&self) -> &Arc<PmemPool>;
-    fn register_thread(&self) -> Result<ThreadHandle, SlotError>;
     fn enqueue(&self, h: ThreadHandle, val: u64) -> Result<(), QueueFull>;
     fn dequeue(&self, h: ThreadHandle) -> QueueResp;
     fn prep_enqueue(&self, h: ThreadHandle, val: u64) -> Result<(), QueueFull>;
@@ -259,9 +257,6 @@ pub(crate) trait QueueLayer: Sync + Sized {
     fn exec_dequeue(&self, h: ThreadHandle) -> QueueResp;
     fn resolve(&self, h: ThreadHandle) -> Resolved;
     fn snapshot_values(&self) -> Vec<u64>;
-    fn begin_recovery(&self);
-    fn adopt(&self, slot: usize) -> Result<ThreadHandle, SlotError>;
-    fn adopt_orphans(&self) -> Vec<ThreadHandle>;
     fn recover(&self) -> Vec<ThreadHandle>;
     fn recover_one(&self, h: ThreadHandle);
     fn rebuild_allocator(&self);
@@ -272,19 +267,13 @@ macro_rules! impl_queue_layer {
         impl QueueLayer for $ty {
             const PLAIN_IS_DETECTABLE: bool = $plain_det;
             fn build(threads: usize, nodes: u64, granularity: FlushGranularity) -> Self {
-                <$ty>::with_granularity(threads, nodes, granularity)
+                <$ty>::new_in(threads, nodes, granularity)
             }
             fn create_file(path: &Path, granularity: FlushGranularity) -> Self {
                 <$ty>::create_with(path, 1, 8, granularity).expect("creating the pool")
             }
             fn attach_file(path: &Path) -> Self {
                 <$ty>::attach(path).expect("attaching the dead process's pool file")
-            }
-            fn pool(&self) -> &Arc<PmemPool> {
-                <$ty>::pool(self)
-            }
-            fn register_thread(&self) -> Result<ThreadHandle, SlotError> {
-                <$ty>::register_thread(self)
             }
             fn enqueue(&self, h: ThreadHandle, val: u64) -> Result<(), QueueFull> {
                 <$ty>::enqueue(self, h, val)
@@ -310,15 +299,6 @@ macro_rules! impl_queue_layer {
             fn snapshot_values(&self) -> Vec<u64> {
                 <$ty>::snapshot_values(self)
             }
-            fn begin_recovery(&self) {
-                <$ty>::begin_recovery(self)
-            }
-            fn adopt(&self, slot: usize) -> Result<ThreadHandle, SlotError> {
-                <$ty>::adopt(self, slot)
-            }
-            fn adopt_orphans(&self) -> Vec<ThreadHandle> {
-                <$ty>::adopt_orphans(self)
-            }
             fn recover(&self) -> Vec<ThreadHandle> {
                 <$ty>::recover(self)
             }
@@ -338,8 +318,11 @@ impl_queue_layer!(ReplicatedQueue, plain_is_detectable = true);
 
 /// A structure the crash drivers can sweep, crash mid-workload, and
 /// validate: everything a driver needs beyond the shared crash/recover
-/// skeleton (also used by [`crate::record`]).
-pub(crate) trait CrashTarget: Sync + Sized {
+/// skeleton (also used by [`crate::record`]). The pool and the slot API
+/// come from the detectability core every target dereferences to.
+pub(crate) trait CrashTarget:
+    Sync + Sized + Deref<Target = DetectableCore<PmemPool>>
+{
     /// The operations a single-victim sweep interrupts.
     type Victim: Copy + fmt::Display + 'static;
     /// What `resolve` reports.
@@ -355,12 +338,7 @@ pub(crate) trait CrashTarget: Sync + Sized {
     fn create_file(path: &Path, granularity: FlushGranularity) -> Self;
     /// The instance a dead process left in a pool file.
     fn attach_file(path: &Path) -> Self;
-    fn pool(&self) -> &Arc<PmemPool>;
-    fn register_thread(&self) -> Result<ThreadHandle, SlotError>;
     fn resolve(&self, h: ThreadHandle) -> Self::Resolution;
-    fn begin_recovery(&self);
-    fn adopt(&self, slot: usize) -> Result<ThreadHandle, SlotError>;
-    fn adopt_orphans(&self) -> Vec<ThreadHandle>;
     /// The centralized full-restart recovery; returns the adopted slots.
     fn recover(&self) -> Vec<ThreadHandle>;
     /// The independent per-slot repair of `h`'s detectability state.
@@ -412,23 +390,8 @@ impl<Q: QueueLayer> CrashTarget for Q {
     fn attach_file(path: &Path) -> Self {
         Q::attach_file(path)
     }
-    fn pool(&self) -> &Arc<PmemPool> {
-        QueueLayer::pool(self)
-    }
-    fn register_thread(&self) -> Result<ThreadHandle, SlotError> {
-        QueueLayer::register_thread(self)
-    }
     fn resolve(&self, h: ThreadHandle) -> Resolved {
         QueueLayer::resolve(self, h)
-    }
-    fn begin_recovery(&self) {
-        QueueLayer::begin_recovery(self)
-    }
-    fn adopt(&self, slot: usize) -> Result<ThreadHandle, SlotError> {
-        QueueLayer::adopt(self, slot)
-    }
-    fn adopt_orphans(&self) -> Vec<ThreadHandle> {
-        QueueLayer::adopt_orphans(self)
     }
     fn recover(&self) -> Vec<ThreadHandle> {
         QueueLayer::recover(self)
@@ -623,23 +586,8 @@ impl CrashTarget for DetectableMap {
     fn attach_file(path: &Path) -> Self {
         DetectableMap::attach(path).expect("attaching the dead process's pool file")
     }
-    fn pool(&self) -> &Arc<PmemPool> {
-        DetectableMap::pool(self)
-    }
-    fn register_thread(&self) -> Result<ThreadHandle, SlotError> {
-        DetectableMap::register_thread(self)
-    }
     fn resolve(&self, h: ThreadHandle) -> ResolvedMap {
         DetectableMap::resolve(self, h)
-    }
-    fn begin_recovery(&self) {
-        DetectableMap::begin_recovery(self)
-    }
-    fn adopt(&self, slot: usize) -> Result<ThreadHandle, SlotError> {
-        DetectableMap::adopt(self, slot)
-    }
-    fn adopt_orphans(&self) -> Vec<ThreadHandle> {
-        DetectableMap::adopt_orphans(self)
     }
     /// The full-restart protocol: mark the boundary, adopt the orphaned
     /// slots. No repair happens — the map has none.
@@ -805,19 +753,6 @@ pub(crate) fn rng(tid: usize, seed: u64) -> impl FnMut() -> u64 {
     }
 }
 
-/// Runs `f` with a crash armed after `k` pmem operations on this thread;
-/// returns whether the armed crash fired. Any other panic propagates.
-pub(crate) fn crashes_within<F: FnOnce()>(pool: &PmemPool, k: u64, f: F) -> bool {
-    pool.arm_crash_after(k);
-    let r = catch_unwind(AssertUnwindSafe(f));
-    pool.disarm_crash();
-    match r {
-        Ok(()) => false,
-        Err(p) if p.downcast_ref::<CrashSignal>().is_some() => true,
-        Err(p) => resume_unwind(p),
-    }
-}
-
 /// Sweeps every crash point of every victim operation of `config.layer`,
 /// classifying each resolution and checking it against the persisted
 /// state. Returns one `(victim, outcome)` row per operation.
@@ -854,7 +789,7 @@ fn sweep_point<T: CrashTarget>(
     q.pool().set_coalescing(config.coalesce);
     q.pool().set_per_address_drains(config.per_address);
     q.prefill(h0, op);
-    if !crashes_within(q.pool(), k, || q.run_victim(h0, op)) {
+    if !q.pool().crashes_within(k, || q.run_victim(h0, op)) {
         return false;
     }
     out.crash_points += 1;
@@ -998,7 +933,7 @@ fn run_workers_until_crash<T: CrashTarget>(
                     let crash_after =
                         20 + (seed.wrapping_mul(2654435761).wrapping_add(tid as u64 * 97)) % 400;
                     let mut journal = T::Journal::default();
-                    let crashed = crashes_within(q.pool(), crash_after, || {
+                    let crashed = q.pool().crashes_within(crash_after, || {
                         q.work(tid, h, seed, &mut journal);
                     });
                     assert!(crashed, "the workload only ends by crashing");
@@ -1071,7 +1006,7 @@ fn multi_process_victim<T: CrashTarget>(
     // The CrashSignal unwind is this process's expected exit path; keep
     // its panic report off the parent's terminal.
     std::panic::set_hook(Box::new(|_| {}));
-    if !crashes_within(q.pool(), k, || q.run_victim(h0, op)) {
+    if !q.pool().crashes_within(k, || q.run_victim(h0, op)) {
         println!("DONE");
         std::io::stdout().flush().unwrap();
         std::process::exit(0);

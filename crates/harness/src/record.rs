@@ -28,9 +28,7 @@ use dss_pmem::{FlushGranularity, ThreadHandle, WritebackAdversary};
 use dss_spec::types::{KvOp, KvResp, KvSpec, QueueOp, QueueResp, QueueSpec};
 use dss_spec::{DetOp, DetResp, Detectable, Keyed};
 
-use crate::crashsim::{
-    crashes_within, dispatch, restart_survivors, rng, CrashTarget, Layer, QueueLayer,
-};
+use crate::crashsim::{dispatch, restart_survivors, rng, CrashTarget, Layer, QueueLayer};
 
 /// The specification ops/responses a recorded queue history is made of.
 pub type RecordedHistory = History<DetOp<QueueOp>, DetResp<QueueOp, QueueResp>>;
@@ -389,7 +387,7 @@ fn record_crash_execution_on<T: RecordTarget>(
             let rec = &rec;
             scope.spawn(move || {
                 let crash_after = 5 + (seed.wrapping_add(tid as u64 * 31)) % 60;
-                crashes_within(q.pool(), crash_after, || {
+                q.pool().crashes_within(crash_after, || {
                     for (i, step) in T::plan(tid, ops_per_thread, seed).into_iter().enumerate() {
                         q.run_step(rec, h, step, i as u64 + 1);
                     }
@@ -511,8 +509,7 @@ fn record_plain_execution_on<Q: QueueLayer>(
     seed: u64,
 ) -> PlainHistory {
     let q = &Q::build(threads + 1, 64, FlushGranularity::Line);
-    let hs: Vec<ThreadHandle> =
-        (0..=threads).map(|_| QueueLayer::register_thread(q).unwrap()).collect();
+    let hs: Vec<ThreadHandle> = (0..=threads).map(|_| q.register_thread().unwrap()).collect();
     let rec = Recorder::new();
     for i in 0..prefill {
         let v = u64::MAX - i as u64; // distinct from worker values

@@ -94,9 +94,9 @@ pub fn measure(kind: QueueKind, config: &ThroughputConfig) -> Throughput {
 
 fn run_once(kind: QueueKind, config: &ThroughputConfig) -> f64 {
     let queue = kind.build_on(config.backend, config.threads, config.nodes_per_thread);
-    queue.set_flush_penalty(config.flush_penalty);
-    queue.set_coalescing(config.coalesce);
-    queue.set_per_address_drains(config.per_address);
+    queue.pool().set_flush_penalty(config.flush_penalty);
+    queue.pool().set_coalescing(config.coalesce);
+    queue.pool().set_per_address_drains(config.per_address);
     queue.set_backoff(config.backoff);
     // Claim every worker's registry slot up front, on the main thread.
     let hs: Vec<_> = (0..config.threads).map(|_| queue.register_thread()).collect();
@@ -197,7 +197,7 @@ pub fn measure_read_mix(kind: QueueKind, config: &ReadMixConfig) -> Throughput {
 fn run_once_read_mix(kind: QueueKind, config: &ReadMixConfig) -> f64 {
     assert!((0.0..=1.0).contains(&config.read_fraction), "read_fraction must be a probability");
     let queue = kind.build_with_replicas(config.threads, config.nodes_per_thread, config.replicas);
-    queue.set_flush_penalty(config.flush_penalty);
+    queue.pool().set_flush_penalty(config.flush_penalty);
     let hs: Vec<_> = (0..config.threads).map(|_| queue.register_thread()).collect();
     for i in 0..config.prefill {
         queue.enqueue(hs[0], i + 1);

@@ -64,8 +64,8 @@ const LOWER_AT: u64 = 1;
 /// CAS-failure rate.
 ///
 /// Each completed operation reports how many retries (spins) it needed;
-/// every [`WINDOW`] operations the tuner compares the window's average
-/// retry rate against [`RAISE_AT`]/[`LOWER_AT`] and moves the cap one
+/// every `WINDOW` operations the tuner compares the window's average
+/// retry rate against `RAISE_AT`/`LOWER_AT` and moves the cap one
 /// step within `[MIN_CAP, MAX_CAP]`. All counters are `Relaxed`: they are
 /// monotone tuning inputs, and a lost update merely skews one window.
 #[derive(Debug)]

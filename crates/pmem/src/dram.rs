@@ -18,7 +18,7 @@ use crate::{FlushGranularity, Memory, PAddr};
 /// algorithms keep their instruction sequence but pay nothing for it.
 ///
 /// Like [`PmemPool`](crate::PmemPool), the pool grows on demand through a
-/// lock-free segment directory (see [`crate::seg`]).
+/// lock-free directory of doubling segments.
 ///
 /// # Examples
 ///

@@ -59,6 +59,16 @@
 //!   it, and hands it to [`NodePool::rebuild`], which frees every node
 //!   outside it (the paper's §4 leak prevention).
 //!
+//! # Layer 4 — the object skeleton
+//!
+//! * [`ObjectCore`] — what every structure built on a pool shares: the
+//!   pool, the persistent thread-slot [`Registry`], the EBR domain,
+//!   contention management, and the slot API. Its three pool paths
+//!   (fresh, create a pool file, attach one) are written once, and so is
+//!   attach validation.
+//! * [`ObjectLayout`] — what a structure supplies: its kind tag, its
+//!   superblock parameter words, and the geometry derived from them.
+//!
 //! # Quick example
 //!
 //! ```
@@ -94,6 +104,7 @@ mod dram;
 mod ebr;
 mod hook;
 mod memory;
+pub mod object;
 mod pool;
 mod registry;
 mod seg;
@@ -109,6 +120,7 @@ pub use dram::DramPool;
 pub use ebr::{Ebr, EbrGuard};
 pub use hook::CrashSignal;
 pub use memory::Memory;
+pub use object::{ObjectCore, ObjectLayout};
 pub use pool::{FlushGranularity, PmemPool, PoolMode, WritebackAdversary, WORDS_PER_LINE};
 pub use registry::{Registry, SlotError, SlotState, ThreadHandle};
 pub use seg::{plan_regions, region_segments, AppKind, AttachError, PlacementPolicy};

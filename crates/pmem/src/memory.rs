@@ -218,7 +218,7 @@ pub trait Memory: Send + Sync + std::fmt::Debug + 'static {
     /// [`PlacementPolicy::Sharded`] the segmented backends additionally
     /// guarantee that no two regions share a directory segment, so each
     /// region's words live in their own allocations (and file extents on
-    /// a file-backed pool) — see [`crate::seg`].
+    /// a file-backed pool) — see [`region_segments`](crate::region_segments).
     ///
     /// The plan is a pure function of the backend's initial capacity, the
     /// policy, and the arguments: re-planning after an attach with the

@@ -22,6 +22,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::fs::OpenOptions;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed, Ordering::SeqCst};
 
@@ -226,7 +227,7 @@ impl Word {
 /// sequentially consistent ordering").
 ///
 /// The pool **grows on demand**: words live in a fixed directory of
-/// doubling segments (see [`crate::seg`]), so addressing past the initial
+/// doubling segments, so addressing past the initial
 /// capacity materialises a new zero-initialised segment lock-free instead
 /// of panicking. Crash semantics are unaffected — a crash visits every
 /// materialised segment.
@@ -1016,6 +1017,22 @@ impl PmemPool {
     /// Cancels any crash plan armed on the current thread.
     pub fn disarm_crash(&self) {
         hook::disarm();
+    }
+
+    /// Runs `f` with a crash armed after `k` more pmem operations on this
+    /// thread ([`arm_crash_after`](Self::arm_crash_after)), disarms, and
+    /// returns whether the armed crash fired. Any other panic propagates.
+    /// The pool's state is left as the crash found it: simulate the power
+    /// failure with [`crash`](Self::crash) next.
+    pub fn crashes_within(&self, k: u64, f: impl FnOnce()) -> bool {
+        self.arm_crash_after(k);
+        let r = catch_unwind(AssertUnwindSafe(f));
+        self.disarm_crash();
+        match r {
+            Ok(()) => false,
+            Err(p) if p.downcast_ref::<crate::CrashSignal>().is_some() => true,
+            Err(p) => resume_unwind(p),
+        }
     }
 
     /// Operations remaining before the current thread's armed crash fires

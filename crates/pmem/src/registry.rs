@@ -184,8 +184,8 @@ impl ThreadHandle {
     }
 }
 
-/// The persistent thread-slot registry. See the [module docs](self) for
-/// layout, lifecycle, and crash semantics.
+/// The persistent thread-slot registry. The module documentation of
+/// `registry.rs` gives its layout, slot lifecycle and crash semantics.
 pub struct Registry<M: Memory = PmemPool> {
     pool: Arc<M>,
     base: u64,
@@ -198,6 +198,11 @@ pub struct Registry<M: Memory = PmemPool> {
 }
 
 impl<M: Memory> Registry<M> {
+    /// The most slots a registry may have. [`attach`](Self::attach)
+    /// rejects a header claiming more, and layouts cap their thread count
+    /// here ([`thread_count`](crate::object::thread_count)).
+    pub const MAX_SLOTS: usize = 1 << 20;
+
     /// Words the registry region occupies for `nslots` slots (header line
     /// plus one line per slot).
     pub fn region_words(nslots: usize) -> u64 {
@@ -245,8 +250,9 @@ impl<M: Memory> Registry<M> {
     ///
     /// # Errors
     ///
-    /// [`AttachError::Corrupt`] if `base` is not line-aligned, the region
-    /// was never formatted, or the slot count is implausible.
+    /// [`AttachError::Corrupt`](crate::AttachError::Corrupt) if `base` is
+    /// not line-aligned, the region was never formatted, or the slot count
+    /// is zero or above [`MAX_SLOTS`](Self::MAX_SLOTS).
     pub fn attach(pool: Arc<M>, base: u64) -> Result<Self, crate::AttachError> {
         use crate::AttachError;
         if !base.is_multiple_of(WORDS_PER_LINE) {
@@ -257,7 +263,7 @@ impl<M: Memory> Registry<M> {
             return Err(AttachError::Corrupt("registry region was never formatted"));
         }
         let nslots = pool.peek(PAddr::from_index(base + 1));
-        if nslots == 0 || nslots > (1 << 20) {
+        if nslots == 0 || nslots > Self::MAX_SLOTS as u64 {
             return Err(AttachError::Corrupt("implausible registry slot count"));
         }
         Ok(Registry {

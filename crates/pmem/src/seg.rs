@@ -86,7 +86,7 @@ pub enum AttachError {
     Io(io::Error),
     /// The file does not start with the pool magic — not a pool file.
     BadMagic {
-        /// The value found where [`MAGIC`] was expected.
+        /// The value found where the magic `b"DSSPOOL1"` was expected.
         found: u64,
     },
     /// The file is a pool, but of an incompatible layout version.
@@ -142,7 +142,8 @@ impl From<io::Error> for AttachError {
 }
 
 /// Every data-structure kind that can own a pool file, with its
-/// application-kind word (the [`SB_APP_KIND`] superblock slot).
+/// application-kind word (the superblock slot
+/// [`PmemPool::app_kind`](crate::PmemPool::app_kind) reads back).
 ///
 /// The tag values are the on-disk format: they were assigned in the order
 /// the structures landed and must never be renumbered. Structures expose
@@ -434,18 +435,21 @@ pub enum PlacementPolicy {
 }
 
 impl PlacementPolicy {
-    /// Stable numeric code, for storage in an atomic knob word.
-    pub(crate) fn code(self) -> u64 {
+    /// Stable numeric code, for storage in an atomic knob word or a pool
+    /// file's parameter words.
+    pub fn code(self) -> u64 {
         match self {
             PlacementPolicy::Interleave => 0,
             PlacementPolicy::Sharded => 1,
         }
     }
 
-    pub(crate) fn from_code(code: u64) -> Self {
+    /// The policy a [`code`](Self::code) names, if any.
+    pub fn from_code(code: u64) -> Option<Self> {
         match code {
-            1 => PlacementPolicy::Sharded,
-            _ => PlacementPolicy::Interleave,
+            0 => Some(PlacementPolicy::Interleave),
+            1 => Some(PlacementPolicy::Sharded),
+            _ => None,
         }
     }
 }
@@ -564,7 +568,7 @@ impl<W> SegmentDirectory<W> {
     }
 
     pub(crate) fn policy(&self) -> PlacementPolicy {
-        PlacementPolicy::from_code(self.policy.load(SeqCst))
+        PlacementPolicy::from_code(self.policy.load(SeqCst)).unwrap_or_default()
     }
 
     pub(crate) fn set_policy(&self, policy: PlacementPolicy) {
@@ -740,7 +744,8 @@ mod tests {
         assert_eq!(d.policy(), PlacementPolicy::Sharded);
         assert_eq!(
             PlacementPolicy::from_code(PlacementPolicy::Sharded.code()),
-            PlacementPolicy::Sharded
+            Some(PlacementPolicy::Sharded)
         );
+        assert_eq!(PlacementPolicy::from_code(2), None);
     }
 }

@@ -368,7 +368,7 @@ impl<M: Memory> fmt::Debug for PmwcasArena<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dss_pmem::{CrashSignal, WritebackAdversary};
+    use dss_pmem::WritebackAdversary;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn setup(nthreads: usize) -> (Arc<PmemPool>, PmwcasArena) {
@@ -419,16 +419,9 @@ mod tests {
     fn crash_mid_pmwcas_rolls_back_undecided() {
         for k in 1..80 {
             let (pool, arena) = setup(1);
-            pool.arm_crash_after(k);
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                arena.pmwcas(0, &[(a(1), 0, 10), (a(9), 0, 20)], &[(a(17), 5)])
-            }));
-            pool.disarm_crash();
-            let crashed = match r {
-                Ok(_) => false,
-                Err(p) if p.downcast_ref::<CrashSignal>().is_some() => true,
-                Err(p) => std::panic::resume_unwind(p),
-            };
+            let crashed = pool.crashes_within(k, || {
+                arena.pmwcas(0, &[(a(1), 0, 10), (a(9), 0, 20)], &[(a(17), 5)]);
+            });
             if !crashed {
                 break;
             }

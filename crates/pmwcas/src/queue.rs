@@ -1,12 +1,13 @@
 //! The General and Fast CASWithEffect detectable queues (paper Figure 5b).
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::ops::Deref;
 use std::sync::Arc;
 
+use dss_pmem::object::{checked_words, thread_count};
 use dss_pmem::{
-    tag, AppKind, AttachError, Backoff, BackoffTuner, Ebr, FlushGranularity, Memory, NodePool,
-    PAddr, PmemPool, Registry, SlotError, ThreadHandle, WORDS_PER_LINE,
+    tag, AppKind, AttachError, FlushGranularity, Memory, NodePool, ObjectCore, ObjectLayout, PAddr,
+    PmemPool, ThreadHandle, WORDS_PER_LINE,
 };
 use dss_spec::types::QueueResp;
 
@@ -41,29 +42,54 @@ pub const KIND_CWE_QUEUE: u64 = AppKind::CweQueue.word();
 /// The CASWithEffect queue's pool layout, derived from
 /// `(nthreads, nodes_per_thread)` alone — which is exactly why those
 /// parameters in a pool file's superblock make the file self-describing.
-/// (The `fast` flag changes protocol, not layout.)
+/// (The `fast` flag, the third parameter word, changes protocol, not
+/// layout.)
 struct CweLayout {
+    nthreads: usize,
+    nodes_per_thread: u64,
+    fast: bool,
     sentinel: u64,
     node_region: u64,
     desc_region: u64,
     reg_base: u64,
-    words: u64,
 }
 
-impl CweLayout {
-    fn new(nthreads: usize, nodes_per_thread: u64) -> Self {
-        assert!(nthreads > 0 && nodes_per_thread > 0);
+impl ObjectLayout for CweLayout {
+    const KIND: AppKind = AppKind::CweQueue;
+
+    fn params(&self) -> Vec<u64> {
+        vec![self.nthreads as u64, self.nodes_per_thread, u64::from(self.fast)]
+    }
+
+    fn from_params(p: &[u64]) -> Result<Self, &'static str> {
+        let (nthreads, nodes_per_thread) = (thread_count(p[0])?, p[1]);
+        let fast = match p[2] {
+            0 => false,
+            1 => true,
+            _ => return Err("variant flag is neither General (0) nor Fast (1)"),
+        };
+        let nodes = checked_words(&[nthreads as u64, nodes_per_thread, NODE_WORDS])?;
         let x_end = A_X_BASE + nthreads as u64 * WORDS_PER_LINE;
         let sentinel = x_end.next_multiple_of(NODE_WORDS);
         let node_region = sentinel + NODE_WORDS;
-        let node_words = nodes_per_thread * nthreads as u64 * NODE_WORDS;
         // Descriptor region, 16-word aligned.
-        let desc_region = (node_region + node_words).next_multiple_of(16);
+        let desc_region = (node_region + nodes).next_multiple_of(16);
         let desc_end =
             desc_region + PmwcasArena::<PmemPool>::region_words(DESCS_PER_THREAD, nthreads);
         let reg_base = desc_end.next_multiple_of(WORDS_PER_LINE);
-        let words = reg_base + Registry::<PmemPool>::region_words(nthreads);
-        CweLayout { sentinel, node_region, desc_region, reg_base, words }
+        Ok(CweLayout {
+            nthreads,
+            nodes_per_thread,
+            fast,
+            sentinel,
+            node_region,
+            desc_region,
+            reg_base,
+        })
+    }
+
+    fn registry_base(&self) -> u64 {
+        self.reg_base
     }
 }
 
@@ -129,15 +155,10 @@ pub struct CweResolved {
 /// assert_eq!(q.resolve(h1).resp, Some(QueueResp::Value(7)));
 /// ```
 pub struct CasWithEffectQueue<M: Memory = PmemPool> {
-    pool: Arc<M>,
+    core: ObjectCore<M>,
     arena: PmwcasArena<M>,
     nodes: NodePool,
-    ebr: Ebr,
-    nthreads: usize,
     fast: bool,
-    backoff: AtomicBool,
-    tuner: BackoffTuner,
-    registry: Registry<M>,
 }
 
 impl CasWithEffectQueue {
@@ -204,12 +225,9 @@ impl CasWithEffectQueue {
         nodes_per_thread: u64,
         fast: bool,
     ) -> Result<Self, AttachError> {
-        let layout = CweLayout::new(nthreads, nodes_per_thread);
-        let pool =
-            Arc::new(PmemPool::create(path, layout.words as usize, FlushGranularity::default())?);
-        pool.set_app_config(KIND_CWE_QUEUE, &[nthreads as u64, nodes_per_thread, fast as u64]);
-        let registry = Registry::create(Arc::clone(&pool), layout.reg_base, nthreads);
-        let q = Self::assemble(pool, registry, &layout, nthreads, nodes_per_thread, fast);
+        let layout = CweLayout::from_args(&[nthreads as u64, nodes_per_thread, u64::from(fast)]);
+        let object = ObjectCore::create(path, &layout, FlushGranularity::default())?;
+        let q = Self::assemble(object, &layout);
         q.format(layout.sentinel);
         Ok(q)
     }
@@ -222,8 +240,8 @@ impl CasWithEffectQueue {
     ///
     /// Attaching is a crash boundary: follow with
     /// [`recover`](Self::recover) (the descriptor roll-forward/roll-back),
-    /// then [`begin_recovery`](Self::begin_recovery) /
-    /// [`adopt_orphans`](Self::adopt_orphans) and
+    /// then [`begin_recovery`](ObjectCore::begin_recovery) /
+    /// [`adopt_orphans`](ObjectCore::adopt_orphans) and
     /// [`resolve`](Self::resolve) per adopted handle.
     ///
     /// # Errors
@@ -232,24 +250,8 @@ impl CasWithEffectQueue {
     /// [`AttachError::AppMismatch`] if the file holds a different
     /// structure.
     pub fn attach<P: AsRef<std::path::Path>>(path: P) -> Result<Self, AttachError> {
-        let pool = Arc::new(PmemPool::attach(path)?);
-        let found = pool.app_kind();
-        if found != KIND_CWE_QUEUE {
-            return Err(AttachError::AppMismatch { expected: KIND_CWE_QUEUE, found });
-        }
-        let [nthreads, nodes_per_thread, fast, ..] = pool.app_config();
-        if nthreads == 0 || nodes_per_thread == 0 {
-            return Err(AttachError::Corrupt("CASWithEffect queue parameter words are zero"));
-        }
-        let nthreads = nthreads as usize;
-        let layout = CweLayout::new(nthreads, nodes_per_thread);
-        if (pool.capacity() as u64) < layout.words {
-            return Err(AttachError::Corrupt(
-                "pool smaller than the CASWithEffect queue layout requires",
-            ));
-        }
-        let registry = Registry::attach(Arc::clone(&pool), layout.reg_base)?;
-        let q = Self::assemble(pool, registry, &layout, nthreads, nodes_per_thread, fast != 0);
+        let (object, layout) = ObjectCore::attach(path)?;
+        let q = Self::assemble(object, &layout);
         // Superset-safe before `recover`: reachability from the persisted
         // head only over-approximates the live set.
         q.rebuild_allocator();
@@ -279,47 +281,24 @@ impl<M: Memory> CasWithEffectQueue<M> {
     }
 
     fn build(nthreads: usize, nodes_per_thread: u64, fast: bool) -> Self {
-        let layout = CweLayout::new(nthreads, nodes_per_thread);
-        let pool = Arc::new(M::create(layout.words as usize, FlushGranularity::default()));
-        let registry = Registry::create(Arc::clone(&pool), layout.reg_base, nthreads);
-        let q = Self::assemble(pool, registry, &layout, nthreads, nodes_per_thread, fast);
+        let layout = CweLayout::from_args(&[nthreads as u64, nodes_per_thread, u64::from(fast)]);
+        let q = Self::assemble(ObjectCore::fresh(&layout, FlushGranularity::default()), &layout);
         q.format(layout.sentinel);
         q
     }
 
-    /// The shared constructor tail: in-DRAM side tables (descriptor arena
-    /// handle, node allocator, EBR domain, backoff tuner) over an existing
-    /// pool + registry — everything `attach` must rebuild rather than map.
-    fn assemble(
-        pool: Arc<M>,
-        registry: Registry<M>,
-        layout: &CweLayout,
-        nthreads: usize,
-        nodes_per_thread: u64,
-        fast: bool,
-    ) -> Self {
-        let arena = PmwcasArena::new(
-            Arc::clone(&pool),
-            PAddr::from_index(layout.desc_region),
-            DESCS_PER_THREAD,
-            nthreads,
-        );
-        let nodes = NodePool::new(
-            PAddr::from_index(layout.node_region),
-            NODE_WORDS,
-            nodes_per_thread,
-            nthreads,
-        );
+    /// The shared constructor tail: descriptor arena handle and node
+    /// allocator over an object skeleton — everything `attach` must
+    /// rebuild rather than map.
+    fn assemble(object: ObjectCore<M>, layout: &CweLayout) -> Self {
+        let n = layout.nthreads;
+        let desc_region = PAddr::from_index(layout.desc_region);
+        let node_region = PAddr::from_index(layout.node_region);
         CasWithEffectQueue {
-            pool,
-            arena,
-            nodes,
-            ebr: Ebr::new(nthreads),
-            nthreads,
-            fast,
-            backoff: AtomicBool::new(false),
-            tuner: BackoffTuner::new(),
-            registry,
+            arena: PmwcasArena::new(Arc::clone(object.pool()), desc_region, DESCS_PER_THREAD, n),
+            nodes: NodePool::new(node_region, NODE_WORDS, layout.nodes_per_thread, n),
+            core: object,
+            fast: layout.fast,
         }
     }
 
@@ -327,29 +306,19 @@ impl<M: Memory> CasWithEffectQueue<M> {
     /// never run on attach).
     fn format(&self, sentinel: u64) {
         let s = PAddr::from_index(sentinel);
-        self.pool.store(s.offset(F_VALUE), 0);
-        self.pool.store(s.offset(F_NEXT), 0);
-        self.pool.store(s.offset(F_DEQ_TID), UNCLAIMED);
-        self.pool.flush(s);
-        self.pool.store(self.head(), s.to_word());
-        self.pool.flush(self.head());
-        self.pool.store(self.tail(), s.to_word());
-        self.pool.flush(self.tail());
-        for i in 0..self.nthreads {
-            self.pool.store(self.x(i), 0);
-            self.pool.flush(self.x(i));
+        self.pool().store(s.offset(F_VALUE), 0);
+        self.pool().store(s.offset(F_NEXT), 0);
+        self.pool().store(s.offset(F_DEQ_TID), UNCLAIMED);
+        self.pool().flush(s);
+        self.pool().store(self.head(), s.to_word());
+        self.pool().flush(self.head());
+        self.pool().store(self.tail(), s.to_word());
+        self.pool().flush(self.tail());
+        for i in 0..self.nthreads() {
+            self.pool().store(self.x(i), 0);
+            self.pool().flush(self.x(i));
         }
-        self.pool.drain();
-    }
-
-    /// Enables or disables bounded exponential backoff after failed PMwCAS.
-    /// Default off.
-    pub fn set_backoff(&self, on: bool) {
-        self.backoff.store(on, Relaxed);
-    }
-
-    fn new_backoff(&self) -> Backoff<'_> {
-        Backoff::attached(self.backoff.load(Relaxed), &self.tuner)
+        self.pool().drain();
     }
 
     fn head(&self) -> PAddr {
@@ -366,68 +335,13 @@ impl<M: Memory> CasWithEffectQueue<M> {
         PAddr::from_index(A_X_BASE + tid as u64 * WORDS_PER_LINE)
     }
 
-    /// The queue's pool.
-    pub fn pool(&self) -> &Arc<M> {
-        &self.pool
-    }
-
-    /// Number of threads the queue was built for.
-    pub fn nthreads(&self) -> usize {
-        self.nthreads
-    }
-
     /// Whether this is the Fast variant.
     pub fn is_fast(&self) -> bool {
         self.fast
     }
 
-    /// The persistent slot registry governing thread identity. (The PMwCAS
-    /// descriptor arena keeps using raw slot indices internally.)
-    pub fn registry(&self) -> &Registry<M> {
-        &self.registry
-    }
-
-    /// Claims a free slot and returns the [`ThreadHandle`] every operation
-    /// requires. Fails with [`SlotError::Exhausted`] once all `nthreads`
-    /// slots are taken.
-    pub fn register_thread(&self) -> Result<ThreadHandle, SlotError> {
-        let h = self.registry.acquire()?;
-        self.ebr.adopt_slot(h.slot());
-        Ok(h)
-    }
-
-    /// Returns a handle's slot to the free pool for reuse.
-    pub fn release_thread(&self, h: ThreadHandle) -> Result<(), SlotError> {
-        self.registry.release(h)
-    }
-
-    /// Marks the crash boundary in the registry: every slot LIVE at the
-    /// crash becomes ORPHANED. [`recover`](Self::recover) stays a
-    /// descriptor roll-forward (the queue's own pointers need no repair);
-    /// this exists to let harnesses reclaim dead threads' slots via
-    /// [`adopt`](Self::adopt) / [`adopt_orphans`](Self::adopt_orphans).
-    pub fn begin_recovery(&self) {
-        self.registry.begin_recovery();
-    }
-
-    /// Adopts one orphaned slot, inheriting its EBR state.
-    pub fn adopt(&self, slot: usize) -> Result<ThreadHandle, SlotError> {
-        let h = self.registry.adopt(slot)?;
-        self.ebr.adopt_slot(slot);
-        Ok(h)
-    }
-
-    /// Adopts every orphaned slot in ascending order.
-    pub fn adopt_orphans(&self) -> Vec<ThreadHandle> {
-        let hs = self.registry.adopt_orphans();
-        for h in &hs {
-            self.ebr.adopt_slot(h.slot());
-        }
-        hs
-    }
-
     fn alloc(&self, tid: usize) -> Result<PAddr, CweFull> {
-        self.nodes.alloc_with_reclaim(tid, &self.ebr).ok_or(CweFull)
+        self.nodes.alloc_with_reclaim(tid, self.ebr()).ok_or(CweFull)
     }
 
     /// One multi-word update covering the shared entries plus the `X[tid]`
@@ -443,7 +357,7 @@ impl<M: Memory> CasWithEffectQueue<M> {
         // take effect: the Fast variant never CASes X (it rewrites it as a
         // private word), so nothing downstream would write the prep flush
         // back before the commit.
-        self.pool.drain_line(self.x(tid));
+        self.pool().drain_line(self.x(tid));
         if self.fast {
             self.arena.pmwcas(tid, shared, &[(self.x(tid), x_new)])
         } else {
@@ -463,16 +377,16 @@ impl<M: Memory> CasWithEffectQueue<M> {
     pub fn prep_enqueue(&self, h: ThreadHandle, val: u64) -> Result<(), CweFull> {
         let tid = h.slot();
         let node = self.alloc(tid)?;
-        self.pool.store(node.offset(F_VALUE), val);
-        self.pool.store(node.offset(F_NEXT), 0);
-        self.pool.store(node.offset(F_DEQ_TID), UNCLAIMED);
-        self.pool.flush(node);
+        self.pool().store(node.offset(F_VALUE), val);
+        self.pool().store(node.offset(F_NEXT), 0);
+        self.pool().store(node.offset(F_DEQ_TID), UNCLAIMED);
+        self.pool().flush(node);
         // Ordering point: the announce must not persist ahead of the node
         // it names. Its own flush may stay pending — exec drains it before
         // the enqueue can take effect.
-        self.pool.drain_line(node);
-        self.pool.store(self.x(tid), tag::set(node.to_word(), tag::ENQ_PREP));
-        self.pool.flush(self.x(tid));
+        self.pool().drain_line(node);
+        self.pool().store(self.x(tid), tag::set(node.to_word(), tag::ENQ_PREP));
+        self.pool().flush(self.x(tid));
         Ok(())
     }
 
@@ -487,7 +401,7 @@ impl<M: Memory> CasWithEffectQueue<M> {
     /// Panics if no enqueue is prepared.
     pub fn exec_enqueue(&self, h: ThreadHandle) {
         let tid = h.slot();
-        let _g = self.ebr.pin(tid);
+        let _g = self.ebr().pin(tid);
         let x = self.arena.read(tid, self.x(tid));
         assert!(tag::has(x, tag::ENQ_PREP), "exec-enqueue without a prepared enqueue");
         if tag::has(x, tag::ENQ_COMPL) {
@@ -512,7 +426,7 @@ impl<M: Memory> CasWithEffectQueue<M> {
                 // Every effect word was drained by the PMwCAS finalizer;
                 // only the descriptor-release flush may stay pending, and
                 // recovery re-finalizes an un-released descriptor.
-                self.pool.drain_lines(&[]);
+                self.pool().drain_lines(&[]);
                 return;
             }
             bo.spin();
@@ -522,8 +436,8 @@ impl<M: Memory> CasWithEffectQueue<M> {
     /// **prep-dequeue()**.
     pub fn prep_dequeue(&self, h: ThreadHandle) {
         let tid = h.slot();
-        self.pool.store(self.x(tid), tag::DEQ_PREP);
-        self.pool.flush(self.x(tid));
+        self.pool().store(self.x(tid), tag::DEQ_PREP);
+        self.pool().flush(self.x(tid));
         // No drain: see prep_enqueue — exec fences before any effect.
     }
 
@@ -535,7 +449,7 @@ impl<M: Memory> CasWithEffectQueue<M> {
     /// Panics if no dequeue is prepared.
     pub fn exec_dequeue(&self, h: ThreadHandle) -> QueueResp {
         let tid = h.slot();
-        let _g = self.ebr.pin(tid);
+        let _g = self.ebr().pin(tid);
         let x = self.arena.read(tid, self.x(tid));
         assert!(tag::has(x, tag::DEQ_PREP), "exec-dequeue without a prepared dequeue");
         let mut bo = self.new_backoff();
@@ -555,16 +469,16 @@ impl<M: Memory> CasWithEffectQueue<M> {
                     if self.fast {
                         // A purely private single-word update: a plain
                         // failure-atomic store + flush suffices.
-                        self.pool.store(self.x(tid), tag::DEQ_PREP | tag::EMPTY);
-                        self.pool.flush(self.x(tid));
+                        self.pool().store(self.x(tid), tag::DEQ_PREP | tag::EMPTY);
+                        self.pool().flush(self.x(tid));
                         // No descriptor exists for recovery to replay: the
                         // EMPTY verdict must be durable before the return.
-                        self.pool.drain_line(self.x(tid));
+                        self.pool().drain_line(self.x(tid));
                         return QueueResp::Empty;
                     }
                     if self.arena.pmwcas(tid, &[(self.x(tid), x, tag::DEQ_PREP | tag::EMPTY)], &[])
                     {
-                        self.pool.drain_lines(&[]);
+                        self.pool().drain_lines(&[]);
                         return QueueResp::Empty;
                     }
                 }
@@ -581,10 +495,10 @@ impl<M: Memory> CasWithEffectQueue<M> {
                 tag::set(first.to_word(), tag::DEQ_PREP),
             ) {
                 if self.nodes.contains(first) {
-                    self.ebr.retire(tid, first);
+                    self.ebr().retire(tid, first);
                 }
                 let val = self.arena.read(tid, next.offset(F_VALUE));
-                self.pool.drain_lines(&[]);
+                self.pool().drain_lines(&[]);
                 return QueueResp::Value(val);
             }
             bo.spin();
@@ -599,7 +513,7 @@ impl<M: Memory> CasWithEffectQueue<M> {
         let x = self.arena.read(tid, self.x(tid));
         if tag::has(x, tag::ENQ_PREP) {
             let node = tag::addr_of(x);
-            let value = self.pool.load(node.offset(F_VALUE));
+            let value = self.pool().load(node.offset(F_VALUE));
             CweResolved {
                 op: Some(CweResolvedOp::Enqueue(value)),
                 resp: tag::has(x, tag::ENQ_COMPL).then_some(QueueResp::Ok),
@@ -612,9 +526,9 @@ impl<M: Memory> CasWithEffectQueue<M> {
                 // The claim and the X update committed atomically, so a
                 // predecessor pointer implies effect; the check is kept
                 // defensive.
-                let next = tag::addr_of(self.pool.load(ptr.offset(F_NEXT)));
-                if !next.is_null() && self.pool.load(next.offset(F_DEQ_TID)) == tid as u64 + 1 {
-                    Some(QueueResp::Value(self.pool.load(next.offset(F_VALUE))))
+                let next = tag::addr_of(self.pool().load(ptr.offset(F_NEXT)));
+                if !next.is_null() && self.pool().load(next.offset(F_DEQ_TID)) == tid as u64 + 1 {
+                    Some(QueueResp::Value(self.pool().load(next.offset(F_VALUE))))
                 } else {
                     None
                 }
@@ -629,39 +543,39 @@ impl<M: Memory> CasWithEffectQueue<M> {
     /// pointers need no separate repair — every update was atomic).
     pub fn recover(&self) {
         self.arena.recover();
-        self.pool.drain();
+        self.pool().drain();
     }
 
     /// Rebuilds the volatile allocator after a crash.
     pub fn rebuild_allocator(&self) {
         let mut live = self.nodes.node_set();
-        let mut cur = tag::addr_of(self.pool.load(self.head()));
+        let mut cur = tag::addr_of(self.pool().load(self.head()));
         loop {
             live.insert(cur);
-            let next = tag::addr_of(self.pool.load(cur.offset(F_NEXT)));
+            let next = tag::addr_of(self.pool().load(cur.offset(F_NEXT)));
             if next.is_null() {
                 break;
             }
             cur = next;
         }
-        for i in 0..self.nthreads {
-            let d = tag::addr_of(self.pool.load(self.x(i)));
+        for i in 0..self.nthreads() {
+            let d = tag::addr_of(self.pool().load(self.x(i)));
             if !d.is_null() {
                 live.insert(d);
-                live.insert(tag::addr_of(self.pool.load(d.offset(F_NEXT))));
+                live.insert(tag::addr_of(self.pool().load(d.offset(F_NEXT))));
             }
         }
         self.nodes.rebuild(&live);
-        self.ebr.reset();
+        self.ebr().reset();
     }
 
     /// Volatile snapshot of queued values (test helper; skips in-flight
     /// descriptor links).
     pub fn snapshot_values(&self) -> Vec<u64> {
         let mut out = Vec::new();
-        let mut cur = tag::addr_of(self.pool.peek(self.head()));
+        let mut cur = tag::addr_of(self.pool().peek(self.head()));
         loop {
-            let next_w = self.pool.peek(cur.offset(F_NEXT));
+            let next_w = self.pool().peek(cur.offset(F_NEXT));
             if tag::has(next_w, tag::PMWCAS_DESC) {
                 return out;
             }
@@ -669,18 +583,26 @@ impl<M: Memory> CasWithEffectQueue<M> {
             if next.is_null() {
                 return out;
             }
-            if self.pool.peek(next.offset(F_DEQ_TID)) == UNCLAIMED {
-                out.push(self.pool.peek(next.offset(F_VALUE)));
+            if self.pool().peek(next.offset(F_DEQ_TID)) == UNCLAIMED {
+                out.push(self.pool().peek(next.offset(F_VALUE)));
             }
             cur = next;
         }
     }
 }
 
+impl<M: Memory> Deref for CasWithEffectQueue<M> {
+    type Target = ObjectCore<M>;
+
+    fn deref(&self) -> &ObjectCore<M> {
+        &self.core
+    }
+}
+
 impl<M: Memory> fmt::Debug for CasWithEffectQueue<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CasWithEffectQueue")
-            .field("nthreads", &self.nthreads)
+            .field("nthreads", &self.nthreads())
             .field("fast", &self.fast)
             .finish_non_exhaustive()
     }
@@ -689,8 +611,7 @@ impl<M: Memory> fmt::Debug for CasWithEffectQueue<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dss_pmem::{CrashSignal, WritebackAdversary};
-    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use dss_pmem::WritebackAdversary;
     use std::sync::Arc;
 
     fn both() -> Vec<CasWithEffectQueue> {
@@ -750,17 +671,10 @@ mod tests {
                         CasWithEffectQueue::new_general(1, 8)
                     };
                     let h0 = q.register_thread().unwrap();
-                    q.pool().arm_crash_after(k);
-                    let r = catch_unwind(AssertUnwindSafe(|| {
+                    let crashed = q.pool().crashes_within(k, || {
                         q.prep_enqueue(h0, 42).unwrap();
                         q.exec_enqueue(h0);
-                    }));
-                    q.pool().disarm_crash();
-                    let crashed = match r {
-                        Ok(_) => false,
-                        Err(p) if p.downcast_ref::<CrashSignal>().is_some() => true,
-                        Err(p) => std::panic::resume_unwind(p),
-                    };
+                    });
                     if !crashed {
                         break;
                     }
@@ -799,17 +713,10 @@ mod tests {
                     let h0 = q.register_thread().unwrap();
                     q.prep_enqueue(h0, 7).unwrap();
                     q.exec_enqueue(h0);
-                    q.pool().arm_crash_after(k);
-                    let r = catch_unwind(AssertUnwindSafe(|| {
+                    let crashed = q.pool().crashes_within(k, || {
                         q.prep_dequeue(h0);
                         let _ = q.exec_dequeue(h0);
-                    }));
-                    q.pool().disarm_crash();
-                    let crashed = match r {
-                        Ok(_) => false,
-                        Err(p) if p.downcast_ref::<CrashSignal>().is_some() => true,
-                        Err(p) => std::panic::resume_unwind(p),
-                    };
+                    });
                     if !crashed {
                         break;
                     }

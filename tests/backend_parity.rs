@@ -44,8 +44,8 @@ fn run_script_with(
     backoff: bool,
 ) -> Vec<QueueResp> {
     let q = kind.build_on(backend, 1, 256);
-    q.set_coalescing(coalesce);
-    q.set_per_address_drains(per_address);
+    q.pool().set_coalescing(coalesce);
+    q.pool().set_per_address_drains(per_address);
     q.set_backoff(backoff);
     let h = q.register_thread();
     let mut observed = Vec::new();
@@ -65,7 +65,7 @@ fn run_script_with(
         }
     }
 
-    let stats = q.stats();
+    let stats = q.pool().stats();
     match backend {
         Backend::Pmem => {
             assert!(stats.total() > 0, "{} on pmem executed no counted primitives", kind.label())
@@ -120,7 +120,7 @@ fn detectable_kinds_match_across_backends_under_flush_penalty() {
             .into_iter()
             .map(|backend| {
                 let q = kind.build_on(backend, 1, 64);
-                q.set_flush_penalty(50);
+                q.pool().set_flush_penalty(50);
                 let h = q.register_thread();
                 (0..20).for_each(|i| q.enqueue(h, i));
                 (0..21).map(|_| q.dequeue(h)).collect::<Vec<_>>()

@@ -2,25 +2,12 @@
 //! CAS, and the universal construction — including the §2.2 nesting
 //! story, through the `dss` facade.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use dss::core::{DetectableCas, DetectableRegister, Universal};
-use dss::pmem::{CrashSignal, WritebackAdversary};
+use dss::pmem::WritebackAdversary;
 use dss::spec::types::{
     CounterOp, CounterResp, CounterSpec, QueueOp, QueueResp, QueueSpec, RegisterResp, StackOp,
     StackResp, StackSpec,
 };
-
-fn crashes<F: FnOnce()>(pool: &dss::pmem::PmemPool, k: u64, f: F) -> bool {
-    pool.arm_crash_after(k);
-    let r = catch_unwind(AssertUnwindSafe(f));
-    pool.disarm_crash();
-    match r {
-        Ok(()) => false,
-        Err(p) if p.downcast_ref::<CrashSignal>().is_some() => true,
-        Err(p) => std::panic::resume_unwind(p),
-    }
-}
 
 #[test]
 fn register_figure2_all_four_cases_are_reachable() {
@@ -30,7 +17,7 @@ fn register_figure2_all_four_cases_are_reachable() {
     for k in 1.. {
         let r = DetectableRegister::new(1, 8);
         let h0 = r.register_thread().unwrap();
-        let crashed = crashes(r.pool(), k, || {
+        let crashed = r.pool().crashes_within(k, || {
             r.prep_write(h0, 1, 0);
             r.exec_write(h0);
         });
@@ -106,7 +93,7 @@ fn universal_stack_crash_sweep_is_exactly_once() {
         let st = Universal::new(StackSpec, 1, 32);
         let h0 = st.register_thread().unwrap();
         st.plain(h0, StackOp::Push(1));
-        let crashed = crashes(st.pool(), k, || {
+        let crashed = st.pool().crashes_within(k, || {
             st.prep(h0, StackOp::Push(2), 77);
             st.exec(h0);
         });

@@ -5,14 +5,15 @@
 //! the genuine SIGKILL version (no drop glue, no clean handoff) lives in
 //! the harness's `--multi-process` crash matrix.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dss::baselines::{DurableQueue, LogQueue, MsQueue};
 use dss::core::{
-    CombiningQueue, DetectableCas, DetectableRegister, DssQueue, DssStack, ResolvedOp, Universal,
+    CombiningQueue, DetectableCas, DetectableMap, DetectableRegister, DssQueue, DssStack,
+    ReplicatedQueue, ResolvedOp, Universal,
 };
-use dss::pmem::AttachError;
+use dss::pmem::{AttachError, PmemPool};
 use dss::pmwcas::{CasWithEffectQueue, CweResolvedOp};
 use dss::spec::types::{CounterOp, CounterSpec, QueueResp, StackResp};
 
@@ -365,4 +366,147 @@ fn file_backed_and_anonymous_runs_agree() {
     assert_eq!(file.dequeue(hf), QueueResp::Value(4));
     assert_eq!(anon.snapshot_values(), file.snapshot_values());
     assert_eq!(anon.resolve(ha), file.resolve(hf));
+}
+
+/// One structure kind of the parameter-corruption table: how to create a
+/// small pool file of it, how to attach one, and which of its parameter
+/// words the corruptions target.
+struct AttachCase {
+    name: &'static str,
+    create: fn(&Path),
+    attach: fn(&Path) -> Result<(), AttachError>,
+    /// Leading parameter words that must be nonzero (thread count first).
+    sizes: usize,
+    /// A flag word whose only valid values are 0 and 1, if the kind has one.
+    flag: Option<usize>,
+}
+
+/// Every kind that can own a pool file.
+fn attach_cases() -> [AttachCase; 12] {
+    [
+        AttachCase {
+            name: "queue",
+            create: |p| drop(DssQueue::create(p, 2, 8).unwrap()),
+            attach: |p| DssQueue::attach(p).map(drop),
+            sizes: 2,
+            flag: None,
+        },
+        AttachCase {
+            name: "stack",
+            create: |p| drop(DssStack::create(p, 2, 8).unwrap()),
+            attach: |p| DssStack::attach(p).map(drop),
+            sizes: 2,
+            flag: None,
+        },
+        AttachCase {
+            name: "register",
+            create: |p| drop(DetectableRegister::create(p, 2, 8).unwrap()),
+            attach: |p| DetectableRegister::attach(p).map(drop),
+            sizes: 2,
+            flag: None,
+        },
+        AttachCase {
+            name: "cas",
+            create: |p| drop(DetectableCas::create(p, 2, 8).unwrap()),
+            attach: |p| DetectableCas::attach(p).map(drop),
+            sizes: 2,
+            flag: None,
+        },
+        AttachCase {
+            name: "universal",
+            create: |p| drop(Universal::create(CounterSpec, p, 2, 8).unwrap()),
+            attach: |p| Universal::attach(CounterSpec, p).map(drop),
+            sizes: 2,
+            flag: None,
+        },
+        AttachCase {
+            name: "durable",
+            create: |p| drop(DurableQueue::create(p, 2, 8).unwrap()),
+            attach: |p| DurableQueue::attach(p).map(drop),
+            sizes: 2,
+            flag: None,
+        },
+        AttachCase {
+            name: "log",
+            create: |p| drop(LogQueue::create(p, 2, 8).unwrap()),
+            attach: |p| LogQueue::attach(p).map(drop),
+            sizes: 2,
+            flag: None,
+        },
+        AttachCase {
+            name: "ms",
+            create: |p| drop(MsQueue::create(p, 2, 8).unwrap()),
+            attach: |p| MsQueue::attach(p).map(drop),
+            sizes: 2,
+            flag: None,
+        },
+        AttachCase {
+            name: "cwe",
+            create: |p| drop(CasWithEffectQueue::create_fast(p, 2, 8).unwrap()),
+            attach: |p| CasWithEffectQueue::attach(p).map(drop),
+            sizes: 2,
+            flag: Some(2),
+        },
+        AttachCase {
+            name: "combining",
+            create: |p| drop(CombiningQueue::create(p, 2, 8).unwrap()),
+            attach: |p| CombiningQueue::attach(p).map(drop),
+            sizes: 2,
+            flag: None,
+        },
+        AttachCase {
+            name: "replicated",
+            create: |p| drop(ReplicatedQueue::create(p, 2, 8).unwrap()),
+            attach: |p| ReplicatedQueue::attach(p).map(drop),
+            sizes: 3,
+            flag: Some(3),
+        },
+        AttachCase {
+            name: "map",
+            create: |p| drop(DetectableMap::create(p, 2, 8, 8).unwrap()),
+            attach: |p| DetectableMap::attach(p).map(drop),
+            sizes: 3,
+            flag: None,
+        },
+    ]
+}
+
+/// Rewrites a pool file's parameter words through the pool's own
+/// superblock API, keeping its structure-kind word.
+fn rewrite_params(path: &Path, edit: impl FnOnce(&mut [u64; PmemPool::APP_CONFIG_WORDS])) {
+    let pool = PmemPool::attach(path).unwrap();
+    let mut params = pool.app_config();
+    edit(&mut params);
+    pool.set_app_config(pool.app_kind(), &params);
+}
+
+#[test]
+fn attach_rejects_corrupt_parameter_words_for_every_kind() {
+    for case in attach_cases() {
+        // Each size word zeroed, an absurd thread count (its layout
+        // arithmetic would overflow), and an out-of-range flag.
+        let mut edits: Vec<(usize, u64)> = (0..case.sizes).map(|w| (w, 0)).collect();
+        edits.push((0, 1 << 61));
+        edits.extend(case.flag.map(|w| (w, 2)));
+        for (word, value) in edits {
+            let tmp = TmpPool::new(case.name);
+            (case.create)(tmp.path());
+            rewrite_params(tmp.path(), |p| p[word] = value);
+            let got = (case.attach)(tmp.path());
+            assert!(
+                matches!(got, Err(AttachError::Corrupt(_))),
+                "{}: parameter word {word} = {value} gave {got:?}",
+                case.name
+            );
+        }
+    }
+    // A 4-thread x 16-node queue claiming 2 threads x 34 nodes derives the
+    // same registry base, so only the slot-count check can catch it (the
+    // registry still has 4 slots; slot 2 would index past the 2-slot EBR
+    // domain).
+    let tmp = TmpPool::new("queue-slot-lie");
+    drop(DssQueue::create(tmp.path(), 4, 16).unwrap());
+    rewrite_params(tmp.path(), |p| p[..2].copy_from_slice(&[2, 34]));
+    let got = DssQueue::attach(tmp.path());
+    assert!(matches!(got, Err(AttachError::Corrupt(_))), "slot-count lie gave {got:?}");
 }

@@ -6,7 +6,7 @@
 //! duplicated, or invented.
 
 use std::collections::HashSet;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
 
@@ -60,7 +60,7 @@ fn check_crash_case(
     per_address: bool,
 ) -> Result<(), TestCaseError> {
     {
-        let q = DssQueue::with_granularity(1, 64, granularity);
+        let q = <DssQueue>::new_in(1, 64, granularity);
         // With coalescing on, flushes issued between fence points sit in a
         // pending set that the crash drops wholesale — the strictest
         // persistence schedule the write-behind layer can produce.
@@ -76,8 +76,7 @@ fn check_crash_case(
         let deq_done: std::cell::RefCell<Vec<u64>> = Default::default();
         let in_flight: std::cell::RefCell<Option<(Op, u64)>> = Default::default();
 
-        q.pool().arm_crash_after(crash_after);
-        let r = catch_unwind(AssertUnwindSafe(|| {
+        let crashed = q.pool().crashes_within(crash_after, || {
             for (i, op) in script.iter().enumerate() {
                 let v = 1000 + i as u64;
                 *in_flight.borrow_mut() = Some((*op, v));
@@ -105,13 +104,7 @@ fn check_crash_case(
                 }
                 *in_flight.borrow_mut() = None;
             }
-        }));
-        q.pool().disarm_crash();
-        let crashed = match r {
-            Ok(()) => false,
-            Err(p) if p.downcast_ref::<CrashSignal>().is_some() => true,
-            Err(p) => resume_unwind(p),
-        };
+        });
 
         if crashed {
             q.pool().crash(&adversary);
@@ -193,15 +186,14 @@ fn check_combining_crash_case(
     coalesce: bool,
     per_address: bool,
 ) -> Result<(), TestCaseError> {
-    let q = CombiningQueue::with_granularity(1, 64, granularity);
+    let q = <CombiningQueue>::new_in(1, 64, granularity);
     q.pool().set_coalescing(coalesce);
     q.pool().set_per_address_drains(per_address);
     let h0 = q.register_thread().unwrap();
     let enq_done: std::cell::RefCell<Vec<u64>> = Default::default();
     let deq_done: std::cell::RefCell<Vec<u64>> = Default::default();
 
-    q.pool().arm_crash_after(crash_after);
-    let r = catch_unwind(AssertUnwindSafe(|| {
+    let crashed = q.pool().crashes_within(crash_after, || {
         for (i, &enq) in script.iter().enumerate() {
             let v = 1000 + i as u64;
             if enq {
@@ -211,13 +203,7 @@ fn check_combining_crash_case(
                 deq_done.borrow_mut().push(x);
             }
         }
-    }));
-    q.pool().disarm_crash();
-    let crashed = match r {
-        Ok(()) => false,
-        Err(p) if p.downcast_ref::<CrashSignal>().is_some() => true,
-        Err(p) => resume_unwind(p),
-    };
+    });
     if crashed {
         q.pool().crash(&adversary);
         q.recover();
@@ -373,21 +359,14 @@ fn check_cas_crash_case(
     // Value installed by the last *completed* CAS (the "application
     // journal"), surviving the unwind.
     let committed = std::cell::Cell::new(0u64);
-    c.pool().arm_crash_after(crash_after);
-    let r = catch_unwind(AssertUnwindSafe(|| {
+    let crashed = c.pool().crashes_within(crash_after, || {
         for i in 0..ops {
             let v = 1000 + i as u64;
             c.prep_cas(h0, committed.get(), v, i as u64);
             assert!(c.exec_cas(h0), "single-threaded CAS with a fresh read cannot fail");
             committed.set(v);
         }
-    }));
-    c.pool().disarm_crash();
-    let crashed = match r {
-        Ok(()) => false,
-        Err(p) if p.downcast_ref::<CrashSignal>().is_some() => true,
-        Err(p) => resume_unwind(p),
-    };
+    });
     let committed = committed.get();
     if !crashed {
         prop_assert_eq!(c.read(h0), committed);
@@ -444,21 +423,14 @@ fn check_universal_crash_case(
     };
     // Index of the next un-executed operation (the "application journal").
     let done = std::cell::Cell::new(0usize);
-    u.pool().arm_crash_after(crash_after);
-    let r = catch_unwind(AssertUnwindSafe(|| {
+    let crashed = u.pool().crashes_within(crash_after, || {
         for (i, &push) in script.iter().enumerate() {
             let op = if push { StackOp::Push(2000 + i as u64) } else { StackOp::Pop };
             u.prep(h0, op, i as u64);
             let _ = u.exec(h0);
             done.set(i + 1);
         }
-    }));
-    u.pool().disarm_crash();
-    let crashed = match r {
-        Ok(()) => false,
-        Err(p) if p.downcast_ref::<CrashSignal>().is_some() => true,
-        Err(p) => resume_unwind(p),
-    };
+    });
     if crashed {
         u.pool().crash(&adversary);
         u.rebuild_allocator();
