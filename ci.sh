@@ -20,6 +20,11 @@ cargo fmt --check
 echo "==> rustdoc gate (no broken or private intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+echo "==> E3 flush-count golden (pool primitives per queue pair and per binding op)"
+# Single-threaded and deterministic: a diff is a changed pool-operation
+# sequence, never an interleaving, so the step needs no retry loop.
+cargo run -q -p dss-harness --release --bin flush_counts | diff -u results/flush_counts.txt -
+
 echo "==> fig5a smoke (both backends, minimal sizes)"
 cargo run -q -p dss-harness --release --bin fig5a -- \
     --threads 1 --ms 20 --repeats 1 \
