@@ -1,78 +1,37 @@
-//! A bespoke implementation of `D⟨CAS⟩`.
+//! A bespoke implementation of `D⟨CAS⟩`, and the single-cell object it
+//! shares with [`DetectableRegister`](crate::DetectableRegister).
 //!
-//! The second base-object type of the §2.2 nesting discussion. Like the
-//! [`DetectableRegister`](crate::DetectableRegister) it uses value-node
-//! indirection with persisted `superseded` flags, so a thread can prove —
-//! across crashes and later overwrites — whether its compare-and-swap ever
-//! installed. Note the contrast the paper draws with NRL-like objects:
-//! Ben-Baruch et al. prove NRL-like detectable CAS *requires* auxiliary
-//! external state, while this DSS-based object needs none — the `prep`
-//! announcement carries everything.
+//! The second base-object type of the §2.2 nesting discussion. Both
+//! objects are one [binding](crate::binding): a pointer word, the *cell*,
+//! naming the value node of the last installed write. A CAS node records
+//! the new value and the expected one, and its install goes ahead only
+//! over a current value equal to the expected one; a register write is
+//! the same install without the compare. So [`SingleCell`] holds both
+//! objects whole — layout, constructors, `format`, the write paths,
+//! `read`, `resolve` and `rebuild_allocator` — and the public types only
+//! name their payloads. A CAS that fails at its compare records the
+//! failure in its completion mark. Note the contrast the paper draws with
+//! NRL-like objects: Ben-Baruch et al. prove NRL-like detectable CAS
+//! *requires* auxiliary external state, while this DSS-based object needs
+//! none — the `prep` announcement carries everything.
 
 use std::fmt;
+use std::marker::PhantomData;
 use std::ops::Deref;
+use std::path::Path;
 
 use dss_pmem::object::{checked_words, thread_count};
 use dss_pmem::{
-    tag, AppKind, AttachError, FlushGranularity, Memory, NodePool, ObjectCore, ObjectLayout, PAddr,
-    PmemPool, ThreadHandle, WORDS_PER_LINE,
+    tag, AppKind, AttachError, FlushGranularity, Memory, ObjectCore, ObjectLayout, PAddr, PmemPool,
+    ThreadHandle, WORDS_PER_LINE,
 };
 
+use crate::binding::{x_end, Announced, Bindings, Install, NODE_WORDS, PAYLOAD0, PAYLOAD1};
 use crate::detect::DetectableCore;
-
-// Node layout (4 words, line-aligned).
-const F_NEW: u64 = 0;
-const F_EXPECTED: u64 = 1;
-const F_WRITER_SEQ: u64 = 2;
-const F_SUPERSEDED: u64 = 3;
-const NODE_WORDS: u64 = 4;
-
-// X-word tags (above the 48 address bits; this object never shares an X
-// word with another type, so bit positions may be reused).
-const C_PREP: u64 = tag::ENQ_PREP;
-const C_COMPL: u64 = tag::ENQ_COMPL;
-const C_FAILED: u64 = tag::DEQ_PREP;
-
-// Fixed layout: [0:NULL][cur line][n X lines][initial node][region] — cur
-// and each X entry on their own cache line (no false sharing).
-const A_CUR: u64 = WORDS_PER_LINE;
-const A_X_BASE: u64 = 2 * WORDS_PER_LINE;
 
 /// Structure-kind word a file-backed CAS object records in its pool
 /// superblock.
 pub const KIND_DETECTABLE_CAS: u64 = AppKind::DetectableCas.word();
-
-/// The CAS object's pool layout, derived from `(nthreads,
-/// nodes_per_thread)` alone (cf. the queue's `QueueLayout`).
-struct CasLayout {
-    nthreads: usize,
-    nodes_per_thread: u64,
-    init_node: u64,
-    region: u64,
-    reg_base: u64,
-}
-
-impl ObjectLayout for CasLayout {
-    const KIND: AppKind = AppKind::DetectableCas;
-
-    fn params(&self) -> Vec<u64> {
-        vec![self.nthreads as u64, self.nodes_per_thread]
-    }
-
-    fn from_params(p: &[u64]) -> Result<Self, &'static str> {
-        let (nthreads, nodes_per_thread) = (thread_count(p[0])?, p[1]);
-        let nodes = checked_words(&[nthreads as u64, nodes_per_thread, NODE_WORDS])?;
-        let x_end = A_X_BASE + nthreads as u64 * WORDS_PER_LINE;
-        let init_node = x_end.next_multiple_of(NODE_WORDS);
-        let region = init_node + NODE_WORDS;
-        let reg_base = (region + nodes).next_multiple_of(WORDS_PER_LINE);
-        Ok(CasLayout { nthreads, nodes_per_thread, init_node, region, reg_base })
-    }
-
-    fn registry_base(&self) -> u64 {
-        self.reg_base
-    }
-}
 
 /// The outcome reported by [`DetectableCas::resolve`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -103,9 +62,11 @@ pub struct ResolvedCas {
 /// assert_eq!(r.resp, Some(true));
 /// ```
 pub struct DetectableCas<M: Memory = PmemPool> {
-    core: DetectableCore<M>,
-    nodes: NodePool,
-    pending: Box<[std::sync::Mutex<Vec<PAddr>>]>,
+    cell: SingleCell<M>,
+}
+
+impl<M: Memory> CellKind for DetectableCas<M> {
+    const KIND: AppKind = AppKind::DetectableCas;
 }
 
 impl DetectableCas {
@@ -132,32 +93,27 @@ impl DetectableCas {
     /// # Panics
     ///
     /// Panics if `nthreads` or `nodes_per_thread` is zero.
-    pub fn create<P: AsRef<std::path::Path>>(
+    pub fn create<P: AsRef<Path>>(
         path: P,
         nthreads: usize,
         nodes_per_thread: u64,
     ) -> Result<Self, AttachError> {
-        let layout = CasLayout::from_args(&[nthreads as u64, nodes_per_thread]);
-        let c = Self::assemble(ObjectCore::create(path, &layout, FlushGranularity::Line)?, &layout);
-        c.format(layout.init_node);
-        Ok(c)
+        SingleCell::create::<Self>(path.as_ref(), nthreads, nodes_per_thread)
+            .map(|cell| Self { cell })
     }
 
     /// Rebuilds a CAS object from a pool file with no in-process state.
     /// Like the register, no recovery phase is needed: after
-    /// [`begin_recovery`](ObjectCore::begin_recovery) +
-    /// [`adopt_orphans`](ObjectCore::adopt_orphans), [`resolve`](Self::resolve)
-    /// answers from persisted state alone.
+    /// [`begin_recovery`](dss_pmem::ObjectCore::begin_recovery) +
+    /// [`adopt_orphans`](dss_pmem::ObjectCore::adopt_orphans),
+    /// [`resolve`](Self::resolve) answers from persisted state alone.
     ///
     /// # Errors
     ///
     /// Any [`AttachError`], including [`AttachError::AppMismatch`] if the
     /// file holds a different structure.
-    pub fn attach<P: AsRef<std::path::Path>>(path: P) -> Result<Self, AttachError> {
-        let (object, layout) = ObjectCore::attach(path)?;
-        let c = Self::assemble(object, &layout);
-        c.rebuild_allocator();
-        Ok(c)
+    pub fn attach<P: AsRef<Path>>(path: P) -> Result<Self, AttachError> {
+        SingleCell::attach::<Self>(path.as_ref()).map(|cell| Self { cell })
     }
 }
 
@@ -170,64 +126,7 @@ impl<M: Memory> DetectableCas<M> {
     ///
     /// Panics if `nthreads` or `nodes_per_thread` is zero.
     pub fn new_in(nthreads: usize, nodes_per_thread: u64, granularity: FlushGranularity) -> Self {
-        let layout = CasLayout::from_args(&[nthreads as u64, nodes_per_thread]);
-        let c = Self::assemble(ObjectCore::fresh(&layout, granularity), &layout);
-        c.format(layout.init_node);
-        c
-    }
-
-    /// The shared constructor tail: in-DRAM side tables over an object
-    /// skeleton — everything `attach` must rebuild rather than map.
-    fn assemble(object: ObjectCore<M>, layout: &CasLayout) -> Self {
-        let (n, region) = (layout.nthreads, PAddr::from_index(layout.region));
-        DetectableCas {
-            core: DetectableCore::new(object, A_X_BASE, WORDS_PER_LINE),
-            nodes: NodePool::new(region, NODE_WORDS, layout.nodes_per_thread, n),
-            pending: (0..n).map(|_| std::sync::Mutex::new(Vec::new())).collect(),
-        }
-    }
-
-    /// Writes and persists the initial object state (fresh pools only —
-    /// never run on attach).
-    fn format(&self, init_node: u64) {
-        let init = PAddr::from_index(init_node);
-        self.pool().store(init.offset(F_NEW), 0);
-        self.pool().store(init.offset(F_EXPECTED), 0);
-        self.pool().store(init.offset(F_WRITER_SEQ), u64::MAX);
-        self.pool().store(init.offset(F_SUPERSEDED), 0);
-        self.pool().flush(init);
-        self.pool().store(self.cur_addr(), init.to_word());
-        self.pool().flush(self.cur_addr());
-        self.core.format_x();
-        self.pool().drain();
-    }
-
-    fn cur_addr(&self) -> PAddr {
-        PAddr::from_index(A_CUR)
-    }
-
-    fn alloc(&self, tid: usize) -> PAddr {
-        self.nodes
-            .alloc_with_reclaim(tid, self.ebr())
-            .unwrap_or_else(|| panic!("CAS node pool exhausted (size it for the workload)"))
-    }
-
-    fn sweep_pending(&self, tid: usize) {
-        let mut pending = self.pending[tid].lock().unwrap_or_else(|e| e.into_inner());
-        let cur = self.pool().peek(self.cur_addr());
-        let x = tag::addr_of(self.pool().peek(self.x_addr(tid)));
-        pending.retain(|&p| {
-            if p.to_word() != cur && p != x {
-                self.ebr().retire(tid, p);
-                false
-            } else {
-                true
-            }
-        });
-    }
-
-    fn push_pending(&self, tid: usize, node: PAddr) {
-        self.pending[tid].lock().unwrap_or_else(|e| e.into_inner()).push(node);
+        Self { cell: SingleCell::new_in::<Self>(nthreads, nodes_per_thread, granularity) }
     }
 
     /// **prep-cas(expected, new, seq)**: allocates and persists a value
@@ -238,28 +137,7 @@ impl<M: Memory> DetectableCas<M> {
     ///
     /// Panics if the node pool is exhausted.
     pub fn prep_cas(&self, h: ThreadHandle, expected: u64, new: u64, seq: u64) {
-        let tid = h.slot();
-        self.sweep_pending(tid);
-        let old = tag::addr_of(self.pool().load(self.x_addr(tid)));
-        let node = self.alloc(tid);
-        self.pool().store(node.offset(F_NEW), new);
-        self.pool().store(node.offset(F_EXPECTED), expected);
-        self.pool().store(node.offset(F_WRITER_SEQ), ((tid as u64) << 48) | (seq & tag::ADDR_MASK));
-        self.pool().store(node.offset(F_SUPERSEDED), 0);
-        self.pool().flush(node);
-        // Ordering point: the announce must not persist ahead of the node
-        // it names.
-        self.pool().drain_lines(&[
-            node.offset(F_NEW),
-            node.offset(F_EXPECTED),
-            node.offset(F_WRITER_SEQ),
-            node.offset(F_SUPERSEDED),
-        ]);
-        // Announce + the durable-before-return drain (DetectableCore).
-        self.core.announce(tid, tag::set(node.to_word(), C_PREP));
-        if !old.is_null() {
-            self.push_pending(tid, old);
-        }
+        self.cell.prep(h, [new, expected], seq);
     }
 
     /// **exec-cas()**: attempts the prepared compare-and-swap, returning
@@ -272,44 +150,7 @@ impl<M: Memory> DetectableCas<M> {
     /// Panics if no CAS is prepared for `tid` (or it already executed —
     /// Axiom 2's precondition `R[pᵢ] = ⊥`).
     pub fn exec_cas(&self, h: ThreadHandle) -> bool {
-        let tid = h.slot();
-        let _g = self.pin(tid);
-        let xa = self.x_addr(tid);
-        let x = self.pool().load(xa);
-        assert!(
-            tag::has(x, C_PREP) && !tag::has(x, C_COMPL),
-            "exec-cas without a pending prepared CAS (X[{tid}] = {x:#x})"
-        );
-        let node = tag::addr_of(x);
-        let expected = self.pool().load(node.offset(F_EXPECTED));
-        let mut bo = self.new_backoff();
-        loop {
-            let cur_w = self.pool().load(self.cur_addr());
-            let cur = tag::addr_of(cur_w);
-            let cur_val = self.pool().load(cur.offset(F_NEW));
-            if cur_val != expected {
-                // The CAS takes effect (fails) at this read.
-                self.core.complete(tid, tag::set(x, C_COMPL | C_FAILED));
-                self.pool().drain();
-                return false;
-            }
-            self.pool().store(cur.offset(F_SUPERSEDED), 1);
-            self.pool().flush(cur.offset(F_SUPERSEDED));
-            // The announce and the incumbent's superseded mark must be
-            // persistent before the install can take effect — resolve
-            // proves installation through either of them.
-            self.pool().drain_lines(&[cur.offset(F_SUPERSEDED), xa]);
-            if self.pool().cas(self.cur_addr(), cur_w, node.to_word()).is_ok() {
-                self.pool().flush(self.cur_addr());
-                // Ordering point: the completion mark must not persist
-                // ahead of the installed pointer it certifies.
-                self.pool().drain_line(self.cur_addr());
-                self.core.complete(tid, tag::set(x, C_COMPL));
-                self.pool().drain();
-                return true;
-            }
-            bo.spin();
-        }
+        self.cell.exec(h, "exec-cas", true)
     }
 
     /// Non-detectable **cas(expected, new)** (Axiom 4).
@@ -318,88 +159,31 @@ impl<M: Memory> DetectableCas<M> {
     ///
     /// Panics if the node pool is exhausted.
     pub fn cas(&self, h: ThreadHandle, expected: u64, new: u64) -> bool {
-        let tid = h.slot();
-        let _g = self.pin(tid);
-        self.sweep_pending(tid);
-        let node = self.alloc(tid);
-        self.pool().store(node.offset(F_NEW), new);
-        self.pool().store(node.offset(F_EXPECTED), expected);
-        self.pool().store(node.offset(F_WRITER_SEQ), u64::MAX);
-        self.pool().store(node.offset(F_SUPERSEDED), 0);
-        self.pool().flush(node);
-        let mut bo = self.new_backoff();
-        loop {
-            let cur_w = self.pool().load(self.cur_addr());
-            let cur = tag::addr_of(cur_w);
-            let cur_val = self.pool().load(cur.offset(F_NEW));
-            if cur_val != expected {
-                // The node was never exposed; free it directly.
-                self.nodes.free(tid, node);
-                self.pool().drain();
-                return false;
-            }
-            self.pool().store(cur.offset(F_SUPERSEDED), 1);
-            self.pool().flush(cur.offset(F_SUPERSEDED));
-            // The new node and the incumbent's superseded mark must be
-            // persistent before the install can take effect.
-            self.pool().drain_lines(&[
-                cur.offset(F_SUPERSEDED),
-                node.offset(F_NEW),
-                node.offset(F_EXPECTED),
-                node.offset(F_WRITER_SEQ),
-                node.offset(F_SUPERSEDED),
-            ]);
-            if self.pool().cas(self.cur_addr(), cur_w, node.to_word()).is_ok() {
-                self.pool().flush(self.cur_addr());
-                self.pool().drain();
-                self.push_pending(tid, node);
-                return true;
-            }
-            bo.spin();
-        }
+        self.cell.write(h, [new, expected], true)
     }
 
     /// **read()** (plain): the current value.
     pub fn read(&self, h: ThreadHandle) -> u64 {
-        let _g = self.pin(h.slot());
-        let cur = tag::addr_of(self.pool().load(self.cur_addr()));
-        self.pool().load(cur.offset(F_NEW))
+        self.cell.read(h)
     }
 
     /// **resolve()**: reports the most recently prepared CAS and whether
     /// it took effect, and with which outcome. Needs no recovery phase;
     /// idempotent.
     pub fn resolve(&self, h: ThreadHandle) -> ResolvedCas {
-        let x = self.pool().load(self.x_addr(h.slot()));
-        if !tag::has(x, C_PREP) {
-            return ResolvedCas { op: None, resp: None };
+        match self.cell.resolve(h) {
+            None => ResolvedCas { op: None, resp: None },
+            Some((a, resp)) => {
+                let expected = self.pool().load(a.node.offset(PAYLOAD1));
+                ResolvedCas { op: Some((expected, a.payload0, a.seq)), resp }
+            }
         }
-        let node = tag::addr_of(x);
-        let op = Some((
-            self.pool().load(node.offset(F_EXPECTED)),
-            self.pool().load(node.offset(F_NEW)),
-            self.pool().load(node.offset(F_WRITER_SEQ)) & tag::ADDR_MASK,
-        ));
-        if tag::has(x, C_COMPL) {
-            return ResolvedCas { op, resp: Some(!tag::has(x, C_FAILED)) };
-        }
-        let installed = self.pool().load(self.cur_addr()) == node.to_word()
-            || self.pool().load(node.offset(F_SUPERSEDED)) == 1;
-        ResolvedCas { op, resp: if installed { Some(true) } else { None } }
     }
 
-    /// Rebuilds the volatile allocator after a crash.
+    /// Rebuilds the volatile allocator after a crash: the current node and
+    /// every `X`-referenced node stay allocated.
     pub fn rebuild_allocator(&self) {
-        let mut live = self.nodes.node_set();
-        live.insert(tag::addr_of(self.pool().load(self.cur_addr())));
-        for i in 0..self.nthreads() {
-            live.insert(tag::addr_of(self.pool().load(self.x_addr(i))));
-        }
-        self.nodes.rebuild(&live);
-        self.ebr().reset();
-        for p in self.pending.iter() {
-            p.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        }
+        self.cell.rebuild_allocator();
     }
 }
 
@@ -407,13 +191,246 @@ impl<M: Memory> Deref for DetectableCas<M> {
     type Target = DetectableCore<M>;
 
     fn deref(&self) -> &DetectableCore<M> {
-        &self.core
+        &self.cell
     }
 }
 
 impl<M: Memory> fmt::Debug for DetectableCas<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DetectableCas").field("nthreads", &self.nthreads()).finish_non_exhaustive()
+    }
+}
+
+/// `X` tag beside `COMPL`: the CAS failed at its compare.
+const FAILED: u64 = tag::DEQ_PREP;
+
+// Fixed layout: [0:NULL][cell line][n X lines][node region][registry].
+const A_CELL: u64 = WORDS_PER_LINE;
+
+/// The public object a cell pool holds: the kind its superblock records.
+pub(crate) trait CellKind {
+    const KIND: AppKind;
+}
+
+/// A cell pool's layout, derived from `(nthreads, nodes_per_thread)`
+/// alone (cf. the queue's `QueueLayout`).
+struct CellLayout<K> {
+    nthreads: usize,
+    nodes_per_thread: u64,
+    region: u64,
+    reg_base: u64,
+    kind: PhantomData<K>,
+}
+
+impl<K: CellKind> ObjectLayout for CellLayout<K> {
+    const KIND: AppKind = K::KIND;
+
+    fn params(&self) -> Vec<u64> {
+        vec![self.nthreads as u64, self.nodes_per_thread]
+    }
+
+    fn from_params(p: &[u64]) -> Result<Self, &'static str> {
+        let (nthreads, nodes_per_thread) = (thread_count(p[0])?, p[1]);
+        let nodes = checked_words(&[nthreads as u64, nodes_per_thread, NODE_WORDS])?;
+        let region = x_end(nthreads);
+        let reg_base = (region + nodes).next_multiple_of(WORDS_PER_LINE);
+        Ok(CellLayout { nthreads, nodes_per_thread, region, reg_base, kind: PhantomData })
+    }
+
+    fn registry_base(&self) -> u64 {
+        self.reg_base
+    }
+}
+
+/// One binding at a fixed pointer word: the register and the CAS object.
+/// The initial value 0 is a node of the pool, so every node the cell ever
+/// names retires the same way.
+pub(crate) struct SingleCell<M: Memory> {
+    values: Bindings<M>,
+}
+
+impl SingleCell<PmemPool> {
+    /// The line-granular, file-backed constructor behind both `create`s.
+    pub(crate) fn create<K: CellKind>(
+        path: &Path,
+        nthreads: usize,
+        nodes_per_thread: u64,
+    ) -> Result<Self, AttachError> {
+        let layout = CellLayout::<K>::from_args(&[nthreads as u64, nodes_per_thread]);
+        let c = Self::assemble(ObjectCore::create(path, &layout, FlushGranularity::Line)?, &layout);
+        c.format();
+        Ok(c)
+    }
+
+    /// The attach path behind both `attach`es: no recovery phase, only the
+    /// allocator rebuild.
+    pub(crate) fn attach<K: CellKind>(path: &Path) -> Result<Self, AttachError> {
+        let (object, layout) = ObjectCore::attach::<CellLayout<K>, _>(path)?;
+        let c = Self::assemble(object, &layout);
+        c.rebuild_allocator();
+        Ok(c)
+    }
+}
+
+impl<M: Memory> SingleCell<M> {
+    /// The fresh-pool constructor behind both `new_in`s.
+    pub(crate) fn new_in<K: CellKind>(
+        nthreads: usize,
+        nodes_per_thread: u64,
+        granularity: FlushGranularity,
+    ) -> Self {
+        let layout = CellLayout::<K>::from_args(&[nthreads as u64, nodes_per_thread]);
+        let c = Self::assemble(ObjectCore::fresh(&layout, granularity), &layout);
+        c.format();
+        c
+    }
+
+    /// The shared constructor tail: in-DRAM side tables over an object
+    /// skeleton — everything `attach` must rebuild rather than map.
+    fn assemble<K: CellKind>(object: ObjectCore<M>, layout: &CellLayout<K>) -> Self {
+        SingleCell {
+            values: Bindings::new(object, K::KIND, layout.region, layout.nodes_per_thread),
+        }
+    }
+
+    /// Binds and persists the initial value 0 (fresh pools only — never
+    /// run on attach).
+    fn format(&self) {
+        let init = self.values.plain_node(0, [0, 0], 0);
+        self.pool().store(self.cell(), init.to_word());
+        self.pool().flush(self.cell());
+        self.format_x();
+        self.pool().drain();
+    }
+
+    fn cell(&self) -> PAddr {
+        PAddr::from_index(A_CELL)
+    }
+
+    /// Announces a detectable write of `payload` tagged `seq`.
+    pub(crate) fn prep(&self, h: ThreadHandle, payload: [u64; 2], seq: u64) {
+        let is_current = |old: PAddr| self.pool().peek(self.cell()) == old.to_word();
+        self.values.prep(h.slot(), payload, seq, 0, is_current);
+    }
+
+    /// Installs the announced node — with `compare`, only over a current
+    /// value equal to its `payload1`, else the failure is the completion.
+    /// Returns whether it installed.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming `op`, if no operation is pending.
+    pub(crate) fn exec(&self, h: ThreadHandle, op: &str, compare: bool) -> bool {
+        let tid = h.slot();
+        let _g = self.pin(tid);
+        let x = self.values.pending(tid, op);
+        let node = tag::addr_of(x);
+        let expected = compare.then(|| self.pool().load(node.offset(PAYLOAD1)));
+        let installed = self.install(tid, node, Some(x), expected);
+        if !installed {
+            // The CAS takes effect (fails) at the compare.
+            self.values.finish(tid, Some(x), FAILED);
+        }
+        installed
+    }
+
+    /// A plain write of `payload` — with `compare`, only over a current
+    /// value equal to `payload[1]`. Returns whether it installed.
+    pub(crate) fn write(&self, h: ThreadHandle, payload: [u64; 2], compare: bool) -> bool {
+        let tid = h.slot();
+        let node = self.values.plain_node(tid, payload, 0);
+        // Pinned after the allocation, which a pin would hold back.
+        let _g = self.pin(tid);
+        let installed = self.install(tid, node, None, compare.then_some(payload[1]));
+        if !installed {
+            // The node was never exposed.
+            self.values.discard(tid, node);
+            self.pool().drain();
+        }
+        installed
+    }
+
+    /// Installs `node` in the cell unless the current value differs from
+    /// `expected`.
+    fn install(&self, tid: usize, node: PAddr, x: Option<u64>, expected: Option<u64>) -> bool {
+        let admit =
+            |cur: PAddr| expected.is_none_or(|e| self.pool().load(cur.offset(PAYLOAD0)) == e);
+        let mut bo = self.new_backoff();
+        loop {
+            match self.values.install(tid, self.cell(), node, x, admit) {
+                Install::Done => return true,
+                Install::Refused => return false,
+                Install::Lost => bo.spin(),
+            }
+        }
+    }
+
+    /// The current value.
+    pub(crate) fn read(&self, h: ThreadHandle) -> u64 {
+        let _g = self.pin(h.slot());
+        let cur = self.values.current(self.cell());
+        self.pool().load(cur.offset(PAYLOAD0))
+    }
+
+    /// The announced operation and, if it took effect, whether it
+    /// installed (`false`: a CAS that failed at its compare).
+    pub(crate) fn resolve(&self, h: ThreadHandle) -> Option<(Announced, Option<bool>)> {
+        let a = self.values.announced(h.slot())?;
+        let effect = a
+            .took_effect(|node| self.values.current(self.cell()) == node)
+            .then(|| !tag::has(a.x, FAILED));
+        Some((a, effect))
+    }
+
+    /// Rebuilds the volatile allocator after a crash: the current node and
+    /// every `X`-referenced node stay allocated.
+    pub(crate) fn rebuild_allocator(&self) {
+        self.values.rebuild(|live| {
+            live.insert(tag::addr_of(self.pool().peek(self.cell())));
+        });
+    }
+}
+
+#[cfg(test)]
+impl SingleCell<PmemPool> {
+    /// Races two writers through `op(h, i)` over the cell and checks node
+    /// conservation ([`Bindings::assert_conserved`]) once they quiesce.
+    /// Then `h1` overwrites `h0`'s installed write while `X[h0]` still
+    /// names it, and after a crash the rebuild must park that node with
+    /// `h0` again and conserve every node.
+    pub(crate) fn check_conservation(
+        &self,
+        hs: [ThreadHandle; 2],
+        op: impl Fn(ThreadHandle, u64) + Sync,
+    ) {
+        let assert_conserved = || {
+            let cur = tag::addr_of(self.pool().peek(self.cell()));
+            self.values.assert_conserved([(cur, "binding")]);
+        };
+        std::thread::scope(|s| {
+            for h in hs {
+                let op = &op;
+                s.spawn(move || (0..20_000).for_each(|i| op(h, i + h.slot() as u64)));
+            }
+        });
+        assert_conserved();
+        let [h0, h1] = hs;
+        self.prep(h0, [1, 0], 0);
+        self.exec(h0, "exec", false);
+        let first = tag::addr_of(self.pool().peek(self.x_addr(h0.slot())));
+        self.write(h1, [2, 0], false);
+        self.pool().crash(&dss_pmem::WritebackAdversary::None);
+        self.rebuild_allocator();
+        assert_eq!(*self.values.held(h0.slot()), vec![first]);
+        assert_conserved();
+    }
+}
+
+impl<M: Memory> Deref for SingleCell<M> {
+    type Target = DetectableCore<M>;
+
+    fn deref(&self) -> &DetectableCore<M> {
+        &self.values
     }
 }
 
@@ -479,33 +496,36 @@ mod tests {
 
     #[test]
     fn crash_sweep_successful_cas() {
-        for adv in [
-            WritebackAdversary::None,
-            WritebackAdversary::All,
-            WritebackAdversary::Random { seed: 11, prob: 0.5 },
-        ] {
-            for k in 1..40 {
-                let c = DetectableCas::new(1, 8);
-                let h0 = c.register_thread().unwrap();
-                let crashed = c.pool().crashes_within(k, || {
-                    c.prep_cas(h0, 0, 5, 2);
-                    c.exec_cas(h0);
-                });
-                if !crashed {
-                    break;
-                }
-                c.pool().crash(&adv);
-                c.rebuild_allocator();
-                let now = c.read(h0);
-                match c.resolve(h0) {
-                    ResolvedCas { op: None, resp: None } => assert_eq!(now, 0, "k={k} {adv:?}"),
-                    ResolvedCas { op: Some((0, 5, 2)), resp: Some(true) } => {
-                        assert_eq!(now, 5, "k={k} {adv:?}")
+        for granularity in [FlushGranularity::Line, FlushGranularity::Word] {
+            for adv in [
+                WritebackAdversary::None,
+                WritebackAdversary::All,
+                WritebackAdversary::Random { seed: 11, prob: 0.5 },
+            ] {
+                for k in 1..40 {
+                    let c = <DetectableCas>::new_in(1, 8, granularity);
+                    let h0 = c.register_thread().unwrap();
+                    let crashed = c.pool().crashes_within(k, || {
+                        c.prep_cas(h0, 0, 5, 2);
+                        c.exec_cas(h0);
+                    });
+                    if !crashed {
+                        break;
                     }
-                    ResolvedCas { op: Some((0, 5, 2)), resp: None } => {
-                        assert_eq!(now, 0, "k={k} {adv:?}")
+                    c.pool().crash(&adv);
+                    c.rebuild_allocator();
+                    let now = c.read(h0);
+                    let at = format!("k={k} {granularity:?} {adv:?}");
+                    match c.resolve(h0) {
+                        ResolvedCas { op: None, resp: None } => assert_eq!(now, 0, "{at}"),
+                        ResolvedCas { op: Some((0, 5, 2)), resp: Some(true) } => {
+                            assert_eq!(now, 5, "{at}")
+                        }
+                        ResolvedCas { op: Some((0, 5, 2)), resp: None } => {
+                            assert_eq!(now, 0, "{at}")
+                        }
+                        other => panic!("{at}: impossible resolution {other:?}"),
                     }
-                    other => panic!("k={k} {adv:?}: impossible resolution {other:?}"),
                 }
             }
         }
@@ -513,23 +533,52 @@ mod tests {
 
     #[test]
     fn crash_sweep_failing_cas_never_reports_success() {
-        for k in 1..40 {
-            let c = DetectableCas::new(1, 8);
-            let h0 = c.register_thread().unwrap();
-            let crashed = c.pool().crashes_within(k, || {
-                c.prep_cas(h0, 3, 5, 0); // object holds 0: must fail
-                c.exec_cas(h0);
-            });
-            if !crashed {
-                break;
-            }
-            c.pool().crash(&WritebackAdversary::All);
-            c.rebuild_allocator();
-            assert_eq!(c.read(h0), 0, "k={k}: failing CAS must never change the value");
-            if let ResolvedCas { resp: Some(true), .. } = c.resolve(h0) {
-                panic!("k={k}: failing CAS resolved as success");
+        for granularity in [FlushGranularity::Line, FlushGranularity::Word] {
+            for k in 1..40 {
+                let c = <DetectableCas>::new_in(1, 8, granularity);
+                let h0 = c.register_thread().unwrap();
+                let crashed = c.pool().crashes_within(k, || {
+                    c.prep_cas(h0, 3, 5, 0); // object holds 0: must fail
+                    c.exec_cas(h0);
+                });
+                if !crashed {
+                    break;
+                }
+                c.pool().crash(&WritebackAdversary::All);
+                c.rebuild_allocator();
+                let at = format!("k={k} {granularity:?}");
+                assert_eq!(c.read(h0), 0, "{at}: failing CAS must never change the value");
+                if let ResolvedCas { resp: Some(true), .. } = c.resolve(h0) {
+                    panic!("{at}: failing CAS resolved as success");
+                }
             }
         }
+    }
+
+    #[test]
+    fn value_nodes_are_conserved_under_mixed_writers() {
+        // Detectable and plain CASes that succeed or fail race with
+        // abandoned preps over a small pool.
+        let c = DetectableCas::new(2, 16);
+        let hs = [0, 1].map(|_| c.register_thread().unwrap());
+        c.cell.check_conservation(hs, |h, i| {
+            let v = c.read(h);
+            match i % 5 {
+                0 => {
+                    c.prep_cas(h, v, v + 1, i);
+                    c.exec_cas(h);
+                }
+                1 => {
+                    c.prep_cas(h, u64::MAX, 0, i);
+                    assert!(!c.exec_cas(h));
+                }
+                2 => {
+                    c.cas(h, v, v + 1);
+                }
+                3 => assert!(!c.cas(h, u64::MAX, 0)),
+                _ => c.prep_cas(h, v, v + 1, i), // abandoned
+            }
+        });
     }
 
     #[test]

@@ -57,6 +57,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
+mod binding;
 mod cas;
 mod detect;
 mod map;

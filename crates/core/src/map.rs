@@ -2,35 +2,18 @@
 //! [`DetectableCore`].
 //!
 //! The map is the "new object family" test of the core extraction: bucket
-//! chains over the [`Memory`] backend, with the register/CAS value-node
-//! indirection idiom applied per key. Two node kinds share one
-//! [`NodePool`]:
+//! chains over the [`Memory`] backend, with one [binding](crate::binding)
+//! per key — the same versioned-node protocol the register and the CAS
+//! object run on their single cell. Two node kinds share one node pool:
 //!
 //! * **Entry nodes** `{key, vptr, next}` — one per *key*, prepended to a
 //!   bucket chain when the key first appears and never reclaimed
-//!   (immortal), so chain walks need no generation checks.
-//! * **Value nodes** `{key, value, seq, flags}` — one per *write*
-//!   (put or remove), immutable except for the `flags` word. An installer
-//!   marks the incumbent's `SUPERSEDED` flag (persisted) before swinging
-//!   the entry's `vptr`, so a writer can prove its write took effect —
-//!   across crashes and later overwrites — exactly as the detectable
-//!   register does. A remove installs a value node with the `TOMBSTONE`
-//!   flag; the key's entry stays, the binding reads as absent.
-//!
-//! A value node is **retired exactly once**, at a cost independent of how
-//! many bindings its writer owns:
-//!
-//! * **The superseder retires.** The thread whose `vptr` CAS replaced a
-//!   node retires it at once — unless some `X[t]` still names it
-//!   (`resolve` may dereference it), in which case it parks the node in
-//!   slot `t`'s `held` list, and slot `t` retires it at the top of a
-//!   later write, once `X[t]` has moved on.
-//! * **The owner retires what was never installed.** When a prep moves
-//!   `X` off its previous node (an abandoned prep, or a remove of an
-//!   absent key), the owner retires that node if it is neither its key's
-//!   current binding nor flagged `SUPERSEDED`. The flag is set before the
-//!   replacing CAS, so such a node was never installed and no other
-//!   thread knows of it.
+//!   (immortal), so chain walks need no generation checks. The `vptr`
+//!   word is the key's binding.
+//! * **Value nodes** `[key, value, seq, flags]` — one per *write* (put or
+//!   remove), installed, proved and retired by the binding protocol. A
+//!   remove installs a value node with the `TOMBSTONE` flag; the key's
+//!   entry stays, the binding reads as absent.
 //!
 //! Buckets grow **crash-atomically** by whole levels: level `k` holds
 //! `buckets0 · 2ᵏ` head words, level bases are derivable from the layout
@@ -50,40 +33,27 @@ use std::ops::Deref;
 
 use dss_pmem::object::{checked_words, thread_count};
 use dss_pmem::{
-    tag, AppKind, AttachError, CachePadded, FlushGranularity, Memory, NodePool, ObjectCore,
-    ObjectLayout, PAddr, PmemPool, Registry, ThreadHandle, WORDS_PER_LINE,
+    tag, AppKind, AttachError, FlushGranularity, Memory, ObjectCore, ObjectLayout, PAddr, PmemPool,
+    Registry, ThreadHandle, WORDS_PER_LINE,
 };
 use dss_spec::types::{KvOp, KvResp};
 
+use crate::binding::{x_end, Bindings, Install, FLAGS, NODE_WORDS, PAYLOAD0, PAYLOAD1};
 use crate::detect::DetectableCore;
 
-// Entry-node layout (4 words; nodes never straddle lines because the node
-// region is NODE_WORDS-aligned and NODE_WORDS divides WORDS_PER_LINE).
+// Entry-node layout (the value nodes' width; the node region is
+// NODE_WORDS-aligned). A value node's payload is `[key, value]`.
 const E_KEY: u64 = 0;
 const E_VPTR: u64 = 1;
 const E_NEXT: u64 = 2;
 
-// Value-node layout (same pool, same width).
-const V_KEY: u64 = 0;
-const V_VALUE: u64 = 1;
-const V_SEQ: u64 = 2;
-const V_FLAGS: u64 = 3;
-const NODE_WORDS: u64 = 4;
-
-/// `flags` bit: a later write replaced this node as its key's binding.
-const FLAG_SUPERSEDED: u64 = 1;
-/// `flags` bit: this node is a remove — the binding reads as absent.
+/// Value-node `flags` bit: this node is a remove — the binding reads as
+/// absent.
 const FLAG_TOMBSTONE: u64 = 2;
-
-// Map-local X tags (bit positions shared with the queue's enqueue tags;
-// the objects never share an X word, so reuse is safe).
-const M_PREP: u64 = tag::ENQ_PREP;
-const M_COMPL: u64 = tag::ENQ_COMPL;
 
 // Fixed layout head: [0:NULL][directory line][n X lines][level-0 buckets]
 // [node region][registry][extension levels...].
 const A_NLEVELS: u64 = WORDS_PER_LINE;
-const A_X_BASE: u64 = 2 * WORDS_PER_LINE;
 
 /// Hard cap on bucket levels: level `MAX_LEVELS - 1` already holds
 /// `2^(MAX_LEVELS-1)` times the initial bucket count.
@@ -121,8 +91,7 @@ impl ObjectLayout for MapLayout {
         if !checked_words(&[buckets0])?.is_power_of_two() {
             return Err("bucket count is not a power of two");
         }
-        let x_end = A_X_BASE + nthreads as u64 * WORDS_PER_LINE;
-        let buckets_base = x_end.next_multiple_of(WORDS_PER_LINE);
+        let buckets_base = x_end(nthreads);
         let region = (buckets_base + buckets0).next_multiple_of(NODE_WORDS);
         let reg_base = (region + nodes).next_multiple_of(WORDS_PER_LINE);
         let ext_base =
@@ -181,17 +150,11 @@ pub struct ResolvedMap {
 /// assert_eq!(r.resp, Some(KvResp::Ok));
 /// ```
 pub struct DetectableMap<M: Memory = PmemPool> {
-    core: DetectableCore<M>,
-    nodes: NodePool,
+    /// The keys' bindings; entry nodes come from the same pool.
+    values: Bindings<M>,
     buckets_base: u64,
     ext_base: u64,
     buckets0: u64,
-    /// Per-slot superseded value nodes that slot's `X` still named when
-    /// they were replaced (see the module docs). Slot `t` retires them
-    /// once `X[t]` moves on, so `resolve` can always dereference `X`
-    /// safely. Never holds a current binding: at most a couple of nodes.
-    /// Padded, since every prep locks its own slot's list.
-    held: Box<[CachePadded<std::sync::Mutex<Vec<PAddr>>>]>,
 }
 
 impl DetectableMap {
@@ -299,14 +262,12 @@ impl<M: Memory> DetectableMap<M> {
     /// The shared constructor tail: in-DRAM side tables over an object
     /// skeleton — everything `attach` must rebuild rather than map.
     fn assemble(object: ObjectCore<M>, layout: &MapLayout) -> Self {
-        let (n, region) = (layout.nthreads, PAddr::from_index(layout.region));
+        let nodes_per_thread = 2 * layout.nodes_per_thread;
         DetectableMap {
-            core: DetectableCore::new(object, A_X_BASE, WORDS_PER_LINE),
-            nodes: NodePool::new(region, NODE_WORDS, 2 * layout.nodes_per_thread, n),
+            values: Bindings::new(object, AppKind::DetectableMap, layout.region, nodes_per_thread),
             buckets_base: layout.buckets_base,
             ext_base: layout.ext_base,
             buckets0: layout.buckets0,
-            held: (0..n).map(|_| CachePadded(std::sync::Mutex::new(Vec::new()))).collect(),
         }
     }
 
@@ -316,7 +277,7 @@ impl<M: Memory> DetectableMap<M> {
     fn format(&self) {
         self.pool().store(PAddr::from_index(A_NLEVELS), 1);
         self.pool().flush(PAddr::from_index(A_NLEVELS));
-        self.core.format_x();
+        self.format_x();
         self.pool().drain();
     }
 
@@ -358,14 +319,21 @@ impl<M: Memory> DetectableMap<M> {
     /// Adds one bucket level, crash-atomically: materializes the new
     /// level's segments first ([`Memory::reserve`]; fresh words read 0 =
     /// empty chains), then publishes the new level count with a single
-    /// persisted word store. An administrative, quiescent operation — run
-    /// it while no other thread operates on the map. Returns the new
-    /// level count.
+    /// persisted word store. An administrative, quiescent operation: it
+    /// takes `&mut self`, so no other thread can operate on the map
+    /// meanwhile — not even through an `Arc`:
+    ///
+    /// ```compile_fail,E0596
+    /// let m = std::sync::Arc::new(dss_core::DetectableMap::new(1, 8, 4));
+    /// m.grow(); // cannot borrow data in an `Arc` as mutable
+    /// ```
+    ///
+    /// Returns the new level count.
     ///
     /// # Panics
     ///
     /// Panics at [`MAX_LEVELS`].
-    pub fn grow(&self) -> u64 {
+    pub fn grow(&mut self) -> u64 {
         let n = self.nlevels();
         assert!(n < MAX_LEVELS, "map already at MAX_LEVELS ({MAX_LEVELS}) bucket levels");
         let new = n + 1;
@@ -386,16 +354,22 @@ impl<M: Memory> DetectableMap<M> {
     /// [`link_entry`](Self::link_entry)). Entries are unique per key across
     /// levels: an insert checks every level before creating one.
     fn find_entry(&self, key: u64) -> Result<PAddr, u64> {
-        let n = self.nlevels();
+        self.find_entry_with(key, |a| self.pool().load(a))
+    }
+
+    /// [`find_entry`](Self::find_entry) reading words with `read`: the
+    /// retirement checks pass uninstrumented peeks, so they don't perturb
+    /// counted experiments.
+    fn find_entry_with(&self, key: u64, read: impl Fn(PAddr) -> u64) -> Result<PAddr, u64> {
         let mut head = 0;
-        for k in 0..n {
-            head = self.pool().load(self.bucket_addr(k, key));
+        for k in 0..self.nlevels() {
+            head = read(self.bucket_addr(k, key));
             let mut e = tag::addr_of(head);
             while !e.is_null() {
-                if self.pool().load(e.offset(E_KEY)) == key {
+                if read(e.offset(E_KEY)) == key {
                     return Ok(e);
                 }
-                e = tag::addr_of(self.pool().load(e.offset(E_NEXT)));
+                e = tag::addr_of(read(e.offset(E_NEXT)));
             }
         }
         Err(head)
@@ -424,7 +398,7 @@ impl<M: Memory> DetectableMap<M> {
     ) -> bool {
         let level = self.nlevels() - 1;
         let ba = self.bucket_addr(level, key);
-        let en = self.alloc(tid);
+        let en = self.values.alloc(tid);
         self.pool().store(en.offset(E_KEY), key);
         self.pool().store(en.offset(E_VPTR), vn.to_word());
         let head_w = self.pool().load(ba);
@@ -450,95 +424,24 @@ impl<M: Memory> DetectableMap<M> {
         }
         // Lost the race (possibly to this very key's first writer): the
         // entry was never exposed, so free it directly.
-        self.nodes.free(tid, en);
+        self.values.discard(tid, en);
         false
     }
 
-    /// Uninstrumented twin of [`find_entry`](Self::find_entry) for
-    /// retirement checks, so they don't perturb counted experiments.
-    fn find_entry_peek(&self, key: u64) -> Option<PAddr> {
-        let n = self.nlevels();
-        for k in 0..n {
-            let mut e = tag::addr_of(self.pool().peek(self.bucket_addr(k, key)));
-            while !e.is_null() {
-                if self.pool().peek(e.offset(E_KEY)) == key {
-                    return Some(e);
+    /// Visits every entry node with the value node it binds, over every
+    /// level (uninstrumented): the allocator rebuild, snapshots and
+    /// conservation checks.
+    fn walk(&self, mut visit: impl FnMut(PAddr, PAddr)) {
+        for k in 0..self.nlevels() {
+            for b in 0..self.level_buckets(k) {
+                let mut e =
+                    tag::addr_of(self.pool().peek(PAddr::from_index(self.level_base(k) + b)));
+                while !e.is_null() {
+                    visit(e, tag::addr_of(self.pool().peek(e.offset(E_VPTR))));
+                    e = tag::addr_of(self.pool().peek(e.offset(E_NEXT)));
                 }
-                e = tag::addr_of(self.pool().peek(e.offset(E_NEXT)));
             }
         }
-        None
-    }
-
-    // --- allocation and reclamation -------------------------------------
-
-    fn alloc(&self, tid: usize) -> PAddr {
-        self.nodes
-            .alloc_with_reclaim(tid, self.ebr())
-            .unwrap_or_else(|| panic!("map node pool exhausted (size it for the workload)"))
-    }
-
-    fn held(&self, slot: usize) -> std::sync::MutexGuard<'_, Vec<PAddr>> {
-        self.held[slot].lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The superseder's half of retirement: `old` was just replaced by the
-    /// caller's install CAS. Retire it, or park it with the slot whose `X`
-    /// still names it. Only that slot's next prep moves `X` off `old`, and
-    /// `old` cannot reappear in any `X` before it is retired.
-    fn release_superseded(&self, tid: usize, old: PAddr) {
-        let named_by =
-            (0..self.nthreads()).find(|&t| tag::addr_of(self.pool().peek(self.x_addr(t))) == old);
-        match named_by {
-            Some(t) => self.held(t).push(old),
-            None => self.ebr().retire(tid, old),
-        }
-    }
-
-    /// Retires the nodes parked with slot `tid` that `X[tid]` no longer
-    /// names; called at the top of every prep and plain write.
-    fn release_held(&self, tid: usize) {
-        let x = tag::addr_of(self.pool().peek(self.x_addr(tid)));
-        self.held(tid).retain(|&p| {
-            if p != x {
-                self.ebr().retire(tid, p);
-            }
-            p == x
-        });
-    }
-
-    /// The owner's half of retirement: `X[tid]` has just moved off `old`.
-    /// If `old` is neither its key's current binding nor flagged
-    /// `SUPERSEDED`, it was never installed — the flag is set before the
-    /// replacing CAS, and is read here after the binding — so no
-    /// superseder will retire it.
-    fn release_uninstalled(&self, tid: usize, old: PAddr) {
-        let key = self.pool().peek(old.offset(V_KEY));
-        let current = self
-            .find_entry_peek(key)
-            .is_some_and(|en| self.pool().peek(en.offset(E_VPTR)) == old.to_word());
-        if !current && self.pool().peek(old.offset(V_FLAGS)) & FLAG_SUPERSEDED == 0 {
-            self.ebr().retire(tid, old);
-        }
-    }
-
-    /// Allocates and persists a value node; the announce (or plain
-    /// install) must not persist ahead of it.
-    fn init_value_node(&self, tid: usize, key: u64, value: u64, seq: u64, flags: u64) -> PAddr {
-        let node = self.alloc(tid);
-        self.pool().store(node.offset(V_KEY), key);
-        self.pool().store(node.offset(V_VALUE), value);
-        self.pool().store(node.offset(V_SEQ), seq);
-        self.pool().store(node.offset(V_FLAGS), flags);
-        // Every field word, not just the node base: under word-granular
-        // flushing the fields are separate flush units.
-        self.pool().persist_batch(&[
-            node.offset(V_KEY),
-            node.offset(V_VALUE),
-            node.offset(V_SEQ),
-            node.offset(V_FLAGS),
-        ]);
-        node
     }
 
     // --- detectable operations ------------------------------------------
@@ -565,20 +468,12 @@ impl<M: Memory> DetectableMap<M> {
     }
 
     fn prep_write(&self, h: ThreadHandle, key: u64, val: u64, seq: u64, flags: u64) {
-        let tid = h.slot();
-        self.release_held(tid);
-        let old = tag::addr_of(self.pool().load(self.x_addr(tid)));
-        let node = self.init_value_node(tid, key, val, pack(tid, seq), flags);
-        // Pinned after the allocation, which a pin would hold back, and
-        // before the announce: once X[tid] stops naming `old`, a superseder
-        // may retire it, and it must not be recycled before the check
-        // below has read it.
-        let _g = self.core.pin(tid);
-        // Announce + the durable-before-return drain (DetectableCore).
-        self.core.announce(tid, tag::set(node.to_word(), M_PREP));
-        if !old.is_null() {
-            self.release_uninstalled(tid, old);
-        }
+        let peek = |a| self.pool().peek(a);
+        let is_current = |old: PAddr| {
+            self.find_entry_with(peek(old.offset(PAYLOAD0)), peek)
+                .is_ok_and(|en| peek(en.offset(E_VPTR)) == old.to_word())
+        };
+        self.values.prep(h.slot(), [key, val], seq, flags, is_current);
     }
 
     /// **exec-put()**: installs the prepared value node as its key's
@@ -591,21 +486,7 @@ impl<M: Memory> DetectableMap<M> {
     /// Panics if no put is prepared for `tid` (or it already executed —
     /// Axiom 2's precondition `R[pᵢ] = ⊥`).
     pub fn exec_put(&self, h: ThreadHandle) -> KvResp {
-        let tid = h.slot();
-        let _g = self.core.pin(tid);
-        let xa = self.x_addr(tid);
-        let x = self.pool().load(xa);
-        assert!(
-            tag::has(x, M_PREP) && !tag::has(x, M_COMPL),
-            "exec-put without a pending prepared operation (X[{tid}] = {x:#x})"
-        );
-        let vn = tag::addr_of(x);
-        assert!(
-            self.pool().load(vn.offset(V_FLAGS)) & FLAG_TOMBSTONE == 0,
-            "exec-put after prep-remove (use exec_remove)"
-        );
-        self.install(tid, x, vn, true);
-        KvResp::Ok
+        self.exec(h, false)
     }
 
     /// **exec-remove()**: installs the prepared tombstone into the key's
@@ -616,74 +497,56 @@ impl<M: Memory> DetectableMap<M> {
     ///
     /// Panics if no remove is prepared for `tid` (or it already executed).
     pub fn exec_remove(&self, h: ThreadHandle) -> KvResp {
+        self.exec(h, true)
+    }
+
+    fn exec(&self, h: ThreadHandle, remove: bool) -> KvResp {
         let tid = h.slot();
-        let _g = self.core.pin(tid);
-        let xa = self.x_addr(tid);
-        let x = self.pool().load(xa);
-        assert!(
-            tag::has(x, M_PREP) && !tag::has(x, M_COMPL),
-            "exec-remove without a pending prepared operation (X[{tid}] = {x:#x})"
-        );
+        let _g = self.pin(tid);
+        let (op, prep) =
+            if remove { ("exec-remove", "prep-put") } else { ("exec-put", "prep-remove") };
+        let x = self.values.pending(tid, op);
         let vn = tag::addr_of(x);
-        assert!(
-            self.pool().load(vn.offset(V_FLAGS)) & FLAG_TOMBSTONE != 0,
-            "exec-remove after prep-put (use exec_put)"
-        );
-        self.install(tid, x, vn, false);
+        let tombstone = self.pool().load(vn.offset(FLAGS)) & FLAG_TOMBSTONE != 0;
+        assert!(tombstone == remove, "{op} after {prep}");
+        let key = self.pool().load(vn.offset(PAYLOAD0));
+        self.install(tid, vn, key, Some(x), remove);
         KvResp::Ok
     }
 
-    /// The shared install machine: binds the announced value node `vn` to
-    /// its key. `create_entry` distinguishes put (a fresh key gains an
-    /// entry) from remove (an absent key needs no chain surgery — the
-    /// remove takes effect trivially).
-    fn install(&self, tid: usize, x: u64, vn: PAddr, create_entry: bool) {
-        let xa = self.x_addr(tid);
-        let key = self.pool().load(vn.offset(V_KEY));
+    /// The install machine of every write: binds the value node `vn` to
+    /// `key` — detectably if `x` is the caller's `X` word. A put of a fresh
+    /// key prepends an entry; a `remove` of an absent key takes effect
+    /// trivially, with no chain surgery.
+    fn install(&self, tid: usize, vn: PAddr, key: u64, x: Option<u64>, remove: bool) {
         let mut bo = self.new_backoff();
         loop {
             match self.find_entry(key) {
                 Ok(en) => {
-                    let eva = en.offset(E_VPTR);
-                    let old_w = self.pool().load(eva);
-                    let old = tag::addr_of(old_w);
-                    // Mark the incumbent superseded *before* replacing it:
-                    // its owner must be able to prove installation even
-                    // after we win. (Preserve its TOMBSTONE bit.)
-                    let fl = self.pool().load(old.offset(V_FLAGS));
-                    self.pool().store(old.offset(V_FLAGS), fl | FLAG_SUPERSEDED);
-                    self.pool().flush(old.offset(V_FLAGS));
-                    // The announce and the incumbent's superseded mark
-                    // must be persistent before the install can take
-                    // effect — resolve proves installation through either.
-                    self.pool().drain_lines(&[old.offset(V_FLAGS), xa]);
-                    if self.pool().cas(eva, old_w, vn.to_word()).is_ok() {
-                        self.pool().flush(eva);
-                        // Ordering point: the completion mark must not
-                        // persist ahead of the install it certifies.
-                        self.pool().drain_line(eva);
-                        self.core.complete(tid, tag::set(x, M_COMPL));
-                        self.pool().drain();
-                        self.release_superseded(tid, old);
+                    if let Install::Done =
+                        self.values.install(tid, en.offset(E_VPTR), vn, x, |_| true)
+                    {
                         return;
                     }
                 }
-                Err(_) if !create_entry => {
-                    // Removing an absent key: effect is trivial, nothing
-                    // to persist but the completion mark.
-                    self.core.complete(tid, tag::set(x, M_COMPL));
-                    self.pool().drain();
+                Err(_) if remove => {
+                    // Nothing to persist but a detectable remove's
+                    // completion mark; a plain one's node was never exposed.
+                    match x {
+                        Some(_) => self.values.finish(tid, x, 0),
+                        None => self.values.discard(tid, vn),
+                    }
                     return;
                 }
                 Err(head) => {
                     // First write to this key: prepend an entry seeded
                     // with vn.
-                    if self.link_entry(tid, key, vn, head, Some(xa)) {
-                        // Ordering point: completion behind the prepend.
-                        let ba = self.bucket_addr(self.nlevels() - 1, key);
-                        self.pool().drain_line(ba);
-                        self.core.complete(tid, tag::set(x, M_COMPL));
-                        self.pool().drain();
+                    if self.link_entry(tid, key, vn, head, x.map(|_| self.x_addr(tid))) {
+                        if x.is_some() {
+                            // Ordering point: completion behind the prepend.
+                            self.pool().drain_line(self.bucket_addr(self.nlevels() - 1, key));
+                        }
+                        self.values.finish(tid, x, 0);
                         return;
                     }
                 }
@@ -715,56 +578,24 @@ impl<M: Memory> DetectableMap<M> {
 
     fn plain_write(&self, h: ThreadHandle, key: u64, val: u64, flags: u64) -> KvResp {
         let tid = h.slot();
-        self.release_held(tid);
-        let vn = self.init_value_node(tid, key, val, u64::MAX, flags);
+        let vn = self.values.plain_node(tid, [key, val], flags);
         // Pinned after the allocation, which a pin would hold back.
-        let _g = self.core.pin(tid);
-        let mut bo = self.new_backoff();
-        loop {
-            match self.find_entry(key) {
-                Ok(en) => {
-                    let eva = en.offset(E_VPTR);
-                    let old_w = self.pool().load(eva);
-                    let old = tag::addr_of(old_w);
-                    let fl = self.pool().load(old.offset(V_FLAGS));
-                    self.pool().store(old.offset(V_FLAGS), fl | FLAG_SUPERSEDED);
-                    self.pool().flush(old.offset(V_FLAGS));
-                    self.pool().drain_line(old.offset(V_FLAGS));
-                    if self.pool().cas(eva, old_w, vn.to_word()).is_ok() {
-                        self.pool().flush(eva);
-                        self.pool().drain();
-                        self.release_superseded(tid, old);
-                        return KvResp::Ok;
-                    }
-                }
-                Err(_) if flags & FLAG_TOMBSTONE != 0 => {
-                    // Removing an absent key: trivial effect; the node was
-                    // never exposed.
-                    self.nodes.free(tid, vn);
-                    return KvResp::Ok;
-                }
-                Err(head) => {
-                    if self.link_entry(tid, key, vn, head, None) {
-                        self.pool().drain();
-                        return KvResp::Ok;
-                    }
-                }
-            }
-            bo.spin();
-        }
+        let _g = self.pin(tid);
+        self.install(tid, vn, key, None, flags & FLAG_TOMBSTONE != 0);
+        KvResp::Ok
     }
 
     /// **get(key)** (plain): the key's current value, or `Absent`.
     pub fn get(&self, h: ThreadHandle, key: u64) -> KvResp {
-        let _g = self.core.pin(h.slot());
+        let _g = self.pin(h.slot());
         match self.find_entry(key) {
             Err(_) => KvResp::Absent,
             Ok(en) => {
-                let vn = tag::addr_of(self.pool().load(en.offset(E_VPTR)));
-                if self.pool().load(vn.offset(V_FLAGS)) & FLAG_TOMBSTONE != 0 {
+                let vn = self.values.current(en.offset(E_VPTR));
+                if self.pool().load(vn.offset(FLAGS)) & FLAG_TOMBSTONE != 0 {
                     KvResp::Absent
                 } else {
-                    KvResp::Value(self.pool().load(vn.offset(V_VALUE)))
+                    KvResp::Value(self.pool().load(vn.offset(PAYLOAD1)))
                 }
             }
         }
@@ -774,32 +605,25 @@ impl<M: Memory> DetectableMap<M> {
     /// whether it took effect. Needs no prior recovery phase; callable
     /// any time, idempotent.
     ///
-    /// The effect proof mirrors the register's: the completion mark, the
-    /// node's persisted `SUPERSEDED` flag, or the node being its key's
-    /// current binding each individually prove installation. A remove of
-    /// an absent key leaves only the completion mark — a crash before it
+    /// The effect proof is the binding's: the completion mark, the node's
+    /// persisted `SUPERSEDED` flag, or the node being its key's current
+    /// binding each individually prove installation. A remove of an
+    /// absent key leaves only the completion mark — a crash before it
     /// reports the remove unresolved, and re-executing is idempotent.
     pub fn resolve(&self, h: ThreadHandle) -> ResolvedMap {
-        let x = self.pool().load(self.x_addr(h.slot()));
-        if !tag::has(x, M_PREP) {
+        let Some(a) = self.values.announced(h.slot()) else {
             return ResolvedMap { op: None, resp: None };
-        }
-        let vn = tag::addr_of(x);
-        let key = self.pool().load(vn.offset(V_KEY));
-        let seq = self.pool().load(vn.offset(V_SEQ)) & tag::ADDR_MASK;
-        let flags = self.pool().load(vn.offset(V_FLAGS));
-        let op = if flags & FLAG_TOMBSTONE != 0 {
+        };
+        let op = if a.flags & FLAG_TOMBSTONE != 0 {
             KvOp::Remove
         } else {
-            KvOp::Put(self.pool().load(vn.offset(V_VALUE)))
+            KvOp::Put(self.pool().load(a.node.offset(PAYLOAD1)))
         };
-        let effective = tag::has(x, M_COMPL)
-            || flags & FLAG_SUPERSEDED != 0
-            || self
-                .find_entry(key)
-                .is_ok_and(|en| self.pool().load(en.offset(E_VPTR)) == vn.to_word());
+        let effective = a.took_effect(|vn| {
+            self.find_entry(a.payload0).is_ok_and(|en| self.values.current(en.offset(E_VPTR)) == vn)
+        });
         ResolvedMap {
-            op: Some((key, op, seq)),
+            op: Some((a.payload0, op, a.seq)),
             resp: if effective { Some(KvResp::Ok) } else { None },
         }
     }
@@ -812,71 +636,32 @@ impl<M: Memory> DetectableMap<M> {
     /// and superseded is parked with its slot again — its superseder's
     /// obligation to retire it did not survive the crash.
     pub fn rebuild_allocator(&self) {
-        let mut live = self.nodes.node_set();
-        let n = self.nlevels();
-        for k in 0..n {
-            for b in 0..self.level_buckets(k) {
-                let head = PAddr::from_index(self.level_base(k) + b);
-                let mut e = tag::addr_of(self.pool().peek(head));
-                while !e.is_null() {
-                    live.insert(e);
-                    let v = tag::addr_of(self.pool().peek(e.offset(E_VPTR)));
-                    if !v.is_null() {
-                        live.insert(v);
-                    }
-                    e = tag::addr_of(self.pool().peek(e.offset(E_NEXT)));
-                }
-            }
-        }
-        for i in 0..self.nthreads() {
-            let d = tag::addr_of(self.pool().peek(self.x_addr(i)));
-            let mut held = self.held(i);
-            held.clear();
-            if !d.is_null()
-                && live.insert(d)
-                && self.pool().peek(d.offset(V_FLAGS)) & FLAG_SUPERSEDED != 0
-            {
-                held.push(d);
-            }
-        }
-        self.nodes.rebuild(&live);
-        self.ebr().reset();
+        self.values.rebuild(|live| {
+            self.walk(|en, vn| {
+                live.insert(en);
+                live.insert(vn);
+            })
+        });
     }
 
     /// The map's current contents (uninstrumented), for conservation
     /// checks and debugging.
     pub fn snapshot(&self) -> BTreeMap<u64, u64> {
-        let mut out = BTreeMap::new();
-        let n = self.nlevels();
-        for k in 0..n {
-            for b in 0..self.level_buckets(k) {
-                let head = PAddr::from_index(self.level_base(k) + b);
-                let mut e = tag::addr_of(self.pool().peek(head));
-                while !e.is_null() {
-                    let vn = tag::addr_of(self.pool().peek(e.offset(E_VPTR)));
-                    if !vn.is_null() && self.pool().peek(vn.offset(V_FLAGS)) & FLAG_TOMBSTONE == 0 {
-                        out.insert(
-                            self.pool().peek(e.offset(E_KEY)),
-                            self.pool().peek(vn.offset(V_VALUE)),
-                        );
-                    }
-                    e = tag::addr_of(self.pool().peek(e.offset(E_NEXT)));
-                }
+        let (mut out, peek) = (BTreeMap::new(), |a| self.pool().peek(a));
+        self.walk(|en, vn| {
+            if !vn.is_null() && peek(vn.offset(FLAGS)) & FLAG_TOMBSTONE == 0 {
+                out.insert(peek(en.offset(E_KEY)), peek(vn.offset(PAYLOAD1)));
             }
-        }
+        });
         out
     }
-}
-
-fn pack(pid: usize, seq: u64) -> u64 {
-    ((pid as u64) << 48) | (seq & tag::ADDR_MASK)
 }
 
 impl<M: Memory> Deref for DetectableMap<M> {
     type Target = DetectableCore<M>;
 
     fn deref(&self) -> &DetectableCore<M> {
-        &self.core
+        &self.values
     }
 }
 
@@ -921,20 +706,10 @@ mod tests {
         let h1 = m.register_thread().unwrap();
         let walked = m.find_entry(7).expect_err("key 7 is absent");
         assert_eq!(m.put(h1, 7, 70), KvResp::Ok);
-        let vn = m.init_value_node(h0.slot(), 7, 71, u64::MAX, 0);
+        let vn = m.values.plain_node(h0.slot(), [7, 71], 0);
         assert!(!m.link_entry(h0.slot(), 7, vn, walked, None), "the stale head must be refused");
-        let entries = (0..m.nlevels())
-            .flat_map(|k| {
-                let mut chain = Vec::new();
-                let mut e = tag::addr_of(m.pool().peek(m.bucket_addr(k, 7)));
-                while !e.is_null() {
-                    chain.push(m.pool().peek(e.offset(E_KEY)));
-                    e = tag::addr_of(m.pool().peek(e.offset(E_NEXT)));
-                }
-                chain
-            })
-            .filter(|&key| key == 7)
-            .count();
+        let mut entries = 0;
+        m.walk(|en, _| entries += usize::from(m.pool().peek(en.offset(E_KEY)) == 7));
         assert_eq!(entries, 1, "exactly one entry for key 7");
         assert_eq!(m.get(h0, 7), KvResp::Value(70));
     }
@@ -1030,114 +805,101 @@ mod tests {
         m.exec_put(h); // Axiom 2: R[pᵢ] ≠ ⊥
     }
 
-    #[test]
-    fn crash_sweep_put_fresh_key() {
-        // prep-put(1, 10); exec-put() on an empty map, crashing at every
-        // pmem-op index under three writeback adversaries: resolve must
-        // agree with what a get observes.
-        for adv in [
-            WritebackAdversary::None,
-            WritebackAdversary::All,
-            WritebackAdversary::Random { seed: 5, prob: 0.5 },
-        ] {
-            for k in 1..80 {
-                let m = DetectableMap::new(1, 8, 8);
-                let h = m.register_thread().unwrap();
-                let crashed = m.pool().crashes_within(k, || {
-                    m.prep_put(h, 1, 10, 9);
-                    m.exec_put(h);
-                });
-                if !crashed {
-                    break;
-                }
-                m.pool().crash(&adv);
-                m.rebuild_allocator();
-                let now = m.get(h, 1);
-                match m.resolve(h) {
-                    ResolvedMap { op: None, resp: None } => {
-                        assert_eq!(now, KvResp::Absent, "k={k} {adv:?}")
+    /// Crashes `prep` + `exec` on a map of one thread (after `setup`) at
+    /// every pmem-op index, under both flush granularities and each of
+    /// `advs`, and checks each resolution against what a get of `key`
+    /// observes: `before` if the write took no effect, `after` if it did.
+    fn crash_sweep(
+        advs: &[WritebackAdversary],
+        setup: impl Fn(&DetectableMap, ThreadHandle),
+        write: impl Fn(&DetectableMap, ThreadHandle),
+        (key, op, seq): (u64, KvOp, u64),
+        (before, after): (KvResp, KvResp),
+    ) {
+        for granularity in [FlushGranularity::Line, FlushGranularity::Word] {
+            for adv in advs {
+                for k in 1..80 {
+                    let m = <DetectableMap>::new_in(1, 8, 8, granularity);
+                    let h = m.register_thread().unwrap();
+                    setup(&m, h);
+                    if !m.pool().crashes_within(k, || write(&m, h)) {
+                        break;
                     }
-                    ResolvedMap { op: Some((1, KvOp::Put(10), 9)), resp: Some(KvResp::Ok) } => {
-                        assert_eq!(now, KvResp::Value(10), "k={k} {adv:?}: effect persisted")
+                    m.pool().crash(adv);
+                    m.rebuild_allocator();
+                    let now = m.get(h, key);
+                    let at = format!("k={k} {granularity:?} {adv:?}");
+                    match m.resolve(h) {
+                        ResolvedMap { op: None, resp: None } => assert_eq!(now, before, "{at}"),
+                        ResolvedMap { op: Some(o), resp: Some(KvResp::Ok) }
+                            if o == (key, op, seq) =>
+                        {
+                            assert_eq!(now, after, "{at}: effect persisted")
+                        }
+                        ResolvedMap { op: Some(o), resp: None } if o == (key, op, seq) => {
+                            assert_eq!(now, before, "{at}: no effect")
+                        }
+                        other => panic!("{at}: impossible resolution {other:?}"),
                     }
-                    ResolvedMap { op: Some((1, KvOp::Put(10), 9)), resp: None } => {
-                        assert_eq!(now, KvResp::Absent, "k={k} {adv:?}: no effect")
-                    }
-                    other => panic!("k={k} {adv:?}: impossible resolution {other:?}"),
                 }
             }
         }
+    }
+
+    #[test]
+    fn crash_sweep_put_fresh_key() {
+        // prep-put(1, 10); exec-put() on an empty map.
+        crash_sweep(
+            &[
+                WritebackAdversary::None,
+                WritebackAdversary::All,
+                WritebackAdversary::Random { seed: 5, prob: 0.5 },
+            ],
+            |_, _| {},
+            |m, h| {
+                m.prep_put(h, 1, 10, 9);
+                m.exec_put(h);
+            },
+            (1, KvOp::Put(10), 9),
+            (KvResp::Absent, KvResp::Value(10)),
+        );
     }
 
     #[test]
     fn crash_sweep_update_existing_key() {
-        for adv in [WritebackAdversary::None, WritebackAdversary::All] {
-            for k in 1..80 {
-                let m = DetectableMap::new(1, 8, 8);
-                let h = m.register_thread().unwrap();
+        crash_sweep(
+            &[WritebackAdversary::None, WritebackAdversary::All],
+            |m, h| {
                 m.put(h, 2, 20);
-                let crashed = m.pool().crashes_within(k, || {
-                    m.prep_put(h, 2, 21, 3);
-                    m.exec_put(h);
-                });
-                if !crashed {
-                    break;
-                }
-                m.pool().crash(&adv);
-                m.rebuild_allocator();
-                let now = m.get(h, 2);
-                match m.resolve(h) {
-                    ResolvedMap { op: None, resp: None } => {
-                        assert_eq!(now, KvResp::Value(20), "k={k} {adv:?}")
-                    }
-                    ResolvedMap { op: Some((2, KvOp::Put(21), 3)), resp: Some(KvResp::Ok) } => {
-                        assert_eq!(now, KvResp::Value(21), "k={k} {adv:?}")
-                    }
-                    ResolvedMap { op: Some((2, KvOp::Put(21), 3)), resp: None } => {
-                        assert_eq!(now, KvResp::Value(20), "k={k} {adv:?}")
-                    }
-                    other => panic!("k={k} {adv:?}: impossible resolution {other:?}"),
-                }
-            }
-        }
+            },
+            |m, h| {
+                m.prep_put(h, 2, 21, 3);
+                m.exec_put(h);
+            },
+            (2, KvOp::Put(21), 3),
+            (KvResp::Value(20), KvResp::Value(21)),
+        );
     }
 
     #[test]
     fn crash_sweep_remove() {
-        for adv in [WritebackAdversary::None, WritebackAdversary::All] {
-            for k in 1..80 {
-                let m = DetectableMap::new(1, 8, 8);
-                let h = m.register_thread().unwrap();
+        crash_sweep(
+            &[WritebackAdversary::None, WritebackAdversary::All],
+            |m, h| {
                 m.put(h, 6, 60);
-                let crashed = m.pool().crashes_within(k, || {
-                    m.prep_remove(h, 6, 4);
-                    m.exec_remove(h);
-                });
-                if !crashed {
-                    break;
-                }
-                m.pool().crash(&adv);
-                m.rebuild_allocator();
-                let now = m.get(h, 6);
-                match m.resolve(h) {
-                    ResolvedMap { op: None, resp: None } => {
-                        assert_eq!(now, KvResp::Value(60), "k={k} {adv:?}")
-                    }
-                    ResolvedMap { op: Some((6, KvOp::Remove, 4)), resp: Some(KvResp::Ok) } => {
-                        assert_eq!(now, KvResp::Absent, "k={k} {adv:?}")
-                    }
-                    ResolvedMap { op: Some((6, KvOp::Remove, 4)), resp: None } => {
-                        assert_eq!(now, KvResp::Value(60), "k={k} {adv:?}")
-                    }
-                    other => panic!("k={k} {adv:?}: impossible resolution {other:?}"),
-                }
-            }
-        }
+            },
+            |m, h| {
+                m.prep_remove(h, 6, 4);
+                m.exec_remove(h);
+            },
+            (6, KvOp::Remove, 4),
+            (KvResp::Value(60), KvResp::Absent),
+        );
     }
 
     #[test]
     fn grow_preserves_contents_and_spreads_new_keys() {
-        let m = DetectableMap::new(1, 256, 4);
+        let mut m = DetectableMap::new(1, 256, 4);
         let h = m.register_thread().unwrap();
         for k in 0..32 {
             m.put(h, k, k + 1000);
@@ -1165,12 +927,13 @@ mod tests {
         // reads either the old or the new level count, never a torn
         // table, and the contents are intact either way.
         for k in 1..12 {
-            let m = DetectableMap::new(1, 64, 4);
+            let mut m = DetectableMap::new(1, 64, 4);
             let h = m.register_thread().unwrap();
             for key in 0..16 {
                 m.put(h, key, key * 2);
             }
-            let crashed = m.pool().crashes_within(k, || {
+            let pool = Arc::clone(m.pool());
+            let crashed = pool.crashes_within(k, || {
                 m.grow();
             });
             m.pool().crash(&WritebackAdversary::All);
@@ -1253,7 +1016,7 @@ mod tests {
             .join(format!("dss-map-test-{}-roundtrip.pool", std::process::id()));
         let _ = std::fs::remove_file(&path);
         {
-            let m = DetectableMap::create(&path, 2, 32, 8).unwrap();
+            let mut m = DetectableMap::create(&path, 2, 32, 8).unwrap();
             let h = m.register_thread().unwrap();
             for k in 0..10 {
                 m.put(h, k, k + 1);
@@ -1311,16 +1074,21 @@ mod tests {
             m.exec_put(h);
         }
         for k in 0..3 {
-            let expect = (9999 / 3) * 3 + k - if k > 0 { 3 } else { 0 };
             // last i with i % 3 == k among 0..10_000
             let last = (0..10_000u64).rev().find(|i| i % 3 == k).unwrap();
-            let _ = expect;
             assert_eq!(m.get(h, k), KvResp::Value(last), "key {k}");
         }
     }
 
+    /// [`Bindings::assert_conserved`] over the map's entries and bindings.
+    fn assert_conserved(m: &DetectableMap) {
+        let mut owned = Vec::new();
+        m.walk(|en, vn| owned.extend([(en, "entry"), (vn, "binding")]));
+        m.values.assert_conserved(owned);
+    }
+
     fn held_len(m: &DetectableMap) -> usize {
-        (0..m.nthreads()).map(|t| m.held(t).len()).sum()
+        (0..m.nthreads()).map(|t| m.values.held(t).len()).sum()
     }
 
     #[test]
@@ -1380,47 +1148,7 @@ mod tests {
         });
         assert!(held_len(&m) <= 2, "held lists stay tiny: {}", held_len(&m));
 
-        let mut place: std::collections::HashMap<PAddr, &str> = Default::default();
-        let count = |place: &mut std::collections::HashMap<_, _>, node, what: &'static str| {
-            assert!(m.nodes.contains(node), "{what} node {node:?} is not a pool node");
-            if let Some(prev) = place.insert(node, what) {
-                panic!("node {node:?} counted as {prev} and as {what}");
-            }
-        };
-        for k in 0..m.nlevels() {
-            for b in 0..m.level_buckets(k) {
-                let mut e = tag::addr_of(m.pool().peek(PAddr::from_index(m.level_base(k) + b)));
-                while !e.is_null() {
-                    count(&mut place, e, "entry");
-                    count(&mut place, tag::addr_of(m.pool().peek(e.offset(E_VPTR))), "binding");
-                    e = tag::addr_of(m.pool().peek(e.offset(E_NEXT)));
-                }
-            }
-        }
-        for t in 0..m.nthreads() {
-            for &p in m.held(t).iter() {
-                count(&mut place, p, "held");
-            }
-        }
-        // Nobody is pinned, so a few epoch advances drain every limbo list.
-        for _ in 0..4 {
-            for p in m.ebr().collect_all(0) {
-                count(&mut place, p, "limbo");
-            }
-        }
-        assert_eq!(m.ebr().limbo_len(), 0);
-        while let Some(p) = m.nodes.alloc(0) {
-            count(&mut place, p, "free");
-        }
-        // An X node is a binding, held, or (never installed) its own.
-        for h in hs {
-            let x = tag::addr_of(m.pool().peek(m.x_addr(h.slot())));
-            match place.get(&x) {
-                None => count(&mut place, x, "X"),
-                Some(&at) => assert!(matches!(at, "binding" | "held"), "X node {x:?} is {at}"),
-            }
-        }
-        assert_eq!(place.len() as u64, m.nodes.total_nodes(), "every node accounted for");
+        assert_conserved(&m);
     }
 
     #[test]
@@ -1436,10 +1164,11 @@ mod tests {
         m.put(h1, 1, 11);
         m.pool().crash(&WritebackAdversary::None);
         m.rebuild_allocator();
-        assert_eq!(*m.held(h0.slot()), vec![first]);
+        assert_eq!(*m.values.held(h0.slot()), vec![first]);
+        assert_conserved(&m);
         m.prep_put(h0, 2, 20, 1);
         m.exec_put(h0);
-        assert_eq!(*m.held(h0.slot()), vec![first], "X[h0] moved on only just now");
+        assert_eq!(*m.values.held(h0.slot()), vec![first], "X[h0] moved on only just now");
         m.put(h0, 3, 30);
         assert_eq!(held_len(&m), 0);
         assert_eq!(m.ebr().limbo_len(), 1, "retired once, by its slot");
