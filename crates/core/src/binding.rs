@@ -231,7 +231,7 @@ impl<M: Memory> Bindings<M> {
     /// # Panics
     ///
     /// Panics, naming `op`, if it does not.
-    pub(crate) fn pending(&self, tid: usize, op: &str) -> u64 {
+    pub(crate) fn prepared(&self, tid: usize, op: &str) -> u64 {
         let x = self.pool().load(self.x_addr(tid));
         assert!(
             tag::has(x, PREP) && !tag::has(x, COMPL),

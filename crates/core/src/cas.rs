@@ -104,9 +104,9 @@ impl DetectableCas {
 
     /// Rebuilds a CAS object from a pool file with no in-process state.
     /// Like the register, no recovery phase is needed: after
-    /// [`begin_recovery`](dss_pmem::ObjectCore::begin_recovery) +
-    /// [`adopt_orphans`](dss_pmem::ObjectCore::adopt_orphans),
-    /// [`resolve`](Self::resolve) answers from persisted state alone.
+    /// [`begin_recovery`](ObjectCore::begin_recovery) +
+    /// [`adopt_orphans`](ObjectCore::adopt_orphans), [`resolve`](Self::resolve)
+    /// answers from persisted state alone.
     ///
     /// # Errors
     ///
@@ -323,7 +323,7 @@ impl<M: Memory> SingleCell<M> {
     pub(crate) fn exec(&self, h: ThreadHandle, op: &str, compare: bool) -> bool {
         let tid = h.slot();
         let _g = self.pin(tid);
-        let x = self.values.pending(tid, op);
+        let x = self.values.prepared(tid, op);
         let node = tag::addr_of(x);
         let expected = compare.then(|| self.pool().load(node.offset(PAYLOAD1)));
         let installed = self.install(tid, node, Some(x), expected);

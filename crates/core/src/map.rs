@@ -505,7 +505,7 @@ impl<M: Memory> DetectableMap<M> {
         let _g = self.pin(tid);
         let (op, prep) =
             if remove { ("exec-remove", "prep-put") } else { ("exec-put", "prep-remove") };
-        let x = self.values.pending(tid, op);
+        let x = self.values.prepared(tid, op);
         let vn = tag::addr_of(x);
         let tombstone = self.pool().load(vn.offset(FLAGS)) & FLAG_TOMBSTONE != 0;
         assert!(tombstone == remove, "{op} after {prep}");

@@ -12,7 +12,6 @@
 
 use std::fmt;
 use std::ops::Deref;
-use std::path::Path;
 
 use dss_pmem::{tag, AppKind, AttachError, FlushGranularity, Memory, PmemPool, ThreadHandle};
 use dss_spec::types::RegisterResp;
@@ -95,7 +94,7 @@ impl DetectableRegister {
     /// # Panics
     ///
     /// Panics if `nthreads` or `nodes_per_thread` is zero.
-    pub fn create<P: AsRef<Path>>(
+    pub fn create<P: AsRef<std::path::Path>>(
         path: P,
         nthreads: usize,
         nodes_per_thread: u64,
@@ -114,7 +113,7 @@ impl DetectableRegister {
     ///
     /// Any [`AttachError`], including [`AttachError::AppMismatch`] if the
     /// file holds a different structure.
-    pub fn attach<P: AsRef<Path>>(path: P) -> Result<Self, AttachError> {
+    pub fn attach<P: AsRef<std::path::Path>>(path: P) -> Result<Self, AttachError> {
         SingleCell::attach::<Self>(path.as_ref()).map(|cell| Self { cell })
     }
 }
