@@ -19,10 +19,10 @@
 //!   `SUPERSEDED`, persisted and ordered with the announce, *before* it
 //!   CASes the pointer; then it persists the pointer and, for a
 //!   detectable write, the completion mark.
-//! * **Effect proof** ([`Announced::took_effect`]): a prepared write took
-//!   effect iff `X` carries [`COMPL`], or its node is flagged
-//!   `SUPERSEDED`, or its node is still current. All three survive a
-//!   crash, so `resolve` needs no recovery phase.
+//! * **Effect proof** ([`took_effect`](Bindings::took_effect)): a
+//!   prepared write took effect iff `X` carries [`COMPL`], or its node is
+//!   flagged `SUPERSEDED`, or its node is still current. All three survive
+//!   a crash, so `resolve` needs no recovery phase.
 //!
 //! A value node is **retired exactly once**, at a cost independent of how
 //! many bindings its writer owns:
@@ -41,7 +41,9 @@
 //! After a crash, [`rebuild`](Bindings::rebuild) keeps every node an `X`
 //! word names and parks a superseded one with its slot again. Retirement
 //! uses only uninstrumented `peek`s and EBR calls: it adds no pool
-//! operation.
+//! operation. The objects read a pointer word only through
+//! [`current`](Bindings::current), store a fresh one only with
+//! [`seed`](Bindings::seed), and leave every compare of one to this module.
 
 use std::ops::Deref;
 use std::sync::{Mutex, MutexGuard};
@@ -122,14 +124,6 @@ pub(crate) struct Announced {
     pub(crate) flags: u64,
 }
 
-impl Announced {
-    /// The effect proof: the completion mark, the `SUPERSEDED` flag, or —
-    /// asked last — `is_current(node)`.
-    pub(crate) fn took_effect(&self, is_current: impl FnOnce(PAddr) -> bool) -> bool {
-        tag::has(self.x, COMPL) || self.flags & SUPERSEDED != 0 || is_current(self.node)
-    }
-}
-
 impl<M: Memory> Deref for Bindings<M> {
     type Target = DetectableCore<M>;
 
@@ -199,8 +193,8 @@ impl<M: Memory> Bindings<M> {
     }
 
     /// The prep of a detectable write: persists a value node and durably
-    /// announces it in `X[tid]`. `is_current` tells (uninstrumented)
-    /// whether a node is its binding's current one; the owner's half of
+    /// announces it in `X[tid]`. `ptr_of` names (uninstrumented) the
+    /// pointer word a node's binding lives in, if any; the owner's half of
     /// retirement asks it about the node `X` moved off.
     pub(crate) fn prep(
         &self,
@@ -208,7 +202,7 @@ impl<M: Memory> Bindings<M> {
         payload: [u64; 2],
         seq: u64,
         flags: u64,
-        is_current: impl FnOnce(PAddr) -> bool,
+        ptr_of: impl FnOnce(PAddr) -> Option<PAddr>,
     ) {
         self.release_held(tid);
         let old = tag::addr_of(self.pool().load(self.x_addr(tid)));
@@ -220,9 +214,20 @@ impl<M: Memory> Bindings<M> {
         let _g = self.pin(tid);
         // Announce + the durable-before-return drain (DetectableCore).
         self.announce(tid, tag::set(node.to_word(), PREP));
-        if !old.is_null() {
-            self.release_uninstalled(tid, old, is_current);
+        // The owner's half of retirement: a node X moved off that was
+        // never installed is known to no other thread.
+        if !old.is_null() && !self.installed(old, ptr_of(old)) {
+            self.ebr().retire(tid, old);
         }
+    }
+
+    /// Whether `node` was ever installed (uninstrumented): it is current
+    /// at its binding's pointer word `ptr`, or flagged `SUPERSEDED`. The
+    /// flag is set before the replacing CAS and read here after the
+    /// pointer, so a node replaced in between is still seen.
+    fn installed(&self, node: PAddr, ptr: Option<PAddr>) -> bool {
+        ptr.is_some_and(|p| self.peek_node(p) == node)
+            || self.pool().peek(node.offset(FLAGS)) & SUPERSEDED != 0
     }
 
     /// `X[tid]`, asserting it announces an operation not yet completed
@@ -245,10 +250,30 @@ impl<M: Memory> Bindings<M> {
         tag::addr_of(self.pool().load(ptr))
     }
 
+    /// The node the pointer word at `word` names, uninstrumented: a
+    /// binding's current node (see [`current`](Self::current)), or the node
+    /// an `X` word announces. For retirement, rebuilds and snapshots.
+    pub(crate) fn peek_node(&self, word: PAddr) -> PAddr {
+        tag::addr_of(self.pool().peek(word))
+    }
+
+    /// Stores a fresh binding's pointer word at `ptr`, which no other
+    /// thread sees yet, naming `node`. The caller persists it.
+    pub(crate) fn seed(&self, ptr: PAddr, node: PAddr) {
+        self.pool().store(ptr, node.to_word());
+    }
+
     /// One attempt to bind `node` at the pointer word `ptr`; the caller
     /// retries on [`Install::Lost`]. `x` is the caller's `X` word for a
     /// detectable install and `None` for a plain one. `admit` sees the
     /// current node before anything is written: the CAS object's compare.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a detectable install's node was installed already — a
+    /// crash between the install and its completion mark, after which
+    /// `resolve` reports the write as taken effect (Axiom 2). Installing
+    /// it again would retire a live node.
     pub(crate) fn install(
         &self,
         tid: usize,
@@ -260,6 +285,10 @@ impl<M: Memory> Bindings<M> {
         let pool = self.pool();
         let old_w = pool.load(ptr);
         let old = tag::addr_of(old_w);
+        assert!(
+            x.is_none() || !self.installed(node, Some(ptr)),
+            "exec of a write that already took effect (X[{tid}] names installed node {node:?})"
+        );
         if !admit(old) {
             return Install::Refused;
         }
@@ -301,6 +330,15 @@ impl<M: Memory> Bindings<M> {
         self.pool().drain();
     }
 
+    /// The effect proof of [`announced`](Self::announced)'s operation `a`:
+    /// the completion mark, the `SUPERSEDED` flag, or — asked last — its
+    /// node being current at `ptr()`, its binding's pointer word, if any.
+    pub(crate) fn took_effect(&self, a: &Announced, ptr: impl FnOnce() -> Option<PAddr>) -> bool {
+        tag::has(a.x, COMPL)
+            || a.flags & SUPERSEDED != 0
+            || ptr().is_some_and(|p| self.current(p) == a.node)
+    }
+
     /// The operation `X[slot]` announces, if any. Loads `X`, then the
     /// node's `payload0`, seq and flags.
     pub(crate) fn announced(&self, slot: usize) -> Option<Announced> {
@@ -323,9 +361,7 @@ impl<M: Memory> Bindings<M> {
     /// still names it. Only that slot's next prep moves `X` off `old`, and
     /// `old` cannot reappear in any `X` before it is retired.
     fn release_superseded(&self, tid: usize, old: PAddr) {
-        let named_by =
-            (0..self.nthreads()).find(|&t| tag::addr_of(self.pool().peek(self.x_addr(t))) == old);
-        match named_by {
+        match (0..self.nthreads()).find(|&t| self.peek_node(self.x_addr(t)) == old) {
             Some(t) => self.held(t).push(old),
             None => self.ebr().retire(tid, old),
         }
@@ -334,22 +370,9 @@ impl<M: Memory> Bindings<M> {
     /// Retires the nodes parked with slot `tid` that `X[tid]` no longer
     /// names; called at the top of every write.
     fn release_held(&self, tid: usize) {
-        let x = tag::addr_of(self.pool().peek(self.x_addr(tid)));
-        self.held(tid).retain(|&p| {
-            if p != x {
-                self.ebr().retire(tid, p);
-            }
-            p == x
-        });
-    }
-
-    /// The owner's half of retirement: `X[tid]` has just moved off `old`.
-    /// If `old` is neither current nor flagged `SUPERSEDED`, it was never
-    /// installed — the flag is set before the replacing CAS, and is read
-    /// here after the binding — so no superseder will retire it.
-    fn release_uninstalled(&self, tid: usize, old: PAddr, is_current: impl FnOnce(PAddr) -> bool) {
-        if !is_current(old) && self.pool().peek(old.offset(FLAGS)) & SUPERSEDED == 0 {
-            self.ebr().retire(tid, old);
+        let x = self.peek_node(self.x_addr(tid));
+        for p in self.held(tid).extract_if(.., |p| *p != x) {
+            self.ebr().retire(tid, p);
         }
     }
 
@@ -362,10 +385,10 @@ impl<M: Memory> Bindings<M> {
         let mut live = self.nodes.node_set();
         mark(&mut live);
         for i in 0..self.nthreads() {
-            let d = tag::addr_of(self.pool().peek(self.x_addr(i)));
+            let d = self.peek_node(self.x_addr(i));
             let mut held = self.held(i);
             held.clear();
-            if live.insert(d) && self.pool().peek(d.offset(FLAGS)) & SUPERSEDED != 0 {
+            if live.insert(d) && self.installed(d, None) {
                 held.push(d);
             }
         }
@@ -387,28 +410,64 @@ impl<M: Memory> Bindings<M> {
         let limbo: Vec<_> = (0..4).flat_map(|_| self.ebr().collect_all(0)).collect();
         assert_eq!(self.ebr().limbo_len(), 0);
         let free: Vec<_> = std::iter::from_fn(|| self.nodes.alloc(0)).collect();
+        // Last, X nodes: a binding, held, or (never installed) their own —
+        // and no other X word's.
+        let xs: Vec<_> = (0..self.nthreads())
+            .map(|t| self.peek_node(self.x_addr(t)))
+            .filter(|x| !x.is_null())
+            .collect();
         let mut place = std::collections::HashMap::new();
         for (node, what) in owned.into_iter().chain(
-            [(held, "held"), (limbo, "limbo"), (free, "free")]
+            [(held, "held"), (limbo, "limbo"), (free, "free"), (xs, "X")]
                 .into_iter()
                 .flat_map(|(nodes, what)| nodes.into_iter().map(move |p| (p, what))),
         ) {
             assert!(self.nodes.contains(node), "{what} node {node:?} is not a pool node");
-            if let Some(prev) = place.insert(node, what) {
-                panic!("node {node:?} counted as {prev} and as {what}");
+            match (place.insert(node, what), what) {
+                (None, _) | (Some("binding" | "held"), "X") => {}
+                (Some(prev), _) => panic!("node {node:?} counted as {prev} and as {what}"),
             }
             if matches!(what, "limbo" | "free") {
                 self.nodes.free(0, node);
             }
         }
-        // An X node is a binding, held, or (never installed) its own.
-        for t in 0..self.nthreads() {
-            let x = tag::addr_of(self.pool().peek(self.x_addr(t)));
-            if !x.is_null() {
-                let at = *place.entry(x).or_insert("X");
-                assert!(matches!(at, "X" | "binding" | "held"), "X node {x:?} is {at}");
+        assert_eq!(place.len() as u64, self.nodes.total_nodes(), "every node accounted for");
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use dss_pmem::{FlushGranularity, PmemPool, ThreadHandle, WritebackAdversary};
+
+    /// `obj` with its one thread registered.
+    pub(crate) fn one_thread<T: Deref<Target = DetectableCore<PmemPool>>>(
+        obj: T,
+    ) -> (T, ThreadHandle) {
+        let h = obj.register_thread().unwrap();
+        (obj, h)
+    }
+
+    /// Runs `op` on a fresh object from `new`, crashing at every pmem-op
+    /// index in turn, under both flush granularities and each of `advs`;
+    /// after each crash `check` judges the object, `at` naming the point.
+    pub(crate) fn crash_sweep<T: Deref<Target = DetectableCore<PmemPool>>>(
+        advs: &[WritebackAdversary],
+        new: impl Fn(FlushGranularity) -> (T, ThreadHandle),
+        op: impl Fn(&T, ThreadHandle),
+        check: impl Fn(&T, ThreadHandle, &str),
+    ) {
+        for granularity in [FlushGranularity::Line, FlushGranularity::Word] {
+            for adv in advs {
+                for k in 1.. {
+                    let (obj, h) = new(granularity);
+                    if !obj.pool().crashes_within(k, || op(&obj, h)) {
+                        break;
+                    }
+                    obj.pool().crash(adv);
+                    check(&obj, h, &format!("k={k} {granularity:?} {adv:?}"));
+                }
             }
         }
-        assert_eq!(place.len() as u64, self.nodes.total_nodes(), "every node accounted for");
     }
 }

@@ -147,8 +147,9 @@ impl<M: Memory> DetectableCas<M> {
     ///
     /// # Panics
     ///
-    /// Panics if no CAS is prepared for `tid` (or it already executed —
-    /// Axiom 2's precondition `R[pᵢ] = ⊥`).
+    /// Panics if no CAS is prepared for `tid`, or it already took effect —
+    /// completed, or installed before a crash that `resolve` reports
+    /// (Axiom 2's precondition `R[pᵢ] = ⊥`).
     pub fn exec_cas(&self, h: ThreadHandle) -> bool {
         self.cell.exec(h, "exec-cas", true)
     }
@@ -203,9 +204,6 @@ impl<M: Memory> fmt::Debug for DetectableCas<M> {
 
 /// `X` tag beside `COMPL`: the CAS failed at its compare.
 const FAILED: u64 = tag::DEQ_PREP;
-
-// Fixed layout: [0:NULL][cell line][n X lines][node region][registry].
-const A_CELL: u64 = WORDS_PER_LINE;
 
 /// The public object a cell pool holds: the kind its superblock records.
 pub(crate) trait CellKind {
@@ -297,20 +295,21 @@ impl<M: Memory> SingleCell<M> {
     /// run on attach).
     fn format(&self) {
         let init = self.values.plain_node(0, [0, 0], 0);
-        self.pool().store(self.cell(), init.to_word());
+        self.values.seed(self.cell(), init);
         self.pool().flush(self.cell());
         self.format_x();
         self.pool().drain();
     }
 
+    /// The cell, on the root line of the fixed layout `[0:NULL][cell
+    /// line][n X lines][node region][registry]`.
     fn cell(&self) -> PAddr {
-        PAddr::from_index(A_CELL)
+        PAddr::from_index(WORDS_PER_LINE)
     }
 
     /// Announces a detectable write of `payload` tagged `seq`.
     pub(crate) fn prep(&self, h: ThreadHandle, payload: [u64; 2], seq: u64) {
-        let is_current = |old: PAddr| self.pool().peek(self.cell()) == old.to_word();
-        self.values.prep(h.slot(), payload, seq, 0, is_current);
+        self.values.prep(h.slot(), payload, seq, 0, |_| Some(self.cell()));
     }
 
     /// Installs the announced node — with `compare`, only over a current
@@ -319,7 +318,8 @@ impl<M: Memory> SingleCell<M> {
     ///
     /// # Panics
     ///
-    /// Panics, naming `op`, if no operation is pending.
+    /// Panics, naming `op`, if no operation is pending, and if it already
+    /// took effect ([`Bindings::install`]).
     pub(crate) fn exec(&self, h: ThreadHandle, op: &str, compare: bool) -> bool {
         let tid = h.slot();
         let _g = self.pin(tid);
@@ -376,9 +376,8 @@ impl<M: Memory> SingleCell<M> {
     /// installed (`false`: a CAS that failed at its compare).
     pub(crate) fn resolve(&self, h: ThreadHandle) -> Option<(Announced, Option<bool>)> {
         let a = self.values.announced(h.slot())?;
-        let effect = a
-            .took_effect(|node| self.values.current(self.cell()) == node)
-            .then(|| !tag::has(a.x, FAILED));
+        let effect =
+            self.values.took_effect(&a, || Some(self.cell())).then(|| !tag::has(a.x, FAILED));
         Some((a, effect))
     }
 
@@ -386,7 +385,7 @@ impl<M: Memory> SingleCell<M> {
     /// every `X`-referenced node stay allocated.
     pub(crate) fn rebuild_allocator(&self) {
         self.values.rebuild(|live| {
-            live.insert(tag::addr_of(self.pool().peek(self.cell())));
+            live.insert(self.values.peek_node(self.cell()));
         });
     }
 }
@@ -404,8 +403,7 @@ impl SingleCell<PmemPool> {
         op: impl Fn(ThreadHandle, u64) + Sync,
     ) {
         let assert_conserved = || {
-            let cur = tag::addr_of(self.pool().peek(self.cell()));
-            self.values.assert_conserved([(cur, "binding")]);
+            self.values.assert_conserved([(self.values.peek_node(self.cell()), "binding")]);
         };
         std::thread::scope(|s| {
             for h in hs {
@@ -417,7 +415,7 @@ impl SingleCell<PmemPool> {
         let [h0, h1] = hs;
         self.prep(h0, [1, 0], 0);
         self.exec(h0, "exec", false);
-        let first = tag::addr_of(self.pool().peek(self.x_addr(h0.slot())));
+        let first = self.values.peek_node(self.x_addr(h0.slot()));
         self.write(h1, [2, 0], false);
         self.pool().crash(&dss_pmem::WritebackAdversary::None);
         self.rebuild_allocator();
@@ -437,6 +435,7 @@ impl<M: Memory> Deref for SingleCell<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::binding::tests::{crash_sweep, one_thread};
     use dss_pmem::WritebackAdversary;
     use std::sync::Arc;
 
@@ -496,63 +495,46 @@ mod tests {
 
     #[test]
     fn crash_sweep_successful_cas() {
-        for granularity in [FlushGranularity::Line, FlushGranularity::Word] {
-            for adv in [
-                WritebackAdversary::None,
-                WritebackAdversary::All,
-                WritebackAdversary::Random { seed: 11, prob: 0.5 },
-            ] {
-                for k in 1..40 {
-                    let c = <DetectableCas>::new_in(1, 8, granularity);
-                    let h0 = c.register_thread().unwrap();
-                    let crashed = c.pool().crashes_within(k, || {
-                        c.prep_cas(h0, 0, 5, 2);
-                        c.exec_cas(h0);
-                    });
-                    if !crashed {
-                        break;
+        let random = WritebackAdversary::Random { seed: 11, prob: 0.5 };
+        crash_sweep(
+            &[WritebackAdversary::None, WritebackAdversary::All, random],
+            |g| one_thread(<DetectableCas>::new_in(1, 8, g)),
+            |c, h| {
+                c.prep_cas(h, 0, 5, 2);
+                c.exec_cas(h);
+            },
+            |c, h, at| {
+                c.rebuild_allocator();
+                let now = c.read(h);
+                match c.resolve(h) {
+                    ResolvedCas { op: None, resp: None } => assert_eq!(now, 0, "{at}"),
+                    ResolvedCas { op: Some((0, 5, 2)), resp: Some(true) } => {
+                        assert_eq!(now, 5, "{at}")
                     }
-                    c.pool().crash(&adv);
-                    c.rebuild_allocator();
-                    let now = c.read(h0);
-                    let at = format!("k={k} {granularity:?} {adv:?}");
-                    match c.resolve(h0) {
-                        ResolvedCas { op: None, resp: None } => assert_eq!(now, 0, "{at}"),
-                        ResolvedCas { op: Some((0, 5, 2)), resp: Some(true) } => {
-                            assert_eq!(now, 5, "{at}")
-                        }
-                        ResolvedCas { op: Some((0, 5, 2)), resp: None } => {
-                            assert_eq!(now, 0, "{at}")
-                        }
-                        other => panic!("{at}: impossible resolution {other:?}"),
-                    }
+                    ResolvedCas { op: Some((0, 5, 2)), resp: None } => assert_eq!(now, 0, "{at}"),
+                    other => panic!("{at}: impossible resolution {other:?}"),
                 }
-            }
-        }
+            },
+        );
     }
 
     #[test]
     fn crash_sweep_failing_cas_never_reports_success() {
-        for granularity in [FlushGranularity::Line, FlushGranularity::Word] {
-            for k in 1..40 {
-                let c = <DetectableCas>::new_in(1, 8, granularity);
-                let h0 = c.register_thread().unwrap();
-                let crashed = c.pool().crashes_within(k, || {
-                    c.prep_cas(h0, 3, 5, 0); // object holds 0: must fail
-                    c.exec_cas(h0);
-                });
-                if !crashed {
-                    break;
-                }
-                c.pool().crash(&WritebackAdversary::All);
+        crash_sweep(
+            &[WritebackAdversary::All],
+            |g| one_thread(<DetectableCas>::new_in(1, 8, g)),
+            |c, h| {
+                c.prep_cas(h, 3, 5, 0); // object holds 0: must fail
+                c.exec_cas(h);
+            },
+            |c, h, at| {
                 c.rebuild_allocator();
-                let at = format!("k={k} {granularity:?}");
-                assert_eq!(c.read(h0), 0, "{at}: failing CAS must never change the value");
-                if let ResolvedCas { resp: Some(true), .. } = c.resolve(h0) {
+                assert_eq!(c.read(h), 0, "{at}: failing CAS must never change the value");
+                if let ResolvedCas { resp: Some(true), .. } = c.resolve(h) {
                     panic!("{at}: failing CAS resolved as success");
                 }
-            }
-        }
+            },
+        );
     }
 
     #[test]

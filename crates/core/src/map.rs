@@ -400,7 +400,7 @@ impl<M: Memory> DetectableMap<M> {
         let ba = self.bucket_addr(level, key);
         let en = self.values.alloc(tid);
         self.pool().store(en.offset(E_KEY), key);
-        self.pool().store(en.offset(E_VPTR), vn.to_word());
+        self.values.seed(en.offset(E_VPTR), vn);
         let head_w = self.pool().load(ba);
         if head_w == walked_head {
             self.pool().store(en.offset(E_NEXT), head_w);
@@ -437,7 +437,7 @@ impl<M: Memory> DetectableMap<M> {
                 let mut e =
                     tag::addr_of(self.pool().peek(PAddr::from_index(self.level_base(k) + b)));
                 while !e.is_null() {
-                    visit(e, tag::addr_of(self.pool().peek(e.offset(E_VPTR))));
+                    visit(e, self.values.peek_node(e.offset(E_VPTR)));
                     e = tag::addr_of(self.pool().peek(e.offset(E_NEXT)));
                 }
             }
@@ -469,11 +469,11 @@ impl<M: Memory> DetectableMap<M> {
 
     fn prep_write(&self, h: ThreadHandle, key: u64, val: u64, seq: u64, flags: u64) {
         let peek = |a| self.pool().peek(a);
-        let is_current = |old: PAddr| {
-            self.find_entry_with(peek(old.offset(PAYLOAD0)), peek)
-                .is_ok_and(|en| peek(en.offset(E_VPTR)) == old.to_word())
+        let ptr_of = |old: PAddr| {
+            let en = self.find_entry_with(peek(old.offset(PAYLOAD0)), peek);
+            en.ok().map(|en| en.offset(E_VPTR))
         };
-        self.values.prep(h.slot(), [key, val], seq, flags, is_current);
+        self.values.prep(h.slot(), [key, val], seq, flags, ptr_of);
     }
 
     /// **exec-put()**: installs the prepared value node as its key's
@@ -483,8 +483,9 @@ impl<M: Memory> DetectableMap<M> {
     ///
     /// # Panics
     ///
-    /// Panics if no put is prepared for `tid` (or it already executed —
-    /// Axiom 2's precondition `R[pᵢ] = ⊥`).
+    /// Panics if no put is prepared for `tid`, or it already took effect —
+    /// completed, or installed before a crash that `resolve` reports
+    /// (Axiom 2's precondition `R[pᵢ] = ⊥`).
     pub fn exec_put(&self, h: ThreadHandle) -> KvResp {
         self.exec(h, false)
     }
@@ -495,7 +496,8 @@ impl<M: Memory> DetectableMap<M> {
     ///
     /// # Panics
     ///
-    /// Panics if no remove is prepared for `tid` (or it already executed).
+    /// Panics if no remove is prepared for `tid`, or it already took
+    /// effect.
     pub fn exec_remove(&self, h: ThreadHandle) -> KvResp {
         self.exec(h, true)
     }
@@ -619,9 +621,8 @@ impl<M: Memory> DetectableMap<M> {
         } else {
             KvOp::Put(self.pool().load(a.node.offset(PAYLOAD1)))
         };
-        let effective = a.took_effect(|vn| {
-            self.find_entry(a.payload0).is_ok_and(|en| self.values.current(en.offset(E_VPTR)) == vn)
-        });
+        let ptr = || self.find_entry(a.payload0).ok().map(|en| en.offset(E_VPTR));
+        let effective = self.values.took_effect(&a, ptr);
         ResolvedMap {
             op: Some((a.payload0, op, a.seq)),
             resp: if effective { Some(KvResp::Ok) } else { None },
@@ -678,6 +679,7 @@ impl<M: Memory> fmt::Debug for DetectableMap<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::binding::tests::{crash_sweep, one_thread};
     use dss_pmem::WritebackAdversary;
     use std::sync::Arc;
 
@@ -805,96 +807,70 @@ mod tests {
         m.exec_put(h); // Axiom 2: R[pᵢ] ≠ ⊥
     }
 
-    /// Crashes `prep` + `exec` on a map of one thread (after `setup`) at
-    /// every pmem-op index, under both flush granularities and each of
-    /// `advs`, and checks each resolution against what a get of `key`
-    /// observes: `before` if the write took no effect, `after` if it did.
-    fn crash_sweep(
+    /// Crashes the detectable `op` on `key`, tagged `seq`, at every
+    /// pmem-op index — on a map of one thread whose `key` holds
+    /// `prefill` — and checks each resolution against what a get of `key`
+    /// observes.
+    fn crash_sweep_write(
         advs: &[WritebackAdversary],
-        setup: impl Fn(&DetectableMap, ThreadHandle),
-        write: impl Fn(&DetectableMap, ThreadHandle),
+        prefill: Option<u64>,
         (key, op, seq): (u64, KvOp, u64),
-        (before, after): (KvResp, KvResp),
     ) {
-        for granularity in [FlushGranularity::Line, FlushGranularity::Word] {
-            for adv in advs {
-                for k in 1..80 {
-                    let m = <DetectableMap>::new_in(1, 8, 8, granularity);
-                    let h = m.register_thread().unwrap();
-                    setup(&m, h);
-                    if !m.pool().crashes_within(k, || write(&m, h)) {
-                        break;
-                    }
-                    m.pool().crash(adv);
-                    m.rebuild_allocator();
-                    let now = m.get(h, key);
-                    let at = format!("k={k} {granularity:?} {adv:?}");
-                    match m.resolve(h) {
-                        ResolvedMap { op: None, resp: None } => assert_eq!(now, before, "{at}"),
-                        ResolvedMap { op: Some(o), resp: Some(KvResp::Ok) }
-                            if o == (key, op, seq) =>
-                        {
-                            assert_eq!(now, after, "{at}: effect persisted")
-                        }
-                        ResolvedMap { op: Some(o), resp: None } if o == (key, op, seq) => {
-                            assert_eq!(now, before, "{at}: no effect")
-                        }
-                        other => panic!("{at}: impossible resolution {other:?}"),
-                    }
+        let before = prefill.map_or(KvResp::Absent, KvResp::Value);
+        let after = if let KvOp::Put(v) = op { KvResp::Value(v) } else { KvResp::Absent };
+        crash_sweep(
+            advs,
+            |g| {
+                let (m, h) = one_thread(<DetectableMap>::new_in(1, 8, 8, g));
+                if let Some(v) = prefill {
+                    m.put(h, key, v);
                 }
-            }
-        }
+                (m, h)
+            },
+            |m, h| match op {
+                KvOp::Put(v) => {
+                    m.prep_put(h, key, v, seq);
+                    m.exec_put(h);
+                }
+                _ => {
+                    m.prep_remove(h, key, seq);
+                    m.exec_remove(h);
+                }
+            },
+            |m, h, at| {
+                m.rebuild_allocator();
+                let now = m.get(h, key);
+                match m.resolve(h) {
+                    ResolvedMap { op: None, resp: None } => assert_eq!(now, before, "{at}"),
+                    ResolvedMap { op: Some(o), resp: Some(KvResp::Ok) } if o == (key, op, seq) => {
+                        assert_eq!(now, after, "{at}: effect persisted")
+                    }
+                    ResolvedMap { op: Some(o), resp: None } if o == (key, op, seq) => {
+                        assert_eq!(now, before, "{at}: no effect")
+                    }
+                    other => panic!("{at}: impossible resolution {other:?}"),
+                }
+            },
+        );
     }
+
+    const NONE_ALL: [WritebackAdversary; 2] = [WritebackAdversary::None, WritebackAdversary::All];
 
     #[test]
     fn crash_sweep_put_fresh_key() {
-        // prep-put(1, 10); exec-put() on an empty map.
-        crash_sweep(
-            &[
-                WritebackAdversary::None,
-                WritebackAdversary::All,
-                WritebackAdversary::Random { seed: 5, prob: 0.5 },
-            ],
-            |_, _| {},
-            |m, h| {
-                m.prep_put(h, 1, 10, 9);
-                m.exec_put(h);
-            },
-            (1, KvOp::Put(10), 9),
-            (KvResp::Absent, KvResp::Value(10)),
-        );
+        let random = WritebackAdversary::Random { seed: 5, prob: 0.5 };
+        let advs = [WritebackAdversary::None, WritebackAdversary::All, random];
+        crash_sweep_write(&advs, None, (1, KvOp::Put(10), 9));
     }
 
     #[test]
     fn crash_sweep_update_existing_key() {
-        crash_sweep(
-            &[WritebackAdversary::None, WritebackAdversary::All],
-            |m, h| {
-                m.put(h, 2, 20);
-            },
-            |m, h| {
-                m.prep_put(h, 2, 21, 3);
-                m.exec_put(h);
-            },
-            (2, KvOp::Put(21), 3),
-            (KvResp::Value(20), KvResp::Value(21)),
-        );
+        crash_sweep_write(&NONE_ALL, Some(20), (2, KvOp::Put(21), 3));
     }
 
     #[test]
     fn crash_sweep_remove() {
-        crash_sweep(
-            &[WritebackAdversary::None, WritebackAdversary::All],
-            |m, h| {
-                m.put(h, 6, 60);
-            },
-            |m, h| {
-                m.prep_remove(h, 6, 4);
-                m.exec_remove(h);
-            },
-            (6, KvOp::Remove, 4),
-            (KvResp::Value(60), KvResp::Absent),
-        );
+        crash_sweep_write(&NONE_ALL, Some(60), (6, KvOp::Remove, 4));
     }
 
     #[test]
@@ -1160,7 +1136,7 @@ mod tests {
         let (h0, h1) = (m.register_thread().unwrap(), m.register_thread().unwrap());
         m.prep_put(h0, 1, 10, 0);
         m.exec_put(h0);
-        let first = tag::addr_of(m.pool().peek(m.x_addr(h0.slot())));
+        let first = m.values.peek_node(m.x_addr(h0.slot()));
         m.put(h1, 1, 11);
         m.pool().crash(&WritebackAdversary::None);
         m.rebuild_allocator();

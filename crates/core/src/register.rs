@@ -148,8 +148,9 @@ impl<M: Memory> DetectableRegister<M> {
     ///
     /// # Panics
     ///
-    /// Panics if no write is prepared for `tid` (or it already executed —
-    /// Axiom 2's precondition `R[pᵢ] = ⊥`).
+    /// Panics if no write is prepared for `tid`, or it already took effect
+    /// — completed, or installed before a crash that `resolve` reports
+    /// (Axiom 2's precondition `R[pᵢ] = ⊥`).
     pub fn exec_write(&self, h: ThreadHandle) {
         self.cell.exec(h, "exec-write", false);
     }
@@ -209,7 +210,9 @@ impl<M: Memory> fmt::Debug for DetectableRegister<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::binding::tests::{crash_sweep, one_thread};
     use dss_pmem::WritebackAdversary;
+    use std::panic::AssertUnwindSafe;
 
     #[test]
     fn read_write_basic() {
@@ -251,40 +254,34 @@ mod tests {
     fn figure2_sweep_over_crash_points() {
         // prep-write(1); exec-write(1) with a crash at every pmem-op index,
         // under both flush granularities: resolve must answer exactly per
-        // Figure 2's allowed outcomes.
-        for granularity in [FlushGranularity::Line, FlushGranularity::Word] {
-            for adv in [
-                WritebackAdversary::None,
-                WritebackAdversary::All,
-                WritebackAdversary::Random { seed: 3, prob: 0.5 },
-            ] {
-                for k in 1..40 {
-                    let r = <DetectableRegister>::new_in(1, 8, granularity);
-                    let h0 = r.register_thread().unwrap();
-                    let crashed = r.pool().crashes_within(k, || {
-                        r.prep_write(h0, 1, 9);
-                        r.exec_write(h0);
-                    });
-                    if !crashed {
-                        break;
+        // Figure 2's allowed outcomes, and a write it reports must not
+        // execute again.
+        let random = WritebackAdversary::Random { seed: 3, prob: 0.5 };
+        crash_sweep(
+            &[WritebackAdversary::None, WritebackAdversary::All, random],
+            |g| one_thread(<DetectableRegister>::new_in(1, 8, g)),
+            |r, h| {
+                r.prep_write(h, 1, 9);
+                r.exec_write(h);
+            },
+            |r, h, at| {
+                r.rebuild_allocator();
+                let value_now = r.read(h);
+                match r.resolve(h) {
+                    ResolvedWrite { op: None, resp: None } => assert_eq!(value_now, 0, "{at}"),
+                    ResolvedWrite { op: Some((1, 9)), resp: Some(RegisterResp::Ok) } => {
+                        assert_eq!(value_now, 1, "{at}: effect means value persisted");
+                        // Axiom 2: even with no completion mark yet.
+                        let redo = std::panic::catch_unwind(AssertUnwindSafe(|| r.exec_write(h)));
+                        assert!(redo.is_err(), "{at}: a write that took effect re-executed");
                     }
-                    r.pool().crash(&adv);
-                    r.rebuild_allocator();
-                    let value_now = r.read(h0);
-                    let at = format!("k={k} {granularity:?} {adv:?}");
-                    match r.resolve(h0) {
-                        ResolvedWrite { op: None, resp: None } => assert_eq!(value_now, 0, "{at}"),
-                        ResolvedWrite { op: Some((1, 9)), resp: Some(RegisterResp::Ok) } => {
-                            assert_eq!(value_now, 1, "{at}: effect means value persisted")
-                        }
-                        ResolvedWrite { op: Some((1, 9)), resp: None } => {
-                            assert_eq!(value_now, 0, "{at}: no effect means old value")
-                        }
-                        other => panic!("{at}: impossible resolution {other:?}"),
+                    ResolvedWrite { op: Some((1, 9)), resp: None } => {
+                        assert_eq!(value_now, 0, "{at}: no effect means old value")
                     }
+                    other => panic!("{at}: impossible resolution {other:?}"),
                 }
-            }
-        }
+            },
+        );
     }
 
     #[test]

@@ -70,8 +70,10 @@ pub(crate) const APP_WORDS: usize = 8;
 /// `b"DSSPOOL1"` as a little-endian u64.
 pub(crate) const MAGIC: u64 = u64::from_le_bytes(*b"DSSPOOL1");
 
-/// Bumped whenever the on-disk layout changes incompatibly.
-pub(crate) const LAYOUT_VERSION: u64 = 1;
+/// Bumped whenever the on-disk layout changes incompatibly. Version 2:
+/// the register and the CAS object share one value-node layout, and their
+/// initial value is a pool node.
+pub(crate) const LAYOUT_VERSION: u64 = 2;
 
 /// Byte length of the superblock; word data starts here.
 pub(crate) const HEADER_BYTES: u64 = 4096;
