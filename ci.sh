@@ -38,13 +38,6 @@ echo "==> contention bench smoke (per-address drains at a realistic penalty)"
 cargo bench -q -p dss-bench --bench contention -- \
     --threads 2 --ms 20 --repeats 1 --penalty 200 >/dev/null
 
-echo "==> contention crossover smoke (combining >= CAS racing within noise, E14 gate)"
-# Penalty 800 puts the run deep in the flush-dominated regime where the
-# batched persist is a reliable win; at 200 the layers sit at parity and a
-# short smoke can land a hair outside the noise bands.
-timeout 180 cargo bench -q -p dss-bench --bench contention -- \
-    --threads 2 --ms 30 --repeats 3 --penalty 800 --assert-crossover >/dev/null
-
 echo "==> e10 per-address drain smoke (absorption invariant, both backends)"
 cargo run -q -p dss-harness --release --bin e10_per_address_drains -- \
     --threads 2 --ms 20 --repeats 1 \
@@ -79,8 +72,6 @@ echo "==> crash-matrix golden diffs (every layer, every recorded mode)"
 golden default
 golden word_random --granularity word --adversary random --seed 7
 golden partial_recovery --partial-recovery on
-golden combining --layer combining
-golden combining_partial_recovery --layer combining --partial-recovery on
 golden replicated --layer replicated
 golden replicated_partial_recovery --layer replicated --partial-recovery on
 golden replicated_multi_process --layer replicated --multi-process on

@@ -9,17 +9,10 @@
 //! under contention is visible side by side; `off/off` is the
 //! seed-identical baseline.
 //!
-//! After the grid, the E14 crossover sweep compares the two detectable
-//! execution layers — CAS-racing `exec` vs the flat-combining layer —
-//! across thread counts, and writes the series plus the measured
-//! crossover thread count (the lowest count at which combining matches
-//! or beats CAS-racing) to `BENCH_contention.json` in the invoking
-//! directory; official runs are copied into `results/`.
-//!
 //! ```text
 //! cargo bench -p dss-bench --bench contention -- \
 //!     [--threads N] [--ms M] [--repeats R] [--penalty SPINS]
-//!     [--backend pmem --backend dram] [--assert-crossover]
+//!     [--backend pmem --backend dram]
 //! ```
 //!
 //! `--penalty` is the simulated writeback cost in spin iterations (default
@@ -27,25 +20,13 @@
 //! separate from the whole-set baseline when writebacks cost something: at
 //! a realistic penalty (≈200 spins ≈ an Optane CLWB+fence) the writebacks
 //! per-address drains absorb dominate; at 0 the columns measure pure
-//! bookkeeping. `--assert-crossover` makes the sweep a CI gate: it fails
-//! unless combining is at least at parity with CAS-racing (within the
-//! observed noise) at the highest thread count.
+//! bookkeeping.
 
 use std::time::Duration;
 
-use dss_bench::{json, numeric_flag, switch_flag};
-use dss_harness::adapter::{Backend, QueueKind};
-use dss_harness::throughput::{measure, Throughput, ThroughputConfig};
-
-/// One series as envelope points: `[{ "mean": m, "stddev": s }, ...]`.
-fn points_json(points: &[Throughput]) -> json::Value {
-    json::Value::array(points.iter().map(|t| {
-        json::Value::object([
-            ("mean", json::Value::rounded(t.mops_mean, 4)),
-            ("stddev", json::Value::rounded(t.mops_stddev, 4)),
-        ])
-    }))
-}
+use dss_bench::numeric_flag;
+use dss_harness::adapter::QueueKind;
+use dss_harness::throughput::{measure, ThroughputConfig};
 
 fn main() {
     let threads = numeric_flag("--threads", 4) as usize;
@@ -105,91 +86,5 @@ fn main() {
             println!();
         }
         println!();
-    }
-    crossover_sweep(threads, ms, repeats, penalty, switch_flag("--assert-crossover"));
-}
-
-/// E14: CAS-racing vs flat-combining `exec` across thread counts.
-///
-/// Both layers run the identical detectable prep/exec workload on the
-/// instrumented pmem backend with default flush knobs, so the only
-/// difference measured is the execution strategy: per-op CAS retries with
-/// per-op persists, vs one combiner applying the announced batch with one
-/// persist per batch phase.
-fn crossover_sweep(max_threads: usize, ms: u64, repeats: usize, penalty: u64, assert_on: bool) {
-    // 1, 2, 4, ... up to and including the grid's thread count.
-    let mut counts = vec![];
-    let mut n = 1;
-    while n < max_threads {
-        counts.push(n);
-        n *= 2;
-    }
-    counts.push(max_threads);
-
-    println!(
-        "# E14 crossover: CAS-racing vs combining exec, 50:50 enq:deq, \
-         flush penalty = {penalty} spins, backend = pmem (Mops/s)"
-    );
-    println!("{:>8} {:>22} {:>22}", "threads", "cas-racing", "combining");
-    let pair = [QueueKind::DssDetectable, QueueKind::DssCombining];
-    let mut series = vec![vec![]; pair.len()];
-    for &threads in &counts {
-        print!("{threads:>8}");
-        for (i, &kind) in pair.iter().enumerate() {
-            let config = ThroughputConfig {
-                threads,
-                duration: Duration::from_millis(ms),
-                repeats,
-                backend: Backend::Pmem,
-                flush_penalty: penalty,
-                ..Default::default()
-            };
-            let t = measure(kind, &config);
-            print!(" {:>14.3} ±{:>5.3}", t.mops_mean, t.mops_stddev);
-            series[i].push(t);
-        }
-        println!();
-    }
-    // The crossover: the lowest thread count at which combining is at
-    // least at parity with CAS-racing (within the two samples' noise).
-    let crossover = counts
-        .iter()
-        .zip(series[0].iter().zip(series[1].iter()))
-        .find(|(_, (cas, comb))| {
-            comb.mops_mean + comb.mops_stddev >= cas.mops_mean - cas.mops_stddev
-        })
-        .map(|(&threads, _)| threads);
-    match crossover {
-        Some(t) => println!("# crossover: combining reaches CAS-racing at {t} threads"),
-        None => println!("# crossover: not reached up to {max_threads} threads"),
-    }
-    println!();
-
-    // Machine-readable summary through the shared envelope (written to
-    // the invoking directory; official runs are copied into results/).
-    let mut envelope = json::Envelope::new("e14_contention_combining", "mops_per_sec")
-        .meta("flush_penalty", json::Value::Int(penalty as i64))
-        .meta("backend", json::Value::str("pmem"))
-        .meta("threads", json::Value::array(counts.iter().map(|&t| json::Value::Int(t as i64))))
-        .meta(
-            "crossover_threads",
-            crossover.map_or(json::Value::Null, |t| json::Value::Int(t as i64)),
-        );
-    for (key, points) in ["cas_racing", "combining"].iter().zip(series.iter()) {
-        envelope = envelope.series(*key, points_json(points));
-    }
-    envelope.write("BENCH_contention.json");
-
-    if assert_on {
-        let (cas, comb) = (series[0].last().unwrap(), series[1].last().unwrap());
-        assert!(
-            comb.mops_mean + comb.mops_stddev >= cas.mops_mean - cas.mops_stddev,
-            "combining fell below CAS-racing beyond noise at {max_threads} threads: \
-             {:.3} ±{:.3} vs {:.3} ±{:.3} Mops/s",
-            comb.mops_mean,
-            comb.mops_stddev,
-            cas.mops_mean,
-            cas.mops_stddev
-        );
     }
 }

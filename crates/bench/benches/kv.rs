@@ -26,7 +26,7 @@
 //! at 4 threads — plain reads skip the flush path, so detectability must
 //! not tax them; on a smaller host the gate weakens to B-at-least-A
 //! within the two samples' noise at the highest measured thread count
-//! (the E14/E15 honesty convention).
+//! (the E15 honesty convention).
 
 use std::time::Duration;
 

@@ -23,7 +23,8 @@
 //! instance at 4 threads; on a 2–3-CPU host the gate weakens to
 //! parity-within-noise at the highest measured thread count, and on a
 //! 1-CPU host it is skipped outright (replica-local reads cannot scale
-//! without parallelism — the E14 honesty convention).
+//! without parallelism — claims about the thread axis are tiered by CPU
+//! count).
 
 use std::time::Duration;
 
@@ -133,9 +134,9 @@ fn main() {
         println!();
     }
 
-    // The 0.99-mix crossover, mirroring E14: the lowest thread count at
-    // which the best replicated column is at least at parity with the
-    // single instance (within the two samples' noise).
+    // The 0.99-mix crossover: the lowest thread count at which the best
+    // replicated column is at least at parity with the single instance
+    // (within the two samples' noise).
     let hi = READ_FRACTIONS.len() - 1;
     let crossover = counts.iter().enumerate().find_map(|(i, &threads)| {
         let single = series[0][hi][i];

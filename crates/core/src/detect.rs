@@ -19,18 +19,10 @@
 //! marks completion with. The crash-sweep suites arm crash points by pool-
 //! operation index, so the extraction must be (and is) pure code motion —
 //! the rewired structures issue byte-identical pool-operation sequences.
-//!
-//! [`Lease`] is the second shared piece: the combiner-lease /
-//! publication-array protocol both leased queue layers (flat combining and
-//! the replicated log appender) run on top of the core.
 
 use std::ops::Deref;
-use std::sync::atomic::{
-    AtomicU64,
-    Ordering::{Acquire, Relaxed, Release},
-};
 
-use dss_pmem::{Backoff, Memory, ObjectCore, PAddr, SlotState, ThreadHandle};
+use dss_pmem::{Memory, ObjectCore, PAddr, ThreadHandle};
 
 /// The shared detectability skeleton a `D⟨T⟩` structure instantiates.
 ///
@@ -156,201 +148,5 @@ impl<M: Memory> DetectableCore<M> {
         let ctx = prepare();
         fix(h.slot(), &ctx);
         self.pool().drain();
-    }
-}
-
-/// Volatile per-slot announce states (DRAM only — the persistent truth
-/// lives in the layer's announce words; these flags exist so waiters can
-/// park on their own cache line and combiners can scan without touching
-/// the pool).
-const IDLE: u64 = 0;
-const ANNOUNCED: u64 = 1;
-const DONE: u64 = 2;
-
-/// Consecutive stable observations of a foreign lease before a waiter
-/// pays for a registry staleness probe.
-const STALE_PROBE: u32 = 64;
-
-/// Parked-waiter iterations before escalating from tuned spinning to
-/// unconditional yields (batches are long compared to a CAS retry, and on
-/// few-core hosts a spinning waiter starves the combiner).
-const YIELD_AFTER: u32 = 8;
-
-/// Yield iterations before escalating further to short sleeps. On an
-/// oversubscribed host many yielding waiters accrue almost no vruntime
-/// and keep getting rescheduled — a yield storm that starves the
-/// combiner of exactly the CPU it needs to set them free. Sleeping takes
-/// a waiter off the run queue entirely.
-const SLEEP_AFTER: u32 = YIELD_AFTER + 64;
-
-/// Parked-waiter sleep, long enough to drain a yield storm and short
-/// enough that a woken waiter's operation latency stays small next to a
-/// batch under flush penalties.
-const PARK_SLEEP: std::time::Duration = std::time::Duration::from_micros(50);
-
-/// The combiner-lease / publication-array protocol of the leased queue
-/// layers ([`CombiningQueue`](crate::CombiningQueue) and
-/// [`ReplicatedQueue`](crate::ReplicatedQueue)).
-///
-/// `prep` durably announces an operation and raises the slot's volatile
-/// flag ([`announce`](Self::announce)); `exec` parks in
-/// [`exec`](Self::exec) until some lease holder has applied and persisted
-/// it. Whoever finds the **lease word** free CASes
-/// its registry nonce in and runs the layer's `combine` pass over every
-/// announced slot, which marks each applied slot [`done`](Self::done).
-///
-/// The lease word is volatile coordination and is never flushed on the
-/// hot path: a crash reverts it to whatever last persisted (free, or a
-/// nonce no LIVE slot carries any more), and both images are handled.
-/// Centralized recovery [`clear`](Self::clear)s it durably; otherwise a
-/// parked waiter that sees a stable foreign lease probes the registry
-/// and, if the holder's nonce is carried by no LIVE slot — it crashed and
-/// was orphaned, or released its slot mid-lease — *steals* the lease by
-/// CAS. Adoption and re-registration mint fresh nonces, so a stolen lease
-/// never belongs to a live holder.
-pub(crate) struct Lease {
-    /// The lease word: 0 = free, else the holder's registry nonce.
-    word: PAddr,
-    /// Per-slot announce flags (IDLE/ANNOUNCED/DONE).
-    pending: Box<[AtomicU64]>,
-}
-
-impl Lease {
-    /// A lease at `word` over `nslots` publication slots, all idle.
-    pub(crate) fn new(word: PAddr, nslots: usize) -> Self {
-        Lease { word, pending: (0..nslots).map(|_| AtomicU64::new(IDLE)).collect() }
-    }
-
-    /// The lease word's address.
-    pub(crate) fn word(&self) -> PAddr {
-        self.word
-    }
-
-    /// Publishes `slot`'s freshly (durably) announced operation.
-    pub(crate) fn announce(&self, slot: usize) {
-        self.pending[slot].store(ANNOUNCED, Release);
-    }
-
-    /// Whether `slot` has an announced operation no batch applied yet —
-    /// the combiner's gather predicate.
-    pub(crate) fn is_announced(&self, slot: usize) -> bool {
-        self.pending[slot].load(Acquire) == ANNOUNCED
-    }
-
-    /// Whether `slot` has nothing announced and no result uncollected.
-    #[cfg(test)]
-    pub(crate) fn is_idle(&self, slot: usize) -> bool {
-        self.pending[slot].load(Acquire) == IDLE
-    }
-
-    /// Releases `slot`'s waiter: its operation is applied and durable.
-    pub(crate) fn done(&self, slot: usize) {
-        self.pending[slot].store(DONE, Release);
-    }
-
-    /// Forgets `slot`'s announcement (post-crash: the crash reverted the
-    /// volatile flag's meaning along with every in-flight waiter).
-    pub(crate) fn reset(&self, slot: usize) {
-        self.pending[slot].store(IDLE, Relaxed);
-    }
-
-    /// [`reset`](Self::reset) over every slot.
-    pub(crate) fn reset_all(&self) {
-        for p in self.pending.iter() {
-            p.store(IDLE, Relaxed);
-        }
-    }
-
-    /// Stores, flushes and orders a free lease word. Safe whenever no live
-    /// thread can hold the lease (construction, attach, post-crash
-    /// recovery); idempotent.
-    pub(crate) fn clear<M: Memory>(&self, pool: &M) {
-        pool.store(self.word, 0);
-        pool.flush(self.word);
-        pool.drain_line(self.word);
-    }
-
-    /// Parks until `h`'s announced operation is applied, running
-    /// `combine(h)` on this thread whenever the lease is (or goes) free,
-    /// and stealing the lease if its holder provably died. Waiters always
-    /// park with the core's tuned backoff.
-    ///
-    /// Idempotent: with no announcement outstanding (double `exec`, or
-    /// `exec` re-run after a crash already resolved the slot) it returns
-    /// immediately instead of parking on a batch that will never form.
-    pub(crate) fn exec<M: Memory>(
-        &self,
-        core: &ObjectCore<M>,
-        h: ThreadHandle,
-        mut combine: impl FnMut(ThreadHandle),
-    ) {
-        let slot = h.slot();
-        if self.pending[slot].load(Acquire) == IDLE {
-            return;
-        }
-        let pool = core.pool().as_ref();
-        let mut bo = Backoff::attached(true, core.tuner());
-        let mut observed = 0u64;
-        let mut stable = 0u32;
-        let mut waits = 0u32;
-        loop {
-            if self.pending[slot].load(Acquire) == DONE {
-                self.pending[slot].store(IDLE, Relaxed);
-                return;
-            }
-            // The lease probe is an *instrumented* pool load, so armed
-            // crash countdowns progress even while a waiter only parks.
-            let lease = pool.load(self.word);
-            if lease == 0 {
-                // No flush: the lease is volatile coordination.
-                if pool.cas(self.word, 0, h.nonce()).is_ok() {
-                    combine(h);
-                    self.release(pool, h);
-                    continue; // the batch set our DONE flag
-                }
-            } else if lease != observed {
-                observed = lease;
-                stable = 0;
-            } else {
-                stable += 1;
-                if stable >= STALE_PROBE && Self::is_stale(core, lease) {
-                    // The holder's nonce is carried by no LIVE slot: it
-                    // crashed (and recovery orphaned it) or released its
-                    // slot mid-lease. Steal and combine in its place.
-                    if pool.cas(self.word, lease, h.nonce()).is_ok() {
-                        combine(h);
-                        self.release(pool, h);
-                        continue;
-                    }
-                    observed = 0;
-                    stable = 0;
-                }
-            }
-            waits = waits.saturating_add(1);
-            if waits > SLEEP_AFTER {
-                std::thread::sleep(PARK_SLEEP);
-            } else if waits > YIELD_AFTER {
-                std::thread::yield_now();
-            } else {
-                bo.spin();
-            }
-        }
-    }
-
-    fn release<M: Memory>(&self, pool: &M, h: ThreadHandle) {
-        // Failure is benign: only a post-crash steal can move the lease
-        // from under a holder, and then the thief owns the cleanup. Not
-        // flushed — the lease is volatile coordination.
-        let _ = pool.cas(self.word, h.nonce(), 0);
-    }
-
-    /// Whether a lease nonce belongs to no LIVE registry slot. Uses
-    /// uninstrumented peeks: a staleness probe is diagnosis, not protocol
-    /// progress, so it must not perturb operation-indexed crash sweeps
-    /// relative to the number of probing waiters.
-    fn is_stale<M: Memory>(core: &ObjectCore<M>, lease: u64) -> bool {
-        let reg = core.registry();
-        !(0..core.nthreads())
-            .any(|s| reg.slot_state(s) == Ok(SlotState::Live) && reg.slot_nonce(s) == Ok(lease))
     }
 }

@@ -70,8 +70,8 @@ pub use cas::{DetectableCas, ResolvedCas, KIND_DETECTABLE_CAS};
 pub use detect::DetectableCore;
 pub use map::{DetectableMap, ResolvedMap, KIND_DETECTABLE_MAP, MAX_LEVELS};
 pub use queue::{
-    CombiningQueue, DssQueue, QueueFull, ReplicatedQueue, Resolved, ResolvedOp, DEFAULT_REPLICAS,
-    KIND_DSS_QUEUE, KIND_DSS_QUEUE_COMBINING, KIND_DSS_QUEUE_REPLICATED, REPLICATED_LOG_CAP,
+    DssQueue, QueueFull, ReplicatedQueue, Resolved, ResolvedOp, DEFAULT_REPLICAS, KIND_DSS_QUEUE,
+    KIND_DSS_QUEUE_REPLICATED, REPLICATED_LOG_CAP,
 };
 pub use register::{DetectableRegister, KIND_DETECTABLE_REGISTER};
 pub use stack::{DssStack, StackFull, StackResolved, StackResolvedOp, KIND_DSS_STACK};

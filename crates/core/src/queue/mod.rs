@@ -1,13 +1,11 @@
 //! The DSS queue (paper §3): layout, construction, and detection.
 
-mod combining;
 mod ops;
 mod recovery;
 mod replicated;
 #[cfg(test)]
 mod tests;
 
-pub use combining::{CombiningQueue, KIND_DSS_QUEUE_COMBINING};
 pub use replicated::{
     ReplicatedQueue, DEFAULT_REPLICAS, KIND_DSS_QUEUE_REPLICATED, LOG_CAP as REPLICATED_LOG_CAP,
 };
@@ -33,13 +31,13 @@ pub const KIND_DSS_QUEUE: u64 = AppKind::DssQueue.word();
 /// Node field offsets (a queue node is `{ value, next, deqThreadID }`,
 /// padded to 4 words so a node never straddles a cache line and the paper's
 /// whole-node `FLUSH(node)` is a single flush under line granularity).
-pub(crate) const F_VALUE: u64 = 0;
-pub(crate) const F_NEXT: u64 = 1;
-pub(crate) const F_DEQ_TID: u64 = 2;
-pub(crate) const NODE_WORDS: u64 = 4;
+const F_VALUE: u64 = 0;
+const F_NEXT: u64 = 1;
+const F_DEQ_TID: u64 = 2;
+const NODE_WORDS: u64 = 4;
 
 /// The paper's `deqThreadID = −1`: no thread has dequeued this node.
-pub(crate) const NO_DEQUEUER: u64 = u64::MAX;
+const NO_DEQUEUER: u64 = u64::MAX;
 
 /// The enqueue-side error: the pre-allocated node pool is exhausted.
 ///
@@ -119,7 +117,7 @@ pub struct DssQueue<M: Memory = PmemPool> {
     /// The shared detectability skeleton: the per-thread `X` words over
     /// the object skeleton (pool, registry, EBR, backoff).
     core: DetectableCore<M>,
-    pub(crate) nodes: NodePool,
+    nodes: NodePool,
     /// Monotone per-thread counters of completed operations (volatile;
     /// used by workloads and tests, never by the algorithm).
     ops_done: Box<[AtomicU64]>,
@@ -128,9 +126,9 @@ pub struct DssQueue<M: Memory = PmemPool> {
 // Fixed low-address layout, one cache line per hot word: head, tail and
 // each thread's X entry get their own line so CAS retries on one never
 // invalidate the others (false sharing).
-pub(crate) const A_HEAD: u64 = WORDS_PER_LINE;
-pub(crate) const A_TAIL: u64 = 2 * WORDS_PER_LINE;
-pub(crate) const A_X_BASE: u64 = 3 * WORDS_PER_LINE;
+const A_HEAD: u64 = WORDS_PER_LINE;
+const A_TAIL: u64 = 2 * WORDS_PER_LINE;
+const A_X_BASE: u64 = 3 * WORDS_PER_LINE;
 
 /// The queue's pool layout, derived from `(nthreads, nodes_per_thread)`
 /// alone — which is exactly why those two parameters in a pool file's
@@ -300,18 +298,18 @@ impl<M: Memory> DssQueue<M> {
         self.pool().drain();
     }
 
-    pub(crate) fn head_addr(&self) -> PAddr {
+    fn head_addr(&self) -> PAddr {
         PAddr::from_index(A_HEAD)
     }
 
-    pub(crate) fn tail_addr(&self) -> PAddr {
+    fn tail_addr(&self) -> PAddr {
         PAddr::from_index(A_TAIL)
     }
 
     /// `FLUSH(node)`: persists a whole node. One flush under line
     /// granularity (nodes are line-aligned), one per field under word
     /// granularity.
-    pub(crate) fn flush_node(&self, node: PAddr) {
+    fn flush_node(&self, node: PAddr) {
         match self.pool().granularity() {
             FlushGranularity::Line => self.pool().flush(node),
             FlushGranularity::Word => {
@@ -326,7 +324,7 @@ impl<M: Memory> DssQueue<M> {
     /// counterpart of [`flush_node`](Self::flush_node), writing back only
     /// the node's own pending flush units (one line, or three words under
     /// word granularity) so every other pending flush stays coalescible.
-    pub(crate) fn drain_node(&self, node: PAddr) {
+    fn drain_node(&self, node: PAddr) {
         self.pool().drain_lines(&[
             node.offset(F_VALUE),
             node.offset(F_NEXT),
@@ -341,7 +339,7 @@ impl<M: Memory> DssQueue<M> {
     /// rebuild *and* crash-free epoch reclamation; recycling one would
     /// make a later `resolve` chase reinitialized memory and misreport
     /// the operation as not having taken effect.
-    pub(crate) fn x_referenced_nodes(&self) -> Vec<PAddr> {
+    fn x_referenced_nodes(&self) -> Vec<PAddr> {
         let mut out = Vec::new();
         for i in 0..self.nthreads() {
             let x = self.pool().load(self.x_addr(i));
@@ -361,7 +359,7 @@ impl<M: Memory> DssQueue<M> {
     /// lists run dry — except nodes `resolve` can still reach through a
     /// detectability word ([`x_referenced_nodes`](Self::x_referenced_nodes)),
     /// which stay in limbo until the word moves on.
-    pub(crate) fn alloc_node(&self, tid: usize) -> Result<PAddr, QueueFull> {
+    fn alloc_node(&self, tid: usize) -> Result<PAddr, QueueFull> {
         self.nodes
             .alloc_with_reclaim_guarded(tid, self.ebr(), || self.x_referenced_nodes())
             .ok_or(QueueFull)
@@ -369,13 +367,13 @@ impl<M: Memory> DssQueue<M> {
 
     /// Retires a dequeued predecessor node (ignored for the static initial
     /// sentinel, which is not part of the node region).
-    pub(crate) fn retire_node(&self, tid: usize, node: PAddr) {
+    fn retire_node(&self, tid: usize, node: PAddr) {
         if self.nodes.contains(node) {
             self.ebr().retire(tid, node);
         }
     }
 
-    pub(crate) fn bump_ops(&self, tid: usize) {
+    fn bump_ops(&self, tid: usize) {
         self.ops_done[tid].fetch_add(1, Relaxed);
     }
 

@@ -9,10 +9,12 @@
 //! queue's *state* lives in N **volatile replicas** (plain `VecDeque`s in
 //! DRAM), each fed by tailing the log: a replica serving a read first
 //! catches up to the committed sequence number (`advance_to`), then
-//! answers from local memory with **no flushes and no shared-line
-//! writes**. Threads are sharded onto replicas by registry slot range, so
-//! on a read-heavy mix the only cross-replica traffic is the read-shared
-//! committed-seq line.
+//! answers from local memory with **no flushes**. A read does write one
+//! shared line: it locks its replica's `Mutex` for the catch-up and the
+//! answer, so readers sharded onto the same replica contend on that lock
+//! (EXPERIMENTS.md E15 measures the cost). Threads are sharded onto
+//! replicas by registry slot range, so on a read-heavy mix the only
+//! cross-replica traffic is the read-shared committed-seq line.
 //!
 //! ## Write path
 //!
@@ -20,18 +22,21 @@
 //! line (two ordering points: argument, then a packed
 //! `opseq ≪ 2 | kind` commit word — the argument words are double-buffered
 //! by opseq parity so a torn announce can never pair an old commit with a
-//! new argument). `exec_*` runs the shared `Lease` protocol of the
-//! combining layer: one **leased appender** per batch gathers every announced
-//! operation, orders it, computes its response against a replica advanced
-//! to the committed prefix, writes one ring record per operation, issues a
-//! single [`persist_batch`], and then durably publishes the new committed
-//! seq — the batch's linearization point. Waiters park on volatile flags
-//! and are released only after that publish, so a returned operation is
-//! durable. A stale lease (its holder's registry nonce carried by no LIVE
-//! slot) is stolen exactly as in the combining layer, which makes orphan
-//! adoption cross-process safe: the thief re-reads the durable log, sees
-//! which announced operations already committed (their opseq is ≤ the
-//! slot's applied opseq in the log), and only applies the rest.
+//! new argument). `exec_*` runs the appender lease (`Lease`, below):
+//! whoever finds the volatile lease word free CASes its registry nonce in
+//! and becomes the **leased appender** for one batch. It gathers every
+//! announced operation, orders it, computes its response against a
+//! replica advanced to the committed prefix, writes one ring record per
+//! operation, issues a single [`persist_batch`], and then durably
+//! publishes the new committed seq — the batch's linearization point.
+//! Waiters park on volatile per-slot flags and are released only after
+//! that publish, so a returned operation is durable. A parked waiter that
+//! sees a lease whose holder's registry nonce no LIVE slot carries (the
+//! holder crashed and was orphaned, or released its slot mid-lease)
+//! steals it by CAS. That makes orphan adoption cross-process safe: the
+//! thief re-reads the durable log, sees which announced operations
+//! already committed (their opseq is ≤ the slot's applied opseq in the
+//! log), and only applies the rest.
 //!
 //! ## Why replicas need no flushes
 //!
@@ -65,24 +70,25 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::atomic::{
     AtomicU64,
-    Ordering::{Acquire, Relaxed},
+    Ordering::{Acquire, Relaxed, Release},
 };
 use std::sync::{Mutex, MutexGuard};
 
 use dss_pmem::object::{checked_words, thread_count};
 use dss_pmem::{
-    plan_regions, AppKind, AttachError, FlushGranularity, Memory, ObjectCore, ObjectLayout, PAddr,
-    PlacementPolicy, PmemPool, Registry, ThreadHandle, WORDS_PER_LINE,
+    plan_regions, AppKind, AttachError, Backoff, FlushGranularity, Memory, ObjectCore,
+    ObjectLayout, PAddr, PlacementPolicy, PmemPool, Registry, SlotState, ThreadHandle,
+    WORDS_PER_LINE,
 };
 use dss_spec::types::QueueResp;
 
 use super::{QueueFull, Resolved, ResolvedOp};
-use crate::detect::{DetectableCore, Lease};
+use crate::detect::DetectableCore;
 
 /// The structure-kind tag a [`ReplicatedQueue`] records in its pool file's
 /// superblock: the log-structured representation is incompatible with the
-/// linked-list layers, so neither [`DssQueue::attach`](super::DssQueue::attach)
-/// nor [`CombiningQueue::attach`](super::CombiningQueue::attach) may open it.
+/// linked-list queue, so [`DssQueue::attach`](super::DssQueue::attach) may
+/// not open it (nor may this queue's attach open a `DssQueue` file).
 pub const KIND_DSS_QUEUE_REPLICATED: u64 = AppKind::DssQueueReplicated.word();
 
 /// Ring capacity in operation records. Each record is one cache line; the
@@ -132,7 +138,7 @@ const S_SEQ: u64 = 0;
 const S_LEN: u64 = 1;
 const S_SLOT_DONE: u64 = 2; // 3 words per slot: opseq, rtag, rval
 
-/// Locks a mutex, riding through poisoning: a combine tenure interrupted
+/// Locks a mutex, riding through poisoning: an appender tenure interrupted
 /// by a simulated crash unwind may poison a lock, and recovery rebuilds
 /// everything the guard protects from durable state anyway.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -279,11 +285,10 @@ struct AppendCache {
 /// volatile, log-fed replicas with replica-local reads.
 ///
 /// Same `prep`/`exec`/`resolve`/`recover` surface as
-/// [`DssQueue`](super::DssQueue) and
-/// [`CombiningQueue`](super::CombiningQueue), plus the read-side API
+/// [`DssQueue`](super::DssQueue), plus the read-side API
 /// ([`peek_front`](Self::peek_front), [`len`](Self::len),
-/// [`advance_to`](Self::advance_to)) that the other layers serve from
-/// shared memory. The module documentation of `queue/replicated.rs`
+/// [`advance_to`](Self::advance_to)) that `DssQueue` serves from shared
+/// memory. The module documentation of `queue/replicated.rs`
 /// gives the protocol and its crash argument.
 pub struct ReplicatedQueue<M: Memory = PmemPool> {
     /// The shared detectability skeleton: pool, registry, and contention
@@ -292,7 +297,7 @@ pub struct ReplicatedQueue<M: Memory = PmemPool> {
     core: DetectableCore<M>,
     lay: RepLayout,
     /// The appender lease and the volatile publication flags.
-    pub(super) lease: Lease,
+    lease: Lease,
     /// Per-slot announce counters (owner-written; recovery re-derives
     /// them from the durable announce lines).
     opseq: Box<[AtomicU64]>,
@@ -561,7 +566,8 @@ impl<M: Memory> ReplicatedQueue<M> {
 
     /// **exec-enqueue**: append (as the leased appender) or wait until
     /// the announced enqueue is in the durable log and the committed seq
-    /// covering it is published. Idempotent like the combining layer's.
+    /// covering it is published. Idempotent: with nothing announced it
+    /// returns at once.
     pub fn exec_enqueue(&self, h: ThreadHandle) {
         self.lease.exec(&self.core, h, |me| self.combine(me));
     }
@@ -589,18 +595,19 @@ impl<M: Memory> ReplicatedQueue<M> {
         Ok(())
     }
 
-    /// Detectable dequeue: `prep` + `exec`. (Like combining mode, every
-    /// operation goes through the announce/append path.)
+    /// Detectable dequeue: `prep` + `exec`. (There is no plain path:
+    /// every operation goes through the announce/append path.)
     pub fn dequeue(&self, h: ThreadHandle) -> QueueResp {
         self.prep_dequeue(h);
         self.exec_dequeue(h)
     }
 
-    /// **Replica-local front read**: catch the calling slot's replica up
-    /// to the committed seq, then answer from volatile local state. No
-    /// flushes, no shared-line writes — the only shared access is the
-    /// committed-seq load (and the ring reads a lagging replica needs to
-    /// catch up).
+    /// **Replica-local front read**: load the committed seq, lock the
+    /// calling slot's replica and catch it up, then answer from volatile
+    /// local state. No flushes. The shared accesses are the committed-seq
+    /// load, the ring reads a lagging replica needs to catch up, and the
+    /// replica's `Mutex`, which every reader sharded onto that replica
+    /// writes.
     pub fn peek_front(&self, h: ThreadHandle) -> Option<u64> {
         let target = self.committed_seq();
         let mut st = lock(&self.replicas[self.lay.replica_of(h.slot())]);
@@ -1045,6 +1052,194 @@ impl<M: Memory> fmt::Debug for ReplicatedQueue<M> {
     }
 }
 
+/// Volatile per-slot announce states (DRAM only — the persistent truth
+/// lives in the announce lines; these flags exist so waiters can park on
+/// their own cache line and the appender can scan without touching the
+/// pool).
+const IDLE: u64 = 0;
+const ANNOUNCED: u64 = 1;
+const DONE: u64 = 2;
+
+/// Consecutive stable observations of a foreign lease before a waiter
+/// pays for a registry staleness probe.
+const STALE_PROBE: u32 = 64;
+
+/// Parked-waiter iterations before escalating from tuned spinning to
+/// unconditional yields (batches are long compared to a CAS retry, and on
+/// few-core hosts a spinning waiter starves the appender).
+const YIELD_AFTER: u32 = 8;
+
+/// Yield iterations before escalating further to short sleeps. On an
+/// oversubscribed host many yielding waiters accrue almost no vruntime
+/// and keep getting rescheduled — a yield storm that starves the
+/// appender of exactly the CPU it needs to set them free. Sleeping takes
+/// a waiter off the run queue entirely.
+const SLEEP_AFTER: u32 = YIELD_AFTER + 64;
+
+/// Parked-waiter sleep, long enough to drain a yield storm and short
+/// enough that a woken waiter's operation latency stays small next to a
+/// batch under flush penalties.
+const PARK_SLEEP: std::time::Duration = std::time::Duration::from_micros(50);
+
+/// The appender-lease / publication-array protocol of [`ReplicatedQueue`].
+///
+/// `prep` durably announces an operation and raises the slot's volatile
+/// flag ([`announce`](Self::announce)); `exec` parks in
+/// [`exec`](Self::exec) until some lease holder has appended and persisted
+/// it. Whoever finds the **lease word** free CASes its registry nonce in
+/// and runs the appender's `combine` pass over every announced slot,
+/// which marks each applied slot [`done`](Self::done).
+///
+/// The lease word is volatile coordination and is never flushed on the
+/// hot path: a crash reverts it to whatever last persisted (free, or a
+/// nonce no LIVE slot carries any more), and both images are handled.
+/// Centralized recovery [`clear`](Self::clear)s it durably; otherwise a
+/// parked waiter that sees a stable foreign lease probes the registry
+/// and, if the holder's nonce is carried by no LIVE slot — it crashed and
+/// was orphaned, or released its slot mid-lease — *steals* the lease by
+/// CAS. Adoption and re-registration mint fresh nonces, so a stolen lease
+/// never belongs to a live holder.
+struct Lease {
+    /// The lease word: 0 = free, else the holder's registry nonce.
+    word: PAddr,
+    /// Per-slot announce flags (IDLE/ANNOUNCED/DONE).
+    pending: Box<[AtomicU64]>,
+}
+
+impl Lease {
+    /// A lease at `word` over `nslots` publication slots, all idle.
+    fn new(word: PAddr, nslots: usize) -> Self {
+        Lease { word, pending: (0..nslots).map(|_| AtomicU64::new(IDLE)).collect() }
+    }
+
+    /// The lease word's address.
+    #[cfg(test)]
+    fn word(&self) -> PAddr {
+        self.word
+    }
+
+    /// Publishes `slot`'s freshly (durably) announced operation.
+    fn announce(&self, slot: usize) {
+        self.pending[slot].store(ANNOUNCED, Release);
+    }
+
+    /// Whether `slot` has an announced operation no batch applied yet —
+    /// the appender's gather predicate.
+    fn is_announced(&self, slot: usize) -> bool {
+        self.pending[slot].load(Acquire) == ANNOUNCED
+    }
+
+    /// Whether `slot` has nothing announced and no result uncollected.
+    #[cfg(test)]
+    fn is_idle(&self, slot: usize) -> bool {
+        self.pending[slot].load(Acquire) == IDLE
+    }
+
+    /// Releases `slot`'s waiter: its operation is applied and durable.
+    fn done(&self, slot: usize) {
+        self.pending[slot].store(DONE, Release);
+    }
+
+    /// Forgets `slot`'s announcement (post-crash: the crash reverted the
+    /// volatile flag's meaning along with every in-flight waiter).
+    fn reset(&self, slot: usize) {
+        self.pending[slot].store(IDLE, Relaxed);
+    }
+
+    /// Stores, flushes and orders a free lease word. Safe whenever no live
+    /// thread can hold the lease (construction, attach, post-crash
+    /// recovery); idempotent.
+    fn clear<M: Memory>(&self, pool: &M) {
+        pool.store(self.word, 0);
+        pool.flush(self.word);
+        pool.drain_line(self.word);
+    }
+
+    /// Parks until `h`'s announced operation is applied, running
+    /// `combine(h)` on this thread whenever the lease is (or goes) free,
+    /// and stealing the lease if its holder provably died. Waiters always
+    /// park with the core's tuned backoff.
+    ///
+    /// Idempotent: with no announcement outstanding (double `exec`, or
+    /// `exec` re-run after a crash already resolved the slot) it returns
+    /// immediately instead of parking on a batch that will never form.
+    fn exec<M: Memory>(
+        &self,
+        core: &ObjectCore<M>,
+        h: ThreadHandle,
+        mut combine: impl FnMut(ThreadHandle),
+    ) {
+        let slot = h.slot();
+        if self.pending[slot].load(Acquire) == IDLE {
+            return;
+        }
+        let pool = core.pool().as_ref();
+        let mut bo = Backoff::attached(true, core.tuner());
+        let mut observed = 0u64;
+        let mut stable = 0u32;
+        let mut waits = 0u32;
+        loop {
+            if self.pending[slot].load(Acquire) == DONE {
+                self.pending[slot].store(IDLE, Relaxed);
+                return;
+            }
+            // The lease probe is an *instrumented* pool load, so armed
+            // crash countdowns progress even while a waiter only parks.
+            let lease = pool.load(self.word);
+            if lease == 0 {
+                // No flush: the lease is volatile coordination.
+                if pool.cas(self.word, 0, h.nonce()).is_ok() {
+                    combine(h);
+                    self.release(pool, h);
+                    continue; // the batch set our DONE flag
+                }
+            } else if lease != observed {
+                observed = lease;
+                stable = 0;
+            } else {
+                stable += 1;
+                if stable >= STALE_PROBE && Self::is_stale(core, lease) {
+                    // The holder's nonce is carried by no LIVE slot: it
+                    // crashed (and recovery orphaned it) or released its
+                    // slot mid-lease. Steal and combine in its place.
+                    if pool.cas(self.word, lease, h.nonce()).is_ok() {
+                        combine(h);
+                        self.release(pool, h);
+                        continue;
+                    }
+                    observed = 0;
+                    stable = 0;
+                }
+            }
+            waits = waits.saturating_add(1);
+            if waits > SLEEP_AFTER {
+                std::thread::sleep(PARK_SLEEP);
+            } else if waits > YIELD_AFTER {
+                std::thread::yield_now();
+            } else {
+                bo.spin();
+            }
+        }
+    }
+
+    fn release<M: Memory>(&self, pool: &M, h: ThreadHandle) {
+        // Failure is benign: only a post-crash steal can move the lease
+        // from under a holder, and then the thief owns the cleanup. Not
+        // flushed — the lease is volatile coordination.
+        let _ = pool.cas(self.word, h.nonce(), 0);
+    }
+
+    /// Whether a lease nonce belongs to no LIVE registry slot. Uses
+    /// uninstrumented peeks: a staleness probe is diagnosis, not protocol
+    /// progress, so it must not perturb operation-indexed crash sweeps
+    /// relative to the number of probing waiters.
+    fn is_stale<M: Memory>(core: &ObjectCore<M>, lease: u64) -> bool {
+        let reg = core.registry();
+        !(0..core.nthreads())
+            .any(|s| reg.slot_state(s) == Ok(SlotState::Live) && reg.slot_nonce(s) == Ok(lease))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::{DssQueue, KIND_DSS_QUEUE};
@@ -1105,6 +1300,59 @@ mod tests {
         q.prep_dequeue(h0);
         assert_eq!(q.exec_dequeue(h0), QueueResp::Value(1));
         assert_eq!(q.exec_dequeue(h0), QueueResp::Value(1));
+    }
+
+    /// The appender lease: racing `exec` calls elect one holder per tenure
+    /// and all complete, and a lease whose holder's nonce no LIVE slot
+    /// carries — because the holder released its slot mid-lease, or
+    /// crashed and was orphaned — is stolen by a parked waiter.
+    #[test]
+    fn replicated_lease_is_held_once_and_stolen_from_departed_holders() {
+        const THREADS: usize = 4;
+        let q = ReplicatedQueue::new(THREADS, 16);
+        let hs: Vec<_> = (0..THREADS).map(|_| q.register_thread().unwrap()).collect();
+        for (tid, &h) in hs.iter().enumerate() {
+            q.prep_enqueue(h, tid as u64 + 1).unwrap();
+        }
+        std::thread::scope(|scope| {
+            for &h in &hs {
+                let q = &q;
+                scope.spawn(move || q.exec_enqueue(h));
+            }
+        });
+        let mut values = q.snapshot_values();
+        values.sort_unstable();
+        assert_eq!(values, [1, 2, 3, 4]);
+        assert_eq!(q.pool().peek(q.lease.word()), 0, "lease released after the batches");
+        assert!((0..THREADS).all(|s| q.lease.is_idle(s)), "every waiter collected its result");
+
+        // A holder that released its slot (not crashed) while its nonce
+        // still sits in the lease word: nobody LIVE carries the nonce.
+        let q = ReplicatedQueue::new(2, 8);
+        let h0 = q.register_thread().unwrap();
+        let h1 = q.register_thread().unwrap();
+        q.pool().store(q.lease.word(), h1.nonce());
+        q.release_thread(h1).unwrap();
+        q.enqueue(h0, 5).unwrap();
+        q.prep_dequeue(h0);
+        assert_eq!(q.exec_dequeue(h0), QueueResp::Value(5));
+
+        // A holder that died mid-tenure: its nonce sits durably in the
+        // lease word, and its thread never comes back after the crash.
+        let q = ReplicatedQueue::new(2, 8);
+        let h0 = q.register_thread().unwrap();
+        let h1 = q.register_thread().unwrap();
+        q.pool().store(q.lease.word(), h1.nonce());
+        q.pool().flush(q.lease.word());
+        q.pool().drain_line(q.lease.word());
+        q.pool().crash(&WritebackAdversary::None);
+        q.begin_recovery();
+        let mine = q.adopt(h0.slot()).unwrap();
+        q.recover_one(mine);
+        q.rebuild_allocator();
+        q.enqueue(mine, 5).unwrap();
+        q.prep_dequeue(mine);
+        assert_eq!(q.exec_dequeue(mine), QueueResp::Value(5));
     }
 
     #[test]

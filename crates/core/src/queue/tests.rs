@@ -6,7 +6,7 @@ use std::sync::Arc;
 use dss_pmem::{StatsSnapshot, WritebackAdversary};
 use dss_spec::types::QueueResp;
 
-use super::{CombiningQueue, DssQueue, QueueFull, ReplicatedQueue, Resolved, ResolvedOp};
+use super::{DssQueue, QueueFull, Resolved, ResolvedOp};
 
 #[test]
 fn fifo_order_non_detectable() {
@@ -534,70 +534,6 @@ fn resolve_enqueue_value_survives_node_recycling() {
         Resolved { op: Some(ResolvedOp::Enqueue(42)), resp: Some(QueueResp::Ok) }
     );
 }
-
-/// The lease protocol of the leased layers, one body run on each:
-/// racing `exec` calls elect one holder per tenure and all complete, and a
-/// lease whose holder's nonce no LIVE slot carries — because the holder
-/// released its slot mid-lease, or crashed and was orphaned — is stolen by
-/// a parked waiter.
-macro_rules! lease_protocol_test {
-    ($name:ident, $ty:ty) => {
-        #[test]
-        fn $name() {
-            const THREADS: usize = 4;
-            let q = <$ty>::new(THREADS, 16);
-            let hs: Vec<_> = (0..THREADS).map(|_| q.register_thread().unwrap()).collect();
-            for (tid, &h) in hs.iter().enumerate() {
-                q.prep_enqueue(h, tid as u64 + 1).unwrap();
-            }
-            std::thread::scope(|scope| {
-                for &h in &hs {
-                    let q = &q;
-                    scope.spawn(move || q.exec_enqueue(h));
-                }
-            });
-            let mut values = q.snapshot_values();
-            values.sort_unstable();
-            assert_eq!(values, [1, 2, 3, 4]);
-            assert_eq!(q.pool().peek(q.lease.word()), 0, "lease released after the batches");
-            assert!((0..THREADS).all(|s| q.lease.is_idle(s)), "every waiter collected its result");
-
-            // A holder that released its slot (not crashed) while its nonce
-            // still sits in the lease word: nobody LIVE carries the nonce.
-            let q = <$ty>::new(2, 8);
-            let h0 = q.register_thread().unwrap();
-            let h1 = q.register_thread().unwrap();
-            q.pool().store(q.lease.word(), h1.nonce());
-            q.release_thread(h1).unwrap();
-            q.enqueue(h0, 5).unwrap();
-            q.prep_dequeue(h0);
-            assert_eq!(q.exec_dequeue(h0), QueueResp::Value(5));
-
-            // A holder that died mid-tenure: its nonce sits durably in the
-            // lease word, and its thread never comes back after the crash.
-            let q = <$ty>::new(2, 8);
-            let h0 = q.register_thread().unwrap();
-            let h1 = q.register_thread().unwrap();
-            q.pool().store(q.lease.word(), h1.nonce());
-            q.pool().flush(q.lease.word());
-            q.pool().drain_line(q.lease.word());
-            q.pool().crash(&WritebackAdversary::None);
-            q.begin_recovery();
-            let mine = q.adopt(h0.slot()).unwrap();
-            q.recover_one(mine);
-            q.rebuild_allocator();
-            q.enqueue(mine, 5).unwrap();
-            q.prep_dequeue(mine);
-            assert_eq!(q.exec_dequeue(mine), QueueResp::Value(5));
-        }
-    };
-}
-
-lease_protocol_test!(combining_lease_is_held_once_and_stolen_from_departed_holders, CombiningQueue);
-lease_protocol_test!(
-    replicated_lease_is_held_once_and_stolen_from_departed_holders,
-    ReplicatedQueue
-);
 
 #[test]
 fn recovery_pool_operations_are_pinned() {

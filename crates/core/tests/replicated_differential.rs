@@ -3,17 +3,16 @@
 //! `advance_to(committed_seq)` its contents must be byte-equal to a
 //! single-instance queue that replayed the same operation script — under
 //! every combination of the simulator's writeback knobs (coalescing ×
-//! per-address drains), both placement policies, and with either
-//! single-instance execution layer as the oracle (the plain CAS-racing
-//! queue and the flat-combining queue). A crash sweep then kills the
+//! per-address drains) and both placement policies, with the CAS-racing
+//! `DssQueue` as the oracle. A crash sweep then kills the
 //! leased appender mid-batch at every instrumented persistence point and
 //! checks that a survivor adopting the dead slot sees replicas that
 //! rebuild to exactly the committed prefix.
 
 use proptest::prelude::*;
 
-use dss_core::{CombiningQueue, DssQueue, QueueFull, ReplicatedQueue, Resolved, ResolvedOp};
-use dss_pmem::{FlushGranularity, PlacementPolicy, PmemPool, ThreadHandle, WritebackAdversary};
+use dss_core::{DssQueue, ReplicatedQueue, Resolved, ResolvedOp};
+use dss_pmem::{FlushGranularity, PlacementPolicy, PmemPool, WritebackAdversary};
 use dss_spec::types::QueueResp;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -34,48 +33,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![(1u64..50).prop_map(Op::Enq), (50u64..100).prop_map(Op::Enq), Just(Op::Deq),]
 }
 
-/// The single-instance oracle: whichever execution layer the condition
-/// picks, replaying the identical script on its own pool.
-enum Oracle {
-    Plain(DssQueue, ThreadHandle),
-    Combining(CombiningQueue, ThreadHandle),
-}
-
-impl Oracle {
-    fn new(combining: bool) -> Self {
-        if combining {
-            let q = CombiningQueue::new(NTHREADS, NODES_PER_THREAD);
-            let h = q.register_thread().unwrap();
-            Oracle::Combining(q, h)
-        } else {
-            let q = DssQueue::new(NTHREADS, NODES_PER_THREAD);
-            let h = q.register_thread().unwrap();
-            Oracle::Plain(q, h)
-        }
-    }
-
-    fn enqueue(&self, val: u64) -> Result<(), QueueFull> {
-        match self {
-            Oracle::Plain(q, h) => q.enqueue(*h, val),
-            Oracle::Combining(q, h) => q.enqueue(*h, val),
-        }
-    }
-
-    fn dequeue(&self) -> QueueResp {
-        match self {
-            Oracle::Plain(q, h) => q.dequeue(*h),
-            Oracle::Combining(q, h) => q.dequeue(*h),
-        }
-    }
-
-    fn snapshot_values(&self) -> Vec<u64> {
-        match self {
-            Oracle::Plain(q, _) => q.snapshot_values(),
-            Oracle::Combining(q, _) => q.snapshot_values(),
-        }
-    }
-}
-
 proptest! {
     /// Replayed scripts agree op-for-op with the oracle, and every
     /// replica caught up to the committed seq holds exactly the oracle's
@@ -86,7 +43,6 @@ proptest! {
         nreplicas in 1usize..4,
         coalesce in proptest::bool::ANY,
         per_addr in proptest::bool::ANY,
-        combining in proptest::bool::ANY,
         sharded in proptest::bool::ANY,
     ) {
         let policy = if sharded { PlacementPolicy::Sharded } else { PlacementPolicy::Interleave };
@@ -97,16 +53,19 @@ proptest! {
         q.pool().set_per_address_drains(per_addr);
         let h = q.register_thread().unwrap();
 
-        let oracle = Oracle::new(combining);
+        // The single-instance oracle replays the identical script on its
+        // own pool.
+        let oracle = DssQueue::new(NTHREADS, NODES_PER_THREAD);
+        let oh = oracle.register_thread().unwrap();
 
         for (i, op) in script.iter().enumerate() {
             match op {
                 Op::Enq(v) => {
-                    let (a, b) = (q.enqueue(h, *v), oracle.enqueue(*v));
+                    let (a, b) = (q.enqueue(h, *v), oracle.enqueue(oh, *v));
                     prop_assert_eq!(a.is_ok(), b.is_ok(), "op {}: admission disagrees", i);
                 }
                 Op::Deq => {
-                    let (a, b) = (q.dequeue(h), oracle.dequeue());
+                    let (a, b) = (q.dequeue(h), oracle.dequeue(oh));
                     prop_assert_eq!(a, b, "op {}: dequeue response disagrees", i);
                 }
             }
@@ -120,8 +79,8 @@ proptest! {
             prop_assert_eq!(
                 &q.replica_values(r), &expect,
                 "replica {} disagrees with the single-instance replay \
-                 (coalesce={}, per_addr={}, combining={}, policy={:?})",
-                r, coalesce, per_addr, combining, policy
+                 (coalesce={}, per_addr={}, policy={:?})",
+                r, coalesce, per_addr, policy
             );
             prop_assert_eq!(q.replica_applied(r), committed);
         }

@@ -12,7 +12,7 @@
 use std::fmt::Debug;
 
 use dss_baselines::{DurableQueue, LogQueue, MsQueue};
-use dss_core::{CombiningQueue, DssQueue, ReplicatedQueue};
+use dss_core::{DssQueue, ReplicatedQueue};
 use dss_pmem::{
     DramPool, FlushGranularity, Memory, ObjectCore, PlacementPolicy, PmemPool, ThreadHandle,
 };
@@ -29,16 +29,11 @@ pub enum QueueKind {
     /// DSS queue, operations applied detectably via prep/exec (both
     /// figures).
     DssDetectable,
-    /// DSS queue under the flat-combining execution layer (E14): the same
-    /// detectable prep/exec surface, but `exec` is served by a
-    /// lease-holding combiner that batch-applies announced operations
-    /// with one persist per batch phase.
-    DssCombining,
     /// DSS queue under the replicated execution layer (E15): writes go
     /// through a leased appender into a durable op log; reads are served
     /// replica-locally from volatile log-fed replicas
-    /// ([`QueueUnderTest::peek`]), with no flushes and no shared-line
-    /// writes on the read path.
+    /// ([`QueueUnderTest::peek`]), with no flushes on the read path (a
+    /// read does lock its replica's `Mutex`).
     DssReplicated,
     /// Friedman et al.'s durable queue (recoverable, not detectable).
     Durable,
@@ -96,7 +91,6 @@ impl QueueKind {
             QueueKind::Ms => "MS queue",
             QueueKind::DssNonDetectable => "DSS queue non-detectable",
             QueueKind::DssDetectable => "DSS queue detectable",
-            QueueKind::DssCombining => "DSS queue combining",
             QueueKind::DssReplicated => "DSS queue replicated",
             QueueKind::Durable => "Durable queue",
             QueueKind::Log => "Log queue",
@@ -142,11 +136,6 @@ impl QueueKind {
                 nodes_per_thread,
                 FlushGranularity::Line,
             ))),
-            QueueKind::DssCombining => Box::new(DssComb(CombiningQueue::<M>::new_in(
-                nthreads,
-                nodes_per_thread,
-                FlushGranularity::Line,
-            ))),
             QueueKind::DssReplicated => Box::new(DssRepl(ReplicatedQueue::<M>::new_in(
                 nthreads,
                 nodes_per_thread,
@@ -174,7 +163,7 @@ impl QueueKind {
     }
 
     /// Every kind of the historical sweeps (E3/E9/E10 and the recorded
-    /// tables keyed to them). [`DssCombining`](Self::DssCombining) is
+    /// tables keyed to them). [`DssReplicated`](Self::DssReplicated) is
     /// deliberately *not* here — it rides the contention benchmark
     /// ([`contention`](Self::contention)) so the older tables keep their
     /// row sets.
@@ -190,15 +179,14 @@ impl QueueKind {
         ]
     }
 
-    /// The kinds of the contention benchmark (E14): every historical kind
-    /// plus the leased execution layers, placed right after the
-    /// CAS-racing detectable queue they are the alternatives to.
-    pub fn contention() -> [QueueKind; 9] {
+    /// The kinds of the contention benchmark: every historical kind plus
+    /// the replicated execution layer, placed right after the CAS-racing
+    /// detectable queue it is the alternative to.
+    pub fn contention() -> [QueueKind; 8] {
         [
             QueueKind::Ms,
             QueueKind::DssNonDetectable,
             QueueKind::DssDetectable,
-            QueueKind::DssCombining,
             QueueKind::DssReplicated,
             QueueKind::Durable,
             QueueKind::Log,
@@ -389,32 +377,6 @@ impl<M: Memory> QueueUnderTest for DssDet<M> {
     }
     fn peek(&self, h: ThreadHandle) -> Option<u64> {
         self.0.peek_front(h)
-    }
-    fn set_backoff(&self, on: bool) {
-        self.0.set_backoff(on);
-    }
-    fn pool(&self) -> &dyn Memory {
-        self.0.pool().as_ref()
-    }
-}
-
-/// DSS queue under the flat-combining execution layer (always
-/// detectable: combining has no non-detectable path — every operation
-/// goes through the publication array).
-#[derive(Debug)]
-struct DssComb<M: Memory>(CombiningQueue<M>);
-
-impl<M: Memory> QueueUnderTest for DssComb<M> {
-    fn register_thread(&self) -> ThreadHandle {
-        self.0.register_thread().expect("thread slots exhausted")
-    }
-    fn enqueue(&self, h: ThreadHandle, val: u64) {
-        self.0.prep_enqueue(h, val).expect("node pool exhausted");
-        self.0.exec_enqueue(h);
-    }
-    fn dequeue(&self, h: ThreadHandle) -> QueueResp {
-        self.0.prep_dequeue(h);
-        self.0.exec_dequeue(h)
     }
     fn set_backoff(&self, on: bool) {
         self.0.set_backoff(on);

@@ -19,20 +19,19 @@
 //! resolve correctly. Swept across the coalesce × per-address flush
 //! regimes (the knobs that widen what a kill can destroy).
 //!
-//! The matrix runs on any of the queue's three execution layers —
-//! CAS-racing (default), flat-combining, or log-fed replicated — or on
-//! the detectable hash map, selected with `--layer
-//! cas|combining|replicated|map`; every table comes from the same
-//! `Layer`-parameterised driver. The map sweeps interrupt insert / update
-//! / remove / remove-absent victims and validate `resolve` against the
-//! persisted bindings; its checked histories are verified per key through
-//! `check_partitioned`.
+//! The matrix runs on either of the queue's two execution layers —
+//! CAS-racing (default) or log-fed replicated — or on the detectable
+//! hash map, selected with `--layer cas|replicated|map`; every table
+//! comes from the same `Layer`-parameterised driver. The map sweeps
+//! interrupt insert / update / remove / remove-absent victims and validate
+//! `resolve` against the persisted bindings; its checked histories are
+//! verified per key through `check_partitioned`.
 //!
 //! ```text
 //! cargo run -p dss-harness --release --bin crash_matrix -- \
 //!     [--granularity word] [--adversary random --seed 7] \
 //!     [--partial-recovery on] [--multi-process on] \
-//!     [--layer cas|combining|replicated|map]
+//!     [--layer cas|replicated|map]
 //! ```
 
 use dss_harness::cli;
@@ -68,7 +67,6 @@ fn main() {
             if config.coalesce { " coalesce=on" } else { "" },
             if config.per_address { " per-address=on" } else { "" },
             match args.layer {
-                Layer::Combining => " combining=on",
                 Layer::Replicated => " replicated=on",
                 Layer::Map => " map=on",
                 Layer::Cas => "",

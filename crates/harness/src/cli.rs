@@ -43,7 +43,7 @@ pub struct Args {
     /// resolve every pre-crash operation. Default off.
     pub multi_process: bool,
     /// Execution layer / object family under test (`--layer
-    /// cas|combining|replicated|map`, `crash_matrix` only). Default
+    /// cas|replicated|map`, `crash_matrix` only). Default
     /// [`Layer::Cas`].
     pub layer: Layer,
     /// Checker pipeline (`--mode monolithic|partitioned`,

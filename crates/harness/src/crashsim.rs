@@ -9,9 +9,8 @@
 //! executable version of the paper's Figure 2.
 //!
 //! Every driver here exists once and takes a [`Layer`]: the CAS-racing
-//! [`DssQueue`], the flat-combining [`CombiningQueue`], the log-fed
-//! [`ReplicatedQueue`], and the detectable hash map [`DetectableMap`] are
-//! all `CrashTarget`s, so combiner death mid-batch, waiters killed while
+//! [`DssQueue`], the log-fed [`ReplicatedQueue`], and the detectable hash
+//! map [`DetectableMap`] are all `CrashTarget`s, so waiters killed while
 //! parked, appender death around the committed-seq publish, and a map
 //! install cut short go through the same Figure-2 validation. The map
 //! recovers independently (§3.3): its "centralized" recovery is just the
@@ -38,8 +37,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
 use dss_core::{
-    CombiningQueue, DetectableCore, DetectableMap, DssQueue, QueueFull, ReplicatedQueue, Resolved,
-    ResolvedMap, ResolvedOp,
+    DetectableCore, DetectableMap, DssQueue, QueueFull, ReplicatedQueue, Resolved, ResolvedMap,
+    ResolvedOp,
 };
 use dss_pmem::{FlushGranularity, PmemPool, ThreadHandle, WritebackAdversary};
 use dss_spec::types::{KvOp, KvResp, QueueResp};
@@ -50,8 +49,6 @@ pub enum Layer {
     /// The CAS-racing queue (the paper's baseline).
     #[default]
     Cas,
-    /// The flat-combining queue (experiment E14).
-    Combining,
     /// The log-fed replicated queue (experiment E15).
     Replicated,
     /// The detectable hash map (experiment E16's structure).
@@ -59,8 +56,7 @@ pub enum Layer {
 }
 
 impl Layer {
-    /// Inverse of [`fmt::Display`]: `cas`, `combining`, `replicated` or
-    /// `map`.
+    /// Inverse of [`fmt::Display`]: `cas`, `replicated` or `map`.
     ///
     /// # Panics
     ///
@@ -68,18 +64,17 @@ impl Layer {
     pub fn parse(s: &str) -> Layer {
         match s {
             "cas" => Layer::Cas,
-            "combining" => Layer::Combining,
             "replicated" => Layer::Replicated,
             "map" => Layer::Map,
-            l => panic!("layer {l}: expected cas|combining|replicated|map"),
+            l => panic!("layer {l}: expected cas|replicated|map"),
         }
     }
 
-    /// Whether the layer executes through a lease holder (combiner or
-    /// appender), whose lease only becomes provably stale once the crash
-    /// boundary is marked.
+    /// Whether the layer executes through a lease holder (the replicated
+    /// queue's appender), whose lease only becomes provably stale once the
+    /// crash boundary is marked.
     pub fn is_leased(self) -> bool {
-        matches!(self, Layer::Combining | Layer::Replicated)
+        self == Layer::Replicated
     }
 }
 
@@ -87,7 +82,6 @@ impl fmt::Display for Layer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             Layer::Cas => "cas",
-            Layer::Combining => "combining",
             Layer::Replicated => "replicated",
             Layer::Map => "map",
         })
@@ -109,10 +103,6 @@ macro_rules! dispatch {
         match $layer {
             $crate::crashsim::Layer::Cas => {
                 type $T = dss_core::DssQueue;
-                $body
-            }
-            $crate::crashsim::Layer::Combining => {
-                type $T = dss_core::CombiningQueue;
                 $body
             }
             $crate::crashsim::Layer::Replicated => {
@@ -213,10 +203,10 @@ pub struct SweepConfig {
     /// back just the lines they order against, so the crash drops a wider
     /// pending set.
     pub per_address: bool,
-    /// The structure under test. On the leased layers the armed crash
-    /// lands inside a combiner's batch or the appender's log batch (or a
-    /// waiter's park loop), exercising lease recovery, half-applied
-    /// batches, and replica rebuild by replay.
+    /// The structure under test. On the replicated layer the armed crash
+    /// lands inside the appender's log batch (or a waiter's park loop),
+    /// exercising lease recovery, half-applied batches, and replica
+    /// rebuild by replay.
     pub layer: Layer,
 }
 
@@ -233,7 +223,7 @@ impl Default for SweepConfig {
     }
 }
 
-/// The queue surface of the three execution layers, forwarded to each
+/// The queue surface of the two execution layers, forwarded to each
 /// type's inherent methods. The slot API and the pool come from the
 /// shared skeleton every layer dereferences to.
 pub(crate) trait QueueLayer:
@@ -241,8 +231,8 @@ pub(crate) trait QueueLayer:
 {
     /// Whether this layer's `enqueue`/`dequeue` conveniences are really
     /// detectable prep/exec pairs. The CAS layer has a true plain path
-    /// that leaves detection state alone (Axiom 4); the leased layers
-    /// have none — every operation announces and goes through a lease
+    /// that leaves detection state alone (Axiom 4); the replicated layer
+    /// has none — every operation announces and goes through the lease
     /// holder, so a later resolve reports it. Recorders must ask, or the
     /// recorded `D⟨queue⟩` history misrepresents the semantics.
     const PLAIN_IS_DETECTABLE: bool;
@@ -313,7 +303,6 @@ macro_rules! impl_queue_layer {
 }
 
 impl_queue_layer!(DssQueue, plain_is_detectable = false);
-impl_queue_layer!(CombiningQueue, plain_is_detectable = true);
 impl_queue_layer!(ReplicatedQueue, plain_is_detectable = true);
 
 /// A structure the crash drivers can sweep, crash mid-workload, and
@@ -453,7 +442,7 @@ impl<Q: QueueLayer> CrashTarget for Q {
             ) => {
                 // The dequeue announce never persisted, so resolve correctly
                 // reports the *prefill* enqueue. Only reachable on the
-                // leased layers, whose prefill is necessarily detectable
+                // replicated layer, whose prefill is necessarily detectable
                 // (no non-detectable path exists); the CAS-racing sweeps
                 // prefill non-detectably and land in the (None, None) arm.
                 out.not_prepared += 1;
@@ -796,9 +785,9 @@ fn sweep_point<T: CrashTarget>(
     q.pool().crash(&config.adversary);
     if config.independent_recovery {
         // §3.3: the surviving thread repairs only its own slot — no
-        // registry transition, no centralized phase. (On the leased
-        // layers, the boundary must still be marked so a dead
-        // combiner's/appender's lease becomes provably stale.)
+        // registry transition, no centralized phase. (On the replicated
+        // layer, the boundary must still be marked so a dead appender's
+        // lease becomes provably stale.)
         if config.layer.is_leased() {
             q.begin_recovery();
         }
@@ -820,7 +809,7 @@ fn sweep_point<T: CrashTarget>(
 /// effective enqueue's value is dequeued at most once and is otherwise
 /// still queued; on the map, every key's binding is exactly the last
 /// confirmed write, amended by the in-flight op iff `resolve` reports it
-/// took effect. On the leased layers the armed crashes land inside
+/// took effect. On the replicated layer the armed crashes land inside
 /// batches and waiter park loops (waiters step their countdowns through
 /// the instrumented lease probe, so every worker still crashes).
 ///
@@ -846,7 +835,7 @@ pub fn concurrent_crash_run(layer: Layer, threads: usize, seed: u64) -> Result<u
 ///
 /// The conservation invariant is then checked over **all** threads'
 /// bookkeeping, dead ones included — their announced ops are read through
-/// the adopted slots. On the leased layers a holder killed mid-batch whose
+/// the adopted slots. On the replicated layer a holder killed mid-batch whose
 /// slot is never re-adopted by its own thread leaves a lease only the
 /// survivors' staleness steal can reclaim.
 ///
@@ -1040,9 +1029,9 @@ impl Drop for PoolFileGuard {
 /// the persisted state. Returns one `(victim, outcome)` row per operation.
 ///
 /// `config.granularity`, `config.coalesce`, `config.per_address` and
-/// `config.layer` are forwarded to the child (a leased layer's pool is
-/// attached with its own `attach`, which also clears the dead combiner's
-/// or appender's lease); `config.adversary` and
+/// `config.layer` are forwarded to the child (the replicated layer's pool
+/// is attached with its own `attach`, which also clears the dead
+/// appender's lease); `config.adversary` and
 /// `config.independent_recovery` are ignored — SIGKILL *is* the adversary
 /// (nothing pending survives it, like [`WritebackAdversary::None`]), and
 /// recovery is always the centralized attach-then-adopt path a fresh
@@ -1125,7 +1114,7 @@ fn multi_process_sweep_op<T: CrashTarget>(
 mod tests {
     use super::*;
 
-    const LAYERS: [Layer; 4] = [Layer::Cas, Layer::Combining, Layer::Replicated, Layer::Map];
+    const LAYERS: [Layer; 3] = [Layer::Cas, Layer::Replicated, Layer::Map];
 
     #[test]
     fn layer_names_round_trip() {
@@ -1135,7 +1124,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "expected cas|combining|replicated|map")]
+    #[should_panic(expected = "expected cas|replicated|map")]
     fn bad_layer_panics() {
         Layer::parse("quantum");
     }
@@ -1152,8 +1141,7 @@ mod tests {
 
     #[test]
     fn sweeps_have_no_violations_under_adversaries_and_granularities() {
-        // Every crash point — combiner death before, between and after the
-        // three persist phases, appender death between the announce's
+        // Every crash point — appender death between the announce's
         // ordering points, before and after the batch persist and around
         // the committed-seq publish included — across flush modes and both
         // recovery styles.

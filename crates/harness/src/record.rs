@@ -126,7 +126,7 @@ impl<Q: QueueLayer> RecordTarget for Q {
                 let resp = self.exec_dequeue(h);
                 rec.ret(id, DetResp::Ret(resp));
             }
-            // On a layer without a true plain path (the leased layers:
+            // On a layer without a true plain path (the replicated layer:
             // every op announces and a later resolve reports it), the
             // plan's plain steps are honestly recorded as the prep/exec
             // pairs they are — recording them as `Plain` would claim
@@ -287,7 +287,7 @@ fn record_execution_on<T: RecordTarget>(
 
 /// Records an execution on a queue `layer` in which every thread is
 /// interrupted by a system-wide crash mid-run; after centralized
-/// recovery, each thread resolves. On the leased layers the seed-derived
+/// recovery, each thread resolves. On the replicated layer the seed-derived
 /// crashes land inside batches and waiter park loops, and the recorded
 /// resolves read results a dead lease holder wrote (or the committed log,
 /// with the volatile replicas rebuilt by replay).
@@ -483,7 +483,7 @@ pub fn check_plain(
 /// at any scale. Each thread alternates enqueue/dequeue so with `prefill`
 /// initial values the queue never empties (every dequeue observes a
 /// value), and values are globally unique — exactly the regime the FIFO
-/// fast path verifies in near-linear time. On the leased layers every
+/// fast path verifies in near-linear time. On the replicated layer every
 /// operation goes through a lease holder's batch, so the check certifies
 /// at full length that batching preserves `queue`'s sequential
 /// specification.

@@ -479,18 +479,16 @@ mod tests {
     }
 
     #[test]
-    fn contention_list_adds_leased_layers_and_they_measure_on_both_backends() {
-        // `all()` deliberately excludes the leased execution layers (it
-        // feeds the historical tables); the contention list is where they
-        // live.
-        assert_eq!(QueueKind::contention().len(), QueueKind::all().len() + 2);
-        assert!(QueueKind::contention().contains(&QueueKind::DssCombining));
+    fn contention_list_adds_the_replicated_layer_and_it_measures_on_both_backends() {
+        // `all()` deliberately excludes the replicated execution layer (it
+        // feeds the historical tables); the contention list is where it
+        // lives.
+        assert_eq!(QueueKind::contention().len(), QueueKind::all().len() + 1);
         assert!(QueueKind::contention().contains(&QueueKind::DssReplicated));
-        for kind in [QueueKind::DssCombining, QueueKind::DssReplicated] {
-            for backend in [Backend::Pmem, Backend::Dram] {
-                let t = measure(kind, &ThroughputConfig { backend, ..quick() });
-                assert!(t.mops_mean > 0.0, "{} on {}: no progress", kind.label(), backend.label());
-            }
+        for backend in [Backend::Pmem, Backend::Dram] {
+            let kind = QueueKind::DssReplicated;
+            let t = measure(kind, &ThroughputConfig { backend, ..quick() });
+            assert!(t.mops_mean > 0.0, "{} on {}: no progress", kind.label(), backend.label());
         }
     }
 

@@ -163,8 +163,8 @@ pub trait Memory: Send + Sync + std::fmt::Debug + 'static {
     /// The default is the literal flush-then-drain sequence; backends can
     /// override it to deduplicate shared flush units so a batch touching
     /// the same line many times pays one writeback (see the `PmemPool`
-    /// implementation). The flat-combining execution layer issues one
-    /// `persist_batch` per persist phase instead of per-operation
+    /// implementation). The replicated queue's appender issues one
+    /// `persist_batch` per batch of log records instead of per-record
     /// flush/drain pairs.
     fn persist_batch(&self, addrs: &[PAddr]) {
         for &a in addrs {

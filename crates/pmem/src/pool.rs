@@ -897,8 +897,8 @@ impl PmemPool {
     ///   flushes coalescible across the fence.
     ///
     /// On return every address in the batch is in the persistence domain;
-    /// the flat-combining layer uses this as its one-persist-per-phase
-    /// primitive.
+    /// the replicated queue's appender persists each batch of log records,
+    /// and each checkpoint snapshot, with this one call.
     pub fn persist_batch(&self, addrs: &[PAddr]) {
         if addrs.is_empty() {
             return;

@@ -369,9 +369,9 @@ impl<M: Memory> Registry<M> {
     }
 
     /// The nonce minted by the slot's most recent lease (0 if the slot was
-    /// never leased). The flat-combining layer uses this to decide whether
-    /// a combiner lease is stale: a lease nonce no LIVE slot carries
-    /// belongs to a dead or departed holder and may be stolen.
+    /// never leased). The replicated queue uses this to decide whether its
+    /// appender lease is stale: a lease nonce no LIVE slot carries belongs
+    /// to a dead or departed holder and may be stolen.
     ///
     /// # Errors
     ///

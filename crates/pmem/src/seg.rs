@@ -174,8 +174,9 @@ pub enum AppKind {
     MsQueue = 8,
     /// The PMwCAS-style CWE queue.
     CweQueue = 9,
-    /// The DSS queue under the flat-combining execution layer.
-    DssQueueCombining = 10,
+    // 10 is retired: it tagged the flat-combining DSS queue, which was
+    // removed. It is never reassigned, so a file stamped 10 names no kind
+    // and every attach refuses it.
     /// The DSS queue under the log-fed replica execution layer.
     DssQueueReplicated = 11,
     /// The detectable bucket-chained hash map (`DetectableMap`).
@@ -184,7 +185,7 @@ pub enum AppKind {
 
 impl AppKind {
     /// Every kind, in tag order. Kept exhaustive by the round-trip test.
-    pub const ALL: [AppKind; 12] = [
+    pub const ALL: [AppKind; 11] = [
         AppKind::DssQueue,
         AppKind::DssStack,
         AppKind::DetectableRegister,
@@ -194,7 +195,6 @@ impl AppKind {
         AppKind::LogQueue,
         AppKind::MsQueue,
         AppKind::CweQueue,
-        AppKind::DssQueueCombining,
         AppKind::DssQueueReplicated,
         AppKind::DetectableMap,
     ];
@@ -222,7 +222,6 @@ impl fmt::Display for AppKind {
             AppKind::LogQueue => "log-queue",
             AppKind::MsQueue => "ms-queue",
             AppKind::CweQueue => "cwe-queue",
-            AppKind::DssQueueCombining => "dss-queue-combining",
             AppKind::DssQueueReplicated => "dss-queue-replicated",
             AppKind::DetectableMap => "detectable-map",
         };
@@ -623,17 +622,20 @@ mod tests {
     fn app_kind_words_round_trip_exhaustively() {
         // Every kind survives word() -> from_word(), the tag values are
         // the historical on-disk assignment, and no two kinds collide.
-        for (i, kind) in AppKind::ALL.iter().copied().enumerate() {
-            assert_eq!(kind.word(), i as u64 + 1, "{kind} renumbered");
+        const HISTORICAL: [u64; 11] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12];
+        for (kind, word) in AppKind::ALL.iter().copied().zip(HISTORICAL) {
+            assert_eq!(kind.word(), word, "{kind} renumbered");
             assert_eq!(AppKind::from_word(kind.word()), Some(kind));
             assert!(!kind.to_string().is_empty());
         }
         let words: std::collections::BTreeSet<u64> =
             AppKind::ALL.iter().map(|k| k.word()).collect();
         assert_eq!(words.len(), AppKind::ALL.len(), "duplicate kind words");
-        // Unassigned words name no kind (0 is "no kind stamped yet").
+        // Unassigned words name no kind (0 is "no kind stamped yet"), and
+        // the retired combining-queue tag 10 stays unassigned.
         assert_eq!(AppKind::from_word(0), None);
-        assert_eq!(AppKind::from_word(AppKind::ALL.len() as u64 + 1), None);
+        assert_eq!(AppKind::from_word(10), None);
+        assert_eq!(AppKind::from_word(13), None);
     }
 
     #[test]

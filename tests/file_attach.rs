@@ -10,8 +10,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use dss::baselines::{DurableQueue, LogQueue, MsQueue};
 use dss::core::{
-    CombiningQueue, DetectableCas, DetectableMap, DetectableRegister, DssQueue, DssStack,
-    ReplicatedQueue, ResolvedOp, Universal,
+    DetectableCas, DetectableMap, DetectableRegister, DssQueue, DssStack, ReplicatedQueue,
+    ResolvedOp, Universal,
 };
 use dss::pmem::{AttachError, PmemPool};
 use dss::pmwcas::{CasWithEffectQueue, CweResolvedOp};
@@ -266,57 +266,33 @@ fn cwe_queue_both_variants_survive_drop_and_attach() {
 }
 
 #[test]
-fn combining_queue_survives_drop_and_attach() {
-    let tmp = TmpPool::new("combining");
+fn retired_combining_queue_files_are_refused() {
+    // Kind word 10 tagged the flat-combining queue, which was removed. A
+    // file written before the removal shares the CAS queue's layout, so
+    // it is rebuilt here by stamping a CAS queue's file with the old tag.
+    // Neither queue may silently adopt it.
+    const RETIRED_COMBINING: u64 = 10;
+    let tmp = TmpPool::new("retired-combining");
     {
-        let q = CombiningQueue::create(tmp.path(), 2, 8).unwrap();
-        let h = q.register_thread().unwrap();
-        q.enqueue(h, 1).unwrap();
-        q.enqueue(h, 2).unwrap();
-        q.prep_enqueue(h, 3).unwrap();
-        q.exec_enqueue(h);
+        let q = DssQueue::create(tmp.path(), 1, 4).unwrap();
         q.pool().drain();
     }
-    // Attach clears the dead process's lease; recovery adopts its slot and
-    // the batch-applied contents are all there.
-    let q = CombiningQueue::attach(tmp.path()).unwrap();
-    let adopted = q.recover();
-    assert_eq!(adopted.len(), 1, "the dead process's slot must be orphaned");
-    assert_eq!(q.snapshot_values(), vec![1, 2, 3]);
-    let r = q.resolve(adopted[0]);
-    assert_eq!(r.op, Some(ResolvedOp::Enqueue(3)));
-    assert_eq!(r.resp, Some(QueueResp::Ok));
-    // The attached queue combines again: this dequeue goes through a
-    // fresh combiner batch in the new process.
-    assert_eq!(q.dequeue(adopted[0]), QueueResp::Value(1));
-}
-
-#[test]
-fn combining_and_cas_pools_reject_each_other() {
-    // The two execution layers share the node layout but not the lease
-    // line (and a CAS attacher would race a combiner's plain-store
-    // discipline), so neither may silently adopt the other's file.
-    let cas = TmpPool::new("cas-pool");
     {
-        let q = DssQueue::create(cas.path(), 1, 4).unwrap();
-        q.pool().drain();
+        let pool = PmemPool::attach(tmp.path()).unwrap();
+        let params = pool.app_config();
+        pool.set_app_config(RETIRED_COMBINING, &params);
     }
-    match CombiningQueue::attach(cas.path()) {
+    match DssQueue::attach(tmp.path()) {
         Err(AttachError::AppMismatch { expected, found }) => {
-            assert_eq!(expected, dss::core::KIND_DSS_QUEUE_COMBINING);
-            assert_eq!(found, dss::core::KIND_DSS_QUEUE);
+            assert_eq!(expected, dss::core::KIND_DSS_QUEUE);
+            assert_eq!(found, RETIRED_COMBINING);
         }
         other => panic!("expected AppMismatch, got {other:?}"),
     }
-    let comb = TmpPool::new("combining-pool");
-    {
-        let q = CombiningQueue::create(comb.path(), 1, 4).unwrap();
-        q.pool().drain();
-    }
-    match DssQueue::attach(comb.path()) {
+    match ReplicatedQueue::attach(tmp.path()) {
         Err(AttachError::AppMismatch { expected, found }) => {
-            assert_eq!(expected, dss::core::KIND_DSS_QUEUE);
-            assert_eq!(found, dss::core::KIND_DSS_QUEUE_COMBINING);
+            assert_eq!(expected, dss::core::KIND_DSS_QUEUE_REPLICATED);
+            assert_eq!(found, RETIRED_COMBINING);
         }
         other => panic!("expected AppMismatch, got {other:?}"),
     }
@@ -382,7 +358,7 @@ struct AttachCase {
 }
 
 /// Every kind that can own a pool file.
-fn attach_cases() -> [AttachCase; 12] {
+fn attach_cases() -> [AttachCase; 11] {
     [
         AttachCase {
             name: "queue",
@@ -446,13 +422,6 @@ fn attach_cases() -> [AttachCase; 12] {
             attach: |p| CasWithEffectQueue::attach(p).map(drop),
             sizes: 2,
             flag: Some(2),
-        },
-        AttachCase {
-            name: "combining",
-            create: |p| drop(CombiningQueue::create(p, 2, 8).unwrap()),
-            attach: |p| CombiningQueue::attach(p).map(drop),
-            sizes: 2,
-            flag: None,
         },
         AttachCase {
             name: "replicated",

@@ -11,7 +11,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use proptest::prelude::*;
 
 use dss::core::{
-    CombiningQueue, DetectableCas, DssQueue, Resolved, ResolvedCas, ResolvedOp, Universal,
+    DetectableCas, DssQueue, ReplicatedQueue, Resolved, ResolvedCas, ResolvedOp, Universal,
 };
 use dss::pmem::{CrashSignal, FlushGranularity, WritebackAdversary};
 use dss::spec::types::{QueueResp, StackOp, StackSpec};
@@ -171,14 +171,15 @@ fn check_crash_case(
     Ok(())
 }
 
-/// The combining-layer crash property: the same conservation invariant as
-/// [`check_crash_case`], driven through the flat-combining execution
-/// layer. Single-threaded, so the victim thread *is* the combiner — the
-/// armed crash lands inside `combine`'s persist phases (a combiner killed
-/// mid-batch), and recovery must resolve the half-applied batch from its
-/// durable prefix alone. Every combining operation is detectable, so no
-/// benefit-of-the-doubt case exists: nothing may vanish, ever.
-fn check_combining_crash_case(
+/// The replicated-layer crash property: the same conservation invariant as
+/// [`check_crash_case`], driven through the log-fed replicated execution
+/// layer. Single-threaded, so the victim thread *is* the leased appender —
+/// the armed crash lands inside its announce, batch persist or
+/// committed-seq publish (an appender killed mid-batch), and recovery must
+/// resolve the half-applied batch from the durable log alone. Every
+/// replicated operation is detectable, so no benefit-of-the-doubt case
+/// exists: nothing may vanish, ever.
+fn check_replicated_crash_case(
     script: &[bool], // true = enqueue, false = dequeue
     crash_after: u64,
     adversary: WritebackAdversary,
@@ -186,7 +187,7 @@ fn check_combining_crash_case(
     coalesce: bool,
     per_address: bool,
 ) -> Result<(), TestCaseError> {
-    let q = <CombiningQueue>::new_in(1, 64, granularity);
+    let q = <ReplicatedQueue>::new_in(1, 64, granularity);
     q.pool().set_coalescing(coalesce);
     q.pool().set_per_address_drains(per_address);
     let h0 = q.register_thread().unwrap();
@@ -249,15 +250,15 @@ fn check_combining_crash_case(
     Ok(())
 }
 
-/// Concurrent combining crash: every worker arms its own per-thread crash
-/// countdown, so a crash can land in the combiner mid-batch *or* in a
+/// Concurrent replicated crash: every worker arms its own per-thread crash
+/// countdown, so a crash can land in the appender mid-batch *or* in a
 /// waiter parked on its announce flag — a parked waiter's lease probe is
 /// an instrumented pool load precisely so that its countdown keeps
 /// running while it waits (including through the stale-lease probe that a
-/// dead combiner's still-LIVE slot keeps failing). After every worker has
+/// dead appender's still-LIVE slot keeps failing). After every worker has
 /// crashed, centralized recovery adopts the slots and value conservation
-/// must hold across announced, half-combined, and parked operations.
-fn check_combining_concurrent_crash_case(
+/// must hold across announced, half-appended, and parked operations.
+fn check_replicated_concurrent_crash_case(
     seed: u64,
     adversary: WritebackAdversary,
     coalesce: bool,
@@ -266,7 +267,7 @@ fn check_combining_concurrent_crash_case(
     const THREADS: usize = 3;
     // Far more pairs than any countdown can survive: every worker crashes.
     const PAIRS: u64 = 400;
-    let q = CombiningQueue::new(THREADS, 1024);
+    let q = ReplicatedQueue::new(THREADS, 1024);
     q.pool().set_coalescing(coalesce);
     q.pool().set_per_address_drains(per_address);
     let hs: Vec<_> = (0..THREADS).map(|_| q.register_thread().unwrap()).collect();
@@ -505,11 +506,11 @@ proptest! {
         check_universal_crash_case(&script, crash_after, adversary, coalesce, per_address)?;
     }
 
-    /// The flat-combining execution layer under the same single-threaded
-    /// crash sweep — the victim is the combiner: see
-    /// [`check_combining_crash_case`].
+    /// The replicated execution layer under the same single-threaded
+    /// crash sweep — the victim is the leased appender: see
+    /// [`check_replicated_crash_case`].
     #[test]
-    fn combining_crash_anywhere_never_loses_or_duplicates(
+    fn replicated_crash_anywhere_never_loses_or_duplicates(
         script in prop::collection::vec(proptest::bool::ANY, 1..20),
         crash_after in 1u64..600,
         adversary in arb_adversary(),
@@ -517,7 +518,7 @@ proptest! {
         coalesce in proptest::bool::ANY,
         per_address in proptest::bool::ANY,
     ) {
-        check_combining_crash_case(
+        check_replicated_crash_case(
             &script, crash_after, adversary, granularity, coalesce, per_address,
         )?;
     }
@@ -567,20 +568,21 @@ proptest! {
 proptest! {
     // Concurrent cases spawn real threads (with parked waiters sleeping in
     // 50µs slices), so they cost milliseconds each; fewer cases, same
-    // coverage per case of the combiner/waiter crash interleavings.
+    // coverage per case of the appender/waiter crash interleavings.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Three combining workers, each with its own armed crash countdown:
-    /// crashes land in combiners mid-batch and in waiters parked on their
-    /// announce flags — see [`check_combining_concurrent_crash_case`].
+    /// Three replicated-queue workers, each with its own armed crash
+    /// countdown: crashes land in appenders mid-batch and in waiters parked
+    /// on their announce flags — see
+    /// [`check_replicated_concurrent_crash_case`].
     #[test]
-    fn combining_concurrent_crash_conserves_values(
+    fn replicated_concurrent_crash_conserves_values(
         seed in 0u64..1_000_000,
         adversary in arb_adversary(),
         coalesce in proptest::bool::ANY,
         per_address in proptest::bool::ANY,
     ) {
-        check_combining_concurrent_crash_case(seed, adversary, coalesce, per_address)?;
+        check_replicated_concurrent_crash_case(seed, adversary, coalesce, per_address)?;
     }
 }
 
@@ -673,17 +675,17 @@ fn universal_all_crash_points_with_per_address_drains() {
     }
 }
 
-/// The combining layer swept over every crash point a mixed script can
+/// The replicated layer swept over every crash point a mixed script can
 /// reach, across the coalesce × per-address grid, against the all-dropping
-/// adversary: every persist-phase boundary inside `combine` — links
-/// durable but completions not, completions durable but claims not, empty
-/// verdicts in flight — is hit deterministically.
+/// adversary: every ordering point of the appender — announce argument and
+/// commit word, the batch's record persist, the committed-seq publish — is
+/// hit deterministically.
 #[test]
-fn combining_script_all_crash_points() {
+fn replicated_script_all_crash_points() {
     let script = [true, true, false, true, false, false, true, false];
     for (coalesce, per_address) in [(false, false), (true, false), (true, true)] {
         for crash_after in 1..300 {
-            check_combining_crash_case(
+            check_replicated_crash_case(
                 &script,
                 crash_after,
                 WritebackAdversary::All,
