@@ -60,6 +60,7 @@
 mod binding;
 mod cas;
 mod detect;
+mod linked;
 mod map;
 mod queue;
 mod register;
