@@ -1,4 +1,11 @@
 //! The DSS queue (paper §3): layout, construction, and detection.
+//!
+//! The queue is a [claimed-node list](crate::linked) — the node recipe,
+//! the claim, `resolve`, the Figure 6 insert repair and the allocator
+//! rebuild are the stack's too — under a Michael–Scott head, tail and
+//! static sentinel. This module and its submodules keep only what is the
+//! queue's own: the layout, the tail-appending enqueue, the
+//! predecessor-announcing dequeue, and the head/tail repair.
 
 mod ops;
 mod recovery;
@@ -16,28 +23,18 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use dss_pmem::object::{checked_words, thread_count};
 use dss_pmem::{
-    tag, AppKind, AttachError, FlushGranularity, Memory, NodePool, ObjectCore, ObjectLayout, PAddr,
-    PmemPool, ThreadHandle, WORDS_PER_LINE,
+    tag, AppKind, AttachError, FlushGranularity, Memory, ObjectCore, ObjectLayout, PAddr, PmemPool,
+    ThreadHandle, WORDS_PER_LINE,
 };
 
 use crate::detect::DetectableCore;
+use crate::linked::{NodeList, Prepared, NODE_WORDS};
 use dss_spec::types::QueueResp;
 
 /// The structure-kind tag a [`DssQueue`] records in its pool file's
 /// superblock (see [`PmemPool::set_app_config`]), making the file
 /// self-describing for [`DssQueue::attach`].
 pub const KIND_DSS_QUEUE: u64 = AppKind::DssQueue.word();
-
-/// Node field offsets (a queue node is `{ value, next, deqThreadID }`,
-/// padded to 4 words so a node never straddles a cache line and the paper's
-/// whole-node `FLUSH(node)` is a single flush under line granularity).
-const F_VALUE: u64 = 0;
-const F_NEXT: u64 = 1;
-const F_DEQ_TID: u64 = 2;
-const NODE_WORDS: u64 = 4;
-
-/// The paper's `deqThreadID = −1`: no thread has dequeued this node.
-const NO_DEQUEUER: u64 = u64::MAX;
 
 /// The enqueue-side error: the pre-allocated node pool is exhausted.
 ///
@@ -114,10 +111,9 @@ pub struct Resolved {
 /// [`DramPool`](dss_pmem::DramPool) (via [`new_in`](Self::new_in)) runs the
 /// identical instruction sequence on plain atomics.
 pub struct DssQueue<M: Memory = PmemPool> {
-    /// The shared detectability skeleton: the per-thread `X` words over
+    /// The claimed-node list: its nodes and the per-thread `X` words over
     /// the object skeleton (pool, registry, EBR, backoff).
-    core: DetectableCore<M>,
-    nodes: NodePool,
+    list: NodeList<M>,
     /// Monotone per-thread counters of completed operations (volatile;
     /// used by workloads and tests, never by the algorithm).
     ops_done: Box<[AtomicU64]>,
@@ -272,11 +268,16 @@ impl<M: Memory> DssQueue<M> {
     /// op counters) over an object skeleton — everything `attach` must
     /// rebuild rather than map.
     fn assemble(object: ObjectCore<M>, layout: &QueueLayout) -> Self {
-        let (n, region) = (layout.nthreads, PAddr::from_index(layout.region));
         DssQueue {
-            core: DetectableCore::new(object, A_X_BASE, WORDS_PER_LINE),
-            nodes: NodePool::new(region, NODE_WORDS, layout.nodes_per_thread, n),
-            ops_done: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            // A dequeue announces the predecessor of the node it claims.
+            list: NodeList::new(
+                object,
+                A_X_BASE,
+                layout.region,
+                layout.nodes_per_thread,
+                |l, n| l.next(n),
+            ),
+            ops_done: (0..layout.nthreads).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
@@ -286,15 +287,12 @@ impl<M: Memory> DssQueue<M> {
         // Initial state: head = tail = sentinel; sentinel.next = NULL,
         // sentinel unmarked; X[i] = NULL for all i. Persist everything.
         let s = PAddr::from_index(sentinel);
-        self.pool().store(s.offset(F_VALUE), 0);
-        self.pool().store(s.offset(F_NEXT), PAddr::NULL.to_word());
-        self.pool().store(s.offset(F_DEQ_TID), NO_DEQUEUER);
-        self.flush_node(s);
+        self.list.init(s, 0);
         self.pool().store(self.head_addr(), s.to_word());
         self.pool().flush(self.head_addr());
         self.pool().store(self.tail_addr(), s.to_word());
         self.pool().flush(self.tail_addr());
-        self.core.format_x();
+        self.list.format_x();
         self.pool().drain();
     }
 
@@ -304,73 +302,6 @@ impl<M: Memory> DssQueue<M> {
 
     fn tail_addr(&self) -> PAddr {
         PAddr::from_index(A_TAIL)
-    }
-
-    /// `FLUSH(node)`: persists a whole node. One flush under line
-    /// granularity (nodes are line-aligned), one per field under word
-    /// granularity.
-    fn flush_node(&self, node: PAddr) {
-        match self.pool().granularity() {
-            FlushGranularity::Line => self.pool().flush(node),
-            FlushGranularity::Word => {
-                self.pool().flush(node.offset(F_VALUE));
-                self.pool().flush(node.offset(F_NEXT));
-                self.pool().flush(node.offset(F_DEQ_TID));
-            }
-        }
-    }
-
-    /// Per-address ordering drain of a whole node: the targeted
-    /// counterpart of [`flush_node`](Self::flush_node), writing back only
-    /// the node's own pending flush units (one line, or three words under
-    /// word granularity) so every other pending flush stays coalescible.
-    fn drain_node(&self, node: PAddr) {
-        self.pool().drain_lines(&[
-            node.offset(F_VALUE),
-            node.offset(F_NEXT),
-            node.offset(F_DEQ_TID),
-        ]);
-    }
-
-    /// The nodes some thread's detectability word still references:
-    /// `X[i]`'s own node plus, for an announced dequeue predecessor, its
-    /// successor — `resolve` dereferences both, however long ago the
-    /// operation completed. These must survive both a crash-time allocator
-    /// rebuild *and* crash-free epoch reclamation; recycling one would
-    /// make a later `resolve` chase reinitialized memory and misreport
-    /// the operation as not having taken effect.
-    fn x_referenced_nodes(&self) -> Vec<PAddr> {
-        let mut out = Vec::new();
-        for i in 0..self.nthreads() {
-            let x = self.pool().load(self.x_addr(i));
-            let d = tag::addr_of(x);
-            if !d.is_null() {
-                out.push(d);
-                let next = tag::addr_of(self.pool().load(d.offset(F_NEXT)));
-                if !next.is_null() {
-                    out.push(next);
-                }
-            }
-        }
-        out
-    }
-
-    /// Allocates a node, recycling retired nodes through EBR when the free
-    /// lists run dry — except nodes `resolve` can still reach through a
-    /// detectability word ([`x_referenced_nodes`](Self::x_referenced_nodes)),
-    /// which stay in limbo until the word moves on.
-    fn alloc_node(&self, tid: usize) -> Result<PAddr, QueueFull> {
-        self.nodes
-            .alloc_with_reclaim_guarded(tid, self.ebr(), || self.x_referenced_nodes())
-            .ok_or(QueueFull)
-    }
-
-    /// Retires a dequeued predecessor node (ignored for the static initial
-    /// sentinel, which is not part of the node region).
-    fn retire_node(&self, tid: usize, node: PAddr) {
-        if self.nodes.contains(node) {
-            self.ebr().retire(tid, node);
-        }
     }
 
     fn bump_ops(&self, tid: usize) {
@@ -388,65 +319,16 @@ impl<M: Memory> DssQueue<M> {
     /// Idempotent and total: call it any number of times, from any state,
     /// including immediately after recovery from a crash.
     pub fn resolve(&self, h: ThreadHandle) -> Resolved {
-        let tid = h.slot();
-        let x = self.pool().load(self.x_addr(tid)); // inspect X[TID]
-        if tag::has(x, tag::ENQ_PREP) {
-            // line 21-22
-            let (value, resp) = self.resolve_enqueue(x);
-            Resolved { op: Some(ResolvedOp::Enqueue(value)), resp }
-        } else if tag::has(x, tag::DEQ_PREP) {
-            // line 23-25
-            let resp = self.resolve_dequeue(tid, x);
-            Resolved { op: Some(ResolvedOp::Dequeue), resp }
-        } else {
-            // line 26-27: no operation was prepared
-            Resolved { op: None, resp: None }
-        }
-    }
-
-    /// **resolve-enqueue** (Figure 3, lines 28–31).
-    fn resolve_enqueue(&self, x: u64) -> (u64, Option<QueueResp>) {
-        let node = tag::addr_of(x);
-        let value = self.pool().load(node.offset(F_VALUE));
-        if tag::has(x, tag::ENQ_COMPL) {
-            // enqueue was prepared and took effect (line 29)
-            (value, Some(QueueResp::Ok))
-        } else {
-            // enqueue was prepared and did not take effect (line 31)
-            (value, None)
-        }
-    }
-
-    /// **resolve-dequeue** (Figure 4, lines 56–63).
-    fn resolve_dequeue(&self, tid: usize, x: u64) -> Option<QueueResp> {
-        let ptr = tag::addr_of(x);
-        if ptr.is_null() {
-            if tag::has(x, tag::EMPTY) {
-                // dequeue took effect on an empty queue (lines 58-59)
-                Some(QueueResp::Empty)
-            } else {
-                // prepared but did not take effect (lines 56-57)
-                None
-            }
-        } else {
-            // X holds the predecessor of the node this thread tried to
-            // claim (written at lines 47-48).
-            let next = tag::addr_of(self.pool().load(ptr.offset(F_NEXT)));
-            if next.is_null() {
-                // The claimed node's linkage never persisted, so the claim
-                // cannot have persisted either (the paper's flush order
-                // guarantees next is persisted before any claim on it).
-                return None;
-            }
-            if self.pool().load(next.offset(F_DEQ_TID)) == tid as u64 {
-                // dequeue took effect on a non-empty queue (lines 60-61)
-                Some(QueueResp::Value(self.pool().load(next.offset(F_VALUE))))
-            } else {
-                // crashed between announcing the predecessor and the claim
-                // (lines 62-63); the node may be claimed by someone else,
-                // by this thread's *non-detectable* dequeue, or unclaimed.
-                None
-            }
+        match self.list.resolve(h.slot()) {
+            Some(Prepared::Insert { value, done }) => Resolved {
+                op: Some(ResolvedOp::Enqueue(value)),
+                resp: done.then_some(QueueResp::Ok),
+            },
+            Some(Prepared::Claim(taken)) => Resolved {
+                op: Some(ResolvedOp::Dequeue),
+                resp: taken.map(|v| v.map_or(QueueResp::Empty, QueueResp::Value)),
+            },
+            None => Resolved { op: None, resp: None },
         }
     }
 
@@ -460,12 +342,12 @@ impl<M: Memory> DssQueue<M> {
         let _guard = self.pin(tid);
         let mut cur = tag::addr_of(self.pool().load(self.head_addr()));
         loop {
-            let next = tag::addr_of(self.pool().load(cur.offset(F_NEXT)));
+            let next = self.list.next(cur);
             if next.is_null() {
                 return None;
             }
-            if self.pool().load(next.offset(F_DEQ_TID)) == NO_DEQUEUER {
-                return Some(self.pool().load(next.offset(F_VALUE)));
+            if !self.list.claimed(next) {
+                return Some(self.list.value(next));
             }
             cur = next;
         }
@@ -475,20 +357,9 @@ impl<M: Memory> DssQueue<M> {
     /// to tail (test/debug only — not atomic with respect to concurrent
     /// operations).
     pub fn snapshot_values(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        let mut cur = tag::addr_of(self.pool().peek(self.head_addr()));
-        loop {
-            let next = tag::addr_of(self.pool().peek(cur.offset(F_NEXT)));
-            if next.is_null() {
-                break;
-            }
-            // A marked successor has been dequeued already.
-            if self.pool().peek(next.offset(F_DEQ_TID)) == NO_DEQUEUER {
-                out.push(self.pool().peek(next.offset(F_VALUE)));
-            }
-            cur = next;
-        }
-        out
+        // The head is the sentinel: the values start after it.
+        let head = tag::addr_of(self.pool().peek(self.head_addr()));
+        self.list.unclaimed_values(self.list.peek_next(head))
     }
 }
 
@@ -496,7 +367,7 @@ impl<M: Memory> Deref for DssQueue<M> {
     type Target = DetectableCore<M>;
 
     fn deref(&self) -> &DetectableCore<M> {
-        &self.core
+        &self.list
     }
 }
 
@@ -504,7 +375,7 @@ impl<M: Memory> fmt::Debug for DssQueue<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DssQueue")
             .field("nthreads", &self.nthreads())
-            .field("total_nodes", &self.nodes.total_nodes())
+            .field("total_nodes", &self.list.nodes().total_nodes())
             .finish_non_exhaustive()
     }
 }

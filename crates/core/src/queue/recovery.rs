@@ -4,42 +4,29 @@
 
 use std::collections::HashSet;
 
-use dss_pmem::{tag, Memory, NodeSet, PAddr, ThreadHandle};
+use dss_pmem::{Memory, PAddr, ThreadHandle};
 
-use super::{DssQueue, F_DEQ_TID, F_NEXT, NO_DEQUEUER};
+use super::DssQueue;
 
 impl<M: Memory> DssQueue<M> {
-    /// Walks the linked list from `start`, visiting every reachable node
-    /// in list order.
-    fn walk_from(&self, start: PAddr, mut visit: impl FnMut(PAddr)) {
-        let mut cur = start;
-        loop {
-            visit(cur);
-            let next = tag::addr_of(self.pool().load(cur.offset(F_NEXT)));
-            if next.is_null() {
-                return;
-            }
-            cur = next;
+    /// Figure 6 lines 64–69: recomputes and persists the tail, then the
+    /// head, from the pre-recovery head's chain, which it returns
+    /// (`AllNodes`).
+    fn repair_head_and_tail(&self) -> Vec<PAddr> {
+        // line 64: AllNodes := nodes reachable from head
+        let chain = self.list.chain(self.head_addr());
+
+        // lines 65–66: tail := last reachable node
+        let last = *chain.last().expect("chain contains at least head");
+        self.pool().store(self.tail_addr(), last.to_word());
+        self.pool().flush(self.tail_addr());
+
+        // lines 67–69: head := last marked node reachable from oldHead
+        if let Some(m) = chain.iter().copied().filter(|&n| self.list.claimed(n)).last() {
+            self.pool().store(self.head_addr(), m.to_word());
         }
-    }
-
-    /// Every node reachable from `start`, in list order.
-    fn reachable_from(&self, start: PAddr) -> Vec<PAddr> {
-        let mut out = Vec::new();
-        self.walk_from(start, |n| out.push(n));
-        out
-    }
-
-    /// The region nodes reachable from the head (the static initial
-    /// sentinel is not one, and no detectability word names it as an
-    /// enqueued node).
-    fn reachable_set(&self) -> NodeSet {
-        let mut set = self.nodes.node_set();
-        let head = tag::addr_of(self.pool().load(self.head_addr()));
-        self.walk_from(head, |n| {
-            set.insert(n);
-        });
-        set
+        self.pool().flush(self.head_addr());
+        chain
     }
 
     /// **recovery()** (Figure 6, restructured through the registry): run
@@ -70,38 +57,13 @@ impl<M: Memory> DssQueue<M> {
     /// recovery) is safe, which the tests exercise; the second pass
     /// adopts nothing and repairs nothing.
     pub fn recover(&self) -> Vec<ThreadHandle> {
-        // The adopt-then-repair driver is the core's; the queue supplies
-        // its shared-state repair (lines 64–69) and per-slot X repair
-        // (lines 70–76). Slots that were FREE at the crash hold no pending
-        // announce, so adopting only the orphans covers exactly the X
-        // entries Figure 6's full sweep would repair.
-        self.core.recover_adopting(
-            || {
-                // line 64: AllNodes := nodes reachable from head
-                let old_head = tag::addr_of(self.pool().load(self.head_addr()));
-                let chain = self.reachable_from(old_head);
-                let mut all_nodes = self.nodes.node_set();
-                all_nodes.extend(chain.iter().copied());
-
-                // lines 65–66: tail := last reachable node
-                let last = *chain.last().expect("chain contains at least head");
-                self.pool().store(self.tail_addr(), last.to_word());
-                self.pool().flush(self.tail_addr());
-
-                // lines 67–69: head := last marked node reachable from oldHead
-                let last_marked = chain
-                    .iter()
-                    .copied()
-                    .filter(|n| self.pool().load(n.offset(F_DEQ_TID)) != NO_DEQUEUER)
-                    .last();
-                if let Some(m) = last_marked {
-                    self.pool().store(self.head_addr(), m.to_word());
-                }
-                self.pool().flush(self.head_addr());
-                all_nodes
-            },
-            |slot, all_nodes| self.recover_x_entry(slot, |d| all_nodes.contains(d)),
-        )
+        // The adopt-then-repair driver is the list's; the queue supplies
+        // its shared-state repair (lines 64–69).
+        self.list.recover(|| {
+            let mut all_nodes = self.list.nodes().node_set();
+            all_nodes.extend(self.repair_head_and_tail());
+            all_nodes
+        })
     }
 
     /// The pre-registry centralized recovery (Figure 6 verbatim): repairs
@@ -110,33 +72,13 @@ impl<M: Memory> DssQueue<M> {
     /// parity test that shows the registry-driven [`recover`](Self::recover)
     /// produces byte-identical resolved responses; it keeps Figure 6's
     /// `AllNodes` as a hash set, so that test also checks `recover`'s
-    /// bitmap [`NodeSet`] against it.
+    /// bitmap [`NodeSet`](dss_pmem::NodeSet) against it.
     #[doc(hidden)]
     pub fn recover_centralized(&self) {
-        // line 64: AllNodes := nodes reachable from head
-        let old_head = tag::addr_of(self.pool().load(self.head_addr()));
-        let chain = self.reachable_from(old_head);
-        let all_nodes: HashSet<PAddr> = chain.iter().copied().collect();
-
-        // lines 65–66: tail := last reachable node
-        let last = *chain.last().expect("chain contains at least head");
-        self.pool().store(self.tail_addr(), last.to_word());
-        self.pool().flush(self.tail_addr());
-
-        // lines 67–69: head := last marked node reachable from oldHead
-        let last_marked = chain
-            .iter()
-            .copied()
-            .filter(|n| self.pool().load(n.offset(F_DEQ_TID)) != NO_DEQUEUER)
-            .last();
-        if let Some(m) = last_marked {
-            self.pool().store(self.head_addr(), m.to_word());
-        }
-        self.pool().flush(self.head_addr());
-
+        let all_nodes: HashSet<PAddr> = self.repair_head_and_tail().into_iter().collect();
         // lines 70–76: complete detectability state of effective enqueues.
         for i in 0..self.nthreads() {
-            self.recover_x_entry(i, |d| all_nodes.contains(&d));
+            self.list.repair_insert(i, |d| all_nodes.contains(&d));
         }
         self.pool().drain();
     }
@@ -155,36 +97,7 @@ impl<M: Memory> DssQueue<M> {
     /// advances a head that points at marked nodes, so ordinary operations
     /// restore them lazily.
     pub fn recover_one(&self, h: ThreadHandle) {
-        self.core.recover_one_with(
-            h,
-            || self.reachable_set(),
-            |slot, all_nodes| self.recover_x_entry(slot, |d| all_nodes.contains(d)),
-        );
-    }
-
-    /// Repairs `X[i]` (lines 70–76); `in_list` tells whether a node is
-    /// among `AllNodes`, the nodes reachable from the pre-recovery head.
-    fn recover_x_entry(&self, i: usize, in_list: impl Fn(PAddr) -> bool) {
-        let xa = self.x_addr(i);
-        let x = self.pool().load(xa);
-        if !tag::has(x, tag::ENQ_PREP) || tag::has(x, tag::ENQ_COMPL) {
-            return;
-        }
-        let d = tag::addr_of(x);
-        if d.is_null() {
-            return;
-        }
-        let effective = if in_list(d) {
-            // lines 71–74: enqueued and still in the linked list
-            true
-        } else {
-            // lines 75–76: enqueued and no longer in the list — it must
-            // have been dequeued, i.e. marked
-            self.pool().load(d.offset(F_DEQ_TID)) != NO_DEQUEUER
-        };
-        if effective {
-            self.core.complete(i, tag::set(x, tag::ENQ_COMPL));
-        }
+        self.list.recover_one(h, self.head_addr());
     }
 
     /// Rebuilds the volatile allocator and reclamation state after a
@@ -200,11 +113,6 @@ impl<M: Memory> DssQueue<M> {
     /// [`recover_one`](Self::recover_one)); threads may resolve
     /// before or after, since `X`-referenced nodes are preserved.
     pub fn rebuild_allocator(&self) {
-        let mut live = self.reachable_set();
-        live.extend(self.x_referenced_nodes());
-        self.nodes.rebuild(&live);
-        // The EBR limbo lists are volatile and reference pre-crash nodes
-        // that rebuild() has already re-classified; drop them wholesale.
-        self.ebr().reset();
+        self.list.rebuild_allocator(self.head_addr());
     }
 }
