@@ -51,7 +51,7 @@ fn main() {
     for independent in [false, true] {
         let config = SweepConfig {
             adversary: args.writeback_adversary(),
-            granularity: args.flush_granularity(),
+            granularity: args.granularity,
             independent_recovery: independent,
             coalesce: args.coalesce,
             per_address: args.per_address,
@@ -132,7 +132,7 @@ fn main() {
         let mut total_violations = 0;
         for (coalesce, per_address) in [(false, false), (true, false), (true, true)] {
             let config = SweepConfig {
-                granularity: args.flush_granularity(),
+                granularity: args.granularity,
                 coalesce,
                 per_address,
                 layer: args.layer,

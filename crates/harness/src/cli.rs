@@ -15,8 +15,8 @@ pub struct Args {
     /// Flush penalty in spin iterations (see
     /// [`PmemPool::set_flush_penalty`](dss_pmem::PmemPool::set_flush_penalty)).
     pub penalty: u64,
-    /// Flush granularity: `"line"` or `"word"` (experiment E7).
-    pub granularity: String,
+    /// Flush granularity (`--granularity line|word`, experiment E7).
+    pub granularity: dss_pmem::FlushGranularity,
     /// Writeback adversary: `"none"`, `"all"`, or `"random"` (E4/E7).
     pub adversary: String,
     /// Random seed where applicable.
@@ -74,7 +74,7 @@ impl Default for Args {
             ms: 200,
             repeats: 3,
             penalty: 20,
-            granularity: "line".into(),
+            granularity: dss_pmem::FlushGranularity::Line,
             adversary: "none".into(),
             seed: 1,
             backends: Vec::new(),
@@ -113,7 +113,7 @@ pub fn parse() -> Args {
             "--ms" => args.ms = val().parse().expect("--ms <u64>"),
             "--repeats" => args.repeats = val().parse().expect("--repeats <usize>"),
             "--penalty" => args.penalty = val().parse().expect("--penalty <u64>"),
-            "--granularity" => args.granularity = val(),
+            "--granularity" => args.granularity = dss_pmem::FlushGranularity::parse(&val()),
             "--adversary" => args.adversary = val(),
             "--seed" => args.seed = val().parse().expect("--seed <u64>"),
             "--backend" => args.backends.push(val()),
@@ -144,15 +144,6 @@ pub fn parse() -> Args {
 }
 
 impl Args {
-    /// The configured flush granularity.
-    pub fn flush_granularity(&self) -> dss_pmem::FlushGranularity {
-        match self.granularity.as_str() {
-            "line" => dss_pmem::FlushGranularity::Line,
-            "word" => dss_pmem::FlushGranularity::Word,
-            g => panic!("unknown granularity {g} (line|word)"),
-        }
-    }
-
     /// The configured memory backends, in flag order; defaults to
     /// pmem-only when no `--backend` flag was given.
     pub fn parsed_backends(&self) -> Vec<crate::adapter::Backend> {
@@ -181,7 +172,7 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let a = Args::default();
-        assert_eq!(a.flush_granularity(), dss_pmem::FlushGranularity::Line);
+        assert_eq!(a.granularity, dss_pmem::FlushGranularity::Line);
         assert_eq!(a.writeback_adversary(), dss_pmem::WritebackAdversary::None);
         assert!(!a.coalesce && !a.per_address && !a.backoff, "perf features default off");
         assert!(!a.partial_recovery, "partial-recovery mode defaults off");
@@ -206,7 +197,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown granularity")]
     fn bad_granularity_panics() {
-        let a = Args { granularity: "nibble".into(), ..Default::default() };
-        let _ = a.flush_granularity();
+        dss_pmem::FlushGranularity::parse("nibble");
     }
 }

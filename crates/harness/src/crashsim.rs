@@ -965,11 +965,7 @@ pub fn multi_process_child(args: &[String]) -> ! {
         );
     };
     let k: u64 = k.parse().expect("crash index must be a u64");
-    let granularity = match granularity.as_str() {
-        "line" => FlushGranularity::Line,
-        "word" => FlushGranularity::Word,
-        g => panic!("unknown granularity {g}"),
-    };
+    let granularity = FlushGranularity::parse(granularity);
     let (path, coalesce, per_address) = (Path::new(path), coalesce == "on", per_address == "on");
     dispatch!(Layer::parse(layer), T => multi_process_victim::<T>(path, op, k, granularity,
         coalesce, per_address))
@@ -1056,10 +1052,6 @@ fn multi_process_sweep_op<T: CrashTarget>(
 ) -> SweepOutcome {
     let mut out = SweepOutcome::default();
     let onoff = |b| if b { "on" } else { "off" };
-    let granularity = match config.granularity {
-        FlushGranularity::Line => "line",
-        FlushGranularity::Word => "word",
-    };
     for k in 1.. {
         let path = std::env::temp_dir().join(format!(
             "dss-mp-{}-{}-{op}-{k}.pool",
@@ -1072,7 +1064,7 @@ fn multi_process_sweep_op<T: CrashTarget>(
             .arg(&path)
             .arg(op.to_string())
             .arg(k.to_string())
-            .arg(granularity)
+            .arg(config.granularity.name())
             .arg(onoff(config.coalesce))
             .arg(onoff(config.per_address))
             .arg(config.layer.to_string())

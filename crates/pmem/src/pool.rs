@@ -50,6 +50,30 @@ pub enum FlushGranularity {
     Word,
 }
 
+impl FlushGranularity {
+    /// The granularity's name in flags and argument lists: `line` or
+    /// `word`.
+    pub fn name(self) -> &'static str {
+        match self {
+            FlushGranularity::Line => "line",
+            FlushGranularity::Word => "word",
+        }
+    }
+
+    /// Inverse of [`name`](Self::name).
+    ///
+    /// # Panics
+    ///
+    /// Panics with a usage hint on any other name.
+    pub fn parse(s: &str) -> FlushGranularity {
+        match s {
+            "line" => FlushGranularity::Line,
+            "word" => FlushGranularity::Word,
+            g => panic!("unknown granularity {g} (line|word)"),
+        }
+    }
+}
+
 /// Whether a pool pays for crash hooks and statistics on every primitive.
 ///
 /// Instrumentation is what makes the simulator *testable* — crash-point
@@ -1254,6 +1278,13 @@ mod tests {
 
     fn addr(i: u64) -> PAddr {
         PAddr::from_index(i)
+    }
+
+    #[test]
+    fn granularity_names_round_trip() {
+        for g in [FlushGranularity::Line, FlushGranularity::Word] {
+            assert_eq!(FlushGranularity::parse(g.name()), g);
+        }
     }
 
     #[test]
