@@ -9,7 +9,8 @@
 //! per-pair primitive counts. A second table does the same per operation
 //! of the three binding objects (register, CAS object, map), so a change
 //! to their shared install protocol shows up as a changed row; a third
-//! per operation of the DSS stack.
+//! per operation of the DSS stack, and a fourth per operation of the
+//! replicated queue (its write pair and its replica-local reads).
 //!
 //! ```text
 //! cargo run -p dss-harness --release --bin flush_counts
@@ -20,7 +21,7 @@
 //! which is exactly the point of experiment E8. The default pmem-only
 //! invocation prints the historical output unchanged.
 
-use dss_core::{DetectableCas, DetectableMap, DetectableRegister, DssStack};
+use dss_core::{DetectableCas, DetectableMap, DetectableRegister, DssStack, ReplicatedQueue};
 use dss_harness::adapter::{Backend, QueueKind};
 use dss_pmem::{DramPool, FlushGranularity, Memory, PmemPool, StatsSnapshot};
 
@@ -41,11 +42,14 @@ fn main() {
     }
 }
 
-/// The per-operation tables: the binding objects, then the stack.
+/// The per-operation tables: the binding objects, the stack, then the
+/// replicated queue.
 fn objects<M: Memory>() {
     bindings::<M>();
     println!();
     stack::<M>();
+    println!();
+    replicated::<M>();
 }
 
 fn header(first: &str) {
@@ -183,5 +187,31 @@ fn stack<M: Memory>() {
     });
     row("stack resolve", s.pool().as_ref(), |_| {
         s.resolve(h);
+    });
+}
+
+fn replicated<M: Memory>() {
+    println!(
+        "# E3d: pmem primitives per replicated queue operation (single thread, line-granular)"
+    );
+    header("operation");
+    let q = ReplicatedQueue::<M>::new_in(1, 64, FlushGranularity::Line);
+    let h = q.register_thread().unwrap();
+    row("replicated prep+exec pair", q.pool().as_ref(), |i| {
+        q.prep_enqueue(h, i).unwrap();
+        q.exec_enqueue(h);
+        q.prep_dequeue(h);
+        q.exec_dequeue(h);
+    });
+    // The reads answer from a non-empty replica.
+    q.enqueue(h, 1).unwrap();
+    row("replicated peek_front", q.pool().as_ref(), |_| {
+        q.peek_front(h);
+    });
+    row("replicated len", q.pool().as_ref(), |_| {
+        q.len(h);
+    });
+    row("replicated resolve", q.pool().as_ref(), |_| {
+        q.resolve(h);
     });
 }
