@@ -19,7 +19,6 @@ pub use replicated::{
 
 use std::fmt;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use dss_pmem::object::{checked_words, thread_count};
 use dss_pmem::{
@@ -114,9 +113,6 @@ pub struct DssQueue<M: Memory = PmemPool> {
     /// The claimed-node list: its nodes and the per-thread `X` words over
     /// the object skeleton (pool, registry, EBR, backoff).
     list: NodeList<M>,
-    /// Monotone per-thread counters of completed operations (volatile;
-    /// used by workloads and tests, never by the algorithm).
-    ops_done: Box<[AtomicU64]>,
 }
 
 // Fixed low-address layout, one cache line per hot word: head, tail and
@@ -277,7 +273,6 @@ impl<M: Memory> DssQueue<M> {
                 layout.nodes_per_thread,
                 |l, n| l.next(n),
             ),
-            ops_done: (0..layout.nthreads).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
@@ -302,15 +297,6 @@ impl<M: Memory> DssQueue<M> {
 
     fn tail_addr(&self) -> PAddr {
         PAddr::from_index(A_TAIL)
-    }
-
-    fn bump_ops(&self, tid: usize) {
-        self.ops_done[tid].fetch_add(1, Relaxed);
-    }
-
-    /// Total completed operations (volatile; for workloads and tests).
-    pub fn ops_completed(&self) -> u64 {
-        self.ops_done.iter().map(|c| c.load(Relaxed)).sum()
     }
 
     /// **resolve** (Figure 3, lines 20–27): reports the status of the

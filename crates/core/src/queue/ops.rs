@@ -79,7 +79,6 @@ impl<M: Memory> DssQueue<M> {
                         self.list.persist_link(last); // line 12
                         self.list.complete_insert(tid, x); // lines 13–14
                         let _ = self.pool().cas(self.tail_addr(), last_w, node.to_word()); // line 15
-                        self.bump_ops(tid);
                         self.pool().drain();
                         return;
                     }
@@ -140,7 +139,6 @@ impl<M: Memory> DssQueue<M> {
                     // lines 40–43: nothing appended at tail; the EMPTY
                     // mark is this path's completion mark.
                     self.list.complete_empty(tid, detectable); // lines 41–42
-                    self.bump_ops(tid);
                     self.pool().drain();
                     return QueueResp::Empty; // line 43
                 }
@@ -160,7 +158,6 @@ impl<M: Memory> DssQueue<M> {
                         self.list.retire(tid, first);
                     }
                     let val = self.list.value(next); // line 52
-                    self.bump_ops(tid);
                     self.pool().drain();
                     return QueueResp::Value(val);
                 } else if self.pool().load(self.head_addr()) == first_w {

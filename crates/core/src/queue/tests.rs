@@ -518,18 +518,6 @@ fn crash_during_recovery_then_recovery_again() {
 }
 
 #[test]
-fn ops_completed_counts() {
-    let q = DssQueue::new(2, 8);
-    let h0 = q.register_thread().unwrap();
-    let h1 = q.register_thread().unwrap();
-    q.enqueue(h0, 1).unwrap();
-    q.prep_enqueue(h1, 2).unwrap();
-    q.exec_enqueue(h1);
-    q.dequeue(h0);
-    assert_eq!(q.ops_completed(), 3);
-}
-
-#[test]
 fn resolve_survives_node_recycling() {
     // A detectable dequeue's announced predecessor (and the claimed node)
     // stay referenced by X[tid] after the operation completes. Heavy churn
