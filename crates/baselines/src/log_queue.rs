@@ -172,83 +172,6 @@ impl LogQueue {
         Ok(q)
     }
 
-    /// The number of **committed** enqueue entries currently observable
-    /// from the persisted head — the upper bound
-    /// [`iter_from`](Self::iter_from) enumerates up to.
-    ///
-    /// An entry is committed once both its link into the chain *and* its
-    /// log entry's `STATUS_DONE` word have persisted; a linked node whose
-    /// done-mark is still pending in a write-back queue is durably
-    /// *recoverable* (recovery re-derives the mark from the persisted
-    /// link) but deliberately not yet *observable* — a tailer must never
-    /// act on an operation the structure has not finished certifying.
-    ///
-    /// Positions are relative to the current persisted head, not a
-    /// lifetime counter: they renumber when dequeues advance the head.
-    /// Tailers that need stability snapshot between recoveries, when the
-    /// head is quiescent.
-    pub fn committed_seq(&self) -> u64 {
-        self.iter_from(0).count() as u64
-    }
-
-    /// A cursor over the committed entries of the durable chain, starting
-    /// `seq` entries past the persisted head and yielding
-    /// `(position, value)` pairs in FIFO order.
-    ///
-    /// The cursor reads **only the persisted image** of the pool
-    /// ([`PmemPool::persisted_value`]): volatile stores, un-flushed
-    /// writes, and flushes still sitting in a coalescing write-back queue
-    /// are all invisible. It stops at the first entry whose `STATUS_DONE`
-    /// has not persisted (see [`committed_seq`](Self::committed_seq)),
-    /// so a tailer can replay the returned prefix knowing a crash cannot
-    /// revoke any of it.
-    pub fn iter_from(&self, seq: u64) -> LogCursor<'_> {
-        let head = tag::addr_of(self.pool().persisted_value(self.head()));
-        let mut cursor = LogCursor { queue: self, cur: head, seq: 0 };
-        // Skipping via the iterator keeps one committed-prefix rule.
-        for _ in 0..seq {
-            if cursor.next().is_none() {
-                break;
-            }
-        }
-        cursor
-    }
-}
-
-/// The committed-prefix cursor of [`LogQueue::iter_from`].
-#[derive(Debug)]
-pub struct LogCursor<'a> {
-    queue: &'a LogQueue,
-    cur: PAddr,
-    seq: u64,
-}
-
-impl Iterator for LogCursor<'_> {
-    /// `(position past the persisted head, enqueued value)`.
-    type Item = (u64, u64);
-
-    fn next(&mut self) -> Option<(u64, u64)> {
-        let pool = self.queue.pool();
-        let next = tag::addr_of(pool.persisted_value(self.cur.offset(N_NEXT)));
-        if next.is_null() {
-            return None;
-        }
-        // Committed = the enqueue's own log entry carries a persisted
-        // DONE. The link alone is not enough: its done-mark may still be
-        // pending write-back, and this cursor only reports what a crash
-        // can no longer revoke AND the structure has certified.
-        let log = tag::addr_of(pool.persisted_value(next.offset(N_ENQ_LOG)));
-        if log.is_null() || pool.persisted_value(log.offset(L_STATUS)) != STATUS_DONE {
-            return None;
-        }
-        let item = (self.seq, pool.persisted_value(next.offset(N_VALUE)));
-        self.seq += 1;
-        self.cur = next;
-        Some(item)
-    }
-}
-
-impl LogQueue {
     /// Rebuilds a queue from a pool file with no in-process state; follow
     /// with the centralized [`recover`](Self::recover), then
     /// [`resolve`](Self::resolve) per adopted handle.
@@ -704,29 +627,52 @@ mod tests {
 
     #[test]
     fn crash_sweep_enqueue_detects_consistently() {
-        for adv in [WritebackAdversary::None, WritebackAdversary::All] {
-            for k in 1..60 {
-                let q = LogQueue::new(1, 8);
-                let h0 = q.register_thread().unwrap();
-                let crashed = q.pool().crashes_within(k, || {
-                    let _ = q.enqueue(h0, 42);
-                });
-                if !crashed {
-                    break;
-                }
-                q.pool().crash(&adv);
-                q.recover();
-                q.rebuild_allocator();
-                let in_queue = q.snapshot_values() == vec![42];
-                match q.resolve(h0) {
-                    LogResolved { op: None, resp: None } => assert!(!in_queue, "k={k}"),
-                    LogResolved { op: Some(Some(42)), resp: Some(QueueResp::Ok) } => {
-                        assert!(in_queue, "k={k} {adv:?}")
+        // Run once on an empty queue and once behind a committed value,
+        // which every crash point and recovery must keep at the front.
+        for prefill in [None, Some(41)] {
+            for adv in [WritebackAdversary::None, WritebackAdversary::All] {
+                for k in 1..60 {
+                    let q = LogQueue::new(1, 8);
+                    let h0 = q.register_thread().unwrap();
+                    if let Some(v) = prefill {
+                        q.enqueue(h0, v).unwrap();
+                        q.pool().drain();
                     }
-                    LogResolved { op: Some(Some(42)), resp: None } => {
-                        assert!(!in_queue, "k={k} {adv:?}")
+                    let crashed = q.pool().crashes_within(k, || {
+                        let _ = q.enqueue(h0, 42);
+                    });
+                    if !crashed {
+                        break;
                     }
-                    other => panic!("k={k} {adv:?}: impossible resolution {other:?}"),
+                    q.pool().crash(&adv);
+                    q.recover();
+                    q.rebuild_allocator();
+                    let values = q.snapshot_values();
+                    let committed: Vec<u64> = prefill.into_iter().collect();
+                    assert!(
+                        values.starts_with(&committed),
+                        "k={k} {adv:?}: lost the committed prefix ({values:?})"
+                    );
+                    let in_queue = values[committed.len()..] == [42];
+                    match q.resolve(h0) {
+                        LogResolved { op: None, resp: None } if prefill.is_none() => {
+                            assert!(!in_queue, "k={k}")
+                        }
+                        // The 42 announce was lost: resolve reports the
+                        // prefill's completed enqueue.
+                        LogResolved { op: Some(Some(41)), resp: Some(QueueResp::Ok) }
+                            if prefill.is_some() =>
+                        {
+                            assert!(!in_queue, "k={k} {adv:?}")
+                        }
+                        LogResolved { op: Some(Some(42)), resp: Some(QueueResp::Ok) } => {
+                            assert!(in_queue, "k={k} {adv:?}")
+                        }
+                        LogResolved { op: Some(Some(42)), resp: None } => {
+                            assert!(!in_queue, "k={k} {adv:?}")
+                        }
+                        other => panic!("k={k} {adv:?}: impossible resolution {other:?}"),
+                    }
                 }
             }
         }
@@ -793,67 +739,6 @@ mod tests {
             (0..4u64).flat_map(|t| (1..=300).map(move |i| t << 32 | i)).collect();
         expected.sort_unstable();
         assert_eq!(all, expected);
-    }
-
-    #[test]
-    fn cursor_never_observes_an_entry_before_its_done_persist() {
-        // Coalescing + per-address drains leave the enqueue's STATUS_DONE
-        // flush pending in the write-back queue past the op's return (the
-        // final drain_lines(&[]) drains nothing in that regime) — exactly
-        // the window in which the entry is linked, volatile-DONE, and yet
-        // NOT observable by the persisted-image cursor.
-        let q = LogQueue::new(1, 8);
-        q.pool().set_coalescing(true);
-        q.pool().set_per_address_drains(true);
-        let h0 = q.register_thread().unwrap();
-        q.enqueue(h0, 41).unwrap();
-        q.pool().drain(); // settle entry 0 so the prefix rule is isolated
-        q.enqueue(h0, 42).unwrap();
-        let log = tag::addr_of(q.pool().load(q.log_ptr(0)));
-        assert!(
-            q.pool().is_dirty(log.offset(L_STATUS)),
-            "precondition: the DONE mark must still be pending write-back"
-        );
-        // Volatile state says both entries are done; the persisted image
-        // certifies only the first.
-        assert_eq!(q.resolve(h0).resp, Some(QueueResp::Ok));
-        assert_eq!(q.iter_from(0).collect::<Vec<_>>(), vec![(0, 41)]);
-        assert_eq!(q.committed_seq(), 1);
-        // Draining the write-back queue persists the mark; the cursor
-        // extends by exactly the certified entry, and iter_from resumes
-        // past the already-replayed prefix.
-        q.pool().drain();
-        assert_eq!(q.committed_seq(), 2);
-        assert_eq!(q.iter_from(1).collect::<Vec<_>>(), vec![(1, 42)]);
-    }
-
-    #[test]
-    fn cursor_survives_a_crash_with_only_the_committed_prefix() {
-        // Sweep a crash across every pmem-op index of an enqueue: after
-        // reverting volatile state, the cursor must yield a prefix, and
-        // recovery must agree with (or extend) it — never shrink it.
-        for k in 1..60 {
-            let q = LogQueue::new(1, 8);
-            let h0 = q.register_thread().unwrap();
-            q.enqueue(h0, 1).unwrap();
-            q.pool().drain();
-            let crashed = q.pool().crashes_within(k, || {
-                let _ = q.enqueue(h0, 2);
-            });
-            if !crashed {
-                break;
-            }
-            q.pool().crash(&WritebackAdversary::None);
-            let before: Vec<_> = q.iter_from(0).collect();
-            assert!(before == vec![(0, 1)] || before == vec![(0, 1), (1, 2)], "k={k}: {before:?}");
-            q.recover();
-            q.rebuild_allocator();
-            let after: Vec<_> = q.iter_from(0).collect();
-            assert!(
-                after.len() >= before.len() && after[..before.len()] == before,
-                "k={k}: recovery shrank the committed prefix ({before:?} -> {after:?})"
-            );
-        }
     }
 
     #[test]
