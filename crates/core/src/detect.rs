@@ -43,9 +43,9 @@ pub struct DetectableCore<M: Memory> {
     /// Distance between consecutive `X` entries, in words. The pointer
     /// structures give each entry its own cache line
     /// ([`WORDS_PER_LINE`](dss_pmem::WORDS_PER_LINE)) to avoid false
-    /// sharing; the universal construction packs them at stride 1. Zero
-    /// means the structure keeps no strided `X` region at all (the
-    /// replicated queue places its announce lines per replica).
+    /// sharing, and the replicated queue keeps its announced argument in
+    /// the rest of that line; the universal construction packs them at
+    /// stride 1.
     x_stride: u64,
 }
 
@@ -70,7 +70,6 @@ impl<M: Memory> DetectableCore<M> {
     /// here; a bad raw index surfaces as
     /// [`SlotError`](dss_pmem::SlotError) at the registry boundary instead.
     pub(crate) fn x_addr(&self, slot: usize) -> PAddr {
-        debug_assert!(self.x_stride != 0, "this structure has no strided X region");
         PAddr::from_index(self.x_base + slot as u64 * self.x_stride)
     }
 

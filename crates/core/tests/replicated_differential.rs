@@ -3,8 +3,7 @@
 //! `advance_to(committed_seq)` its contents must be byte-equal to a
 //! single-instance queue that replayed the same operation script — under
 //! every combination of the simulator's writeback knobs (coalescing ×
-//! per-address drains) and both placement policies, with the CAS-racing
-//! `DssQueue` as the oracle. A crash sweep then kills the
+//! per-address drains), with the CAS-racing `DssQueue` as the oracle. A crash sweep then kills the
 //! leased appender mid-batch at every instrumented persistence point and
 //! checks that a survivor adopting the dead slot sees replicas that
 //! rebuild to exactly the committed prefix.
@@ -12,7 +11,7 @@
 use proptest::prelude::*;
 
 use dss_core::{DssQueue, ReplicatedQueue, Resolved, ResolvedOp};
-use dss_pmem::{FlushGranularity, PlacementPolicy, PmemPool, WritebackAdversary};
+use dss_pmem::{FlushGranularity, PmemPool, WritebackAdversary};
 use dss_spec::types::QueueResp;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -43,11 +42,9 @@ proptest! {
         nreplicas in 1usize..4,
         coalesce in proptest::bool::ANY,
         per_addr in proptest::bool::ANY,
-        sharded in proptest::bool::ANY,
     ) {
-        let policy = if sharded { PlacementPolicy::Sharded } else { PlacementPolicy::Interleave };
         let q = ReplicatedQueue::<PmemPool>::new_configured(
-            NTHREADS, NODES_PER_THREAD, nreplicas, policy, FlushGranularity::Line,
+            NTHREADS, NODES_PER_THREAD, nreplicas, FlushGranularity::Line,
         );
         q.pool().set_coalescing(coalesce);
         q.pool().set_per_address_drains(per_addr);
@@ -79,8 +76,8 @@ proptest! {
             prop_assert_eq!(
                 &q.replica_values(r), &expect,
                 "replica {} disagrees with the single-instance replay \
-                 (coalesce={}, per_addr={}, policy={:?})",
-                r, coalesce, per_addr, policy
+                 (coalesce={}, per_addr={})",
+                r, coalesce, per_addr
             );
             prop_assert_eq!(q.replica_applied(r), committed);
         }

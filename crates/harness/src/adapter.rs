@@ -13,9 +13,7 @@ use std::fmt::Debug;
 
 use dss_baselines::{DurableQueue, LogQueue, MsQueue};
 use dss_core::{DssQueue, ReplicatedQueue};
-use dss_pmem::{
-    DramPool, FlushGranularity, Memory, ObjectCore, PlacementPolicy, PmemPool, ThreadHandle,
-};
+use dss_pmem::{DramPool, FlushGranularity, Memory, ObjectCore, PmemPool, ThreadHandle};
 use dss_pmwcas::CasWithEffectQueue;
 use dss_spec::types::QueueResp;
 
@@ -204,8 +202,8 @@ impl QueueKind {
 
     /// Builds the queue with an explicit volatile replica count — the
     /// E15 replica axis of `benches/replication.rs`. Only
-    /// [`DssReplicated`](Self::DssReplicated) has replicas (built sharded,
-    /// on pmem); every other kind ignores the count and builds as
+    /// [`DssReplicated`](Self::DssReplicated) has replicas (built on
+    /// pmem); every other kind ignores the count and builds as
     /// [`build`](Self::build) would.
     pub fn build_with_replicas(
         self,
@@ -219,7 +217,6 @@ impl QueueKind {
                     nthreads,
                     nodes_per_thread,
                     nreplicas.min(nthreads),
-                    PlacementPolicy::Sharded,
                     FlushGranularity::Line,
                 )))
             }

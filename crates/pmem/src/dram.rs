@@ -1,10 +1,9 @@
 //! The zero-overhead DRAM backend.
 
 use std::fmt;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 
-use crate::seg::{self, Layout, PlacementPolicy, SegmentDirectory};
+use crate::seg::{Layout, SegmentDirectory};
 use crate::{FlushGranularity, Memory, PAddr};
 
 /// A pool of plain sequentially consistent `AtomicU64` words: no persisted
@@ -114,18 +113,6 @@ impl Memory for DramPool {
     #[inline]
     fn peek(&self, addr: PAddr) -> u64 {
         self.word(addr).load(SeqCst)
-    }
-
-    fn set_placement(&self, policy: PlacementPolicy) {
-        self.dir.set_policy(policy);
-    }
-
-    fn placement(&self) -> PlacementPolicy {
-        self.dir.policy()
-    }
-
-    fn plan_regions(&self, first_free: u64, region_words: &[u64]) -> Vec<Range<u64>> {
-        seg::plan_with(self.dir.layout(), self.dir.policy(), first_free, region_words)
     }
 }
 

@@ -123,6 +123,6 @@ pub use memory::Memory;
 pub use object::{ObjectCore, ObjectLayout};
 pub use pool::{FlushGranularity, PmemPool, PoolMode, WritebackAdversary, WORDS_PER_LINE};
 pub use registry::{Registry, SlotError, SlotState, ThreadHandle};
-pub use seg::{plan_regions, region_segments, AppKind, AttachError, PlacementPolicy};
+pub use seg::{AppKind, AttachError};
 pub use stats::{Stats, StatsSnapshot};
 pub use sync::CachePadded;

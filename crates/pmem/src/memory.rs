@@ -17,9 +17,7 @@
 //! with the concrete simulator type, while algorithms and workloads stay
 //! backend-generic.
 
-use std::ops::Range;
-
-use crate::{FlushGranularity, PAddr, PlacementPolicy, StatsSnapshot, WORDS_PER_LINE};
+use crate::{FlushGranularity, PAddr, StatsSnapshot};
 
 /// A pool of 64-bit words accessed with sequentially consistent atomics and
 /// explicit persistence instructions.
@@ -194,47 +192,5 @@ pub trait Memory: Send + Sync + std::fmt::Debug + 'static {
     /// `recover()` calls) race to perform it.
     fn crash_generation(&self) -> u64 {
         0
-    }
-
-    /// Sets the [`PlacementPolicy`] that [`plan_regions`](Memory::plan_regions)
-    /// applies (default [`PlacementPolicy::Interleave`]). A pure planning
-    /// knob: it affects only future plans, never established addresses,
-    /// and backends with no segment structure may ignore it.
-    fn set_placement(&self, policy: PlacementPolicy) {
-        let _ = policy;
-    }
-
-    /// The current region-placement policy.
-    fn placement(&self) -> PlacementPolicy {
-        PlacementPolicy::Interleave
-    }
-
-    /// Plans `region_words.len()` application regions of the given sizes
-    /// (in words), at or after word `first_free`, under the backend's
-    /// [placement policy](Memory::set_placement).
-    ///
-    /// Every returned range is cache-line-aligned, at least as large as
-    /// requested, and pairwise disjoint in ascending order. Under
-    /// [`PlacementPolicy::Sharded`] the segmented backends additionally
-    /// guarantee that no two regions share a directory segment, so each
-    /// region's words live in their own allocations (and file extents on
-    /// a file-backed pool) — see [`region_segments`](crate::region_segments).
-    ///
-    /// The plan is a pure function of the backend's initial capacity, the
-    /// policy, and the arguments: re-planning after an attach with the
-    /// same inputs reproduces the same regions, which is how structures
-    /// re-derive their layout from a pool file's app-config words. The
-    /// default implementation is the policy-blind contiguous packing.
-    fn plan_regions(&self, first_free: u64, region_words: &[u64]) -> Vec<Range<u64>> {
-        let mut cursor = first_free.next_multiple_of(WORDS_PER_LINE);
-        region_words
-            .iter()
-            .map(|&words| {
-                let len = words.max(1).next_multiple_of(WORDS_PER_LINE);
-                let r = cursor..cursor + len;
-                cursor += len;
-                r
-            })
-            .collect()
     }
 }

@@ -46,7 +46,7 @@ use std::sync::Arc;
 
 use crate::{
     tag, AppKind, AttachError, Backoff, BackoffTuner, Ebr, EbrGuard, FlushGranularity, Memory,
-    PlacementPolicy, PmemPool, Registry, SlotError, ThreadHandle,
+    PmemPool, Registry, SlotError, ThreadHandle,
 };
 
 /// The persistent geometry of one structure kind, derived from the
@@ -102,11 +102,6 @@ pub trait ObjectLayout: Sized {
 
     /// First word of the registry region (line-aligned).
     fn registry_base(&self) -> u64;
-
-    /// How the pool places the regions the structure plans.
-    fn placement(&self) -> PlacementPolicy {
-        PlacementPolicy::Interleave
-    }
 }
 
 /// Decodes a thread-count parameter word: at least one slot and at most
@@ -163,10 +158,9 @@ impl<M: Memory> ObjectCore<M> {
         Self::format(Arc::new(M::create(layout.pool_words() as usize, granularity)), layout)
     }
 
-    /// Places the layout's regions on a fresh pool and formats its
-    /// registry, then binds the volatile half.
+    /// Formats the layout's registry on a fresh pool, then binds the
+    /// volatile half.
     fn format<L: ObjectLayout>(pool: Arc<M>, layout: &L) -> Self {
-        pool.set_placement(layout.placement());
         let registry =
             Registry::create(Arc::clone(&pool), layout.registry_base(), layout.nthreads());
         Self::bind(pool, registry)
@@ -334,7 +328,6 @@ impl ObjectCore<PmemPool> {
         if (pool.capacity() as u64) < layout.pool_words() {
             return Err(AttachError::Corrupt("pool smaller than its layout requires"));
         }
-        pool.set_placement(layout.placement());
         let registry = Registry::attach(Arc::clone(&pool), layout.registry_base())?;
         if registry.nslots() != layout.nthreads() {
             return Err(AttachError::Corrupt("registry slot count differs from the thread count"));

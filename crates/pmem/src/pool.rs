@@ -21,12 +21,11 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::fs::OpenOptions;
-use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed, Ordering::SeqCst};
 
-use crate::seg::{self, FileBacking, Layout, PlacementPolicy, SegmentBacking, SegmentDirectory};
+use crate::seg::{self, FileBacking, Layout, SegmentBacking, SegmentDirectory};
 use crate::{hook, AttachError, Memory, PAddr, Stats, StatsSnapshot};
 
 /// Number of 64-bit words per 64-byte cache line.
@@ -276,8 +275,7 @@ impl Word {
 /// ```
 pub struct PmemPool {
     id: u64,
-    /// The address→segment structure plus the placement-policy knob; see
-    /// [`crate::seg`].
+    /// The address→segment structure; see [`crate::seg`].
     dir: SegmentDirectory<Word>,
     granularity: FlushGranularity,
     instrumented: bool,
@@ -533,26 +531,6 @@ impl PmemPool {
         for slot in 0..=last {
             self.segment(slot);
         }
-    }
-
-    /// Sets the region-placement policy [`plan_regions`](Self::plan_regions)
-    /// uses (default [`PlacementPolicy::Interleave`]). A pure planning
-    /// knob: it affects only future plans, never established addresses.
-    pub fn set_placement(&self, policy: PlacementPolicy) {
-        self.dir.set_policy(policy);
-    }
-
-    /// The current region-placement policy.
-    pub fn placement(&self) -> PlacementPolicy {
-        self.dir.policy()
-    }
-
-    /// Plans `region_words.len()` application regions of the given sizes
-    /// at or after word `first_free`, under the pool's
-    /// [placement policy](Self::set_placement). See
-    /// [`Memory::plan_regions`].
-    pub fn plan_regions(&self, first_free: u64, region_words: &[u64]) -> Vec<Range<u64>> {
-        seg::plan_with(self.dir.layout(), self.dir.policy(), first_free, region_words)
     }
 
     /// The pool's flush granularity.
@@ -1239,18 +1217,6 @@ impl Memory for PmemPool {
 
     fn crash_generation(&self) -> u64 {
         PmemPool::generation(self)
-    }
-
-    fn set_placement(&self, policy: PlacementPolicy) {
-        PmemPool::set_placement(self, policy)
-    }
-
-    fn placement(&self) -> PlacementPolicy {
-        PmemPool::placement(self)
-    }
-
-    fn plan_regions(&self, first_free: u64, region_words: &[u64]) -> Vec<Range<u64>> {
-        PmemPool::plan_regions(self, first_free, region_words)
     }
 }
 

@@ -47,7 +47,6 @@
 use std::fmt;
 use std::fs::File;
 use std::io;
-use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::{Mutex, OnceLock};
@@ -72,8 +71,10 @@ pub(crate) const MAGIC: u64 = u64::from_le_bytes(*b"DSSPOOL1");
 
 /// Bumped whenever the on-disk layout changes incompatibly. Version 2:
 /// the register and the CAS object share one value-node layout, and their
-/// initial value is a pool node.
-pub(crate) const LAYOUT_VERSION: u64 = 2;
+/// initial value is a pool node. Version 3: the replicated queue records
+/// no placement-policy word and packs its regions contiguously, with its
+/// announce lines as the strided `X` region.
+pub(crate) const LAYOUT_VERSION: u64 = 3;
 
 /// Byte length of the superblock; word data starts here.
 pub(crate) const HEADER_BYTES: u64 = 4096;
@@ -407,136 +408,8 @@ impl Layout {
     }
 }
 
-/// How a pool's owner lays application regions over the segment directory.
-///
-/// The directory itself is placement-blind — any address materialises its
-/// segment on demand — but a data structure that carves its address space
-/// into per-replica (or per-shard) regions can ask
-/// [`Memory::plan_regions`](crate::Memory::plan_regions) to place them
-/// according to a policy:
-///
-/// * [`PlacementPolicy::Interleave`] packs regions contiguously
-///   (line-aligned), the historical layout: neighbouring regions share
-///   directory segments and, on a file-backed pool, file extents.
-/// * [`PlacementPolicy::Sharded`] gives each region its own run of
-///   directory segments: a region starts on a segment boundary and the
-///   plan skips to the end of the last segment the region touches before
-///   placing the next, so **no two regions share a segment**. The skipped
-///   address ranges cost nothing — uncommitted segments are never
-///   materialised — so sharding spends address space, not memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlacementPolicy {
-    /// Pack regions contiguously, line-aligned (the historical layout).
-    #[default]
-    Interleave,
-    /// One run of directory segments per region; regions never share a
-    /// segment (and hence never share a backing allocation or file
-    /// extent).
-    Sharded,
-}
-
-impl PlacementPolicy {
-    /// Stable numeric code, for storage in an atomic knob word or a pool
-    /// file's parameter words.
-    pub fn code(self) -> u64 {
-        match self {
-            PlacementPolicy::Interleave => 0,
-            PlacementPolicy::Sharded => 1,
-        }
-    }
-
-    /// The policy a [`code`](Self::code) names, if any.
-    pub fn from_code(code: u64) -> Option<Self> {
-        match code {
-            0 => Some(PlacementPolicy::Interleave),
-            1 => Some(PlacementPolicy::Sharded),
-            _ => None,
-        }
-    }
-}
-
-#[inline]
-fn align_line(words: u64) -> u64 {
-    words.next_multiple_of(WORDS_PER_LINE)
-}
-
-/// Places `region_words.len()` regions of the given sizes (in words) at or
-/// after `first_free`, under `policy`, for a pool whose segment 0 spans
-/// `layout`. Every returned range is line-aligned and the ranges are
-/// pairwise disjoint and ascending.
-pub(crate) fn plan_with(
-    layout: &Layout,
-    policy: PlacementPolicy,
-    first_free: u64,
-    region_words: &[u64],
-) -> Vec<Range<u64>> {
-    let mut cursor = align_line(first_free);
-    let mut out = Vec::with_capacity(region_words.len());
-    for &words in region_words {
-        let len = align_line(words.max(1));
-        let start = match policy {
-            PlacementPolicy::Interleave => cursor,
-            PlacementPolicy::Sharded => {
-                // Up to the next segment boundary (cursor may already be
-                // one: after the first region it always is).
-                let slot = layout.slot_of(cursor);
-                if cursor == layout.start(slot) {
-                    cursor
-                } else {
-                    layout.end(slot)
-                }
-            }
-        };
-        let end = start + len;
-        cursor = match policy {
-            PlacementPolicy::Interleave => end,
-            // Claim the rest of the region's last segment so the next
-            // region starts in a fresh one.
-            PlacementPolicy::Sharded => layout.end(layout.slot_of(end - 1)),
-        };
-        out.push(start..end);
-    }
-    out
-}
-
-/// The directory slots whose segments back `region`, for a pool created
-/// with `initial_words` of capacity (cf. [`Memory::plan_regions`]: the
-/// same `initial_words` the pool was created with).
-///
-/// Under [`PlacementPolicy::Sharded`] plans, distinct regions' slot ranges
-/// are disjoint — the property this helper exists to assert in tests.
-///
-/// [`Memory::plan_regions`]: crate::Memory::plan_regions
-///
-/// # Panics
-///
-/// Panics if `region` is empty or `initial_words` is out of range.
-pub fn region_segments(initial_words: usize, region: &Range<u64>) -> Range<usize> {
-    assert!(region.start < region.end, "empty region has no backing segments");
-    let layout = Layout::new(initial_words);
-    layout.slot_of(region.start)..layout.slot_of(region.end - 1) + 1
-}
-
-/// Free-function form of [`Memory::plan_regions`](crate::Memory::plan_regions)
-/// for callers that plan before constructing a pool: `initial_words` is
-/// the capacity the pool will be created with (segment geometry depends on
-/// it), `first_free` the first word the regions may use.
-///
-/// # Panics
-///
-/// Panics if `initial_words` is 0 or exceeds the 48-bit address space.
-pub fn plan_regions(
-    initial_words: usize,
-    policy: PlacementPolicy,
-    first_free: u64,
-    region_words: &[u64],
-) -> Vec<Range<u64>> {
-    plan_with(&Layout::new(initial_words), policy, first_free, region_words)
-}
-
-/// The segment directory both backends build on: a [`Layout`], a
-/// [`PlacementPolicy`] knob, and up to [`SLOTS`] lazily-materialised
-/// segments of `W` words.
+/// The segment directory both backends build on: a [`Layout`] and up to
+/// [`SLOTS`] lazily-materialised segments of `W` words.
 ///
 /// Materialisation is race-free without locking readers (`OnceLock`):
 /// losers of an init race drop their allocation and use the winner's, and
@@ -547,33 +420,17 @@ pub fn plan_regions(
 /// owns the address→segment structure.
 pub(crate) struct SegmentDirectory<W> {
     layout: Layout,
-    /// [`PlacementPolicy::code`] of the planning policy. `Relaxed` would
-    /// do — the knob synchronises nothing — but `SeqCst` keeps it uniform
-    /// with the rare-path knobs around it.
-    policy: AtomicU64,
     slots: Box<[OnceLock<Box<[W]>>]>,
 }
 
 impl<W> SegmentDirectory<W> {
     pub(crate) fn new(layout: Layout) -> Self {
-        SegmentDirectory {
-            layout,
-            policy: AtomicU64::new(PlacementPolicy::default().code()),
-            slots: (0..SLOTS).map(|_| OnceLock::new()).collect(),
-        }
+        SegmentDirectory { layout, slots: (0..SLOTS).map(|_| OnceLock::new()).collect() }
     }
 
     #[inline]
     pub(crate) fn layout(&self) -> &Layout {
         &self.layout
-    }
-
-    pub(crate) fn policy(&self) -> PlacementPolicy {
-        PlacementPolicy::from_code(self.policy.load(SeqCst)).unwrap_or_default()
-    }
-
-    pub(crate) fn set_policy(&self, policy: PlacementPolicy) {
-        self.policy.store(policy.code(), SeqCst);
     }
 
     /// The segment in `slot` if it has been materialised.
@@ -682,51 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn interleave_packs_contiguously() {
-        let plan = plan_regions(64, PlacementPolicy::Interleave, 24, &[10, 8, 1]);
-        assert_eq!(plan, vec![24..40, 40..48, 48..56]);
-    }
-
-    #[test]
-    fn sharded_regions_share_no_segment() {
-        for first_free in [8, 24, 64, 100] {
-            for sizes in [&[8u64, 8, 8, 8][..], &[100, 8, 300], &[1, 1]] {
-                let plan = plan_regions(64, PlacementPolicy::Sharded, first_free, sizes);
-                let mut used: Vec<Range<usize>> =
-                    plan.iter().map(|r| region_segments(64, r)).collect();
-                for (r, &words) in plan.iter().zip(sizes) {
-                    assert!(r.start >= first_free);
-                    assert!(r.end - r.start >= words.max(1), "region too small: {r:?}");
-                    assert_eq!(r.start % WORDS_PER_LINE, 0);
-                }
-                used.sort_by_key(|s| s.start);
-                for pair in used.windows(2) {
-                    assert!(
-                        pair[0].end <= pair[1].start,
-                        "regions share a segment: {pair:?} (plan {plan:?})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_regions_start_on_segment_boundaries() {
-        let l = Layout::new(64);
-        let plan = plan_regions(64, PlacementPolicy::Sharded, 24, &[8, 72]);
-        for r in &plan {
-            let slot = l.slot_of(r.start);
-            assert_eq!(r.start, l.start(slot), "region {r:?} not on a segment boundary");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "empty region")]
-    fn empty_region_has_no_segments() {
-        let _ = region_segments(64, &(8..8));
-    }
-
-    #[test]
     fn directory_materialises_and_reports_capacity() {
         let d: SegmentDirectory<u64> = SegmentDirectory::new(Layout::new(16));
         assert_eq!(d.materialised_words(), 0);
@@ -738,18 +550,5 @@ mod tests {
         assert!(d.install(0, Box::new([])).is_err(), "slot 0 already materialised");
         assert!(d.install(2, (0..d.layout().len(2)).collect()).is_ok());
         assert_eq!(d.materialised_words(), 64);
-    }
-
-    #[test]
-    fn policy_knob_round_trips() {
-        let d: SegmentDirectory<u64> = SegmentDirectory::new(Layout::new(16));
-        assert_eq!(d.policy(), PlacementPolicy::Interleave);
-        d.set_policy(PlacementPolicy::Sharded);
-        assert_eq!(d.policy(), PlacementPolicy::Sharded);
-        assert_eq!(
-            PlacementPolicy::from_code(PlacementPolicy::Sharded.code()),
-            Some(PlacementPolicy::Sharded)
-        );
-        assert_eq!(PlacementPolicy::from_code(2), None);
     }
 }

@@ -428,7 +428,7 @@ fn attach_cases() -> [AttachCase; 11] {
             create: |p| drop(ReplicatedQueue::create(p, 2, 8).unwrap()),
             attach: |p| ReplicatedQueue::attach(p).map(drop),
             sizes: 3,
-            flag: Some(3),
+            flag: None,
         },
         AttachCase {
             name: "map",
