@@ -9,8 +9,9 @@
 //! per-pair primitive counts. A second table does the same per operation
 //! of the three binding objects (register, CAS object, map), so a change
 //! to their shared install protocol shows up as a changed row; a third
-//! per operation of the DSS stack, and a fourth per operation of the
-//! replicated queue (its write pair and its replica-local reads).
+//! per operation of the DSS stack, a fourth per operation of the
+//! replicated queue (its write pair and its replica-local reads), and a
+//! fifth per step of the DSS queue's crash recovery.
 //!
 //! ```text
 //! cargo run -p dss-harness --release --bin flush_counts
@@ -18,12 +19,15 @@
 //!
 //! `--backend pmem --backend dram` repeats the tables per memory backend;
 //! the dram tables are all zeros by construction (no instrumentation),
-//! which is exactly the point of experiment E8. The default pmem-only
-//! invocation prints the historical output unchanged.
+//! which is exactly the point of experiment E8. The recovery table is
+//! pmem-only: crashing a pool is a [`PmemPool`] API, not a [`Memory`] one.
+//! The default pmem-only invocation prints the historical output unchanged.
 
-use dss_core::{DetectableCas, DetectableMap, DetectableRegister, DssStack, ReplicatedQueue};
+use dss_core::{
+    DetectableCas, DetectableMap, DetectableRegister, DssQueue, DssStack, ReplicatedQueue,
+};
 use dss_harness::adapter::{Backend, QueueKind};
-use dss_pmem::{DramPool, FlushGranularity, Memory, PmemPool, StatsSnapshot};
+use dss_pmem::{DramPool, FlushGranularity, Memory, PmemPool, StatsSnapshot, WritebackAdversary};
 
 fn main() {
     let args = dss_harness::cli::parse();
@@ -36,7 +40,11 @@ fn main() {
         run(backend);
         println!();
         match backend {
-            Backend::Pmem => objects::<PmemPool>(),
+            Backend::Pmem => {
+                objects::<PmemPool>();
+                println!();
+                recovery();
+            }
             Backend::Dram => objects::<DramPool>(),
         }
     }
@@ -214,4 +222,44 @@ fn replicated<M: Memory>() {
     row("replicated resolve", q.pool().as_ref(), |_| {
         q.resolve(h);
     });
+}
+
+/// Values the recovery table's queue holds when it crashes.
+const RECOVERY_LEN: u64 = 256;
+
+/// The pool primitives of each step of the DSS queue's recovery, after
+/// the crash the perfbench `recover` workload repeats: slot 0 enqueues,
+/// slot 1 dequeues, slot 0 prepares one more enqueue, and every unflushed
+/// write is lost. Recovery walks the whole list, so the rows grow with
+/// [`RECOVERY_LEN`].
+fn recovery() {
+    println!(
+        "# E3e: pmem primitives per DSS queue recovery step ({RECOVERY_LEN} values, 2 slots, \
+         after one cycle and a crash)"
+    );
+    header("step");
+    let q = DssQueue::new(2, RECOVERY_LEN);
+    let [h0, h1] = [0, 1].map(|_| q.register_thread().unwrap());
+    for v in 1..=RECOVERY_LEN {
+        q.enqueue(h0, v).unwrap();
+    }
+    q.prep_enqueue(h0, RECOVERY_LEN + 1).unwrap();
+    q.exec_enqueue(h0);
+    q.prep_dequeue(h1);
+    q.exec_dequeue(h1);
+    q.prep_enqueue(h0, RECOVERY_LEN + 2).unwrap();
+    q.pool().crash(&WritebackAdversary::None);
+
+    let pool = q.pool();
+    pool.reset_stats();
+    let hs = q.recover();
+    print_row("queue recover", pool.stats(), 1);
+    pool.reset_stats();
+    q.rebuild_allocator();
+    print_row("queue rebuild_allocator", pool.stats(), 1);
+    pool.reset_stats();
+    for &h in &hs {
+        q.resolve(h);
+    }
+    print_row("queue resolve", pool.stats(), hs.len() as u64);
 }
