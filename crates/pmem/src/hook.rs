@@ -16,9 +16,39 @@
 
 use std::cell::Cell;
 
-thread_local! {
+use crate::stats;
+
+/// What every instrumented primitive reads of its thread: the crash
+/// countdown and the thread's statistics shard, in one const-initialised
+/// thread-local so a primitive pays one thread-local lookup, not two.
+/// No destructor: the state stays readable while other thread-locals are
+/// torn down, which is when a thread's shard is released.
+struct ThreadState {
     /// Remaining pmem operations before this thread crashes; 0 = disarmed.
-    static CRASH_COUNTDOWN: Cell<u64> = const { Cell::new(0) };
+    countdown: Cell<u64>,
+    /// This thread's [`Stats`](crate::Stats) shard index, claimed on its
+    /// first count ([`stats::UNCLAIMED`] until then).
+    shard: Cell<usize>,
+}
+
+impl ThreadState {
+    #[inline]
+    fn shard(&self) -> usize {
+        match self.shard.get() {
+            stats::UNCLAIMED => {
+                let s = stats::claim_shard();
+                self.shard.set(s);
+                s
+            }
+            s => s,
+        }
+    }
+}
+
+thread_local! {
+    static THREAD: ThreadState = const {
+        ThreadState { countdown: Cell::new(0), shard: Cell::new(stats::UNCLAIMED) }
+    };
 }
 
 /// Panic payload used to simulate a crash of the current thread.
@@ -43,7 +73,7 @@ pub struct CrashSignal;
 /// Arms the current thread to crash after `ops` more pmem operations.
 pub(crate) fn arm(ops: u64) {
     silence_crash_signal_reports();
-    CRASH_COUNTDOWN.with(|c| c.set(ops));
+    THREAD.with(|t| t.countdown.set(ops));
 }
 
 /// Installs (once, process-wide) a panic hook that suppresses the default
@@ -65,28 +95,43 @@ fn silence_crash_signal_reports() {
 
 /// Disarms any pending crash plan for the current thread.
 pub(crate) fn disarm() {
-    CRASH_COUNTDOWN.with(|c| c.set(0));
+    THREAD.with(|t| t.countdown.set(0));
 }
 
 /// Returns the number of operations remaining before the armed crash, or 0.
 pub(crate) fn remaining() -> u64 {
-    CRASH_COUNTDOWN.with(|c| c.get())
+    THREAD.with(|t| t.countdown.get())
 }
 
-/// Called by every pool primitive; panics with [`CrashSignal`] when the
-/// armed countdown expires.
+/// Called by every instrumented pool primitive before it acts: panics
+/// with [`CrashSignal`] when the armed countdown expires, and otherwise
+/// returns the shard the primitive counts itself in.
 #[inline]
-pub(crate) fn step() {
-    CRASH_COUNTDOWN.with(|c| {
-        let n = c.get();
+pub(crate) fn step() -> usize {
+    THREAD.with(|t| {
+        let n = t.countdown.get();
         if n > 0 {
             if n == 1 {
-                c.set(0);
+                t.countdown.set(0);
                 std::panic::panic_any(CrashSignal);
             }
-            c.set(n - 1);
+            t.countdown.set(n - 1);
         }
-    });
+        t.shard()
+    })
+}
+
+/// This thread's statistics shard, for counts that are not a primitive
+/// of their own (a coalesced flush).
+#[inline]
+pub(crate) fn shard() -> usize {
+    THREAD.with(ThreadState::shard)
+}
+
+/// Points this thread's later counts at `shard`: the overflow shard, once
+/// the thread has released the shard it owned.
+pub(crate) fn set_shard(shard: usize) {
+    THREAD.with(|t| t.shard.set(shard));
 }
 
 #[cfg(test)]
@@ -103,6 +148,36 @@ mod tests {
         // Disarmed afterwards: further steps are harmless.
         step();
         step();
+    }
+
+    /// A fresh thread has no shard until its first primitive: the crash
+    /// check runs before the claim, and an armed crash fires at exactly
+    /// the k-th primitive either way.
+    #[test]
+    fn a_crash_armed_on_a_fresh_thread_fires_at_its_kth_primitive() {
+        use crate::{PAddr, PmemPool};
+        for k in 1..=4 {
+            let pool = PmemPool::with_capacity(16);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let shard = || THREAD.with(|t| t.shard.get());
+                    assert_eq!(shard(), stats::UNCLAIMED, "a fresh thread");
+                    let mut done = 0;
+                    let crashed = pool.crashes_within(k, || loop {
+                        pool.store(PAddr::from_index(1), done);
+                        done += 1;
+                    });
+                    assert!(crashed);
+                    assert_eq!(done, k - 1, "the crash fires at primitive {k}");
+                    assert_eq!(pool.stats().stores, k - 1, "every completed primitive counted");
+                    assert_eq!(
+                        shard() != stats::UNCLAIMED,
+                        k > 1,
+                        "the first completed one claims"
+                    );
+                });
+            });
+        }
     }
 
     #[test]

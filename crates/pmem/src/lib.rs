@@ -36,9 +36,10 @@
 //! * **Growth**: both backends store words in a lock-free directory of
 //!   doubling segments, so pools grow on demand instead of panicking past
 //!   a preallocation guess; established words never move.
-//! * **Sharded statistics**: operation counters ([`Stats`]) are per-thread
-//!   cache-line-padded shards aggregated on snapshot, so counting doesn't
-//!   bounce a shared cache line between cores.
+//! * **Sharded statistics**: operation counters ([`Stats`]) are
+//!   cache-line-padded shards, each owned by one live thread and
+//!   aggregated on snapshot, so counting is a plain increment that never
+//!   bounces a shared cache line between cores.
 //! * **Instrumentation as a mode**: crash-point hooks and statistics are a
 //!   [`PoolMode`]; a [`PoolMode::Raw`] pool pays zero per-operation
 //!   instrumentation cost.
