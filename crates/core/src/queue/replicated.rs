@@ -830,29 +830,31 @@ impl<M: Memory> ReplicatedQueue<M> {
     }
 
     /// Slot `slot`'s durable detectability status
-    /// `(applied opseq, resp tag, resp value)` from snapshot + ring,
-    /// retried if a checkpoint flips the snapshot mid-scan.
+    /// `(applied opseq, resp tag, resp value)`: its newest record in the
+    /// ring window, else the snapshot's words, retried if a checkpoint
+    /// flips the snapshot mid-scan.
     fn slot_status(&self, slot: usize) -> (u64, u64, u64) {
         let pool = self.pool().as_ref();
+        // Both a ring record and a snapshot slot hold (opseq, rtag, rval)
+        // in consecutive words.
+        let triple = |a: PAddr| (pool.load(a), pool.load(a.offset(1)), pool.load(a.offset(2)));
         loop {
             let g = pool.load(PAddr::from_index(A_SNAP));
             let base = self.lay.snap_base(g);
-            let b = base + S_SLOT_DONE + 3 * slot as u64;
-            let mut o = pool.load(PAddr::from_index(b));
-            let mut rtag = pool.load(PAddr::from_index(b + 1));
-            let mut rval = pool.load(PAddr::from_index(b + 2));
             let snap_seq = pool.load(PAddr::from_index(base + S_SEQ));
             let committed = pool.load(PAddr::from_index(A_CSEQ));
-            for seq in snap_seq..committed {
-                let e = self.lay.entry(seq);
-                if pool.load(e.offset(E_SLOT)) as usize == slot {
-                    o = pool.load(e.offset(E_OPSEQ));
-                    rtag = pool.load(e.offset(E_RTAG));
-                    rval = pool.load(e.offset(E_RVAL));
-                }
-            }
+            // Newest first: the slot's last record supersedes every earlier
+            // one and the snapshot, so the scan stops at its first match.
+            let status = match (snap_seq..committed)
+                .rev()
+                .map(|seq| self.lay.entry(seq))
+                .find(|e| pool.load(e.offset(E_SLOT)) as usize == slot)
+            {
+                Some(e) => triple(e.offset(E_OPSEQ)),
+                None => triple(PAddr::from_index(base + S_SLOT_DONE + 3 * slot as u64)),
+            };
             if pool.load(PAddr::from_index(A_SNAP)) == g {
-                return (o, rtag, rval);
+                return status;
             }
         }
     }
