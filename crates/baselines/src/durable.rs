@@ -203,8 +203,18 @@ impl<M: Memory> DurableQueue<M> {
         PAddr::from_index(A_RV_BASE + tid as u64 * WORDS_PER_LINE)
     }
 
+    /// A node for `tid`. A reclamation round persists the head before it
+    /// recycles anything: the head moves with an unflushed CAS, and a
+    /// recycled node that the persisted head still named would cut the
+    /// list recovery walks (the DSS queue's `NodeList::new_node` does the
+    /// same).
     fn alloc(&self, tid: usize) -> Result<PAddr, QueueFull> {
-        self.nodes.alloc_with_reclaim(tid, self.ebr()).ok_or(QueueFull)
+        let persist_head = || {
+            self.pool().flush(self.head());
+            self.pool().drain_line(self.head());
+            Vec::new()
+        };
+        self.nodes.alloc_with_reclaim_guarded(tid, self.ebr(), persist_head).ok_or(QueueFull)
     }
 
     /// Appends `val` at the tail (flushing the node and the link, as the
@@ -525,6 +535,30 @@ mod tests {
             (0..4u64).flat_map(|t| (1..=300).map(move |i| t << 32 | i)).collect();
         expected.sort_unstable();
         assert_eq!(all, expected);
+    }
+
+    #[test]
+    fn a_crash_keeps_enqueues_after_the_node_the_persisted_head_named_is_recycled() {
+        // The enqueue of 4 recycles the node the head left first, which
+        // the persisted head names unless the reclamation round persisted
+        // the head; that round costs one flush.
+        let q = DurableQueue::new(1, 3);
+        let h0 = q.register_thread().unwrap();
+        for v in 1..=2 {
+            q.enqueue(h0, v).unwrap();
+            assert_eq!(q.dequeue(h0), QueueResp::Value(v));
+        }
+        let flushes = |v| {
+            let before = q.pool().stats();
+            q.enqueue(h0, v).unwrap();
+            q.pool().stats().since(&before).flushes
+        };
+        let counted = [flushes(3), flushes(4)];
+        q.pool().crash(&WritebackAdversary::None);
+        q.recover();
+        q.rebuild_allocator();
+        assert_eq!(q.snapshot_values(), vec![3, 4]);
+        assert_eq!(counted, [2, 3], "node + link flush, then + head");
     }
 
     #[test]

@@ -282,8 +282,18 @@ impl<M: Memory> LogQueue<M> {
         (0..self.nthreads()).filter_map(|slot| self.adopt(slot).ok()).collect()
     }
 
+    /// A queue node for `tid`. A reclamation round persists the head
+    /// before it recycles anything: the head moves with an unflushed CAS,
+    /// and a recycled node that the persisted head still named would cut
+    /// the list recovery walks (the DSS queue's `NodeList::new_node` does
+    /// the same).
     fn alloc_node(&self, tid: usize) -> Result<PAddr, QueueFull> {
-        self.nodes.alloc_with_reclaim(tid, self.ebr()).ok_or(QueueFull)
+        let persist_head = || {
+            self.pool().flush(self.head());
+            self.pool().drain_line(self.head());
+            Vec::new()
+        };
+        self.nodes.alloc_with_reclaim_guarded(tid, self.ebr(), persist_head).ok_or(QueueFull)
     }
 
     fn alloc_log(&self, tid: usize) -> Result<PAddr, QueueFull> {
@@ -739,6 +749,30 @@ mod tests {
             (0..4u64).flat_map(|t| (1..=300).map(move |i| t << 32 | i)).collect();
         expected.sort_unstable();
         assert_eq!(all, expected);
+    }
+
+    #[test]
+    fn a_crash_keeps_enqueues_after_the_node_the_persisted_head_named_is_recycled() {
+        // The enqueue of 4 recycles the queue node the head left first,
+        // which the persisted head names unless the reclamation round
+        // persisted the head; that round costs one flush.
+        let q = LogQueue::new(1, 3);
+        let h0 = q.register_thread().unwrap();
+        for v in 1..=2 {
+            q.enqueue(h0, v).unwrap();
+            assert_eq!(q.dequeue(h0), Ok(QueueResp::Value(v)));
+        }
+        let flushes = |v| {
+            let before = q.pool().stats();
+            q.enqueue(h0, v).unwrap();
+            q.pool().stats().since(&before).flushes
+        };
+        let counted = [flushes(3), flushes(4)];
+        q.pool().crash(&WritebackAdversary::None);
+        q.recover();
+        q.rebuild_allocator();
+        assert_eq!(q.snapshot_values(), vec![3, 4]);
+        assert_eq!(counted, [5, 6], "log, pointer, node, link, DONE; + head");
     }
 
     #[test]

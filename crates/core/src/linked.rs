@@ -28,8 +28,10 @@
 //! announces the *predecessor* of the node it claims (Figure 4 lines
 //! 47–48), so its claims target the announced node's successor, while the
 //! stack announces the claimed node itself — the `target` map each passes
-//! to [`NodeList::new`]. The queue's sentinel, head and tail, and the
-//! stack's top, with their repairs, stay in their own modules.
+//! to [`NodeList::new`] — and each names its *root*, the pointer word its
+//! list hangs from (the queue's head, the stack's top). The queue's
+//! sentinel and tail, and the head and top repairs, stay in their own
+//! modules.
 //!
 //! Every method issues exactly the pool operations it names, in order: the
 //! crash sweeps arm crash points by pool-operation index.
@@ -73,6 +75,9 @@ pub(crate) enum Prepared {
 pub(crate) struct NodeList<M: Memory> {
     core: DetectableCore<M>,
     nodes: NodePool,
+    /// The pointer word the list hangs from: the queue's head, the stack's
+    /// top.
+    root: PAddr,
     /// Maps the node a claim's announce names to the node the claim takes.
     target: fn(&Self, PAddr) -> PAddr,
 }
@@ -86,11 +91,13 @@ impl<M: Memory> Deref for NodeList<M> {
 }
 
 impl<M: Memory> NodeList<M> {
-    /// A list over `object` with one `X` line per slot from word `x_base`
-    /// and `nodes_per_thread` nodes per slot from word `region`; a claim
-    /// announced through node `n` takes `target(list, n)`.
+    /// A list hanging from the pointer word `root` over `object`, with one
+    /// `X` line per slot from word `x_base` and `nodes_per_thread` nodes per
+    /// slot from word `region`; a claim announced through node `n` takes
+    /// `target(list, n)`.
     pub(crate) fn new(
         object: ObjectCore<M>,
+        root: u64,
         x_base: u64,
         region: u64,
         nodes_per_thread: u64,
@@ -100,6 +107,7 @@ impl<M: Memory> NodeList<M> {
         NodeList {
             core: DetectableCore::new(object, x_base, WORDS_PER_LINE),
             nodes: NodePool::new(PAddr::from_index(region), NODE_WORDS, nodes_per_thread, n),
+            root: PAddr::from_index(root),
             target,
         }
     }
@@ -157,9 +165,19 @@ impl<M: Memory> NodeList<M> {
     /// when the pool is exhausted. Allocation recycles retired nodes
     /// through EBR, except those `resolve` can still reach through an `X`
     /// word, which stay in limbo until the word moves on.
+    ///
+    /// A reclamation round first persists the root. The root moves with an
+    /// unflushed CAS, so its persisted value can name a node the list has
+    /// left; recycling that node would cut the list recovery walks from it
+    /// (`init` clears its link and claim). Every candidate was retired
+    /// after the root moved past it, so once the round's flush is drained
+    /// the persisted root names none of them, nor any node retired before.
     pub(crate) fn new_node(&self, tid: usize, val: u64) -> Option<PAddr> {
-        let node =
-            self.nodes.alloc_with_reclaim_guarded(tid, self.ebr(), || self.announced_nodes())?;
+        let node = self.nodes.alloc_with_reclaim_guarded(tid, self.ebr(), || {
+            self.pool().flush(self.root);
+            self.pool().drain_line(self.root);
+            self.announced_nodes()
+        })?;
         self.init(node, val);
         Some(node)
     }
@@ -321,27 +339,26 @@ impl<M: Memory> NodeList<M> {
         Some(Prepared::Claim(mine.then(|| Some(self.value(target)))))
     }
 
-    /// Visits every node reachable from the pointer word `root`, in list
-    /// order.
-    fn walk(&self, root: PAddr, mut visit: impl FnMut(PAddr)) {
-        let mut cur = tag::addr_of(self.pool().load(root));
+    /// Visits every node reachable from the root, in list order.
+    pub(crate) fn walk(&self, mut visit: impl FnMut(PAddr)) {
+        let mut cur = tag::addr_of(self.pool().load(self.root));
         while !cur.is_null() {
             visit(cur);
             cur = self.next(cur);
         }
     }
 
-    /// Every node reachable from the pointer word `root`, in list order.
-    pub(crate) fn chain(&self, root: PAddr) -> Vec<PAddr> {
+    /// Every node reachable from the root, in list order.
+    pub(crate) fn chain(&self) -> Vec<PAddr> {
         let mut out = Vec::new();
-        self.walk(root, |n| out.push(n));
+        self.walk(|n| out.push(n));
         out
     }
 
-    /// The pool nodes reachable from the pointer word `root`.
-    pub(crate) fn reachable(&self, root: PAddr) -> NodeSet {
+    /// The pool nodes reachable from the root.
+    pub(crate) fn reachable(&self) -> NodeSet {
         let mut set = self.nodes.node_set();
-        self.walk(root, |n| {
+        self.walk(|n| {
             set.insert(n);
         });
         set
@@ -370,11 +387,11 @@ impl<M: Memory> NodeList<M> {
     }
 
     /// Independent per-slot recovery (§3.3): `h`'s owner repairs its own
-    /// insert against the nodes reachable from `root`.
-    pub(crate) fn recover_one(&self, h: ThreadHandle, root: PAddr) {
+    /// insert against the nodes reachable from the root.
+    pub(crate) fn recover_one(&self, h: ThreadHandle) {
         self.recover_one_with(
             h,
-            || self.reachable(root),
+            || self.reachable(),
             |slot, all| self.repair_insert(slot, |d| all.contains(d)),
         );
     }
@@ -382,10 +399,10 @@ impl<M: Memory> NodeList<M> {
     /// Rebuilds the volatile allocator and reclamation state after a
     /// crash, preventing the leaks the paper's §4 mentions (e.g. "a crash
     /// in prep-enqueue"): a node stays allocated iff it is reachable from
-    /// the pointer word `root` or `resolve` can still read it through an
-    /// `X` word; the rest return to the free lists.
-    pub(crate) fn rebuild_allocator(&self, root: PAddr) {
-        let mut live = self.reachable(root);
+    /// the root or `resolve` can still read it through an `X` word; the
+    /// rest return to the free lists.
+    pub(crate) fn rebuild_allocator(&self) {
+        let mut live = self.reachable();
         live.extend(self.announced_nodes());
         self.nodes.rebuild(&live);
         // The EBR limbo lists are volatile and name pre-crash nodes the
@@ -413,19 +430,18 @@ impl<M: Memory> NodeList<M> {
     }
 
     /// Asserts node conservation once every thread has quiesced: each node
-    /// of the region is free, in EBR limbo, reachable from the pointer
-    /// word `root`, or one `resolve` can read through an `X` word (the
-    /// last two *live*); no node is free or in limbo twice — a double
-    /// retire shows up so — and none is both free and live. A retired node
-    /// an `X` word still names waits in limbo, live. Leaves every node
-    /// where it found it.
+    /// of the region is free, in EBR limbo, reachable from the root, or
+    /// one `resolve` can read through an `X` word (the last two *live*); no
+    /// node is free or in limbo twice — a double retire shows up so — and
+    /// none is both free and live. A retired node an `X` word still names
+    /// waits in limbo, live. Leaves every node where it found it.
     #[cfg(test)]
-    pub(crate) fn assert_conserved(&self, root: PAddr) {
+    pub(crate) fn assert_conserved(&self) {
         // Nobody is pinned, so a few epoch advances drain every limbo list.
         let limbo: Vec<_> = (0..4).flat_map(|_| self.ebr().collect_all(0)).collect();
         assert_eq!(self.ebr().limbo_len(), 0);
         let free: Vec<_> = std::iter::from_fn(|| self.nodes.alloc(0)).collect();
-        let mut live = self.chain(root);
+        let mut live = self.chain();
         live.extend(self.announced_nodes());
         let mut place = std::collections::HashMap::new();
         for (node, what) in [(live, "live"), (limbo, "limbo"), (free, "free")]
@@ -448,6 +464,27 @@ impl<M: Memory> NodeList<M> {
             }
         }
         assert_eq!(place.len() as u64, self.nodes.total_nodes(), "every node accounted for");
+    }
+
+    /// Asserts the invariant the queue's one-walk recovery stops on: along
+    /// the chain from the root, the claimed nodes after the root node form
+    /// a prefix. A node is claimed only once the root has reached its
+    /// predecessor, which the root does only after the predecessor's claim
+    /// was persisted. Uninstrumented; call it on a crashed or quiesced
+    /// list.
+    #[cfg(test)]
+    pub(crate) fn assert_claimed_prefix(&self) {
+        let root = tag::addr_of(self.pool().peek(self.root));
+        let mut unclaimed = None;
+        let mut node = if root.is_null() { root } else { self.peek_next(root) };
+        while !node.is_null() {
+            match (self.pool().peek(node.offset(CLAIM)) != UNCLAIMED, unclaimed) {
+                (false, None) => unclaimed = Some(node),
+                (true, Some(u)) => panic!("{node:?} is claimed after unclaimed {u:?}"),
+                _ => {}
+            }
+            node = self.peek_next(node);
+        }
     }
 }
 

@@ -268,6 +268,7 @@ impl<M: Memory> DssQueue<M> {
             // A dequeue announces the predecessor of the node it claims.
             list: NodeList::new(
                 object,
+                A_HEAD,
                 A_X_BASE,
                 layout.region,
                 layout.nodes_per_thread,

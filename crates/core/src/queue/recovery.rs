@@ -4,29 +4,52 @@
 
 use std::collections::HashSet;
 
-use dss_pmem::{Memory, PAddr, ThreadHandle};
+use dss_pmem::{Memory, NodeSet, PAddr, ThreadHandle};
 
 use super::DssQueue;
 
 impl<M: Memory> DssQueue<M> {
-    /// Figure 6 lines 64–69: recomputes and persists the tail, then the
-    /// head, from the pre-recovery head's chain, which it returns
-    /// (`AllNodes`).
-    fn repair_head_and_tail(&self) -> Vec<PAddr> {
-        // line 64: AllNodes := nodes reachable from head
-        let chain = self.list.chain(self.head_addr());
-
+    /// Figure 6 lines 65–69 once the walk from the pre-recovery head has
+    /// found the `last` reachable node and the `marked` (claimed) node the
+    /// head moves to, if any: persists the tail, then the head.
+    fn repair_head_and_tail(&self, last: PAddr, marked: Option<PAddr>) {
         // lines 65–66: tail := last reachable node
-        let last = *chain.last().expect("chain contains at least head");
         self.pool().store(self.tail_addr(), last.to_word());
         self.pool().flush(self.tail_addr());
-
         // lines 67–69: head := last marked node reachable from oldHead
-        if let Some(m) = chain.iter().copied().filter(|&n| self.list.claimed(n)).last() {
+        if let Some(m) = marked {
             self.pool().store(self.head_addr(), m.to_word());
         }
         self.pool().flush(self.head_addr());
-        chain
+    }
+
+    /// Figure 6 lines 64–69 in one walk from the pre-recovery head: adds
+    /// every node to `all_nodes` (`AllNodes`) as it goes, then repairs the
+    /// tail and the head.
+    ///
+    /// The walk loads claim words only while the claimed prefix after the
+    /// head node lasts: its end is the last marked node. The claims after
+    /// the head node do form a prefix. A dequeuer claims node k+1 only once
+    /// the head has reached node k, and the head reaches k only after k's
+    /// claim was flushed and drained (`take`). A reclamation round persists
+    /// the head before it recycles a node the head has left, so no
+    /// recycled node's cleared claim lies on the walk.
+    fn repair_in_one_walk(&self, all_nodes: &mut NodeSet) {
+        let (mut last, mut marked, mut in_prefix) = (PAddr::NULL, None, true);
+        self.list.walk(|n| {
+            all_nodes.insert(n);
+            if in_prefix {
+                let claimed = self.list.claimed(n);
+                if claimed {
+                    marked = Some(n);
+                }
+                // The head node's own claim says nothing of the nodes
+                // after it: the static sentinel is never claimed.
+                in_prefix = claimed || last.is_null();
+            }
+            last = n;
+        });
+        self.repair_head_and_tail(last, marked);
     }
 
     /// **recovery()** (Figure 6, restructured through the registry): run
@@ -38,9 +61,14 @@ impl<M: Memory> DssQueue<M> {
     /// 1. Marks the crash boundary in the registry
     ///    ([`begin_recovery`](dss_pmem::ObjectCore::begin_recovery)): every slot LIVE at
     ///    the crash is now ORPHANED.
-    /// 2. Recomputes and persists the `tail` pointer (lines 65–66), then
-    ///    advances and persists the `head` pointer to the last *marked*
-    ///    (already dequeued) node (lines 67–69).
+    /// 2. Walks the list once from the persisted head, collecting
+    ///    `AllNodes`, then persists the `tail` pointer as the last node
+    ///    (lines 64–66) and advances and persists the `head` pointer to the
+    ///    last *marked* (already dequeued) node (lines 67–69). The walk
+    ///    stops reading claim words at the end of the claimed prefix after
+    ///    the head node: past it no node is claimed, since a dequeue
+    ///    claims a node only once the head has reached its predecessor,
+    ///    whose claim is persistent by then.
     /// 3. Adopts each orphaned slot in ascending order — inheriting its
     ///    EBR state — and completes its detectability word: `X[i]`
     ///    holding `ENQ_PREP` without `ENQ_COMPL` whose node either is
@@ -61,7 +89,7 @@ impl<M: Memory> DssQueue<M> {
         // its shared-state repair (lines 64–69).
         self.list.recover(|| {
             let mut all_nodes = self.list.nodes().node_set();
-            all_nodes.extend(self.repair_head_and_tail());
+            self.repair_in_one_walk(&mut all_nodes);
             all_nodes
         })
     }
@@ -69,13 +97,20 @@ impl<M: Memory> DssQueue<M> {
     /// The pre-registry centralized recovery (Figure 6 verbatim): repairs
     /// tail, head, and **every** `X[i]` by index, with no registry
     /// transitions. Kept only as the reference implementation for the
-    /// parity test that shows the registry-driven [`recover`](Self::recover)
-    /// produces byte-identical resolved responses; it keeps Figure 6's
-    /// `AllNodes` as a hash set, so that test also checks `recover`'s
-    /// bitmap [`NodeSet`](dss_pmem::NodeSet) against it.
+    /// parity tests that show the registry-driven
+    /// [`recover`](Self::recover) produces byte-identical resolved
+    /// responses. It keeps Figure 6's full claim scan, where `recover`
+    /// stops at the end of the claimed prefix, and Figure 6's `AllNodes`
+    /// as a hash set, so those tests also check `recover`'s early stop and
+    /// its bitmap [`NodeSet`] against it.
     #[doc(hidden)]
     pub fn recover_centralized(&self) {
-        let all_nodes: HashSet<PAddr> = self.repair_head_and_tail().into_iter().collect();
+        // line 64: AllNodes := nodes reachable from head
+        let chain = self.list.chain();
+        let last = *chain.last().expect("chain contains at least head");
+        let marked = chain.iter().copied().filter(|&n| self.list.claimed(n)).last();
+        self.repair_head_and_tail(last, marked);
+        let all_nodes: HashSet<PAddr> = chain.into_iter().collect();
         // lines 70–76: complete detectability state of effective enqueues.
         for i in 0..self.nthreads() {
             self.list.repair_insert(i, |d| all_nodes.contains(&d));
@@ -97,7 +132,7 @@ impl<M: Memory> DssQueue<M> {
     /// advances a head that points at marked nodes, so ordinary operations
     /// restore them lazily.
     pub fn recover_one(&self, h: ThreadHandle) {
-        self.list.recover_one(h, self.head_addr());
+        self.list.recover_one(h);
     }
 
     /// Rebuilds the volatile allocator and reclamation state after a
@@ -113,6 +148,6 @@ impl<M: Memory> DssQueue<M> {
     /// [`recover_one`](Self::recover_one)); threads may resolve
     /// before or after, since `X`-referenced nodes are preserved.
     pub fn rebuild_allocator(&self) {
-        self.list.rebuild_allocator(self.head_addr());
+        self.list.rebuild_allocator();
     }
 }

@@ -215,7 +215,7 @@ fn concurrent_stress_conserves_values() {
         (0..THREADS as u64).flat_map(|t| (0..PER_THREAD).map(move |i| t << 32 | i)).collect();
     expected.sort_unstable();
     assert_eq!(dequeued, expected, "every value dequeued or remaining exactly once");
-    q.list.assert_conserved(q.head_addr());
+    q.list.assert_conserved();
 }
 
 // ---------------------------------------------------------------------------
@@ -224,14 +224,18 @@ fn concurrent_stress_conserves_values() {
 
 /// The sweep's recovery: the centralized `recover` or the slot's own
 /// `recover_one`, then the allocator rebuild, which must conserve nodes.
+/// The claims after the head node form a prefix before recovery, where
+/// `recover` relies on it, and after, where the next crash would.
 fn recover(q: &DssQueue, h: ThreadHandle, central: bool) {
+    q.list.assert_claimed_prefix();
     if central {
         q.recover();
     } else {
         q.recover_one(h);
     }
     q.rebuild_allocator();
-    q.list.assert_conserved(q.head_addr());
+    q.list.assert_conserved();
+    q.list.assert_claimed_prefix();
 }
 
 #[test]
@@ -562,11 +566,52 @@ fn resolve_enqueue_value_survives_node_recycling() {
 }
 
 #[test]
+fn a_crash_keeps_enqueues_after_the_node_the_persisted_head_named_is_recycled() {
+    // The enqueue of 4 finds the free lists empty and recycles the node the
+    // head left first, which the persisted head still names unless the
+    // reclamation round persisted the head.
+    let (q, h) = one_thread(DssQueue::new(1, 3));
+    for v in 1..=2 {
+        q.enqueue(h, v).unwrap();
+        assert_eq!(q.dequeue(h), QueueResp::Value(v));
+    }
+    q.enqueue(h, 3).unwrap();
+    q.enqueue(h, 4).unwrap();
+    q.pool().crash(&WritebackAdversary::None);
+    q.list.assert_claimed_prefix();
+    q.recover();
+    q.rebuild_allocator();
+    assert_eq!(q.snapshot_values(), vec![3, 4]);
+    q.list.assert_conserved();
+}
+
+#[test]
+fn a_reclamation_round_persists_the_head_with_one_flush() {
+    let (q, h) = one_thread(DssQueue::new(1, 3));
+    let flushes = |op: &dyn Fn()| {
+        let before = q.pool().stats();
+        op();
+        q.pool().stats().since(&before).flushes
+    };
+    let pair = |v| {
+        let enq = flushes(&|| q.enqueue(h, v).unwrap());
+        assert_eq!(q.dequeue(h), QueueResp::Value(v));
+        enq
+    };
+    // Three enqueues from the free lists, then one that recycles.
+    let from_free: Vec<u64> = (1..=3).map(pair).collect();
+    assert_eq!(from_free, [2, 2, 2], "node flush + link flush");
+    assert_eq!(pair(4), 3, "plus the head, once per reclamation round");
+}
+
+#[test]
 fn recovery_pool_operations_are_pinned() {
     // A 1024-value queue crashed with one completed detectable dequeue and
-    // one prepared enqueue. The counts were measured while recovery still
-    // kept its node sets in hash sets: its volatile bookkeeping may change,
-    // its pool operations may not.
+    // one prepared enqueue. Recovery's volatile bookkeeping may change; its
+    // pool operations are these. `recover` walks the 1025 nodes from the
+    // persisted head, loading claim words only while the claimed prefix
+    // lasts: the head node's, the dequeued node's and the first unclaimed
+    // node's.
     let q = DssQueue::new(2, 1024);
     let h0 = q.register_thread().unwrap();
     let h1 = q.register_thread().unwrap();
@@ -591,6 +636,6 @@ fn recovery_pool_operations_are_pinned() {
         flushes,
         ..StatsSnapshot::default()
     };
-    assert_eq!(recovered.since(&before), counts(2063, 9, 2, 7), "recover");
+    assert_eq!(recovered.since(&before), counts(1041, 9, 2, 7), "recover");
     assert_eq!(rebuilt.since(&recovered), counts(1029, 0, 0, 0), "rebuild_allocator");
 }

@@ -132,6 +132,7 @@ impl NodeSet {
     /// Adds `addr`. Returns `true` if it was a node of the region not yet
     /// in the set, `false` if it was already a member or is not a node
     /// base address of the region (and so is ignored).
+    #[inline]
     pub fn insert(&mut self, addr: PAddr) -> bool {
         let Some(i) = self.region.node_index(addr) else {
             return false;
@@ -143,11 +144,13 @@ impl NodeSet {
     }
 
     /// Returns `true` if `addr` is a node of the region in the set.
+    #[inline]
     pub fn contains(&self, addr: PAddr) -> bool {
         self.region.node_index(addr).is_some_and(|i| self.has(i))
     }
 
     /// Whether node `i` of the region is in the set.
+    #[inline]
     fn has(&self, i: u64) -> bool {
         self.bits[(i / 64) as usize] & (1 << (i % 64)) != 0
     }
@@ -375,17 +378,23 @@ impl NodePool {
     /// Panics if `live` was built over a different region.
     pub fn rebuild(&self, live: &NodeSet) {
         assert_eq!(live.region, self.region, "live set built over another node region");
-        let nthreads = self.free.len();
-        let per_thread = self.region.total_nodes.div_ceil(nthreads as u64) as usize;
-        let mut lists: Vec<Vec<PAddr>> =
-            (0..nthreads).map(|_| Vec::with_capacity(per_thread)).collect();
-        for (i, t) in (0..self.region.total_nodes).zip((0..nthreads).cycle()) {
-            if !live.has(i) {
-                lists[t].push(self.region.node_addr(i));
-            }
+        // Refill the lists in place, keeping their capacity. Only a rebuild
+        // holds more than one list lock, always in ascending order.
+        let mut lists: Vec<_> = self.free.iter().map(|l| l.lock()).collect();
+        for list in &mut lists {
+            list.clear();
         }
-        for (slot, list) in self.free.iter().zip(lists) {
-            *slot.lock() = list;
+        let (n, total) = (lists.len() as u64, self.region.total_nodes);
+        for (w, &bits) in live.bits.iter().enumerate() {
+            let first = w as u64 * 64;
+            // In the last word, the bits past the region's end name no node.
+            let in_region = if total - first < 64 { (1 << (total - first)) - 1 } else { u64::MAX };
+            let mut free = !bits & in_region;
+            while free != 0 {
+                let i = first + u64::from(free.trailing_zeros());
+                lists[(i % n) as usize].push(self.region.node_addr(i));
+                free &= free - 1;
+            }
         }
     }
 }
@@ -477,33 +486,41 @@ mod tests {
 
     #[test]
     fn rebuild_matches_a_hash_set_reference() {
-        // 3 threads, 70 nodes each: the region spans several bitmap words.
-        let p = NodePool::new(PAddr::from_index(40), 4, 70, 3);
-        let mut live = p.node_set();
-        let mut reference = std::collections::HashSet::new();
-        let mut x = 0x9e37_79b9_u64;
-        for _ in 0..240 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            // Scattered node bases, plus mid-node and out-of-region words.
-            let a = PAddr::from_index(38 + x % (4 * 212));
-            live.insert(a);
-            if p.contains(a) {
-                reference.insert(a);
+        // 3 threads, 70 nodes each: the region spans several bitmap words
+        // and ends inside one. 2 threads, 64 nodes each: it ends on a word
+        // boundary.
+        for (per_thread, n) in [(70, 3), (64, 2)] {
+            let p = NodePool::new(PAddr::from_index(40), 4, per_thread, n);
+            let total = p.total_nodes();
+            let mut live = p.node_set();
+            let mut reference = std::collections::HashSet::new();
+            let mut x = 0x9e37_79b9_u64;
+            for _ in 0..240 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // Scattered node bases, plus mid-node and out-of-region words.
+                let a = PAddr::from_index(38 + x % (4 * (total + 2)));
+                live.insert(a);
+                if p.contains(a) {
+                    reference.insert(a);
+                }
+            }
+            assert!(reference.len() > 30, "enough scattered live nodes");
+            let mut expected = vec![Vec::new(); n];
+            for i in 0..total {
+                let a = PAddr::from_index(40 + i * 4);
+                if !reference.contains(&a) {
+                    expected[i as usize % n].push(a);
+                }
+            }
+            // A second rebuild refills the lists the first one left.
+            for _ in 0..2 {
+                p.rebuild(&live);
+                let lists: Vec<Vec<PAddr>> = p.free.iter().map(|l| l.lock().clone()).collect();
+                assert_eq!(lists, expected);
             }
         }
-        assert!(reference.len() > 30, "enough scattered live nodes");
-        let mut expected = vec![Vec::new(); 3];
-        for i in 0..p.total_nodes() {
-            let a = PAddr::from_index(40 + i * 4);
-            if !reference.contains(&a) {
-                expected[i as usize % 3].push(a);
-            }
-        }
-        p.rebuild(&live);
-        let lists: Vec<Vec<PAddr>> = p.free.iter().map(|l| l.lock().clone()).collect();
-        assert_eq!(lists, expected);
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! the genuine SIGKILL version (no drop glue, no clean handoff) lives in
 //! the harness's `--multi-process` crash matrix.
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
 
+use std::path::Path;
+
+use common::TmpPool;
 use dss::baselines::{DurableQueue, LogQueue, MsQueue};
 use dss::core::{
     DetectableCas, DetectableMap, DetectableRegister, DssQueue, DssStack, ReplicatedQueue,
@@ -16,30 +18,6 @@ use dss::core::{
 use dss::pmem::{AttachError, PmemPool};
 use dss::pmwcas::{CasWithEffectQueue, CweResolvedOp};
 use dss::spec::types::{CounterOp, CounterSpec, QueueResp, StackResp};
-
-/// A unique pool-file path, removed again on drop (tests run in parallel
-/// within one process, so a counter plus the pid keeps them distinct).
-struct TmpPool(PathBuf);
-
-impl TmpPool {
-    fn new(name: &str) -> Self {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let n = SEQ.fetch_add(1, Ordering::Relaxed);
-        let mut p = std::env::temp_dir();
-        p.push(format!("dss-attach-{}-{name}-{n}.pool", std::process::id()));
-        TmpPool(p)
-    }
-
-    fn path(&self) -> &std::path::Path {
-        &self.0
-    }
-}
-
-impl Drop for TmpPool {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-    }
-}
 
 #[test]
 fn queue_survives_drop_and_attach() {

@@ -11,20 +11,25 @@
 //!    checker.
 //! 2. A full-restart **parity** check: the registry-driven
 //!    `DssQueue::recover` produces byte-identical resolved responses (and
-//!    queue contents) to the pre-refactor centralized Figure-6 path.
+//!    queue contents) to the pre-refactor centralized Figure-6 path, on
+//!    single- and multi-threaded crash states.
 //! 3. A property sweep: a random subset of threads recovers under every
 //!    `--coalesce` × `--per-address` knob combination and the checker
 //!    still accepts the resolved history.
+
+mod common;
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
 
+use common::TmpPool;
 use dss::checker::Condition;
 use dss::core::{DssQueue, Resolved};
 use dss::harness::crashsim::{partial_recovery_crash_run, Layer};
 use dss::harness::record::{check_recorded, record_partial_recovery_execution};
-use dss::pmem::{CrashSignal, SlotState, WritebackAdversary};
+use dss::pmem::{CrashSignal, SlotState, ThreadHandle, WritebackAdversary};
+use dss::spec::types::QueueResp;
 
 /// The acceptance scenario: three threads crash mid-operation, only
 /// thread 0 restarts. It recovers its own slot, then adopts both dead
@@ -82,11 +87,21 @@ fn thread_zero_adopts_everyone_and_history_checks() {
 
 /// Drives one deterministic single-threaded script into a crash at pmem-op
 /// index `k`, recovers with `f`, and returns every observable: the
-/// resolved response and the surviving queue contents.
-fn crash_then(k: u64, seed: u64, f: impl FnOnce(&DssQueue)) -> (Resolved, Vec<u64>) {
-    let q = DssQueue::new(2, 64);
+/// resolved response and the surviving queue contents. The queue has
+/// `nodes` nodes per slot and first runs `churn` enqueue/dequeue pairs.
+fn crash_then(
+    (nodes, churn): (u64, u64),
+    k: u64,
+    seed: u64,
+    f: impl FnOnce(&DssQueue),
+) -> (Resolved, Vec<u64>) {
+    let q = DssQueue::new(2, nodes);
     let h0 = q.register_thread().unwrap();
     let _h1 = q.register_thread().unwrap();
+    for v in 100..100 + churn {
+        q.enqueue(h0, v).unwrap();
+        assert_eq!(q.dequeue(h0), QueueResp::Value(v));
+    }
     q.enqueue(h0, 1).unwrap();
     q.enqueue(h0, 2).unwrap();
     q.pool().arm_crash_after(k);
@@ -112,27 +127,71 @@ fn crash_then(k: u64, seed: u64, f: impl FnOnce(&DssQueue)) -> (Resolved, Vec<u6
 /// registry-driven `recover()` (adopt orphans, then repair each) must
 /// produce byte-identical resolved responses and queue contents to the
 /// pre-refactor centralized Figure-6 reference path. The reference keeps
-/// Figure 6's `AllNodes` as a `HashSet`, so this also checks `recover`'s
-/// bitmap `NodeSet` against a hash set.
+/// Figure 6's full claim scan, where `recover` stops at the end of the
+/// claimed prefix, and Figure 6's `AllNodes` as a `HashSet`, so this also
+/// checks `recover`'s early stop and its bitmap `NodeSet`. The script runs
+/// on a fresh pool and on a churned one, where reclamation rounds have
+/// recycled nodes the head left; then multi-threaded crash states, where
+/// several threads' claims and links interleave, get the same check.
 #[test]
 fn registry_recovery_matches_centralized_reference() {
-    for seed in [3u64, 17] {
-        for k in 1..80 {
-            let (res_reg, vals_reg) = crash_then(k, seed, |q| {
-                q.recover();
-            });
-            let (res_cen, vals_cen) = crash_then(k, seed, |q| {
-                q.recover_centralized();
-            });
-            assert_eq!(res_reg, res_cen, "k={k} seed={seed}: resolved responses diverged");
-            assert_eq!(vals_reg, vals_cen, "k={k} seed={seed}: queue contents diverged");
+    for shape in [(64, 0), (3, 20)] {
+        for seed in [3u64, 17] {
+            for k in 1..80 {
+                let (res_reg, vals_reg) = crash_then(shape, k, seed, |q| {
+                    q.recover();
+                });
+                let (res_cen, vals_cen) = crash_then(shape, k, seed, |q| {
+                    q.recover_centralized();
+                });
+                let at = format!("{shape:?} k={k} seed={seed}");
+                assert_eq!(res_reg, res_cen, "{at}: resolved responses diverged");
+                assert_eq!(vals_reg, vals_cen, "{at}: queue contents diverged");
+            }
         }
     }
+    for seed in 0..8 {
+        recoveries_agree_after_a_concurrent_crash(seed);
+    }
+}
+
+/// One file-backed queue churns its 18 nodes through reclamation rounds,
+/// then crashes with every worker mid-run under the random adversary. Two
+/// copies of its pool file recover, one by `recover()` and one by the
+/// full-scan reference, and must agree on every slot's resolved response
+/// and on the queue's contents.
+fn recoveries_agree_after_a_concurrent_crash(seed: u64) {
+    const THREADS: usize = 3;
+    let (reg, cen) = (TmpPool::new("registry"), TmpPool::new("reference"));
+    {
+        let q = DssQueue::create(reg.path(), THREADS, 6).unwrap();
+        let hs: Vec<_> = (0..THREADS).map(|_| q.register_thread().unwrap()).collect();
+        for v in 1..=40 {
+            q.enqueue(hs[0], v).unwrap();
+            assert_eq!(q.dequeue(hs[0]), QueueResp::Value(v));
+        }
+        crash_all_threads(&q, &hs, seed);
+        q.pool().crash(&WritebackAdversary::Random { seed, prob: 0.5 });
+    }
+    std::fs::copy(reg.path(), cen.path()).unwrap();
+    let observe = |q: &DssQueue, hs: Vec<ThreadHandle>| {
+        assert_eq!(hs.len(), THREADS, "seed {seed}: every slot was orphaned");
+        q.rebuild_allocator();
+        let resolved: Vec<Resolved> = hs.iter().map(|&h| q.resolve(h)).collect();
+        (resolved, q.snapshot_values())
+    };
+    let q = DssQueue::attach(reg.path()).unwrap();
+    let by_registry = observe(&q, q.recover());
+    let q = DssQueue::attach(cen.path()).unwrap();
+    q.recover_centralized();
+    q.begin_recovery();
+    let by_reference = observe(&q, q.adopt_orphans());
+    assert_eq!(by_registry, by_reference, "seed {seed}: recoveries diverged");
 }
 
 /// Runs one detectable enqueue/dequeue worker per handle until each hits
 /// a seed-derived crash point (the shape the §3.3 tests share).
-fn crash_all_threads(q: &DssQueue, hs: &[dss::pmem::ThreadHandle], seed: u64) {
+fn crash_all_threads(q: &DssQueue, hs: &[ThreadHandle], seed: u64) {
     std::thread::scope(|scope| {
         for (tid, &h) in hs.iter().enumerate() {
             scope.spawn(move || {

@@ -5,16 +5,19 @@
 //! consistently with the persisted queue state, and no value may be lost,
 //! duplicated, or invented.
 
-use std::collections::HashSet;
+use std::cell::Cell;
+use std::collections::{HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
 
+use dss::baselines::{DurableQueue, LogQueue};
 use dss::core::{
-    DetectableCas, DssQueue, ReplicatedQueue, Resolved, ResolvedCas, ResolvedOp, Universal,
+    DetectableCas, DssQueue, DssStack, ReplicatedQueue, Resolved, ResolvedCas, ResolvedOp,
+    Universal,
 };
-use dss::pmem::{CrashSignal, FlushGranularity, WritebackAdversary};
-use dss::spec::types::{QueueResp, StackOp, StackSpec};
+use dss::pmem::{CrashSignal, FlushGranularity, PmemPool, ThreadHandle, WritebackAdversary};
+use dss::spec::types::{QueueResp, StackOp, StackResp, StackSpec};
 
 #[derive(Clone, Copy, Debug)]
 enum Op {
@@ -463,8 +466,305 @@ fn check_universal_crash_case(
     Ok(())
 }
 
+/// A container that recycles its nodes through epoch reclamation, driven
+/// by one slot for [`check_churned_crash_case`].
+trait Recycling: Sized {
+    /// Whether a removal takes the newest value rather than the oldest.
+    const LIFO: bool;
+
+    /// A container of `nodes` nodes and its one slot.
+    fn build(nodes: u64) -> (Self, ThreadHandle);
+
+    /// The pool it lives in.
+    fn pmem(&self) -> &PmemPool;
+
+    /// Inserts `v` (detectably if `det` and the container can); `false` if
+    /// the pool was full and nothing happened.
+    fn insert(&self, h: ThreadHandle, v: u64, det: bool) -> bool;
+
+    /// Removes a value: `None` if refused with nothing done, `Some(None)`
+    /// on an empty container.
+    fn remove(&self, h: ThreadHandle, det: bool) -> Option<Option<u64>>;
+
+    /// Recovery and the allocator rebuild after a crash.
+    fn recover(&self);
+
+    /// The values held, in removal order.
+    fn values(&self) -> Vec<u64>;
+}
+
+impl Recycling for DssQueue {
+    const LIFO: bool = false;
+
+    fn build(nodes: u64) -> (Self, ThreadHandle) {
+        let q = DssQueue::new(1, nodes);
+        let h = q.register_thread().unwrap();
+        (q, h)
+    }
+
+    fn pmem(&self) -> &PmemPool {
+        self.pool()
+    }
+
+    fn insert(&self, h: ThreadHandle, v: u64, det: bool) -> bool {
+        if !det {
+            return self.enqueue(h, v).is_ok();
+        }
+        let prepared = self.prep_enqueue(h, v).is_ok();
+        if prepared {
+            self.exec_enqueue(h);
+        }
+        prepared
+    }
+
+    fn remove(&self, h: ThreadHandle, det: bool) -> Option<Option<u64>> {
+        let resp = if det {
+            self.prep_dequeue(h);
+            self.exec_dequeue(h)
+        } else {
+            self.dequeue(h)
+        };
+        Some(match resp {
+            QueueResp::Value(v) => Some(v),
+            _ => None,
+        })
+    }
+
+    fn recover(&self) {
+        DssQueue::recover(self);
+        self.rebuild_allocator();
+    }
+
+    fn values(&self) -> Vec<u64> {
+        self.snapshot_values()
+    }
+}
+
+impl Recycling for DssStack {
+    const LIFO: bool = true;
+
+    fn build(nodes: u64) -> (Self, ThreadHandle) {
+        let s = DssStack::new(1, nodes);
+        let h = s.register_thread().unwrap();
+        (s, h)
+    }
+
+    fn pmem(&self) -> &PmemPool {
+        self.pool()
+    }
+
+    fn insert(&self, h: ThreadHandle, v: u64, det: bool) -> bool {
+        if !det {
+            return self.push(h, v).is_ok();
+        }
+        let prepared = self.prep_push(h, v).is_ok();
+        if prepared {
+            self.exec_push(h);
+        }
+        prepared
+    }
+
+    fn remove(&self, h: ThreadHandle, det: bool) -> Option<Option<u64>> {
+        let resp = if det {
+            self.prep_pop(h);
+            self.exec_pop(h)
+        } else {
+            self.pop(h)
+        };
+        Some(match resp {
+            StackResp::Value(v) => Some(v),
+            _ => None,
+        })
+    }
+
+    fn recover(&self) {
+        DssStack::recover(self);
+        self.rebuild_allocator();
+    }
+
+    fn values(&self) -> Vec<u64> {
+        self.snapshot_values()
+    }
+}
+
+impl Recycling for DurableQueue {
+    const LIFO: bool = false;
+
+    fn build(nodes: u64) -> (Self, ThreadHandle) {
+        let q = DurableQueue::new(1, nodes);
+        let h = q.register_thread().unwrap();
+        (q, h)
+    }
+
+    fn pmem(&self) -> &PmemPool {
+        self.pool()
+    }
+
+    fn insert(&self, h: ThreadHandle, v: u64, _det: bool) -> bool {
+        self.enqueue(h, v).is_ok()
+    }
+
+    fn remove(&self, h: ThreadHandle, _det: bool) -> Option<Option<u64>> {
+        Some(match self.dequeue(h) {
+            QueueResp::Value(v) => Some(v),
+            _ => None,
+        })
+    }
+
+    fn recover(&self) {
+        DurableQueue::recover(self);
+        self.rebuild_allocator();
+    }
+
+    fn values(&self) -> Vec<u64> {
+        self.snapshot_values()
+    }
+}
+
+impl Recycling for LogQueue {
+    const LIFO: bool = false;
+
+    fn build(nodes: u64) -> (Self, ThreadHandle) {
+        let q = LogQueue::new(1, nodes);
+        let h = q.register_thread().unwrap();
+        (q, h)
+    }
+
+    fn pmem(&self) -> &PmemPool {
+        self.pool()
+    }
+
+    fn insert(&self, h: ThreadHandle, v: u64, _det: bool) -> bool {
+        self.enqueue(h, v).is_ok()
+    }
+
+    fn remove(&self, h: ThreadHandle, _det: bool) -> Option<Option<u64>> {
+        match self.dequeue(h).ok()? {
+            QueueResp::Value(v) => Some(Some(v)),
+            _ => Some(None),
+        }
+    }
+
+    fn recover(&self) {
+        LogQueue::recover(self);
+        self.rebuild_allocator();
+    }
+
+    fn values(&self) -> Vec<u64> {
+        self.snapshot_values()
+    }
+}
+
+/// The crash-after-churn property. `churn` plain insert/remove pairs on a
+/// pool of `nodes` nodes recycle nodes through reclamation rounds, and can
+/// leave the persisted root naming a node the container has left.
+/// Then `script` runs — `(insert?, detectable?)` per operation — with a
+/// crash armed `crash_after` pool operations in; the system crashes where
+/// the countdown fired, or after the script if it did not. After recovery
+/// the container holds exactly the values of the completed operations, in
+/// order: every completed insert not removed survives, nothing is invented,
+/// and only an interrupted operation may or may not have taken effect.
+fn check_churned_crash_case<S: Recycling>(
+    nodes: u64,
+    churn: u64,
+    script: &[(bool, bool)],
+    crash_after: u64,
+    adversary: &WritebackAdversary,
+) -> Result<(), TestCaseError> {
+    let name = std::any::type_name::<S>();
+    let insert_into = |model: &mut VecDeque<u64>, v| {
+        if S::LIFO {
+            model.push_front(v);
+        } else {
+            model.push_back(v);
+        }
+    };
+    let (s, h) = S::build(nodes);
+    for v in 1..=churn {
+        prop_assert!(s.insert(h, v, false), "churn insert {v} refused");
+        prop_assert_eq!(s.remove(h, false), Some(Some(v)), "churn remove");
+    }
+    let mut model: VecDeque<u64> = VecDeque::new();
+    // The operation in flight when the countdown fired: `Some(v)` for an
+    // insert of `v`, `None` for a removal.
+    let in_flight: Cell<Option<Option<u64>>> = Cell::new(None);
+    let mut failure = None;
+    s.pmem().crashes_within(crash_after, || {
+        for (i, &(insert, det)) in script.iter().enumerate() {
+            let v = 1000 + i as u64;
+            in_flight.set(Some(insert.then_some(v)));
+            if insert {
+                if s.insert(h, v, det) {
+                    insert_into(&mut model, v);
+                }
+            } else if let Some(got) = s.remove(h, det) {
+                if got != model.pop_front() {
+                    failure = Some(format!("{name}: op {i} removed {got:?} before the crash"));
+                }
+            }
+            in_flight.set(None);
+        }
+    });
+    if let Some(f) = failure {
+        return Err(TestCaseError::Fail(f));
+    }
+    s.pmem().crash(adversary);
+    s.recover();
+    let mut allowed = vec![Vec::from(model.clone())];
+    match in_flight.get() {
+        None => {}
+        Some(Some(v)) => {
+            let mut with = model.clone();
+            insert_into(&mut with, v);
+            allowed.push(with.into());
+        }
+        Some(None) => allowed.push(model.iter().skip(1).copied().collect()),
+    }
+    let survivors = s.values();
+    prop_assert!(
+        allowed.contains(&survivors),
+        "{name}: survivors {survivors:?}, expected one of {allowed:?} (in flight: {:?})",
+        in_flight.get()
+    );
+    // The recovered container hands them out again, in order, unless a
+    // removal is refused: the log queue's rebuild keeps the log entries its
+    // queued nodes name, which can fill a small log pool.
+    let mut drained = Vec::new();
+    let refused = loop {
+        match s.remove(h, false) {
+            Some(Some(v)) => drained.push(v),
+            Some(None) => break false,
+            None => break true,
+        }
+    };
+    if refused {
+        prop_assert!(survivors.starts_with(&drained), "{name}: drained {drained:?}");
+    } else {
+        prop_assert_eq!(drained, survivors, "{}: removal order after recovery", name);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Each node-recycling container — the DSS queue, the durable and log
+    /// queues, the DSS stack — churned on a small pool, then crashed
+    /// somewhere in a later script: see [`check_churned_crash_case`].
+    #[test]
+    fn churned_pools_keep_every_completed_insert_across_a_crash(
+        nodes in 2u64..7,
+        churn in 0u64..40,
+        script in prop::collection::vec((proptest::bool::ANY, proptest::bool::ANY), 1..16),
+        crash_after in 1u64..400,
+        adversary in arb_adversary(),
+    ) {
+        let (script, adv) = (script.as_slice(), &adversary);
+        check_churned_crash_case::<DssQueue>(nodes, churn, script, crash_after, adv)?;
+        check_churned_crash_case::<DurableQueue>(nodes, churn, script, crash_after, adv)?;
+        check_churned_crash_case::<LogQueue>(nodes, churn, script, crash_after, adv)?;
+        check_churned_crash_case::<DssStack>(nodes, churn, script, crash_after, adv)?;
+    }
 
     /// Single-threaded script with a crash at an arbitrary pmem-op index:
     /// see [`check_crash_case`].
