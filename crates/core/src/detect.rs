@@ -112,7 +112,8 @@ impl<M: Memory> DetectableCore<M> {
     /// registry): marks the crash boundary, runs the structure's shared-
     /// state `repair` (recomputing top/tail/head pointers and the reachable
     /// set), adopts every orphaned slot, repairs each adopted slot's
-    /// detectability word with `fix`, and drains once.
+    /// detectability word with `fix`, and drains once. Returns the adopted
+    /// handles and what `repair` returned.
     ///
     /// Slots that were FREE at the crash hold no pending announce, so
     /// adopting only the orphans covers exactly the `X` entries Figure 6's
@@ -122,7 +123,7 @@ impl<M: Memory> DetectableCore<M> {
         &self,
         repair: impl FnOnce() -> R,
         mut fix: impl FnMut(usize, &R),
-    ) -> Vec<ThreadHandle> {
+    ) -> (Vec<ThreadHandle>, R) {
         self.begin_recovery();
         let ctx = repair();
         let adopted = self.adopt_orphans();
@@ -130,7 +131,7 @@ impl<M: Memory> DetectableCore<M> {
             fix(h.slot(), &ctx);
         }
         self.pool().drain();
-        adopted
+        (adopted, ctx)
     }
 
     /// The independent per-slot recovery driver (§3.3): the handle's owner

@@ -4,9 +4,10 @@
 
 use std::collections::HashSet;
 
-use dss_pmem::{Memory, NodeSet, PAddr, ThreadHandle};
+use dss_pmem::{Memory, PAddr, ThreadHandle};
 
 use super::DssQueue;
+use crate::linked::Repaired;
 
 impl<M: Memory> DssQueue<M> {
     /// Figure 6 lines 65–69 once the walk from the pre-recovery head has
@@ -23,9 +24,12 @@ impl<M: Memory> DssQueue<M> {
         self.pool().flush(self.head_addr());
     }
 
-    /// Figure 6 lines 64–69 in one walk from the pre-recovery head: adds
-    /// every node to `all_nodes` (`AllNodes`) as it goes, then repairs the
-    /// tail and the head.
+    /// Figure 6 lines 64–69 in one walk from the pre-recovery head:
+    /// repairs the tail and the head, and returns the walk's nodes split
+    /// at the last marked node. The nodes from it on are live: exactly
+    /// those a walk from the repaired head reaches. The ones before it,
+    /// the claimed prefix the head repair drops, are cut off; both
+    /// together are `AllNodes`.
     ///
     /// The walk loads claim words only while the claimed prefix after the
     /// head node lasts: its end is the last marked node. The claims after
@@ -34,22 +38,33 @@ impl<M: Memory> DssQueue<M> {
     /// claim was flushed and drained (`take`). A reclamation round persists
     /// the head before it recycles a node the head has left, so no
     /// recycled node's cleared claim lies on the walk.
-    fn repair_in_one_walk(&self, all_nodes: &mut NodeSet) {
-        let (mut last, mut marked, mut in_prefix) = (PAddr::NULL, None, true);
+    fn repair_in_one_walk(&self) -> Repaired {
+        let mut live = self.list.nodes().node_set();
+        // The nodes whose claims the walk loads, and the index of the last
+        // claimed one.
+        let (mut prefix, mut marked) = (Vec::new(), None);
+        let (mut last, mut in_prefix) = (PAddr::NULL, true);
         self.list.walk(|n| {
-            all_nodes.insert(n);
             if in_prefix {
                 let claimed = self.list.claimed(n);
                 if claimed {
-                    marked = Some(n);
+                    marked = Some(prefix.len());
                 }
                 // The head node's own claim says nothing of the nodes
                 // after it: the static sentinel is never claimed.
                 in_prefix = claimed || last.is_null();
+                prefix.push(n);
+            } else {
+                live.insert(n);
             }
             last = n;
         });
-        self.repair_head_and_tail(last, marked);
+        self.repair_head_and_tail(last, marked.map(|i| prefix[i]));
+        let (cut_off, kept) = prefix.split_at(marked.unwrap_or(0));
+        live.extend(kept.iter().copied());
+        let mut cut = self.list.nodes().node_set();
+        cut.extend(cut_off.iter().copied());
+        Repaired { live, cut, last }
     }
 
     /// **recovery()** (Figure 6, restructured through the registry): run
@@ -68,12 +83,18 @@ impl<M: Memory> DssQueue<M> {
     ///    stops reading claim words at the end of the claimed prefix after
     ///    the head node: past it no node is claimed, since a dequeue
     ///    claims a node only once the head has reached its predecessor,
-    ///    whose claim is persistent by then.
+    ///    whose claim is persistent by then. `AllNodes` is kept in two
+    ///    parts: the nodes from the last marked node on, which a walk from
+    ///    the repaired head reaches, and the prefix before it.
     /// 3. Adopts each orphaned slot in ascending order — inheriting its
     ///    EBR state — and completes its detectability word: `X[i]`
     ///    holding `ENQ_PREP` without `ENQ_COMPL` whose node either is
     ///    still in the list, or left it already marked, gains `ENQ_COMPL`
     ///    (lines 70–76).
+    ///
+    /// The first part is the live set [`rebuild_allocator`](Self::rebuild_allocator)
+    /// needs, and `recover` hands it over, stamped with the crash
+    /// generation, the EBR epoch, the head word and the last node.
     ///
     /// Returns the adopted handles (ascending slot order). Pre-crash
     /// `ThreadHandle`s remain usable for operations — adoption re-LIVEs
@@ -87,11 +108,7 @@ impl<M: Memory> DssQueue<M> {
     pub fn recover(&self) -> Vec<ThreadHandle> {
         // The adopt-then-repair driver is the list's; the queue supplies
         // its shared-state repair (lines 64–69).
-        self.list.recover(|| {
-            let mut all_nodes = self.list.nodes().node_set();
-            self.repair_in_one_walk(&mut all_nodes);
-            all_nodes
-        })
+        self.list.recover(|| self.repair_in_one_walk())
     }
 
     /// The pre-registry centralized recovery (Figure 6 verbatim): repairs
@@ -147,6 +164,14 @@ impl<M: Memory> DssQueue<M> {
     /// Call after [`recover`](Self::recover) (or after every slot's
     /// [`recover_one`](Self::recover_one)); threads may resolve
     /// before or after, since `X`-referenced nodes are preserved.
+    ///
+    /// After `recover` the rebuild takes the live set `recover`'s walk
+    /// handed over instead of walking the list again, as long as its stamp
+    /// holds: no crash and no recycled node since (the pool's crash
+    /// generation and the EBR epoch), no dequeue (the head word), no
+    /// enqueue (the last node's link still NULL). The last two cost one
+    /// pool load each. Otherwise, and after `recover_one` alone, it walks
+    /// from the head. The free lists come out the same either way.
     pub fn rebuild_allocator(&self) {
         self.list.rebuild_allocator();
     }

@@ -223,8 +223,8 @@ fn concurrent_stress_conserves_values() {
 // ---------------------------------------------------------------------------
 
 /// The sweep's recovery: the centralized `recover` or the slot's own
-/// `recover_one`, then the allocator rebuild, which must conserve nodes.
-/// The claims after the head node form a prefix before recovery, where
+/// `recover_one`, then the allocator rebuild, which must leave the free
+/// lists a walk's rebuild leaves and conserve nodes. The claims after the head node form a prefix before recovery, where
 /// `recover` relies on it, and after, where the next crash would.
 fn recover(q: &DssQueue, h: ThreadHandle, central: bool) {
     q.list.assert_claimed_prefix();
@@ -234,6 +234,7 @@ fn recover(q: &DssQueue, h: ThreadHandle, central: bool) {
         q.recover_one(h);
     }
     q.rebuild_allocator();
+    q.list.assert_rebuilt_as_walked();
     q.list.assert_conserved();
     q.list.assert_claimed_prefix();
 }
@@ -637,5 +638,85 @@ fn recovery_pool_operations_are_pinned() {
         ..StatsSnapshot::default()
     };
     assert_eq!(recovered.since(&before), counts(1041, 9, 2, 7), "recover");
-    assert_eq!(rebuilt.since(&recovered), counts(1029, 0, 0, 0), "rebuild_allocator");
+    // The rebuild takes the live set `recover` handed over: it loads the
+    // head word and the last node's link to check the stamp, then the two
+    // `X` words and the successor of each node they name.
+    assert_eq!(rebuilt.since(&recovered), counts(6, 0, 0, 0), "rebuild_allocator");
+}
+
+/// A queue whose head left the node of 1, holding 2 and 3, crashed with
+/// every unflushed write lost and recovered: the persisted head lagged at
+/// the sentinel, and `recover` moved it to the node of 1 again.
+fn recovered_queue() -> (DssQueue, ThreadHandle) {
+    let (q, h) = one_thread(DssQueue::new(1, 4));
+    q.enqueue(h, 1).unwrap();
+    assert_eq!(q.dequeue(h), QueueResp::Value(1));
+    q.enqueue(h, 2).unwrap();
+    q.enqueue(h, 3).unwrap();
+    q.pool().crash(&WritebackAdversary::None);
+    q.recover();
+    (q, h)
+}
+
+#[test]
+fn an_enqueue_between_recover_and_the_rebuild_keeps_its_node() {
+    // The enqueue links a node after the last one: the handed-off live
+    // set lacks it, and taking that set would free a linked node.
+    let (q, h) = recovered_queue();
+    q.enqueue(h, 4).unwrap();
+    q.rebuild_allocator();
+    assert_eq!(q.snapshot_values(), [2, 3, 4]);
+    q.list.assert_conserved();
+}
+
+#[test]
+fn a_dequeue_between_recover_and_the_rebuild_frees_the_node_the_head_left() {
+    // The dequeue moves the head and retires the node it left: the
+    // handed-off live set still holds it, and taking that set would leak
+    // it once the rebuild drops the limbo lists.
+    let (q, h) = recovered_queue();
+    assert_eq!(q.dequeue(h), QueueResp::Value(2));
+    q.rebuild_allocator();
+    assert_eq!(q.snapshot_values(), [3]);
+    q.list.assert_conserved();
+}
+
+#[test]
+fn recycling_between_recover_and_the_rebuild_spends_the_handed_off_live_set() {
+    // `recover` leaves the head at the node of 1 and the node of 2 last.
+    // Seven operations on the three-node pool recycle both back into those
+    // places, with the node of 3 recycled between them: the head word is
+    // the same and the last node's link is NULL again, but the handed-off
+    // live set lacks the middle node. Only the advanced EBR epoch tells.
+    let (q, h) = one_thread(DssQueue::new(1, 3));
+    q.enqueue(h, 1).unwrap();
+    q.enqueue(h, 2).unwrap();
+    assert_eq!(q.dequeue(h), QueueResp::Value(1));
+    q.pool().crash(&WritebackAdversary::None);
+    q.recover();
+    q.enqueue(h, 3).unwrap();
+    assert_eq!(q.dequeue(h), QueueResp::Value(2));
+    q.enqueue(h, 4).unwrap();
+    assert_eq!(q.dequeue(h), QueueResp::Value(3));
+    assert_eq!(q.dequeue(h), QueueResp::Value(4));
+    q.enqueue(h, 5).unwrap();
+    q.enqueue(h, 6).unwrap();
+    q.rebuild_allocator();
+    assert_eq!(q.snapshot_values(), [5, 6]);
+    q.list.assert_conserved();
+}
+
+#[test]
+fn a_second_crash_after_recover_spends_the_handed_off_live_set() {
+    // The second crash loses the dequeue's head move but keeps its claim
+    // and the enqueue's link; the per-slot recovery of the one slot hands
+    // nothing over.
+    let (q, h) = recovered_queue();
+    assert_eq!(q.dequeue(h), QueueResp::Value(2));
+    q.enqueue(h, 4).unwrap();
+    q.pool().crash(&WritebackAdversary::None);
+    q.recover_one(h);
+    q.rebuild_allocator();
+    assert_eq!(q.snapshot_values(), [3, 4]);
+    q.list.assert_conserved();
 }

@@ -389,9 +389,15 @@ impl<M: Memory> DssStack<M> {
 
     /// Post-crash recovery (the stack's Figure 6, restructured through
     /// the registry): mark the crash boundary, advance `top` past the
-    /// claimed prefix, then adopt every orphaned slot and complete its
-    /// `ENQ_COMPL` tag. Returns the adopted handles; pre-crash handles
-    /// remain usable (adoption re-LIVEs slots rather than freeing them).
+    /// claimed prefix, walk the list from the repaired top, then adopt
+    /// every orphaned slot and complete its `ENQ_COMPL` tag. Returns the
+    /// adopted handles; pre-crash handles remain usable (adoption re-LIVEs
+    /// slots rather than freeing them).
+    ///
+    /// The walk's nodes are the live set
+    /// [`rebuild_allocator`](Self::rebuild_allocator) needs, and `recover`
+    /// hands them over, stamped with the crash generation, the EBR epoch,
+    /// the top word and the bottom node.
     pub fn recover(&self) -> Vec<ThreadHandle> {
         self.list.recover(|| {
             self.repair_top();
@@ -407,6 +413,12 @@ impl<M: Memory> DssStack<M> {
 
     /// Rebuilds the volatile allocator after a crash (`X`-referenced
     /// nodes stay allocated for `resolve`).
+    ///
+    /// After [`recover`](Self::recover) it takes the live set `recover`
+    /// handed over instead of walking the list again, as long as no crash,
+    /// no recycled node and no push or pop (the top word) came since;
+    /// otherwise, and after [`recover_one`](Self::recover_one) alone, it
+    /// walks from the top. The free lists come out the same either way.
     pub fn rebuild_allocator(&self) {
         self.list.rebuild_allocator();
     }
@@ -476,8 +488,8 @@ mod tests {
     }
 
     /// The sweep's recovery: the centralized `recover` or the slot's own
-    /// `recover_one`, then the allocator rebuild, which must conserve
-    /// nodes.
+    /// `recover_one`, then the allocator rebuild, which must leave the
+    /// free lists a walk's rebuild leaves and conserve nodes.
     fn recover(s: &DssStack, h: ThreadHandle, central: bool) {
         s.list.assert_claimed_prefix();
         if central {
@@ -486,6 +498,7 @@ mod tests {
             s.recover_one(h);
         }
         s.rebuild_allocator();
+        s.list.assert_rebuilt_as_walked();
         s.list.assert_conserved();
         s.list.assert_claimed_prefix();
     }
@@ -777,6 +790,42 @@ mod tests {
             ..StatsSnapshot::default()
         };
         assert_eq!(recovered.since(&before), counts(1041, 8, 2, 6), "recover");
-        assert_eq!(rebuilt.since(&recovered), counts(1026, 0, 0, 0), "rebuild_allocator");
+        // The rebuild takes the live set `recover` handed over: it loads
+        // the top word and the bottom node's link to check the stamp, then
+        // the two `X` words (a pop announces the node it claims itself).
+        assert_eq!(rebuilt.since(&recovered), counts(4, 0, 0, 0), "rebuild_allocator");
+    }
+
+    /// A stack holding 2 over 1, crashed and recovered.
+    fn recovered_stack() -> (DssStack, ThreadHandle) {
+        let (s, h) = one_thread(DssStack::new(1, 4));
+        s.push(h, 1).unwrap();
+        s.push(h, 2).unwrap();
+        s.pool().crash(&WritebackAdversary::None);
+        s.recover();
+        (s, h)
+    }
+
+    #[test]
+    fn a_push_between_recover_and_the_rebuild_keeps_its_node() {
+        // The push links a node above the top: the handed-off live set
+        // lacks it, and taking that set would free a linked node.
+        let (s, h) = recovered_stack();
+        s.push(h, 3).unwrap();
+        s.rebuild_allocator();
+        assert_eq!(s.snapshot_values(), [3, 2, 1]);
+        s.list.assert_conserved();
+    }
+
+    #[test]
+    fn a_pop_between_recover_and_the_rebuild_frees_its_node() {
+        // The pop moves the top and retires the node it took: the
+        // handed-off live set still holds it, and taking that set would
+        // leak it once the rebuild drops the limbo lists.
+        let (s, h) = recovered_stack();
+        assert_eq!(s.pop(h), StackResp::Value(2));
+        s.rebuild_allocator();
+        assert_eq!(s.snapshot_values(), [1]);
+        s.list.assert_conserved();
     }
 }
