@@ -282,22 +282,35 @@ impl<M: Memory> LogQueue<M> {
         (0..self.nthreads()).filter_map(|slot| self.adopt(slot).ok()).collect()
     }
 
-    /// A queue node for `tid`. A reclamation round persists the head
-    /// before it recycles anything: the head moves with an unflushed CAS,
-    /// and a recycled node that the persisted head still named would cut
-    /// the list recovery walks (the DSS queue's `NodeList::new_node` does
-    /// the same).
+    /// Persists the head, as every reclamation round does before it
+    /// recycles anything, and protects nothing more. The head moves with
+    /// an unflushed CAS, so the persisted head can lag before nodes the
+    /// queue has left; recovery walks the list from it and completes each
+    /// claim after it through the claim's log entry. A node retires once
+    /// the head has passed it, and a claim log once its dequeue has
+    /// returned, when the head has passed the claimed node: once the flush
+    /// is drained, recovery reaches no candidate from the persisted head
+    /// (the DSS queue's `NodeList::new_node` does the same).
+    fn persist_head(&self) -> Vec<PAddr> {
+        self.pool().flush(self.head());
+        self.pool().drain_line(self.head());
+        Vec::new()
+    }
+
+    /// A queue node for `tid`, reclaiming behind a persisted head: a
+    /// recycled node the persisted head still named would cut the list
+    /// recovery walks.
     fn alloc_node(&self, tid: usize) -> Result<PAddr, QueueFull> {
-        let persist_head = || {
-            self.pool().flush(self.head());
-            self.pool().drain_line(self.head());
-            Vec::new()
-        };
+        let persist_head = || self.persist_head();
         self.nodes.alloc_with_reclaim_guarded(tid, self.ebr(), persist_head).ok_or(QueueFull)
     }
 
+    /// A log entry for `tid`, reclaiming behind a persisted head: recovery
+    /// would complete a claim the persisted head lagged before through its
+    /// recycled claim log, overwriting another operation's entry.
     fn alloc_log(&self, tid: usize) -> Result<PAddr, QueueFull> {
-        self.logs.alloc_with_reclaim(tid, &self.ebr_logs).ok_or(QueueFull)
+        let persist_head = || self.persist_head();
+        self.logs.alloc_with_reclaim_guarded(tid, &self.ebr_logs, persist_head).ok_or(QueueFull)
     }
 
     /// Writes and announces a fresh log entry; retires the previous one.
@@ -549,18 +562,28 @@ impl<M: Memory> LogQueue<M> {
         self.pool().drain();
     }
 
-    /// Rebuilds the volatile allocators after a crash.
+    /// Rebuilds the volatile allocators after a crash. A queue node stays
+    /// allocated iff it is reachable from the head or a slot's log entry
+    /// names it. A log entry stays allocated iff recovery or `resolve` can
+    /// still read it: a slot's `logPtr` entry, or the claim log of a node
+    /// in the claimed prefix after the head node, which
+    /// [`recover`](Self::recover) completes (`attach` rebuilds before it
+    /// recovers). The entry a node's `enqLog` word names is never read.
     pub fn rebuild_allocator(&self) {
         let mut live_nodes = self.nodes.node_set();
         let mut live_logs = self.logs.node_set();
         let mut cur = tag::addr_of(self.pool().load(self.head()));
+        let mut in_prefix = true;
         loop {
             live_nodes.insert(cur);
-            live_logs.insert(tag::addr_of(self.pool().load(cur.offset(N_ENQ_LOG))));
-            live_logs.insert(tag::addr_of(self.pool().load(cur.offset(N_DEQ_LOG))));
             let next = tag::addr_of(self.pool().load(cur.offset(N_NEXT)));
             if next.is_null() {
                 break;
+            }
+            if in_prefix {
+                let claim_log = tag::addr_of(self.pool().load(next.offset(N_DEQ_LOG)));
+                in_prefix = !claim_log.is_null();
+                live_logs.insert(claim_log);
             }
             cur = next;
         }
@@ -755,7 +778,7 @@ mod tests {
     fn a_crash_keeps_enqueues_after_the_node_the_persisted_head_named_is_recycled() {
         // The enqueue of 4 recycles the queue node the head left first,
         // which the persisted head names unless the reclamation round
-        // persisted the head; that round costs one flush.
+        // persisted the head; each round costs one flush.
         let q = LogQueue::new(1, 3);
         let h0 = q.register_thread().unwrap();
         for v in 1..=2 {
@@ -772,7 +795,60 @@ mod tests {
         q.recover();
         q.rebuild_allocator();
         assert_eq!(q.snapshot_values(), vec![3, 4]);
-        assert_eq!(counted, [5, 6], "log, pointer, node, link, DONE; + head");
+        // The enqueue of 4 runs a node and a log reclamation round.
+        assert_eq!(counted, [5, 7], "log, pointer, node, link, DONE; + head per round");
+    }
+
+    #[test]
+    fn a_crash_never_completes_a_claim_through_a_recycled_log_entry() {
+        // The dequeue's claim log retires when the enqueue of 2 publishes
+        // its own, and the enqueue of 7 recycles it. Unless that log
+        // reclamation round persisted the head, the persisted head still
+        // lags before the claimed node, and recovery completes the claim
+        // through the recycled entry: enqueue(7)'s log.
+        for k in 1.. {
+            let q = LogQueue::new(1, 3);
+            let h0 = q.register_thread().unwrap();
+            q.enqueue(h0, 1).unwrap();
+            assert_eq!(q.dequeue(h0), Ok(QueueResp::Value(1)));
+            q.enqueue(h0, 2).unwrap();
+            let crashed = q.pool().crashes_within(k, || {
+                q.enqueue(h0, 7).unwrap();
+            });
+            q.pool().crash(&WritebackAdversary::None);
+            q.recover();
+            q.rebuild_allocator();
+            let values = q.snapshot_values();
+            match q.resolve(h0) {
+                LogResolved { op: Some(Some(2)), resp: Some(QueueResp::Ok) }
+                | LogResolved { op: Some(Some(7)), resp: None } => {
+                    assert_eq!(values, [2], "crash at op {k}")
+                }
+                LogResolved { op: Some(Some(7)), resp: Some(QueueResp::Ok) } => {
+                    assert_eq!(values, [2, 7], "crash at op {k}")
+                }
+                other => panic!("crash at op {k}: impossible resolution {other:?}"),
+            }
+            if !crashed {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn a_recovered_queue_dequeues_with_every_log_entry_named_by_a_queued_node() {
+        // Each queued node names its enqueue's log entry, and the three
+        // enqueues used all three: a rebuild that kept those live would
+        // leave the dequeue no log entry.
+        let q = LogQueue::new(1, 3);
+        let h0 = q.register_thread().unwrap();
+        for v in 1..=3 {
+            q.enqueue(h0, v).unwrap();
+        }
+        q.pool().crash(&WritebackAdversary::None);
+        q.recover();
+        q.rebuild_allocator();
+        assert_eq!(q.dequeue(h0), Ok(QueueResp::Value(1)));
     }
 
     #[test]

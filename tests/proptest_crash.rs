@@ -726,22 +726,17 @@ fn check_churned_crash_case<S: Recycling>(
         "{name}: survivors {survivors:?}, expected one of {allowed:?} (in flight: {:?})",
         in_flight.get()
     );
-    // The recovered container hands them out again, in order, unless a
-    // removal is refused: the log queue's rebuild keeps the log entries its
-    // queued nodes name, which can fill a small log pool.
+    // The recovered container hands them out again, in order, refusing
+    // no removal.
     let mut drained = Vec::new();
-    let refused = loop {
+    loop {
         match s.remove(h, false) {
             Some(Some(v)) => drained.push(v),
-            Some(None) => break false,
-            None => break true,
+            Some(None) => break,
+            None => prop_assert!(false, "{name}: removal refused after draining {drained:?}"),
         }
-    };
-    if refused {
-        prop_assert!(survivors.starts_with(&drained), "{name}: drained {drained:?}");
-    } else {
-        prop_assert_eq!(drained, survivors, "{}: removal order after recovery", name);
     }
+    prop_assert_eq!(drained, survivors, "{}: removal order after recovery", name);
     Ok(())
 }
 
