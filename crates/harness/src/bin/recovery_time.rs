@@ -61,7 +61,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
     println!("# Centralized recovery walks the list once and repairs head/tail;");
     println!("# independent recovery is run per thread (4x here) and repairs only X.");
-    println!("# rebuild-us is rebuild_allocator after the centralized recovery: one");
-    println!("# more walk from head, then the free lists rebuilt around the live set.");
+    println!("# rebuild-us is rebuild_allocator after the centralized recovery: it takes");
+    println!("# the live set recovery's walk handed over (two loads check its stamp) and");
+    println!("# rebuilds the free lists around it.");
     Ok(())
 }
