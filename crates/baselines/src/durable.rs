@@ -267,6 +267,9 @@ impl<M: Memory> DurableQueue<M> {
 
     /// Dequeues, publishing the result through `returnedValues[tid]`
     /// (persisted before the head advances, so recovery can re-deliver it).
+    /// A dequeue that returns a value persists a head at or past the node
+    /// it claimed, so recovery never re-delivers that value over the
+    /// slot's later results.
     pub fn dequeue(&self, h: ThreadHandle) -> QueueResp {
         let tid = h.slot();
         let _g = self.ebr().pin(tid);
@@ -311,6 +314,9 @@ impl<M: Memory> DurableQueue<M> {
                 {
                     self.ebr().retire(tid, first);
                 }
+                // Recovery republishes every claim after the persisted
+                // head: once returned, this one must not lie there.
+                self.pool().flush(self.head());
                 self.pool().drain();
                 return QueueResp::Value(val);
             } else if self.pool().load(self.head()) == first_w {
@@ -506,6 +512,41 @@ mod tests {
         // op ran — the durable queue is recoverable, not detectable.)
         assert_eq!(q.last_returned(h0), None);
         assert_eq!(q.snapshot_values(), vec![42]);
+    }
+
+    #[test]
+    fn recovery_keeps_an_empty_result_that_followed_a_value() {
+        // Recovery must not republish the claim of 1 over the Empty result
+        // the slot persisted after it.
+        let q = DurableQueue::new(1, 4);
+        let h0 = q.register_thread().unwrap();
+        q.enqueue(h0, 1).unwrap();
+        assert_eq!(q.dequeue(h0), QueueResp::Value(1));
+        assert_eq!(q.dequeue(h0), QueueResp::Empty);
+        q.pool().crash(&WritebackAdversary::None);
+        q.recover();
+        assert_eq!(q.last_returned(h0), Some(QueueResp::Empty));
+    }
+
+    #[test]
+    fn recovery_does_not_deliver_a_returned_value_twice() {
+        let q = DurableQueue::new(1, 4);
+        let h0 = q.register_thread().unwrap();
+        q.enqueue(h0, 1).unwrap();
+        q.enqueue(h0, 2).unwrap();
+        assert_eq!(q.dequeue(h0), QueueResp::Value(1));
+        // Crash the next dequeue right after its RV_PENDING announcement,
+        // as `pending_rv_without_claim_stays_unresolved` does.
+        q.pool().arm_crash_after(3);
+        let r = catch_unwind(AssertUnwindSafe(|| q.dequeue(h0)));
+        q.pool().disarm_crash();
+        assert!(r.is_err());
+        q.pool().crash(&WritebackAdversary::None);
+        q.recover();
+        assert_eq!(q.snapshot_values(), vec![2]);
+        // No claim of 2 persisted, and 1 was already returned: the slot
+        // reads as unresolved, not as 1 again.
+        assert_eq!(q.last_returned(h0), None);
     }
 
     #[test]
