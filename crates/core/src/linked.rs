@@ -23,10 +23,10 @@
 //!   ([`repair_insert`](NodeList::repair_insert), Figure 6 lines 70–76).
 //!   The nodes `X` names stay allocated, both under epoch reclamation and
 //!   across the allocator rebuild.
-//! * **Rebuild.** The centralized [`recover`](NodeList::recover) keeps the
-//!   live set its walk found, stamped with what would change it; the
-//!   allocator rebuild takes that set while the stamp holds instead of
-//!   walking the list again ([`rebuild_allocator`](NodeList::rebuild_allocator)).
+//! * **Rebuild.** The centralized [`recover`](NodeList::recover) ends by
+//!   rebuilding the allocator around the live set its walk found, and
+//!   [`rebuild_allocator`](NodeList::rebuild_allocator) walks the list
+//!   only where no such recovery has run since the last crash.
 //!
 //! Where the containers differ, they say so in data, not here: the queue
 //! announces the *predecessor* of the node it claims (Figure 4 lines
@@ -41,7 +41,7 @@
 //! crash sweeps arm crash points by pool-operation index.
 
 use std::ops::Deref;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 
 use dss_pmem::{
     tag, FlushGranularity, Memory, NodePool, NodeSet, ObjectCore, PAddr, ThreadHandle,
@@ -83,26 +83,6 @@ pub(crate) struct Repaired {
     /// root, not from the repaired one. Together with `live`, Figure 6's
     /// `AllNodes`.
     pub(crate) cut: NodeSet,
-    /// The list's last node; NULL for an empty list.
-    pub(crate) last: PAddr,
-}
-
-/// The live set the last centralized recovery found, stamped with what
-/// would change it. Every stamp is read without a pool operation except
-/// in [`NodeList::rebuild_allocator`]'s check.
-struct Handoff {
-    /// The pool's crash generation: no crash since.
-    generation: u64,
-    /// The EBR epoch: no node retired since has been recycled, so no node
-    /// has come back to the root or the end of the list under an old
-    /// address.
-    epoch: u64,
-    /// The root word: no removal since, and on the stack no insert.
-    root: u64,
-    /// The last node, whose link must still be NULL: no append since.
-    last: PAddr,
-    /// The pool nodes reachable from the root when the stamp was taken.
-    live: NodeSet,
 }
 
 /// A container's claimed-node list: its [`DetectableCore`], which it
@@ -115,8 +95,9 @@ pub(crate) struct NodeList<M: Memory> {
     root: PAddr,
     /// Maps the node a claim's announce names to the node the claim takes.
     target: fn(&Self, PAddr) -> PAddr,
-    /// What the last centralized recovery hands the allocator rebuild.
-    handoff: Mutex<Option<Handoff>>,
+    /// The crash generation the last centralized recovery rebuilt the
+    /// allocator in (`u64::MAX`: none yet).
+    rebuilt: AtomicU64,
 }
 
 impl<M: Memory> Deref for NodeList<M> {
@@ -146,7 +127,7 @@ impl<M: Memory> NodeList<M> {
             nodes: NodePool::new(PAddr::from_index(region), NODE_WORDS, nodes_per_thread, n),
             root: PAddr::from_index(root),
             target,
-            handoff: Mutex::new(None),
+            rebuilt: AtomicU64::new(u64::MAX),
         }
     }
 
@@ -393,16 +374,14 @@ impl<M: Memory> NodeList<M> {
         out
     }
 
-    /// The pool nodes reachable from the root and the last of them, with
-    /// nothing cut off: what a repair that moves the root before it walks
-    /// (the stack's) returns.
+    /// The pool nodes reachable from the root, with nothing cut off: what
+    /// a repair that moves the root before it walks (the stack's) returns.
     pub(crate) fn reachable(&self) -> Repaired {
-        let (mut live, mut last) = (self.nodes.node_set(), PAddr::NULL);
+        let mut live = self.nodes.node_set();
         self.walk(|n| {
             live.insert(n);
-            last = n;
         });
-        Repaired { live, cut: self.nodes.node_set(), last }
+        Repaired { live, cut: self.nodes.node_set() }
     }
 
     /// Completes `X[i]`'s insert if it took effect (Figure 6 lines 70–76):
@@ -423,21 +402,16 @@ impl<M: Memory> NodeList<M> {
     /// registry): marks the crash boundary, runs the container's `repair`
     /// of its roots — which returns what its walk of the list found — then
     /// adopts every orphaned slot and [repairs](Self::repair_insert) its
-    /// insert against `AllNodes`, the live and the cut-off nodes. Keeps the
-    /// live set for [`rebuild_allocator`](Self::rebuild_allocator), stamped
-    /// with the crash generation, the EBR epoch, the root word and the last
-    /// node; reading the stamp issues no pool operation.
+    /// insert against `AllNodes`, the live and the cut-off nodes. Ends by
+    /// rebuilding the allocator around the live nodes, which no other
+    /// thread changes before recovery returns, and records the crash
+    /// generation it rebuilt in.
     pub(crate) fn recover(&self, repair: impl FnOnce() -> Repaired) -> Vec<ThreadHandle> {
-        let (adopted, Repaired { live, last, .. }) = self.recover_adopting(repair, |slot, r| {
+        let (adopted, Repaired { live, .. }) = self.recover_adopting(repair, |slot, r| {
             self.repair_insert(slot, |d| r.live.contains(d) || r.cut.contains(d))
         });
-        *self.handoff() = Some(Handoff {
-            generation: self.pool().crash_generation(),
-            epoch: self.ebr().epoch(),
-            root: self.pool().peek(self.root),
-            last,
-            live,
-        });
+        self.rebuild_around(live);
+        self.rebuilt.store(self.pool().crash_generation(), SeqCst);
         adopted
     }
 
@@ -457,40 +431,25 @@ impl<M: Memory> NodeList<M> {
     /// the root or `resolve` can still read it through an `X` word; the
     /// rest return to the free lists.
     ///
-    /// The reachable set is the one the last [`recover`](Self::recover)
-    /// found if nothing has changed it since: no crash, no recycled node,
-    /// the same root word, and a last node whose link is still NULL (two
-    /// pool loads). Otherwise, or after [`recover_one`](Self::recover_one)
-    /// alone, it walks the list from the root. Either way the free lists
-    /// come out the same.
+    /// Returns at once if [`recover`](Self::recover) has rebuilt the
+    /// allocator since the last crash: an allocator rebuilt while the list
+    /// is quiescent stays current under every later operation until a
+    /// crash starts a new generation. Otherwise — after
+    /// [`recover_one`](Self::recover_one) alone, or on attach — it walks
+    /// the list from the root.
     pub(crate) fn rebuild_allocator(&self) {
-        let handoff = self.handoff().take();
-        let mut live = match handoff {
-            Some(h) if self.still_holds(&h) => h.live,
-            _ => self.reachable().live,
-        };
+        if self.rebuilt.load(SeqCst) != self.pool().crash_generation() {
+            self.rebuild_around(self.reachable().live);
+        }
+    }
+
+    /// Rebuilds the free lists around `live` and the nodes an `X` word
+    /// names, and drops the EBR limbo lists: they are volatile and name
+    /// pre-crash nodes the rebuild has already re-classified.
+    fn rebuild_around(&self, mut live: NodeSet) {
         live.extend(self.announced_nodes());
         self.nodes.rebuild(&live);
-        // The EBR limbo lists are volatile and name pre-crash nodes the
-        // rebuild has already re-classified: drop them wholesale.
         self.ebr().reset();
-    }
-
-    /// The handed-off live set, if any.
-    fn handoff(&self) -> MutexGuard<'_, Option<Handoff>> {
-        self.handoff.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Whether the list still holds exactly `h`'s live set. A removal
-    /// moves the root, an append links a node after the last one, and on
-    /// the stack an insert moves the root too; the root and the last node
-    /// can come back under their old addresses only through recycling,
-    /// which advances the epoch first.
-    fn still_holds(&self, h: &Handoff) -> bool {
-        h.generation == self.pool().crash_generation()
-            && h.epoch == self.ebr().epoch()
-            && self.pool().load(self.root) == h.root
-            && (h.last.is_null() || self.next(h.last).is_null())
     }
 
     /// The successor of `node`, uninstrumented.
@@ -551,15 +510,16 @@ impl<M: Memory> NodeList<M> {
 
     /// Asserts that the last allocator rebuild left the free lists that a
     /// rebuild walking the list leaves, in the same order: drains them,
-    /// rebuilds again (the handed-off live set, if any, is spent), and
-    /// drains again. Leaves the free lists as a walk's rebuild does.
+    /// rebuilds around the nodes a walk reaches, and drains again. Leaves
+    /// the free lists as that rebuild does.
     #[cfg(test)]
     pub(crate) fn assert_rebuilt_as_walked(&self) {
         let drain = || std::iter::from_fn(|| self.nodes.alloc(0)).collect::<Vec<_>>();
+        let walked = || self.rebuild_around(self.reachable().live);
         let rebuilt = drain();
-        self.rebuild_allocator();
+        walked();
         assert_eq!(rebuilt, drain(), "free lists unlike a walk's rebuild");
-        self.rebuild_allocator();
+        walked();
     }
 
     /// Asserts the invariant the queue's one-walk recovery stops on: along

@@ -64,7 +64,7 @@ impl<M: Memory> DssQueue<M> {
         live.extend(kept.iter().copied());
         let mut cut = self.list.nodes().node_set();
         cut.extend(cut_off.iter().copied());
-        Repaired { live, cut, last }
+        Repaired { live, cut }
     }
 
     /// **recovery()** (Figure 6, restructured through the registry): run
@@ -92,9 +92,10 @@ impl<M: Memory> DssQueue<M> {
     ///    still in the list, or left it already marked, gains `ENQ_COMPL`
     ///    (lines 70–76).
     ///
-    /// The first part is the live set [`rebuild_allocator`](Self::rebuild_allocator)
-    /// needs, and `recover` hands it over, stamped with the crash
-    /// generation, the EBR epoch, the head word and the last node.
+    /// The first part is the live set the allocator rebuild needs, and
+    /// `recover` ends by rebuilding the allocator around it, so the
+    /// [`rebuild_allocator`](Self::rebuild_allocator) that follows has
+    /// nothing left to do.
     ///
     /// Returns the adopted handles (ascending slot order). Pre-crash
     /// `ThreadHandle`s remain usable for operations — adoption re-LIVEs
@@ -165,13 +166,11 @@ impl<M: Memory> DssQueue<M> {
     /// [`recover_one`](Self::recover_one)); threads may resolve
     /// before or after, since `X`-referenced nodes are preserved.
     ///
-    /// After `recover` the rebuild takes the live set `recover`'s walk
-    /// handed over instead of walking the list again, as long as its stamp
-    /// holds: no crash and no recycled node since (the pool's crash
-    /// generation and the EBR epoch), no dequeue (the head word), no
-    /// enqueue (the last node's link still NULL). The last two cost one
-    /// pool load each. Otherwise, and after `recover_one` alone, it walks
-    /// from the head. The free lists come out the same either way.
+    /// After `recover` it returns at once until the next crash: `recover`
+    /// rebuilt the allocator before any thread resumed, and that rebuild
+    /// stays current under every later operation. After `recover_one`
+    /// alone, after the `recover_centralized` reference and on
+    /// [`attach`](DssQueue::attach) it walks the list from the head.
     pub fn rebuild_allocator(&self) {
         self.list.rebuild_allocator();
     }

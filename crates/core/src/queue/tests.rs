@@ -224,8 +224,9 @@ fn concurrent_stress_conserves_values() {
 
 /// The sweep's recovery: the centralized `recover` or the slot's own
 /// `recover_one`, then the allocator rebuild, which must leave the free
-/// lists a walk's rebuild leaves and conserve nodes. The claims after the head node form a prefix before recovery, where
-/// `recover` relies on it, and after, where the next crash would.
+/// lists a walk's rebuild leaves and conserve nodes. The claims after the
+/// head node form a prefix before recovery, where `recover` relies on it,
+/// and after, where the next crash would.
 fn recover(q: &DssQueue, h: ThreadHandle, central: bool) {
     q.list.assert_claimed_prefix();
     if central {
@@ -520,6 +521,27 @@ fn crash_during_recovery_then_recovery_again() {
         Resolved { op: Some(ResolvedOp::Enqueue(21)), resp: Some(QueueResp::Ok) }
     );
     assert_eq!(q.snapshot_values(), vec![21]);
+    // Some of those crashes fell inside `recover`'s allocator rebuild.
+    q.rebuild_allocator();
+    q.list.assert_rebuilt_as_walked();
+    q.list.assert_conserved();
+}
+
+#[test]
+fn recover_alone_frees_the_node_of_a_prep_enqueue_that_crashed() {
+    // A crash inside `prep_enqueue` before `X[0]` persists leaves the node
+    // it allocated reachable from nothing: `recover` must return it to the
+    // free lists without a separate `rebuild_allocator`.
+    for k in 1.. {
+        let (q, h) = one_thread(DssQueue::new(1, 4));
+        q.enqueue(h, 1).unwrap();
+        if !q.pool().crashes_within(k, || q.prep_enqueue(h, 2).unwrap()) {
+            break;
+        }
+        q.pool().crash(&WritebackAdversary::None);
+        q.recover();
+        q.list.assert_conserved();
+    }
 }
 
 #[test]
@@ -637,16 +659,19 @@ fn recovery_pool_operations_are_pinned() {
         flushes,
         ..StatsSnapshot::default()
     };
-    assert_eq!(recovered.since(&before), counts(1041, 9, 2, 7), "recover");
-    // The rebuild takes the live set `recover` handed over: it loads the
-    // head word and the last node's link to check the stamp, then the two
-    // `X` words and the successor of each node they name.
-    assert_eq!(rebuilt.since(&recovered), counts(6, 0, 0, 0), "rebuild_allocator");
+    // `recover` ends by rebuilding the allocator: it loads the two `X`
+    // words and the successor of each node they name. The rebuild after it
+    // has nothing left to do.
+    assert_eq!(recovered.since(&before), counts(1045, 9, 2, 7), "recover");
+    assert_eq!(rebuilt.since(&recovered), counts(0, 0, 0, 0), "rebuild_allocator");
 }
 
 /// A queue whose head left the node of 1, holding 2 and 3, crashed with
 /// every unflushed write lost and recovered: the persisted head lagged at
-/// the sentinel, and `recover` moved it to the node of 1 again.
+/// the sentinel, and `recover` moved it to the node of 1 again. The
+/// operations the tests below run before `rebuild_allocator` change the
+/// live set `recover` rebuilt the allocator around: a rebuild around that
+/// set would free a linked node or leak a retired one.
 fn recovered_queue() -> (DssQueue, ThreadHandle) {
     let (q, h) = one_thread(DssQueue::new(1, 4));
     q.enqueue(h, 1).unwrap();
@@ -660,8 +685,7 @@ fn recovered_queue() -> (DssQueue, ThreadHandle) {
 
 #[test]
 fn an_enqueue_between_recover_and_the_rebuild_keeps_its_node() {
-    // The enqueue links a node after the last one: the handed-off live
-    // set lacks it, and taking that set would free a linked node.
+    // The enqueue links a node after the last one `recover` found.
     let (q, h) = recovered_queue();
     q.enqueue(h, 4).unwrap();
     q.rebuild_allocator();
@@ -671,9 +695,8 @@ fn an_enqueue_between_recover_and_the_rebuild_keeps_its_node() {
 
 #[test]
 fn a_dequeue_between_recover_and_the_rebuild_frees_the_node_the_head_left() {
-    // The dequeue moves the head and retires the node it left: the
-    // handed-off live set still holds it, and taking that set would leak
-    // it once the rebuild drops the limbo lists.
+    // The dequeue moves the head and retires the node it left, which
+    // `recover` found live.
     let (q, h) = recovered_queue();
     assert_eq!(q.dequeue(h), QueueResp::Value(2));
     q.rebuild_allocator();
@@ -682,12 +705,12 @@ fn a_dequeue_between_recover_and_the_rebuild_frees_the_node_the_head_left() {
 }
 
 #[test]
-fn recycling_between_recover_and_the_rebuild_spends_the_handed_off_live_set() {
+fn recycling_between_recover_and_the_rebuild_keeps_the_recycled_middle_node() {
     // `recover` leaves the head at the node of 1 and the node of 2 last.
     // Seven operations on the three-node pool recycle both back into those
     // places, with the node of 3 recycled between them: the head word is
-    // the same and the last node's link is NULL again, but the handed-off
-    // live set lacks the middle node. Only the advanced EBR epoch tells.
+    // the same and the last node's link is NULL again, but the live set
+    // `recover` found lacks the middle node.
     let (q, h) = one_thread(DssQueue::new(1, 3));
     q.enqueue(h, 1).unwrap();
     q.enqueue(h, 2).unwrap();
@@ -707,10 +730,10 @@ fn recycling_between_recover_and_the_rebuild_spends_the_handed_off_live_set() {
 }
 
 #[test]
-fn a_second_crash_after_recover_spends_the_handed_off_live_set() {
+fn a_second_crash_after_recover_makes_the_rebuild_walk() {
     // The second crash loses the dequeue's head move but keeps its claim
-    // and the enqueue's link; the per-slot recovery of the one slot hands
-    // nothing over.
+    // and the enqueue's link, and starts a new crash generation: after the
+    // per-slot recovery of the one slot, the rebuild walks the list.
     let (q, h) = recovered_queue();
     assert_eq!(q.dequeue(h), QueueResp::Value(2));
     q.enqueue(h, 4).unwrap();

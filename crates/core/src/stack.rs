@@ -394,10 +394,10 @@ impl<M: Memory> DssStack<M> {
     /// adopted handles; pre-crash handles remain usable (adoption re-LIVEs
     /// slots rather than freeing them).
     ///
-    /// The walk's nodes are the live set
-    /// [`rebuild_allocator`](Self::rebuild_allocator) needs, and `recover`
-    /// hands them over, stamped with the crash generation, the EBR epoch,
-    /// the top word and the bottom node.
+    /// The walk's nodes are the live set the allocator rebuild needs, and
+    /// `recover` ends by rebuilding the allocator around them, so the
+    /// [`rebuild_allocator`](Self::rebuild_allocator) that follows has
+    /// nothing left to do.
     pub fn recover(&self) -> Vec<ThreadHandle> {
         self.list.recover(|| {
             self.repair_top();
@@ -414,11 +414,10 @@ impl<M: Memory> DssStack<M> {
     /// Rebuilds the volatile allocator after a crash (`X`-referenced
     /// nodes stay allocated for `resolve`).
     ///
-    /// After [`recover`](Self::recover) it takes the live set `recover`
-    /// handed over instead of walking the list again, as long as no crash,
-    /// no recycled node and no push or pop (the top word) came since;
-    /// otherwise, and after [`recover_one`](Self::recover_one) alone, it
-    /// walks from the top. The free lists come out the same either way.
+    /// Returns at once after [`recover`](Self::recover), which rebuilt the
+    /// allocator before any thread resumed, until the next crash; after
+    /// [`recover_one`](Self::recover_one) alone and on
+    /// [`attach`](DssStack::attach) it walks the list from the top.
     pub fn rebuild_allocator(&self) {
         self.list.rebuild_allocator();
     }
@@ -789,14 +788,34 @@ mod tests {
             flushes,
             ..StatsSnapshot::default()
         };
-        assert_eq!(recovered.since(&before), counts(1041, 8, 2, 6), "recover");
-        // The rebuild takes the live set `recover` handed over: it loads
-        // the top word and the bottom node's link to check the stamp, then
-        // the two `X` words (a pop announces the node it claims itself).
-        assert_eq!(rebuilt.since(&recovered), counts(4, 0, 0, 0), "rebuild_allocator");
+        // `recover` ends by rebuilding the allocator: it loads the two `X`
+        // words (a pop announces the node it claims itself). The rebuild
+        // after it has nothing left to do.
+        assert_eq!(recovered.since(&before), counts(1043, 8, 2, 6), "recover");
+        assert_eq!(rebuilt.since(&recovered), counts(0, 0, 0, 0), "rebuild_allocator");
     }
 
-    /// A stack holding 2 over 1, crashed and recovered.
+    #[test]
+    fn recover_alone_frees_the_node_of_a_prep_push_that_crashed() {
+        // A crash inside `prep_push` before `X[0]` persists leaves the node
+        // it allocated reachable from nothing: `recover` must return it to
+        // the free lists without a separate `rebuild_allocator`.
+        for k in 1.. {
+            let (s, h) = one_thread(DssStack::new(1, 4));
+            s.push(h, 1).unwrap();
+            if !s.pool().crashes_within(k, || s.prep_push(h, 2).unwrap()) {
+                break;
+            }
+            s.pool().crash(&WritebackAdversary::None);
+            s.recover();
+            s.list.assert_conserved();
+        }
+    }
+
+    /// A stack holding 2 over 1, crashed and recovered. The operations the
+    /// tests below run before `rebuild_allocator` change the live set
+    /// `recover` rebuilt the allocator around: a rebuild around that set
+    /// would free a linked node or leak a retired one.
     fn recovered_stack() -> (DssStack, ThreadHandle) {
         let (s, h) = one_thread(DssStack::new(1, 4));
         s.push(h, 1).unwrap();
@@ -808,8 +827,7 @@ mod tests {
 
     #[test]
     fn a_push_between_recover_and_the_rebuild_keeps_its_node() {
-        // The push links a node above the top: the handed-off live set
-        // lacks it, and taking that set would free a linked node.
+        // The push links a node above the top `recover` found.
         let (s, h) = recovered_stack();
         s.push(h, 3).unwrap();
         s.rebuild_allocator();
@@ -819,9 +837,8 @@ mod tests {
 
     #[test]
     fn a_pop_between_recover_and_the_rebuild_frees_its_node() {
-        // The pop moves the top and retires the node it took: the
-        // handed-off live set still holds it, and taking that set would
-        // leak it once the rebuild drops the limbo lists.
+        // The pop moves the top and retires the node it took, which
+        // `recover` found live.
         let (s, h) = recovered_stack();
         assert_eq!(s.pop(h), StackResp::Value(2));
         s.rebuild_allocator();
