@@ -1,6 +1,7 @@
 //! Experiment E5 — recovery latency vs queue length: centralized
-//! (Figure 6) vs independent per-thread (§3.3) recovery, plus the
-//! allocator rebuild (§4) that follows either.
+//! (Figure 6, which ends by rebuilding the allocator) vs independent
+//! per-thread (§3.3) recovery, plus the allocator rebuild (§4) that
+//! follows the latter.
 //!
 //! ```text
 //! cargo run -p dss-harness --release --bin recovery_time
@@ -33,9 +34,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let t = Instant::now();
             q.recover();
             central += t.elapsed().as_secs_f64() * 1e6;
-            let t = Instant::now();
-            q.rebuild_allocator();
-            rebuild += t.elapsed().as_secs_f64() * 1e6;
 
             let q = DssQueue::new(4, len + 64);
             let hs = (0..4).map(|_| q.register_thread()).collect::<Result<Vec<_>, _>>()?;
@@ -48,6 +46,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 q.recover_one(h);
             }
             indep += t.elapsed().as_secs_f64() * 1e6;
+            let t = Instant::now();
+            q.rebuild_allocator();
+            rebuild += t.elapsed().as_secs_f64() * 1e6;
         }
         let reps = f64::from(REPS);
         println!(
@@ -59,10 +60,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!();
-    println!("# Centralized recovery walks the list once and repairs head/tail;");
-    println!("# independent recovery is run per thread (4x here) and repairs only X.");
-    println!("# rebuild-us is rebuild_allocator after the centralized recovery: it takes");
-    println!("# the live set recovery's walk handed over (two loads check its stamp) and");
-    println!("# rebuilds the free lists around it.");
+    println!("# Centralized recovery walks the list once, repairs head/tail and rebuilds");
+    println!("# the allocator around the nodes it reached; independent recovery is run");
+    println!("# per thread (4x here) and repairs only X. rebuild-us is rebuild_allocator");
+    println!("# after the independent recovery, where it walks the list from the head");
+    println!("# (after the centralized recovery it has nothing left to do).");
     Ok(())
 }
