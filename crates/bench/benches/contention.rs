@@ -26,7 +26,7 @@ use std::time::Duration;
 
 use dss_bench::numeric_flag;
 use dss_harness::adapter::QueueKind;
-use dss_harness::throughput::{measure, ThroughputConfig};
+use dss_harness::throughput::{measure, Throughput, ThroughputConfig};
 
 fn main() {
     let threads = numeric_flag("--threads", 4) as usize;
@@ -75,13 +75,8 @@ fn main() {
                 }
             }
             for cell in &samples {
-                let mean = cell.iter().sum::<f64>() / cell.len() as f64;
-                let var = if cell.len() > 1 {
-                    cell.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / (cell.len() - 1) as f64
-                } else {
-                    0.0
-                };
-                print!(" {:>7.3} ±{:>5.3}", mean, var.sqrt());
+                let t = Throughput::from_samples(cell);
+                print!(" {:>7.3} ±{:>5.3}", t.mops_mean, t.mops_stddev);
             }
             println!();
         }

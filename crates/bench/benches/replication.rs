@@ -4,10 +4,13 @@
 //! Every thread runs a read-mixed workload against ONE queue: with
 //! probability `read_fraction` an iteration peeks the front value, else
 //! it runs one enqueue/dequeue pair. The single-instance DSS queue
-//! answers a peek by walking the shared persistent structure; the
-//! replicated layer answers from the calling thread's volatile replica
-//! after catching up to the committed log prefix — no flushes and no
-//! shared-line writes on the read path. The sweep crosses read fractions
+//! answers a peek by walking the shared persistent structure, and reads
+//! the tail to persist the link it returns through while the tail still
+//! names its node (a flush only while the tail lags). The replicated
+//! layer answers from the calling thread's volatile replica after
+//! catching up to the visible seq: no flushes on the read path, but the
+//! read locks its replica's `Mutex`, so readers sharded onto one replica
+//! contend on that lock. The sweep crosses read fractions
 //! 0.5/0.9/0.99 × thread counts × 1/2/4 replicas and writes
 //! `BENCH_replication.json` (shared envelope schema) to the invoking
 //! directory; official runs are copied into `results/`.

@@ -25,6 +25,8 @@
 
 use std::time::{Duration, Instant};
 
+use dss_harness::throughput::mean_stddev;
+
 /// The shared `BENCH_*.json` envelope every machine-readable result file
 /// is written through ([`json::Envelope`]).
 ///
@@ -116,15 +118,8 @@ impl Runner {
             }
             samples_ns.push(t.elapsed().as_nanos() as f64 / iters as f64);
         }
-        let mean = samples_ns.iter().sum::<f64>() / samples_ns.len() as f64;
-        let var = samples_ns.iter().map(|s| (s - mean).powi(2)).sum::<f64>()
-            / (samples_ns.len() - 1) as f64;
-        let stat = Stat {
-            ns_mean: mean,
-            ns_stddev: var.sqrt(),
-            samples: samples_ns.len(),
-            iters_per_sample: iters,
-        };
+        let (ns_mean, ns_stddev) = mean_stddev(&samples_ns);
+        let stat = Stat { ns_mean, ns_stddev, samples: samples_ns.len(), iters_per_sample: iters };
         println!(
             "{:<44} {:>12.1} ns/iter (±{:.1}, {} samples × {} iters)",
             format!("{}/{}", self.group, name),

@@ -324,6 +324,11 @@ impl<M: Memory> DssQueue<M> {
     /// its value. This is the single-instance read path the replicated
     /// layer's replica-local reads are benchmarked against — every call
     /// traverses the same shared head line all writers contend on.
+    ///
+    /// A returned value's enqueue survives any later crash: like a
+    /// dequeuer at Figure 4 line 44, the probe persists the link it read
+    /// the value through while the tail still names that link's node. A
+    /// link the tail has passed was persisted before the tail moved.
     pub fn peek_front(&self, h: ThreadHandle) -> Option<u64> {
         let tid = h.slot();
         let _guard = self.pin(tid);
@@ -334,6 +339,9 @@ impl<M: Memory> DssQueue<M> {
                 return None;
             }
             if !self.list.claimed(next) {
+                if tag::addr_of(self.pool().load(self.tail_addr())) == cur {
+                    self.list.persist_link(cur);
+                }
                 return Some(self.list.value(next));
             }
             cur = next;

@@ -256,8 +256,8 @@ struct AppendCache {
 /// memory. The module documentation of `queue/replicated.rs`
 /// gives the protocol and its crash argument.
 pub struct ReplicatedQueue<M: Memory = PmemPool> {
-    /// The shared detectability skeleton: pool, registry, contention
-    /// tuner, and the announce lines as its strided `X` region.
+    /// The shared detectability skeleton: pool, registry, backoff knob,
+    /// and the announce lines as its strided `X` region.
     core: DetectableCore<M>,
     lay: RepLayout,
     /// The appender lease and the volatile publication flags.
@@ -976,8 +976,8 @@ impl<M: Memory> ReplicatedQueue<M> {
 
 /// The slot API, the pool and the backoff knob are the shared skeleton's.
 /// The backoff knob is accepted for parity with
-/// [`DssQueue`](super::DssQueue); waiters park with the adaptive tuner
-/// either way. [`begin_recovery`](ObjectCore::begin_recovery) is
+/// [`DssQueue`](super::DssQueue); waiters park with an always-on
+/// [`Backoff`] either way. [`begin_recovery`](ObjectCore::begin_recovery) is
 /// **required after every crash before any thread resumes `exec`**:
 /// lease-staleness detection keys off orphaned slots.
 impl<M: Memory> Deref for ReplicatedQueue<M> {
@@ -1010,7 +1010,7 @@ const DONE: u64 = 2;
 /// pays for a registry staleness probe.
 const STALE_PROBE: u32 = 64;
 
-/// Parked-waiter iterations before escalating from tuned spinning to
+/// Parked-waiter iterations before escalating from backoff spinning to
 /// unconditional yields (batches are long compared to a CAS retry, and on
 /// few-core hosts a spinning waiter starves the appender).
 const YIELD_AFTER: u32 = 8;
@@ -1104,7 +1104,7 @@ impl Lease {
     /// Parks until `h`'s announced operation is applied, running
     /// `combine(h)` on this thread whenever the lease is (or goes) free,
     /// and stealing the lease if its holder provably died. Waiters always
-    /// park with the core's tuned backoff.
+    /// park with an enabled [`Backoff`] first, then yield, then sleep.
     ///
     /// Idempotent: with no announcement outstanding (double `exec`, or
     /// `exec` re-run after a crash already resolved the slot) it returns
@@ -1120,7 +1120,7 @@ impl Lease {
             return;
         }
         let pool = core.pool().as_ref();
-        let mut bo = Backoff::attached(true, core.tuner());
+        let mut bo = Backoff::new(true);
         let mut observed = 0u64;
         let mut stable = 0u32;
         let mut waits = 0u32;

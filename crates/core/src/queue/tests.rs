@@ -1,6 +1,7 @@
 //! Unit tests for the DSS queue, including crash-point sweeps that check
 //! the Figure 2 detectability semantics against the persisted queue state.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use dss_pmem::{StatsSnapshot, ThreadHandle, WritebackAdversary};
@@ -727,6 +728,35 @@ fn recycling_between_recover_and_the_rebuild_keeps_the_recycled_middle_node() {
     q.rebuild_allocator();
     assert_eq!(q.snapshot_values(), [5, 6]);
     q.list.assert_conserved();
+}
+
+/// A peek never returns an enqueue a crash can still lose: slot 0's
+/// enqueue crashes at each of its pool operations in turn, slot 1 peeks
+/// through the shared structure, and then the pool crashes with no
+/// writeback. If the peek saw the value, `resolve` must report the
+/// enqueue as taken effect.
+#[test]
+fn peeks_never_see_an_enqueue_a_crash_can_lose() {
+    for k in 1.. {
+        let q = DssQueue::new(2, 8);
+        let h0 = q.register_thread().unwrap();
+        let h1 = q.register_thread().unwrap();
+        q.pool().arm_crash_after(k);
+        let died = catch_unwind(AssertUnwindSafe(|| {
+            q.prep_enqueue(h0, 42).unwrap();
+            q.exec_enqueue(h0);
+        }))
+        .is_err();
+        q.pool().disarm_crash();
+        if !died {
+            break;
+        }
+        let saw = q.peek_front(h1) == Some(42);
+        q.pool().crash(&WritebackAdversary::None);
+        q.recover();
+        let took_effect = q.resolve(h0).resp == Some(QueueResp::Ok);
+        assert!(!saw || took_effect, "k={k}: a peek saw 42, but its enqueue was lost");
+    }
 }
 
 #[test]

@@ -256,9 +256,9 @@ pub trait QueueUnderTest: Send + Sync + Debug {
     ///
     /// Only the kinds in [`QueueKind::replication`] implement it: the
     /// replicated layer answers from the caller's volatile replica after
-    /// catching up to the committed log prefix, and the CAS-racing
-    /// detectable queue walks the shared persistent structure (the
-    /// baseline a replica-local read is measured against).
+    /// catching up to the visible seq under the replica's `Mutex`, and
+    /// the CAS-racing detectable queue walks the shared persistent
+    /// structure (the baseline a replica-local read is measured against).
     ///
     /// # Panics
     ///

@@ -72,6 +72,45 @@ pub struct Throughput {
     pub mops_stddev: f64,
 }
 
+impl Throughput {
+    /// The mean and sample standard deviation of per-run Mops/s samples.
+    pub fn from_samples(samples: &[f64]) -> Throughput {
+        let (mops_mean, mops_stddev) = mean_stddev(samples);
+        Throughput { mops_mean, mops_stddev }
+    }
+}
+
+/// Mean and sample standard deviation of `samples` (the deviation of a
+/// single sample is 0).
+pub fn mean_stddev(samples: &[f64]) -> (f64, f64) {
+    let n = samples.len() as f64;
+    let mean = samples.iter().sum::<f64>() / n;
+    let var = if samples.len() > 1 {
+        samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / (n - 1.0)
+    } else {
+        0.0
+    };
+    (mean, var.sqrt())
+}
+
+/// SplitMix64, seeded per worker thread, so every run of a mix draws
+/// the same operation sequence.
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn for_thread(tid: usize) -> Self {
+        SplitMix64(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(tid as u64 + 1))
+    }
+
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
+
 /// Runs the paper's alternating enqueue/dequeue workload on `kind`.
 ///
 /// Each repeat builds a fresh queue, pre-fills it, then launches
@@ -79,17 +118,8 @@ pub struct Throughput {
 /// `dequeue()` pairs until the stop flag flips. Throughput counts both
 /// operations of a pair.
 pub fn measure(kind: QueueKind, config: &ThroughputConfig) -> Throughput {
-    let mut samples = Vec::with_capacity(config.repeats);
-    for _ in 0..config.repeats {
-        samples.push(run_once(kind, config));
-    }
-    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-    let var = if samples.len() > 1 {
-        samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / (samples.len() - 1) as f64
-    } else {
-        0.0
-    };
-    Throughput { mops_mean: mean, mops_stddev: var.sqrt() }
+    let samples: Vec<f64> = (0..config.repeats).map(|_| run_once(kind, config)).collect();
+    Throughput::from_samples(&samples)
 }
 
 fn run_once(kind: QueueKind, config: &ThroughputConfig) -> f64 {
@@ -181,17 +211,8 @@ impl Default for ReadMixConfig {
 /// Only the kinds in [`QueueKind::replication`] support the read probe;
 /// see [`crate::adapter::QueueUnderTest::peek`].
 pub fn measure_read_mix(kind: QueueKind, config: &ReadMixConfig) -> Throughput {
-    let mut samples = Vec::with_capacity(config.repeats);
-    for _ in 0..config.repeats {
-        samples.push(run_once_read_mix(kind, config));
-    }
-    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-    let var = if samples.len() > 1 {
-        samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / (samples.len() - 1) as f64
-    } else {
-        0.0
-    };
-    Throughput { mops_mean: mean, mops_stddev: var.sqrt() }
+    let samples: Vec<f64> = (0..config.repeats).map(|_| run_once_read_mix(kind, config)).collect();
+    Throughput::from_samples(&samples)
 }
 
 fn run_once_read_mix(kind: QueueKind, config: &ReadMixConfig) -> f64 {
@@ -214,19 +235,11 @@ fn run_once_read_mix(kind: QueueKind, config: &ReadMixConfig) -> f64 {
         let total_ops = &total_ops;
         for (tid, &h) in hs.iter().enumerate() {
             scope.spawn(move || {
-                // SplitMix64, seeded per thread: deterministic mixes.
-                let mut state = 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(tid as u64 + 1);
-                let mut next = move || {
-                    state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                    let mut z = state;
-                    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                    z ^ (z >> 31)
-                };
+                let mut rng = SplitMix64::for_thread(tid);
                 let mut ops = 0u64;
                 let mut i = 0u64;
                 while !stop.load(Relaxed) {
-                    if next() & 0xffff_ffff < read_threshold {
+                    if rng.next() & 0xffff_ffff < read_threshold {
                         std::hint::black_box(queue.peek(h));
                         ops += 1;
                     } else {
@@ -339,17 +352,8 @@ impl ZipfCdf {
 /// (pmem backend): pre-loads `keyspace` keys, then times Zipf-skewed
 /// plain gets and detectable puts. Every iteration is one operation.
 pub fn measure_kv_mix(config: &KvMixConfig) -> Throughput {
-    let mut samples = Vec::with_capacity(config.repeats);
-    for _ in 0..config.repeats {
-        samples.push(run_once_kv_mix(config));
-    }
-    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-    let var = if samples.len() > 1 {
-        samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / (samples.len() - 1) as f64
-    } else {
-        0.0
-    };
-    Throughput { mops_mean: mean, mops_stddev: var.sqrt() }
+    let samples: Vec<f64> = (0..config.repeats).map(|_| run_once_kv_mix(config)).collect();
+    Throughput::from_samples(&samples)
 }
 
 fn run_once_kv_mix(config: &KvMixConfig) -> f64 {
@@ -382,19 +386,11 @@ fn run_once_kv_mix(config: &KvMixConfig) -> f64 {
         let total_ops = &total_ops;
         for (tid, &h) in hs.iter().enumerate() {
             scope.spawn(move || {
-                // SplitMix64, seeded per thread: deterministic mixes.
-                let mut state = 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(tid as u64 + 1);
-                let mut next = move || {
-                    state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                    let mut z = state;
-                    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                    z ^ (z >> 31)
-                };
+                let mut rng = SplitMix64::for_thread(tid);
                 let mut ops = 0u64;
                 let mut seq = 0u64;
                 while !stop.load(Relaxed) {
-                    let r = next();
+                    let r = rng.next();
                     let key = zipf.sample((r >> 32) as f64 / (1u64 << 32) as f64);
                     if r & 0xffff_ffff < read_threshold {
                         std::hint::black_box(m.get(h, key));
@@ -532,6 +528,12 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn mean_stddev_is_the_sample_deviation() {
+        assert_eq!(mean_stddev(&[1.0, 3.0]), (2.0, 2f64.sqrt()));
+        assert_eq!(mean_stddev(&[5.0]), (5.0, 0.0), "one sample deviates by nothing");
     }
 
     #[test]

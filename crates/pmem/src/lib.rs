@@ -116,7 +116,7 @@ pub mod tag;
 
 pub use addr::PAddr;
 pub use alloc::{NodePool, NodeSet};
-pub use backoff::{Backoff, BackoffTuner};
+pub use backoff::Backoff;
 pub use dram::DramPool;
 pub use ebr::{Ebr, EbrGuard};
 pub use hook::CrashSignal;

@@ -45,8 +45,8 @@ use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 
 use crate::{
-    tag, AppKind, AttachError, Backoff, BackoffTuner, Ebr, EbrGuard, FlushGranularity, Memory,
-    PmemPool, Registry, SlotError, ThreadHandle,
+    tag, AppKind, AttachError, Backoff, Ebr, EbrGuard, FlushGranularity, Memory, PmemPool,
+    Registry, SlotError, ThreadHandle,
 };
 
 /// The persistent geometry of one structure kind, derived from the
@@ -146,8 +146,6 @@ pub struct ObjectCore<M: Memory> {
     /// Back off after failed CAS in retry loops. Default off, which keeps
     /// instruction sequences identical to the algorithms' pseudocode.
     backoff: AtomicBool,
-    /// Adapts the backoff cap to the structure's observed CAS-failure rate.
-    tuner: BackoffTuner,
 }
 
 impl<M: Memory> ObjectCore<M> {
@@ -167,7 +165,7 @@ impl<M: Memory> ObjectCore<M> {
     }
 
     /// The volatile half over a pool and its registry: fresh EBR domain,
-    /// backoff off, fresh tuner.
+    /// backoff off.
     fn bind(pool: Arc<M>, registry: Registry<M>) -> Self {
         let nthreads = registry.nslots();
         ObjectCore {
@@ -176,7 +174,6 @@ impl<M: Memory> ObjectCore<M> {
             ebr: Ebr::new(nthreads),
             nthreads,
             backoff: AtomicBool::new(false),
-            tuner: BackoffTuner::new(),
         }
     }
 
@@ -207,21 +204,17 @@ impl<M: Memory> ObjectCore<M> {
         self.ebr.pin(tid)
     }
 
-    /// The contention tuner every backoff of this structure reports to.
-    pub fn tuner(&self) -> &BackoffTuner {
-        &self.tuner
-    }
-
     /// A fresh per-operation backoff, enabled per
-    /// [`set_backoff`](Self::set_backoff) and capped by the structure's
-    /// [`tuner`](Self::tuner).
-    pub fn new_backoff(&self) -> Backoff<'_> {
-        Backoff::attached(self.backoff.load(Relaxed), &self.tuner)
+    /// [`set_backoff`](Self::set_backoff), its wait capped at `2^6` spin
+    /// iterations.
+    pub fn new_backoff(&self) -> Backoff {
+        Backoff::new(self.backoff.load(Relaxed))
     }
 
     /// Enables or disables contention management (bounded exponential
-    /// backoff after failed CAS). Default off: instruction sequences then
-    /// match the algorithms' pseudocode exactly.
+    /// backoff after failed CAS, capped at `2^6` spin iterations). Default
+    /// off: instruction sequences then match the algorithms' pseudocode
+    /// exactly.
     pub fn set_backoff(&self, on: bool) {
         self.backoff.store(on, Relaxed);
     }
