@@ -23,7 +23,7 @@ cargo fmt --check
 echo "==> rustdoc gate (no broken or private intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "==> E3 flush-count golden (pool primitives per queue pair and per binding op)"
+echo "==> E3 flush-count golden (E3-E3f: queue pairs, binding ops, stack, replicated queue, recovery, coalescing absorption)"
 # Single-threaded and deterministic: a diff is a changed pool-operation
 # sequence, never an interleaving, so the step needs no retry loop.
 cargo run -q -p dss-harness --release --bin flush_counts | diff -u results/flush_counts.txt -
@@ -33,18 +33,13 @@ cargo run -q -p dss-harness --release --bin fig5a -- \
     --threads 1 --ms 20 --repeats 1 \
     --backend pmem --backend dram >/dev/null
 
-echo "==> contention bench smoke (2 threads, coalesce/per-address/backoff grid)"
+echo "==> contention bench smoke (2 threads, coalesce/per-address/backoff grid, both backends)"
 cargo bench -q -p dss-bench --bench contention -- \
-    --threads 2 --ms 20 --repeats 1 >/dev/null
+    --threads 2 --ms 20 --repeats 1 --backend pmem --backend dram >/dev/null
 
 echo "==> contention bench smoke (per-address drains at a realistic penalty)"
 cargo bench -q -p dss-bench --bench contention -- \
     --threads 2 --ms 20 --repeats 1 --penalty 200 >/dev/null
-
-echo "==> e10 per-address drain smoke (absorption invariant, both backends)"
-cargo run -q -p dss-harness --release --bin e10_per_address_drains -- \
-    --threads 2 --ms 20 --repeats 1 \
-    --backend pmem --backend dram >/dev/null
 
 echo "==> multi-process smoke (SIGKILLed victims, parent attaches the pool file)"
 cargo run -q -p dss-harness --release --bin crash_matrix -- \

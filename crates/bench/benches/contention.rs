@@ -7,7 +7,9 @@
 //! drain-granularity axis (`per-addr` runs coalescing with per-address
 //! dependency drains instead of whole-set drains) so the axes' effect
 //! under contention is visible side by side; `off/off` is the
-//! seed-identical baseline.
+//! seed-identical baseline. These are the throughput grids of
+//! experiments E9 and E10; `flush_counts` (E3f) counts the flushes the
+//! coalescing columns absorb.
 //!
 //! ```text
 //! cargo bench -p dss-bench --bench contention -- \

@@ -13,6 +13,11 @@
 //! * `fig5a`, `fig5b` — benches that regenerate the paper's two figures
 //!   as text series (scaled-down defaults; the `dss-harness` binaries
 //!   expose the full parameter space).
+//! * `contention` — experiments E9 and E10: every thread on one queue,
+//!   over the coalesce × per-address × backoff grid.
+//! * `replication` — experiment E15: replica-local read mixes against
+//!   the single instance.
+//! * `kv` — experiment E16: YCSB-style mixes on the detectable map.
 //!
 //! The runner ([`Runner`]) replaces an external benchmarking dependency:
 //! it calibrates an iteration count per sample from a target sample

@@ -13,7 +13,9 @@ use std::fmt::Debug;
 
 use dss_baselines::{DurableQueue, LogQueue, MsQueue};
 use dss_core::{DssQueue, ReplicatedQueue};
-use dss_pmem::{DramPool, FlushGranularity, Memory, ObjectCore, PmemPool, ThreadHandle};
+use dss_pmem::{
+    DramPool, FlushGranularity, Memory, ObjectCore, PmemPool, StatsSnapshot, ThreadHandle,
+};
 use dss_pmwcas::CasWithEffectQueue;
 use dss_spec::types::QueueResp;
 
@@ -160,8 +162,8 @@ impl QueueKind {
         [QueueKind::DssDetectable, QueueKind::Log, QueueKind::CweFast, QueueKind::CweGeneral]
     }
 
-    /// Every kind of the historical sweeps (E3/E9/E10 and the recorded
-    /// tables keyed to them). [`DssReplicated`](Self::DssReplicated) is
+    /// Every kind of the historical sweeps (E3 and the recorded tables
+    /// keyed to them). [`DssReplicated`](Self::DssReplicated) is
     /// deliberately *not* here — it rides the contention benchmark
     /// ([`contention`](Self::contention)) so the older tables keep their
     /// row sets.
@@ -223,6 +225,77 @@ impl QueueKind {
             kind => kind.build(nthreads, nodes_per_thread),
         }
     }
+
+    /// The pool primitives of [`PAIRS`] single-threaded enqueue+dequeue
+    /// pairs on a fresh queue, after one warm-up pair, with flush
+    /// coalescing and per-address drains set as given: the measurement
+    /// behind E3 and E3f.
+    pub fn pair_counts(self, backend: Backend, coalesce: bool, per_address: bool) -> StatsSnapshot {
+        let q = self.build_on(backend, 1, 64);
+        q.pool().set_coalescing(coalesce);
+        q.pool().set_per_address_drains(per_address);
+        let h = q.register_thread();
+        // Warm up (first ops touch the sentinel path differently).
+        q.enqueue(h, 1);
+        let _ = q.dequeue(h);
+        q.pool().reset_stats();
+        for i in 0..PAIRS {
+            q.enqueue(h, i + 2);
+            let _ = q.dequeue(h);
+        }
+        q.pool().stats()
+    }
+
+    /// E3f's row for this kind: the flushes [`pair_counts`](Self::pair_counts)
+    /// issues on pmem and how many of them coalescing absorbs under
+    /// whole-set and under per-address drains.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the issued count differs between coalescing off,
+    /// whole-set drains and per-address drains, if anything is absorbed
+    /// with coalescing off, or if per-address drains absorb less than
+    /// whole-set drains.
+    pub fn absorption(self) -> Absorption {
+        let [off, whole_set, per_address] = [(false, false), (true, false), (true, true)]
+            .map(|(coalesce, per_address)| self.pair_counts(Backend::Pmem, coalesce, per_address));
+        let label = self.label();
+        assert_eq!(off.flushes_coalesced, 0, "{label}: coalescing off must not coalesce");
+        assert!(
+            off.flushes == whole_set.flushes && whole_set.flushes == per_address.flushes,
+            "{label}: issued flushes are workload-determined ({} off, {} whole-set, {} per-address)",
+            off.flushes,
+            whole_set.flushes,
+            per_address.flushes
+        );
+        assert!(
+            per_address.flushes_coalesced >= whole_set.flushes_coalesced,
+            "{label}: per-address drains must never absorb less than whole-set ({} vs {})",
+            per_address.flushes_coalesced,
+            whole_set.flushes_coalesced
+        );
+        Absorption {
+            issued: off.flushes,
+            whole_set: whole_set.flushes_coalesced,
+            per_address: per_address.flushes_coalesced,
+        }
+    }
+}
+
+/// Pairs counted by [`QueueKind::pair_counts`].
+pub const PAIRS: u64 = 100;
+
+/// Flushes over [`PAIRS`] pairs under flush coalescing
+/// ([`QueueKind::absorption`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Absorption {
+    /// Flushes issued, the same with coalescing off and under either
+    /// drain policy.
+    pub issued: u64,
+    /// Flushes absorbed under whole-set drains.
+    pub whole_set: u64,
+    /// Flushes absorbed under per-address drains.
+    pub per_address: u64,
 }
 
 /// A queue as the workload driver sees it: registration plus enqueue and
@@ -488,34 +561,31 @@ mod tests {
 
     #[test]
     fn coalescing_absorbs_flushes_where_durability_permits() {
-        let measure = |kind: QueueKind, coalesce: bool, per_address: bool| {
-            let q = kind.build(1, 32);
-            let h0 = q.register_thread();
-            q.pool().set_coalescing(coalesce);
-            q.pool().set_per_address_drains(per_address);
-            q.pool().reset_stats();
-            for i in 0..32 {
-                q.enqueue(h0, i);
-                q.dequeue(h0);
+        // `absorption` asserts E3f's invariants for every kind: the same
+        // issued flushes in each mode, nothing absorbed with coalescing
+        // off, and per-address drains absorbing at least what whole-set
+        // drains do.
+        for kind in QueueKind::all() {
+            let a = kind.absorption();
+            match kind {
+                // The durable queue's claim-word flush legitimately
+                // survives to the next dequeue of the same line, so
+                // per-address coalescing must absorb writebacks here.
+                QueueKind::Durable => assert!(a.per_address > 0, "some flushes must coalesce"),
+                // The DSS queue, by contrast, must coalesce *nothing*
+                // under either drain policy: its only same-line re-flush
+                // window was the X[tid] announce between prep and exec,
+                // and detectability requires that announce to be durable
+                // before prep returns (a crash that forgets a completed
+                // prep makes resolve report the previous operation).
+                QueueKind::DssDetectable => assert_eq!(
+                    (a.whole_set, a.per_address),
+                    (0, 0),
+                    "a completed prep's announce may not stay pending"
+                ),
+                _ => {}
             }
-            let s = q.pool().stats();
-            (s.flushes, s.flushes_coalesced)
-        };
-        // The durable queue's claim-word flush legitimately survives to
-        // the next dequeue of the same line, so per-address coalescing
-        // must absorb writebacks on this workload.
-        let (flushes_off, coalesced_off) = measure(QueueKind::Durable, false, false);
-        let (flushes_on, coalesced_on) = measure(QueueKind::Durable, true, true);
-        assert_eq!(coalesced_off, 0);
-        assert_eq!(flushes_on, flushes_off, "issued flushes are workload-determined");
-        assert!(coalesced_on > 0, "some flushes must coalesce");
-        // The DSS queue, by contrast, must coalesce *nothing* here: its
-        // only same-line re-flush window was the X[tid] announce between
-        // prep and exec, and detectability requires that announce to be
-        // durable before prep returns (a crash that forgets a completed
-        // prep makes resolve report the previous operation).
-        let (_, dss_coalesced) = measure(QueueKind::DssDetectable, true, false);
-        assert_eq!(dss_coalesced, 0, "a completed prep's announce may not stay pending");
+        }
     }
 
     #[test]

@@ -34,10 +34,16 @@
 //!     [--layer cas|replicated|map]
 //! ```
 
+use dss_checker::{CheckOptions, CheckStats, Condition, Violation};
 use dss_harness::cli;
 use dss_harness::crashsim::{
     multi_process_child, multi_process_sweep, partial_recovery_crash_run, sweep, Layer,
     SweepConfig, SweepOutcome, MP_CHILD_FLAG,
+};
+use dss_harness::record::{
+    check_map_history, check_plain, check_recorded_full, record_crash_execution,
+    record_map_crash_execution, record_map_execution, record_map_partial_recovery_execution,
+    record_partial_recovery_execution, record_plain_execution,
 };
 
 fn main() {
@@ -174,47 +180,34 @@ fn main() {
 /// the map layer splits its `Keyed<KvSpec>` history per key
 /// (`check_partitioned`) and certifies each partition in full.
 fn checked_histories_epilogue(args: &cli::Args) {
-    use dss_checker::{CheckOptions, Condition};
-    use dss_harness::record::{
-        check_map_history, check_plain, check_recorded_full, record_crash_execution,
-        record_map_crash_execution, record_map_execution, record_map_partial_recovery_execution,
-        record_partial_recovery_execution, record_plain_execution,
-    };
-
     const SEEDS: u64 = 6;
     let options = CheckOptions::default();
+    let strict = Condition::StrictLinearizability;
     println!("# checked histories: full-length verification of recorded crash runs");
     println!(
         "{:<22} {:>6} {:>8} {:>9} {:>12}",
         "workload", "seeds", "ops", "windows", "max-window"
     );
     if args.layer == Layer::Map {
-        let (mut ops, mut windows, mut max_window) = (0usize, 0usize, 0usize);
-        for seed in 0..SEEDS {
-            let h = record_map_crash_execution(3, 30, args.seed + seed);
-            let stats = check_map_history(&h, Condition::StrictLinearizability, &options)
-                .unwrap_or_else(|e| panic!("map crash run seed {seed}: {e}"));
-            ops += stats.ops;
-            windows += stats.windows;
-            max_window = max_window.max(stats.max_window);
-        }
-        println!(
-            "{:<22} {:>6} {:>8} {:>9} {:>12}",
-            "map-system-crash", SEEDS, ops, windows, max_window
-        );
+        checked_row("map-system-crash", SEEDS, |seed| {
+            check_map_history(
+                &record_map_crash_execution(3, 30, args.seed + seed),
+                strict,
+                &options,
+            )
+        });
         // A long crash-free run, split per key and certified in full —
         // the P-compositionality counterpart of the queue's plain check.
-        let h = record_map_execution(3, 400, args.seed);
-        let stats = check_map_history(&h, Condition::Linearizability, &options)
-            .unwrap_or_else(|e| panic!("plain map run: {e}"));
-        println!(
-            "{:<22} {:>6} {:>8} {:>9} {:>12}",
-            "map-plain", 1, stats.ops, stats.windows, stats.max_window
-        );
+        checked_row("map-plain", 1, |_| {
+            check_map_history(
+                &record_map_execution(3, 400, args.seed),
+                Condition::Linearizability,
+                &options,
+            )
+        });
         if args.partial_recovery {
             for survivors in 1..=3usize {
-                let (mut ops, mut windows, mut max_window) = (0usize, 0usize, 0usize);
-                for seed in 0..SEEDS {
+                checked_row(&format!("map-partial s={survivors}"), SEEDS, |seed| {
                     let h = record_map_partial_recovery_execution(
                         3,
                         survivors,
@@ -223,57 +216,32 @@ fn checked_histories_epilogue(args: &cli::Args) {
                         args.coalesce,
                         args.per_address,
                     );
-                    let stats = check_map_history(&h, Condition::StrictLinearizability, &options)
-                        .unwrap_or_else(|e| {
-                            panic!("map partial recovery survivors={survivors} seed={seed}: {e}")
-                        });
-                    ops += stats.ops;
-                    windows += stats.windows;
-                    max_window = max_window.max(stats.max_window);
-                }
-                println!(
-                    "{:<22} {:>6} {:>8} {:>9} {:>12}",
-                    format!("map-partial s={survivors}"),
-                    SEEDS,
-                    ops,
-                    windows,
-                    max_window
-                );
+                    check_map_history(&h, strict, &options)
+                });
             }
         }
         println!();
         return;
     }
-    let (mut ops, mut windows, mut max_window) = (0usize, 0usize, 0usize);
-    for seed in 0..SEEDS {
-        let h = record_crash_execution(args.layer, 3, 30, args.seed + seed);
-        let stats = check_recorded_full(&h, Condition::StrictLinearizability, &options)
-            .unwrap_or_else(|e| panic!("crash run seed {seed}: {e}"));
-        ops += stats.ops;
-        windows += stats.windows;
-        max_window = max_window.max(stats.max_window);
-    }
-    println!("{:<22} {:>6} {:>8} {:>9} {:>12}", "system-crash", SEEDS, ops, windows, max_window);
+    checked_row("system-crash", SEEDS, |seed| {
+        check_recorded_full(
+            &record_crash_execution(args.layer, 3, 30, args.seed + seed),
+            strict,
+            &options,
+        )
+    });
     if args.layer.is_leased() {
         // Leased batches serialize many operations per lease tenure;
         // verify a long crash-free batched history in full — every
         // operation, no sampling — against the sequential FIFO spec.
-        let h = record_plain_execution(args.layer, 3, 400, 4, args.seed);
-        let stats = check_plain(&h, Condition::Linearizability, &options)
-            .unwrap_or_else(|e| panic!("plain {} run: {e}", args.layer));
-        println!(
-            "{:<22} {:>6} {:>8} {:>9} {:>12}",
-            format!("{}-plain", args.layer),
-            1,
-            stats.ops,
-            stats.windows,
-            stats.max_window
-        );
+        checked_row(&format!("{}-plain", args.layer), 1, |_| {
+            let h = record_plain_execution(args.layer, 3, 400, 4, args.seed);
+            check_plain(&h, Condition::Linearizability, &options)
+        });
     }
     if args.partial_recovery {
         for survivors in 1..=3usize {
-            let (mut ops, mut windows, mut max_window) = (0usize, 0usize, 0usize);
-            for seed in 0..SEEDS {
+            checked_row(&format!("partial-recovery s={survivors}"), SEEDS, |seed| {
                 let h = record_partial_recovery_execution(
                     args.layer,
                     3,
@@ -283,23 +251,31 @@ fn checked_histories_epilogue(args: &cli::Args) {
                     args.coalesce,
                     args.per_address,
                 );
-                let stats = check_recorded_full(&h, Condition::StrictLinearizability, &options)
-                    .unwrap_or_else(|e| {
-                        panic!("partial recovery survivors={survivors} seed={seed}: {e}")
-                    });
-                ops += stats.ops;
-                windows += stats.windows;
-                max_window = max_window.max(stats.max_window);
-            }
-            println!(
-                "{:<22} {:>6} {:>8} {:>9} {:>12}",
-                format!("partial-recovery s={survivors}"),
-                SEEDS,
-                ops,
-                windows,
-                max_window
-            );
+                check_recorded_full(&h, strict, &options)
+            });
         }
     }
     println!();
+}
+
+/// Checks `seeds` recorded runs, `check(0..seeds)`, and prints one
+/// epilogue row: their summed operations and windows and their largest
+/// window.
+///
+/// # Panics
+///
+/// Panics on the first run that fails its check.
+fn checked_row(
+    label: &str,
+    seeds: u64,
+    mut check: impl FnMut(u64) -> Result<CheckStats, Violation>,
+) {
+    let (mut ops, mut windows, mut max_window) = (0, 0, 0);
+    for seed in 0..seeds {
+        let stats = check(seed).unwrap_or_else(|e| panic!("{label} seed {seed}: {e}"));
+        ops += stats.ops;
+        windows += stats.windows;
+        max_window = max_window.max(stats.max_window);
+    }
+    println!("{:<22} {:>6} {:>8} {:>9} {:>12}", label, seeds, ops, windows, max_window);
 }

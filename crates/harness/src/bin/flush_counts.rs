@@ -10,8 +10,11 @@
 //! of the three binding objects (register, CAS object, map), so a change
 //! to their shared install protocol shows up as a changed row; a third
 //! per operation of the DSS stack, a fourth per operation of the
-//! replicated queue (its write pair and its replica-local reads), and a
-//! fifth per step of the DSS queue's crash recovery.
+//! replicated queue (its write pair and its replica-local reads), a
+//! fifth per step of the DSS queue's crash recovery, and a sixth (E3f)
+//! counts how many of each queue pair's flushes write-behind coalescing
+//! absorbs under whole-set and under per-address drains (experiments E9
+//! and E10).
 //!
 //! ```text
 //! cargo run -p dss-harness --release --bin flush_counts
@@ -21,12 +24,12 @@
 //! the dram tables are all zeros by construction (no instrumentation),
 //! which is exactly the point of experiment E8. The recovery table is
 //! pmem-only: crashing a pool is a [`PmemPool`] API, not a [`Memory`] one.
-//! The default pmem-only invocation prints the historical output unchanged.
+//! So is E3f, since a dram pool neither counts nor coalesces.
 
 use dss_core::{
     DetectableCas, DetectableMap, DetectableRegister, DssQueue, DssStack, ReplicatedQueue,
 };
-use dss_harness::adapter::{Backend, QueueKind};
+use dss_harness::adapter::{Backend, QueueKind, PAIRS};
 use dss_pmem::{DramPool, FlushGranularity, Memory, PmemPool, StatsSnapshot, WritebackAdversary};
 
 fn main() {
@@ -44,6 +47,8 @@ fn main() {
                 objects::<PmemPool>();
                 println!();
                 recovery();
+                println!();
+                absorption();
             }
             Backend::Dram => objects::<DramPool>(),
         }
@@ -85,18 +90,7 @@ fn run(backend: Backend) {
     println!("# E3: pmem primitives per enqueue+dequeue pair (single thread, uncontended)");
     header("queue");
     for kind in QueueKind::all() {
-        let q = kind.build_on(backend, 1, 64);
-        let h = q.register_thread();
-        // Warm up (first ops touch the sentinel path differently).
-        q.enqueue(h, 1);
-        let _ = q.dequeue(h);
-        q.pool().reset_stats();
-        const PAIRS: u64 = 100;
-        for i in 0..PAIRS {
-            q.enqueue(h, i + 2);
-            let _ = q.dequeue(h);
-        }
-        print_row(kind.label(), q.pool().stats(), PAIRS);
+        print_row(kind.label(), kind.pair_counts(backend, false, false), PAIRS);
     }
     println!();
     println!("# The detectability cost of the DSS queue is the store+flush pairs on X");
@@ -262,4 +256,32 @@ fn recovery() {
         q.resolve(h);
     }
     print_row("queue resolve", pool.stats(), hs.len() as u64);
+}
+
+/// Flushes per queue pair that write-behind coalescing absorbs, under
+/// whole-set and under per-address drains; `saved` is the per-address
+/// share of the issued flushes. [`QueueKind::absorption`] asserts that
+/// the issued count is the same in every mode, that nothing is absorbed
+/// with coalescing off, and that per-address drains never absorb less.
+fn absorption() {
+    println!(
+        "# E3f: flushes absorbed per enqueue+dequeue pair (single thread, pmem, coalescing on)"
+    );
+    println!(
+        "{:<30} {:>12} {:>14} {:>14} {:>9}",
+        "queue", "issued/pair", "whole-set", "per-address", "saved"
+    );
+    let per_pair = |n: u64| n as f64 / PAIRS as f64;
+    for kind in QueueKind::all() {
+        let a = kind.absorption();
+        let saved = if a.issued > 0 { 100.0 * a.per_address as f64 / a.issued as f64 } else { 0.0 };
+        println!(
+            "{:<30} {:>12.1} {:>14.1} {:>14.1} {:>8.0}%",
+            kind.label(),
+            per_pair(a.issued),
+            per_pair(a.whole_set),
+            per_pair(a.per_address),
+            saved
+        );
+    }
 }

@@ -26,8 +26,9 @@ pub struct Args {
     pub backends: Vec<String>,
     /// Flush coalescing (`--coalesce on|off`, experiment E9). Default off.
     pub coalesce: bool,
-    /// Per-address dependency drains (`--per-address on|off`, experiment
-    /// E10; meaningful only with `--coalesce on`). Default off.
+    /// Per-address dependency drains (`--per-address on|off`; meaningful
+    /// only with `--coalesce on`). Only `crash_matrix` reads it; the
+    /// contention bench sweeps the axis itself. Default off.
     pub per_address: bool,
     /// Bounded exponential backoff on contended retry loops
     /// (`--backoff on|off`, experiment E9). Default off.

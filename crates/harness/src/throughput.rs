@@ -14,6 +14,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::time::{Duration, Instant};
 
 use dss_core::DetectableMap;
+use dss_pmem::splitmix64;
 
 use crate::adapter::{Backend, QueueKind};
 
@@ -93,22 +94,42 @@ pub fn mean_stddev(samples: &[f64]) -> (f64, f64) {
     (mean, var.sqrt())
 }
 
-/// SplitMix64, seeded per worker thread, so every run of a mix draws
-/// the same operation sequence.
-struct SplitMix64(u64);
+/// The [`splitmix64`] state worker `tid` starts a mix from, so every run
+/// of a mix draws the same operation sequence.
+fn thread_seed(tid: usize) -> u64 {
+    0x9e37_79b9_7f4a_7c15u64.wrapping_mul(tid as u64 + 1)
+}
 
-impl SplitMix64 {
-    fn for_thread(tid: usize) -> Self {
-        SplitMix64(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(tid as u64 + 1))
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
+/// The timed phase every workload shares: one worker per handle in `hs`,
+/// each building its loop body with `body(tid, h)` and running it until
+/// a stop flag flips after `duration`. A body returns how many
+/// operations its iteration ran. Returns Mops/s over the measured
+/// elapsed time.
+fn timed<H, B>(hs: &[H], duration: Duration, body: impl Fn(usize, H) -> B + Sync) -> f64
+where
+    H: Copy + Send,
+    B: FnMut() -> u64,
+{
+    let stop = AtomicBool::new(false);
+    let total_ops = AtomicU64::new(0);
+    let elapsed = std::thread::scope(|scope| {
+        for (tid, &h) in hs.iter().enumerate() {
+            let (body, stop, total_ops) = (&body, &stop, &total_ops);
+            scope.spawn(move || {
+                let mut step = body(tid, h);
+                let mut ops = 0u64;
+                while !stop.load(Relaxed) {
+                    ops += step();
+                }
+                total_ops.fetch_add(ops, Relaxed);
+            });
+        }
+        let start = Instant::now();
+        std::thread::sleep(duration);
+        stop.store(true, Relaxed);
+        start.elapsed()
+    });
+    total_ops.into_inner() as f64 / elapsed.as_secs_f64() / 1e6
 }
 
 /// Runs the paper's alternating enqueue/dequeue workload on `kind`.
@@ -133,35 +154,16 @@ fn run_once(kind: QueueKind, config: &ThroughputConfig) -> f64 {
     for i in 0..config.prefill {
         queue.enqueue(hs[0], i + 1);
     }
-    let stop = AtomicBool::new(false);
-    let total_ops = AtomicU64::new(0);
-    let elapsed = std::sync::Mutex::new(Duration::ZERO);
-
-    std::thread::scope(|scope| {
-        let queue = &queue;
-        let stop = &stop;
-        let total_ops = &total_ops;
-        for (tid, &h) in hs.iter().enumerate() {
-            scope.spawn(move || {
-                let mut ops = 0u64;
-                let mut i = 0u64;
-                while !stop.load(Relaxed) {
-                    i += 1;
-                    queue.enqueue(h, (tid as u64) << 32 | i);
-                    let _ = queue.dequeue(h);
-                    ops += 2;
-                }
-                total_ops.fetch_add(ops, Relaxed);
-            });
+    let queue = &queue;
+    timed(&hs, config.duration, |tid, h| {
+        let mut i = 0u64;
+        move || {
+            i += 1;
+            queue.enqueue(h, (tid as u64) << 32 | i);
+            let _ = queue.dequeue(h);
+            2
         }
-        let start = Instant::now();
-        std::thread::sleep(config.duration);
-        stop.store(true, Relaxed);
-        *elapsed.lock().unwrap() = start.elapsed();
-    });
-
-    let secs = elapsed.into_inner().unwrap().as_secs_f64();
-    total_ops.into_inner() as f64 / secs / 1e6
+    })
 }
 
 /// Parameters of one E15 read-mix measurement: each worker draws from a
@@ -225,41 +227,22 @@ fn run_once_read_mix(kind: QueueKind, config: &ReadMixConfig) -> f64 {
     }
     // Draw from a 32-bit threshold so the comparison is one integer op.
     let read_threshold = (config.read_fraction * (1u64 << 32) as f64) as u64;
-    let stop = AtomicBool::new(false);
-    let total_ops = AtomicU64::new(0);
-    let elapsed = std::sync::Mutex::new(Duration::ZERO);
-
-    std::thread::scope(|scope| {
-        let queue = &queue;
-        let stop = &stop;
-        let total_ops = &total_ops;
-        for (tid, &h) in hs.iter().enumerate() {
-            scope.spawn(move || {
-                let mut rng = SplitMix64::for_thread(tid);
-                let mut ops = 0u64;
-                let mut i = 0u64;
-                while !stop.load(Relaxed) {
-                    if rng.next() & 0xffff_ffff < read_threshold {
-                        std::hint::black_box(queue.peek(h));
-                        ops += 1;
-                    } else {
-                        i += 1;
-                        queue.enqueue(h, (tid as u64) << 32 | i);
-                        let _ = queue.dequeue(h);
-                        ops += 2;
-                    }
-                }
-                total_ops.fetch_add(ops, Relaxed);
-            });
+    let queue = &queue;
+    timed(&hs, config.duration, |tid, h| {
+        let mut rng = thread_seed(tid);
+        let mut i = 0u64;
+        move || {
+            if splitmix64(&mut rng) & 0xffff_ffff < read_threshold {
+                std::hint::black_box(queue.peek(h));
+                1
+            } else {
+                i += 1;
+                queue.enqueue(h, (tid as u64) << 32 | i);
+                let _ = queue.dequeue(h);
+                2
+            }
         }
-        let start = Instant::now();
-        std::thread::sleep(config.duration);
-        stop.store(true, Relaxed);
-        *elapsed.lock().unwrap() = start.elapsed();
-    });
-
-    let secs = elapsed.into_inner().unwrap().as_secs_f64();
-    total_ops.into_inner() as f64 / secs / 1e6
+    })
 }
 
 /// Parameters of one E16 YCSB-style key-value measurement on the
@@ -295,10 +278,6 @@ pub struct KvMixConfig {
     /// Zipfian skew parameter θ of the key-choice distribution
     /// (YCSB's default is 0.99; 0 = uniform).
     pub zipf_theta: f64,
-    /// Flush coalescing on the pool (E9's axis).
-    pub coalesce: bool,
-    /// Per-address dependency drains (E10's axis).
-    pub per_address: bool,
 }
 
 impl Default for KvMixConfig {
@@ -313,8 +292,6 @@ impl Default for KvMixConfig {
             flush_penalty: 20,
             read_fraction: 0.95,
             zipf_theta: 0.99,
-            coalesce: false,
-            per_address: false,
         }
     }
 }
@@ -365,8 +342,6 @@ fn run_once_kv_mix(config: &KvMixConfig) -> f64 {
         dss_pmem::FlushGranularity::Line,
     );
     m.pool().set_flush_penalty(config.flush_penalty);
-    m.pool().set_coalescing(config.coalesce);
-    m.pool().set_per_address_drains(config.per_address);
     let hs: Vec<_> = (0..config.threads).map(|_| m.register_thread().unwrap()).collect();
     // Load phase (untimed): bind every key so reads always hit. Keys are
     // hashed into buckets, so sequential loading is not a best case.
@@ -375,43 +350,23 @@ fn run_once_kv_mix(config: &KvMixConfig) -> f64 {
     }
     let zipf = ZipfCdf::new(config.keyspace, config.zipf_theta);
     let read_threshold = (config.read_fraction * (1u64 << 32) as f64) as u64;
-    let stop = AtomicBool::new(false);
-    let total_ops = AtomicU64::new(0);
-    let elapsed = std::sync::Mutex::new(Duration::ZERO);
-
-    std::thread::scope(|scope| {
-        let m = &m;
-        let zipf = &zipf;
-        let stop = &stop;
-        let total_ops = &total_ops;
-        for (tid, &h) in hs.iter().enumerate() {
-            scope.spawn(move || {
-                let mut rng = SplitMix64::for_thread(tid);
-                let mut ops = 0u64;
-                let mut seq = 0u64;
-                while !stop.load(Relaxed) {
-                    let r = rng.next();
-                    let key = zipf.sample((r >> 32) as f64 / (1u64 << 32) as f64);
-                    if r & 0xffff_ffff < read_threshold {
-                        std::hint::black_box(m.get(h, key));
-                    } else {
-                        seq += 1;
-                        m.prep_put(h, key, (tid as u64) << 32 | seq, seq);
-                        std::hint::black_box(m.exec_put(h));
-                    }
-                    ops += 1;
-                }
-                total_ops.fetch_add(ops, Relaxed);
-            });
+    let (m, zipf) = (&m, &zipf);
+    timed(&hs, config.duration, |tid, h| {
+        let mut rng = thread_seed(tid);
+        let mut seq = 0u64;
+        move || {
+            let r = splitmix64(&mut rng);
+            let key = zipf.sample((r >> 32) as f64 / (1u64 << 32) as f64);
+            if r & 0xffff_ffff < read_threshold {
+                std::hint::black_box(m.get(h, key));
+            } else {
+                seq += 1;
+                m.prep_put(h, key, (tid as u64) << 32 | seq, seq);
+                std::hint::black_box(m.exec_put(h));
+            }
+            1
         }
-        let start = Instant::now();
-        std::thread::sleep(config.duration);
-        stop.store(true, Relaxed);
-        *elapsed.lock().unwrap() = start.elapsed();
-    });
-
-    let secs = elapsed.into_inner().unwrap().as_secs_f64();
-    total_ops.into_inner() as f64 / secs / 1e6
+    })
 }
 
 /// Prints one figure series (threads on the x-axis, Mops/s per queue) as
@@ -563,7 +518,6 @@ mod tests {
                 flush_penalty: 0,
                 read_fraction,
                 zipf_theta,
-                ..Default::default()
             };
             let t = measure_kv_mix(&config);
             assert!(t.mops_mean > 0.0, "kv mix r={read_fraction} theta={zipf_theta}: no progress");

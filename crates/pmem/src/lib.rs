@@ -122,7 +122,9 @@ pub use ebr::{Ebr, EbrGuard};
 pub use hook::CrashSignal;
 pub use memory::Memory;
 pub use object::{ObjectCore, ObjectLayout};
-pub use pool::{FlushGranularity, PmemPool, PoolMode, WritebackAdversary, WORDS_PER_LINE};
+pub use pool::{
+    splitmix64, FlushGranularity, PmemPool, PoolMode, WritebackAdversary, WORDS_PER_LINE,
+};
 pub use registry::{Registry, SlotError, SlotState, ThreadHandle};
 pub use seg::{AppKind, AttachError};
 pub use stats::{Stats, StatsSnapshot};

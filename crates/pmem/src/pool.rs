@@ -124,8 +124,20 @@ pub enum WritebackAdversary {
     },
 }
 
-/// Minimal splitmix64 generator for the [`WritebackAdversary::Random`]
-/// schedule: deterministic per seed, which is all reproducibility needs.
+/// One step of the splitmix64 generator: advances `state` and returns the
+/// next output. The [`WritebackAdversary::Random`] schedule, the
+/// harness's operation mixes and the backend-parity scripts draw from it,
+/// each with its own seeding.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The [`WritebackAdversary::Random`] schedule: a [`splitmix64`] stream,
+/// deterministic per seed, which is all reproducibility needs.
 struct CrashRng(u64);
 
 impl CrashRng {
@@ -134,12 +146,7 @@ impl CrashRng {
     }
 
     fn survives(&mut self, prob: f64) -> bool {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        ((z >> 11) as f64 / (1u64 << 53) as f64) < prob
+        ((splitmix64(&mut self.0) >> 11) as f64 / (1u64 << 53) as f64) < prob
     }
 }
 
@@ -1252,6 +1259,13 @@ mod tests {
         for g in [FlushGranularity::Line, FlushGranularity::Word] {
             assert_eq!(FlushGranularity::parse(g.name()), g);
         }
+    }
+
+    #[test]
+    fn splitmix64_matches_the_reference_stream() {
+        let mut state = 0;
+        let stream = [0; 3].map(|_| splitmix64(&mut state));
+        assert_eq!(stream, [0xe220_a839_7b1d_cdaf, 0x6e78_9e6a_a1b9_65f4, 0x06c4_5d18_8009_454f]);
     }
 
     #[test]

@@ -14,15 +14,13 @@
 //! [`DramPool`]: dss::pmem::DramPool
 
 use dss::harness::adapter::{Backend, QueueKind};
+use dss::pmem::splitmix64;
 use dss::spec::types::QueueResp;
 
-/// Deterministic splitmix64, used to derive the op mix from the step index
-/// so both backends replay byte-identical scripts.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// Deterministic splitmix64 seeded with the step index, used to derive
+/// the op mix so both backends replay byte-identical scripts.
+fn mix(mut step: u64) -> u64 {
+    splitmix64(&mut step)
 }
 
 /// Runs the script on one backend and returns every observable response in
