@@ -41,6 +41,14 @@ echo "==> contention bench smoke (per-address drains at a realistic penalty)"
 cargo bench -q -p dss-bench --bench contention -- \
     --threads 2 --ms 20 --repeats 1 --penalty 200 >/dev/null
 
+echo "==> bench flag refusal (a misspelled flag fails the run)"
+# cargo appends --bench to a harness = false target's argv; the target
+# accepts that one and refuses every argument it does not read.
+if cargo bench -q -p dss-bench --bench contention -- --thread 2 >/dev/null 2>&1; then
+    echo "contention accepted the misspelled --thread" >&2
+    exit 1
+fi
+
 echo "==> multi-process smoke (SIGKILLed victims, parent attaches the pool file)"
 cargo run -q -p dss-harness --release --bin crash_matrix -- \
     --multi-process on >/dev/null

@@ -12,13 +12,14 @@
 //!
 //! The gap between the first two is the price of instrumentation; the gap
 //! between raw pmem and dram is the price of modelling persistence at all.
-//! Results are quoted in `EXPERIMENTS.md` (E8).
+//! Results are quoted in `EXPERIMENTS.md` (E8). The target takes no flags.
 
 use std::hint::black_box;
 use std::time::Duration;
 
 use dss_bench::Runner;
 use dss_core::DssQueue;
+use dss_harness::cli::Flags;
 use dss_pmem::{DramPool, FlushGranularity, Memory, PAddr, PmemPool, PoolMode, StatsSnapshot};
 
 /// A [`PmemPool`] forced into [`PoolMode::Raw`] at creation, so the
@@ -104,6 +105,7 @@ fn pair_bench<M: Memory>(r: &Runner, name: &str) {
 }
 
 fn main() {
+    Flags::parse("backend_overhead", &[], &["--bench"]);
     let r = Runner::new("backend_overhead")
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_millis(800));

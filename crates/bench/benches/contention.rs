@@ -26,16 +26,21 @@
 
 use std::time::Duration;
 
-use dss_bench::numeric_flag;
 use dss_harness::adapter::QueueKind;
+use dss_harness::cli::Flags;
 use dss_harness::throughput::{measure, Throughput, ThroughputConfig};
 
 fn main() {
-    let threads = numeric_flag("--threads", 4) as usize;
-    let ms = numeric_flag("--ms", 150);
-    let repeats = numeric_flag("--repeats", 2) as usize;
-    let penalty = numeric_flag("--penalty", 20);
-    for backend in dss_bench::backends_from_args() {
+    let flags = Flags::parse(
+        "contention",
+        &["--threads", "--ms", "--repeats", "--penalty", "--backend"],
+        &["--bench"],
+    );
+    let threads = flags.value("--threads", 4);
+    let ms = flags.value("--ms", 150);
+    let repeats = flags.value("--repeats", 2);
+    let penalty = flags.value("--penalty", 20);
+    for backend in flags.backends() {
         println!(
             "# contention: {threads} threads on one queue, 50:50 enq:deq, \
              flush penalty = {penalty} spins, backend = {} (Mops/s)",

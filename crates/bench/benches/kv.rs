@@ -30,7 +30,8 @@
 
 use std::time::Duration;
 
-use dss_bench::{json, numeric_flag, switch_flag};
+use dss_bench::json;
+use dss_harness::cli::Flags;
 use dss_harness::throughput::{measure_kv_mix, KvMixConfig, Throughput};
 
 /// YCSB core mixes: (label, read fraction).
@@ -39,11 +40,16 @@ const WORKLOADS: [(&str, f64); 3] = [("a", 0.5), ("b", 0.95), ("c", 1.0)];
 const SKEWS: [(&str, f64); 2] = [("zipf", 0.99), ("uniform", 0.0)];
 
 fn main() {
-    let max_threads = numeric_flag("--threads", 8) as usize;
-    let ms = numeric_flag("--ms", 120);
-    let repeats = numeric_flag("--repeats", 2) as usize;
-    let penalty = numeric_flag("--penalty", 20);
-    let keys = numeric_flag("--keys", 1024);
+    let flags = Flags::parse(
+        "kv",
+        &["--threads", "--ms", "--repeats", "--penalty", "--keys"],
+        &["--assert-kv-mix", "--bench"],
+    );
+    let max_threads = flags.value("--threads", 8);
+    let ms = flags.value("--ms", 120);
+    let repeats = flags.value("--repeats", 2);
+    let penalty: u64 = flags.value("--penalty", 20);
+    let keys: u64 = flags.value("--keys", 1024);
 
     // 1, 2, 4, ... up to and including the requested thread count.
     let mut counts = vec![];
@@ -116,7 +122,7 @@ fn main() {
     }
     envelope.write("BENCH_kv.json");
 
-    if switch_flag("--assert-kv-mix") {
+    if flags.has("--assert-kv-mix") {
         assert_kv_mix(&counts, &series);
     }
 }

@@ -1,11 +1,14 @@
-//! Microscopic cost of the persistent-memory simulator primitives.
+//! Microscopic cost of the persistent-memory simulator primitives. The
+//! target takes no flags.
 
 use std::hint::black_box;
 
 use dss_bench::Runner;
+use dss_harness::cli::Flags;
 use dss_pmem::{FlushGranularity, PAddr, PmemPool};
 
 fn main() {
+    Flags::parse("pmem_ops", &[], &["--bench"]);
     let r = Runner::new("pmem").sample_size(50);
 
     let pool = PmemPool::with_capacity(1024);

@@ -3,16 +3,17 @@
 //!
 //! This is the microscopic view of Figures 5a/5b — the same ordering must
 //! appear here as in the throughput series. Pass `--backend dram` (or both
-//! `--backend pmem --backend dram`) to switch the memory substrate; other
-//! flags are ignored because `cargo bench` forwards its own.
+//! `--backend pmem --backend dram`) to switch the memory substrate; it is
+//! the target's only flag.
 
 use std::hint::black_box;
 
-use dss_bench::{backends_from_args, Runner};
+use dss_bench::Runner;
 use dss_harness::adapter::QueueKind;
+use dss_harness::cli::Flags;
 
 fn main() {
-    for backend in backends_from_args() {
+    for backend in Flags::parse("queue_ops", &["--backend"], &["--bench"]).backends() {
         let r = Runner::new(&format!("enq_deq_pair/{}", backend.label()))
             .warm_up_time(std::time::Duration::from_millis(300))
             .measurement_time(std::time::Duration::from_millis(800));

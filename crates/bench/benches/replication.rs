@@ -31,8 +31,9 @@
 
 use std::time::Duration;
 
-use dss_bench::{json, numeric_flag, switch_flag};
+use dss_bench::json;
 use dss_harness::adapter::QueueKind;
+use dss_harness::cli::Flags;
 use dss_harness::throughput::{measure_read_mix, ReadMixConfig, Throughput};
 
 const READ_FRACTIONS: [f64; 3] = [0.5, 0.9, 0.99];
@@ -80,10 +81,15 @@ impl Column {
 }
 
 fn main() {
-    let max_threads = numeric_flag("--threads", 8) as usize;
-    let ms = numeric_flag("--ms", 120);
-    let repeats = numeric_flag("--repeats", 2) as usize;
-    let penalty = numeric_flag("--penalty", 20);
+    let flags = Flags::parse(
+        "replication",
+        &["--threads", "--ms", "--repeats", "--penalty"],
+        &["--assert-read-scaling", "--bench"],
+    );
+    let max_threads = flags.value("--threads", 8);
+    let ms = flags.value("--ms", 120);
+    let repeats = flags.value("--repeats", 2);
+    let penalty: u64 = flags.value("--penalty", 20);
 
     // 1, 2, 4, ... up to and including the requested thread count.
     let mut counts = vec![];
@@ -177,7 +183,7 @@ fn main() {
     }
     envelope.write("BENCH_replication.json");
 
-    if switch_flag("--assert-read-scaling") {
+    if flags.has("--assert-read-scaling") {
         assert_read_scaling(&counts, &series, hi);
     }
 }

@@ -10,14 +10,15 @@
 //!   (load/store/CAS/flush at both granularities).
 //! * `backend_overhead` — experiment E8's ablation: the same DSS queue
 //!   pair on instrumented pmem, uninstrumented (raw) pmem, and dram.
-//! * `fig5a`, `fig5b` — benches that regenerate the paper's two figures
-//!   as text series (scaled-down defaults; the `dss-harness` binaries
-//!   expose the full parameter space).
 //! * `contention` — experiments E9 and E10: every thread on one queue,
 //!   over the coalesce × per-address × backoff grid.
 //! * `replication` — experiment E15: replica-local read mixes against
 //!   the single instance.
 //! * `kv` — experiment E16: YCSB-style mixes on the detectable map.
+//!
+//! Each target reads its flags through `dss_harness::cli::Flags` and
+//! refuses any argument it does not read, apart from `cargo bench`'s own
+//! `--bench`.
 //!
 //! The runner ([`Runner`]) replaces an external benchmarking dependency:
 //! it calibrates an iteration count per sample from a target sample
@@ -135,52 +136,6 @@ impl Runner {
         );
         stat
     }
-}
-
-/// Lenient scan of bench-target CLI arguments for one numeric flag,
-/// ignoring everything unknown (`cargo bench` passes harness flags like
-/// `--bench` through to custom runners).
-///
-/// # Panics
-///
-/// Panics if the flag is present but its value is not a number.
-pub fn numeric_flag(name: &str, default: u64) -> u64 {
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        if flag == name {
-            if let Some(v) = it.next() {
-                return v.parse().unwrap_or_else(|_| panic!("{name} needs a number"));
-            }
-        }
-    }
-    default
-}
-
-/// Lenient scan of bench-target CLI arguments for a bare switch flag.
-pub fn switch_flag(name: &str) -> bool {
-    std::env::args().skip(1).any(|flag| flag == name)
-}
-
-/// Lenient scan of bench-target CLI arguments for repeated
-/// `--backend {pmem,dram}` flags, ignoring everything else (`cargo bench`
-/// passes harness flags like `--bench` through to custom runners).
-///
-/// Returns pmem-only when no `--backend` flag is present, mirroring
-/// `dss_harness::cli`.
-pub fn backends_from_args() -> Vec<dss_harness::adapter::Backend> {
-    let mut backends = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        if flag == "--backend" {
-            if let Some(v) = it.next() {
-                backends.push(dss_harness::adapter::Backend::parse(&v));
-            }
-        }
-    }
-    if backends.is_empty() {
-        backends.push(dss_harness::adapter::Backend::Pmem);
-    }
-    backends
 }
 
 #[cfg(test)]

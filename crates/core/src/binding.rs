@@ -46,10 +46,9 @@
 //! [`seed`](Bindings::seed), and leave every compare of one to this module.
 
 use std::ops::Deref;
-use std::sync::{Mutex, MutexGuard};
 
 use dss_pmem::{
-    tag, AppKind, CachePadded, Memory, NodePool, NodeSet, ObjectCore, PAddr, WORDS_PER_LINE,
+    tag, AppKind, CachePadded, Memory, Mutex, NodePool, NodeSet, ObjectCore, PAddr, WORDS_PER_LINE,
 };
 
 use crate::detect::DetectableCore;
@@ -97,7 +96,7 @@ pub(crate) struct Bindings<M: Memory> {
     /// Per-slot superseded value nodes that slot's `X` still named when
     /// they were replaced. Never holds a current binding: at most a couple
     /// of nodes. Padded, since every write locks its own slot's list.
-    held: Box<[CachePadded<Mutex<Vec<PAddr>>>]>,
+    pub(crate) held: Box<[CachePadded<Mutex<Vec<PAddr>>>]>,
     /// Names the object in the exhaustion panic.
     kind: AppKind,
 }
@@ -165,11 +164,6 @@ impl<M: Memory> Bindings<M> {
     /// Returns a node no other thread has seen to the caller's free list.
     pub(crate) fn discard(&self, tid: usize, node: PAddr) {
         self.nodes.free(tid, node);
-    }
-
-    /// Slot `slot`'s parked nodes.
-    pub(crate) fn held(&self, slot: usize) -> MutexGuard<'_, Vec<PAddr>> {
-        self.held[slot].lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Allocates a value node and persists every field word — separate
@@ -362,7 +356,7 @@ impl<M: Memory> Bindings<M> {
     /// `old` cannot reappear in any `X` before it is retired.
     fn release_superseded(&self, tid: usize, old: PAddr) {
         match (0..self.nthreads()).find(|&t| self.peek_node(self.x_addr(t)) == old) {
-            Some(t) => self.held(t).push(old),
+            Some(t) => self.held[t].lock().push(old),
             None => self.ebr().retire(tid, old),
         }
     }
@@ -371,7 +365,7 @@ impl<M: Memory> Bindings<M> {
     /// names; called at the top of every write.
     fn release_held(&self, tid: usize) {
         let x = self.peek_node(self.x_addr(tid));
-        for p in self.held(tid).extract_if(.., |p| *p != x) {
+        for p in self.held[tid].lock().extract_if(.., |p| *p != x) {
             self.ebr().retire(tid, p);
         }
     }
@@ -386,7 +380,7 @@ impl<M: Memory> Bindings<M> {
         mark(&mut live);
         for i in 0..self.nthreads() {
             let d = self.peek_node(self.x_addr(i));
-            let mut held = self.held(i);
+            let mut held = self.held[i].lock();
             held.clear();
             if live.insert(d) && self.installed(d, None) {
                 held.push(d);
@@ -405,7 +399,7 @@ impl<M: Memory> Bindings<M> {
     /// the free lists.
     #[cfg(test)]
     pub(crate) fn assert_conserved(&self, owned: impl IntoIterator<Item = (PAddr, &'static str)>) {
-        let held: Vec<_> = (0..self.nthreads()).flat_map(|t| self.held(t).clone()).collect();
+        let held: Vec<_> = (0..self.nthreads()).flat_map(|t| self.held[t].lock().clone()).collect();
         // Nobody is pinned, so a few epoch advances drain every limbo list.
         let limbo: Vec<_> = (0..4).flat_map(|_| self.ebr().collect_all(0)).collect();
         assert_eq!(self.ebr().limbo_len(), 0);

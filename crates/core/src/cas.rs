@@ -419,7 +419,7 @@ impl SingleCell<PmemPool> {
         self.write(h1, [2, 0], false);
         self.pool().crash(&dss_pmem::WritebackAdversary::None);
         self.rebuild_allocator();
-        assert_eq!(*self.values.held(h0.slot()), vec![first]);
+        assert_eq!(*self.values.held[h0.slot()].lock(), vec![first]);
         assert_conserved();
     }
 }

@@ -1064,7 +1064,7 @@ mod tests {
     }
 
     fn held_len(m: &DetectableMap) -> usize {
-        (0..m.nthreads()).map(|t| m.values.held(t).len()).sum()
+        (0..m.nthreads()).map(|t| m.values.held[t].lock().len()).sum()
     }
 
     #[test]
@@ -1140,11 +1140,11 @@ mod tests {
         m.put(h1, 1, 11);
         m.pool().crash(&WritebackAdversary::None);
         m.rebuild_allocator();
-        assert_eq!(*m.values.held(h0.slot()), vec![first]);
+        assert_eq!(*m.values.held[h0.slot()].lock(), vec![first]);
         assert_conserved(&m);
         m.prep_put(h0, 2, 20, 1);
         m.exec_put(h0);
-        assert_eq!(*m.values.held(h0.slot()), vec![first], "X[h0] moved on only just now");
+        assert_eq!(*m.values.held[h0.slot()].lock(), vec![first], "X[h0] moved on only just now");
         m.put(h0, 3, 30);
         assert_eq!(held_len(&m), 0);
         assert_eq!(m.ebr().limbo_len(), 1, "retired once, by its slot");

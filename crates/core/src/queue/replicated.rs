@@ -76,12 +76,11 @@ use std::sync::atomic::{
     AtomicU64,
     Ordering::{Acquire, Relaxed, Release},
 };
-use std::sync::{Mutex, MutexGuard};
 
 use dss_pmem::object::{checked_words, thread_count};
 use dss_pmem::{
-    AppKind, AttachError, Backoff, FlushGranularity, Memory, ObjectCore, ObjectLayout, PAddr,
-    PmemPool, Registry, SlotState, ThreadHandle, WORDS_PER_LINE,
+    AppKind, AttachError, Backoff, FlushGranularity, Memory, Mutex, ObjectCore, ObjectLayout,
+    PAddr, PmemPool, Registry, SlotState, ThreadHandle, WORDS_PER_LINE,
 };
 use dss_spec::types::QueueResp;
 
@@ -139,13 +138,6 @@ const R_VALUE: u64 = 3;
 const S_SEQ: u64 = 0;
 const S_LEN: u64 = 1;
 const S_SLOT_DONE: u64 = 2; // 3 words per slot: opseq, rtag, rval
-
-/// Locks a mutex, riding through poisoning: an appender tenure interrupted
-/// by a simulated crash unwind may poison a lock, and recovery rebuilds
-/// everything the guard protects from durable state anyway.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// The queue's persistent geometry: fixed header + registry, then the
 /// announce lines, the ring and the two snapshot buffers, packed
@@ -268,6 +260,9 @@ pub struct ReplicatedQueue<M: Memory = PmemPool> {
     /// Per-slot response handoff cells, published before the DONE flag.
     resp_tag: Box<[AtomicU64]>,
     resp_val: Box<[AtomicU64]>,
+    /// The volatile replicas and the appender's cache, behind locks that
+    /// ride through poisoning: a simulated crash may unwind a thread that
+    /// holds one, and recovery rebuilds both from durable state.
     replicas: Box<[Mutex<ReplicaState>]>,
     append: Mutex<AppendCache>,
     /// Volatile live-value estimate feeding the enqueue admission gate.
@@ -414,7 +409,7 @@ impl<M: Memory> ReplicatedQueue<M> {
         for r in 0..q.lay.nreplicas {
             q.reseed_replica(r);
         }
-        q.reseed_visible(&lock(&q.append));
+        q.reseed_visible(&q.append.lock());
         q.live_hint.store(q.snapshot_values().len() as u64, Relaxed);
         q.clear_lease();
         q
@@ -434,7 +429,7 @@ impl<M: Memory> ReplicatedQueue<M> {
     /// Reseeds replica `r` from the durable snapshot; its reads replay
     /// the committed ring suffix on demand.
     fn reseed_replica(&self, r: usize) {
-        *lock(&self.replicas[r]) = self.state_from_snapshot();
+        *self.replicas[r].lock() = self.state_from_snapshot();
     }
 
     /// Reseeds the seq replica reads catch up to from the committed-seq
@@ -568,7 +563,7 @@ impl<M: Memory> ReplicatedQueue<M> {
     /// answers `read` from its values.
     fn read_replica<R>(&self, h: ThreadHandle, read: impl FnOnce(&VecDeque<u64>) -> R) -> R {
         let target = self.visible_seq.load(Acquire);
-        let mut st = lock(&self.replicas[self.lay.replica_of(h.slot())]);
+        let mut st = self.replicas[self.lay.replica_of(h.slot())].lock();
         self.advance_locked(&mut st, target);
         read(&st.values)
     }
@@ -588,7 +583,7 @@ impl<M: Memory> ReplicatedQueue<M> {
     /// Panics if `replica` is out of range.
     pub fn advance_to(&self, replica: usize, seq: u64) {
         let target = seq.min(self.visible_seq.load(Acquire));
-        let mut st = lock(&self.replicas[replica]);
+        let mut st = self.replicas[replica].lock();
         self.advance_locked(&mut st, target);
     }
 
@@ -599,7 +594,7 @@ impl<M: Memory> ReplicatedQueue<M> {
     ///
     /// Panics if `replica` is out of range.
     pub fn replica_values(&self, replica: usize) -> Vec<u64> {
-        let st = lock(&self.replicas[replica]);
+        let st = self.replicas[replica].lock();
         st.values.iter().copied().collect()
     }
 
@@ -609,7 +604,7 @@ impl<M: Memory> ReplicatedQueue<M> {
     ///
     /// Panics if `replica` is out of range.
     pub fn replica_applied(&self, replica: usize) -> u64 {
-        lock(&self.replicas[replica]).applied
+        self.replicas[replica].lock().applied
     }
 
     /// Applies ring records `[st.applied, target)` to a locked replica,
@@ -634,7 +629,7 @@ impl<M: Memory> ReplicatedQueue<M> {
     /// the lease.
     fn combine(&self, me: ThreadHandle) {
         let pool = self.pool().as_ref();
-        let mut cache = lock(&self.append);
+        let mut cache = self.append.lock();
         if cache.gen != pool.crash_generation() {
             self.rebuild_cache(&mut cache);
         }
@@ -659,7 +654,7 @@ impl<M: Memory> ReplicatedQueue<M> {
         // batch's responses are computed against it through a read-only
         // overlay, so no replica state mutates before the publish.
         let my = self.lay.replica_of(me.slot());
-        let mut st = lock(&self.replicas[my]);
+        let mut st = self.replicas[my].lock();
         self.advance_locked(&mut st, committed);
 
         // Checkpoint first if this batch's records would overwrite ring
@@ -759,7 +754,7 @@ impl<M: Memory> ReplicatedQueue<M> {
         let pool = self.pool().as_ref();
         for (r, rep) in self.replicas.iter().enumerate() {
             if r != my {
-                let mut st = lock(rep);
+                let mut st = rep.lock();
                 self.advance_locked(&mut st, committed);
             }
         }
@@ -941,7 +936,7 @@ impl<M: Memory> ReplicatedQueue<M> {
         self.begin_recovery();
         let adopted = self.adopt_orphans();
         self.clear_lease();
-        let mut cache = lock(&self.append);
+        let mut cache = self.append.lock();
         self.rebuild_cache(&mut cache);
         for s in 0..self.lay.nthreads {
             self.reseed_slot(s, self.pool().load(self.x_addr(s)), cache.rtag[s], cache.rval[s]);
@@ -965,7 +960,7 @@ impl<M: Memory> ReplicatedQueue<M> {
         let (_, rtag, rval) = self.slot_status(s);
         self.reseed_slot(s, self.pool().load(self.x_addr(s)), rtag, rval);
         self.reseed_replica(self.lay.replica_of(s));
-        self.reseed_visible(&lock(&self.append));
+        self.reseed_visible(&self.append.lock());
     }
 
     /// Parity with the linked layers' post-crash allocator rebuild: the

@@ -67,14 +67,14 @@ impl Backend {
 
     /// Parses a `--backend` flag value.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage hint on anything but `pmem`/`dram`.
-    pub fn parse(s: &str) -> Backend {
+    /// Names the two spellings on anything but `pmem`/`dram`.
+    pub fn parse(s: &str) -> Result<Backend, String> {
         match s {
-            "pmem" => Backend::Pmem,
-            "dram" => Backend::Dram,
-            b => panic!("unknown backend {b} (pmem|dram)"),
+            "pmem" => Ok(Backend::Pmem),
+            "dram" => Ok(Backend::Dram),
+            _ => Err("expected pmem|dram".into()),
         }
     }
 
@@ -605,7 +605,7 @@ mod tests {
     #[test]
     fn backend_labels_parse_back() {
         for b in Backend::all() {
-            assert_eq!(Backend::parse(b.label()), b);
+            assert_eq!(Backend::parse(b.label()), Ok(b));
         }
     }
 }

@@ -3,7 +3,8 @@
 //! strict linearizability w.r.t. `D⟨queue⟩`.
 //!
 //! ```text
-//! cargo run -p dss-harness --release --bin check_histories -- --seed 1
+//! cargo run -p dss-harness --release --bin check_histories -- \
+//!     [--mode monolithic|partitioned] [--max-ops <n>] [--seed 1]
 //! ```
 //!
 //! The default `--mode partitioned` checks every recorded history **in
@@ -16,7 +17,7 @@
 //! first violation.
 
 use dss_checker::{CheckOptions, Condition, Violation};
-use dss_harness::cli::{self, CheckMode};
+use dss_harness::cli::{CheckMode, Flags};
 use dss_harness::crashsim::Layer;
 use dss_harness::record::{
     check_plain, check_recorded, check_recorded_full, record_crash_execution, record_execution,
@@ -29,18 +30,19 @@ fn bail(what: &str, e: &Violation) -> ! {
 }
 
 fn main() {
-    let args = cli::parse();
+    let flags = Flags::parse("check_histories", &["--mode", "--max-ops", "--seed"], &[]);
+    let (mode, first_seed) = (flags.mode(), flags.value("--seed", 1u64));
     let options = CheckOptions {
-        max_window_ops: args.max_ops.unwrap_or(CheckOptions::default().max_window_ops),
+        max_window_ops: flags.value("--max-ops", CheckOptions::default().max_window_ops),
     };
     let runs = 40;
     println!("# E6: strict linearizability of recorded DSS queue executions");
     let mut checked = 0usize;
     let mut ops = 0usize;
-    match args.mode {
+    match mode {
         CheckMode::Monolithic => {
             println!("# mode: monolithic (ground-truth oracle, histories sized to its cap)");
-            for seed in args.seed..args.seed + runs {
+            for seed in first_seed..first_seed + runs {
                 let h = record_execution(Layer::Cas, 3, 5, seed);
                 ops += h.events().len() / 2;
                 check_recorded(&h, Condition::Linearizability)
@@ -58,7 +60,7 @@ fn main() {
         }
         CheckMode::Partitioned => {
             println!("# mode: partitioned (full-length histories, no sampling)");
-            for seed in args.seed..args.seed + runs {
+            for seed in first_seed..first_seed + runs {
                 // Phased D⟨queue⟩ run: barriers bound the windows, the
                 // segmented pipeline checks all of it.
                 let h = record_phased_execution(3, 40, 5, seed);
@@ -78,7 +80,7 @@ fn main() {
             }
             // One large plain-operation run through the FIFO fast path —
             // the regime the monolithic checker could only sample.
-            let h = record_plain_execution(Layer::Cas, 4, 2500, 8, args.seed);
+            let h = record_plain_execution(Layer::Cas, 4, 2500, 8, first_seed);
             let stats = check_plain(&h, Condition::Linearizability, &options)
                 .unwrap_or_else(|e| bail("plain 20k-op run", &e));
             println!(

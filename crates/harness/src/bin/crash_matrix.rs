@@ -29,13 +29,16 @@
 //!
 //! ```text
 //! cargo run -p dss-harness --release --bin crash_matrix -- \
-//!     [--granularity word] [--adversary random --seed 7] \
-//!     [--partial-recovery on] [--multi-process on] \
-//!     [--layer cas|replicated|map]
+//!     [--granularity line|word] [--adversary none|all|random] [--seed 1] \
+//!     [--coalesce on] [--per-address on] [--partial-recovery on] \
+//!     [--multi-process on] [--layer cas|replicated|map]
 //! ```
+//!
+//! `--coalesce on` re-runs the E4 sweep with write-behind coalescing armed
+//! and annotates its header; `--per-address on` narrows its drains.
 
 use dss_checker::{CheckOptions, CheckStats, Condition, Violation};
-use dss_harness::cli;
+use dss_harness::cli::Flags;
 use dss_harness::crashsim::{
     multi_process_child, multi_process_sweep, partial_recovery_crash_run, sweep, Layer,
     SweepConfig, SweepOutcome, MP_CHILD_FLAG,
@@ -53,16 +56,33 @@ fn main() {
     if argv.get(1).map(String::as_str) == Some(MP_CHILD_FLAG) {
         multi_process_child(&argv[2..]);
     }
-    let args = cli::parse();
+    let flags = Flags::parse(
+        "crash_matrix",
+        &[
+            "--granularity",
+            "--adversary",
+            "--seed",
+            "--coalesce",
+            "--per-address",
+            "--partial-recovery",
+            "--multi-process",
+            "--layer",
+        ],
+        &[],
+    );
+    let first_seed = flags.value("--seed", 1);
+    let base = SweepConfig {
+        adversary: flags.adversary(first_seed),
+        granularity: flags.granularity(),
+        coalesce: flags.on("--coalesce"),
+        per_address: flags.on("--per-address"),
+        layer: flags.layer(),
+        ..Default::default()
+    };
+    let partial_recovery = flags.on("--partial-recovery");
+    let multi_process = flags.on("--multi-process");
     for independent in [false, true] {
-        let config = SweepConfig {
-            adversary: args.writeback_adversary(),
-            granularity: args.granularity,
-            independent_recovery: independent,
-            coalesce: args.coalesce,
-            per_address: args.per_address,
-            layer: args.layer,
-        };
+        let config = SweepConfig { independent_recovery: independent, ..base.clone() };
         println!(
             "# E4 crash matrix: adversary={:?} granularity={:?} recovery={}{}{}{}",
             config.adversary,
@@ -72,7 +92,7 @@ fn main() {
             // byte-identical to the recorded results/crash_matrix_*.txt.
             if config.coalesce { " coalesce=on" } else { "" },
             if config.per_address { " per-address=on" } else { "" },
-            match args.layer {
+            match config.layer {
                 Layer::Replicated => " replicated=on",
                 Layer::Map => " map=on",
                 Layer::Cas => "",
@@ -96,7 +116,7 @@ fn main() {
         println!();
         assert_eq!(total_violations, 0, "detectability violations found!");
     }
-    if args.partial_recovery {
+    if partial_recovery {
         const THREADS: usize = 4;
         println!("# E11 partial recovery: {THREADS} threads crash, `survivors` restart;");
         println!("# survivors recover independently, survivor 0 adopts the rest (§3.3)");
@@ -105,7 +125,8 @@ fn main() {
             const SEEDS: u64 = 8;
             let mut queued = 0usize;
             for seed in 0..SEEDS {
-                match partial_recovery_crash_run(args.layer, THREADS, survivors, args.seed + seed) {
+                match partial_recovery_crash_run(base.layer, THREADS, survivors, first_seed + seed)
+                {
                     Ok(n) => queued += n,
                     Err(e) => panic!("survivors={survivors} seed={seed}: {e}"),
                 }
@@ -120,7 +141,7 @@ fn main() {
         }
         println!();
     }
-    if args.multi_process {
+    if multi_process {
         let exe = std::env::current_exe().expect("locating this binary for self-spawn");
         println!("# E12 multi-process: victim child SIGKILLed mid-op; parent attaches the");
         println!("# pool file with no in-process state and runs the adopt-then-resolve restart");
@@ -138,10 +159,10 @@ fn main() {
         let mut total_violations = 0;
         for (coalesce, per_address) in [(false, false), (true, false), (true, true)] {
             let config = SweepConfig {
-                granularity: args.granularity,
+                granularity: base.granularity,
                 coalesce,
                 per_address,
-                layer: args.layer,
+                layer: base.layer,
                 ..Default::default()
             };
             let mut print_row = |op: String, out: &SweepOutcome| {
@@ -165,8 +186,8 @@ fn main() {
         println!();
         assert_eq!(total_violations, 0, "multi-process detectability violations found!");
     }
-    checked_histories_epilogue(&args);
-    match args.layer {
+    checked_histories_epilogue(&base, first_seed, partial_recovery);
+    match base.layer {
         Layer::Map => println!("ok: every crash point resolved consistently with D<map>"),
         _ => println!("ok: every crash point resolved consistently with D<queue>"),
     }
@@ -179,7 +200,7 @@ fn main() {
 /// linearizability. Queue layers check the `D⟨queue⟩` history directly;
 /// the map layer splits its `Keyed<KvSpec>` history per key
 /// (`check_partitioned`) and certifies each partition in full.
-fn checked_histories_epilogue(args: &cli::Args) {
+fn checked_histories_epilogue(base: &SweepConfig, first_seed: u64, partial_recovery: bool) {
     const SEEDS: u64 = 6;
     let options = CheckOptions::default();
     let strict = Condition::StrictLinearizability;
@@ -188,10 +209,10 @@ fn checked_histories_epilogue(args: &cli::Args) {
         "{:<22} {:>6} {:>8} {:>9} {:>12}",
         "workload", "seeds", "ops", "windows", "max-window"
     );
-    if args.layer == Layer::Map {
+    if base.layer == Layer::Map {
         checked_row("map-system-crash", SEEDS, |seed| {
             check_map_history(
-                &record_map_crash_execution(3, 30, args.seed + seed),
+                &record_map_crash_execution(3, 30, first_seed + seed),
                 strict,
                 &options,
             )
@@ -200,21 +221,21 @@ fn checked_histories_epilogue(args: &cli::Args) {
         // the P-compositionality counterpart of the queue's plain check.
         checked_row("map-plain", 1, |_| {
             check_map_history(
-                &record_map_execution(3, 400, args.seed),
+                &record_map_execution(3, 400, first_seed),
                 Condition::Linearizability,
                 &options,
             )
         });
-        if args.partial_recovery {
+        if partial_recovery {
             for survivors in 1..=3usize {
                 checked_row(&format!("map-partial s={survivors}"), SEEDS, |seed| {
                     let h = record_map_partial_recovery_execution(
                         3,
                         survivors,
                         20,
-                        args.seed + seed,
-                        args.coalesce,
-                        args.per_address,
+                        first_seed + seed,
+                        base.coalesce,
+                        base.per_address,
                     );
                     check_map_history(&h, strict, &options)
                 });
@@ -225,31 +246,31 @@ fn checked_histories_epilogue(args: &cli::Args) {
     }
     checked_row("system-crash", SEEDS, |seed| {
         check_recorded_full(
-            &record_crash_execution(args.layer, 3, 30, args.seed + seed),
+            &record_crash_execution(base.layer, 3, 30, first_seed + seed),
             strict,
             &options,
         )
     });
-    if args.layer.is_leased() {
+    if base.layer.is_leased() {
         // Leased batches serialize many operations per lease tenure;
         // verify a long crash-free batched history in full — every
         // operation, no sampling — against the sequential FIFO spec.
-        checked_row(&format!("{}-plain", args.layer), 1, |_| {
-            let h = record_plain_execution(args.layer, 3, 400, 4, args.seed);
+        checked_row(&format!("{}-plain", base.layer), 1, |_| {
+            let h = record_plain_execution(base.layer, 3, 400, 4, first_seed);
             check_plain(&h, Condition::Linearizability, &options)
         });
     }
-    if args.partial_recovery {
+    if partial_recovery {
         for survivors in 1..=3usize {
             checked_row(&format!("partial-recovery s={survivors}"), SEEDS, |seed| {
                 let h = record_partial_recovery_execution(
-                    args.layer,
+                    base.layer,
                     3,
                     survivors,
                     20,
-                    args.seed + seed,
-                    args.coalesce,
-                    args.per_address,
+                    first_seed + seed,
+                    base.coalesce,
+                    base.per_address,
                 );
                 check_recorded_full(&h, strict, &options)
             });

@@ -49,9 +49,10 @@ impl Drop for TmpPool {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = dss_harness::cli::parse();
+    let flags = dss_harness::cli::Flags::parse("e12_multi_process", &["--ms", "--repeats"], &[]);
+    let (ms, repeats) = (flags.value("--ms", 200), flags.value("--repeats", 3usize));
 
-    println!("# E12.1: attach time vs pool size (mean of {} attaches)", args.repeats.max(1));
+    println!("# E12.1: attach time vs pool size (mean of {} attaches)", repeats.max(1));
     println!("{:>10} {:>12} {:>12} {:>14}", "length", "file-KiB", "attach-us", "us-per-KiB");
     for exp in 6..=13 {
         let len = 1u64 << exp;
@@ -65,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             q.pool().drain();
         }
         let kib = std::fs::metadata(tmp.path())?.len() as f64 / 1024.0;
-        let reps = args.repeats.max(1);
+        let reps = repeats.max(1);
         let mut us = 0.0;
         for _ in 0..reps {
             let t = Instant::now();
@@ -82,12 +83,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "# E12.2: single-thread throughput, anonymous vs file-backed pool \
          (Mops/s, enqueue+dequeue pairs, {} ms x {} repeats)",
-        args.ms, args.repeats
+        ms, repeats
     );
     println!("{:>12} {:>12} {:>10}", "anonymous", "file", "file/anon");
     let run = |q: &DssQueue| -> Result<f64, Box<dyn std::error::Error>> {
         let h = q.register_thread()?;
-        let deadline = Instant::now() + Duration::from_millis(args.ms);
+        let deadline = Instant::now() + Duration::from_millis(ms);
         let mut ops = 0u64;
         while Instant::now() < deadline {
             for i in 0..64 {
@@ -96,11 +97,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ops += 2;
             }
         }
-        Ok(ops as f64 / Duration::from_millis(args.ms).as_secs_f64() / 1e6)
+        Ok(ops as f64 / Duration::from_millis(ms).as_secs_f64() / 1e6)
     };
     let mut anon_best = 0.0f64;
     let mut file_best = 0.0f64;
-    for rep in 0..args.repeats.max(1) {
+    for rep in 0..repeats.max(1) {
         let anon = DssQueue::new(1, 256);
         anon_best = anon_best.max(run(&anon)?);
         let tmp = TmpPool::new(&format!("tput-{rep}"));

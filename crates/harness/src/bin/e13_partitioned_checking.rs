@@ -22,7 +22,7 @@
 //! ops/sec per pipeline) in the current directory.
 //!
 //! ```text
-//! cargo run -p dss-harness --release --bin e13_partitioned_checking
+//! cargo run -p dss-harness --release --bin e13_partitioned_checking -- [--seed 1]
 //! ```
 
 use std::time::Instant;
@@ -52,14 +52,15 @@ fn row(pipeline: &'static str, ops: usize, secs: f64, note: String) -> Row {
 }
 
 fn main() {
-    let args = dss_harness::cli::parse();
+    let seed: u64 = dss_harness::cli::Flags::parse("e13_partitioned_checking", &["--seed"], &[])
+        .value("--seed", 1);
     let options = CheckOptions::default();
     let mut rows: Vec<Row> = Vec::new();
 
     // Monolithic oracle: many small histories (3 threads x 5 steps each).
     {
         let histories: Vec<_> =
-            (0..60).map(|s| record_execution(Layer::Cas, 3, 5, args.seed + s)).collect();
+            (0..60).map(|s| record_execution(Layer::Cas, 3, 5, seed + s)).collect();
         let ops: usize = histories.iter().map(|h| h.events().len() / 2).sum();
         let t = Instant::now();
         for h in &histories {
@@ -70,7 +71,7 @@ fn main() {
 
     // Segmented pipeline: one full-length phased D⟨queue⟩ execution.
     {
-        let h = record_phased_execution(3, 600, 5, args.seed);
+        let h = record_phased_execution(3, 600, 5, seed);
         let t = Instant::now();
         let stats = check_recorded_full(&h, Condition::Linearizability, &options)
             .unwrap_or_else(|e| panic!("segmented: {e}"));
@@ -87,7 +88,7 @@ fn main() {
 
     // FIFO fast path: a >=100k-op plain execution of the real queue.
     {
-        let h = record_plain_execution(Layer::Cas, 4, 15_000, 8, args.seed);
+        let h = record_plain_execution(Layer::Cas, 4, 15_000, 8, seed);
         let t = Instant::now();
         let stats = check_plain(&h, Condition::Linearizability, &options)
             .unwrap_or_else(|e| panic!("fifo fast path: {e}"));

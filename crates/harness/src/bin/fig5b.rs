@@ -2,41 +2,25 @@
 //! implementations compared.
 //!
 //! DSS queue vs log queue vs Fast/General CASWithEffect queues, same
-//! workload as Figure 5a.
+//! workload and flags as Figure 5a.
 //!
 //! ```text
 //! cargo run -p dss-harness --release --bin fig5b -- \
-//!     --threads 8 --ms 200 --repeats 3 --penalty 20
+//!     [--threads 8] [--ms 200] [--repeats 3] [--penalty 20] \
+//!     [--backend pmem --backend dram] [--coalesce on] [--backoff on]
 //! ```
 //!
 //! `--backend pmem --backend dram` repeats the sweep per memory backend
 //! (experiment E8's axis); the default is the pmem simulator only.
 //! `--coalesce on` / `--backoff on` arm the E9 performance axes.
 
-use std::time::Duration;
-
 use dss_harness::adapter::QueueKind;
-use dss_harness::cli;
-use dss_harness::throughput::{print_series, ThroughputConfig};
+use dss_harness::throughput::figure_main;
 
 fn main() {
-    let args = cli::parse();
-    let threads: Vec<usize> = (1..=args.threads).collect();
-    for backend in args.parsed_backends() {
-        let base = ThroughputConfig {
-            duration: Duration::from_millis(args.ms),
-            repeats: args.repeats,
-            flush_penalty: args.penalty,
-            backend,
-            coalesce: args.coalesce,
-            backoff: args.backoff,
-            ..Default::default()
-        };
-        print_series(
-            "Figure 5b: different detectable queue implementations (Mops/s)",
-            &QueueKind::figure_5b(),
-            &threads,
-            &base,
-        );
-    }
+    figure_main(
+        "fig5b",
+        "Figure 5b: different detectable queue implementations (Mops/s)",
+        &QueueKind::figure_5b(),
+    );
 }

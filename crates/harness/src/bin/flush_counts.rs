@@ -17,7 +17,8 @@
 //! and E10).
 //!
 //! ```text
-//! cargo run -p dss-harness --release --bin flush_counts
+//! cargo run -p dss-harness --release --bin flush_counts -- \
+//!     [--backend pmem --backend dram]
 //! ```
 //!
 //! `--backend pmem --backend dram` repeats the tables per memory backend;
@@ -30,11 +31,11 @@ use dss_core::{
     DetectableCas, DetectableMap, DetectableRegister, DssQueue, DssStack, ReplicatedQueue,
 };
 use dss_harness::adapter::{Backend, QueueKind, PAIRS};
+use dss_harness::cli::Flags;
 use dss_pmem::{DramPool, FlushGranularity, Memory, PmemPool, StatsSnapshot, WritebackAdversary};
 
 fn main() {
-    let args = dss_harness::cli::parse();
-    let backends = args.parsed_backends();
+    let backends = Flags::parse("flush_counts", &["--backend"], &[]).backends();
     let annotate = backends.len() > 1 || backends != [Backend::Pmem];
     for backend in backends {
         if annotate {

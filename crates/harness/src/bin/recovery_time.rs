@@ -13,6 +13,7 @@ use dss_core::DssQueue;
 use dss_pmem::WritebackAdversary;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    dss_harness::cli::Flags::parse("recovery_time", &[], &[]);
     println!("# E5: recovery latency vs queue length (microseconds, mean of 5)");
     println!(
         "{:>10} {:>18} {:>18} {:>18}",

@@ -17,6 +17,7 @@ use dss_core::DetectableMap;
 use dss_pmem::splitmix64;
 
 use crate::adapter::{Backend, QueueKind};
+use crate::cli::Flags;
 
 /// Parameters of one throughput measurement.
 #[derive(Clone, Debug)]
@@ -369,40 +370,53 @@ fn run_once_kv_mix(config: &KvMixConfig) -> f64 {
     })
 }
 
-/// Prints one figure series (threads on the x-axis, Mops/s per queue) as
-/// an aligned text table, in the paper's layout.
-pub fn print_series(
-    title: &str,
-    kinds: &[QueueKind],
-    thread_counts: &[usize],
-    base: &ThroughputConfig,
-) {
-    println!("# {title}");
-    println!(
-        "# duration={:?} repeats={} prefill={} flush_penalty={} backend={} coalesce={} \
-         per_address={} backoff={}",
-        base.duration,
-        base.repeats,
-        base.prefill,
-        base.flush_penalty,
-        base.backend.label(),
-        base.coalesce,
-        base.per_address,
-        base.backoff
+/// The `fig5a` and `fig5b` programs: per `--backend`, a table in the
+/// paper's layout of `kinds`' Mops/s over 1..=`--threads` threads (8;
+/// `--ms` 200, `--repeats` 3, `--penalty` 20, `--coalesce`/`--backoff` off).
+pub fn figure_main(program: &'static str, title: &str, kinds: &[QueueKind]) {
+    let flags = Flags::parse(
+        program,
+        &["--threads", "--ms", "--repeats", "--penalty", "--backend", "--coalesce", "--backoff"],
+        &[],
     );
-    print!("{:>8}", "threads");
-    for kind in kinds {
-        print!("  {:>28}", kind.label());
-    }
-    println!();
-    for &threads in thread_counts {
-        print!("{threads:>8}");
+    let max_threads = flags.value("--threads", 8);
+    let base = ThroughputConfig {
+        duration: Duration::from_millis(flags.value("--ms", 200)),
+        repeats: flags.value("--repeats", 3),
+        flush_penalty: flags.value("--penalty", 20),
+        coalesce: flags.on("--coalesce"),
+        backoff: flags.on("--backoff"),
+        ..Default::default()
+    };
+    for backend in flags.backends() {
+        let base = ThroughputConfig { backend, ..base.clone() };
+        println!("# {title}");
+        println!(
+            "# duration={:?} repeats={} prefill={} flush_penalty={} backend={} coalesce={} \
+             per_address={} backoff={}",
+            base.duration,
+            base.repeats,
+            base.prefill,
+            base.flush_penalty,
+            base.backend.label(),
+            base.coalesce,
+            base.per_address,
+            base.backoff
+        );
+        print!("{:>8}", "threads");
         for kind in kinds {
-            let config = ThroughputConfig { threads, ..base.clone() };
-            let t = measure(*kind, &config);
-            print!("  {:>20.3} ±{:>5.3}", t.mops_mean, t.mops_stddev);
+            print!("  {:>28}", kind.label());
         }
         println!();
+        for threads in 1..=max_threads {
+            print!("{threads:>8}");
+            for kind in kinds {
+                let config = ThroughputConfig { threads, ..base.clone() };
+                let t = measure(*kind, &config);
+                print!("  {:>20.3} ±{:>5.3}", t.mops_mean, t.mops_stddev);
+            }
+            println!();
+        }
     }
 }
 

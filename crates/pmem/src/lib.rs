@@ -128,4 +128,4 @@ pub use pool::{
 pub use registry::{Registry, SlotError, SlotState, ThreadHandle};
 pub use seg::{AppKind, AttachError};
 pub use stats::{Stats, StatsSnapshot};
-pub use sync::CachePadded;
+pub use sync::{CachePadded, Mutex};

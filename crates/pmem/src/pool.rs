@@ -62,14 +62,14 @@ impl FlushGranularity {
 
     /// Inverse of [`name`](Self::name).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage hint on any other name.
-    pub fn parse(s: &str) -> FlushGranularity {
+    /// Names the two spellings on any other name.
+    pub fn parse(s: &str) -> Result<FlushGranularity, String> {
         match s {
-            "line" => FlushGranularity::Line,
-            "word" => FlushGranularity::Word,
-            g => panic!("unknown granularity {g} (line|word)"),
+            "line" => Ok(FlushGranularity::Line),
+            "word" => Ok(FlushGranularity::Word),
+            _ => Err("expected line|word".into()),
         }
     }
 }
@@ -1257,7 +1257,7 @@ mod tests {
     #[test]
     fn granularity_names_round_trip() {
         for g in [FlushGranularity::Line, FlushGranularity::Word] {
-            assert_eq!(FlushGranularity::parse(g.name()), g);
+            assert_eq!(FlushGranularity::parse(g.name()), Ok(g));
         }
     }
 

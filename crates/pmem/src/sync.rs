@@ -1,12 +1,14 @@
 //! Poison-free mutex.
 //!
 //! Crash injection unwinds threads with a [`CrashSignal`](crate::CrashSignal)
-//! panic while they may hold allocator or reclamation locks. `std`'s mutex
-//! would poison on that unwind and fail every later `lock()`; a simulated
-//! crash, however, is an *expected* event after which the pool is repaired
-//! by an explicit rebuild, not by refusing the lock. This wrapper keeps the
-//! no-poisoning semantics the code was written against (previously provided
-//! by `parking_lot`, which the offline build environment cannot fetch).
+//! panic while they may hold allocator or reclamation locks, or a
+//! structure's own (a binding object's held lists, the replicated queue's
+//! replicas and append cache). `std`'s mutex would poison on that unwind
+//! and fail every later `lock()`; a simulated crash, however, is an
+//! *expected* event after which the pool is repaired by an explicit
+//! rebuild, not by refusing the lock. This wrapper keeps the no-poisoning
+//! semantics the code was written against (previously provided by
+//! `parking_lot`, which the offline build environment cannot fetch).
 
 use std::sync::{self, PoisonError};
 
